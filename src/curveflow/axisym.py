@@ -29,6 +29,7 @@ from .flow1d import (
     DISPLACEMENT_FRACTION,
     SNAPSHOT_LEVELS,
     EVENT_BLOWUP,
+    EVENT_STEP_BUDGET,
     Event,
     FlowConfig,
 )
@@ -36,8 +37,7 @@ from .flow1d import (
 TOPOLOGY_TWO_POLES = "twopoles"
 TOPOLOGY_PERIODIC = "periodic"
 TOPOLOGY_CYLINDER = "cylinder"
-TOPOLOGY_OPEN = "open"
-TOPOLOGIES = (TOPOLOGY_TWO_POLES, TOPOLOGY_PERIODIC, TOPOLOGY_CYLINDER, TOPOLOGY_OPEN)
+TOPOLOGIES = (TOPOLOGY_TWO_POLES, TOPOLOGY_PERIODIC, TOPOLOGY_CYLINDER)
 
 EVENT_NECK_PINCH = "neck-pinch"
 EVENT_TORUS_COLLAPSE = "torus-collapse"
@@ -59,7 +59,6 @@ class AxiProfile:
     topology : "twopoles"  endpoints on the axis (sphere, dumbbell)
                "periodic"  closed loop off the axis (torus meridian)
                "cylinder"  graph r(x), periodic in x with the given period
-               "open"      open arc off the axis, ends held fixed
     period   : x-period, required for the cylinder topology
     """
 
@@ -108,9 +107,6 @@ class AxiProfile:
             r[-1] = 0.0
             if np.any(r[1:-1] <= 0):
                 raise DegenerateGeometryError("interior sample on or below the axis")
-        elif topology == TOPOLOGY_OPEN:
-            if np.any(r <= 0):
-                raise DegenerateGeometryError("open profile sample on or below the axis")
         else:
             if np.any(r <= 0):
                 raise DegenerateGeometryError("sample on or below the axis")
@@ -182,64 +178,48 @@ class AxiTrajectory:
 
 def _chain_fields(
     pts: NDArray[np.float64], sigma: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Curvature, normal and h for an extended open chain.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Curvature, normal, h and edge lengths for an extended open chain.
 
-    pts has one ghost sample prepended and appended; results cover the real
-    samples in between.  sigma orients the normal to the inward side.
+    pts has one neighbour sample before and after the samples it reports on;
+    sigma orients the normal to the inward side.
     """
-    e_prev = pts[1:-1] - pts[:-2]
-    e_next = pts[2:] - pts[1:-1]
-    chord = pts[2:] - pts[:-2]
-    a = np.hypot(e_prev[:, 0], e_prev[:, 1])
-    b = np.hypot(e_next[:, 0], e_next[:, 1])
-    c = np.hypot(chord[:, 0], chord[:, 1])
-    cross = e_prev[:, 0] * e_next[:, 1] - e_prev[:, 1] * e_next[:, 0]
-    denom = a * b * c
-    mu = np.where(denom > 0, 2.0 * cross / np.where(denom > 0, denom, 1.0), 0.0)
-    safe_c = np.where(c > 0, c, 1.0)
-    nu = np.empty_like(e_prev)
-    nu[:, 0] = sigma * chord[:, 1] / safe_c
-    nu[:, 1] = -sigma * chord[:, 0] / safe_c
+    mu, left, seg = cv._three_point(pts)
     kappa = -sigma * mu
+    nu = -sigma * left
     r = pts[1:-1, 1]
     axis_term = np.where(r > 0, nu[:, 1] / np.where(r > 0, r, 1.0), 0.0)
-    h = kappa - axis_term
-    return kappa, nu, h
+    return kappa, nu, kappa - axis_term, seg
 
 
-def _fields(profile: AxiProfile) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Full-length h and inward normal arrays, poles filled by symmetry.
+_AXIS_MIRROR = np.array([1.0, -1.0])
 
-    At an axis pole both principal curvatures agree, so h there is twice the
-    meridian curvature obtained from the ghost reflection (x1, -r1).
+
+def _fields(
+    pts: NDArray[np.float64], topology: str, period: float | None
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Per-sample meridian curvature, inward normal and h, plus edge lengths.
+
+    Each sample gets one ghost neighbour beyond the ends: the wrapped sample
+    on a periodic loop, the shifted one on a cylinder, and at an axis pole the
+    reflection (x1, -r1) of its neighbour.  At a pole both principal
+    curvatures agree, so h there is twice the meridian curvature.  The edge
+    lengths are those of the ghost chain: past the first, each is a real edge
+    or, at a pole, as long as one.
     """
-    pts = profile.samples
-    topo = profile.topology
-    if topo == TOPOLOGY_PERIODIC:
-        orient = 1.0 if cv.polygon_area(pts) > 0 else -1.0
-        ext = np.vstack([pts[-1:], pts, pts[:1]])
-        kappa, nu, h = _chain_fields(ext, -orient)
-        return h, nu
-    if topo == TOPOLOGY_CYLINDER:
-        left = pts[-1:] - np.array([[profile.period, 0.0]])
-        right = pts[:1] + np.array([[profile.period, 0.0]])
-        ext = np.vstack([left, pts, right])
-        kappa, nu, h = _chain_fields(ext, 1.0)
-        return h, nu
+    if topology == TOPOLOGY_PERIODIC:
+        sigma = -1.0 if cv.polygon_area(pts) > 0 else 1.0
+        return _chain_fields(cv._closed_chain(pts), sigma)
+    if topology == TOPOLOGY_CYLINDER:
+        shift = np.array([[period, 0.0]])
+        ext = np.concatenate([pts[-1:] - shift, pts, pts[:1] + shift])
+        return _chain_fields(ext, 1.0)
     sigma = 1.0 if pts[-1, 0] >= pts[0, 0] else -1.0
-    if topo == TOPOLOGY_TWO_POLES:
-        ghost_l = np.array([[pts[1, 0], -pts[1, 1]]])
-        ghost_r = np.array([[pts[-2, 0], -pts[-2, 1]]])
-        ext = np.vstack([ghost_l, pts, ghost_r])
-        kappa, nu, h = _chain_fields(ext, sigma)
-        h[0] = 2.0 * kappa[0]
-        h[-1] = 2.0 * kappa[-1]
-        return h, nu
-    # open arc: duplicate the end segments so ends get zero curvature
-    ext = np.vstack([2 * pts[:1] - pts[1:2], pts, 2 * pts[-1:] - pts[-2:-1]])
-    kappa, nu, h = _chain_fields(ext, sigma)
-    return h, nu
+    ext = np.concatenate([pts[1:2] * _AXIS_MIRROR, pts, pts[-2:-1] * _AXIS_MIRROR])
+    kappa, nu, h, seg = _chain_fields(ext, sigma)
+    h[0] = 2.0 * kappa[0]
+    h[-1] = 2.0 * kappa[-1]
+    return kappa, nu, h, seg
 
 
 def mean_curvature_profile(
@@ -248,11 +228,11 @@ def mean_curvature_profile(
     """Scalar mean curvature and inward meridian normal per sample.
 
     The mean curvature vector is h * nu.  Entries are reported for every
-    sample on periodic and cylinder topologies; axis poles and free arc ends
-    carry no curvature estimate and are excluded.
+    sample on periodic and cylinder topologies; axis poles carry no
+    curvature estimate and are excluded.
     """
-    h, nu = _fields(profile)
-    if profile.topology in (TOPOLOGY_TWO_POLES, TOPOLOGY_OPEN):
+    _, nu, h, _ = _fields(profile.samples, profile.topology, profile.period)
+    if profile.topology == TOPOLOGY_TWO_POLES:
         return h[1:-1], nu[1:-1]
     return h, nu
 
@@ -261,27 +241,32 @@ def mean_curvature_profile(
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _segment_arrays(profile: AxiProfile) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+def _segment_arrays(
+    pts: NDArray[np.float64], topology: str, period: float | None
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Segment endpoint pairs (p, q) including any wrap-around segment."""
-    pts = profile.samples
-    if profile.topology == TOPOLOGY_PERIODIC:
+    if topology == TOPOLOGY_PERIODIC:
         return pts, np.roll(pts, -1, axis=0)
-    if profile.topology == TOPOLOGY_CYLINDER:
-        q = np.vstack([pts[1:], pts[:1] + np.array([profile.period, 0.0])])
+    if topology == TOPOLOGY_CYLINDER:
+        q = np.vstack([pts[1:], pts[:1] + np.array([period, 0.0])])
         return pts, q
     return pts[:-1], pts[1:]
 
 
-def surface_area(profile: AxiProfile) -> float:
-    """Lateral area of the revolved polyline, exact per conical frustum."""
-    p, q = _segment_arrays(profile)
+def _surface_area(pts: NDArray[np.float64], topology: str, period: float | None) -> float:
+    p, q = _segment_arrays(pts, topology, period)
     slant = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])
     return float(np.sum(np.pi * (p[:, 1] + q[:, 1]) * slant))
 
 
+def surface_area(profile: AxiProfile) -> float:
+    """Lateral area of the revolved polyline, exact per conical frustum."""
+    return _surface_area(profile.samples, profile.topology, profile.period)
+
+
 def enclosed_volume(profile: AxiProfile) -> float:
     """Volume of the revolved region, exact per conical frustum slice."""
-    p, q = _segment_arrays(profile)
+    p, q = _segment_arrays(profile.samples, profile.topology, profile.period)
     r0, r1 = p[:, 1], q[:, 1]
     dx = q[:, 0] - p[:, 0]
     return float(abs(np.sum(np.pi / 3.0 * (r0 * r0 + r0 * r1 + r1 * r1) * dx)))
@@ -334,9 +319,7 @@ def _waist_of(pts: NDArray[np.float64], topo: str) -> tuple[float, float, bool]:
 
 
 def axi_metrics(profile: AxiProfile) -> AxiMetrics:
-    h, _ = _fields(profile)
-    if profile.topology == TOPOLOGY_OPEN:
-        h = h[1:-1]
+    _, _, h, _ = _fields(profile.samples, profile.topology, profile.period)
     hmin = float(h.min())
     hmax = float(h.max())
     rmin, rmin_x, _ = _waist(profile)
@@ -508,7 +491,7 @@ class _AxiState:
 
 
 def _chain_length(profile: AxiProfile) -> float:
-    p, q = _segment_arrays(profile)
+    p, q = _segment_arrays(profile.samples, profile.topology, profile.period)
     return float(np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]).sum())
 
 
@@ -520,11 +503,6 @@ def _axi_resample(
     pts: NDArray[np.float64], topology: str, period: float | None, spacing: float
 ) -> NDArray[np.float64]:
     """Arclength redistribution preserving topology constraints."""
-    if topology == TOPOLOGY_PERIODIC:
-        d = np.roll(pts, -1, axis=0) - pts
-        total = float(np.hypot(d[:, 0], d[:, 1]).sum())
-        n = max(MIN_SAMPLES, int(round(total / spacing)))
-        return cv.spline_resample_array(pts, n)
     if topology == TOPOLOGY_CYLINDER:
         # keep the uniform x grid; refresh r through a periodic spline in x
         x = pts[:, 0]
@@ -536,19 +514,17 @@ def _axi_resample(
         grid = x0 + np.arange(n) * (period / n)
         out = np.column_stack([grid, spline(grid)])
         return out
-    d = np.diff(pts, axis=0)
-    seg = np.hypot(d[:, 0], d[:, 1])
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    closed = topology == TOPOLOGY_PERIODIC
+    spline, s = cv._arclength_spline(pts, closed)
     total = float(s[-1])
-    n = max(MIN_SAMPLES, int(round(total / spacing))) + 1
-    spline = CubicSpline(s, pts, axis=0)
-    targets = np.linspace(0.0, total, n)
-    out = spline(targets)
+    n = max(MIN_SAMPLES, int(round(total / spacing)))
+    if closed:
+        return spline(np.arange(n) * (total / n))
+    out = spline(np.linspace(0.0, total, n + 1))
     out[0] = pts[0]
     out[-1] = pts[-1]
-    if topology == TOPOLOGY_TWO_POLES:
-        out[0, 1] = 0.0
-        out[-1, 1] = 0.0
+    out[0, 1] = 0.0
+    out[-1, 1] = 0.0
     return out
 
 
@@ -557,39 +533,18 @@ def _axi_velocity(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float, float]:
     """Velocity h*nu with pole guard; plus |h|max, min spacing, interior rmin."""
     pts = state.pts
-    topo = state.topology
-    if topo == TOPOLOGY_PERIODIC:
-        orient = 1.0 if cv.polygon_area(pts) > 0 else -1.0
-        ext = np.vstack([pts[-1:], pts, pts[:1]])
-        kappa, nu, h = _chain_fields(ext, -orient)
-        d = np.roll(pts, -1, axis=0) - pts
-        seg = np.hypot(d[:, 0], d[:, 1])
-        r_int = float(pts[:, 1].min())
-    elif topo == TOPOLOGY_CYLINDER:
-        left = pts[-1:] - np.array([[state.period, 0.0]])
-        right = pts[:1] + np.array([[state.period, 0.0]])
-        ext = np.vstack([left, pts, right])
-        kappa, nu, h = _chain_fields(ext, 1.0)
-        d = np.diff(ext[1:], axis=0)
-        seg = np.hypot(d[:, 0], d[:, 1])
-        r_int = float(pts[:, 1].min())
-    else:
-        sigma = 1.0 if pts[-1, 0] >= pts[0, 0] else -1.0
-        ghost_l = np.array([[pts[1, 0], -pts[1, 1]]])
-        ghost_r = np.array([[pts[-2, 0], -pts[-2, 1]]])
-        ext = np.vstack([ghost_l, pts, ghost_r])
-        kappa, nu, h = _chain_fields(ext, sigma)
+    _, nu, h, seg = _fields(pts, state.topology, state.period)
+    if state.topology == TOPOLOGY_TWO_POLES:
         # Poles move along the axis at twice the meridian curvature, capped by
         # the neighboring samples so a noisy pole cannot outrun its cap.
         for i, j in ((0, 1), (-1, -2)):
-            pole_h = 2.0 * kappa[i]
             lim = 2.0 * abs(h[j])
-            h[i] = np.clip(pole_h, -lim, lim)
-        d = np.diff(pts, axis=0)
-        seg = np.hypot(d[:, 0], d[:, 1])
+            h[i] = np.clip(h[i], -lim, lim)
         r_int = float(pts[1:-1, 1].min())
+    else:
+        r_int = float(pts[:, 1].min())
     vel = h[:, None] * nu
-    return vel, h, float(np.abs(h).max()), float(seg.min()), r_int
+    return vel, h, float(np.abs(h).max()), float(seg[1:].min()), r_int
 
 
 def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTrajectory:
@@ -600,8 +555,6 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTraject
     max(1e-3 x initial waist, 5 x local spacing); the run halts at the event
     instead of continuing through the singularity.
     """
-    if profile.topology == TOPOLOGY_OPEN:
-        raise InvalidInputError("open arcs are static; evolution needs a closed solid")
     config = config or FlowConfig()
     state = _AxiState(profile, config)
     t = 0.0
@@ -647,7 +600,7 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTraject
                 f"interior sample reached the axis at t={t:.6g} before a neck event"
             )
 
-        area = _frustum_area(state)
+        area = _surface_area(state.pts, state.topology, state.period)
         due = area <= state.next_area or (
             state.waist0 is not None and rmin <= state.next_waist
         )
@@ -667,19 +620,14 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTraject
                 x_mid = float(state.pts[:, 0].mean())
                 state.traj.events.append(Event(kind, t, (x_mid, 0.0)))
                 break
-    return state.traj
-
-
-def _frustum_area(state: _AxiState) -> float:
-    pts = state.pts
-    if state.topology == TOPOLOGY_PERIODIC:
-        q = np.roll(pts, -1, axis=0)
-    elif state.topology == TOPOLOGY_CYLINDER:
-        q = np.vstack([pts[1:], pts[:1] + np.array([state.period, 0.0])])
     else:
-        pts, q = pts[:-1], pts[1:]
-    slant = np.hypot(q[:, 0] - pts[:, 0], q[:, 1] - pts[:, 1])
-    return float(np.sum(np.pi * (pts[:, 1] + q[:, 1]) * slant))
+        # The step budget ran out first: close the trajectory at time t.
+        budget = [Event(EVENT_STEP_BUDGET, t)]
+        if state.traj.final().time == t:
+            state.traj.events.extend(budget)
+        else:
+            _axi_record(state, t, budget)
+    return state.traj
 
 
 def _local_spacing(pts: NDArray[np.float64], x_at: float) -> float:

@@ -88,14 +88,33 @@ class CurveMetrics:
     convex: bool
 
 
-def _edge_frames(vertices: NDArray[np.float64]):
-    """Per-vertex previous edge, next edge and neighbor chord."""
-    prev_pts = np.roll(vertices, 1, axis=0)
-    next_pts = np.roll(vertices, -1, axis=0)
-    e_prev = vertices - prev_pts
-    e_next = next_pts - vertices
-    chord = next_pts - prev_pts
-    return e_prev, e_next, chord
+def _closed_chain(vertices: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Cyclic vertices with the last prepended and the first appended."""
+    return np.concatenate([vertices[-1:], vertices, vertices[:1]])
+
+
+def _three_point(
+    chain: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Circumcircle curvature at the interior points of a chain.
+
+    ``chain`` is (m + 2, 2): each of the m interior points has one neighbour
+    on each side.  Returns the curvature, signed positive for a left turn,
+    the unit left normal of the neighbour chord (m, 2), and the m + 1 edge
+    lengths of the chain.  A fold-back point (neighbours coincide) has no
+    circumcircle and is treated as flat: curvature 0, not NaN.
+    """
+    e = chain[1:] - chain[:-1]
+    seg = np.hypot(e[:, 0], e[:, 1])
+    chord = chain[2:] - chain[:-2]
+    c = np.hypot(chord[:, 0], chord[:, 1])
+    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    denom = seg[:-1] * seg[1:] * c
+    ok = denom > 0
+    k = np.where(ok, 2.0 * cross / np.where(ok, denom, 1.0), 0.0)
+    left = chord[:, ::-1] * (1.0 / np.where(c > 0, c, 1.0))[:, None]
+    left[:, 0] = -left[:, 0]
+    return k, left, seg
 
 
 def curvature_profile(curve: PlaneCurve) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -104,35 +123,15 @@ def curvature_profile(curve: PlaneCurve) -> tuple[NDArray[np.float64], NDArray[n
     The magnitude is the inverse circumradius of each vertex-neighbor triple;
     the sign is positive where the curve bends toward the enclosed region.
     """
-    v = curve.vertices
-    e_prev, e_next, chord = _edge_frames(v)
-    a = np.linalg.norm(e_prev, axis=1)
-    b = np.linalg.norm(e_next, axis=1)
-    c = np.linalg.norm(chord, axis=1)
-    cross = e_prev[:, 0] * e_next[:, 1] - e_prev[:, 1] * e_next[:, 0]
+    k, left, _ = _three_point(_closed_chain(curve.vertices))
     orient = 1.0 if curve.counterclockwise else -1.0
-
-    # A fold-back vertex (prev == next) has no defined circumcircle; treat it
-    # as flat rather than dividing by zero.
-    safe_c = np.where(c > 0.0, c, 1.0)
-    k = orient * 2.0 * cross / (a * b * safe_c)
-    k = np.where(c > 0.0, k, 0.0)
-
-    tangent = chord / safe_c[:, None]
-    left_normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
-    inward = orient * left_normal
-    return k, inward
-
-
-def curvature_vectors(curve: PlaneCurve) -> NDArray[np.float64]:
-    """Curvature vector ``k * inward_normal`` per vertex (orientation-free)."""
-    k, inward = curvature_profile(curve)
-    return k[:, None] * inward
+    return orient * k, orient * left
 
 
 def turning_angles(curve: PlaneCurve) -> NDArray[np.float64]:
     """Exterior angle at each vertex, positive toward the enclosed region."""
-    e_prev, e_next, _ = _edge_frames(curve.vertices)
+    e = np.diff(_closed_chain(curve.vertices), axis=0)
+    e_prev, e_next = e[:-1], e[1:]
     cross = e_prev[:, 0] * e_next[:, 1] - e_prev[:, 1] * e_next[:, 0]
     dot = np.sum(e_prev * e_next, axis=1)
     orient = 1.0 if curve.counterclockwise else -1.0
@@ -142,10 +141,11 @@ def turning_angles(curve: PlaneCurve) -> NDArray[np.float64]:
 def metrics(curve: PlaneCurve) -> CurveMetrics:
     """Scalar summary of a curve; curvature stats use the vertex estimator."""
     v = curve.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    length = float(np.sum(np.linalg.norm(edges, axis=1)))
+    k, _, seg = _three_point(_closed_chain(v))
+    if not curve.counterclockwise:
+        k = -k
+    length = float(np.sum(seg[1:]))
     area = polygon_area(v)
-    k, _ = curvature_profile(curve)
     kmin = float(k.min())
     kmax = float(k.max())
     tol = CONVEX_REL_TOL * max(1.0, float(np.abs(k).max()))
@@ -160,10 +160,34 @@ def metrics(curve: PlaneCurve) -> CurveMetrics:
     )
 
 
-def _cumulative_arclength(vertices: NDArray[np.float64], closed: bool) -> NDArray[np.float64]:
-    pts = np.vstack([vertices, vertices[:1]]) if closed else vertices
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+def _arclength(
+    points: NDArray[np.float64], closed: bool
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The points (closed chains end back at the first) and their arclengths."""
+    pts = np.concatenate([points, points[:1]]) if closed else points
+    d = np.diff(pts, axis=0)
+    return pts, np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
+
+
+def _arclength_spline(
+    points: NDArray[np.float64], closed: bool
+) -> tuple[CubicSpline, NDArray[np.float64]]:
+    """Cubic spline through the points along arclength, periodic if closed.
+
+    Returns the spline and its knots; the last knot is the total length.
+    """
+    pts, s = _arclength(points, closed)
+    bc = "periodic" if closed else "not-a-knot"
+    return CubicSpline(s, pts, axis=0, bc_type=bc), s
+
+
+def _linear_resample(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
+    """``n`` points at equal arclength spacing along a closed polygon."""
+    ext, s = _arclength(vertices, closed=True)
+    targets = np.arange(n) * (s[-1] / n)
+    return np.stack(
+        [np.interp(targets, s, ext[:, 0]), np.interp(targets, s, ext[:, 1])], axis=1
+    )
 
 
 def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
@@ -175,24 +199,13 @@ def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
     """
     if n < MIN_VERTICES:
         raise InvalidInputError(f"n must be at least {MIN_VERTICES}, got {n}")
-    v = curve.vertices
-    s = _cumulative_arclength(v, closed=True)
-    total = s[-1]
-    targets = np.arange(n) * (total / n)
-    ext = np.vstack([v, v[:1]])
-    out = np.stack(
-        [np.interp(targets, s, ext[:, 0]), np.interp(targets, s, ext[:, 1])], axis=1
-    )
-    return PlaneCurve(out)
+    return PlaneCurve(_linear_resample(curve.vertices, n))
 
 
 def spline_resample_array(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
     """Periodic-spline redistribution on a raw closed vertex array."""
-    s = _cumulative_arclength(vertices, closed=True)
-    ext = np.vstack([vertices, vertices[:1]])
-    spline = CubicSpline(s, ext, axis=0, bc_type="periodic")
-    targets = np.arange(n) * (s[-1] / n)
-    return spline(targets)
+    spline, s = _arclength_spline(vertices, closed=True)
+    return spline(np.arange(n) * (s[-1] / n))
 
 
 def resample_spline(curve: PlaneCurve, n: int) -> PlaneCurve:
@@ -204,11 +217,6 @@ def resample_spline(curve: PlaneCurve, n: int) -> PlaneCurve:
     if n < MIN_VERTICES:
         raise InvalidInputError(f"n must be at least {MIN_VERTICES}, got {n}")
     return PlaneCurve(spline_resample_array(curve.vertices, n))
-
-
-def _chunked_pairs(n: int, block: int = 256):
-    for start in range(0, n, block):
-        yield start, min(start + block, n)
 
 
 def _interval_pairs(
@@ -296,20 +304,23 @@ def is_embedded(curve: PlaneCurve) -> bool:
     return not _segments_touch(p1[ii], p2[ii], p1[jj], p2[jj], tol).any()
 
 
-def _points_to_segments(points: NDArray[np.float64], seg_a: NDArray[np.float64],
-                        seg_b: NDArray[np.float64]) -> float:
-    """Min distance from any point to any segment, chunked over points."""
+def _point_segment_distances(
+    points: NDArray[np.float64], seg_a: NDArray[np.float64], seg_b: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Distance from each point to the nearest segment seg_a[j]-seg_b[j].
+
+    Chunked over points so the point-by-segment work arrays stay bounded.
+    """
     d = seg_b - seg_a
     seg_len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
-    best = np.inf
-    for lo, hi in _chunked_pairs(len(points), block=512):
-        p = points[lo:hi, None, :]
+    out = np.empty(len(points))
+    for lo in range(0, len(points), 512):
+        p = points[lo:lo + 512, None, :]
         t = np.sum((p - seg_a[None, :, :]) * d[None, :, :], axis=-1) / seg_len2[None, :]
         t = np.clip(t, 0.0, 1.0)
         closest = seg_a[None, :, :] + t[..., None] * d[None, :, :]
-        dist = np.linalg.norm(p - closest, axis=-1)
-        best = min(best, float(dist.min()))
-    return best
+        out[lo:lo + 512] = np.linalg.norm(p - closest, axis=-1).min(axis=1)
+    return out
 
 
 def _curves_cross(c1: PlaneCurve, c2: PlaneCurve) -> bool:
@@ -346,9 +357,9 @@ def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
     if _curves_cross(c1, c2):
         return 0.0
     v1, v2 = c1.vertices, c2.vertices
-    d12 = _points_to_segments(v1, v2, np.roll(v2, -1, axis=0))
-    d21 = _points_to_segments(v2, v1, np.roll(v1, -1, axis=0))
-    return min(d12, d21)
+    d12 = _point_segment_distances(v1, v2, np.roll(v2, -1, axis=0))
+    d21 = _point_segment_distances(v2, v1, np.roll(v1, -1, axis=0))
+    return float(min(d12.min(), d21.min()))
 
 
 def curve_centroid(curve: PlaneCurve) -> Float2:
@@ -384,14 +395,8 @@ def rectangle_polygon(width: float, height: float, n: int = 64) -> PlaneCurve:
     if width <= 0 or height <= 0:
         raise InvalidInputError("width and height must be positive")
     w2, h2 = width / 2.0, height / 2.0
-    corners = np.array([[w2, -h2], [w2, h2], [-w2, h2], [-w2, -h2], [w2, -h2]])
-    seg = np.linalg.norm(np.diff(corners, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.arange(n) * (s[-1] / n)
-    pts = np.stack(
-        [np.interp(targets, s, corners[:, 0]), np.interp(targets, s, corners[:, 1])], axis=1
-    )
-    return PlaneCurve(pts)
+    corners = np.array([[w2, -h2], [w2, h2], [-w2, h2], [-w2, -h2]])
+    return PlaneCurve(_linear_resample(corners, n))
 
 
 def peanut_polygon(base_radius: float = 1.0, amplitude: float = 0.3, n: int = 512) -> PlaneCurve:

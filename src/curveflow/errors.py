@@ -17,10 +17,6 @@ class ExtinctError(CurveflowError):
     """Geometry has collapsed below the extinction threshold (not an input error)."""
 
 
-class TimestepTooLargeError(CurveflowError):
-    """Requested explicit step exceeds the stability bound."""
-
-
 class FitFailureError(CurveflowError):
     """Least-squares model fit failed or produced a degenerate model."""
 

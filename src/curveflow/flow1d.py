@@ -19,7 +19,6 @@ from .errors import (
     FitFailureError,
     InvalidInputError,
     NumericalBreakdownError,
-    TimestepTooLargeError,
 )
 
 # Curvatures below this are treated as exactly flat, so degenerate-power laws
@@ -36,6 +35,7 @@ EVENT_EXTINCTION = "extinction-approach"
 EVENT_BLOWUP = "curvature-blowup"
 EVENT_EMBEDDEDNESS_LOSS = "embeddedness-loss"
 EVENT_CONVEXIFICATION = "convexification"
+EVENT_STEP_BUDGET = "step-budget"
 
 
 @dataclass(frozen=True)
@@ -112,46 +112,6 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def normal_velocity(curve: cv.PlaneCurve, law: SpeedLaw) -> NDArray[np.float64]:
-    """Per-vertex velocity F(k) * inward_normal."""
-    k, inward = cv.curvature_profile(curve)
-    return law.speed(k)[:, None] * inward
-
-
-def _min_spacing(curve: cv.PlaneCurve) -> float:
-    v = curve.vertices
-    return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).min())
-
-
-def cfl_timestep(curve: cv.PlaneCurve, law: SpeedLaw, cfl_factor: float = 1.0) -> float:
-    """Parabolic stability bound: cfl * h_min^2 / (2 max|k|^(p-1)).
-
-    For p = 1 the effective diffusivity is one; otherwise the largest local
-    diffusivity |k|^(p-1) over non-flat vertices sets the bound.
-    """
-    h = _min_spacing(curve)
-    if law.p == 1.0:
-        diffusivity = 1.0
-    else:
-        k, _ = cv.curvature_profile(curve)
-        mag = np.abs(k)
-        mag = mag[mag >= CURVATURE_CLAMP]
-        diffusivity = float(np.max(mag ** (law.p - 1.0))) if len(mag) else 1.0
-    return cfl_factor * h * h / (2.0 * diffusivity)
-
-
-def step(curve: cv.PlaneCurve, law: SpeedLaw, dt: float) -> cv.PlaneCurve:
-    """One forward-Euler step; refuses timesteps above the stability bound."""
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
-    bound = cfl_timestep(curve, law, 1.0)
-    if dt > bound * (1.0 + 1e-12):
-        raise TimestepTooLargeError(
-            f"dt={dt:.3e} exceeds the stability bound {bound:.3e}"
-        )
-    return cv.PlaneCurve(curve.vertices + dt * normal_velocity(curve, law))
-
-
 class _CurveState:
     """Book-keeping for one curve inside the shared-clock driver.
 
@@ -161,7 +121,6 @@ class _CurveState:
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
         self.verts = curve.vertices
-        self.orient = 1.0 if curve.counterclockwise else -1.0
         m = cv.metrics(curve)
         self.area0 = abs(m.enclosed_area)
         k0 = max(abs(m.min_curvature), abs(m.max_curvature))
@@ -179,28 +138,19 @@ class _CurveState:
 
 
 def _step_geometry(
-    v: NDArray[np.float64], orient: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], float, float]:
-    """Signed curvature, inward normal components, min spacing and area.
+    v: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float]:
+    """Curvature (positive for a left turn), unit left normal, min spacing, area.
 
-    Fused so the driver touches each vertex array a single time per step.
+    Fused so the driver touches each vertex array a single time per step.  The
+    speed law is odd in k, so speed(k) times the left normal equals the inward
+    velocity for either traversal direction.
     """
-    nxt = np.roll(v, -1, axis=0)
-    prv = np.roll(v, 1, axis=0)
-    e_next = nxt - v
-    e_prev = v - prv
-    chord = nxt - prv
-    b = np.hypot(e_next[:, 0], e_next[:, 1])
-    a = np.roll(b, 1)
-    c = np.hypot(chord[:, 0], chord[:, 1])
-    cross = e_prev[:, 0] * e_next[:, 1] - e_prev[:, 1] * e_next[:, 0]
-    denom = a * b * c
-    k = np.where(denom > 0, orient * 2.0 * cross / np.where(denom > 0, denom, 1.0), 0.0)
-    inv_c = orient / np.where(c > 0, c, 1.0)
-    nx = -chord[:, 1] * inv_c
-    ny = chord[:, 0] * inv_c
+    chain = cv._closed_chain(v)
+    k, left, seg = cv._three_point(chain)
+    nxt = chain[2:]
     area = 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
-    return k, nx, ny, float(b.min()), area
+    return k, left, float(seg.min()), area
 
 
 def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> None:
@@ -210,7 +160,7 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
         dt = np.inf
         plans = []
         for s in states:
-            k, nx, ny, h, area = _step_geometry(s.verts, s.orient)
+            k, left, h, area = _step_geometry(s.verts)
             kmax = float(np.abs(k).max())
             if kmax >= s.cap:
                 i = int(np.argmax(np.abs(k)))
@@ -221,7 +171,7 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
                 s.done = True
                 break
             speed = k if law.p == 1.0 else law.speed(k)
-            plans.append((s, speed, nx, ny, area))
+            plans.append((s, speed, left, area))
             if law.p == 1.0:
                 diffusivity = 1.0
             else:
@@ -239,11 +189,8 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
         steps += 1
         resample = steps % config.resample_every == 0
         snapshot_due = False
-        for s, speed, nx, ny, area in plans:
-            disp = dt * speed
-            new = np.empty_like(s.verts)
-            new[:, 0] = s.verts[:, 0] + disp * nx
-            new[:, 1] = s.verts[:, 1] + disp * ny
+        for s, speed, left, area in plans:
+            new = s.verts + (dt * speed)[:, None] * left
             if resample:
                 d = np.roll(new, -1, axis=0) - new
                 total = float(np.hypot(d[:, 0], d[:, 1]).sum())
@@ -267,6 +214,17 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
                     c = cv.curve_centroid(curve)
                     s.traj.events.append(Event(EVENT_EXTINCTION, t, c))
                     s.done = True
+
+    if not any(s.done for s in states):
+        # The step budget ran out first: close every trajectory at time t.
+        for s in states:
+            budget = [Event(EVENT_STEP_BUDGET, t)]
+            if s.traj.final().time == t:
+                s.traj.events.extend(budget)
+            else:
+                curve = _settle(s, t)
+                if curve is not None:
+                    _record(s, t, curve, budget)
 
 
 def _settle(state: _CurveState, t: float) -> cv.PlaneCurve | None:

@@ -107,10 +107,10 @@ def emit_svg(geometry, path) -> Path:
         return write_text(Path(path), _svg_document(geometry, closed=False))
     if isinstance(geometry, AxiProfile):
         pts = geometry.samples
-        if geometry.topology in (ax.TOPOLOGY_TWO_POLES, ax.TOPOLOGY_OPEN):
+        if geometry.topology == ax.TOPOLOGY_TWO_POLES:
             mirrored = np.column_stack([pts[::-1, 0], -pts[::-1, 1]])
             outline = np.vstack([pts, mirrored])
-            closed = geometry.topology == ax.TOPOLOGY_TWO_POLES
+            closed = True
         else:
             outline = pts
             closed = geometry.topology == ax.TOPOLOGY_PERIODIC

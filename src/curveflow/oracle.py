@@ -12,6 +12,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
+from . import curves as cv
 from .errors import ExtinctError, InvalidInputError
 
 SHRINKER_KINDS = ("circle", "cylinder", "sphere")
@@ -111,24 +112,6 @@ def bowl_soliton(rho_max: float, n: int = 129) -> NDArray[np.float64]:
     return np.stack([u, rho], axis=1)
 
 
-def bowl_height_slope(rho: NDArray[np.float64], rho_max: float):
-    """(u, u', u'') on a grid, for convexity and asymptotics checks."""
-    from scipy.integrate import solve_ivp
-
-    def rhs(r, y):
-        u, w = y
-        return [w, (1.0 + w * w) * (1.0 - w / r)]
-
-    rho0 = 1e-8
-    sol = solve_ivp(rhs, (rho0, max(rho_max, float(np.max(rho)))),
-                    [rho0 ** 2 / 4.0, rho0 / 2.0],
-                    method="RK45", rtol=1e-12, atol=1e-14, dense_output=True)
-    vals = sol.sol(np.maximum(rho, rho0))
-    u, w = vals[0], vals[1]
-    upp = (1.0 + w * w) * (1.0 - w / np.maximum(rho, rho0))
-    return u, w, upp
-
-
 # ---------------------------------------------------------------------------
 # Independent ODE integration used to vouch for the closed forms
 # ---------------------------------------------------------------------------
@@ -177,34 +160,6 @@ def selfcheck_passed(step: float = SELFCHECK_STEP) -> bool:
 # Direct Lagrangian evolution of an open front with prescribed end motion
 # ---------------------------------------------------------------------------
 
-def _open_curvature_vectors(points: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Curvature vector at interior vertices of an open polyline (ends get 0)."""
-    out = np.zeros_like(points)
-    prev_pts = points[:-2]
-    mid = points[1:-1]
-    next_pts = points[2:]
-    e1 = mid - prev_pts
-    e2 = next_pts - mid
-    chord = next_pts - prev_pts
-    a = np.linalg.norm(e1, axis=1)
-    b = np.linalg.norm(e2, axis=1)
-    c = np.maximum(np.linalg.norm(chord, axis=1), 1e-300)
-    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    tangent = chord / c[:, None]
-    left = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
-    out[1:-1] = (2.0 * cross / (a * b * c))[:, None] * left
-    return out
-
-
-def _resample_open(points: NDArray[np.float64], n: int) -> NDArray[np.float64]:
-    from scipy.interpolate import CubicSpline
-
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    spline = CubicSpline(s, points, axis=0)
-    return spline(np.linspace(0.0, s[-1], n))
-
-
 def evolve_translating_front(
     points: NDArray[np.float64],
     duration: float,
@@ -221,26 +176,24 @@ def evolve_translating_front(
     ev = np.asarray(end_velocity, dtype=np.float64)
     t = 0.0
     steps = 0
+    vel = np.empty_like(pts)
+    vel[0] = ev
+    vel[-1] = ev
     while t < duration - 1e-15:
-        vel = _open_curvature_vectors(pts)
-        vel[0] = ev
-        vel[-1] = ev
-        h_min = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).min())
+        # Interior points move by their curvature vector k * left normal.
+        k, left, seg = cv._three_point(pts)
+        vel[1:-1] = k[:, None] * left
+        h_min = float(seg.min())
         dt = min(cfl_factor * h_min * h_min / 2.0, duration - t)
         pts = pts + dt * vel
         t += dt
         steps += 1
         if resample_every and steps % resample_every == 0:
-            pts = _resample_open(pts, n)
+            spline, s = cv._arclength_spline(pts, closed=False)
+            pts = spline(np.linspace(0.0, s[-1], n))
     return pts
 
 
 def polyline_distance(points: NDArray[np.float64], target: NDArray[np.float64]) -> NDArray[np.float64]:
     """Distance from each point to an open reference polyline."""
-    a = target[:-1]
-    d = np.diff(target, axis=0)
-    len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
-    p = points[:, None, :]
-    tproj = np.clip(np.sum((p - a[None]) * d[None], axis=-1) / len2[None], 0.0, 1.0)
-    closest = a[None] + tproj[..., None] * d[None]
-    return np.linalg.norm(p - closest, axis=-1).min(axis=1)
+    return cv._point_segment_distances(points, target[:-1], target[1:])

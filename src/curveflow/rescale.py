@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 
 from . import curves as cv
 from .axisym import (
-    TOPOLOGY_CYLINDER,
     TOPOLOGY_PERIODIC,
     AxiProfile,
     AxiTrajectory,
+    _chain_fields,
+    _fields,
 )
 from .errors import FitFailureError, InvalidInputError
 from .flow1d import Trajectory
@@ -191,42 +191,22 @@ def roundness_series(traj: Trajectory) -> list[tuple[float, float, float]]:
     return out
 
 
-def _directed_hausdorff(points: NDArray[np.float64], target: NDArray[np.float64]) -> float:
-    """Max over points of the distance to the closed polyline target."""
-    a = target
-    b = np.roll(target, -1, axis=0)
-    d = b - a
-    len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
-    worst = 0.0
-    for lo in range(0, len(points), 512):
-        p = points[lo:lo + 512, None, :]
-        t = np.sum((p - a[None, :, :]) * d[None, :, :], axis=-1) / len2[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        closest = a[None, :, :] + t[..., None] * d[None, :, :]
-        dist = np.linalg.norm(p - closest, axis=-1).min(axis=1)
-        worst = max(worst, float(dist.max()))
-    return worst
-
-
 def hausdorff_distance(a: cv.PlaneCurve, b: cv.PlaneCurve) -> float:
     """Symmetric Hausdorff distance between two closed polylines."""
     va, vb = a.vertices, b.vertices
-    return max(_directed_hausdorff(va, vb), _directed_hausdorff(vb, va))
+    d_ab = cv._point_segment_distances(va, vb, np.roll(vb, -1, axis=0))
+    d_ba = cv._point_segment_distances(vb, va, np.roll(va, -1, axis=0))
+    return float(max(d_ab.max(), d_ba.max()))
 
 
 # ---------------------------------------------------------------------------
 # Curvature-normalized blow-up frames
 # ---------------------------------------------------------------------------
 
-def _window_curve(curve: cv.PlaneCurve, index: int) -> NDArray[np.float64]:
-    """Evenly spaced points on the arc within one unit of vertex ``index``."""
-    v = curve.vertices
-    n = len(v)
-    seg = np.hypot(*(np.roll(v, -1, axis=0) - v).T)
-    total = float(seg.sum())
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    ext = np.vstack([v, v[:1]])
-    spline = CubicSpline(s, ext, axis=0, bc_type="periodic")
+def _window_curve(pts: NDArray[np.float64], index: int) -> NDArray[np.float64]:
+    """Evenly spaced points on the closed arc within one unit of ``pts[index]``."""
+    spline, s = cv._arclength_spline(pts, closed=True)
+    total = float(s[-1])
     half = min(WINDOW_HALF, 0.49 * total)
     targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
     return spline(targets)
@@ -235,25 +215,11 @@ def _window_curve(curve: cv.PlaneCurve, index: int) -> NDArray[np.float64]:
 def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
     pts = profile.samples
     if profile.topology == TOPOLOGY_PERIODIC:
-        return _window_closed(pts, index)
-    d = np.diff(pts, axis=0)
-    seg = np.hypot(d[:, 0], d[:, 1])
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    spline = CubicSpline(s, pts, axis=0)
+        return _window_curve(pts, index)
+    spline, s = cv._arclength_spline(pts, closed=False)
     lo = max(0.0, s[index] - WINDOW_HALF)
     hi = min(float(s[-1]), s[index] + WINDOW_HALF)
     return spline(np.linspace(lo, hi, WINDOW_POINTS))
-
-
-def _window_closed(pts: NDArray[np.float64], index: int) -> NDArray[np.float64]:
-    seg = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
-    total = float(seg.sum())
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    ext = np.vstack([pts, pts[:1]])
-    spline = CubicSpline(s, ext, axis=0, bc_type="periodic")
-    half = min(WINDOW_HALF, 0.49 * total)
-    targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
-    return spline(targets)
 
 
 def local_window(geo: cv.PlaneCurve | AxiProfile, point) -> NDArray[np.float64]:
@@ -269,7 +235,7 @@ def local_window(geo: cv.PlaneCurve | AxiProfile, point) -> NDArray[np.float64]:
         return _window_profile(geo, idx)
     pts = geo.vertices
     idx = int(np.argmin(np.hypot(pts[:, 0] - point[0], pts[:, 1] - point[1])))
-    return _window_curve(geo, idx)
+    return _window_curve(pts, idx)
 
 
 def line_residual(window: NDArray[np.float64]) -> float:
@@ -290,24 +256,14 @@ def window_curvatures(window: NDArray[np.float64], axisymmetric: bool) -> NDArra
     Plane-curve windows give the signed meridian curvature alone; profile
     windows also include the rotational principal curvature -nu_r/r.
     """
-    from .axisym import _chain_fields
-
     if axisymmetric:
         sigma = 1.0 if window[-1, 0] >= window[0, 0] else -1.0
-        kappa, nu, _ = _chain_fields(window, sigma)
+        kappa, nu, _, _ = _chain_fields(window, sigma)
         r = window[1:-1, 1]
         safe = np.where(np.abs(r) > 1e-30, r, 1e-30)
         rotational = -nu[:, 1] / safe
         return np.concatenate([kappa, rotational])
-    e_prev = window[1:-1] - window[:-2]
-    e_next = window[2:] - window[1:-1]
-    chord = window[2:] - window[:-2]
-    a = np.hypot(e_prev[:, 0], e_prev[:, 1])
-    b = np.hypot(e_next[:, 0], e_next[:, 1])
-    c = np.hypot(chord[:, 0], chord[:, 1])
-    cross = e_prev[:, 0] * e_next[:, 1] - e_prev[:, 1] * e_next[:, 0]
-    denom = a * b * c
-    k = np.where(denom > 0, 2.0 * cross / np.where(denom > 0, denom, 1.0), 0.0)
+    k, _, _ = cv._three_point(window)
     # Orient so the majority of the window counts as convex when it bends
     # consistently; the convexity test only cares about sign uniformity.
     if np.sum(k) < 0:
@@ -396,7 +352,7 @@ def curvature_normalized_frames(
             cls, res = _classify_window(window, axisymmetric=True)
         else:
             rescaled = _rescale_geometry(geo, center, lam)
-            window = _window_curve(rescaled, vi)
+            window = _window_curve(rescaled.vertices, vi)
             cls, res = _classify_window(window, axisymmetric=False)
         frames.append(
             RescaleFrame(
@@ -428,9 +384,7 @@ def curvature_normalized_frames(
 def _local_curvature(geo, index: int) -> float:
     """Unsigned local (mean) curvature magnitude at one vertex or sample."""
     if isinstance(geo, AxiProfile):
-        from .axisym import _fields
-
-        h, _ = _fields(geo)
+        _, _, h, _ = _fields(geo.samples, geo.topology, geo.period)
         return float(abs(h[index]))
     k, _ = cv.curvature_profile(geo)
     return float(abs(k[index]))

@@ -124,6 +124,12 @@ class TestSphereRun:
     def test_mean_convexity_preserved(self, small_sphere_traj):
         assert all(s.metrics.mean_convex for s in small_sphere_traj.snapshots)
 
+    def test_step_budget_ends_with_event(self):
+        traj = ax.run_axi(ax.sphere_profile(1.0, 100), f1.FlowConfig(max_steps=300))
+        assert [e.kind for e in traj.events] == [ax.EVENT_STEP_BUDGET]
+        assert traj.final().time == traj.events[0].time
+        assert traj.final().time > traj.snapshots[-2].time
+
 
 class TestNeckPinch:
     def test_pinch_event_at_thinnest_section(self, neck_traj):
@@ -211,6 +217,11 @@ class TestProfileIO:
     def test_parse_requires_topology_header(self):
         with pytest.raises(InvalidInputError, match="topology"):
             ax.parse_profile("0 0\n1 1\n")
+
+    def test_parse_rejects_open_topology(self):
+        with pytest.raises(InvalidInputError, match="topology"):
+            ax.parse_profile("# topology=open\n" + "".join(
+                f"{x} 1\n" for x in range(20)))
 
     def test_parse_error_reports_line_number(self):
         text = "# topology=cylinder period=1.0\n0 1\nbad 1\n"

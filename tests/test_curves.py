@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import curveflow.axisym as ax
 import curveflow.curves as cv
 from curveflow.errors import DegenerateGeometryError, InvalidInputError
 
@@ -129,6 +130,53 @@ class TestMetricsProperties:
     def test_turning_angles_sum_to_full_turn(self):
         angles = cv.turning_angles(cv.peanut_polygon(1.0, 0.3, 300))
         assert abs(angles.sum() - 2 * math.pi) < 1e-9
+
+
+def _closed_circle(radius):
+    """curves.curvature_profile: positive toward the enclosed region, inward normal."""
+    def fields(pts):
+        return cv.curvature_profile(cv.PlaneCurve(pts))
+    t = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
+    return np.column_stack([radius * np.cos(t), radius * np.sin(t)]), fields, 1.0
+
+
+def _sphere_meridian(radius):
+    """axisym fields on ghost-extended poles: positive where convex, inward normal."""
+    def fields(pts):
+        kappa, nu, _, _ = ax._fields(pts, ax.TOPOLOGY_TWO_POLES, None)
+        return kappa, nu
+    return ax.sphere_profile(radius, 101).samples, fields, 1.0
+
+
+def _open_arc(radius):
+    """The bare kernel on interior points: positive for a left turn, left normal."""
+    def fields(pts):
+        k, left, _ = cv._three_point(pts)
+        return k, left
+    t = np.linspace(0.25, 2.0, 60)
+    return np.column_stack([radius * np.cos(t), radius * np.sin(t)]), fields, -1.0
+
+
+class TestThreePointKernel:
+    @pytest.mark.parametrize("form", [_closed_circle, _sphere_meridian, _open_arc],
+                             ids=["closed-circle", "sphere-meridian", "open-arc"])
+    def test_chain_forms(self, form):
+        radius = 2.0
+        pts, fields, reversed_sign = form(radius)
+        for chain, sign in ((pts, 1.0), (pts[::-1].copy(), reversed_sign)):
+            k, normal = fields(chain)
+            inner = chain if len(k) == len(chain) else chain[1:-1]
+            assert np.max(np.abs(np.abs(k) - 1.0 / radius)) < 1e-3
+            assert np.all(np.sign(k) == sign)
+            # the curvature vector k * normal points at the center either way
+            toward_center = -inner / radius
+            assert np.max(np.abs(sign * normal - toward_center)) < 1e-3
+            folded = chain.copy()
+            folded[5] = folded[3]
+            k, normal = fields(folded)
+            i = 4 if len(k) == len(chain) else 3
+            assert k[i] == 0.0
+            assert np.all(np.isfinite(k)) and np.all(np.isfinite(normal))
 
 
 class TestEmbeddingAndDistance:

@@ -43,35 +43,24 @@ class TestConfigValidation:
 
 
 class TestStepping:
-    def test_normal_velocity_of_unit_circle(self):
-        curve = cv.circle_polygon(1.0, 256)
-        vel = f1.normal_velocity(curve, f1.SpeedLaw(1.0))
-        assert vel.shape == (256, 2)
-        speed = np.linalg.norm(vel, axis=1)
-        assert np.max(np.abs(speed - 1.0)) < 1e-3
-        # velocity points inward, toward the center
-        inward = -curve.vertices / np.linalg.norm(curve.vertices, axis=1, keepdims=True)
-        assert np.max(np.abs(vel - inward * speed[:, None])) < 1e-9
-
     def test_velocity_power_law(self):
-        curve = cv.circle_polygon(0.25, 256)
-        s1 = np.linalg.norm(f1.normal_velocity(curve, f1.SpeedLaw(1.0)), axis=1)
-        s3 = np.linalg.norm(f1.normal_velocity(curve, f1.SpeedLaw(3.0)), axis=1)
+        k, _ = cv.curvature_profile(cv.circle_polygon(0.25, 256))
+        s1 = f1.SpeedLaw(1.0).speed(k)
+        s3 = f1.SpeedLaw(3.0).speed(k)
         assert np.max(np.abs(s3 - s1 ** 3)) < 1e-6
+        # odd in k, so the driver's velocity does not depend on orientation
+        law = f1.SpeedLaw(1.0 / 3.0)
+        assert np.array_equal(law.speed(-k), -law.speed(k))
 
-    def test_cfl_timestep_scales_with_spacing(self):
-        law = f1.SpeedLaw(1.0)
-        coarse = f1.cfl_timestep(cv.circle_polygon(1.0, 64), law)
-        fine = f1.cfl_timestep(cv.circle_polygon(1.0, 128), law)
-        assert coarse > 0 and fine > 0
-        assert coarse / fine == pytest.approx(4.0, rel=0.2)
-
-    def test_single_step_shrinks_circle(self):
-        curve = cv.circle_polygon(1.0, 256)
-        dt = f1.cfl_timestep(curve, f1.SpeedLaw(1.0), 0.5)
-        out = f1.step(curve, f1.SpeedLaw(1.0), dt)
-        radii = np.hypot(out.vertices[:, 0], out.vertices[:, 1])
-        assert np.max(np.abs(radii - (1.0 - dt))) < dt * 0.01
+    def test_clockwise_curve_moves_like_counterclockwise(self):
+        ccw = cv.circle_polygon(1.0, 64)
+        cw = cv.PlaneCurve(ccw.vertices[::-1])
+        cfg = f1.FlowConfig(resample_every=1000, max_steps=100)
+        for law in (f1.SpeedLaw(1.0), f1.SpeedLaw(1.0 / 3.0)):
+            a = f1.run(ccw, law, cfg).final()
+            b = f1.run(cw, law, cfg).final()
+            assert a.time == b.time
+            assert np.array_equal(a.curve.vertices, b.curve.vertices[::-1])
 
 
 class TestCircleRun:
@@ -190,6 +179,20 @@ class TestStops:
     def test_area_fraction_stop(self, small_circle_traj):
         areas = small_circle_traj.areas()
         assert areas[-1] <= 0.021 * areas[0]
+
+    def test_step_budget_closes_every_trajectory(self):
+        traj = f1.run(cv.circle_polygon(1.0, 128), f1.SpeedLaw(1.0),
+                      f1.FlowConfig(max_steps=500))
+        assert [e.kind for e in traj.events] == [f1.EVENT_STEP_BUDGET]
+        assert traj.final().time == traj.events[0].time
+        assert traj.final().time > traj.snapshots[-2].time
+        pair = f1.co_evolve(
+            [cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 64)],
+            f1.SpeedLaw(1.0), f1.FlowConfig(max_steps=50))
+        t_end = pair[0].final().time
+        for tr in pair:
+            assert [e.kind for e in tr.events] == [f1.EVENT_STEP_BUDGET]
+            assert tr.final().time == tr.events[0].time == t_end > 0
 
 
 class TestCoEvolution:
