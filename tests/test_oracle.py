@@ -103,10 +103,16 @@ class TestTranslators:
         # near the axis the height looks like rho^2 / 4
         near = rho < 0.15
         assert np.max(np.abs(height[near] - rho[near] ** 2 / 4)) < 2e-4
-        # convex: the slope grows outward, starting from u'' = 1/2 at the axis
+
+    def test_bowl_slope_increases_outward(self):
+        # convex: the slope grows outward, starting from u'' = 1/2 at the axis;
+        # slope and bend are finite differences of the profile
+        prof = oc.bowl_soliton(2.0, 129)
+        height, rho = prof[:, 0], prof[:, 1]
         step = rho[1] - rho[0]
         slope = np.diff(height) / step
         bend = np.diff(slope) / step
+        assert np.all(np.diff(height) > 0)
         assert np.all(slope > 0)
         assert np.all(bend > 0)
         assert abs(bend[0] - 0.5) < 0.01
