@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 
 from . import curves as cv
 from .errors import (
@@ -505,17 +504,18 @@ def _axi_resample(
     """Arclength redistribution preserving topology constraints."""
     if topology == TOPOLOGY_CYLINDER:
         # keep the uniform x grid; refresh r through a periodic spline in x
-        x = pts[:, 0]
-        x0 = x[0]
-        ext_x = np.append(x, x0 + period)
-        ext_r = np.append(pts[:, 1], pts[0, 1])
-        spline = CubicSpline(ext_x, ext_r, bc_type="periodic")
+        x0 = pts[0, 0]
+        ext_x = np.append(pts[:, 0], x0 + period)
+        ext_r = np.append(pts[:, 1], pts[0, 1])[:, None]
         n = len(pts)
         grid = x0 + np.arange(n) * (period / n)
-        out = np.column_stack([grid, spline(grid)])
-        return out
+        return np.column_stack([grid, cv._periodic_spline(ext_x, ext_r)(grid)])
     closed = topology == TOPOLOGY_PERIODIC
-    spline, s = cv._arclength_spline(pts, closed)
+    if closed:
+        ext, s = cv._arclength(pts, closed=True)
+        spline = cv._periodic_spline(s, ext)
+    else:
+        spline, s = cv._arclength_spline(pts)
     total = float(s[-1])
     n = max(MIN_SAMPLES, int(round(total / spacing)))
     if closed:

@@ -36,6 +36,7 @@ EVENT_BLOWUP = "curvature-blowup"
 EVENT_EMBEDDEDNESS_LOSS = "embeddedness-loss"
 EVENT_CONVEXIFICATION = "convexification"
 EVENT_STEP_BUDGET = "step-budget"
+EVENT_PARTNER_STOPPED = "partner-stopped"
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,14 @@ class _CurveState:
     """Book-keeping for one curve inside the shared-clock driver.
 
     Between snapshots the curve lives as a raw vertex array; the validated
-    curve object is only rebuilt when a snapshot is recorded.
+    curve object is only rebuilt when a snapshot is recorded.  The array is
+    the interior of a closed chain buffer with one ghost point at each end,
+    reallocated only when a resample changes the vertex count.
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
-        self.verts = curve.vertices
+        self.chain = np.empty((0, 2))
+        self.set_verts(curve.vertices)
         m = cv.metrics(curve)
         self.area0 = abs(m.enclosed_area)
         k0 = max(abs(m.min_curvature), abs(m.max_curvature))
@@ -136,20 +140,29 @@ class _CurveState:
         self.traj = Trajectory([Snapshot(0.0, curve, m)], [], law, config)
         self.done = False
 
+    def set_verts(self, verts: NDArray[np.float64]) -> None:
+        if len(self.chain) != len(verts) + 2:
+            self.chain = np.empty((len(verts) + 2, 2))
+            self.verts = self.chain[1:-1]
+        self.verts[...] = verts
+
 
 def _step_geometry(
-    v: NDArray[np.float64],
+    chain: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float]:
     """Curvature (positive for a left turn), unit left normal, min spacing, area.
 
-    Fused so the driver touches each vertex array a single time per step.  The
-    speed law is odd in k, so speed(k) times the left normal equals the inward
-    velocity for either traversal direction.
+    ``chain`` holds the vertices between two ghost points, which are filled
+    here.  Fused so the driver touches each vertex array a single time per
+    step.  The speed law is odd in k, so speed(k) times the left normal
+    equals the inward velocity for either traversal direction.
     """
-    chain = cv._closed_chain(v)
+    v = chain[1:-1]
+    chain[0] = v[-1]
+    chain[-1] = v[0]
     k, left, seg = cv._three_point(chain)
     nxt = chain[2:]
-    area = 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
+    area = 0.5 * float((v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]).sum())
     return k, left, float(seg.min()), area
 
 
@@ -160,14 +173,12 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
         dt = np.inf
         plans = []
         for s in states:
-            k, left, h, area = _step_geometry(s.verts)
+            k, left, h, area = _step_geometry(s.chain)
             kmax = float(np.abs(k).max())
             if kmax >= s.cap:
                 i = int(np.argmax(np.abs(k)))
                 loc = (float(s.verts[i, 0]), float(s.verts[i, 1]))
-                curve = _settle(s, t)
-                if curve is not None:
-                    _record(s, t, curve, [Event(EVENT_BLOWUP, t, loc)])
+                _close(s, t, Event(EVENT_BLOWUP, t, loc))
                 s.done = True
                 break
             speed = k if law.p == 1.0 else law.speed(k)
@@ -179,7 +190,7 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
                 mag = mag[mag >= CURVATURE_CLAMP]
                 diffusivity = float(np.max(mag ** (law.p - 1.0))) if len(mag) else 1.0
             dt = min(dt, config.cfl_factor * h * h / (2.0 * diffusivity))
-            vmax = float(np.abs(speed).max())
+            vmax = kmax if law.p == 1.0 else float(np.abs(speed).max())
             if vmax > 0:
                 dt = min(dt, DISPLACEMENT_FRACTION * h / vmax)
         if any(s.done for s in states):
@@ -190,14 +201,15 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
         resample = steps % config.resample_every == 0
         snapshot_due = False
         for s, speed, left, area in plans:
-            new = s.verts + (dt * speed)[:, None] * left
+            left *= (dt * speed)[:, None]
+            s.verts += left
             if resample:
-                d = np.roll(new, -1, axis=0) - new
+                s.chain[-1] = s.verts[0]
+                d = s.chain[2:] - s.verts   # every edge, the closing one last
                 total = float(np.hypot(d[:, 0], d[:, 1]).sum())
                 n = max(cv.MIN_VERTICES, int(round(total / s.spacing)))
-                new = cv.spline_resample_array(new, n)
-            s.verts = new
-            if area <= s.next_area:
+                s.set_verts(cv.spline_resample_array(s.verts, n))
+            if abs(area) <= s.next_area:
                 snapshot_due = True
 
         if snapshot_due:
@@ -215,16 +227,22 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
                     s.traj.events.append(Event(EVENT_EXTINCTION, t, c))
                     s.done = True
 
-    if not any(s.done for s in states):
-        # The step budget ran out first: close every trajectory at time t.
-        for s in states:
-            budget = [Event(EVENT_STEP_BUDGET, t)]
-            if s.traj.final().time == t:
-                s.traj.events.extend(budget)
-            else:
-                curve = _settle(s, t)
-                if curve is not None:
-                    _record(s, t, curve, budget)
+    # Close every trajectory still live at time t: another curve on the shared
+    # clock stopped, or the step budget ran out first.
+    kind = EVENT_PARTNER_STOPPED if any(s.done for s in states) else EVENT_STEP_BUDGET
+    for s in states:
+        if not s.done:
+            _close(s, t, Event(kind, t))
+
+
+def _close(state: _CurveState, t: float, event: Event) -> None:
+    """End a trajectory with ``event`` on a snapshot at t, reusing one just taken."""
+    if state.traj.final().time == t:
+        state.traj.events.append(event)
+        return
+    curve = _settle(state, t)
+    if curve is not None:
+        _record(state, t, curve, [event])
 
 
 def _settle(state: _CurveState, t: float) -> cv.PlaneCurve | None:
@@ -282,7 +300,8 @@ def co_evolve(
     """Evolve several curves on a shared clock with shared snapshot times.
 
     The run ends when the first curve reaches a stop condition, so every
-    trajectory covers the same time interval with identical snapshot times.
+    trajectory covers the same time interval with identical snapshot times;
+    the others then end with a ``partner-stopped`` event.
     """
     if not curve_list:
         raise InvalidInputError("need at least one curve")

@@ -189,7 +189,7 @@ def evolve_translating_front(
         t += dt
         steps += 1
         if resample_every and steps % resample_every == 0:
-            spline, s = cv._arclength_spline(pts, closed=False)
+            spline, s = cv._arclength_spline(pts)
             pts = spline(np.linspace(0.0, s[-1], n))
     return pts
 

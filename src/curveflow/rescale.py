@@ -205,18 +205,18 @@ def hausdorff_distance(a: cv.PlaneCurve, b: cv.PlaneCurve) -> float:
 
 def _window_curve(pts: NDArray[np.float64], index: int) -> NDArray[np.float64]:
     """Evenly spaced points on the closed arc within one unit of ``pts[index]``."""
-    spline, s = cv._arclength_spline(pts, closed=True)
+    ext, s = cv._arclength(pts, closed=True)
     total = float(s[-1])
     half = min(WINDOW_HALF, 0.49 * total)
     targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
-    return spline(targets)
+    return cv._periodic_spline(s, ext)(targets)
 
 
 def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
     pts = profile.samples
     if profile.topology == TOPOLOGY_PERIODIC:
         return _window_curve(pts, index)
-    spline, s = cv._arclength_spline(pts, closed=False)
+    spline, s = cv._arclength_spline(pts)
     lo = max(0.0, s[index] - WINDOW_HALF)
     hi = min(float(s[-1]), s[index] + WINDOW_HALF)
     return spline(np.linspace(lo, hi, WINDOW_POINTS))

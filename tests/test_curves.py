@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import curveflow.axisym as ax
 import curveflow.curves as cv
+import curveflow.rescale as rs
 from curveflow.errors import DegenerateGeometryError, InvalidInputError
 
 
@@ -177,6 +181,111 @@ class TestThreePointKernel:
             i = 4 if len(k) == len(chain) else 3
             assert k[i] == 0.0
             assert np.all(np.isfinite(k)) and np.all(np.isfinite(normal))
+
+
+def _star(seed, n, center=(0.0, 0.0), scale=1.0):
+    """Star-shaped polygon with random radii and non-uniform angular spacing."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.2, 1.0, n)
+    theta = rng.uniform(0, 2 * math.pi) + 2 * math.pi * np.cumsum(gaps) / gaps.sum()
+    r = scale * rng.uniform(0.8, 1.2, n)
+    return np.column_stack([center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)])
+
+
+def _brute_min_distance(c1, c2):
+    """All-pairs reference: 0 if two edges properly cross, else the smallest
+    vertex-to-edge distance, each measured against every edge."""
+    v1, v2 = c1.vertices, c2.vertices
+    a1, b1 = v1, np.roll(v1, -1, axis=0)
+    a2, b2 = v2, np.roll(v2, -1, axis=0)
+
+    def orient(p, q, r):
+        return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+    p, q = a1[:, None], b1[:, None]
+    r, s = a2[None], b2[None]
+    if np.any((orient(p, q, r) * orient(p, q, s) < 0) & (orient(r, s, p) * orient(r, s, q) < 0)):
+        return 0.0
+
+    def nearest(points, seg_a, seg_b):
+        d = seg_b - seg_a
+        len2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
+        pp = points[:, None, :]
+        t = np.clip(np.sum((pp - seg_a[None]) * d[None], axis=-1) / len2[None], 0.0, 1.0)
+        return np.linalg.norm(pp - (seg_a[None] + t[..., None] * d[None]), axis=-1).min()
+
+    return float(min(nearest(v1, a2, b2), nearest(v2, a1, b1)))
+
+
+class TestPeriodicSpline:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 90), m=st.integers(8, 200),
+           index=st.integers(0, 10**6), size=st.floats(0.01, 100.0))
+    def test_matches_scipy_periodic_spline(self, seed, n, m, index, size):
+        pts = _star(seed, n, scale=size)
+        ext, s = cv._arclength(pts, closed=True)
+        ref = CubicSpline(s, ext, axis=0, bc_type="periodic")
+        scale = np.abs(pts).max()
+        uniform = np.arange(m) * (s[-1] / m)
+        assert np.max(np.abs(cv.spline_resample_array(pts, m) - ref(uniform))) <= 1e-10 * scale
+        # the blow-up window wraps around the start of the curve
+        index %= n
+        half = min(rs.WINDOW_HALF, 0.49 * s[-1])
+        wrapped = (s[index] + np.linspace(-half, half, rs.WINDOW_POINTS)) % s[-1]
+        assert np.max(np.abs(rs._window_curve(pts, index) - ref(wrapped))) <= 1e-10 * scale
+
+    def test_repeated_vertex_raises(self):
+        pts = cv.circle_polygon(1.0, 32).vertices.copy()
+        pts[7] = pts[6]
+        with pytest.raises(DegenerateGeometryError, match="zero-length"):
+            cv.spline_resample_array(pts, 32)
+
+    def test_failed_solve_raises(self, monkeypatch):
+        def singular(dl, d, du, b, **kw):
+            return dl, d, du, np.full_like(b, np.nan), 3
+        monkeypatch.setattr(cv, "_GTSV", singular)
+        with pytest.raises(DegenerateGeometryError, match="info 3"):
+            cv.spline_resample_array(cv.circle_polygon(1.0, 32).vertices, 32)
+
+
+_PAIRS = ("nested", "side-by-side", "near-touching", "crossing")
+
+
+class TestPrunedMinDistance:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(8, 120), n2=st.integers(8, 120),
+           layout=st.sampled_from(_PAIRS), angle=st.floats(0.0, 2 * math.pi))
+    def test_equals_all_pairs_reference(self, seed, n1, n2, layout, angle):
+        a = cv.PlaneCurve(_star(seed, n1))
+        u = np.array([math.cos(angle), math.sin(angle)])
+        if layout == "nested":
+            b = cv.PlaneCurve(_star(seed + 1, n2, center=0.1 * u, scale=0.4))
+        elif layout == "crossing":
+            b = cv.PlaneCurve(_star(seed + 1, n2, center=u))
+        else:
+            b = cv.PlaneCurve(_star(seed + 1, n2, center=3.0 * u))
+            if layout == "near-touching":
+                # slide b toward a until the gap is about 1e-6 of the diameter
+                target = 1e-6 * cv.bbox_diameter(a.vertices)
+                for _ in range(60):
+                    excess = _brute_min_distance(a, b) - target
+                    if abs(excess) < 0.5 * target:
+                        break
+                    b = cv.PlaneCurve(b.vertices - excess * u)
+        assert cv.min_distance(a, b) == _brute_min_distance(a, b)
+        assert cv.min_distance(b, a) == _brute_min_distance(b, a)
+
+    def test_nearest_point_near_far_end_of_long_edge(self):
+        # The nearest point of the long top edge of b lies by its end vertex
+        # (0, 0); its start vertex (-1, 0) is out of reach, so only the
+        # matched vertex's incoming edge finds the minimum 0.001.
+        a = cv.PlaneCurve([(-0.01, 0.001), (0.2, 0.5), (0.1, 1.0), (-0.1, 1.0),
+                           (-0.3, 0.9), (-0.4, 0.6), (-0.3, 0.3), (-0.15, 0.1)])
+        b = cv.PlaneCurve([(-1.0, -1.0), (-1.0, -0.5), (-1.0, 0.0), (0.0, 0.0),
+                           (0.0, -0.25), (0.0, -0.5), (0.0, -0.75), (0.0, -1.0)])
+        assert abs(cv.min_distance(a, b) - 0.001) < 1e-15
+        assert cv.min_distance(a, b) == _brute_min_distance(a, b)
 
 
 class TestEmbeddingAndDistance:

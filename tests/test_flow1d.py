@@ -62,6 +62,14 @@ class TestStepping:
             assert a.time == b.time
             assert np.array_equal(a.curve.vertices, b.curve.vertices[::-1])
 
+    def test_clockwise_curve_snapshots_like_counterclockwise(self):
+        ccw = cv.circle_polygon(0.5, 64)
+        a = f1.run(ccw, f1.SpeedLaw(1.0))
+        b = f1.run(cv.PlaneCurve(ccw.vertices[::-1]), f1.SpeedLaw(1.0))
+        assert len(a.snapshots) == len(b.snapshots)
+        # resampling starts from a different vertex, so times agree to roundoff
+        assert np.allclose(a.times(), b.times(), rtol=1e-12, atol=0.0)
+
 
 class TestCircleRun:
     def test_snapshot_times_strictly_increase(self, small_circle_traj):
@@ -213,6 +221,21 @@ class TestCoEvolution:
         trajs = f1.co_evolve([outer, inner], f1.SpeedLaw(1.0))
         inner_areas = trajs[1].areas()
         assert inner_areas[-1] <= 0.05 * inner_areas[0]
+
+    @pytest.mark.parametrize("cap", [None, 6.0], ids=["extinction", "blowup"])
+    def test_every_trajectory_ends_with_one_terminal_event(self, cap):
+        terminal = {f1.EVENT_EXTINCTION, f1.EVENT_BLOWUP, f1.EVENT_EMBEDDEDNESS_LOSS,
+                    f1.EVENT_STEP_BUDGET, f1.EVENT_PARTNER_STOPPED}
+        trajs = f1.co_evolve(
+            [cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 64)],
+            f1.SpeedLaw(1.0), f1.FlowConfig(max_curvature_stop=cap))
+        ending = f1.EVENT_EXTINCTION if cap is None else f1.EVENT_BLOWUP
+        assert [e.kind for e in trajs[1].events] == [ending]
+        assert [e.kind for e in trajs[0].events] == [f1.EVENT_PARTNER_STOPPED]
+        for tr in trajs:
+            assert sum(e.kind in terminal for e in tr.events) == 1
+            assert tr.final().time == tr.events[-1].time
+        assert np.array_equal(trajs[0].times(), trajs[1].times())
 
     def test_empty_list_rejected(self):
         with pytest.raises(InvalidInputError):
