@@ -29,8 +29,6 @@ CONVEX_REL_TOL = 1e-6
 
 Float2 = tuple[float, float]
 
-# Floor for divisors that are 0 only where their numerators are 0 too.
-_TINY = 1e-300
 # LAPACK tridiagonal solver (with partial pivoting) for the periodic spline.
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
@@ -116,14 +114,11 @@ def _three_point(
     chord = chain[2:] - chain[:-2]
     c = np.hypot(chord[:, 0], chord[:, 1])
     cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-    # A divisor is 0 only where its numerator is exactly 0 too (a zero edge or
-    # chord zeroes the cross product; a zero chord is the normal's numerator),
-    # so flooring the divisors gives 0 there, not NaN.
-    k = 2.0 * cross / np.maximum(seg[:-1] * seg[1:] * c, _TINY)
-    inv = 1.0 / np.maximum(c, _TINY)
-    left = np.empty_like(chord)
-    np.multiply(chord[:, 1], -inv, out=left[:, 0])
-    np.multiply(chord[:, 0], inv, out=left[:, 1])
+    # A zero edge or chord zeroes the cross product, and a zero chord the normal,
+    # so the floored divisors give 0 there, not NaN.
+    k = 2.0 * cross / np.maximum(seg[:-1] * seg[1:] * c, 1e-300)
+    left = chord[:, ::-1] * (1.0 / np.maximum(c, 1e-300))[:, None]
+    left[:, 0] = -left[:, 0]
     return k, left, seg
 
 
@@ -189,15 +184,12 @@ def _arclength_spline(points: NDArray[np.float64]) -> tuple[CubicSpline, NDArray
 
 
 def _periodic_spline(s: NDArray[np.float64], y: NDArray[np.float64]):
-    """Periodic cubic spline through ``y[i]`` at knots ``s[i]``.
+    """Periodic cubic spline through the rows of ``y`` (the last repeats the
+    first) at increasing knots ``s``, as a function of targets in [s[0], s[-1]].
 
-    ``s`` is strictly increasing and ``y`` (m + 1, d) ends back at its first
-    row, so the period is ``s[-1] - s[0]``.  The second derivatives solve one
-    cyclic tridiagonal system: LAPACK ``gtsv`` takes the d value columns and
-    the Sherman-Morrison correction column as right-hand sides of a single
-    solve.  Returns a function evaluating the spline at targets in
-    ``[s[0], s[-1]]``.  A zero-length interval raises
-    :class:`DegenerateGeometryError` instead of producing NaN.
+    One ``gtsv`` call solves the cyclic system for q = y'' / 6, with the value
+    columns and the Sherman-Morrison column as right-hand sides.  A zero-length
+    or non-finite interval raises :class:`DegenerateGeometryError`, never NaN.
     """
     h = s[1:] - s[:-1]
     if not np.all(h > 0):
@@ -205,40 +197,26 @@ def _periodic_spline(s: NDArray[np.float64], y: NDArray[np.float64]):
     m, d = len(h), y.shape[1]
     slope = (y[1:] - y[:-1]) / h[:, None]
     # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1],
-    # cyclic in i, with q one sixth of the second derivative.  The corner
-    # entries h[-1] become the rank-one term u v^T with u = (g, 0.., h[-1]),
-    # v = (1, 0.., h[-1] / g).
-    rhs = np.empty((m, d + 1), order="F")
-    np.subtract(slope[1:], slope[:-1], out=rhs[1:, :d])
-    np.subtract(slope[0], slope[-1], out=rhs[0, :d])
-    rhs[:, d] = 0.0
-    diag = np.empty(m)
-    np.add(h[1:], h[:-1], out=diag[1:])
-    diag[0] = h[0] + h[-1]
-    diag *= 2.0
-    corner = h[-1]
-    g = -diag[0]
-    w = corner / g
+    # cyclic; the corners h[-1] move to u v^T, u = (g, 0.., h[-1]), v = (1, 0.., h[-1] / g).
+    rhs = np.zeros((m, d + 1), order="F")
+    rhs[:, :d] = slope - np.concatenate([slope[-1:], slope[:-1]])
+    diag = 2.0 * (h + np.concatenate([h[-1:], h[:-1]]))
+    g, corner = -diag[0], h[-1]
     diag[0] -= g
-    diag[-1] -= corner * w
-    rhs[0, d] = g
-    rhs[-1, d] = corner
+    diag[-1] -= corner * corner / g
+    rhs[0, d], rhs[-1, d] = g, corner
     _, _, _, sol, info = _GTSV(h[:-1], diag, h[:-1], rhs, overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise DegenerateGeometryError(f"periodic spline solve failed (gtsv info {info})")
-    q, z = sol[:, :d], sol[:, d:]
+    q, z, w = sol[:, :d], sol[:, d:], corner / g
     q -= z * ((q[0] + w * q[-1]) / (1.0 + z[0, 0] + w * z[-1, 0]))
     q_next = np.concatenate([q[1:], q[:1]])
     # Interval i in powers of (t - s[i]).
-    coef = np.empty((m, 4, d))
-    coef[:, 0] = y[:-1]
-    coef[:, 1] = slope - h[:, None] * (2.0 * q + q_next)
-    coef[:, 2] = 3.0 * q
-    coef[:, 3] = (q_next - q) / h[:, None]
+    coef = np.stack([y[:-1], slope - h[:, None] * (2.0 * q + q_next),
+                     3.0 * q, (q_next - q) / h[:, None]], axis=1)
 
     def evaluate(targets: NDArray[np.float64]) -> NDArray[np.float64]:
-        i = np.searchsorted(s, targets, side="right") - 1
-        np.clip(i, 0, m - 1, out=i)
+        i = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, m - 1)
         u = (targets - s[i])[:, None]
         c = coef[i]
         return c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
@@ -370,26 +348,12 @@ def is_embedded(curve: PlaneCurve) -> bool:
 
 
 def _point_segment(
-    p: NDArray[np.float64], a: NDArray[np.float64], d: NDArray[np.float64], len2
+    p: NDArray[np.float64], a: NDArray[np.float64], b: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Distance from points p to segments a + [0, 1] d with squared lengths len2.
-
-    Works elementwise on broadcastable (..., 2) arrays; every distance routine
-    goes through this one formula, so they agree to the last bit.
-    """
-    px, py, ax, ay, dx, dy = p[..., 0], p[..., 1], a[..., 0], a[..., 1], d[..., 0], d[..., 1]
-    t = np.clip(((px - ax) * dx + (py - ay) * dy) / len2, 0.0, 1.0)
-    ex = px - (ax + t * dx)
-    ey = py - (ay + t * dy)
-    return np.sqrt(ex * ex + ey * ey)
-
-
-def _segment_frame(
-    seg_a: NDArray[np.float64], seg_b: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Direction and squared length (floored above 0) of segments a-b."""
-    d = seg_b - seg_a
-    return d, np.maximum(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1], _TINY)
+    """Distance from points p to segments a-b, elementwise on broadcastable (..., 2) arrays."""
+    d = b - a
+    t = np.sum((p - a) * d, axis=-1) / np.maximum(np.sum(d * d, axis=-1), 1e-300)
+    return np.linalg.norm(p - (a + np.clip(t, 0.0, 1.0)[..., None] * d), axis=-1)
 
 
 def _point_segment_distances(
@@ -399,11 +363,10 @@ def _point_segment_distances(
 
     Chunked over points so the point-by-segment work arrays stay bounded.
     """
-    d, len2 = _segment_frame(seg_a, seg_b)
     out = np.empty(len(points))
     for lo in range(0, len(points), 512):
         p = points[lo:lo + 512, None, :]
-        out[lo:lo + 512] = _point_segment(p, seg_a[None], d[None], len2[None]).min(axis=1)
+        out[lo:lo + 512] = _point_segment(p, seg_a[None], seg_b[None]).min(axis=1)
     return out
 
 
@@ -439,28 +402,23 @@ def _curves_cross(c1: PlaneCurve, c2: PlaneCurve) -> bool:
 def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
     """Minimum distance between two curves as unions of segments (0 if they cross).
 
-    Exact, but only near pairs are measured.  Without a crossing the minimum
-    is a vertex-to-edge distance, at most the closest vertex-to-vertex
-    distance dv, and the nearest point of an edge lies within half its length
-    of one of its endpoints.  So each vertex is measured against the two edges
-    at every vertex of the other curve within dv + max_edge / 2.
+    Exact: the minimum is a vertex-to-edge distance of at most the smallest
+    vertex-to-vertex distance dv, and lies within half an edge of one of that
+    edge's ends.  So each vertex meets only the two edges at every vertex of
+    the other curve within dv + max_edge / 2.
     """
     if _curves_cross(c1, c2):
         return 0.0
     v1, v2 = c1.vertices, c2.vertices
-    d1, l1 = _segment_frame(v1, np.roll(v1, -1, axis=0))
-    d2, l2 = _segment_frame(v2, np.roll(v2, -1, axis=0))
     tree1, tree2 = cKDTree(v1), cKDTree(v2)
-    dv = float(tree2.query(v1)[0].min())
-    reach = dv + 0.5 * float(np.sqrt(max(l1.max(), l2.max())))
+    edges = [np.roll(v, -1, axis=0) - v for v in (v1, v2)]
+    reach = tree2.query(v1)[0].min() + 0.5 * max(np.hypot(e[:, 0], e[:, 1]).max() for e in edges)
     # The relative slack keeps a pair exactly at the reach in the candidates.
     near = tree1.sparse_distance_matrix(tree2, reach * (1.0 + 1e-9), output_type="ndarray")
-    i, j = near["i"], near["j"]
     best = np.inf
-    # v1[i] against edges j - 1 and j of curve 2; v2[j] against edges i - 1 and i of curve 1.
-    for pts, verts, d, len2, ends in ((v1[i], v2, d2, l2, j), (v2[j], v1, d1, l1, i)):
-        e = np.concatenate([ends, ends - 1]) % len(verts)
-        dist = _point_segment(np.concatenate([pts, pts]), verts[e], d[e], len2[e])
+    for i, j, a, b in ((near["i"], near["j"], v1, v2), (near["j"], near["i"], v2, v1)):
+        e = np.concatenate([j - 1, j])      # the edges of b into and out of vertex j
+        dist = _point_segment(a[np.concatenate([i, i])], b[e], b[(e + 1) % len(b)])
         best = min(best, float(dist.min()))
     return best
 

@@ -117,9 +117,8 @@ class _CurveState:
     """Book-keeping for one curve inside the shared-clock driver.
 
     Between snapshots the curve lives as a raw vertex array; the validated
-    curve object is only rebuilt when a snapshot is recorded.  The array is
-    the interior of a closed chain buffer with one ghost point at each end,
-    reallocated only when a resample changes the vertex count.
+    curve object is only rebuilt when a snapshot is recorded.  It is the inside
+    of a chain buffer with a ghost point at each end, reallocated when n changes.
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
@@ -152,10 +151,9 @@ def _step_geometry(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float]:
     """Curvature (positive for a left turn), unit left normal, min spacing, area.
 
-    ``chain`` holds the vertices between two ghost points, which are filled
-    here.  Fused so the driver touches each vertex array a single time per
-    step.  The speed law is odd in k, so speed(k) times the left normal
-    equals the inward velocity for either traversal direction.
+    Fills the ghost points of ``chain``.  Fused so the driver touches each vertex
+    array a single time per step.  The speed law is odd in k, so speed(k) times
+    the left normal equals the inward velocity for either traversal direction.
     """
     v = chain[1:-1]
     chain[0] = v[-1]
@@ -227,8 +225,7 @@ def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> Non
                     s.traj.events.append(Event(EVENT_EXTINCTION, t, c))
                     s.done = True
 
-    # Close every trajectory still live at time t: another curve on the shared
-    # clock stopped, or the step budget ran out first.
+    # Close the live trajectories: a partner on the shared clock stopped, or the budget ran out.
     kind = EVENT_PARTNER_STOPPED if any(s.done for s in states) else EVENT_STEP_BUDGET
     for s in states:
         if not s.done:
