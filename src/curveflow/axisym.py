@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.interpolate import CubicSpline
 
 from . import curves as cv
 from .errors import (
@@ -504,12 +505,15 @@ def _axi_resample(
     """Arclength redistribution preserving topology constraints."""
     if topology == TOPOLOGY_CYLINDER:
         # keep the uniform x grid; refresh r through a periodic spline in x
-        x0 = pts[0, 0]
-        ext_x = np.append(pts[:, 0], x0 + period)
-        ext_r = np.append(pts[:, 1], pts[0, 1])[:, None]
+        x = pts[:, 0]
+        x0 = x[0]
+        ext_x = np.append(x, x0 + period)
+        ext_r = np.append(pts[:, 1], pts[0, 1])
+        spline = CubicSpline(ext_x, ext_r, bc_type="periodic")
         n = len(pts)
         grid = x0 + np.arange(n) * (period / n)
-        return np.column_stack([grid, cv._periodic_spline(ext_x, ext_r)(grid)])
+        out = np.column_stack([grid, spline(grid)])
+        return out
     closed = topology == TOPOLOGY_PERIODIC
     if closed:
         ext, s = cv._arclength(pts, closed=True)
