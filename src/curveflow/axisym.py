@@ -517,13 +517,12 @@ def _axi_resample(
     closed = topology == TOPOLOGY_PERIODIC
     if closed:
         ext, s = cv._arclength(pts, closed=True)
-        spline = cv._periodic_spline(s, ext)
     else:
         spline, s = cv._arclength_spline(pts)
     total = float(s[-1])
     n = max(MIN_SAMPLES, int(round(total / spacing)))
     if closed:
-        return spline(np.arange(n) * (total / n))
+        return cv._periodic_spline(s, ext, np.arange(n) * (total / n))
     out = spline(np.linspace(0.0, total, n + 1))
     out[0] = pts[0]
     out[-1] = pts[-1]

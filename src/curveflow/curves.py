@@ -183,9 +183,11 @@ def _arclength_spline(points: NDArray[np.float64]) -> tuple[CubicSpline, NDArray
     return CubicSpline(s, pts, axis=0, bc_type="not-a-knot"), s
 
 
-def _periodic_spline(s: NDArray[np.float64], y: NDArray[np.float64]):
+def _periodic_spline(
+    s: NDArray[np.float64], y: NDArray[np.float64], targets: NDArray[np.float64]
+) -> NDArray[np.float64]:
     """Periodic cubic spline through the rows of ``y`` (the last repeats the
-    first) at increasing knots ``s``, as a function of targets in [s[0], s[-1]].
+    first) at increasing knots ``s``, evaluated at targets in [s[0], s[-1]].
 
     One ``gtsv`` call solves the cyclic system for q = y'' / 6, with the value
     columns and the Sherman-Morrison column as right-hand sides.  A zero-length
@@ -214,14 +216,10 @@ def _periodic_spline(s: NDArray[np.float64], y: NDArray[np.float64]):
     # Interval i in powers of (t - s[i]).
     coef = np.stack([y[:-1], slope - h[:, None] * (2.0 * q + q_next),
                      3.0 * q, (q_next - q) / h[:, None]], axis=1)
-
-    def evaluate(targets: NDArray[np.float64]) -> NDArray[np.float64]:
-        i = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, m - 1)
-        u = (targets - s[i])[:, None]
-        c = coef[i]
-        return c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
-
-    return evaluate
+    i = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, m - 1)
+    u = (targets - s[i])[:, None]
+    c = coef[i]
+    return c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
 
 
 def _linear_resample(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
@@ -248,7 +246,7 @@ def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
 def spline_resample_array(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
     """Periodic-spline redistribution on a raw closed vertex array."""
     pts, s = _arclength(vertices, closed=True)
-    return _periodic_spline(s, pts)(np.arange(n) * (s[-1] / n))
+    return _periodic_spline(s, pts, np.arange(n) * (s[-1] / n))
 
 
 def resample_spline(curve: PlaneCurve, n: int) -> PlaneCurve:

@@ -117,8 +117,9 @@ class _CurveState:
     """Book-keeping for one curve inside the shared-clock driver.
 
     Between snapshots the curve lives as a raw vertex array; the validated
-    curve object is only rebuilt when a snapshot is recorded.  It is the inside
-    of a chain buffer with a ghost point at each end, reallocated when n changes.
+    curve object is only rebuilt when a snapshot is recorded.  The array is the
+    inside of a chain buffer with a ghost point at each end, which is
+    reallocated only when a resample changes the vertex count.
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):

@@ -209,7 +209,7 @@ def _window_curve(pts: NDArray[np.float64], index: int) -> NDArray[np.float64]:
     total = float(s[-1])
     half = min(WINDOW_HALF, 0.49 * total)
     targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
-    return cv._periodic_spline(s, ext)(targets)
+    return cv._periodic_spline(s, ext, targets)
 
 
 def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
