@@ -349,9 +349,11 @@ def _point_segment(
     p: NDArray[np.float64], a: NDArray[np.float64], b: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Distance from points p to segments a-b, elementwise on broadcastable (..., 2) arrays."""
-    d = b - a
-    t = np.sum((p - a) * d, axis=-1) / np.maximum(np.sum(d * d, axis=-1), 1e-300)
-    return np.linalg.norm(p - (a + np.clip(t, 0.0, 1.0)[..., None] * d), axis=-1)
+    px, py, ax, ay = p[..., 0], p[..., 1], a[..., 0], a[..., 1]
+    dx, dy = b[..., 0] - ax, b[..., 1] - ay
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / np.maximum(dx * dx + dy * dy, 1e-300), 0.0, 1.0)
+    ex, ey = px - (ax + t * dx), py - (ay + t * dy)
+    return np.sqrt(ex * ex + ey * ey)
 
 
 def _point_segment_distances(
