@@ -439,29 +439,24 @@ def dumbbell_profile(
     return AxiProfile(pts, TOPOLOGY_TWO_POLES)
 
 
-def build_profile(shape: str, n: int, **dims: float) -> AxiProfile:
-    """Construct a named meridian profile.
+# shape name -> (builder, parameter names); the scenario lab reads it too
+PROFILE_SHAPES = {
+    "sphere": (sphere_profile, ("r0",)),
+    "dumbbell": (dumbbell_profile, ("lobe_r", "tube_r", "tube_len")),
+    "torus": (torus_profile, ("ring_r", "tube_r")),
+    "cylinder": (cylinder_profile, ("radius", "period")),
+}
 
-    shape one of "sphere" (r0), "dumbbell" (lobe_r, tube_r, tube_len),
-    "torus" (ring_r, tube_r), "cylinder" (radius, period).
-    """
-    builders = {
-        "sphere": (sphere_profile, ("r0",)),
-        "dumbbell": (dumbbell_profile, ("lobe_r", "tube_r", "tube_len")),
-        "torus": (torus_profile, ("ring_r", "tube_r")),
-        "cylinder": (cylinder_profile, ("radius", "period")),
-    }
-    if shape not in builders:
+
+def build_profile(shape: str, n: int, **dims: float) -> AxiProfile:
+    """Construct a named meridian profile from its PROFILE_SHAPES parameters."""
+    if shape not in PROFILE_SHAPES:
         raise InvalidInputError(f"unknown profile shape {shape!r}")
-    fn, names = builders[shape]
-    missing = [k for k in names if k not in dims]
-    if missing:
-        raise InvalidInputError(f"{shape} profile needs parameters {missing}")
-    extra = [k for k in dims if k not in names]
-    if extra:
-        raise InvalidInputError(f"unknown {shape} parameters {extra}")
-    args = [dims[k] for k in names]
-    return fn(*args, n=n)
+    fn, names = PROFILE_SHAPES[shape]
+    if sorted(dims) != sorted(names):
+        raise InvalidInputError(
+            f"{shape} profile takes parameters {list(names)}, got {sorted(dims)}")
+    return fn(n=n, **dims)
 
 
 # ---------------------------------------------------------------------------

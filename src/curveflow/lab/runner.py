@@ -1,8 +1,10 @@
 """Scenario execution: flows, analyses, artifact emission, pass/fail checks.
 
-Each scenario owns one output directory; every requested analysis writes
-exactly one named artifact and contributes named checks evaluated against a
-default tolerance table that scenario files may override key by key.
+Each scenario owns one output directory.  run_scenario builds the geometry,
+runs the kind's driver, writes the trajectory artifacts, then hands the flow
+to one evaluator per requested analysis; each evaluator writes exactly one
+named artifact and returns its checks, read against the scenario's complete,
+typed check table (see scenarios.ANALYSES).
 """
 
 from __future__ import annotations
@@ -29,57 +31,14 @@ from .artifacts import (
     write_json,
     write_text,
 )
-from .scenarios import KIND_AXI, KIND_CURVE, KIND_ORACLE, KIND_RESCALE, Scenario
-
-# Default tolerance per check; scenario files override with check.<name> keys.
-TOLERANCES: dict[str, float | str | None] = {
-    "radius_rel_tol": 1e-3,
-    "radius_time_max": None,           # None: check every snapshot
-    "slope_rel_tol": 0.005,
-    "extinction_target": None,         # None: initial area / (2 pi)
-    "extinction_rel_tol": 0.02,
-    "extinction_abs_tol": None,        # set to switch to absolute comparison
-    "lifetime_max": None,
-    "roundness_final": 0.02,
-    "roundness_max": None,
-    "roundness_monotone": 0.0,
-    "iso_final_tol": 0.01,
-    "ecc_drift_tol": 0.01,
-    "ellipse_fit_tol": 1e-3,
-    "event": None,
-    "neck_ratio_band": 0.05,
-    "pinch_x_tol": None,
-    "mean_convex": 0.0,
-    "circle_fit_spacing_factor": None,
-    "min_separation": 0.0,
-    "translate_dev_tol": 5e-3,
-    "dial_classes": "plane-like;convex-or-cylinder;cylinder-like",
-    "selfcheck_tol": 1e-6,
-}
-
-ARTIFACT_BY_ANALYSIS = {
-    "radius-law": "radius_law.csv",
-    "area-law": "area_law.json",
-    "roundness": "roundness.csv",
-    "convexification": "convexification.json",
-    "eccentricity": "eccentricity.csv",
-    "norm-length": "norm_length.csv",
-    "pair-distance": "pair_distance.csv",
-    "neck": "neck.json",
-    "translate": "translate.json",
-    "blowup": "blowup.json",
-    "selfcheck": "oracle_selfcheck.json",
-}
-
-DIAL_ACCEPTS = {
-    "plane-like": (rs.CLASS_PLANE,),
-    "circle-like": (rs.CLASS_CIRCLE,),
-    "cylinder-like": (rs.CLASS_CYLINDER,),
-    "convex-like": (rs.CLASS_CONVEX,),
-    "convex-or-cylinder": (rs.CLASS_CONVEX, rs.CLASS_CYLINDER),
-    "any": (rs.CLASS_PLANE, rs.CLASS_CIRCLE, rs.CLASS_CYLINDER,
-            rs.CLASS_CONVEX, rs.CLASS_NONE),
-}
+from .scenarios import (
+    DIAL_ACCEPTS,
+    KIND_AXI,
+    KIND_CURVE,
+    KIND_RESCALE,
+    SHAPES_BY_KIND,
+    Scenario,
+)
 
 
 @dataclass
@@ -108,10 +67,6 @@ class RunReport:
         return self.error is None and all(c.passed for c in self.checks)
 
 
-def _tol(s: Scenario, key: str):
-    return s.checks.get(key, TOLERANCES[key])
-
-
 def _mean_radius(curve: cv.PlaneCurve) -> float:
     v = curve.vertices
     c = cv.curve_centroid(curve)
@@ -125,31 +80,34 @@ def _sphere_radius(profile: ax.AxiProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-analysis evaluators.  Each returns (artifact text writer ran, checks).
+# Per-analysis evaluators: (scenario, out dir, flow) -> (artifact name, checks)
 # ---------------------------------------------------------------------------
 
-def _check_radius_law(s: Scenario, out: Path, times, measured, reference):
-    rows = []
-    rel = []
-    for t, m, r in zip(times, measured, reference):
-        e = abs(m - r) / r
-        rows.append((t, m, r, e))
-        rel.append(e)
+def _eval_radius_law(s: Scenario, out: Path, traj):
+    times = traj.times()
+    if s.kind == KIND_AXI:
+        measured = [_sphere_radius(snap.profile) for snap in traj.snapshots]
+        reference = [oc.shrinker_radius("sphere", s.shape_params["r0"], t) for t in times]
+    else:
+        measured = [_mean_radius(snap.curve) for snap in traj.snapshots]
+        reference = [oc.power_circle_radius(s.shape_params["radius"], s.law.p, t)
+                     for t in times]
+    rows = [(t, m, r, abs(m - r) / r) for t, m, r in zip(times, measured, reference)]
     write_text(out / "radius_law.csv",
                series_csv("t,measured,reference,rel_err", rows))
-    rel = np.array(rel)
-    t_max = _tol(s, "radius_time_max")
-    window = np.array(times) <= (float(t_max) if t_max is not None else np.inf)
+    rel = np.array([row[3] for row in rows])
+    t_max = s.checks["radius_time_max"]
+    window = np.array(times) <= (t_max if t_max is not None else np.inf)
     worst = float(rel[window].max())
-    tol = float(_tol(s, "radius_rel_tol"))
-    return [CheckResult(
+    tol = s.checks["radius_rel_tol"]
+    return "radius_law.csv", [CheckResult(
         "radius-law/max_rel_err", worst < tol, worst,
         f"max relative radius error {worst:.3e} vs oracle, tolerance {tol:g}"
-        + (f" for t <= {float(t_max):g}" if t_max is not None else ""),
+        + (f" for t <= {t_max:g}" if t_max is not None else ""),
     )]
 
 
-def _check_area_law(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_area_law(s: Scenario, out: Path, traj: f1.Trajectory):
     law = f1.analyze_area_law(traj)
     a0 = float(traj.areas()[0])
     payload = {
@@ -161,72 +119,65 @@ def _check_area_law(s: Scenario, out: Path, traj: f1.Trajectory):
     if s.law.p == 1.0:
         target_slope = -2.0 * math.pi
         rel = abs(law.slope - target_slope) / abs(target_slope)
-        tol = float(_tol(s, "slope_rel_tol"))
+        tol = s.checks["slope_rel_tol"]
         payload["slope_target"] = target_slope
         checks.append(CheckResult(
             "area-law/slope", rel < tol, law.slope,
             f"dA/dt = {law.slope:.6f} vs -2*pi, rel err {rel:.3e} tol {tol:g}"))
-        target = _tol(s, "extinction_target")
-        target = a0 / (2.0 * math.pi) if target is None else float(target)
-        abs_tol = _tol(s, "extinction_abs_tol")
+        target = s.checks["extinction_target"]
+        target = a0 / (2.0 * math.pi) if target is None else target
         err = abs(law.extinction_estimate - target)
-        if abs_tol is not None:
-            ok = err < float(abs_tol)
-            desc = f"extinction {law.extinction_estimate:.6f} vs {target:g}, " \
-                   f"abs err {err:.3e} tol {float(abs_tol):g}"
-        else:
-            tol_r = float(_tol(s, "extinction_rel_tol"))
-            ok = err / target < tol_r
-            desc = f"extinction {law.extinction_estimate:.6f} vs {target:g}, " \
-                   f"rel err {err / target:.3e} tol {tol_r:g}"
+        mode, tol = "abs", s.checks["extinction_abs_tol"]
+        if tol is None:
+            mode, err, tol = "rel", err / target, s.checks["extinction_rel_tol"]
         payload["extinction_target"] = target
         checks.append(CheckResult(
-            "area-law/extinction", ok, law.extinction_estimate, desc))
-    life_max = _tol(s, "lifetime_max")
+            "area-law/extinction", err < tol, law.extinction_estimate,
+            f"extinction {law.extinction_estimate:.6f} vs {target:g}, "
+            f"{mode} err {err:.3e} tol {tol:g}"))
+    life_max = s.checks["lifetime_max"]
     if life_max is not None:
-        ok = law.extinction_estimate < float(life_max)
+        ok = law.extinction_estimate < life_max
         checks.append(CheckResult(
             "area-law/lifetime", ok, law.extinction_estimate,
             f"extinction estimate {law.extinction_estimate:.4f} "
-            f"< bound {float(life_max):g}"))
+            f"< bound {life_max:g}"))
     write_json(out / "area_law.json", payload)
-    return checks
+    return "area_law.json", checks
 
 
-def _check_roundness(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_roundness(s: Scenario, out: Path, traj: f1.Trajectory):
     series = rs.roundness_series(traj)
     write_text(out / "roundness.csv",
                series_csv("t,circle_residual,iso_ratio", series))
-    times = np.array([r[0] for r in series])
-    resid = np.array([r[1] for r in series])
-    iso = np.array([r[2] for r in series])
+    times, resid, iso = (np.array(column) for column in zip(*series))
     checks = []
-    tol_f = float(_tol(s, "roundness_final"))
+    tol_f = s.checks["roundness_final"]
     checks.append(CheckResult(
         "roundness/final", resid[-1] < tol_f, float(resid[-1]),
         f"final circle residual {resid[-1]:.4f} < {tol_f:g}"))
-    tol_i = float(_tol(s, "iso_final_tol"))
+    tol_i = s.checks["iso_final_tol"]
     iso_err = abs(iso[-1] - 1.0)
     checks.append(CheckResult(
         "roundness/iso", iso_err < tol_i, float(iso[-1]),
         f"final isoperimetric ratio {iso[-1]:.6f}, |ratio-1| {iso_err:.3e} < {tol_i:g}"))
-    if float(_tol(s, "roundness_monotone")):
+    if s.checks["roundness_monotone"]:
         half = times >= times[-1] / 2.0
         diffs = np.diff(resid[half])
         bad = int(np.sum(diffs >= 0))
         checks.append(CheckResult(
             "roundness/monotone", bad == 0, bad,
             f"{bad} non-decreasing residual steps over the final half-lifetime"))
-    r_max = _tol(s, "roundness_max")
+    r_max = s.checks["roundness_max"]
     if r_max is not None:
         worst = float(resid.max())
         checks.append(CheckResult(
-            "roundness/max", worst < float(r_max), worst,
-            f"max circle residual {worst:.3e} < {float(r_max):g}"))
-    return checks
+            "roundness/max", worst < r_max, worst,
+            f"max circle residual {worst:.3e} < {r_max:g}"))
+    return "roundness.csv", checks
 
 
-def _check_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
     conv_t = f1.convexification_time(traj)
     end_t = float(traj.times()[-1])
     embedded = [bool(cv.is_embedded(snap.curve)) for snap in traj.snapshots]
@@ -235,7 +186,7 @@ def _check_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
         "final_time": end_t,
         "embedded_all": all(embedded),
     })
-    checks = [
+    return "convexification.json", [
         CheckResult(
             "convexification/event_order",
             conv_t is not None and conv_t < end_t,
@@ -246,22 +197,20 @@ def _check_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
             "convexification/embedded", all(embedded), int(sum(embedded)),
             f"{sum(embedded)}/{len(embedded)} snapshots embedded"),
     ]
-    return checks
 
 
-def _check_eccentricity(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_eccentricity(s: Scenario, out: Path, traj: f1.Trajectory):
     rows = []
     for snap in traj.snapshots:
         fit = f1.fit_ellipse(snap.curve)
         rows.append((snap.time, fit.eccentricity, fit.residual))
     write_text(out / "eccentricity.csv",
                series_csv("t,eccentricity,fit_residual", rows))
-    ecc = np.array([r[1] for r in rows])
-    res = np.array([r[2] for r in rows])
+    _, ecc, res = (np.array(column) for column in zip(*rows))
     drift = float(np.abs(ecc - ecc[0]).max())
-    tol_d = float(_tol(s, "ecc_drift_tol"))
-    tol_r = float(_tol(s, "ellipse_fit_tol"))
-    return [
+    tol_d = s.checks["ecc_drift_tol"]
+    tol_r = s.checks["ellipse_fit_tol"]
+    return "eccentricity.csv", [
         CheckResult("eccentricity/drift", drift < tol_d, drift,
                     f"max eccentricity drift {drift:.3e} < {tol_d:g}"),
         CheckResult("eccentricity/fit", float(res.max()) < tol_r, float(res.max()),
@@ -269,20 +218,20 @@ def _check_eccentricity(s: Scenario, out: Path, traj: f1.Trajectory):
     ]
 
 
-def _check_norm_length(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_norm_length(s: Scenario, out: Path, traj: f1.Trajectory):
     series = f1.rescaled_length_series(traj)
     write_text(out / "norm_length.csv",
                series_csv("t,normalized_length", series))
     vals = np.array([v for _, v in series])
     diffs = np.diff(vals)
     bad = int(np.sum(diffs <= 0))
-    return [CheckResult(
+    return "norm_length.csv", [CheckResult(
         "norm-length/increasing", bad == 0, bad,
         f"{bad} non-increasing steps; normalized length "
         f"{vals[0]:.4f} -> {vals[-1]:.4f}")]
 
 
-def _check_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
+def _eval_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
     t_a, t_b = trajs
     rows = []
     embedded = True
@@ -291,8 +240,8 @@ def _check_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
         embedded = embedded and cv.is_embedded(sa.curve) and cv.is_embedded(sb.curve)
     write_text(out / "pair_distance.csv", series_csv("t,min_distance", rows))
     dmin = float(min(r[1] for r in rows))
-    floor = float(_tol(s, "min_separation"))
-    return [
+    floor = s.checks["min_separation"]
+    return "pair_distance.csv", [
         CheckResult("pair-distance/separation", dmin > floor, dmin,
                     f"min inter-curve distance {dmin:.4f} > {floor:g}"),
         CheckResult("pair-distance/embedded", embedded, int(embedded),
@@ -301,7 +250,7 @@ def _check_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
     ]
 
 
-def _check_neck(s: Scenario, out: Path, traj: ax.AxiTrajectory):
+def _eval_neck(s: Scenario, out: Path, traj: ax.AxiTrajectory):
     report = ax.neck_report(traj)
     event = traj.events[-1] if traj.events else None
     times = traj.times()
@@ -319,43 +268,42 @@ def _check_neck(s: Scenario, out: Path, traj: ax.AxiTrajectory):
     }
     write_json(out / "neck.json", payload)
     checks = []
-    want = _tol(s, "event")
+    want = s.checks["event"]
     if want is not None:
         got = event.kind if event is not None else "none"
         checks.append(CheckResult(
             "neck/event", got == want, got,
             f"terminating event {got!r}, expected {want!r}"))
-    band = _tol(s, "neck_ratio_band")
-    if "neck_ratio_band" in s.checks:
-        band = float(band)
+    band = s.checks["neck_ratio_band"]
+    if band is not None:
         ok = ratios.min() >= 1.0 - band and ratios.max() <= 1.0 + band
         checks.append(CheckResult(
             "neck/ratio_band", ok,
             f"[{ratios.min():.4f}, {ratios.max():.4f}]",
             f"waist / sqrt(2(T-t)) within 1 +- {band:g} over the final decade"))
-    x_tol = _tol(s, "pinch_x_tol")
+    x_tol = s.checks["pinch_x_tol"]
     if x_tol is not None and event is not None and event.location is not None:
         x = abs(event.location[0])
         checks.append(CheckResult(
-            "neck/location", x <= float(x_tol), event.location[0],
-            f"pinch at x = {event.location[0]:.4f}, |x| <= {float(x_tol):g}"))
-    if float(_tol(s, "mean_convex")):
+            "neck/location", x <= x_tol, event.location[0],
+            f"pinch at x = {event.location[0]:.4f}, |x| <= {x_tol:g}"))
+    if s.checks["mean_convex"]:
         flags = [bool(snap.metrics.mean_convex) for snap in traj.snapshots]
         checks.append(CheckResult(
             "neck/mean_convex", all(flags), int(sum(flags)),
             f"{sum(flags)}/{len(flags)} snapshots mean convex"))
-    fac = _tol(s, "circle_fit_spacing_factor")
+    fac = s.checks["circle_fit_spacing_factor"]
     if fac is not None:
         pts = traj.final().profile.samples
         (cx, cy), radius, _ = rs.fit_circle(pts)
         dev = float(np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - radius).max())
         seg = np.hypot(*np.diff(pts, axis=0).T)
-        allowance = float(fac) * float(seg.mean())
+        allowance = fac * float(seg.mean())
         checks.append(CheckResult(
             "neck/collapse_circle", dev <= allowance, dev,
             f"final samples within {dev:.2e} of a single circle "
             f"(allowance {allowance:.2e})"))
-    return checks
+    return "neck.json", checks
 
 
 def _waist_probes(traj: ax.AxiTrajectory, count: int):
@@ -367,22 +315,11 @@ def _waist_probes(traj: ax.AxiTrajectory, count: int):
     return probes
 
 
-def _check_blowup(s: Scenario, out: Path, traj: ax.AxiTrajectory):
-    powers = [float(x) for x in
-              s.options.get("dial_powers", "2.0, 1.0, 0.5").split(",")]
-    count = int(float(s.options.get("probe_count", "6")))
-    probes = _waist_probes(traj, count)
-    wanted = [w.strip() for w in str(_tol(s, "dial_classes")).split(";")]
-    if len(wanted) != len(powers):
-        raise ax.InvalidInputError(
-            f"dial_classes lists {len(wanted)} outcomes for {len(powers)} dials")
+def _eval_blowup(s: Scenario, out: Path, traj: ax.AxiTrajectory):
+    probes = _waist_probes(traj, s.options["probe_count"])
     dials = []
     checks = []
-    for power, want in zip(powers, wanted):
-        if want not in DIAL_ACCEPTS:
-            raise ax.InvalidInputError(
-                f"unknown dial outcome {want!r} "
-                f"(choose from {', '.join(sorted(DIAL_ACCEPTS))})")
+    for power, want in zip(s.options["dial_powers"], s.checks["dial_classes"]):
         report = rs.curvature_normalized_frames(traj, probes, scale_power=power)
         entry = report.to_json_dict()
         entry["scale_power"] = power
@@ -393,169 +330,104 @@ def _check_blowup(s: Scenario, out: Path, traj: ax.AxiTrajectory):
             f"scale h^{power:g} classified {got!r}, accepted {want!r}"))
     write_json(out / "blowup.json", {"probes": [list(p) for p in probes],
                                      "dials": dials})
-    return checks
+    return "blowup.json", checks
 
 
-def _check_translate(s: Scenario, out: Path, start, final, duration: float):
+def _eval_translate(s: Scenario, out: Path, front):
+    start, final = front
+    duration = s.options["duration"]
     n = len(start)
     trim = max(1, n // 10)
     target = start + np.array([0.0, duration])
     dev = oc.polyline_distance(final[trim:-trim], target)
     worst = float(dev.max())
-    tol = float(_tol(s, "translate_dev_tol"))
+    tol = s.checks["translate_dev_tol"]
     write_json(out / "translate.json", {
         "duration": duration,
         "interior_max_deviation": worst,
         "interior_samples": int(n - 2 * trim),
     })
-    return [CheckResult(
+    return "translate.json", [CheckResult(
         "translate/deviation", worst < tol, worst,
         f"interior deviation {worst:.2e} from the rigid translate, tol {tol:g}")]
 
 
-def _check_selfcheck(s: Scenario, out: Path):
+def _eval_selfcheck(s: Scenario, out: Path, _flow):
     cases = oc.selfcheck()
     worst = float(max(cases.values()))
     write_json(out / "oracle_selfcheck.json",
                {"cases": cases, "worst": worst})
-    tol = float(_tol(s, "selfcheck_tol"))
-    return [CheckResult(
+    tol = s.checks["selfcheck_tol"]
+    return "oracle_selfcheck.json", [CheckResult(
         "selfcheck/max_error", worst < tol, worst,
         f"worst closed-form vs RK4 mismatch {worst:.2e} < {tol:g}")]
 
 
-# ---------------------------------------------------------------------------
-# Scenario dispatch
-# ---------------------------------------------------------------------------
-
-def _build_curve(shape: str, params: dict[str, float], n: int) -> cv.PlaneCurve:
-    if shape == "circle":
-        return cv.circle_polygon(params["radius"], n=n)
-    if shape == "ellipse":
-        return cv.ellipse_polygon(params["a"], params["b"], n=n)
-    if shape == "rectangle":
-        return cv.rectangle_polygon(params["width"], params["height"], n=n)
-    if shape == "peanut":
-        return cv.peanut_polygon(params["base_radius"], params["amplitude"], n=n)
-    if shape == "spiral":
-        return cv.spiral_polygon(params["inner_radius"], params["outer_radius"],
-                                 params["winding"], n=n)
-    raise ax.InvalidInputError(f"no curve builder for shape {shape!r}")
-
-
-def _run_curve(s: Scenario, out: Path):
-    artifacts = []
-    if s.shape == "grim_reaper":
-        start = oc.grim_reaper(n=s.n, half_width=s.shape_params["half_width"])
-        duration = float(s.options["duration"])
-        final = oc.evolve_translating_front(
-            start, duration, cfl_factor=s.config.cfl_factor,
-            resample_every=s.config.resample_every)
-        emit_svg(start, out / "initial.svg")
-        emit_svg(final, out / "final.svg")
-        artifacts += ["initial.svg", "final.svg"]
-        checks = _check_translate(s, out, start, final, duration)
-        artifacts.append(ARTIFACT_BY_ANALYSIS["translate"])
-        return artifacts, checks
-
-    if s.shape == "nested_pair":
-        outer = cv.circle_polygon(s.shape_params["outer_radius"], n=s.n)
-        inner = cv.ellipse_polygon(s.shape_params["a"], s.shape_params["b"], n=s.n)
-        trajs = f1.co_evolve([outer, inner], s.law, s.config)
-        for i, traj in enumerate(trajs):
-            write_text(out / f"trajectory_{i}.csv", trajectory_csv(traj))
-            emit_svg(traj.snapshots[0].curve, out / f"initial_{i}.svg")
-            emit_svg(traj.final().curve, out / f"final_{i}.svg")
-            artifacts += [f"trajectory_{i}.csv", f"initial_{i}.svg", f"final_{i}.svg"]
-        checks = _check_pair_distance(s, out, trajs)
-        artifacts.append(ARTIFACT_BY_ANALYSIS["pair-distance"])
-        return artifacts, checks
-
-    curve = _build_curve(s.shape, s.shape_params, s.n)
-    traj = f1.run(curve, s.law, s.config)
-    write_text(out / "trajectory.csv", trajectory_csv(traj))
-    emit_svg(traj.snapshots[0].curve, out / "initial.svg")
-    emit_svg(traj.final().curve, out / "final.svg")
-    artifacts += ["trajectory.csv", "initial.svg", "final.svg"]
-    if s.options.get("save_snapshots", "").lower() in ("1", "true", "yes"):
-        save_trajectory(out / "snapshots", traj)
-        artifacts.append("snapshots/index.json")
-
-    checks = []
-    for analysis in s.analyses:
-        if analysis == "radius-law":
-            times = traj.times()
-            measured = [_mean_radius(snap.curve) for snap in traj.snapshots]
-            r0 = s.shape_params["radius"]
-            reference = [oc.power_circle_radius(r0, s.law.p, t) for t in times]
-            checks += _check_radius_law(s, out, times, measured, reference)
-        elif analysis == "area-law":
-            checks += _check_area_law(s, out, traj)
-        elif analysis == "roundness":
-            checks += _check_roundness(s, out, traj)
-        elif analysis == "convexification":
-            checks += _check_convexification(s, out, traj)
-        elif analysis == "eccentricity":
-            checks += _check_eccentricity(s, out, traj)
-        elif analysis == "norm-length":
-            checks += _check_norm_length(s, out, traj)
-        artifacts.append(ARTIFACT_BY_ANALYSIS[analysis])
-    return artifacts, checks
-
-
-def _build_profile(s: Scenario) -> ax.AxiProfile:
-    return ax.build_profile(s.shape, s.n, **s.shape_params)
-
-
-def _run_axi(s: Scenario, out: Path):
-    traj = ax.run_axi(_build_profile(s), s.config)
-    artifacts = ["trajectory.csv", "initial.svg", "final.svg"]
-    write_text(out / "trajectory.csv", axi_trajectory_csv(traj))
-    emit_svg(traj.snapshots[0].profile, out / "initial.svg")
-    emit_svg(traj.final().profile, out / "final.svg")
-    if s.options.get("save_snapshots", "").lower() in ("1", "true", "yes"):
-        save_trajectory(out / "snapshots", traj)
-        artifacts.append("snapshots/index.json")
-    checks = []
-    for analysis in s.analyses:
-        if analysis == "radius-law":
-            times = traj.times()
-            measured = [_sphere_radius(snap.profile) for snap in traj.snapshots]
-            r0 = s.shape_params["r0"]
-            reference = [oc.shrinker_radius("sphere", r0, t) for t in times]
-            checks += _check_radius_law(s, out, times, measured, reference)
-        elif analysis == "neck":
-            checks += _check_neck(s, out, traj)
-        artifacts.append(ARTIFACT_BY_ANALYSIS[analysis])
-    return artifacts, checks
-
-
-def _run_rescale(s: Scenario, out: Path):
-    traj = ax.run_axi(_build_profile(s), s.config)
-    write_text(out / "trajectory.csv", axi_trajectory_csv(traj))
-    artifacts = ["trajectory.csv"]
-    checks = []
-    for analysis in s.analyses:
-        checks += _check_blowup(s, out, traj)
-        artifacts.append(ARTIFACT_BY_ANALYSIS[analysis])
-    return artifacts, checks
-
-
-def _run_oracle(s: Scenario, out: Path):
-    artifacts = []
-    checks = []
-    for analysis in s.analyses:
-        checks += _check_selfcheck(s, out)
-        artifacts.append(ARTIFACT_BY_ANALYSIS[analysis])
-    return artifacts, checks
-
-
-_DISPATCH = {
-    KIND_CURVE: _run_curve,
-    KIND_AXI: _run_axi,
-    KIND_RESCALE: _run_rescale,
-    KIND_ORACLE: _run_oracle,
+_EVALUATORS = {
+    "radius-law": _eval_radius_law,
+    "area-law": _eval_area_law,
+    "roundness": _eval_roundness,
+    "convexification": _eval_convexification,
+    "eccentricity": _eval_eccentricity,
+    "norm-length": _eval_norm_length,
+    "pair-distance": _eval_pair_distance,
+    "neck": _eval_neck,
+    "translate": _eval_translate,
+    "blowup": _eval_blowup,
+    "selfcheck": _eval_selfcheck,
 }
+
+
+# ---------------------------------------------------------------------------
+# Scenario execution
+# ---------------------------------------------------------------------------
+
+def _run_flow(s: Scenario):
+    """Build the geometry and run the kind's driver.
+
+    Returns None for the oracle, (start, final) point arrays for the
+    translating front, a list of trajectories for a nested pair, else one
+    trajectory.
+    """
+    builder, _ = SHAPES_BY_KIND[s.kind][s.shape]
+    if builder is None:
+        return None
+    geometry = builder(n=s.n, **s.shape_params)
+    if s.kind != KIND_CURVE:
+        return ax.run_axi(geometry, s.config)
+    if s.shape == "grim_reaper":
+        return geometry, oc.evolve_translating_front(
+            geometry, s.options["duration"], cfl_factor=s.config.cfl_factor,
+            resample_every=s.config.resample_every)
+    if isinstance(geometry, list):
+        return f1.co_evolve(geometry, s.law, s.config)
+    return f1.run(geometry, s.law, s.config)
+
+
+def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
+    """Write the trajectory CSVs, drawings and saved snapshots; return their names."""
+    if flow is None:
+        return []
+    if s.shape == "grim_reaper":
+        emit_svg(flow[0], out / "initial.svg")
+        emit_svg(flow[1], out / "final.svg")
+        return ["initial.svg", "final.svg"]
+    axi = s.kind != KIND_CURVE
+    trajs = flow if isinstance(flow, list) else [flow]
+    names = []
+    for i, traj in enumerate(trajs):
+        tag = f"_{i}" if len(trajs) > 1 else ""
+        write_text(out / f"trajectory{tag}.csv",
+                   (axi_trajectory_csv if axi else trajectory_csv)(traj))
+        names.append(f"trajectory{tag}.csv")
+        if s.kind != KIND_RESCALE:
+            for label, snap in (("initial", traj.snapshots[0]), ("final", traj.final())):
+                emit_svg(snap.profile if axi else snap.curve, out / f"{label}{tag}.svg")
+                names.append(f"{label}{tag}.svg")
+        if s.options.get("save_snapshots"):
+            save_trajectory(out / f"snapshots{tag}", traj)
+            names.append(f"snapshots{tag}/index.json")
+    return names
 
 
 def run_scenario(s: Scenario, out_root) -> RunReport:
@@ -563,20 +435,18 @@ def run_scenario(s: Scenario, out_root) -> RunReport:
     started = time.perf_counter()
     out = Path(out_root) / s.name
     out.mkdir(parents=True, exist_ok=True)
+    error = None
     try:
-        artifacts, checks = _DISPATCH[s.kind](s, out)
+        flow = _run_flow(s)
+        artifacts, checks = _write_flow(s, out, flow), []
+        for analysis in s.analyses:
+            name, found = _EVALUATORS[analysis](s, out, flow)
+            artifacts.append(name)
+            checks += found
     except Exception as exc:
-        return RunReport(
-            scenario=s.name,
-            wall_time=time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return RunReport(
-        scenario=s.name,
-        checks=checks,
-        wall_time=time.perf_counter() - started,
-        artifacts=artifacts,
-    )
+        artifacts, checks, error = [], [], f"{type(exc).__name__}: {exc}"
+    return RunReport(scenario=s.name, checks=checks, artifacts=artifacts, error=error,
+                     wall_time=time.perf_counter() - started)
 
 
 def accept(scenarios: list[Scenario], out_root, workers: int = 4):

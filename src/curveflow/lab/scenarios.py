@@ -1,9 +1,10 @@
 """Scenario definitions and the flat key-value configuration format.
 
 One scenario per section; every knob is written out explicitly in the file so
-a config fully determines a run with no hidden defaults.  Parsing validates
-everything up front: syntax problems report line numbers, semantic problems
-name the offending field.
+a config fully determines a run with no hidden defaults.  The tables below
+declare each shape, analysis, check key and option once; parsing validates a
+scenario against them up front, so syntax problems report line numbers and
+semantic problems name the offending field.
 """
 
 from __future__ import annotations
@@ -11,7 +12,12 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable, NamedTuple
 
+from .. import axisym as ax
+from .. import curves as cv
+from .. import oracle as oc
+from .. import rescale as rs
 from ..errors import ConfigError, InvalidInputError
 from ..flow1d import FlowConfig, SpeedLaw
 
@@ -21,40 +27,155 @@ KIND_RESCALE = "rescale-analysis"
 KIND_ORACLE = "oracle-check"
 KINDS = (KIND_CURVE, KIND_AXI, KIND_RESCALE, KIND_ORACLE)
 
-# shape name -> required parameter names
+
+def _nested_pair(outer_radius: float, a: float, b: float, n: int) -> list[cv.PlaneCurve]:
+    return [cv.circle_polygon(outer_radius, n=n), cv.ellipse_polygon(a, b, n=n)]
+
+
+# shape name -> (builder, parameter names); the runner calls builder(n=n, **params)
 CURVE_SHAPES = {
-    "circle": ("radius",),
-    "ellipse": ("a", "b"),
-    "rectangle": ("width", "height"),
-    "peanut": ("base_radius", "amplitude"),
-    "spiral": ("inner_radius", "outer_radius", "winding"),
-    "nested_pair": ("outer_radius", "a", "b"),
-    "grim_reaper": ("half_width",),
-}
-AXI_SHAPES = {
-    "sphere": ("r0",),
-    "torus": ("ring_r", "tube_r"),
-    "dumbbell": ("lobe_r", "tube_r", "tube_len"),
-    "cylinder": ("radius", "period"),
+    "circle": (cv.circle_polygon, ("radius",)),
+    "ellipse": (cv.ellipse_polygon, ("a", "b")),
+    "rectangle": (cv.rectangle_polygon, ("width", "height")),
+    "peanut": (cv.peanut_polygon, ("base_radius", "amplitude")),
+    "spiral": (cv.spiral_polygon, ("inner_radius", "outer_radius", "winding")),
+    "nested_pair": (_nested_pair, ("outer_radius", "a", "b")),
+    "grim_reaper": (oc.grim_reaper, ("half_width",)),
 }
 SHAPES_BY_KIND = {
     KIND_CURVE: CURVE_SHAPES,
-    KIND_AXI: AXI_SHAPES,
-    KIND_RESCALE: AXI_SHAPES,
-    KIND_ORACLE: {"selfcheck": ()},
+    KIND_AXI: ax.PROFILE_SHAPES,
+    KIND_RESCALE: ax.PROFILE_SHAPES,
+    KIND_ORACLE: {"selfcheck": (None, ())},
 }
 
-ANALYSES_BY_KIND = {
-    KIND_CURVE: ("radius-law", "area-law", "roundness", "convexification",
-                 "eccentricity", "norm-length", "pair-distance", "translate"),
-    KIND_AXI: ("radius-law", "neck"),
-    KIND_RESCALE: ("blowup",),
-    KIND_ORACLE: ("selfcheck",),
+# blow-up dial outcome -> the limit classifications it accepts
+DIAL_ACCEPTS = {
+    "plane-like": (rs.CLASS_PLANE,),
+    "circle-like": (rs.CLASS_CIRCLE,),
+    "cylinder-like": (rs.CLASS_CYLINDER,),
+    "convex-like": (rs.CLASS_CONVEX,),
+    "convex-or-cylinder": (rs.CLASS_CONVEX, rs.CLASS_CYLINDER),
+    "any": (rs.CLASS_PLANE, rs.CLASS_CIRCLE, rs.CLASS_CYLINDER,
+            rs.CLASS_CONVEX, rs.CLASS_NONE),
 }
 
-# keys every flow scenario must spell out (reproducibility over brevity)
-FLOW_KEYS = ("n", "cfl_factor", "resample_every", "stop_area_fraction")
-OPTION_KEYS = ("duration", "probe_count", "dial_powers", "save_snapshots")
+
+class Field(NamedTuple):
+    """A typed value: parse raises ValueError unless the text is `what`.
+
+    A default of None turns a check off and makes an option required.
+    """
+    parse: Callable[[str], object]
+    what: str
+    default: object = None
+
+
+def _positive(raw: str) -> float:
+    value = float(raw)
+    if not value > 0:
+        raise ValueError(raw)
+    return value
+
+
+def _probe_count(raw: str) -> int:
+    value = float(raw)
+    if not (value.is_integer() and value >= 3):
+        raise ValueError(raw)
+    return int(value)
+
+
+def _outcomes(raw: str) -> tuple[str, ...]:
+    names = tuple(w.strip() for w in raw.split(";"))
+    if any(w not in DIAL_ACCEPTS for w in names):
+        raise ValueError(raw)
+    return names
+
+
+_BOOLEAN = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _boolean(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word not in _BOOLEAN:
+        raise ValueError(raw)
+    return _BOOLEAN[word]
+
+
+def _number(default: float | None = None) -> Field:
+    return Field(float, "a number", default)
+
+
+class Analysis(NamedTuple):
+    kinds: tuple[str, ...]
+    shapes: tuple[str, ...]
+    checks: dict[str, Field] = {}      # read as check.<key>
+    options: dict[str, Field] = {}
+
+
+_ONE_CURVE = ("circle", "ellipse", "rectangle", "peanut", "spiral")
+_PROFILES = tuple(ax.PROFILE_SHAPES)
+
+ANALYSES = {
+    "radius-law": Analysis((KIND_CURVE, KIND_AXI), ("circle", "sphere"), {
+        "radius_rel_tol": _number(1e-3),
+        "radius_time_max": _number(),           # off: every snapshot
+    }),
+    "area-law": Analysis((KIND_CURVE,), _ONE_CURVE, {
+        "slope_rel_tol": _number(0.005),
+        "extinction_target": _number(),         # off: initial area / (2 pi)
+        "extinction_rel_tol": _number(0.02),
+        "extinction_abs_tol": _number(),        # set: compare absolutely
+        "lifetime_max": _number(),
+    }),
+    "roundness": Analysis((KIND_CURVE,), _ONE_CURVE, {
+        "roundness_final": _number(0.02),
+        "roundness_max": _number(),
+        "roundness_monotone": _number(0.0),     # nonzero: on
+        "iso_final_tol": _number(0.01),
+    }),
+    "convexification": Analysis((KIND_CURVE,), _ONE_CURVE),
+    "eccentricity": Analysis((KIND_CURVE,), _ONE_CURVE, {
+        "ecc_drift_tol": _number(0.01),
+        "ellipse_fit_tol": _number(1e-3),
+    }),
+    "norm-length": Analysis((KIND_CURVE,), _ONE_CURVE),
+    "pair-distance": Analysis((KIND_CURVE,), ("nested_pair",), {
+        "min_separation": _number(0.0),
+    }),
+    "translate": Analysis((KIND_CURVE,), ("grim_reaper",), {
+        "translate_dev_tol": _number(5e-3),
+    }, {
+        "duration": Field(_positive, "a positive number"),
+    }),
+    "neck": Analysis((KIND_AXI,), _PROFILES, {
+        "event": Field(str, "an event name"),
+        "neck_ratio_band": _number(),
+        "pinch_x_tol": _number(),
+        "mean_convex": _number(0.0),            # nonzero: on
+        "circle_fit_spacing_factor": _number(),
+    }),
+    "blowup": Analysis((KIND_RESCALE,), _PROFILES, {
+        "dial_classes": Field(_outcomes, "a ';'-separated list of "
+                              + ", ".join(DIAL_ACCEPTS),
+                              ("plane-like", "convex-or-cylinder", "cylinder-like")),
+    }, {
+        "probe_count": Field(_probe_count, "an integer >= 3", 6),
+        "dial_powers": Field(lambda raw: tuple(_positive(x) for x in raw.split(",")),
+                             "a comma-separated list of positive numbers",
+                             (2.0, 1.0, 0.5)),
+    }),
+    "selfcheck": Analysis((KIND_ORACLE,), ("selfcheck",), {
+        "selfcheck_tol": _number(oc.SELFCHECK_TOL),
+    }),
+}
+
+# read by the runner for every flow that keeps a trajectory to save
+_SAVE_SNAPSHOTS = Field(_boolean, "one of " + ", ".join(_BOOLEAN), False)
+# key -> what reads it, for naming a key set where nothing reads it
+_OWNER = {key: f"analysis {name!r}" for name, spec in ANALYSES.items()
+          for key in [f"check.{k}" for k in spec.checks] + list(spec.options)}
+_OWNER["save_snapshots"] = "curve-flow and axi-flow scenarios that keep a trajectory"
 
 
 @dataclass
@@ -67,128 +188,111 @@ class Scenario:
     law: SpeedLaw = field(default_factory=SpeedLaw)
     config: FlowConfig = field(default_factory=FlowConfig)
     analyses: tuple[str, ...] = ()
-    checks: dict[str, float | str] = field(default_factory=dict)
-    options: dict[str, str] = field(default_factory=dict)
+    checks: dict[str, object] = field(default_factory=dict)
+    options: dict[str, object] = field(default_factory=dict)
 
 
 def _fail(scenario: str, message: str):
     raise ConfigError(f"scenario [{scenario}]: {message}")
 
 
-# analyses tied to one specific shape, in either direction
-_SHAPE_ONLY = {
-    "translate": "grim_reaper",
-    "pair-distance": "nested_pair",
-}
-_RADIUS_SHAPES = {KIND_CURVE: "circle", KIND_AXI: "sphere"}
+def _require(items: dict[str, str], scenario: str, key: str) -> str:
+    if key not in items:
+        _fail(scenario, f"missing required key {key}")
+    return items.pop(key)
 
 
-def _check_analysis_shapes(name, kind, shape, analyses):
-    for analysis, needed in _SHAPE_ONLY.items():
-        if analysis in analyses and shape != needed:
-            _fail(name, f"analysis {analysis!r} requires shape {needed!r}")
-        if shape == needed and any(a != analysis for a in analyses):
-            _fail(name, f"shape {needed!r} supports only the {analysis!r} analysis")
-    if "radius-law" in analyses and _RADIUS_SHAPES.get(kind) != shape:
-        _fail(name, "analysis 'radius-law' requires shape "
-                    f"{_RADIUS_SHAPES.get(kind, '<none>')!r} for {kind}")
+def _typed(items: dict[str, str], scenario: str, key: str, spec: Field, required=False):
+    if key not in items and not required:
+        return spec.default
+    raw = _require(items, scenario, key)
+    try:
+        return spec.parse(raw)
+    except ValueError:
+        _fail(scenario, f"{key} must be {spec.what}, got {raw!r}")
 
 
 def _get_float(items: dict[str, str], scenario: str, key: str) -> float:
-    raw = items.pop(key, None)
-    if raw is None:
-        _fail(scenario, f"missing required key {key}")
-    try:
-        return float(raw)
-    except ValueError:
-        _fail(scenario, f"{key} must be a number, got {raw!r}")
+    return _typed(items, scenario, key, _number(), required=True)
 
 
 def _get_int(items: dict[str, str], scenario: str, key: str) -> int:
     val = _get_float(items, scenario, key)
-    if val != int(val):
+    if not val.is_integer():
         _fail(scenario, f"{key} must be an integer, got {val}")
     return int(val)
 
 
 def _parse_scenario(name: str, items: dict[str, str]) -> Scenario:
     items = dict(items)
-    kind = items.pop("kind", None)
-    if kind is None:
-        _fail(name, "missing required key kind")
+    kind = _require(items, name, "kind")
     if kind not in KINDS:
         _fail(name, f"kind must be one of {', '.join(KINDS)}; got {kind!r}")
 
-    shape = items.pop("shape", None)
-    if shape is None:
-        _fail(name, "missing required key shape")
+    shape = _require(items, name, "shape")
     shapes = SHAPES_BY_KIND[kind]
     if shape not in shapes:
         _fail(name, f"shape for {kind} must be one of "
                     f"{', '.join(sorted(shapes))}; got {shape!r}")
 
-    raw_analyses = items.pop("analyses", None)
-    if raw_analyses is None:
-        _fail(name, "missing required key analyses")
-    analyses = tuple(a.strip() for a in raw_analyses.split(",") if a.strip())
+    analyses = tuple(a.strip() for a in _require(items, name, "analyses").split(",")
+                     if a.strip())
     if not analyses:
         _fail(name, "analyses must list at least one analysis")
-    allowed = ANALYSES_BY_KIND[kind]
-    for a in analyses:
-        if a not in allowed:
-            _fail(name, f"analysis {a!r} not available for {kind} "
-                        f"(choose from {', '.join(allowed)})")
     if len(set(analyses)) != len(analyses):
         _fail(name, "analyses must not repeat")
-    _check_analysis_shapes(name, kind, shape, analyses)
+    checks, options = {}, {}
+    for a in analyses:
+        spec = ANALYSES.get(a)
+        if spec is None or kind not in spec.kinds:
+            allowed = [x for x, sp in ANALYSES.items() if kind in sp.kinds]
+            _fail(name, f"analysis {a!r} not available for {kind} "
+                        f"(choose from {', '.join(allowed)})")
+        if shape not in spec.shapes:
+            needed = [x for x in spec.shapes if x in shapes]
+            _fail(name, f"analysis {a!r} requires shape {' or '.join(needed)} for {kind}")
+        for key, check in spec.checks.items():
+            checks[key] = _typed(items, name, f"check.{key}", check)
+        for key, option in spec.options.items():
+            options[key] = _typed(items, name, key, option, required=option.default is None)
+    if "dial_powers" in options and len(options["dial_powers"]) != len(checks["dial_classes"]):
+        _fail(name, f"dial_powers lists {len(options['dial_powers'])} powers but "
+                    f"check.dial_classes lists {len(checks['dial_classes'])} outcomes")
+    if kind in (KIND_CURVE, KIND_AXI) and shape != "grim_reaper":
+        options["save_snapshots"] = _typed(items, name, "save_snapshots", _SAVE_SNAPSHOTS)
 
     shape_params = {}
-    for pname in shapes[shape]:
+    for pname in shapes[shape][1]:
         shape_params[pname] = _get_float(items, name, f"shape.{pname}")
         if not shape_params[pname] > 0:
             _fail(name, f"shape.{pname} must be positive")
 
-    checks: dict[str, float | str] = {}
-    for key in [k for k in items if k.startswith("check.")]:
-        raw = items.pop(key)
-        try:
-            checks[key[len("check."):]] = float(raw)
-        except ValueError:
-            checks[key[len("check."):]] = raw.strip()
-
-    options = {k: items.pop(k) for k in list(items) if k in OPTION_KEYS}
-
-    law = SpeedLaw()
-    config = FlowConfig()
-    n = 0
-    if kind in (KIND_CURVE, KIND_AXI, KIND_RESCALE):
+    law, config, n = SpeedLaw(), FlowConfig(), 0
+    if kind != KIND_ORACLE:
         n = _get_int(items, name, "n")
         if n < 8:
             _fail(name, "n must be at least 8")
         if kind == KIND_CURVE:
-            p = _get_float(items, name, "law.p")
             try:
-                law = SpeedLaw(p)
+                law = SpeedLaw(_get_float(items, name, "law.p"))
             except InvalidInputError as exc:
                 _fail(name, str(exc))
-        flow_kwargs = {}
+        # the translating front never stops on area, and may keep the default steps
+        keys = ("cfl_factor", "resample_every", "stop_area_fraction")
         if shape == "grim_reaper":
-            for key in ("cfl_factor", "resample_every"):
-                if key in items:
-                    flow_kwargs[key] = _get_float(items, name, key)
-            if "duration" not in options:
-                _fail(name, "missing required key duration")
-        else:
-            flow_kwargs["cfl_factor"] = _get_float(items, name, "cfl_factor")
-            flow_kwargs["resample_every"] = int(_get_float(items, name, "resample_every"))
-            flow_kwargs["stop_area_fraction"] = _get_float(items, name, "stop_area_fraction")
-        if "resample_every" in flow_kwargs:
-            flow_kwargs["resample_every"] = int(flow_kwargs["resample_every"])
+            keys = [k for k in keys[:2] if k in items]
+        flow_kwargs = {k: (_get_int if k == "resample_every" else _get_float)(items, name, k)
+                       for k in keys}
         try:
             config = FlowConfig(**flow_kwargs)
         except InvalidInputError as exc:
             _fail(name, str(exc))
 
+    for key in sorted(items):
+        if key in _OWNER:
+            _fail(name, f"{key} is not read by this scenario, only by {_OWNER[key]}")
+        if key.startswith("check."):
+            _fail(name, f"unknown check key {key}")
     if items:
         stray = ", ".join(sorted(items))
         _fail(name, f"unknown key(s): {stray}")

@@ -35,6 +35,45 @@ analyses = selfcheck
 check.selfcheck_tol = 1e-6
 """
 
+TINY_SPHERE = """[tiny_sphere]
+kind = axi-flow
+shape = sphere
+shape.r0 = 0.3
+n = 96
+cfl_factor = 0.5
+resample_every = 10
+stop_area_fraction = 0.5
+analyses = radius-law
+save_snapshots = yes
+check.radius_rel_tol = 1e-2
+"""
+
+GRIM_REAPER = """[reaper]
+kind = curve-flow
+shape = grim_reaper
+shape.half_width = 1.2
+n = 41
+law.p = 1.0
+duration = 0.05
+analyses = translate
+"""
+
+BLOWUP = """[dial]
+kind = rescale-analysis
+shape = dumbbell
+shape.lobe_r = 1.0
+shape.tube_r = 0.15
+shape.tube_len = 1.2
+n = 200
+cfl_factor = 0.4
+resample_every = 10
+stop_area_fraction = 0.02
+analyses = blowup
+probe_count = 6
+dial_powers = 2.0, 1.0, 0.5
+check.dial_classes = plane-like; convex-or-cylinder; cylinder-like
+"""
+
 
 def tiny_circle_scenario():
     return scenarios.parse_config(TINY_CIRCLE)[0]
@@ -102,10 +141,80 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n must be a number"):
             scenarios.parse_config(TINY_CIRCLE.replace("n = 96", "n = many"))
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("n = 96", "n = inf", "n"),
+        ("resample_every = 10", "resample_every = 2.5", "resample_every"),
+    ])
+    def test_integer_field_rejects_non_integers(self, old, new, field):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            scenarios.parse_config(TINY_CIRCLE.replace(old, new))
+
     def test_rescale_kind_needs_axisymmetric_shape(self):
         bad = TINY_CIRCLE.replace("curve-flow", "rescale-analysis")
         with pytest.raises(ConfigError, match="rescale-analysis"):
             scenarios.parse_config(bad)
+
+    def test_checks_and_options_are_complete_and_typed(self):
+        s = tiny_circle_scenario()
+        assert s.checks["radius_time_max"] is None
+        assert s.checks["lifetime_max"] is None
+        assert s.options == {"save_snapshots": True}
+        assert scenarios.parse_config(TINY_ORACLE)[0].options == {}
+        dial = scenarios.parse_config(BLOWUP)[0]
+        assert dial.options == {"probe_count": 6, "dial_powers": (2.0, 1.0, 0.5)}
+        assert dial.checks["dial_classes"] == ("plane-like", "convex-or-cylinder",
+                                               "cylinder-like")
+        neck = TINY_SPHERE.replace("radius-law", "neck")
+        neck = neck.replace("check.radius_rel_tol = 1e-2\n", "")
+        assert scenarios.parse_config(neck)[0].checks["neck_ratio_band"] is None
+        assert scenarios.parse_config(GRIM_REAPER)[0].options == {"duration": 0.05}
+
+    def test_unknown_check_key_rejected(self):
+        # a misspelt tolerance must not fall back to its default
+        bad = TINY_ORACLE.replace("check.selfcheck_tol = 1e-6",
+                                  "check.selfcheck_tl = 0")
+        with pytest.raises(ConfigError, match=r"check\.selfcheck_tl"):
+            scenarios.parse_config(bad)
+
+    def test_check_key_of_unrequested_analysis_rejected(self):
+        with pytest.raises(ConfigError, match=r"check\.roundness_final.*'roundness'"):
+            scenarios.parse_config(TINY_CIRCLE + "check.roundness_final = 0.1\n")
+
+    def test_malformed_check_value_rejected(self):
+        bad = TINY_CIRCLE.replace("check.radius_rel_tol = 1e-2",
+                                  "check.radius_rel_tol = tight")
+        with pytest.raises(ConfigError, match=r"check\.radius_rel_tol must be a number"):
+            scenarios.parse_config(bad)
+
+    @pytest.mark.parametrize("text, old, new, field", [
+        # duration: a positive number, for grim_reaper only
+        (GRIM_REAPER, "duration = 0.05", "duration = -0.05", "duration"),
+        (GRIM_REAPER, "duration = 0.05", "duration = soon", "duration"),
+        (GRIM_REAPER, "duration = 0.05\n", "", "duration"),
+        (TINY_CIRCLE, "n = 96", "n = 96\nduration = 0.3", "duration"),
+        # probe_count: an integer >= 3
+        (BLOWUP, "probe_count = 6", "probe_count = banana", "probe_count"),
+        (BLOWUP, "probe_count = 6", "probe_count = 2", "probe_count"),
+        (BLOWUP, "probe_count = 6", "probe_count = 4.5", "probe_count"),
+        # dial_powers: positive numbers, one per check.dial_classes entry
+        (BLOWUP, "dial_powers = 2.0, 1.0, 0.5", "dial_powers = 2.0, -1.0, 0.5",
+         "dial_powers"),
+        (BLOWUP, "dial_powers = 2.0, 1.0, 0.5", "dial_powers = 2.0, 1.0", "dial_powers"),
+        (BLOWUP, "plane-like; convex", "plane-like; convex-like; convex", "dial_powers"),
+        # check.dial_classes: known outcomes only
+        (BLOWUP, "plane-like;", "flat;", r"check\.dial_classes"),
+        # save_snapshots: one of the boolean words
+        (TINY_CIRCLE, "save_snapshots = true", "save_snapshots = maybe", "save_snapshots"),
+        # an option on a kind that never reads it
+        (TINY_CIRCLE, "n = 96", "n = 96\nprobe_count = 6", "probe_count"),
+        (BLOWUP, "n = 200", "n = 200\nsave_snapshots = true", "save_snapshots"),
+        (TINY_ORACLE, "analyses", "save_snapshots = false\nanalyses", "save_snapshots"),
+        (GRIM_REAPER, "n = 41", "n = 41\nsave_snapshots = true", "save_snapshots"),
+    ])
+    def test_option_rule_names_the_field(self, text, old, new, field):
+        assert old in text
+        with pytest.raises(ConfigError, match=field):
+            scenarios.parse_config(text.replace(old, new, 1))
 
 
 class TestBuiltinCatalog:
@@ -121,9 +230,10 @@ class TestBuiltinCatalog:
             assert expected in names
 
     def test_every_analysis_has_an_artifact(self):
+        # each evaluator writes its one artifact and returns its name
+        assert set(runner._EVALUATORS) == set(scenarios.ANALYSES)
         for s in scenarios.builtin_catalog():
-            for analysis in s.analyses:
-                assert analysis in runner.ARTIFACT_BY_ANALYSIS
+            assert set(s.analyses) <= set(scenarios.ANALYSES)
 
     def test_oracle_subset_is_nonempty(self):
         kinds = {s.kind for s in scenarios.builtin_catalog()}
@@ -218,6 +328,31 @@ class TestRunner:
             right = (tmp_path / "b" / "tiny_circle" / name).read_bytes()
             assert left == right, name
 
+    def test_nested_pair_writes_one_set_per_curve(self, tmp_path):
+        text = """[pair]
+kind = curve-flow
+shape = nested_pair
+shape.outer_radius = 1.5
+shape.a = 0.8
+shape.b = 0.4
+n = 48
+law.p = 1.0
+cfl_factor = 0.5
+resample_every = 10
+stop_area_fraction = 0.5
+analyses = pair-distance
+save_snapshots = true
+"""
+        report = runner.run_scenario(scenarios.parse_config(text)[0], tmp_path)
+        assert report.passed, report.error
+        assert report.artifacts == [
+            f"{stem}_{i}{ext}" for i in (0, 1)
+            for stem, ext in (("trajectory", ".csv"), ("initial", ".svg"),
+                              ("final", ".svg"), ("snapshots", "/index.json"))
+        ] + ["pair_distance.csv"]
+        for name in report.artifacts:
+            assert (tmp_path / "pair" / name).exists(), name
+
     def test_runtime_error_is_captured_not_raised(self, tmp_path):
         text = """[bad_dumbbell]
 kind = axi-flow
@@ -254,6 +389,23 @@ analyses = neck
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert [s["name"] for s in on_disk["scenarios"]] == ["tiny_circle",
                                                              "oracle_gate"]
+
+    def test_worker_count_does_not_change_artifacts(self, tmp_path):
+        batch = [scenarios.parse_config(text)[0]
+                 for text in (TINY_CIRCLE, TINY_SPHERE, TINY_ORACLE)]
+        files = {}
+        for workers in (1, 2):
+            root = tmp_path / str(workers)
+            _, summary, status = runner.accept(batch, root, workers=workers)
+            assert status == 0, summary
+            # summary.json holds wall times; every scenario file must match
+            files[workers] = {p.relative_to(root): p.read_bytes()
+                              for p in root.rglob("*")
+                              if p.is_file() and p.name != "summary.json"}
+        assert {p.parts[0] for p in files[1]} == {"tiny_circle", "tiny_sphere",
+                                                  "oracle_gate"}
+        assert sum(p.suffix in (".csv", ".json") for p in files[1]) == 8
+        assert files[1] == files[2]
 
     def test_accept_fails_on_corrupted_tolerance(self, tmp_path):
         corrupted = oracle_scenario(TINY_ORACLE.replace(
