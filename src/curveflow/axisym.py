@@ -19,19 +19,17 @@ from scipy.interpolate import CubicSpline
 from . import curves as cv
 from .errors import (
     DegenerateGeometryError,
-    ExtinctError,
     InvalidInputError,
     NoNeckError,
     NumericalBreakdownError,
 )
 from .flow1d import (
-    BLOWUP_FACTOR,
     DISPLACEMENT_FRACTION,
-    SNAPSHOT_LEVELS,
-    EVENT_BLOWUP,
-    EVENT_STEP_BUDGET,
+    EVENT_STEP_BUDGET,  # re-exported: meridian runs end on the step budget too
     Event,
     FlowConfig,
+    _evolve,
+    _FlowState,
 )
 
 TOPOLOGY_TWO_POLES = "twopoles"
@@ -72,32 +70,12 @@ class AxiProfile:
         topology: str = TOPOLOGY_TWO_POLES,
         period: float | None = None,
     ) -> None:
-        pts = np.asarray(samples, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise InvalidInputError(
-                f"samples must be an (n, 2) array, got shape {pts.shape}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("samples contain non-finite values")
-        if len(pts) < MIN_SAMPLES:
-            raise DegenerateGeometryError(
-                f"need at least {MIN_SAMPLES} samples, got {len(pts)}"
-            )
         if topology not in TOPOLOGIES:
             raise InvalidInputError(
                 f"topology must be one of {TOPOLOGIES}, got {topology!r}"
             )
-        diam = cv.bbox_diameter(pts)
-        if diam < cv.EXTINCT_DIAMETER:
-            raise ExtinctError(f"profile extent {diam:.3e} below extinction threshold")
-        closed = topology == TOPOLOGY_PERIODIC
-        gaps = np.diff(pts, axis=0)
-        if closed:
-            gaps = np.vstack([gaps, pts[:1] - pts[-1:]])
-        if np.min(np.hypot(gaps[:, 0], gaps[:, 1])) <= cv.DISTINCT_REL_TOL * diam:
-            raise DegenerateGeometryError("coincident consecutive samples")
-
-        pts = pts.copy()
+        pts, diam = cv._checked_points(
+            samples, MIN_SAMPLES, closed=topology == TOPOLOGY_PERIODIC, noun="samples")
         r = pts[:, 1]
         tiny = 1e-9 * diam
         if topology == TOPOLOGY_TWO_POLES:
@@ -463,35 +441,94 @@ def build_profile(shape: str, n: int, **dims: float) -> AxiProfile:
 # Evolution
 # ---------------------------------------------------------------------------
 
-class _AxiState:
+class _AxiState(_FlowState):
+    """One meridian under mean curvature flow, as a raw sample array between snapshots.
+
+    Snapshots fall due on the area schedule and, for a true waist, on the
+    same geometric schedule in its radius.
+    """
+
     def __init__(self, profile: AxiProfile, config: FlowConfig):
         self.pts = profile.samples
         self.topology = profile.topology
         self.period = profile.period
         m = axi_metrics(profile)
-        self.area0 = m.surface_area
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
-        self.cap = config.max_curvature_stop
-        if self.cap is None:
-            self.cap = BLOWUP_FACTOR * max(h0, 1.0)
-        self.spacing = config.target_vertex_spacing
-        if self.spacing is None:
-            self.spacing = _chain_length(profile) / len(profile)
+        super().__init__(config, m.surface_area, h0, _chain_length(profile), len(profile))
+        # A torus collapses and a cylinder pinches; only axis-bounded profiles end at a pole.
+        periodic = self.topology == TOPOLOGY_PERIODIC
+        self.pinch_kind = EVENT_TORUS_COLLAPSE if periodic else EVENT_NECK_PINCH
+        self.two_poles = self.topology == TOPOLOGY_TWO_POLES
+        self.stop_kind = EVENT_POLE_EXTINCTION if self.two_poles else self.pinch_kind
         rmin0, _, true_waist = _waist(profile)
         self.waist0 = rmin0 if true_waist else None
-        self.ratio = config.stop_area_fraction ** (1.0 / SNAPSHOT_LEVELS)
-        self.next_area = self.area0 * self.ratio
-        self.next_waist = rmin0 * self.ratio if true_waist else 0.0
+        self.next_waist = rmin0 * self.ratio
         self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], [], config)
+
+    def plan(self, t: float) -> float:
+        """Velocity h*nu with pole guard; step bound from min spacing and interior rmin."""
+        pts = self.pts
+        _, nu, h, seg = _fields(pts, self.topology, self.period)
+        if self.two_poles:
+            # Poles move along the axis at twice the meridian curvature, capped by
+            # the neighboring samples so a noisy pole cannot outrun its cap.
+            for i, j in ((0, 1), (-1, -2)):
+                lim = 2.0 * abs(h[j])
+                h[i] = np.clip(h[i], -lim, lim)
+            r_int = float(pts[1:-1, 1].min())
+        else:
+            r_int = float(pts[:, 1].min())
+        hmax = self.peak(t, h, pts)
+        if hmax is None:
+            return np.inf
+        self.vel = h[:, None] * nu
+        h_space = float(seg[1:].min())
+        dt = self.cfl * min(h_space * h_space, h_space * r_int) / 4.0
+        if hmax > 0:
+            dt = min(dt, DISPLACEMENT_FRACTION * h_space / hmax)
+        return dt
+
+    def advance(self, t: float, dt: float, resample: bool) -> bool:
+        new = self.pts + dt * self.vel
+        if self.two_poles:
+            new[0, 1] = 0.0
+            new[-1, 1] = 0.0
+        if resample:
+            new = _axi_resample(new, self.topology, self.period, self.spacing)
+        self.pts = new
+
+        rmin, rmin_x, true_waist = _waist_of(new, self.topology)
+        if not self.two_poles or true_waist:
+            thr = NECK_SPACING_FACTOR * _local_spacing(new, rmin_x)
+            if self.waist0 is not None:
+                thr = max(thr, NECK_RADIUS_FRACTION * self.waist0)
+            if rmin < thr:
+                self.close(t, Event(self.pinch_kind, t, (rmin_x, rmin)))
+                return False
+        interior = new[1:-1, 1] if self.two_poles else new[:, 1]
+        if np.any(interior <= 0):
+            raise NumericalBreakdownError(
+                f"interior sample reached the axis at t={t:.6g} before a neck event"
+            )
+        area = _surface_area(new, self.topology, self.period)
+        return area <= self.next_area or (self.waist0 is not None and rmin <= self.next_waist)
+
+    def validate(self) -> AxiProfile:
+        return AxiProfile(self.pts, self.topology, self.period)
+
+    def take(self, t: float, profile: AxiProfile) -> float:
+        m = axi_metrics(profile)
+        self.traj.snapshots.append(AxiSnapshot(t, profile, m))
+        self.next_waist = m.min_radius * self.ratio   # read only for a true waist
+        return m.surface_area
+
+    def centre(self) -> tuple[float, float]:
+        return float(self.pts[:, 0].mean()), 0.0
 
 
 def _chain_length(profile: AxiProfile) -> float:
     p, q = _segment_arrays(profile.samples, profile.topology, profile.period)
     return float(np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]).sum())
-
-
-def _pinch_event_kind(topology: str) -> str:
-    return EVENT_TORUS_COLLAPSE if topology == TOPOLOGY_PERIODIC else EVENT_NECK_PINCH
 
 
 def _axi_resample(
@@ -526,28 +563,11 @@ def _axi_resample(
     return out
 
 
-def _axi_velocity(
-    state: _AxiState,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float, float]:
-    """Velocity h*nu with pole guard; plus |h|max, min spacing, interior rmin."""
-    pts = state.pts
-    _, nu, h, seg = _fields(pts, state.topology, state.period)
-    if state.topology == TOPOLOGY_TWO_POLES:
-        # Poles move along the axis at twice the meridian curvature, capped by
-        # the neighboring samples so a noisy pole cannot outrun its cap.
-        for i, j in ((0, 1), (-1, -2)):
-            lim = 2.0 * abs(h[j])
-            h[i] = np.clip(h[i], -lim, lim)
-        r_int = float(pts[1:-1, 1].min())
-    else:
-        r_int = float(pts[:, 1].min())
-    vel = h[:, None] * nu
-    return vel, h, float(np.abs(h).max()), float(seg[1:].min()), r_int
-
-
 def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTrajectory:
     """Evolve a meridian by mean curvature until a pinch, collapse or stop.
 
+    The curve driver's loop (``flow1d._evolve``) steps it, so snapshots,
+    stops and the single terminal event follow the same rules as for curves.
     Neck events (neck-pinch for axis-bounded and cylinder topologies,
     torus-collapse for periodic ones) fire when the waist drops below
     max(1e-3 x initial waist, 5 x local spacing); the run halts at the event
@@ -555,76 +575,7 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTraject
     """
     config = config or FlowConfig()
     state = _AxiState(profile, config)
-    t = 0.0
-    steps = 0
-    while steps < config.max_steps:
-        vel, h, hmax, h_space, r_int = _axi_velocity(state)
-        if hmax >= state.cap:
-            i = int(np.argmax(np.abs(h)))
-            loc = (float(state.pts[i, 0]), float(state.pts[i, 1]))
-            _axi_record(state, t, [Event(EVENT_BLOWUP, t, loc)])
-            break
-        dt = config.cfl_factor * min(h_space * h_space, h_space * r_int) / 4.0
-        if hmax > 0:
-            dt = min(dt, DISPLACEMENT_FRACTION * h_space / hmax)
-        t += dt
-        steps += 1
-        new = state.pts + dt * vel
-        if state.topology == TOPOLOGY_TWO_POLES:
-            new[0, 1] = 0.0
-            new[-1, 1] = 0.0
-            interior = new[1:-1, 1]
-        else:
-            interior = new[:, 1]
-        if steps % config.resample_every == 0:
-            new = _axi_resample(new, state.topology, state.period, state.spacing)
-            if state.topology == TOPOLOGY_TWO_POLES:
-                interior = new[1:-1, 1]
-            else:
-                interior = new[:, 1]
-        state.pts = new
-
-        rmin, rmin_x, true_waist = _waist_of(state.pts, state.topology)
-        if state.topology != TOPOLOGY_TWO_POLES or true_waist:
-            thr = NECK_SPACING_FACTOR * _local_spacing(state.pts, rmin_x)
-            if state.waist0 is not None:
-                thr = max(thr, NECK_RADIUS_FRACTION * state.waist0)
-            if rmin < thr:
-                kind = _pinch_event_kind(state.topology)
-                _axi_record(state, t, [Event(kind, t, (rmin_x, rmin))])
-                break
-        if np.any(interior <= 0):
-            raise NumericalBreakdownError(
-                f"interior sample reached the axis at t={t:.6g} before a neck event"
-            )
-
-        area = _surface_area(state.pts, state.topology, state.period)
-        due = area <= state.next_area or (
-            state.waist0 is not None and rmin <= state.next_waist
-        )
-        if due:
-            if not _axi_record(state, t):
-                break
-            m = state.traj.final().metrics
-            state.next_area = m.surface_area * state.ratio
-            if state.waist0 is not None:
-                state.next_waist = m.min_radius * state.ratio
-            if m.surface_area <= config.stop_area_fraction * state.area0:
-                kind = (
-                    EVENT_POLE_EXTINCTION
-                    if state.topology == TOPOLOGY_TWO_POLES
-                    else _pinch_event_kind(state.topology)
-                )
-                x_mid = float(state.pts[:, 0].mean())
-                state.traj.events.append(Event(kind, t, (x_mid, 0.0)))
-                break
-    else:
-        # The step budget ran out first: close the trajectory at time t.
-        budget = [Event(EVENT_STEP_BUDGET, t)]
-        if state.traj.final().time == t:
-            state.traj.events.extend(budget)
-        else:
-            _axi_record(state, t, budget)
+    _evolve([state], config)
     return state.traj
 
 
@@ -634,23 +585,6 @@ def _local_spacing(pts: NDArray[np.float64], x_at: float) -> float:
     hi = min(len(pts) - 1, i + 1)
     d = pts[hi] - pts[lo]
     return float(np.hypot(d[0], d[1]) / max(1, hi - lo))
-
-
-def _axi_record(state: _AxiState, t: float, events: list[Event] | None = None) -> bool:
-    try:
-        profile = AxiProfile(state.pts, state.topology, state.period)
-    except ExtinctError:
-        x_mid = float(state.pts[:, 0].mean())
-        state.traj.events.append(Event(EVENT_POLE_EXTINCTION, t, (x_mid, 0.0)))
-        return False
-    except InvalidInputError as exc:
-        raise NumericalBreakdownError(
-            f"meridian degenerated at t={t:.6g}: {exc}"
-        ) from exc
-    state.traj.snapshots.append(AxiSnapshot(t, profile, axi_metrics(profile)))
-    if events:
-        state.traj.events.extend(events)
-    return True
 
 
 # ---------------------------------------------------------------------------

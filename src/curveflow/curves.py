@@ -33,13 +33,6 @@ Float2 = tuple[float, float]
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
-def _as_vertex_array(vertices) -> NDArray[np.float64]:
-    arr = np.asarray(vertices, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidInputError(f"vertices must have shape (n, 2), got {arr.shape}")
-    return arr
-
-
 def polygon_area(vertices: NDArray[np.float64]) -> float:
     """Shoelace area, positive for counterclockwise traversal."""
     x = vertices[:, 0]
@@ -52,6 +45,32 @@ def bbox_diameter(vertices: NDArray[np.float64]) -> float:
     return float(np.hypot(span[0], span[1]))
 
 
+def _checked_points(
+    points, min_count: int, closed: bool, noun: str
+) -> tuple[NDArray[np.float64], float]:
+    """A fresh float copy of an (n, 2) point array, and its bounding-box diameter.
+
+    Raises InvalidInputError for another shape or non-finite values,
+    DegenerateGeometryError for fewer than ``min_count`` points or coincident
+    neighbours (last and first are neighbours when ``closed``), and
+    ExtinctError below the extinction diameter.
+    """
+    arr = np.array(points, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InvalidInputError(f"{noun} must have shape (n, 2), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{noun} must be finite")
+    if len(arr) < min_count:
+        raise DegenerateGeometryError(f"need at least {min_count} {noun}, got {len(arr)}")
+    diam = bbox_diameter(arr)
+    if diam < EXTINCT_DIAMETER:
+        raise ExtinctError(f"{noun} span {diam:.3e}, below the extinction diameter")
+    d = np.diff(np.concatenate([arr, arr[:1]]) if closed else arr, axis=0)
+    if np.hypot(d[:, 0], d[:, 1]).min() <= DISTINCT_REL_TOL * diam:
+        raise DegenerateGeometryError(f"consecutive {noun} coincide")
+    return arr, diam
+
+
 @dataclass(frozen=True)
 class PlaneCurve:
     """Closed polyline stored cyclically (no repeated closing vertex)."""
@@ -60,20 +79,7 @@ class PlaneCurve:
     counterclockwise: bool = False
 
     def __init__(self, vertices) -> None:
-        arr = _as_vertex_array(vertices)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("vertices must be finite")
-        if len(arr) < MIN_VERTICES:
-            raise DegenerateGeometryError(
-                f"need at least {MIN_VERTICES} vertices, got {len(arr)}"
-            )
-        diam = bbox_diameter(arr)
-        if diam < EXTINCT_DIAMETER:
-            raise ExtinctError(f"bounding-box diameter {diam:.3e} below extinction threshold")
-        gaps = np.linalg.norm(np.roll(arr, -1, axis=0) - arr, axis=1)
-        if gaps.min() <= DISTINCT_REL_TOL * diam:
-            raise DegenerateGeometryError("consecutive vertices coincide")
-        arr = arr.copy()
+        arr, _ = _checked_points(vertices, MIN_VERTICES, closed=True, noun="vertices")
         arr.flags.writeable = False
         object.__setattr__(self, "vertices", arr)
         object.__setattr__(self, "counterclockwise", polygon_area(arr) > 0.0)

@@ -4,6 +4,8 @@ The driver is deliberately plain: forward Euler under a parabolic CFL bound,
 periodic tangential redistribution through a periodic spline (linear chord
 resampling would bleed area every pass), and snapshots recorded on a geometric
 schedule in remaining area so the approach to extinction is well sampled.
+The same loop, ``_evolve``, steps the meridians of ``axisym``: curves and
+meridians share its snapshot schedule, stops and terminal events.
 """
 
 from __future__ import annotations
@@ -113,8 +115,113 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-class _CurveState:
-    """Book-keeping for one curve inside the shared-clock driver.
+class _FlowState:
+    """One trajectory in ``_evolve``: the stop cap, spacing and area schedule.
+
+    Every terminal event goes through :meth:`end`, so there is exactly one and
+    it is the last.  Subclasses keep the working points and supply ``plan``
+    (step bound), ``advance`` (step; is a snapshot due?), ``validate``, ``take``
+    (append a snapshot, return its area), ``centre`` and ``stop_kind``.
+    """
+
+    stop_kind = EVENT_EXTINCTION
+
+    def __init__(self, config: FlowConfig, area0: float, k0: float, length: float, count: int):
+        self.cfl = config.cfl_factor
+        self.cap = config.max_curvature_stop
+        if self.cap is None:
+            self.cap = BLOWUP_FACTOR * max(k0, 1.0)
+        self.spacing = config.target_vertex_spacing
+        if self.spacing is None:
+            self.spacing = length / count
+        self.ratio = config.stop_area_fraction ** (1.0 / SNAPSHOT_LEVELS)
+        self.next_area = area0 * self.ratio
+        self.stop_area = config.stop_area_fraction * area0
+        self.done = False
+
+    def end(self, event: Event) -> None:
+        """Append a terminal event unless the trajectory already has one."""
+        if not self.done:
+            self.traj.events.append(event)
+            self.done = True
+
+    def peak(self, t: float, k: NDArray[np.float64], pts: NDArray[np.float64]) -> float | None:
+        """Largest |k|, or None once the trajectory is closed on reaching the cap."""
+        mag = np.abs(k)
+        kmax = float(mag.max())
+        if kmax < self.cap:
+            return kmax
+        i = int(np.argmax(mag))
+        self.close(t, Event(EVENT_BLOWUP, t, (float(pts[i, 0]), float(pts[i, 1]))))
+        return None
+
+    def record(self, t: float, event: Event | None = None) -> float | None:
+        """Snapshot the working points at t and return its area, then end with ``event``.
+
+        Collapse below the extinction diameter ends with the stop event instead
+        (returning None); any other degeneracy is a genuine failure.
+        """
+        try:
+            geometry = self.validate()
+        except ExtinctError:
+            self.end(Event(self.stop_kind, t, self.centre()))
+            return None
+        except InvalidInputError as exc:
+            raise NumericalBreakdownError(f"geometry degenerated at t={t:.6g}: {exc}") from exc
+        area = self.take(t, geometry)
+        if event is not None:
+            self.end(event)
+        return area
+
+    def close(self, t: float, event: Event) -> None:
+        """End with ``event`` on a snapshot at t, reusing one just taken."""
+        if self.traj.final().time == t:
+            self.end(event)
+        else:
+            self.record(t, event)
+
+    def snapshot(self, t: float) -> None:
+        """Scheduled snapshot; stops once the area fraction is reached."""
+        area = self.record(t)
+        if area is not None:
+            self.next_area = area * self.ratio
+            if area <= self.stop_area:
+                self.end(Event(self.stop_kind, t, self.centre()))
+
+
+def _evolve(states: list[_FlowState], config: FlowConfig) -> None:
+    """Step every state on one clock until one stops or the step budget runs out."""
+    t = 0.0
+    steps = 0
+    while steps < config.max_steps:
+        dt = np.inf
+        for s in states:
+            dt = min(dt, s.plan(t))
+            if s.done:   # closed on a curvature blow-up
+                break
+        if s.done:
+            break
+
+        t += dt
+        steps += 1
+        resample = steps % config.resample_every == 0
+        due = [s.advance(t, dt, resample) for s in states]
+        if any(due):
+            for s in states:
+                if not s.done:
+                    s.snapshot(t)
+        if any(s.done for s in states):
+            break
+
+    # Close the live trajectories: a partner on the shared clock stopped, or the budget ran out.
+    kind = EVENT_PARTNER_STOPPED if any(s.done for s in states) else EVENT_STEP_BUDGET
+    for s in states:
+        if not s.done:
+            s.close(t, Event(kind, t))
+
+
+class _CurveState(_FlowState):
+    """One curve under the speed law.
 
     Between snapshots the curve lives as a raw vertex array; the validated
     curve object is only rebuilt when a snapshot is recorded.  The array is the
@@ -126,25 +233,66 @@ class _CurveState:
         self.chain = np.empty((0, 2))
         self.set_verts(curve.vertices)
         m = cv.metrics(curve)
-        self.area0 = abs(m.enclosed_area)
         k0 = max(abs(m.min_curvature), abs(m.max_curvature))
-        self.cap = config.max_curvature_stop
-        if self.cap is None:
-            self.cap = BLOWUP_FACTOR * max(k0, 1.0)
-        self.spacing = config.target_vertex_spacing
-        if self.spacing is None:
-            self.spacing = m.length / len(curve)
-        self.ratio = config.stop_area_fraction ** (1.0 / SNAPSHOT_LEVELS)
-        self.next_area = self.area0 * self.ratio
+        super().__init__(config, abs(m.enclosed_area), k0, m.length, len(curve))
+        self.law = law
         self.was_convex = m.convex
         self.traj = Trajectory([Snapshot(0.0, curve, m)], [], law, config)
-        self.done = False
 
     def set_verts(self, verts: NDArray[np.float64]) -> None:
         if len(self.chain) != len(verts) + 2:
             self.chain = np.empty((len(verts) + 2, 2))
             self.verts = self.chain[1:-1]
         self.verts[...] = verts
+
+    def plan(self, t: float) -> float:
+        k, left, h, area = _step_geometry(self.chain)
+        kmax = self.peak(t, k, self.verts)
+        if kmax is None:
+            return np.inf
+        p = self.law.p
+        speed = k if p == 1.0 else self.law.speed(k)
+        self.planned = (speed, left, area)
+        if p == 1.0:
+            diffusivity = 1.0
+        else:
+            mag = np.abs(k)
+            mag = mag[mag >= CURVATURE_CLAMP]
+            diffusivity = float(np.max(mag ** (p - 1.0))) if len(mag) else 1.0
+        dt = self.cfl * h * h / (2.0 * diffusivity)
+        vmax = kmax if p == 1.0 else float(np.abs(speed).max())
+        if vmax > 0:
+            dt = min(dt, DISPLACEMENT_FRACTION * h / vmax)
+        return dt
+
+    def advance(self, t: float, dt: float, resample: bool) -> bool:
+        speed, left, area = self.planned
+        left *= (dt * speed)[:, None]
+        self.verts += left
+        if resample:
+            self.chain[-1] = self.verts[0]
+            d = self.chain[2:] - self.verts   # every edge, the closing one last
+            total = float(np.hypot(d[:, 0], d[:, 1]).sum())
+            n = max(cv.MIN_VERTICES, int(round(total / self.spacing)))
+            self.set_verts(cv.spline_resample_array(self.verts, n))
+        return abs(area) <= self.next_area
+
+    def validate(self) -> cv.PlaneCurve:
+        return cv.PlaneCurve(self.verts)
+
+    def take(self, t: float, curve: cv.PlaneCurve) -> float:
+        m = cv.metrics(curve)
+        self.traj.snapshots.append(Snapshot(t, curve, m))
+        if m.convex and not self.was_convex:
+            self.traj.events.append(Event(EVENT_CONVEXIFICATION, t))
+        self.was_convex = m.convex
+        if not cv.is_embedded(curve):
+            self.end(Event(EVENT_EMBEDDEDNESS_LOSS, t))
+        return abs(m.enclosed_area)
+
+    def centre(self) -> tuple[float, float]:
+        c = self.verts.mean(axis=0)
+        return float(c[0]), float(c[1])
 
 
 def _step_geometry(
@@ -165,130 +313,11 @@ def _step_geometry(
     return k, left, float(seg.min()), area
 
 
-def _evolve(states: list[_CurveState], law: SpeedLaw, config: FlowConfig) -> None:
-    t = 0.0
-    steps = 0
-    while steps < config.max_steps and not any(s.done for s in states):
-        dt = np.inf
-        plans = []
-        for s in states:
-            k, left, h, area = _step_geometry(s.chain)
-            kmax = float(np.abs(k).max())
-            if kmax >= s.cap:
-                i = int(np.argmax(np.abs(k)))
-                loc = (float(s.verts[i, 0]), float(s.verts[i, 1]))
-                _close(s, t, Event(EVENT_BLOWUP, t, loc))
-                s.done = True
-                break
-            speed = k if law.p == 1.0 else law.speed(k)
-            plans.append((s, speed, left, area))
-            if law.p == 1.0:
-                diffusivity = 1.0
-            else:
-                mag = np.abs(k)
-                mag = mag[mag >= CURVATURE_CLAMP]
-                diffusivity = float(np.max(mag ** (law.p - 1.0))) if len(mag) else 1.0
-            dt = min(dt, config.cfl_factor * h * h / (2.0 * diffusivity))
-            vmax = kmax if law.p == 1.0 else float(np.abs(speed).max())
-            if vmax > 0:
-                dt = min(dt, DISPLACEMENT_FRACTION * h / vmax)
-        if any(s.done for s in states):
-            break
-
-        t += dt
-        steps += 1
-        resample = steps % config.resample_every == 0
-        snapshot_due = False
-        for s, speed, left, area in plans:
-            left *= (dt * speed)[:, None]
-            s.verts += left
-            if resample:
-                s.chain[-1] = s.verts[0]
-                d = s.chain[2:] - s.verts   # every edge, the closing one last
-                total = float(np.hypot(d[:, 0], d[:, 1]).sum())
-                n = max(cv.MIN_VERTICES, int(round(total / s.spacing)))
-                s.set_verts(cv.spline_resample_array(s.verts, n))
-            if abs(area) <= s.next_area:
-                snapshot_due = True
-
-        if snapshot_due:
-            for s in states:
-                if s.done:
-                    continue
-                curve = _settle(s, t)
-                if curve is None:
-                    continue
-                _record(s, t, curve)
-                area = abs(s.traj.final().metrics.enclosed_area)
-                s.next_area = area * s.ratio
-                if area <= config.stop_area_fraction * s.area0:
-                    c = cv.curve_centroid(curve)
-                    s.traj.events.append(Event(EVENT_EXTINCTION, t, c))
-                    s.done = True
-
-    # Close the live trajectories: a partner on the shared clock stopped, or the budget ran out.
-    kind = EVENT_PARTNER_STOPPED if any(s.done for s in states) else EVENT_STEP_BUDGET
-    for s in states:
-        if not s.done:
-            _close(s, t, Event(kind, t))
-
-
-def _close(state: _CurveState, t: float, event: Event) -> None:
-    """End a trajectory with ``event`` on a snapshot at t, reusing one just taken."""
-    if state.traj.final().time == t:
-        state.traj.events.append(event)
-        return
-    curve = _settle(state, t)
-    if curve is not None:
-        _record(state, t, curve, [event])
-
-
-def _settle(state: _CurveState, t: float) -> cv.PlaneCurve | None:
-    """Validate the working array back into a curve object.
-
-    Collapse below the extinction diameter closes the trajectory with an
-    extinction event; any other geometric degeneracy is a genuine failure.
-    """
-    try:
-        return cv.PlaneCurve(state.verts)
-    except ExtinctError:
-        _record_extinction(state, t)
-        return None
-    except InvalidInputError as exc:
-        raise NumericalBreakdownError(
-            f"curve geometry degenerated at t={t:.6g}: {exc}"
-        ) from exc
-
-
-def _record(
-    state: _CurveState,
-    t: float,
-    curve: cv.PlaneCurve,
-    events: list[Event] | None = None,
-) -> None:
-    m = cv.metrics(curve)
-    state.traj.snapshots.append(Snapshot(t, curve, m))
-    if events:
-        state.traj.events.extend(events)
-    if not cv.is_embedded(curve):
-        state.traj.events.append(Event(EVENT_EMBEDDEDNESS_LOSS, t))
-        state.done = True
-    if m.convex and not state.was_convex:
-        state.traj.events.append(Event(EVENT_CONVEXIFICATION, t))
-    state.was_convex = m.convex
-
-
-def _record_extinction(state: _CurveState, t: float) -> None:
-    c = state.verts.mean(axis=0)
-    state.traj.events.append(Event(EVENT_EXTINCTION, t, (float(c[0]), float(c[1]))))
-    state.done = True
-
-
 def run(curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig | None = None) -> Trajectory:
     """Evolve one curve until an area stop, curvature stop or step budget."""
     config = config or FlowConfig()
     state = _CurveState(curve, law, config)
-    _evolve([state], law, config)
+    _evolve([state], config)
     return state.traj
 
 
@@ -305,7 +334,7 @@ def co_evolve(
         raise InvalidInputError("need at least one curve")
     config = config or FlowConfig()
     states = [_CurveState(c, law, config) for c in curve_list]
-    _evolve(states, law, config)
+    _evolve(states, config)
     return [s.traj for s in states]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +62,7 @@ class RunReport:
     wall_time: float = 0.0
     artifacts: list[str] = field(default_factory=list)
     error: str | None = None
+    traceback: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -435,7 +437,7 @@ def run_scenario(s: Scenario, out_root) -> RunReport:
     started = time.perf_counter()
     out = Path(out_root) / s.name
     out.mkdir(parents=True, exist_ok=True)
-    error = None
+    error = trace = None
     try:
         flow = _run_flow(s)
         artifacts, checks = _write_flow(s, out, flow), []
@@ -445,8 +447,9 @@ def run_scenario(s: Scenario, out_root) -> RunReport:
             checks += found
     except Exception as exc:
         artifacts, checks, error = [], [], f"{type(exc).__name__}: {exc}"
+        trace = traceback.format_exc()
     return RunReport(scenario=s.name, checks=checks, artifacts=artifacts, error=error,
-                     wall_time=time.perf_counter() - started)
+                     traceback=trace, wall_time=time.perf_counter() - started)
 
 
 def accept(scenarios: list[Scenario], out_root, workers: int = 4):
@@ -469,6 +472,7 @@ def accept(scenarios: list[Scenario], out_root, workers: int = 4):
                 "passed": r.passed,
                 "wall_time": round(r.wall_time, 3),
                 "error": r.error,
+                "traceback": r.traceback,
                 "artifacts": r.artifacts,
                 "checks": [
                     {"name": c.name, "passed": c.passed,

@@ -277,10 +277,9 @@ def _parse_scenario(name: str, items: dict[str, str]) -> Scenario:
                 law = SpeedLaw(_get_float(items, name, "law.p"))
             except InvalidInputError as exc:
                 _fail(name, str(exc))
-        # the translating front never stops on area, and may keep the default steps
         keys = ("cfl_factor", "resample_every", "stop_area_fraction")
-        if shape == "grim_reaper":
-            keys = [k for k in keys[:2] if k in items]
+        if shape == "grim_reaper":   # the translating front never stops on area
+            keys = keys[:2]
         flow_kwargs = {k: (_get_int if k == "resample_every" else _get_float)(items, name, k)
                        for k in keys}
         try:

@@ -130,6 +130,16 @@ class TestSphereRun:
         assert traj.final().time == traj.events[0].time
         assert traj.final().time > traj.snapshots[-2].time
 
+    @pytest.mark.parametrize("cap", [1.5, 2.86], ids=["at-start", "after-snapshot"])
+    def test_blowup_reuses_the_snapshot_just_taken(self, cap):
+        traj = ax.run_axi(ax.sphere_profile(1.0, 64), f1.FlowConfig(max_curvature_stop=cap))
+        assert [e.kind for e in traj.events] == [f1.EVENT_BLOWUP]
+        times = traj.times()
+        assert len(np.unique(times)) == len(times)
+        assert traj.final().time == traj.events[0].time
+        if cap == 1.5:
+            assert times.tolist() == [0.0]
+
 
 class TestNeckPinch:
     def test_pinch_event_at_thinnest_section(self, neck_traj):

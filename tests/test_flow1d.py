@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import curveflow.axisym as ax
 import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
@@ -240,3 +241,45 @@ class TestCoEvolution:
     def test_empty_list_rejected(self):
         with pytest.raises(InvalidInputError):
             f1.co_evolve([], f1.SpeedLaw(1.0))
+
+
+def _nested_pair(i):
+    curves = [cv.circle_polygon(1.5, 32), cv.ellipse_polygon(0.8, 0.4, 32)]
+    return f1.co_evolve(curves, f1.SpeedLaw(1.0))[i]
+
+
+# name -> (run, the terminal event it must end with); both drivers, every way a run ends
+ENDINGS = {
+    "curve-extinction": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0)),
+                         f1.EVENT_EXTINCTION),
+    "curve-blowup": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0),
+                                    f1.FlowConfig(max_curvature_stop=6.0)), f1.EVENT_BLOWUP),
+    "curve-budget": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0),
+                                    f1.FlowConfig(max_steps=50)), f1.EVENT_STEP_BUDGET),
+    "curve-partner": (lambda: _nested_pair(0), f1.EVENT_PARTNER_STOPPED),
+    "curve-partner-driver": (lambda: _nested_pair(1), f1.EVENT_EXTINCTION),
+    "meridian-pole": (lambda: ax.run_axi(ax.sphere_profile(0.5, 32)), ax.EVENT_POLE_EXTINCTION),
+    "meridian-neck": (lambda: ax.run_axi(ax.dumbbell_profile(1.0, 0.3, 1.0, 256)),
+                      ax.EVENT_NECK_PINCH),
+    "meridian-torus": (lambda: ax.run_axi(ax.torus_profile(1.0, 0.25, 64)),
+                       ax.EVENT_TORUS_COLLAPSE),
+    "meridian-blowup": (lambda: ax.run_axi(ax.sphere_profile(1.0, 64),
+                                           f1.FlowConfig(max_curvature_stop=1.5)),
+                        f1.EVENT_BLOWUP),
+    "meridian-budget": (lambda: ax.run_axi(ax.sphere_profile(1.0, 32),
+                                           f1.FlowConfig(max_steps=50)), ax.EVENT_STEP_BUDGET),
+}
+TERMINAL = {f1.EVENT_EXTINCTION, f1.EVENT_BLOWUP, f1.EVENT_EMBEDDEDNESS_LOSS,
+            f1.EVENT_STEP_BUDGET, f1.EVENT_PARTNER_STOPPED, ax.EVENT_POLE_EXTINCTION,
+            ax.EVENT_NECK_PINCH, ax.EVENT_TORUS_COLLAPSE}
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_one_terminal_event_and_it_is_last(ending):
+    run, kind = ENDINGS[ending]
+    traj = run()
+    assert sum(e.kind in TERMINAL for e in traj.events) == 1
+    assert traj.events[-1].kind == kind
+    assert traj.final().time == traj.events[-1].time
+    times = traj.times()
+    assert np.all(np.diff(times) > 0)

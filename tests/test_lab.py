@@ -1,6 +1,7 @@
 """Scenario lab: config parsing, artifacts, runner reports, CLI exit codes."""
 
 import json
+import re
 import time
 
 import numpy as np
@@ -54,6 +55,8 @@ shape = grim_reaper
 shape.half_width = 1.2
 n = 41
 law.p = 1.0
+cfl_factor = 0.4
+resample_every = 25
 duration = 0.05
 analyses = translate
 """
@@ -128,6 +131,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grim_reaper"):
             scenarios.parse_config(TINY_CIRCLE.replace("radius-law, area-law",
                                                        "translate"))
+
+    @pytest.mark.parametrize("key", ["cfl_factor", "resample_every"])
+    def test_reaper_flow_keys_required(self, key):
+        # no hidden default: FlowConfig's resample_every differs from the oracle's
+        bad = re.sub(rf"^{key} = .*\n", "", GRIM_REAPER, flags=re.M)
+        with pytest.raises(ConfigError, match=f"missing required key {key}"):
+            scenarios.parse_config(bad)
 
     def test_duplicate_scenario_name(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -370,6 +380,8 @@ analyses = neck
         assert not report.passed
         assert report.error is not None
         assert "InvalidInputError" in report.error
+        assert report.traceback.startswith("Traceback")
+        assert "in dumbbell_profile" in report.traceback
 
     def test_oracle_scenario_is_fast(self, tmp_path):
         started = time.perf_counter()
@@ -389,6 +401,14 @@ analyses = neck
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert [s["name"] for s in on_disk["scenarios"]] == ["tiny_circle",
                                                              "oracle_gate"]
+
+    def test_summary_keeps_the_traceback_of_a_failure(self, tmp_path):
+        bad = scenarios.parse_config(BLOWUP.replace("tube_r = 0.15", "tube_r = 1.5"))[0]
+        runner.accept([bad, oracle_scenario()], tmp_path, workers=1)
+        failed, passed = json.loads((tmp_path / "summary.json").read_text())["scenarios"]
+        assert failed["error"].startswith("InvalidInputError: tube radius")
+        assert "in dumbbell_profile" in failed["traceback"]
+        assert passed["traceback"] is None
 
     def test_worker_count_does_not_change_artifacts(self, tmp_path):
         batch = [scenarios.parse_config(text)[0]
