@@ -25,7 +25,6 @@ from .errors import (
 )
 from .flow1d import (
     DISPLACEMENT_FRACTION,
-    EVENT_STEP_BUDGET,  # re-exported: meridian runs end on the step budget too
     Event,
     FlowConfig,
     _evolve,
@@ -200,21 +199,6 @@ def _fields(
     return kappa, nu, h, seg
 
 
-def mean_curvature_profile(
-    profile: AxiProfile,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Scalar mean curvature and inward meridian normal per sample.
-
-    The mean curvature vector is h * nu.  Entries are reported for every
-    sample on periodic and cylinder topologies; axis poles carry no
-    curvature estimate and are excluded.
-    """
-    _, nu, h, _ = _fields(profile.samples, profile.topology, profile.period)
-    if profile.topology == TOPOLOGY_TWO_POLES:
-        return h[1:-1], nu[1:-1]
-    return h, nu
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -272,11 +256,6 @@ def _plateau_waist(r: NDArray[np.float64]) -> int | None:
     return int((starts[j] + ends[j] - 1) // 2)
 
 
-def _waist(profile: AxiProfile) -> tuple[float, float, bool]:
-    """(min_radius, x location, is_true_waist) by topology."""
-    return _waist_of(profile.samples, profile.topology)
-
-
 def _waist_of(pts: NDArray[np.float64], topo: str) -> tuple[float, float, bool]:
     r = pts[:, 1]
     if topo == TOPOLOGY_PERIODIC:
@@ -300,7 +279,7 @@ def axi_metrics(profile: AxiProfile) -> AxiMetrics:
     _, _, h, _ = _fields(profile.samples, profile.topology, profile.period)
     hmin = float(h.min())
     hmax = float(h.max())
-    rmin, rmin_x, _ = _waist(profile)
+    rmin, rmin_x, _ = _waist_of(profile.samples, profile.topology)
     tol = MEAN_CONVEX_REL_TOL * max(1.0, abs(hmin), abs(hmax))
     return AxiMetrics(
         surface_area=surface_area(profile),
@@ -426,17 +405,6 @@ PROFILE_SHAPES = {
 }
 
 
-def build_profile(shape: str, n: int, **dims: float) -> AxiProfile:
-    """Construct a named meridian profile from its PROFILE_SHAPES parameters."""
-    if shape not in PROFILE_SHAPES:
-        raise InvalidInputError(f"unknown profile shape {shape!r}")
-    fn, names = PROFILE_SHAPES[shape]
-    if sorted(dims) != sorted(names):
-        raise InvalidInputError(
-            f"{shape} profile takes parameters {list(names)}, got {sorted(dims)}")
-    return fn(n=n, **dims)
-
-
 # ---------------------------------------------------------------------------
 # Evolution
 # ---------------------------------------------------------------------------
@@ -460,10 +428,14 @@ class _AxiState(_FlowState):
         self.pinch_kind = EVENT_TORUS_COLLAPSE if periodic else EVENT_NECK_PINCH
         self.two_poles = self.topology == TOPOLOGY_TWO_POLES
         self.stop_kind = EVENT_POLE_EXTINCTION if self.two_poles else self.pinch_kind
-        rmin0, _, true_waist = _waist(profile)
+        rmin0, x0, true_waist = _waist_of(self.pts, self.topology)
+        thr = NECK_SPACING_FACTOR * _local_spacing(self.pts, x0)
+        if true_waist and rmin0 < thr:
+            raise InvalidInputError(f"initial waist {rmin0:.4g} at x = {x0:.4g} is below its "
+                                    f"neck threshold {thr:.4g}; use more samples")
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
-        self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], [], config)
+        self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events, config)
 
     def plan(self, t: float) -> float:
         """Velocity h*nu with pole guard; step bound from min spacing and interior rmin."""
@@ -571,7 +543,8 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTraject
     Neck events (neck-pinch for axis-bounded and cylinder topologies,
     torus-collapse for periodic ones) fire when the waist drops below
     max(1e-3 x initial waist, 5 x local spacing); the run halts at the event
-    instead of continuing through the singularity.
+    instead of continuing through the singularity.  A profile whose true
+    waist starts below that threshold raises :class:`InvalidInputError`.
     """
     config = config or FlowConfig()
     state = _AxiState(profile, config)

@@ -255,17 +255,6 @@ def spline_resample_array(vertices: NDArray[np.float64], n: int) -> NDArray[np.f
     return _periodic_spline(s, pts, np.arange(n) * (s[-1] / n))
 
 
-def resample_spline(curve: PlaneCurve, n: int) -> PlaneCurve:
-    """Redistribute through a periodic cubic spline fitted to the vertices.
-
-    Unlike :func:`resample_uniform` this does not systematically pull vertices
-    inside the curve, so repeated use during a flow does not bleed area.
-    """
-    if n < MIN_VERTICES:
-        raise InvalidInputError(f"n must be at least {MIN_VERTICES}, got {n}")
-    return PlaneCurve(spline_resample_array(curve.vertices, n))
-
-
 def _interval_pairs(
     lo: NDArray[np.float64], hi: NDArray[np.float64]
 ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:

@@ -4,8 +4,10 @@ The driver is deliberately plain: forward Euler under a parabolic CFL bound,
 periodic tangential redistribution through a periodic spline (linear chord
 resampling would bleed area every pass), and snapshots recorded on a geometric
 schedule in remaining area so the approach to extinction is well sampled.
-The same loop, ``_evolve``, steps the meridians of ``axisym``: curves and
-meridians share its snapshot schedule, stops and terminal events.
+The same loop, ``_evolve``, steps the other two drivers: the meridians of
+``axisym`` and the open translating front of ``oracle``.  All three share its
+step budget, curvature cap and terminal events; curves and meridians also
+share its snapshot schedule.
 """
 
 from __future__ import annotations
@@ -108,9 +110,6 @@ class Trajectory:
     def areas(self) -> NDArray[np.float64]:
         return np.array([abs(s.metrics.enclosed_area) for s in self.snapshots])
 
-    def lengths(self) -> NDArray[np.float64]:
-        return np.array([s.metrics.length for s in self.snapshots])
-
     def final(self) -> Snapshot:
         return self.snapshots[-1]
 
@@ -118,15 +117,18 @@ class Trajectory:
 class _FlowState:
     """One trajectory in ``_evolve``: the stop cap, spacing and area schedule.
 
-    Every terminal event goes through :meth:`end`, so there is exactly one and
-    it is the last.  Subclasses keep the working points and supply ``plan``
-    (step bound), ``advance`` (step; is a snapshot due?), ``validate``, ``take``
-    (append a snapshot, return its area), ``centre`` and ``stop_kind``.
+    Every terminal event goes through :meth:`end` into ``events``, so there is
+    exactly one and it is the last.  Subclasses keep the working points and
+    supply ``plan`` (step bound; may close the state), ``advance`` (step; is a
+    snapshot due?), ``validate``, ``take`` (keep a snapshot, return its area),
+    ``centre`` and ``stop_kind``.
     """
 
     stop_kind = EVENT_EXTINCTION
 
     def __init__(self, config: FlowConfig, area0: float, k0: float, length: float, count: int):
+        self.events: list[Event] = []
+        self.last_time = 0.0   # of the latest snapshot; the initial one is at t = 0
         self.cfl = config.cfl_factor
         self.cap = config.max_curvature_stop
         if self.cap is None:
@@ -142,7 +144,7 @@ class _FlowState:
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
         if not self.done:
-            self.traj.events.append(event)
+            self.events.append(event)
             self.done = True
 
     def peak(self, t: float, k: NDArray[np.float64], pts: NDArray[np.float64]) -> float | None:
@@ -169,13 +171,14 @@ class _FlowState:
         except InvalidInputError as exc:
             raise NumericalBreakdownError(f"geometry degenerated at t={t:.6g}: {exc}") from exc
         area = self.take(t, geometry)
+        self.last_time = t
         if event is not None:
             self.end(event)
         return area
 
     def close(self, t: float, event: Event) -> None:
         """End with ``event`` on a snapshot at t, reusing one just taken."""
-        if self.traj.final().time == t:
+        if self.last_time == t:
             self.end(event)
         else:
             self.record(t, event)
@@ -197,7 +200,7 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> None:
         dt = np.inf
         for s in states:
             dt = min(dt, s.plan(t))
-            if s.done:   # closed on a curvature blow-up
+            if s.done:   # closed in plan: a curvature blow-up or a time horizon
                 break
         if s.done:
             break
@@ -237,7 +240,7 @@ class _CurveState(_FlowState):
         super().__init__(config, abs(m.enclosed_area), k0, m.length, len(curve))
         self.law = law
         self.was_convex = m.convex
-        self.traj = Trajectory([Snapshot(0.0, curve, m)], [], law, config)
+        self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law, config)
 
     def set_verts(self, verts: NDArray[np.float64]) -> None:
         if len(self.chain) != len(verts) + 2:
@@ -284,7 +287,7 @@ class _CurveState(_FlowState):
         m = cv.metrics(curve)
         self.traj.snapshots.append(Snapshot(t, curve, m))
         if m.convex and not self.was_convex:
-            self.traj.events.append(Event(EVENT_CONVEXIFICATION, t))
+            self.events.append(Event(EVENT_CONVEXIFICATION, t))
         self.was_convex = m.convex
         if not cv.is_embedded(curve):
             self.end(Event(EVENT_EMBEDDEDNESS_LOSS, t))

@@ -280,6 +280,8 @@ def _parse_scenario(name: str, items: dict[str, str]) -> Scenario:
         keys = ("cfl_factor", "resample_every", "stop_area_fraction")
         if shape == "grim_reaper":   # the translating front never stops on area
             keys = keys[:2]
+            if law.p != 1.0:   # and moves by curvature, the p = 1 law
+                _fail(name, f"law.p must be 1 for grim_reaper, got {law.p:g}")
         flow_kwargs = {k: (_get_int if k == "resample_every" else _get_float)(items, name, k)
                        for k in keys}
         try:

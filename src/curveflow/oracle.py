@@ -13,12 +13,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import curves as cv
-from .errors import ExtinctError, InvalidInputError
+from .errors import ExtinctError, InvalidInputError, NumericalBreakdownError
+from .flow1d import Event, FlowConfig, _evolve, _FlowState
 
 SHRINKER_KINDS = ("circle", "cylinder", "sphere")
 MAX_POWER = 8.0
 SELFCHECK_STEP = 1e-5
 SELFCHECK_TOL = 1e-6
+# The ends of the unit-speed grim reaper move straight up.
+FRONT_END_VELOCITY = np.array([0.0, 1.0])
+EVENT_HORIZON = "horizon"
 
 
 def shrinker_lifetime(kind: str, r0: float) -> float:
@@ -152,46 +156,74 @@ def selfcheck(step: float = SELFCHECK_STEP) -> dict[str, float]:
     return cases
 
 
-def selfcheck_passed(step: float = SELFCHECK_STEP) -> bool:
-    return max(selfcheck(step).values()) < SELFCHECK_TOL
-
-
 # ---------------------------------------------------------------------------
-# Direct Lagrangian evolution of an open front with prescribed end motion
+# Direct Lagrangian evolution of an open front whose ends move at unit speed
 # ---------------------------------------------------------------------------
+
+class _FrontState(_FlowState):
+    """An open chain whose interior moves by its curvature vector and whose two
+    ends move at FRONT_END_VELOCITY, until t reaches ``duration``.  Resampling
+    keeps the point count, and no snapshots are kept."""
+
+    def __init__(self, points, duration: float, config: FlowConfig):
+        self.pts = points
+        self.pts = self.validate()   # a checked float copy
+        k, _, seg = cv._three_point(self.pts)
+        # An open chain encloses no area, and the front never snapshots on one.
+        super().__init__(config, 0.0, float(np.abs(k).max()), float(seg.sum()), len(self.pts))
+        self.duration = duration
+        self.vel = np.empty_like(self.pts)
+        self.vel[[0, -1]] = FRONT_END_VELOCITY
+
+    def plan(self, t: float) -> float:
+        if t >= self.duration - 1e-15:
+            self.close(t, Event(EVENT_HORIZON, t))
+            return np.inf
+        k, left, seg = cv._three_point(self.pts)
+        if self.peak(t, k, self.pts[1:-1]) is None:
+            return np.inf
+        self.vel[1:-1] = k[:, None] * left
+        h_min = float(seg.min())
+        return min(self.cfl * h_min * h_min / 2.0, self.duration - t)
+
+    def advance(self, t: float, dt: float, resample: bool) -> bool:
+        self.pts += dt * self.vel
+        if resample:
+            spline, s = cv._arclength_spline(self.pts)
+            self.pts = spline(np.linspace(0.0, s[-1], len(self.pts)))
+        return False
+
+    def validate(self) -> NDArray[np.float64]:
+        return cv._checked_points(self.pts, 3, closed=False, noun="front points")[0]
+
+    def take(self, t: float, pts: NDArray[np.float64]) -> float:
+        return 0.0   # the caller reads the final points
+
+    def centre(self) -> tuple[float, float]:
+        return tuple(float(c) for c in self.pts.mean(axis=0))
+
 
 def evolve_translating_front(
     points: NDArray[np.float64],
     duration: float,
-    end_velocity: tuple[float, float] = (0.0, 1.0),
     cfl_factor: float = 0.4,
     resample_every: int = 25,
 ) -> NDArray[np.float64]:
-    """March an open polyline by its curvature vector, endpoints moving with a
-    prescribed velocity.  Used to confirm the translating-front solution."""
+    """March an open polyline by its curvature vector for ``duration``, its ends
+    moving up at unit speed, and return the final points; confirms the
+    translating-front solution.  An end before the horizon raises
+    NumericalBreakdownError."""
     if duration <= 0:
         raise InvalidInputError("duration must be positive")
-    pts = np.array(points, dtype=np.float64)
-    n = len(pts)
-    ev = np.asarray(end_velocity, dtype=np.float64)
-    t = 0.0
-    steps = 0
-    vel = np.empty_like(pts)
-    vel[0] = ev
-    vel[-1] = ev
-    while t < duration - 1e-15:
-        # Interior points move by their curvature vector k * left normal.
-        k, left, seg = cv._three_point(pts)
-        vel[1:-1] = k[:, None] * left
-        h_min = float(seg.min())
-        dt = min(cfl_factor * h_min * h_min / 2.0, duration - t)
-        pts = pts + dt * vel
-        t += dt
-        steps += 1
-        if resample_every and steps % resample_every == 0:
-            spline, s = cv._arclength_spline(pts)
-            pts = spline(np.linspace(0.0, s[-1], n))
-    return pts
+    config = FlowConfig(cfl_factor=cfl_factor, resample_every=resample_every)
+    state = _FrontState(points, duration, config)
+    _evolve([state], config)
+    end = state.events[-1]
+    if end.kind != EVENT_HORIZON:
+        raise NumericalBreakdownError(
+            f"translating front ended with {end.kind} at t={end.time:.6g}, "
+            f"before its horizon t={duration:.6g}")
+    return state.pts
 
 
 def polyline_distance(points: NDArray[np.float64], target: NDArray[np.float64]) -> NDArray[np.float64]:

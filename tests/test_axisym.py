@@ -19,6 +19,12 @@ def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
     return ax.AxiProfile(samples, prof.topology, prof.period)
 
 
+def mean_curvature(profile):
+    """Scalar mean curvature and inward meridian normal per sample, poles included."""
+    _, nu, h, _ = ax._fields(profile.samples, profile.topology, profile.period)
+    return h, nu
+
+
 @pytest.fixture(scope="module")
 def small_sphere_traj():
     return ax.run_axi(ax.sphere_profile(0.5, 200), f1.FlowConfig(cfl_factor=0.5))
@@ -31,18 +37,18 @@ def neck_traj():
 
 class TestProfiles:
     def test_sphere_mean_curvature(self):
-        h, nu = ax.mean_curvature_profile(ax.sphere_profile(2.0, 200))
-        assert np.max(np.abs(h - 1.0)) < 1e-3
+        h, nu = mean_curvature(ax.sphere_profile(2.0, 200))
+        assert np.max(np.abs(h[1:-1] - 1.0)) < 1e-3
         assert np.allclose(np.linalg.norm(nu, axis=1), 1.0, atol=1e-12)
 
     def test_cylinder_mean_curvature(self):
-        h, nu = ax.mean_curvature_profile(ax.cylinder_profile(2.0, 1.0, 64))
+        h, nu = mean_curvature(ax.cylinder_profile(2.0, 1.0, 64))
         assert np.max(np.abs(h - 0.5)) < 1e-10
         # inward normal of a cylinder points at the axis
         assert np.allclose(nu, [0.0, -1.0], atol=1e-10)
 
     def test_torus_mean_curvature_extremes(self):
-        h, _ = ax.mean_curvature_profile(ax.torus_profile(1.0, 0.25, 256))
+        h, _ = mean_curvature(ax.torus_profile(1.0, 0.25, 256))
         # outer equator 1/rho + 1/(R + rho), inner equator 1/rho - 1/(R - rho)
         assert abs(h.max() - 4.8) < 1e-3
         assert abs(h.min() - (4.0 - 1.0 / 0.75)) < 1e-3
@@ -79,7 +85,7 @@ class TestProfiles:
         assert m.mean_convex
 
     def test_mirror_symmetry_of_dumbbell_curvature(self):
-        h, _ = ax.mean_curvature_profile(ax.dumbbell_profile(1.0, 0.15, 1.2, 801))
+        h, _ = mean_curvature(ax.dumbbell_profile(1.0, 0.15, 1.2, 801))
         assert np.max(np.abs(h - h[::-1])) < 1e-6
 
     def test_validation_errors(self):
@@ -92,12 +98,6 @@ class TestProfiles:
         with pytest.raises(InvalidInputError):
             ax.AxiProfile(np.column_stack([np.linspace(0, 1, 32),
                                            -np.ones(32)]), ax.TOPOLOGY_CYLINDER, 1.0)
-
-    def test_build_profile_dispatch(self):
-        prof = ax.build_profile("sphere", 64, r0=1.0)
-        assert prof.topology == ax.TOPOLOGY_TWO_POLES
-        with pytest.raises(InvalidInputError):
-            ax.build_profile("klein-bottle", 64)
 
 
 class TestSphereRun:
@@ -126,7 +126,7 @@ class TestSphereRun:
 
     def test_step_budget_ends_with_event(self):
         traj = ax.run_axi(ax.sphere_profile(1.0, 100), f1.FlowConfig(max_steps=300))
-        assert [e.kind for e in traj.events] == [ax.EVENT_STEP_BUDGET]
+        assert [e.kind for e in traj.events] == [f1.EVENT_STEP_BUDGET]
         assert traj.final().time == traj.events[0].time
         assert traj.final().time > traj.snapshots[-2].time
 
@@ -191,6 +191,11 @@ class TestDumbbellRun:
         decade = radii <= 10 * radii.min()
         ratio = radii[decade] / np.sqrt(2 * (report.pinch_time - times[decade]))
         assert ratio.min() > 0.95 and ratio.max() < 1.05
+
+    def test_under_resolved_neck_is_rejected(self):
+        # waist 0.3 against a threshold of 5 x spacing = 0.3125: it would "pinch" at once
+        with pytest.raises(InvalidInputError, match="neck threshold"):
+            ax.run_axi(ax.dumbbell_profile(1.0, 0.3, 1.0, 128))
 
 
 class TestTorusRun:

@@ -81,7 +81,7 @@ class TestCircleRun:
         assert np.all(np.diff(small_circle_traj.areas()) < 0)
 
     def test_length_never_increases(self, small_circle_traj):
-        lengths = small_circle_traj.lengths()
+        lengths = np.array([s.metrics.length for s in small_circle_traj.snapshots])
         assert np.all(np.diff(lengths) < 1e-12)
 
     def test_radius_tracks_closed_form(self, small_circle_traj):
@@ -267,7 +267,7 @@ ENDINGS = {
                                            f1.FlowConfig(max_curvature_stop=1.5)),
                         f1.EVENT_BLOWUP),
     "meridian-budget": (lambda: ax.run_axi(ax.sphere_profile(1.0, 32),
-                                           f1.FlowConfig(max_steps=50)), ax.EVENT_STEP_BUDGET),
+                                           f1.FlowConfig(max_steps=50)), f1.EVENT_STEP_BUDGET),
 }
 TERMINAL = {f1.EVENT_EXTINCTION, f1.EVENT_BLOWUP, f1.EVENT_EMBEDDEDNESS_LOSS,
             f1.EVENT_STEP_BUDGET, f1.EVENT_PARTNER_STOPPED, ax.EVENT_POLE_EXTINCTION,

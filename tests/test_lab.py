@@ -139,6 +139,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"missing required key {key}"):
             scenarios.parse_config(bad)
 
+    def test_reaper_rejects_other_powers(self):
+        # the front always moves by curvature; another law.p would not be read
+        assert scenarios.parse_config(GRIM_REAPER)[0].law.p == 1.0
+        with pytest.raises(ConfigError, match=r"law\.p must be 1"):
+            scenarios.parse_config(GRIM_REAPER.replace("law.p = 1.0", "law.p = 0.25"))
+
     def test_duplicate_scenario_name(self):
         with pytest.raises(ConfigError, match="duplicate"):
             scenarios.parse_config(TINY_CIRCLE + TINY_CIRCLE)

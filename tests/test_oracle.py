@@ -1,12 +1,19 @@
 """Closed-form solution oracles and their independent consistency checks."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import curveflow.flow1d as f1
 import curveflow.oracle as oc
-from curveflow.errors import ExtinctError, InvalidInputError
+from curveflow.errors import (
+    DegenerateGeometryError,
+    ExtinctError,
+    InvalidInputError,
+    NumericalBreakdownError,
+)
 
 
 class TestShrinkers:
@@ -68,7 +75,6 @@ class TestSelfCheck:
         assert len(report) == 6
         worst = max(report.values())
         assert worst < oc.SELFCHECK_TOL
-        assert oc.selfcheck_passed()
 
     def test_case_names_cover_every_kind(self):
         names = " ".join(oc.selfcheck())
@@ -94,6 +100,28 @@ class TestTranslators:
         trim = len(moved) // 10
         dev = oc.polyline_distance(moved[trim:-trim], target)
         assert np.max(dev) < 2e-3
+
+    @pytest.mark.parametrize("value, error, match", [
+        ("repeat", DegenerateGeometryError, "coincide"),
+        (np.nan, InvalidInputError, "finite"),
+    ])
+    def test_front_rejects_bad_points(self, value, error, match):
+        pts = oc.grim_reaper(161, 1.2)
+        if value == "repeat":
+            pts = np.insert(pts, 80, pts[80], axis=0)
+        else:
+            pts[80] = value
+        with pytest.raises(error, match=match):
+            oc.evolve_translating_front(pts, 0.3)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("max_steps", 5, f1.EVENT_STEP_BUDGET),
+        ("max_curvature_stop", 0.5, f1.EVENT_BLOWUP),
+    ])
+    def test_front_ending_before_its_horizon_raises(self, monkeypatch, field, value, kind):
+        monkeypatch.setattr(oc, "FlowConfig", functools.partial(f1.FlowConfig, **{field: value}))
+        with pytest.raises(NumericalBreakdownError, match=kind):
+            oc.evolve_translating_front(oc.grim_reaper(81, 1.0), 0.1)
 
     def test_bowl_profile_is_convex_paraboloid_at_axis(self):
         prof = oc.bowl_soliton(2.0, 129)
