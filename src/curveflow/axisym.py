@@ -45,6 +45,10 @@ MIN_SAMPLES = 16
 # max(NECK_RADIUS_FRACTION * initial waist, NECK_SPACING_FACTOR * local spacing).
 NECK_RADIUS_FRACTION = 1e-3
 NECK_SPACING_FACTOR = 5.0
+# A true waist must start at least this factor above its neck threshold.  The
+# squared waist falls at a rate of about 2, so the threshold cannot fire before
+# the neck has used half its lifetime.
+NECK_START_MARGIN = 2.0 ** 0.5
 MEAN_CONVEX_REL_TOL = 1e-6
 
 
@@ -430,9 +434,10 @@ class _AxiState(_FlowState):
         self.stop_kind = EVENT_POLE_EXTINCTION if self.two_poles else self.pinch_kind
         rmin0, x0, true_waist = _waist_of(self.pts, self.topology)
         thr = NECK_SPACING_FACTOR * _local_spacing(self.pts, x0)
-        if true_waist and rmin0 < thr:
-            raise InvalidInputError(f"initial waist {rmin0:.4g} at x = {x0:.4g} is below its "
-                                    f"neck threshold {thr:.4g}; use more samples")
+        if true_waist and rmin0 < NECK_START_MARGIN * thr:
+            raise InvalidInputError(f"initial waist {rmin0:.4g} at x = {x0:.4g} is within "
+                                    f"{NECK_START_MARGIN:.3g} x its neck threshold {thr:.4g}; "
+                                    "use more samples")
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
         self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events, config)
@@ -544,7 +549,9 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTraject
     torus-collapse for periodic ones) fire when the waist drops below
     max(1e-3 x initial waist, 5 x local spacing); the run halts at the event
     instead of continuing through the singularity.  A profile whose true
-    waist starts below that threshold raises :class:`InvalidInputError`.
+    waist starts below sqrt(2) x that threshold raises
+    :class:`InvalidInputError`: it would report a pinch before the neck had
+    used half its lifetime.
     """
     config = config or FlowConfig()
     state = _AxiState(profile, config)

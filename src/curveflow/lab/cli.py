@@ -154,14 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run scenarios from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output root directory")
-    p_run.add_argument("--workers", type=int, default=4)
+    p_run.add_argument("--workers", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_acc = sub.add_parser("accept", help="run the acceptance catalog")
     p_acc.add_argument("--catalog", default=None,
                        help="alternative catalog file (default: built-in)")
     p_acc.add_argument("--out", default=None)
-    p_acc.add_argument("--workers", type=int, default=4)
+    p_acc.add_argument("--workers", type=int, default=1)
     p_acc.add_argument("--kind", default=None,
                        help="restrict to scenarios of one kind")
     p_acc.set_defaults(func=_cmd_accept)

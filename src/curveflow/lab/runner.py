@@ -10,11 +10,13 @@ typed check table (see scenarios.ANALYSES).
 from __future__ import annotations
 
 import math
+import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +35,12 @@ from .artifacts import (
     write_text,
 )
 from .scenarios import (
+    CURVE_SHAPES,
     DIAL_ACCEPTS,
     KIND_AXI,
     KIND_CURVE,
+    KIND_ORACLE,
     KIND_RESCALE,
-    SHAPES_BY_KIND,
     Scenario,
 )
 
@@ -63,6 +66,7 @@ class RunReport:
     artifacts: list[str] = field(default_factory=list)
     error: str | None = None
     traceback: str | None = None
+    shared_flow: str | None = None    # the scenario whose flow this one reused
 
     @property
     def passed(self) -> bool:
@@ -384,26 +388,86 @@ _EVALUATORS = {
 # Scenario execution
 # ---------------------------------------------------------------------------
 
-def _run_flow(s: Scenario):
-    """Build the geometry and run the kind's driver.
+_DRIVER_CURVE, _DRIVER_FRONT, _DRIVER_AXI = "curve", "front", "axi"
 
-    Returns None for the oracle, (start, final) point arrays for the
-    translating front, a list of trajectories for a nested pair, else one
+
+class _FlowKey(NamedTuple):
+    """Every input of one driver run; _run_flow reads nothing else."""
+    driver: str
+    shape: str
+    shape_params: tuple[tuple[str, float], ...]
+    n: int
+    law: f1.SpeedLaw | None          # None where the driver ignores the law
+    config: f1.FlowConfig
+    duration: float | None           # the translating front's horizon only
+
+
+def _flow_key(s: Scenario) -> _FlowKey | None:
+    """The scenario's flow key, or None for a scenario that runs no flow."""
+    if s.kind == KIND_ORACLE:
+        return None
+    law = duration = None
+    if s.kind != KIND_CURVE:    # axi-flow and rescale-analysis run one driver
+        driver = _DRIVER_AXI
+    elif s.shape == "grim_reaper":
+        driver, duration = _DRIVER_FRONT, s.options["duration"]
+    else:
+        driver, law = _DRIVER_CURVE, s.law
+    return _FlowKey(driver, s.shape, tuple(sorted(s.shape_params.items())), s.n,
+                   law, s.config, duration)
+
+
+def _run_flow(key: _FlowKey | None):
+    """Build the geometry and run the key's driver.
+
+    Returns None without a key (the oracle), (start, final) point arrays for
+    the translating front, a list of trajectories for a nested pair, else one
     trajectory.
     """
-    builder, _ = SHAPES_BY_KIND[s.kind][s.shape]
-    if builder is None:
+    if key is None:
         return None
-    geometry = builder(n=s.n, **s.shape_params)
-    if s.kind != KIND_CURVE:
-        return ax.run_axi(geometry, s.config)
-    if s.shape == "grim_reaper":
+    shapes = ax.PROFILE_SHAPES if key.driver == _DRIVER_AXI else CURVE_SHAPES
+    geometry = shapes[key.shape][0](n=key.n, **dict(key.shape_params))
+    if key.driver == _DRIVER_AXI:
+        return ax.run_axi(geometry, key.config)
+    if key.driver == _DRIVER_FRONT:
         return geometry, oc.evolve_translating_front(
-            geometry, s.options["duration"], cfl_factor=s.config.cfl_factor,
-            resample_every=s.config.resample_every)
+            geometry, key.duration, cfl_factor=key.config.cfl_factor,
+            resample_every=key.config.resample_every)
     if isinstance(geometry, list):
-        return f1.co_evolve(geometry, s.law, s.config)
-    return f1.run(geometry, s.law, s.config)
+        return f1.co_evolve(geometry, key.law, key.config)
+    return f1.run(geometry, key.law, key.config)
+
+
+@dataclass
+class _Flow:
+    """The outcome of one driver run: its value, or the error it raised."""
+    owner: Scenario
+    value: object = None
+    error: str | None = None
+    traceback: str | None = None
+
+
+# run_scenario takes only (scenario, out_root), so _run_group hands it the flows
+# its group has run (a dict by key) through this thread-local; a call outside
+# accept finds none and runs its own flow.
+_group = threading.local()
+
+
+def _flow_for(s: Scenario) -> _Flow:
+    """Run the scenario's flow, or reuse the one its group already ran."""
+    key, flows = _flow_key(s), getattr(_group, "flows", None)
+    if flows is not None and key in flows:
+        return flows[key]
+    flow = _Flow(s)
+    try:
+        flow.value = _run_flow(key)
+    except Exception as exc:
+        flow.error = f"{type(exc).__name__}: {exc}"
+        flow.traceback = traceback.format_exc()
+    if flows is not None and key is not None:
+        flows[key] = flow
+    return flow
 
 
 def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
@@ -433,35 +497,64 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
 
 
 def run_scenario(s: Scenario, out_root) -> RunReport:
-    """Execute one scenario into its own subdirectory of out_root."""
+    """Execute one scenario into its own subdirectory of out_root.
+
+    Inside accept, a scenario whose flow its group already ran reuses that
+    flow (its error too) instead of running the driver again.
+    """
     started = time.perf_counter()
     out = Path(out_root) / s.name
     out.mkdir(parents=True, exist_ok=True)
-    error = trace = None
-    try:
-        flow = _run_flow(s)
-        artifacts, checks = _write_flow(s, out, flow), []
-        for analysis in s.analyses:
-            name, found = _EVALUATORS[analysis](s, out, flow)
-            artifacts.append(name)
-            checks += found
-    except Exception as exc:
-        artifacts, checks, error = [], [], f"{type(exc).__name__}: {exc}"
-        trace = traceback.format_exc()
+    flow = _flow_for(s)
+    artifacts, checks, error, trace = [], [], flow.error, flow.traceback
+    if error is None:
+        try:
+            artifacts = _write_flow(s, out, flow.value)
+            for analysis in s.analyses:
+                name, found = _EVALUATORS[analysis](s, out, flow.value)
+                artifacts.append(name)
+                checks += found
+        except Exception as exc:
+            artifacts, checks, error = [], [], f"{type(exc).__name__}: {exc}"
+            trace = traceback.format_exc()
     return RunReport(scenario=s.name, checks=checks, artifacts=artifacts, error=error,
-                     traceback=trace, wall_time=time.perf_counter() - started)
+                     traceback=trace, wall_time=time.perf_counter() - started,
+                     shared_flow=None if flow.owner is s else flow.owner.name)
 
 
-def accept(scenarios: list[Scenario], out_root, workers: int = 4):
-    """Run every scenario; return (reports, summary dict, exit status)."""
+def _run_group(scenarios: list[Scenario], out_root: Path) -> list[RunReport]:
+    """Run scenarios that share one flow key, the driver only for the first."""
+    _group.flows = {}
+    try:
+        return [run_scenario(s, out_root) for s in scenarios]
+    finally:
+        del _group.flows
+
+
+def accept(scenarios: list[Scenario], out_root, workers: int = 1):
+    """Run every scenario; return (reports, summary dict, exit status).
+
+    Scenarios with equal flow keys form one group, in order of first
+    appearance, and each group is one task: its flow runs once and every
+    member writes its own files and runs its own analyses.  Reports and
+    summary.json keep the input order.
+    """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    reports: list[RunReport]
-    if workers > 1 and len(scenarios) > 1:
+    groups: dict[object, list[int]] = {}
+    for i, s in enumerate(scenarios):
+        key = _flow_key(s)
+        groups.setdefault(i if key is None else key, []).append(i)
+    tasks = [[scenarios[i] for i in group] for group in groups.values()]
+    if workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda s: run_scenario(s, out_root), scenarios))
+            done = list(pool.map(lambda task: _run_group(task, out_root), tasks))
     else:
-        reports = [run_scenario(s, out_root) for s in scenarios]
+        done = [_run_group(task, out_root) for task in tasks]
+    reports: list[RunReport] = [None] * len(scenarios)
+    for group, task_reports in zip(groups.values(), done):
+        for i, report in zip(group, task_reports):
+            reports[i] = report
     summary = {
         "total": len(reports),
         "passed": sum(r.passed for r in reports),
@@ -471,6 +564,7 @@ def accept(scenarios: list[Scenario], out_root, workers: int = 4):
                 "name": r.scenario,
                 "passed": r.passed,
                 "wall_time": round(r.wall_time, 3),
+                "shared_flow": r.shared_flow,
                 "error": r.error,
                 "traceback": r.traceback,
                 "artifacts": r.artifacts,

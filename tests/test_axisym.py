@@ -213,6 +213,18 @@ class TestTorusRun:
         # collapse near the cylinder-law lifetime of the tube
         assert abs(traj.events[-1].time - 0.0032) < 0.0015
 
+    @pytest.mark.parametrize("n", [32, 44])
+    def test_under_resolved_tube_is_rejected(self, n):
+        # tube 0.25 against thresholds 0.244 (n = 32) and 0.178 (n = 44): they
+        # reported torus-collapse at 7% and 52% of the tube's lifetime (0.031)
+        with pytest.raises(InvalidInputError, match="neck threshold"):
+            ax.run_axi(ax.torus_profile(1.0, 0.25, n))
+
+    def test_resolved_tube_runs_past_half_its_lifetime(self):
+        traj = ax.run_axi(ax.torus_profile(1.0, 0.25, 48))
+        assert traj.events[-1].kind == ax.EVENT_TORUS_COLLAPSE
+        assert traj.events[-1].time > 0.5 * 0.25**2 / 2
+
 
 class TestProfileIO:
     def test_round_trip(self, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 import curveflow.axisym as ax
 import curveflow.curves as cv
 import curveflow.flow1d as f1
+import curveflow.oracle as oc
 from curveflow.errors import ConfigError
 from curveflow.lab import artifacts, cli, runner, scenarios
 
@@ -76,6 +77,49 @@ probe_count = 6
 dial_powers = 2.0, 1.0, 0.5
 check.dial_classes = plane-like; convex-or-cylinder; cylinder-like
 """
+
+# One axisymmetric flow read by two scenarios: the neck fit and the blow-up dial.
+AXI_PAIR = """[{name}_neck]
+kind = axi-flow
+shape = {shape}
+{params}
+n = {n}
+cfl_factor = 0.4
+resample_every = 10
+stop_area_fraction = 0.02
+analyses = neck
+
+[{name}_dial]
+kind = rescale-analysis
+shape = {shape}
+{params}
+n = {n}
+cfl_factor = 0.4
+resample_every = 10
+stop_area_fraction = 0.02
+analyses = blowup
+"""
+DUMBBELL_PAIR = AXI_PAIR.format(
+    name="dumbbell", shape="dumbbell", n=480,
+    params="shape.lobe_r = 1.0\nshape.tube_r = 0.15\nshape.tube_len = 1.2")
+# 32 samples cannot resolve the tube: run_axi rejects the profile
+COARSE_TORUS_PAIR = AXI_PAIR.format(
+    name="torus", shape="torus", n=32, params="shape.ring_r = 1.0\nshape.tube_r = 0.25")
+
+TINY_ELLIPSE = """[ellipse_{name}]
+kind = curve-flow
+shape = ellipse
+shape.a = 0.6
+shape.b = 0.3
+n = 64
+law.p = 1.0
+cfl_factor = 0.5
+resample_every = 10
+stop_area_fraction = 0.3
+analyses = {analysis}
+"""
+ELLIPSE_PAIR = (TINY_ELLIPSE.format(name="area", analysis="area-law")
+                + TINY_ELLIPSE.format(name="roundness", analysis="roundness"))
 
 
 def tiny_circle_scenario():
@@ -316,6 +360,25 @@ class TestArtifacts:
             assert s0.profile.topology == s1.profile.topology
 
 
+def scenario_files(root):
+    """Every file under root but summary.json (it holds wall times), as bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.name != "summary.json"}
+
+
+@pytest.fixture
+def driver_calls(monkeypatch):
+    """Names of the flow drivers the runner calls, one entry per call."""
+    calls = []
+    for module, name in ((f1, "run"), (f1, "co_evolve"), (ax, "run_axi"),
+                         (oc, "evolve_translating_front")):
+        def counted(*args, _driver=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _driver(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestRunner:
     def test_tiny_circle_scenario_passes(self, tmp_path):
         report = runner.run_scenario(tiny_circle_scenario(), tmp_path)
@@ -417,21 +480,60 @@ analyses = neck
         assert passed["traceback"] is None
 
     def test_worker_count_does_not_change_artifacts(self, tmp_path):
-        batch = [scenarios.parse_config(text)[0]
-                 for text in (TINY_CIRCLE, TINY_SPHERE, TINY_ORACLE)]
+        neck, dial = scenarios.parse_config(DUMBBELL_PAIR)
+        batch = [neck] + [scenarios.parse_config(text)[0]
+                          for text in (TINY_CIRCLE, TINY_SPHERE)] + [dial, oracle_scenario()]
         files = {}
         for workers in (1, 2):
             root = tmp_path / str(workers)
             _, summary, status = runner.accept(batch, root, workers=workers)
             assert status == 0, summary
-            # summary.json holds wall times; every scenario file must match
-            files[workers] = {p.relative_to(root): p.read_bytes()
-                              for p in root.rglob("*")
-                              if p.is_file() and p.name != "summary.json"}
+            assert [(e["name"], e["shared_flow"]) for e in summary["scenarios"]] == [
+                ("dumbbell_neck", None), ("tiny_circle", None), ("tiny_sphere", None),
+                ("dumbbell_dial", "dumbbell_neck"), ("oracle_gate", None)]
+            files[workers] = scenario_files(root)
         assert {p.parts[0] for p in files[1]} == {"tiny_circle", "tiny_sphere",
+                                                  "dumbbell_neck", "dumbbell_dial",
                                                   "oracle_gate"}
-        assert sum(p.suffix in (".csv", ".json") for p in files[1]) == 8
+        assert sum(p.suffix in (".csv", ".json") for p in files[1]) == 12
         assert files[1] == files[2]
+
+    @pytest.mark.parametrize("text", [ELLIPSE_PAIR, DUMBBELL_PAIR], ids=["ellipse", "dumbbell"])
+    def test_a_shared_flow_runs_once(self, tmp_path, driver_calls, text):
+        pair = scenarios.parse_config(text)
+        reports, summary, _ = runner.accept(pair, tmp_path / "batch", workers=2)
+        assert len(driver_calls) == 1
+        assert [r.error for r in reports] == [None, None]
+        assert [e["shared_flow"] for e in summary["scenarios"]] == [None, pair[0].name]
+        for s in pair:
+            assert runner.run_scenario(s, tmp_path / "alone").shared_flow is None
+        assert len(driver_calls) == 3
+        assert scenario_files(tmp_path / "batch") == scenario_files(tmp_path / "alone")
+
+    @pytest.mark.parametrize("old, new", [
+        ("n = 64", "n = 72"),
+        ("law.p = 1.0", "law.p = 0.5"),
+        ("stop_area_fraction = 0.3", "stop_area_fraction = 0.4"),
+    ], ids=["n", "law.p", "stop_area_fraction"])
+    def test_different_flow_inputs_run_apart(self, tmp_path, driver_calls, old, new):
+        text = (TINY_ELLIPSE.format(name="area", analysis="area-law")
+                + TINY_ELLIPSE.format(name="roundness", analysis="roundness").replace(old, new))
+        _, summary, _ = runner.accept(scenarios.parse_config(text), tmp_path, workers=1)
+        assert driver_calls == ["run", "run"]
+        assert [e["shared_flow"] for e in summary["scenarios"]] == [None, None]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_shared_flow_fails_every_member(self, tmp_path, driver_calls, workers):
+        batch = scenarios.parse_config(COARSE_TORUS_PAIR) + [oracle_scenario()]
+        _, summary, status = runner.accept(batch, tmp_path, workers=workers)
+        assert driver_calls == ["run_axi"]
+        assert status == 1 and summary["failed"] == 2
+        neck, dial, oracle = summary["scenarios"]
+        assert neck["error"].startswith("InvalidInputError: initial waist")
+        assert "in run_axi" in neck["traceback"]
+        assert (dial["error"], dial["traceback"]) == (neck["error"], neck["traceback"])
+        assert (neck["shared_flow"], dial["shared_flow"]) == (None, "torus_neck")
+        assert oracle["passed"] and oracle["shared_flow"] is None
 
     def test_accept_fails_on_corrupted_tolerance(self, tmp_path):
         corrupted = oracle_scenario(TINY_ORACLE.replace(
