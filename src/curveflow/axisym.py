@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 
 from . import curves as cv
 from .errors import (
@@ -514,25 +513,16 @@ def _axi_resample(
     """Arclength redistribution preserving topology constraints."""
     if topology == TOPOLOGY_CYLINDER:
         # keep the uniform x grid; refresh r through a periodic spline in x
-        x = pts[:, 0]
-        x0 = x[0]
-        ext_x = np.append(x, x0 + period)
-        ext_r = np.append(pts[:, 1], pts[0, 1])
-        spline = CubicSpline(ext_x, ext_r, bc_type="periodic")
-        n = len(pts)
-        grid = x0 + np.arange(n) * (period / n)
-        out = np.column_stack([grid, spline(grid)])
-        return out
+        ext = np.vstack([pts, pts[:1] + [period, 0.0]])
+        grid = pts[0, 0] + np.arange(len(pts)) * (period / len(pts))
+        return np.column_stack([grid, cv._spline(ext[:, 0], ext[:, 1:], grid, periodic=True)])
     closed = topology == TOPOLOGY_PERIODIC
-    if closed:
-        ext, s = cv._arclength(pts, closed=True)
-    else:
-        spline, s = cv._arclength_spline(pts)
+    ext, s = cv._arclength(pts, closed=closed)
     total = float(s[-1])
     n = max(MIN_SAMPLES, int(round(total / spacing)))
     if closed:
-        return cv._periodic_spline(s, ext, np.arange(n) * (total / n))
-    out = spline(np.linspace(0.0, total, n + 1))
+        return cv._spline(s, ext, np.arange(n) * (total / n), periodic=True)
+    out = cv._spline(s, ext, np.linspace(0.0, total, n + 1), periodic=False)
     out[0] = pts[0]
     out[-1] = pts[-1]
     out[0, 1] = 0.0

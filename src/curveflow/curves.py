@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.spatial import cKDTree
 
@@ -29,7 +28,7 @@ CONVEX_REL_TOL = 1e-6
 
 Float2 = tuple[float, float]
 
-# LAPACK tridiagonal solver (with partial pivoting) for the periodic spline.
+# LAPACK tridiagonal solver (with partial pivoting) for the cubic splines.
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
@@ -180,48 +179,56 @@ def _arclength(
     return pts, np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
 
 
-def _arclength_spline(points: NDArray[np.float64]) -> tuple[CubicSpline, NDArray[np.float64]]:
-    """Not-a-knot cubic spline through open points along arclength.
-
-    Returns the spline and its knots; the last knot is the total length.
-    """
-    pts, s = _arclength(points, closed=False)
-    return CubicSpline(s, pts, axis=0, bc_type="not-a-knot"), s
-
-
-def _periodic_spline(
-    s: NDArray[np.float64], y: NDArray[np.float64], targets: NDArray[np.float64]
+def _spline(
+    s: NDArray[np.float64], y: NDArray[np.float64], targets: NDArray[np.float64], periodic: bool
 ) -> NDArray[np.float64]:
-    """Periodic cubic spline through the rows of ``y`` (the last repeats the
-    first) at increasing knots ``s``, evaluated at targets in [s[0], s[-1]].
+    """Cubic spline through the rows of ``y`` at increasing knots ``s``, evaluated
+    at targets in [s[0], s[-1]]: periodic (the last row repeats the first) or
+    open with not-a-knot ends.  One ``gtsv`` call solves for q = y'' / 6.
 
-    One ``gtsv`` call solves the cyclic system for q = y'' / 6, with the value
-    columns and the Sherman-Morrison column as right-hand sides.  A zero-length
-    or non-finite interval raises :class:`DegenerateGeometryError`, never NaN.
+    Fewer than four knots (scipy's not-a-knot ``CubicSpline`` fits a parabola to
+    three), a zero-length or non-finite interval or a failed solve raise
+    :class:`DegenerateGeometryError`, never NaN.
     """
     h = s[1:] - s[:-1]
-    if not np.all(h > 0):
-        raise DegenerateGeometryError("periodic spline has a zero-length or non-finite edge")
+    if len(h) < 3 or not np.all(h > 0):
+        raise DegenerateGeometryError("spline has under 4 knots or a zero-length or non-finite edge")
     m, d = len(h), y.shape[1]
     slope = (y[1:] - y[:-1]) / h[:, None]
-    # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1],
-    # cyclic; the corners h[-1] move to u v^T, u = (g, 0.., h[-1]), v = (1, 0.., h[-1] / g).
+    # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1].
     rhs = np.zeros((m, d + 1), order="F")
     rhs[:, :d] = slope - np.concatenate([slope[-1:], slope[:-1]])
     diag = 2.0 * (h + np.concatenate([h[-1:], h[:-1]]))
-    g, corner = -diag[0], h[-1]
-    diag[0] -= g
-    diag[-1] -= corner * corner / g
-    rhs[0, d], rhs[-1, d] = g, corner
-    _, _, _, sol, info = _GTSV(h[:-1], diag, h[:-1], rhs, overwrite_d=1, overwrite_b=1)
+    if periodic:
+        # Rows 0..m-1, cyclic; the corners h[-1] move to u v^T, u = (g, 0.., h[-1]),
+        # v = (1, 0.., h[-1] / g), solved for as the extra column (Sherman-Morrison).
+        lower = upper = h[:-1]
+        g, corner = -diag[0], h[-1]
+        diag[0] -= g
+        diag[-1] -= corner * corner / g
+        rhs[0, d], rhs[-1, d] = g, corner
+    else:
+        # Rows 1..m-1; not-a-knot gives q[0] = q[1] + a (q[1] - q[2]) and
+        # q[m] = q[m-1] + b (q[m-1] - q[m-2]), eliminated from the end rows.
+        a, b = h[0] / h[1], h[-1] / h[-2]
+        lower, upper, diag, rhs = h[1:-1].copy(), h[1:-1].copy(), diag[1:], rhs[1:, :d]
+        diag[0] += h[0] * (1.0 + a)
+        diag[-1] += h[-1] * (1.0 + b)
+        upper[0] -= h[0] * a
+        lower[-1] -= h[-1] * b
+    _, _, _, sol, info = _GTSV(lower, diag, upper, rhs, overwrite_d=1, overwrite_b=1)
     if info != 0:
-        raise DegenerateGeometryError(f"periodic spline solve failed (gtsv info {info})")
-    q, z, w = sol[:, :d], sol[:, d:], corner / g
-    q -= z * ((q[0] + w * q[-1]) / (1.0 + z[0, 0] + w * z[-1, 0]))
-    q_next = np.concatenate([q[1:], q[:1]])
+        raise DegenerateGeometryError(f"spline solve failed (gtsv info {info})")
+    if periodic:
+        z, w = sol[:, d:], corner / g
+        q = sol[:, :d] - z * ((sol[0, :d] + w * sol[-1, :d]) / (1.0 + z[0, 0] + w * z[-1, 0]))
+        q = np.concatenate([q, q[:1]])
+    else:
+        q = np.concatenate([sol[:1] + a * (sol[:1] - sol[1:2]), sol,
+                            sol[-1:] + b * (sol[-1:] - sol[-2:-1])])
     # Interval i in powers of (t - s[i]).
-    coef = np.stack([y[:-1], slope - h[:, None] * (2.0 * q + q_next),
-                     3.0 * q, (q_next - q) / h[:, None]], axis=1)
+    coef = np.stack([y[:-1], slope - h[:, None] * (2.0 * q[:-1] + q[1:]),
+                     3.0 * q[:-1], (q[1:] - q[:-1]) / h[:, None]], axis=1)
     i = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, m - 1)
     u = (targets - s[i])[:, None]
     c = coef[i]
@@ -252,7 +259,7 @@ def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
 def spline_resample_array(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
     """Periodic-spline redistribution on a raw closed vertex array."""
     pts, s = _arclength(vertices, closed=True)
-    return _periodic_spline(s, pts, np.arange(n) * (s[-1] / n))
+    return _spline(s, pts, np.arange(n) * (s[-1] / n), periodic=True)
 
 
 def _interval_pairs(

@@ -1,5 +1,6 @@
 """Scenario catalog, batch runner, artifact emission, and the CLI."""
 
-from . import artifacts, cli, runner, scenarios
+# Not ``cli``: ``python -m curveflow.lab.cli`` would then find it already imported.
+from . import artifacts, runner, scenarios
 
-__all__ = ["artifacts", "cli", "runner", "scenarios"]
+__all__ = ["artifacts", "runner", "scenarios"]

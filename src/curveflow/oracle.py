@@ -189,12 +189,12 @@ class _FrontState(_FlowState):
     def advance(self, t: float, dt: float, resample: bool) -> bool:
         self.pts += dt * self.vel
         if resample:
-            spline, s = cv._arclength_spline(self.pts)
-            self.pts = spline(np.linspace(0.0, s[-1], len(self.pts)))
+            _, s = cv._arclength(self.pts, closed=False)
+            self.pts = cv._spline(s, self.pts, np.linspace(0.0, s[-1], len(self.pts)), periodic=False)
         return False
 
     def validate(self) -> NDArray[np.float64]:
-        return cv._checked_points(self.pts, 3, closed=False, noun="front points")[0]
+        return cv._checked_points(self.pts, 4, closed=False, noun="front points")[0]
 
     def take(self, t: float, pts: NDArray[np.float64]) -> float:
         return 0.0   # the caller reads the final points

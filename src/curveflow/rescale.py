@@ -209,17 +209,17 @@ def _window_curve(pts: NDArray[np.float64], index: int) -> NDArray[np.float64]:
     total = float(s[-1])
     half = min(WINDOW_HALF, 0.49 * total)
     targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
-    return cv._periodic_spline(s, ext, targets)
+    return cv._spline(s, ext, targets, periodic=True)
 
 
 def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
     pts = profile.samples
     if profile.topology == TOPOLOGY_PERIODIC:
         return _window_curve(pts, index)
-    spline, s = cv._arclength_spline(pts)
+    _, s = cv._arclength(pts, closed=False)
     lo = max(0.0, s[index] - WINDOW_HALF)
     hi = min(float(s[-1]), s[index] + WINDOW_HALF)
-    return spline(np.linspace(lo, hi, WINDOW_POINTS))
+    return cv._spline(s, pts, np.linspace(lo, hi, WINDOW_POINTS), periodic=False)
 
 
 def local_window(geo: cv.PlaneCurve | AxiProfile, point) -> NDArray[np.float64]:

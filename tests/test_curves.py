@@ -1,6 +1,7 @@
 """Geometry primitives: factories, metrics, embeddedness, resampling, file IO."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,6 +248,55 @@ class TestPeriodicSpline:
         monkeypatch.setattr(cv, "_GTSV", singular)
         with pytest.raises(DegenerateGeometryError, match="info 3"):
             cv.spline_resample_array(cv.circle_polygon(1.0, 32).vertices, 32)
+        with pytest.raises(DegenerateGeometryError, match="info 3"):
+            cv._spline(np.arange(8.0), np.ones((8, 2)), np.arange(8.0), periodic=False)
+
+    def test_cylinder_resample_matches_scipy_periodic_spline(self, rng):
+        prof = ax.cylinder_profile(0.5, 2.0, 96)
+        n, period = len(prof), prof.period
+        pts = prof.samples.copy()
+        pts[1:, 0] += rng.uniform(-0.3, 0.3, n - 1) * (period / n)
+        pts[:, 1] *= 1.0 + 0.3 * np.cos(np.pi * pts[:, 0]) + rng.uniform(-0.02, 0.02, n)
+        out = ax._axi_resample(pts, ax.TOPOLOGY_CYLINDER, period, period / n)
+        grid = np.arange(n) * (period / n)
+        ref = CubicSpline(np.append(pts[:, 0], period), np.append(pts[:, 1], pts[0, 1]),
+                          bc_type="periodic")
+        assert np.array_equal(out[:, 0], grid)
+        assert np.max(np.abs(out[:, 1] - ref(grid))) <= 1e-12 * np.abs(pts[:, 1]).max()
+
+
+class TestOpenSpline:
+    @pytest.mark.parametrize("n", [4, 5, 16, 161, 1400])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_matches_scipy_not_a_knot(self, rng, n, columns):
+        s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, n - 1))])
+        y = rng.normal(scale=3.0, size=(n, columns))
+        targets = np.concatenate([s, rng.uniform(s[0], s[-1], 400)])
+        ref = CubicSpline(s, y, axis=0, bc_type="not-a-knot")(targets)
+        got = cv._spline(s, y, targets, periodic=False)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_fewer_than_four_knots_raise(self, periodic):
+        s = np.arange(3.0)
+        with pytest.raises(DegenerateGeometryError, match="under 4 knots"):
+            cv._spline(s, np.ones((3, 2)), s, periodic)
+
+    def test_repeated_sample_raises_named_error(self):
+        pts = ax.sphere_profile(1.0, 64).samples.copy()
+        pts[20] = pts[19]
+        with pytest.raises(DegenerateGeometryError, match="zero-length or non-finite"):
+            ax._axi_resample(pts, ax.TOPOLOGY_TWO_POLES, None, 0.05)
+
+    @pytest.mark.parametrize("bad", ["repeat", "nan"])
+    def test_window_on_bad_samples_raises_named_error(self, bad):
+        pts = ax.sphere_profile(1.0, 64).samples.copy()
+        pts[20] = pts[19] if bad == "repeat" else np.nan
+        # AxiProfile rejects such samples, so an unchecked stand-in reaches the window.
+        profile = SimpleNamespace(samples=pts, topology=ax.TOPOLOGY_TWO_POLES)
+        with pytest.raises(DegenerateGeometryError, match="zero-length or non-finite"):
+            rs._window_profile(profile, 30)
 
 
 _PAIRS = ("nested", "side-by-side", "near-touching", "crossing")

@@ -1,12 +1,17 @@
 """Scenario lab: config parsing, artifacts, runner reports, CLI exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curveflow
 import curveflow.axisym as ax
 import curveflow.curves as cv
 import curveflow.flow1d as f1
@@ -655,3 +660,27 @@ class TestCli:
     def test_rescale_rejects_plain_directory(self, tmp_path, capsys):
         assert cli.main(["rescale", str(tmp_path), "0,0", "1.0"]) == 2
         assert "index.json" in capsys.readouterr().err
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this curveflow tree."""
+    env = dict(os.environ)
+    src = str(Path(curveflow.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+class TestImports:
+    def test_runner_import_skips_interpolate_and_cli(self):
+        # In a subprocess: the test modules themselves import scipy.interpolate.
+        proc = run_python("-c", "import sys, curveflow, curveflow.lab.runner; print(sorted("
+                          "{'scipy.interpolate', 'curveflow.lab.cli'} & set(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_as_module_warns_nothing(self):
+        proc = run_python("-W", "error::RuntimeWarning", "-m", "curveflow.lab.cli",
+                          "oracle", "circle", "1.0", "0.3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0.632455532034"

@@ -103,12 +103,15 @@ class TestTranslators:
 
     @pytest.mark.parametrize("value, error, match", [
         ("repeat", DegenerateGeometryError, "coincide"),
+        ("short", DegenerateGeometryError, "at least 4"),
         (np.nan, InvalidInputError, "finite"),
     ])
     def test_front_rejects_bad_points(self, value, error, match):
         pts = oc.grim_reaper(161, 1.2)
         if value == "repeat":
             pts = np.insert(pts, 80, pts[80], axis=0)
+        elif value == "short":   # too few for the not-a-knot resample
+            pts = pts[::60]
         else:
             pts[80] = value
         with pytest.raises(error, match=match):
