@@ -137,7 +137,6 @@ class AxiSnapshot:
 class AxiTrajectory:
     snapshots: list[AxiSnapshot]
     events: list[Event] = field(default_factory=list)
-    config: FlowConfig = field(default_factory=FlowConfig)
 
     def times(self) -> NDArray[np.float64]:
         return np.array([s.time for s in self.snapshots])
@@ -439,7 +438,7 @@ class _AxiState(_FlowState):
                                     "use more samples")
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
-        self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events, config)
+        self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events)
 
     def plan(self, t: float) -> float:
         """Velocity h*nu with pole guard; step bound from min spacing and interior rmin."""
@@ -519,7 +518,7 @@ def _axi_resample(
     closed = topology == TOPOLOGY_PERIODIC
     ext, s = cv._arclength(pts, closed=closed)
     total = float(s[-1])
-    n = max(MIN_SAMPLES, int(round(total / spacing)))
+    n = cv._sample_count(total, spacing, MIN_SAMPLES)
     if closed:
         return cv._spline(s, ext, np.arange(n) * (total / n), periodic=True)
     out = cv._spline(s, ext, np.linspace(0.0, total, n + 1), periodic=False)

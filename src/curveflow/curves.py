@@ -94,7 +94,6 @@ class CurveMetrics:
     isoperimetric_ratio: float    # L^2 / (4 pi |A|), >= 1 up to discretization
     min_curvature: float
     max_curvature: float
-    total_turning: float          # integral of signed curvature, 2 pi for embedded ccw
     convex: bool
 
 
@@ -138,16 +137,6 @@ def curvature_profile(curve: PlaneCurve) -> tuple[NDArray[np.float64], NDArray[n
     return orient * k, orient * left
 
 
-def turning_angles(curve: PlaneCurve) -> NDArray[np.float64]:
-    """Exterior angle at each vertex, positive toward the enclosed region."""
-    e = np.diff(_closed_chain(curve.vertices), axis=0)
-    e_prev, e_next = e[:-1], e[1:]
-    cross = e_prev[:, 0] * e_next[:, 1] - e_prev[:, 1] * e_next[:, 0]
-    dot = np.sum(e_prev * e_next, axis=1)
-    orient = 1.0 if curve.counterclockwise else -1.0
-    return orient * np.arctan2(cross, dot)
-
-
 def metrics(curve: PlaneCurve) -> CurveMetrics:
     """Scalar summary of a curve; curvature stats use the vertex estimator."""
     v = curve.vertices
@@ -165,7 +154,6 @@ def metrics(curve: PlaneCurve) -> CurveMetrics:
         isoperimetric_ratio=length * length / (4.0 * np.pi * abs(area)),
         min_curvature=kmin,
         max_curvature=kmax,
-        total_turning=float(np.sum(turning_angles(curve))),
         convex=bool(kmin >= -tol),
     )
 
@@ -177,6 +165,13 @@ def _arclength(
     pts = np.concatenate([points, points[:1]]) if closed else points
     d = np.diff(pts, axis=0)
     return pts, np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
+
+
+def _sample_count(total: float, spacing: float, minimum: int) -> int:
+    """Samples at ``spacing`` along a chain of length ``total``, at least ``minimum``."""
+    if not np.isfinite(total):
+        raise DegenerateGeometryError(f"chain length {total} is not finite")
+    return max(minimum, int(round(total / spacing)))
 
 
 def _spline(
@@ -310,15 +305,15 @@ def _segments_touch(
     s4 = np.where(np.abs(d4) <= eps_a, 0, np.sign(d4))
 
     touch = (s1 * s2 < 0) & (s3 * s4 < 0)
-    degenerate = (s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0)
-    if degenerate.any():
-        # Collinear or endpoint-touching pairs intersect iff their boxes meet.
-        amin = np.minimum(a1, a2)
-        amax = np.maximum(a1, a2)
-        bmin = np.minimum(b1, b2)
-        bmax = np.maximum(b1, b2)
-        boxes = np.all((amin <= bmax + tol) & (bmin <= amax + tol), axis=-1)
-        touch = touch | (degenerate & boxes)
+    if ((s1 == 0) | (s2 == 0) | (s3 == 0) | (s4 == 0)).any():
+        # An endpoint on the other segment's line touches it iff it lies in
+        # that segment's box; collinear overlaps put some endpoint there too.
+        def in_box(p, q1, q2):
+            return np.all((np.minimum(q1, q2) <= p + tol) & (p <= np.maximum(q1, q2) + tol),
+                          axis=-1)
+
+        touch |= ((s1 == 0) & in_box(a1, b1, b2)) | ((s2 == 0) & in_box(a2, b1, b2))
+        touch |= ((s3 == 0) & in_box(b1, a1, a2)) | ((s4 == 0) & in_box(b2, a1, a2))
     return touch
 
 

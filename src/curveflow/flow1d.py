@@ -63,7 +63,6 @@ class SpeedLaw:
 class FlowConfig:
     cfl_factor: float = 0.4
     resample_every: int = 10
-    target_vertex_spacing: float | None = None   # None: keep the initial spacing
     stop_area_fraction: float = 0.02
     max_curvature_stop: float | None = None      # None: BLOWUP_FACTOR * initial max
     max_steps: int = 2_000_000
@@ -73,8 +72,6 @@ class FlowConfig:
             raise InvalidInputError("cfl_factor must be in (0, 1]")
         if self.resample_every <= 0:
             raise InvalidInputError("resample_every must be positive")
-        if self.target_vertex_spacing is not None and self.target_vertex_spacing <= 0:
-            raise InvalidInputError("target_vertex_spacing must be positive")
         if not 0.0 < self.stop_area_fraction < 1.0:
             raise InvalidInputError("stop_area_fraction must be in (0, 1)")
         if self.max_curvature_stop is not None and self.max_curvature_stop <= 0:
@@ -102,7 +99,6 @@ class Trajectory:
     snapshots: list[Snapshot]
     events: list[Event] = field(default_factory=list)
     law: SpeedLaw = field(default_factory=SpeedLaw)
-    config: FlowConfig = field(default_factory=FlowConfig)
 
     def times(self) -> NDArray[np.float64]:
         return np.array([s.time for s in self.snapshots])
@@ -133,9 +129,7 @@ class _FlowState:
         self.cap = config.max_curvature_stop
         if self.cap is None:
             self.cap = BLOWUP_FACTOR * max(k0, 1.0)
-        self.spacing = config.target_vertex_spacing
-        if self.spacing is None:
-            self.spacing = length / count
+        self.spacing = length / count
         self.ratio = config.stop_area_fraction ** (1.0 / SNAPSHOT_LEVELS)
         self.next_area = area0 * self.ratio
         self.stop_area = config.stop_area_fraction * area0
@@ -240,7 +234,7 @@ class _CurveState(_FlowState):
         super().__init__(config, abs(m.enclosed_area), k0, m.length, len(curve))
         self.law = law
         self.was_convex = m.convex
-        self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law, config)
+        self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
 
     def set_verts(self, verts: NDArray[np.float64]) -> None:
         if len(self.chain) != len(verts) + 2:
@@ -276,7 +270,7 @@ class _CurveState(_FlowState):
             self.chain[-1] = self.verts[0]
             d = self.chain[2:] - self.verts   # every edge, the closing one last
             total = float(np.hypot(d[:, 0], d[:, 1]).sum())
-            n = max(cv.MIN_VERTICES, int(round(total / self.spacing)))
+            n = cv._sample_count(total, self.spacing, cv.MIN_VERTICES)
             self.set_verts(cv.spline_resample_array(self.verts, n))
         return abs(area) <= self.next_area
 

@@ -27,8 +27,8 @@ def _out_root(explicit: str | None) -> Path:
     return Path(env) if env else Path(DEFAULT_OUT)
 
 
-def _run_batch(scenario_list, out, workers) -> int:
-    reports, _, status = runner.accept(scenario_list, out, workers=workers)
+def _run_batch(scenario_list, out) -> int:
+    reports, _, status = runner.accept(scenario_list, out)
     print(runner.format_table(reports))
     print(f"summary: {Path(out) / 'summary.json'}")
     return status
@@ -43,7 +43,7 @@ def _cmd_run(args) -> int:
     if not scenario_list:
         print("config defines no scenarios", file=sys.stderr)
         return 2
-    return _run_batch(scenario_list, _out_root(args.out), args.workers)
+    return _run_batch(scenario_list, _out_root(args.out))
 
 
 def _cmd_accept(args) -> int:
@@ -60,7 +60,7 @@ def _cmd_accept(args) -> int:
         if not scenario_list:
             print(f"no scenarios of kind {args.kind!r}", file=sys.stderr)
             return 2
-    return _run_batch(scenario_list, _out_root(args.out), args.workers)
+    return _run_batch(scenario_list, _out_root(args.out))
 
 
 def _cmd_oracle(args) -> int:
@@ -154,14 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run scenarios from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output root directory")
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_acc = sub.add_parser("accept", help="run the acceptance catalog")
     p_acc.add_argument("--catalog", default=None,
                        help="alternative catalog file (default: built-in)")
     p_acc.add_argument("--out", default=None)
-    p_acc.add_argument("--workers", type=int, default=1)
     p_acc.add_argument("--kind", default=None,
                        help="restrict to scenarios of one kind")
     p_acc.set_defaults(func=_cmd_accept)

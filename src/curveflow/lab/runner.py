@@ -10,10 +10,10 @@ typed check table (see scenarios.ANALYSES).
 from __future__ import annotations
 
 import math
-import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -67,6 +67,7 @@ class RunReport:
     error: str | None = None
     traceback: str | None = None
     shared_flow: str | None = None    # the scenario whose flow this one reused
+    warnings: list[str] = field(default_factory=list)   # "Category: message"
 
     @property
     def passed(self) -> bool:
@@ -441,30 +442,39 @@ def _run_flow(key: _FlowKey | None):
 
 @dataclass
 class _Flow:
-    """The outcome of one driver run: its value, or the error it raised."""
+    """The outcome of one driver run: its value or the error it raised, and its warnings."""
     owner: Scenario
     value: object = None
     error: str | None = None
     traceback: str | None = None
+    warnings: list[str] = field(default_factory=list)
 
 
-# run_scenario takes only (scenario, out_root), so _run_group hands it the flows
-# its group has run (a dict by key) through this thread-local; a call outside
-# accept finds none and runs its own flow.
-_group = threading.local()
+@contextmanager
+def _recorded_warnings():
+    """Record every warning raised inside the block as "Category: message"."""
+    texts: list[str] = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield texts
+        finally:
+            texts += [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
-def _flow_for(s: Scenario) -> _Flow:
-    """Run the scenario's flow, or reuse the one its group already ran."""
-    key, flows = _flow_key(s), getattr(_group, "flows", None)
+def _flow_for(s: Scenario, flows: dict | None) -> _Flow:
+    """Run the scenario's flow, or reuse the one ``flows`` holds under its key."""
+    key = _flow_key(s)
     if flows is not None and key in flows:
         return flows[key]
     flow = _Flow(s)
-    try:
-        flow.value = _run_flow(key)
-    except Exception as exc:
-        flow.error = f"{type(exc).__name__}: {exc}"
-        flow.traceback = traceback.format_exc()
+    with _recorded_warnings() as caught:
+        try:
+            flow.value = _run_flow(key)
+        except Exception as exc:
+            flow.error = f"{type(exc).__name__}: {exc}"
+            flow.traceback = traceback.format_exc()
+    flow.warnings = caught
     if flows is not None and key is not None:
         flows[key] = flow
     return flow
@@ -496,65 +506,55 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
     return names
 
 
-def run_scenario(s: Scenario, out_root) -> RunReport:
+def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
     """Execute one scenario into its own subdirectory of out_root.
 
-    Inside accept, a scenario whose flow its group already ran reuses that
-    flow (its error too) instead of running the driver again.
+    ``flows`` maps flow keys to the flows a batch has run: a scenario whose
+    key is there reuses that flow (its error and warnings too) instead of
+    running the driver again, and one that runs a flow adds it.  Without it
+    the scenario runs its own flow.  Warnings raised while the scenario runs
+    are recorded in the report, not shown.
     """
     started = time.perf_counter()
     out = Path(out_root) / s.name
     out.mkdir(parents=True, exist_ok=True)
-    flow = _flow_for(s)
-    artifacts, checks, error, trace = [], [], flow.error, flow.traceback
-    if error is None:
-        try:
-            artifacts = _write_flow(s, out, flow.value)
-            for analysis in s.analyses:
-                name, found = _EVALUATORS[analysis](s, out, flow.value)
-                artifacts.append(name)
-                checks += found
-        except Exception as exc:
-            artifacts, checks, error = [], [], f"{type(exc).__name__}: {exc}"
-            trace = traceback.format_exc()
+    with _recorded_warnings() as caught:
+        flow = _flow_for(s, flows)
+        artifacts, checks, error, trace = [], [], flow.error, flow.traceback
+        if error is None:
+            try:
+                artifacts = _write_flow(s, out, flow.value)
+                for analysis in s.analyses:
+                    name, found = _EVALUATORS[analysis](s, out, flow.value)
+                    artifacts.append(name)
+                    checks += found
+            except Exception as exc:
+                artifacts, checks, error = [], [], f"{type(exc).__name__}: {exc}"
+                trace = traceback.format_exc()
     return RunReport(scenario=s.name, checks=checks, artifacts=artifacts, error=error,
                      traceback=trace, wall_time=time.perf_counter() - started,
-                     shared_flow=None if flow.owner is s else flow.owner.name)
-
-
-def _run_group(scenarios: list[Scenario], out_root: Path) -> list[RunReport]:
-    """Run scenarios that share one flow key, the driver only for the first."""
-    _group.flows = {}
-    try:
-        return [run_scenario(s, out_root) for s in scenarios]
-    finally:
-        del _group.flows
+                     shared_flow=None if flow.owner is s else flow.owner.name,
+                     warnings=flow.warnings + caught)
 
 
 def accept(scenarios: list[Scenario], out_root, workers: int = 1):
-    """Run every scenario; return (reports, summary dict, exit status).
+    """Run every scenario in input order; return (reports, summary dict, exit status).
 
-    Scenarios with equal flow keys form one group, in order of first
-    appearance, and each group is one task: its flow runs once and every
-    member writes its own files and runs its own analyses.  Reports and
-    summary.json keep the input order.
+    Scenarios with equal flow keys run their flow once: the first runs it,
+    the others reuse it, and each writes its own files and runs its own
+    analyses.  A flow is dropped after the last scenario that reads it.
+    ``workers`` is ignored; it is kept for callers that still pass it.
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    groups: dict[object, list[int]] = {}
-    for i, s in enumerate(scenarios):
-        key = _flow_key(s)
-        groups.setdefault(i if key is None else key, []).append(i)
-    tasks = [[scenarios[i] for i in group] for group in groups.values()]
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(lambda task: _run_group(task, out_root), tasks))
-    else:
-        done = [_run_group(task, out_root) for task in tasks]
-    reports: list[RunReport] = [None] * len(scenarios)
-    for group, task_reports in zip(groups.values(), done):
-        for i, report in zip(group, task_reports):
-            reports[i] = report
+    keys = [_flow_key(s) for s in scenarios]
+    last = {key: i for i, key in enumerate(keys)}
+    flows: dict[_FlowKey, _Flow] = {}
+    reports: list[RunReport] = []
+    for i, (s, key) in enumerate(zip(scenarios, keys)):
+        reports.append(run_scenario(s, out_root, flows))
+        if last[key] == i:
+            flows.pop(key, None)
     summary = {
         "total": len(reports),
         "passed": sum(r.passed for r in reports),
@@ -567,6 +567,7 @@ def accept(scenarios: list[Scenario], out_root, workers: int = 1):
                 "shared_flow": r.shared_flow,
                 "error": r.error,
                 "traceback": r.traceback,
+                "warnings": r.warnings,
                 "artifacts": r.artifacts,
                 "checks": [
                     {"name": c.name, "passed": c.passed,

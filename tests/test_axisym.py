@@ -9,7 +9,7 @@ import curveflow.axisym as ax
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
 import curveflow.rescale as rs
-from curveflow.errors import InvalidInputError, NoNeckError
+from curveflow.errors import DegenerateGeometryError, InvalidInputError, NoNeckError
 
 
 def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
@@ -139,6 +139,12 @@ class TestSphereRun:
         assert traj.final().time == traj.events[0].time
         if cap == 1.5:
             assert times.tolist() == [0.0]
+
+    def test_non_finite_chain_length_raises_named_error(self):
+        pts = ax.sphere_profile(1.0, 64).samples.copy()
+        pts[10] = np.nan
+        with pytest.raises(DegenerateGeometryError, match="not finite"):
+            ax._axi_resample(pts, ax.TOPOLOGY_TWO_POLES, None, 0.05)
 
 
 class TestNeckPinch:

@@ -32,7 +32,6 @@ class TestFactories:
         assert abs(m.length - 2 * math.pi) < 2e-4
         assert abs(m.enclosed_area - math.pi) < 2e-4
         assert abs(m.isoperimetric_ratio - 1.0) < 1e-4
-        assert abs(m.total_turning - 2 * math.pi) < 1e-9
         assert m.convex
         assert abs(m.min_curvature - 1.0) < 1e-3
         assert abs(m.max_curvature - 1.0) < 1e-3
@@ -50,7 +49,6 @@ class TestFactories:
         assert abs(m.length - 10.0) < 1e-12
         assert abs(m.enclosed_area - 6.0) < 1e-12
         assert m.convex
-        assert abs(m.total_turning - 2 * math.pi) < 1e-9
 
     def test_peanut_is_nonconvex(self):
         m = cv.metrics(cv.peanut_polygon(1.0, 0.3, 256))
@@ -58,12 +56,10 @@ class TestFactories:
         assert m.min_curvature < -0.5
         assert m.max_curvature > 0.0
 
-    def test_spiral_embedded_with_turning_number_one(self):
+    def test_spiral_embedded_and_not_convex(self):
         curve = cv.spiral_polygon(1.0, 2.0, 1.5, n=640)
         assert cv.is_embedded(curve)
-        m = cv.metrics(curve)
-        assert abs(m.total_turning - 2 * math.pi) < 1e-6
-        assert not m.convex
+        assert not cv.metrics(curve).convex
 
     def test_factory_rejects_bad_dimensions(self):
         with pytest.raises(InvalidInputError):
@@ -131,10 +127,6 @@ class TestMetricsProperties:
         assert np.max(np.abs(kappa - 0.5)) < 1e-3
         # inward normals of a circle point at the center
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
-
-    def test_turning_angles_sum_to_full_turn(self):
-        angles = cv.turning_angles(cv.peanut_polygon(1.0, 0.3, 300))
-        assert abs(angles.sum() - 2 * math.pi) < 1e-9
 
 
 def _closed_circle(radius):
@@ -343,6 +335,29 @@ class TestEmbeddingAndDistance:
         t = np.linspace(0, 2 * math.pi, 200, endpoint=False)
         pts = np.column_stack([np.sin(2 * t), np.sin(t)])
         assert not cv.is_embedded(cv.PlaneCurve(pts))
+
+    # Simple, but the vertex (0, 0) lies on the line through the edge
+    # (0, 1.5)-(0, 0.75), below it, and the two edges' boxes overlap.
+    ON_A_FAR_LINE = np.array([(0, 0), (1, 1), (2, 2), (3.5, 2), (5, 2), (5, 4), (3, 3),
+                              (1.5, 2.25), (0, 1.5), (0, 0.75)], dtype=float)
+
+    @staticmethod
+    def meridian(pts):
+        """The polygon with every edge halved, lifted off the axis: a torus meridian."""
+        mid = 0.5 * (pts + np.roll(pts, -1, axis=0))
+        return np.stack([pts, mid], axis=1).reshape(-1, 2) + [0.0, 1.0]
+
+    def test_vertex_on_the_line_of_a_far_edge_is_embedded(self):
+        assert cv.is_embedded(cv.PlaneCurve(self.ON_A_FAR_LINE))
+        # a meridian profile goes through the same predicate
+        ax.AxiProfile(self.meridian(self.ON_A_FAR_LINE), ax.TOPOLOGY_PERIODIC)
+
+    def test_vertex_on_a_non_adjacent_edge_is_not_embedded(self):
+        pts = self.ON_A_FAR_LINE.copy()
+        pts[0] = (0.0, 1.0)   # now on the edge (0, 1.5)-(0, 0.75) itself
+        assert not cv.is_embedded(cv.PlaneCurve(pts))
+        with pytest.raises(InvalidInputError, match="self-intersecting"):
+            ax.AxiProfile(self.meridian(pts), ax.TOPOLOGY_PERIODIC)
 
     def test_min_distance_between_separated_circles(self):
         a = cv.circle_polygon(1.0, 256)

@@ -9,7 +9,7 @@ import curveflow.axisym as ax
 import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
-from curveflow.errors import InvalidInputError
+from curveflow.errors import DegenerateGeometryError, InvalidInputError
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,13 @@ class TestStepping:
         assert len(a.snapshots) == len(b.snapshots)
         # resampling starts from a different vertex, so times agree to roundoff
         assert np.allclose(a.times(), b.times(), rtol=1e-12, atol=0.0)
+
+    def test_non_finite_chain_length_raises_named_error(self):
+        state = f1._CurveState(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0), f1.FlowConfig())
+        dt = state.plan(0.0)
+        state.verts[10] = np.nan
+        with pytest.raises(DegenerateGeometryError, match="not finite"):
+            state.advance(dt, dt, resample=True)
 
 
 class TestCircleRun:

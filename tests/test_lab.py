@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -469,51 +470,76 @@ analyses = neck
 
     def test_accept_writes_summary_and_status(self, tmp_path):
         batch = [tiny_circle_scenario(), oracle_scenario()]
-        reports, summary, status = runner.accept(batch, tmp_path, workers=2)
+        reports, summary, status = runner.accept(batch, tmp_path / "2", workers=2)
         assert status == 0
         assert summary["total"] == 2 and summary["failed"] == 0
-        on_disk = json.loads((tmp_path / "summary.json").read_text())
+        on_disk = json.loads((tmp_path / "2" / "summary.json").read_text())
         assert [s["name"] for s in on_disk["scenarios"]] == ["tiny_circle",
                                                              "oracle_gate"]
+        # the worker count is ignored
+        runner.accept(batch, tmp_path / "1", workers=1)
+        assert scenario_files(tmp_path / "2") == scenario_files(tmp_path / "1")
 
     def test_summary_keeps_the_traceback_of_a_failure(self, tmp_path):
         bad = scenarios.parse_config(BLOWUP.replace("tube_r = 0.15", "tube_r = 1.5"))[0]
-        runner.accept([bad, oracle_scenario()], tmp_path, workers=1)
+        runner.accept([bad, oracle_scenario()], tmp_path)
         failed, passed = json.loads((tmp_path / "summary.json").read_text())["scenarios"]
         assert failed["error"].startswith("InvalidInputError: tube radius")
         assert "in dumbbell_profile" in failed["traceback"]
         assert passed["traceback"] is None
 
-    def test_worker_count_does_not_change_artifacts(self, tmp_path):
-        neck, dial = scenarios.parse_config(DUMBBELL_PAIR)
-        batch = [neck] + [scenarios.parse_config(text)[0]
-                          for text in (TINY_CIRCLE, TINY_SPHERE)] + [dial, oracle_scenario()]
-        files = {}
-        for workers in (1, 2):
-            root = tmp_path / str(workers)
-            _, summary, status = runner.accept(batch, root, workers=workers)
-            assert status == 0, summary
-            assert [(e["name"], e["shared_flow"]) for e in summary["scenarios"]] == [
-                ("dumbbell_neck", None), ("tiny_circle", None), ("tiny_sphere", None),
-                ("dumbbell_dial", "dumbbell_neck"), ("oracle_gate", None)]
-            files[workers] = scenario_files(root)
-        assert {p.parts[0] for p in files[1]} == {"tiny_circle", "tiny_sphere",
-                                                  "dumbbell_neck", "dumbbell_dial",
-                                                  "oracle_gate"}
-        assert sum(p.suffix in (".csv", ".json") for p in files[1]) == 12
-        assert files[1] == files[2]
+    def test_warnings_are_recorded_per_scenario(self, tmp_path, monkeypatch):
+        selfcheck = runner._EVALUATORS["selfcheck"]
 
-    @pytest.mark.parametrize("text", [ELLIPSE_PAIR, DUMBBELL_PAIR], ids=["ellipse", "dumbbell"])
-    def test_a_shared_flow_runs_once(self, tmp_path, driver_calls, text):
-        pair = scenarios.parse_config(text)
-        reports, summary, _ = runner.accept(pair, tmp_path / "batch", workers=2)
-        assert len(driver_calls) == 1
-        assert [r.error for r in reports] == [None, None]
-        assert [e["shared_flow"] for e in summary["scenarios"]] == [None, pair[0].name]
-        for s in pair:
+        def warn_then_check(s, out, flow):
+            if s.name == "oracle_gate":
+                warnings.warn("frame 3 skipped", UserWarning)
+            return selfcheck(s, out, flow)
+
+        monkeypatch.setitem(runner._EVALUATORS, "selfcheck", warn_then_check)
+        quiet = oracle_scenario(TINY_ORACLE.replace("[oracle_gate]", "[oracle_quiet]"))
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            reports, summary, status = runner.accept([oracle_scenario(), quiet], tmp_path)
+        assert status == 0 and shown == []
+        assert [r.warnings for r in reports] == [["UserWarning: frame 3 skipped"], []]
+        on_disk = json.loads((tmp_path / "summary.json").read_text())
+        assert [e["warnings"] for e in on_disk["scenarios"]] == [r.warnings for r in reports]
+
+    def test_a_shared_flow_hands_its_warnings_to_every_member(self, tmp_path, monkeypatch):
+        run = f1.run
+
+        def warn_then_run(*args, **kwargs):
+            warnings.warn("flow warned", RuntimeWarning)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(f1, "run", warn_then_run)
+        reports, _, _ = runner.accept(scenarios.parse_config(ELLIPSE_PAIR), tmp_path)
+        assert [r.warnings for r in reports] == [["RuntimeWarning: flow warned"]] * 2
+        assert reports[1].shared_flow == reports[0].scenario
+
+    @pytest.mark.parametrize("text, order", [
+        (ELLIPSE_PAIR, [0, 1]),
+        (DUMBBELL_PAIR, [0, 1]),
+        # the pair split around other scenarios
+        (DUMBBELL_PAIR + TINY_CIRCLE + TINY_SPHERE + TINY_ORACLE, [0, 2, 3, 1, 4]),
+    ], ids=["ellipse", "dumbbell", "dumbbell-split"])
+    def test_a_shared_flow_runs_once(self, tmp_path, driver_calls, text, order):
+        parsed = scenarios.parse_config(text)
+        first, second = parsed[:2]    # the pair that shares one flow
+        batch = [parsed[i] for i in order]
+        reports, summary, _ = runner.accept(batch, tmp_path / "batch")
+        in_batch = len(driver_calls)
+        assert [r.error for r in reports] == [None] * len(batch)
+        assert [(e["name"], e["shared_flow"]) for e in summary["scenarios"]] == [
+            (s.name, first.name if s is second else None) for s in batch]
+        for s in batch:
             assert runner.run_scenario(s, tmp_path / "alone").shared_flow is None
-        assert len(driver_calls) == 3
-        assert scenario_files(tmp_path / "batch") == scenario_files(tmp_path / "alone")
+        # alone, the pair's second member runs the flow the batch shared
+        assert len(driver_calls) - in_batch == in_batch + 1
+        files = scenario_files(tmp_path / "batch")
+        assert {path.parts[0] for path in files} == {s.name for s in batch}
+        assert files == scenario_files(tmp_path / "alone")
 
     @pytest.mark.parametrize("old, new", [
         ("n = 64", "n = 72"),
@@ -523,14 +549,13 @@ analyses = neck
     def test_different_flow_inputs_run_apart(self, tmp_path, driver_calls, old, new):
         text = (TINY_ELLIPSE.format(name="area", analysis="area-law")
                 + TINY_ELLIPSE.format(name="roundness", analysis="roundness").replace(old, new))
-        _, summary, _ = runner.accept(scenarios.parse_config(text), tmp_path, workers=1)
+        _, summary, _ = runner.accept(scenarios.parse_config(text), tmp_path)
         assert driver_calls == ["run", "run"]
         assert [e["shared_flow"] for e in summary["scenarios"]] == [None, None]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_failed_shared_flow_fails_every_member(self, tmp_path, driver_calls, workers):
+    def test_a_failed_shared_flow_fails_every_member(self, tmp_path, driver_calls):
         batch = scenarios.parse_config(COARSE_TORUS_PAIR) + [oracle_scenario()]
-        _, summary, status = runner.accept(batch, tmp_path, workers=workers)
+        _, summary, status = runner.accept(batch, tmp_path)
         assert driver_calls == ["run_axi"]
         assert status == 1 and summary["failed"] == 2
         neck, dial, oracle = summary["scenarios"]
@@ -543,7 +568,7 @@ analyses = neck
     def test_accept_fails_on_corrupted_tolerance(self, tmp_path):
         corrupted = oracle_scenario(TINY_ORACLE.replace(
             "check.selfcheck_tol = 1e-6", "check.selfcheck_tol = 0"))
-        reports, summary, status = runner.accept([corrupted], tmp_path, workers=1)
+        reports, summary, status = runner.accept([corrupted], tmp_path)
         assert status == 1
         assert summary["failed"] == 1
         assert not reports[0].passed
@@ -551,7 +576,7 @@ analyses = neck
     def test_format_table_mentions_failures(self, tmp_path):
         corrupted = oracle_scenario(TINY_ORACLE.replace(
             "check.selfcheck_tol = 1e-6", "check.selfcheck_tol = 0"))
-        reports, _, _ = runner.accept([corrupted], tmp_path, workers=1)
+        reports, _, _ = runner.accept([corrupted], tmp_path)
         table = runner.format_table(reports)
         assert "oracle_gate" in table
         assert "FAIL" in table
@@ -562,8 +587,7 @@ class TestCli:
     def test_run_command(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CIRCLE)
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out"),
-                         "--workers", "1"]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "summary.json").exists()
         assert "tiny_circle" in capsys.readouterr().out
 
@@ -583,7 +607,7 @@ class TestCli:
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_ORACLE)
         monkeypatch.setenv("CURVEFLOW_OUT", str(tmp_path / "from_env"))
-        assert cli.main(["run", str(cfg), "--workers", "1"]) == 0
+        assert cli.main(["run", str(cfg)]) == 0
         assert (tmp_path / "from_env" / "summary.json").exists()
         capsys.readouterr()
 
@@ -591,15 +615,14 @@ class TestCli:
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_ORACLE)
         monkeypatch.setenv("CURVEFLOW_OUT", str(tmp_path / "from_env"))
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "explicit"),
-                         "--workers", "1"]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "explicit")]) == 0
         assert (tmp_path / "explicit" / "summary.json").exists()
         assert not (tmp_path / "from_env").exists()
         capsys.readouterr()
 
     def test_accept_kind_filter(self, tmp_path, capsys):
         assert cli.main(["accept", "--kind", "oracle-check",
-                         "--out", str(tmp_path / "out"), "--workers", "1"]) == 0
+                         "--out", str(tmp_path / "out")]) == 0
         assert "oracle_selfcheck" in capsys.readouterr().out
 
     def test_accept_unknown_kind(self, tmp_path, capsys):
@@ -612,7 +635,7 @@ class TestCli:
         catalog.write_text(TINY_ORACLE.replace("check.selfcheck_tol = 1e-6",
                                                "check.selfcheck_tol = 0"))
         assert cli.main(["accept", "--catalog", str(catalog),
-                         "--out", str(tmp_path / "out"), "--workers", "1"]) == 1
+                         "--out", str(tmp_path / "out")]) == 1
         capsys.readouterr()
 
     def test_oracle_selfcheck_command(self, capsys):
@@ -639,11 +662,18 @@ class TestCli:
         assert err.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["run", "accept"])
+    def test_workers_option_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, *(["tiny.cfg"] if command == "run" else []),
+                      "--workers", "1"])
+        assert err.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_rescale_command_on_saved_run(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CIRCLE)
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out"),
-                         "--workers", "1"]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         snaps = tmp_path / "out" / "tiny_circle" / "snapshots"
         index = json.loads((snaps / "index.json").read_text())
         # choose scales whose look-back times 1/scale^2 stay inside the run
