@@ -26,6 +26,7 @@ from .flow1d import (
     DISPLACEMENT_FRACTION,
     Event,
     FlowConfig,
+    RunStats,
     _evolve,
     _FlowState,
 )
@@ -137,6 +138,7 @@ class AxiSnapshot:
 class AxiTrajectory:
     snapshots: list[AxiSnapshot]
     events: list[Event] = field(default_factory=list)
+    stats: RunStats | None = None
 
     def times(self) -> NDArray[np.float64]:
         return np.array([s.time for s in self.snapshots])
@@ -155,85 +157,77 @@ class AxiTrajectory:
 # Mean curvature of a sampled meridian
 # ---------------------------------------------------------------------------
 
-def _chain_fields(
-    pts: NDArray[np.float64], sigma: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Curvature, normal, h and edge lengths for an extended open chain.
-
-    pts has one neighbour sample before and after the samples it reports on;
-    sigma orients the normal to the inward side.
-    """
-    mu, left, seg = cv._three_point(pts)
-    kappa = -sigma * mu
-    nu = -sigma * left
-    r = pts[1:-1, 1]
-    axis_term = np.where(r > 0, nu[:, 1] / np.where(r > 0, r, 1.0), 0.0)
-    return kappa, nu, kappa - axis_term, seg
-
-
 _AXIS_MIRROR = np.array([1.0, -1.0])
+
+
+def _fill_ghosts(chain: NDArray[np.float64], topology: str, period: float | None) -> None:
+    """Fill the ghost neighbours at both ends of the (n + 2, 2) chain of a meridian.
+
+    The wrapped sample on a periodic loop, the sample shifted by one period on
+    a cylinder, and at an axis pole the reflection (x1, -r1) of its neighbour.
+    """
+    if topology == TOPOLOGY_TWO_POLES:
+        chain[0] = chain[2] * _AXIS_MIRROR
+        chain[-1] = chain[-3] * _AXIS_MIRROR
+        return
+    chain[0] = chain[-2]
+    chain[-1] = chain[1]
+    if topology == TOPOLOGY_CYLINDER:
+        chain[0, 0] -= period
+        chain[-1, 0] += period
+
+
+def _ghost_chain(pts: NDArray[np.float64], topology: str, period: float | None) -> NDArray[np.float64]:
+    """The samples inside a new (n + 2, 2) chain with its ghosts filled."""
+    chain = np.empty((len(pts) + 2, 2))
+    chain[1:-1] = pts
+    _fill_ghosts(chain, topology, period)
+    return chain
+
+
+def _mean_curvature(
+    kappa: NDArray[np.float64], nu: NDArray[np.float64], r: NDArray[np.float64], two_poles: bool
+) -> NDArray[np.float64]:
+    """h = kappa - nu_r / r off the axis; at a pole both principal curvatures
+    agree, so h there is 2 kappa.  Every sample off the axis has r > 0."""
+    if not two_poles:
+        return kappa - nu[:, 1] / r
+    h = 2.0 * kappa
+    h[1:-1] = kappa[1:-1] - nu[1:-1, 1] / r[1:-1]
+    return h
 
 
 def _fields(
     pts: NDArray[np.float64], topology: str, period: float | None
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Per-sample meridian curvature, inward normal and h, plus edge lengths.
-
-    Each sample gets one ghost neighbour beyond the ends: the wrapped sample
-    on a periodic loop, the shifted one on a cylinder, and at an axis pole the
-    reflection (x1, -r1) of its neighbour.  At a pole both principal
-    curvatures agree, so h there is twice the meridian curvature.  The edge
-    lengths are those of the ghost chain: past the first, each is a real edge
-    or, at a pole, as long as one.
-    """
-    if topology == TOPOLOGY_PERIODIC:
-        sigma = -1.0 if cv.polygon_area(pts) > 0 else 1.0
-        return _chain_fields(cv._closed_chain(pts), sigma)
-    if topology == TOPOLOGY_CYLINDER:
-        shift = np.array([[period, 0.0]])
-        ext = np.concatenate([pts[-1:] - shift, pts, pts[:1] + shift])
-        return _chain_fields(ext, 1.0)
-    sigma = 1.0 if pts[-1, 0] >= pts[0, 0] else -1.0
-    ext = np.concatenate([pts[1:2] * _AXIS_MIRROR, pts, pts[-2:-1] * _AXIS_MIRROR])
-    kappa, nu, h, seg = _chain_fields(ext, sigma)
-    h[0] = 2.0 * kappa[0]
-    h[-1] = 2.0 * kappa[-1]
-    return kappa, nu, h, seg
+    """Per-sample meridian curvature, inward normal and h, plus the edge
+    lengths of the ghost chain (see ``_fill_ghosts``)."""
+    mu, left, seg = cv._three_point(_ghost_chain(pts, topology, period))
+    clockwise = (not cv.polygon_area(pts) > 0 if topology == TOPOLOGY_PERIODIC
+                 else pts[-1, 0] >= pts[0, 0])   # the solid lies to the right
+    sigma = 1.0 if clockwise else -1.0
+    kappa = -sigma * mu
+    nu = -sigma * left
+    return kappa, nu, _mean_curvature(kappa, nu, pts[:, 1], topology == TOPOLOGY_TWO_POLES), seg
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _segment_arrays(
-    pts: NDArray[np.float64], topology: str, period: float | None
+def _segments(
+    chain: NDArray[np.float64], topology: str
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Segment endpoint pairs (p, q) including any wrap-around segment."""
-    if topology == TOPOLOGY_PERIODIC:
-        return pts, np.roll(pts, -1, axis=0)
-    if topology == TOPOLOGY_CYLINDER:
-        q = np.vstack([pts[1:], pts[:1] + np.array([period, 0.0])])
-        return pts, q
-    return pts[:-1], pts[1:]
+    """Segment endpoint pairs (p, q) of a filled ghost chain, any wrap-around segment included."""
+    if topology == TOPOLOGY_TWO_POLES:
+        return chain[1:-2], chain[2:-1]
+    return chain[1:-1], chain[2:]
 
 
-def _surface_area(pts: NDArray[np.float64], topology: str, period: float | None) -> float:
-    p, q = _segment_arrays(pts, topology, period)
+def _frustum_area(p: NDArray[np.float64], q: NDArray[np.float64]) -> float:
+    """Lateral area of the revolved segments p -> q, exact per conical frustum."""
     slant = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])
-    return float(np.sum(np.pi * (p[:, 1] + q[:, 1]) * slant))
-
-
-def surface_area(profile: AxiProfile) -> float:
-    """Lateral area of the revolved polyline, exact per conical frustum."""
-    return _surface_area(profile.samples, profile.topology, profile.period)
-
-
-def enclosed_volume(profile: AxiProfile) -> float:
-    """Volume of the revolved region, exact per conical frustum slice."""
-    p, q = _segment_arrays(profile.samples, profile.topology, profile.period)
-    r0, r1 = p[:, 1], q[:, 1]
-    dx = q[:, 0] - p[:, 0]
-    return float(abs(np.sum(np.pi / 3.0 * (r0 * r0 + r0 * r1 + r1 * r1) * dx)))
+    return float((np.pi * (p[:, 1] + q[:, 1]) * slant).sum())
 
 
 def _plateau_waist(r: NDArray[np.float64]) -> int | None:
@@ -241,51 +235,60 @@ def _plateau_waist(r: NDArray[np.float64]) -> int | None:
 
     Runs of equal values count as one sample (a flat tube is a single waist
     candidate, reported at its center); runs touching the chain ends are not
-    interior and never qualify.  Returns None when r is free of interior dips.
+    interior and never qualify.  Of equally deep minima the first wins.
+    Returns None when r is free of interior dips.
     """
-    keep = np.ones(len(r), dtype=bool)
-    keep[1:] = r[1:] != r[:-1]
-    starts = np.flatnonzero(keep)
-    vals = r[starts]
-    if len(vals) < 3:
-        return None
-    ends = np.append(starts[1:], len(r))
-    is_min = (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])
-    idx = np.flatnonzero(is_min) + 1
+    # Each interior run [start, end) ends where the next run starts.
+    bounds = (r[1:] != r[:-1]).nonzero()[0] + 1
+    start, end = bounds[:-1], bounds[1:]
+    vals = r[start]
+    idx = ((vals < r[start - 1]) & (vals < r[end])).nonzero()[0]
     if len(idx) == 0:
         return None
     j = idx[np.argmin(vals[idx])]
-    return int((starts[j] + ends[j] - 1) // 2)
+    return int((start[j] + end[j] - 1) // 2)
 
 
-def _waist_of(pts: NDArray[np.float64], topo: str) -> tuple[float, float, bool]:
+def _waist_of(pts: NDArray[np.float64], topo: str) -> tuple[float, float, bool, int]:
+    """Waist radius, its x, whether it is a true waist, and its sample index."""
     r = pts[:, 1]
     if topo == TOPOLOGY_PERIODIC:
         center = pts.mean(axis=0)
         d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
-        i = int(np.argmin(d))
-        return float(d[i]), float(pts[i, 0]), True
+        i = int(d.argmin())
+        return float(d[i]), float(pts[i, 0]), True, i
     if topo == TOPOLOGY_CYLINDER:
-        i = int(np.argmin(r))
-        return float(r[i]), float(pts[i, 0]), True
+        i = int(r.argmin())
+        return float(r[i]), float(pts[i, 0]), True, i
     interior = r[1:-1]
     w = _plateau_waist(interior)
-    if w is not None:
-        i = w + 1
-        return float(r[i]), float(pts[i, 0]), True
-    i = 1 + int(np.argmin(interior))
-    return float(r[i]), float(pts[i, 0]), False
+    true_waist = w is not None
+    i = 1 + (w if true_waist else int(interior.argmin()))
+    return float(r[i]), float(pts[i, 0]), true_waist, i
+
+
+def _neck_threshold(pts: NDArray[np.float64], i: int) -> float:
+    """Neck threshold from the mean spacing of the samples around index i."""
+    lo = max(0, i - 1)
+    hi = min(len(pts) - 1, i + 1)
+    d = pts[hi] - pts[lo]
+    return NECK_SPACING_FACTOR * float(np.hypot(d[0], d[1]) / (hi - lo))
 
 
 def axi_metrics(profile: AxiProfile) -> AxiMetrics:
-    _, _, h, _ = _fields(profile.samples, profile.topology, profile.period)
+    """Area and volume of the revolved polyline, exact per conical frustum, and
+    the waist and mean curvature range of the samples."""
+    pts, topology = profile.samples, profile.topology
+    _, _, h, _ = _fields(pts, topology, profile.period)
     hmin = float(h.min())
     hmax = float(h.max())
-    rmin, rmin_x, _ = _waist_of(profile.samples, profile.topology)
+    rmin, rmin_x, _, _ = _waist_of(pts, topology)
     tol = MEAN_CONVEX_REL_TOL * max(1.0, abs(hmin), abs(hmax))
+    p, q = _segments(_ghost_chain(pts, topology, profile.period), topology)
+    r0, r1, dx = p[:, 1], q[:, 1], q[:, 0] - p[:, 0]
     return AxiMetrics(
-        surface_area=surface_area(profile),
-        enclosed_volume=enclosed_volume(profile),
+        surface_area=_frustum_area(p, q),
+        enclosed_volume=float(abs(np.sum(np.pi / 3.0 * (r0 * r0 + r0 * r1 + r1 * r1) * dx))),
         min_radius=rmin,
         min_radius_location=rmin_x,
         min_mean_curvature=hmin,
@@ -414,82 +417,92 @@ PROFILE_SHAPES = {
 class _AxiState(_FlowState):
     """One meridian under mean curvature flow, as a raw sample array between snapshots.
 
-    Snapshots fall due on the area schedule and, for a true waist, on the
-    same geometric schedule in its radius.
+    The samples are the inside of a chain buffer with a ghost at each end, so
+    each step makes one geometry pass over the buffer and moves the samples in
+    place.  Snapshots fall due on the area schedule and, for a true waist, on
+    the same geometric schedule in its radius.
     """
 
     def __init__(self, profile: AxiProfile, config: FlowConfig):
-        self.pts = profile.samples
+        self.set_verts(profile.samples)
         self.topology = profile.topology
         self.period = profile.period
         m = axi_metrics(profile)
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
-        super().__init__(config, m.surface_area, h0, _chain_length(profile), len(profile))
+        _fill_ghosts(self.chain, self.topology, self.period)
+        p, q = _segments(self.chain, self.topology)
+        length = float(np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]).sum())
+        super().__init__(config, m.surface_area, h0, length, len(profile))
         # A torus collapses and a cylinder pinches; only axis-bounded profiles end at a pole.
         periodic = self.topology == TOPOLOGY_PERIODIC
         self.pinch_kind = EVENT_TORUS_COLLAPSE if periodic else EVENT_NECK_PINCH
         self.two_poles = self.topology == TOPOLOGY_TWO_POLES
         self.stop_kind = EVENT_POLE_EXTINCTION if self.two_poles else self.pinch_kind
-        rmin0, x0, true_waist = _waist_of(self.pts, self.topology)
-        thr = NECK_SPACING_FACTOR * _local_spacing(self.pts, x0)
+        rmin0, x0, true_waist, i = _waist_of(self.verts, self.topology)
+        thr = _neck_threshold(self.verts, i)
         if true_waist and rmin0 < NECK_START_MARGIN * thr:
             raise InvalidInputError(f"initial waist {rmin0:.4g} at x = {x0:.4g} is within "
                                     f"{NECK_START_MARGIN:.3g} x its neck threshold {thr:.4g}; "
                                     "use more samples")
+        self.off_axis = slice(1, -1) if self.two_poles else slice(None)
+        self.r_int = float(self.verts[self.off_axis, 1].min())   # read by plan
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
         self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events)
 
     def plan(self, t: float) -> float:
-        """Velocity h*nu with pole guard; step bound from min spacing and interior rmin."""
-        pts = self.pts
-        _, nu, h, seg = _fields(pts, self.topology, self.period)
+        """Velocity h*nu with pole guard; step bound from min spacing and interior rmin.
+
+        ``__init__`` and ``advance`` keep the ghosts current.  h nu is the same
+        for either orientation, so h and nu are taken as the left normal orients them."""
+        mu, left, seg = cv._three_point(self.chain)
+        h = _mean_curvature(mu, left, self.verts[:, 1], self.two_poles)
         if self.two_poles:
             # Poles move along the axis at twice the meridian curvature, capped by
             # the neighboring samples so a noisy pole cannot outrun its cap.
             for i, j in ((0, 1), (-1, -2)):
-                lim = 2.0 * abs(h[j])
-                h[i] = np.clip(h[i], -lim, lim)
-            r_int = float(pts[1:-1, 1].min())
-        else:
-            r_int = float(pts[:, 1].min())
-        hmax = self.peak(t, h, pts)
+                lim = 2.0 * abs(float(h[j]))
+                h[i] = min(max(float(h[i]), -lim), lim)
+        hmax = self.peak(t, h, self.verts)
         if hmax is None:
             return np.inf
-        self.vel = h[:, None] * nu
+        left *= h[:, None]
+        self.vel = left
         h_space = float(seg[1:].min())
-        dt = self.cfl * min(h_space * h_space, h_space * r_int) / 4.0
+        dt = self.cfl * min(h_space * h_space, h_space * self.r_int) / 4.0
         if hmax > 0:
             dt = min(dt, DISPLACEMENT_FRACTION * h_space / hmax)
         return dt
 
     def advance(self, t: float, dt: float, resample: bool) -> bool:
-        new = self.pts + dt * self.vel
+        self.vel *= dt
+        self.verts += self.vel
         if self.two_poles:
-            new[0, 1] = 0.0
-            new[-1, 1] = 0.0
+            self.verts[0, 1] = 0.0
+            self.verts[-1, 1] = 0.0
         if resample:
-            new = _axi_resample(new, self.topology, self.period, self.spacing)
-        self.pts = new
+            self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
+        _fill_ghosts(self.chain, self.topology, self.period)
+        pts = self.verts
 
-        rmin, rmin_x, true_waist = _waist_of(new, self.topology)
+        rmin, rmin_x, true_waist, i = _waist_of(pts, self.topology)
         if not self.two_poles or true_waist:
-            thr = NECK_SPACING_FACTOR * _local_spacing(new, rmin_x)
+            thr = _neck_threshold(pts, i)
             if self.waist0 is not None:
                 thr = max(thr, NECK_RADIUS_FRACTION * self.waist0)
             if rmin < thr:
                 self.close(t, Event(self.pinch_kind, t, (rmin_x, rmin)))
                 return False
-        interior = new[1:-1, 1] if self.two_poles else new[:, 1]
-        if np.any(interior <= 0):
+        self.r_int = float(pts[self.off_axis, 1].min())
+        if self.r_int <= 0:
             raise NumericalBreakdownError(
                 f"interior sample reached the axis at t={t:.6g} before a neck event"
             )
-        area = _surface_area(new, self.topology, self.period)
+        area = _frustum_area(*_segments(self.chain, self.topology))
         return area <= self.next_area or (self.waist0 is not None and rmin <= self.next_waist)
 
     def validate(self) -> AxiProfile:
-        return AxiProfile(self.pts, self.topology, self.period)
+        return AxiProfile(self.verts, self.topology, self.period)
 
     def take(self, t: float, profile: AxiProfile) -> float:
         m = axi_metrics(profile)
@@ -498,12 +511,7 @@ class _AxiState(_FlowState):
         return m.surface_area
 
     def centre(self) -> tuple[float, float]:
-        return float(self.pts[:, 0].mean()), 0.0
-
-
-def _chain_length(profile: AxiProfile) -> float:
-    p, q = _segment_arrays(profile.samples, profile.topology, profile.period)
-    return float(np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]).sum())
+        return float(self.verts[:, 0].mean()), 0.0
 
 
 def _axi_resample(
@@ -544,16 +552,8 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTraject
     """
     config = config or FlowConfig()
     state = _AxiState(profile, config)
-    _evolve([state], config)
+    [state.traj.stats] = _evolve([state], config)
     return state.traj
-
-
-def _local_spacing(pts: NDArray[np.float64], x_at: float) -> float:
-    i = int(np.argmin(np.abs(pts[:, 0] - x_at)))
-    lo = max(0, i - 1)
-    hi = min(len(pts) - 1, i + 1)
-    d = pts[hi] - pts[lo]
-    return float(np.hypot(d[0], d[1]) / max(1, hi - lo))
 
 
 # ---------------------------------------------------------------------------

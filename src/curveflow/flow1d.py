@@ -88,6 +88,21 @@ class Event:
 
 
 @dataclass(frozen=True)
+class RunStats:
+    """What ``_evolve`` did for one trajectory.  It holds no wall times, so
+    equal inputs give equal stats.  ``dt_mean`` is the end time over the
+    steps; the dt figures are None when the run took no step."""
+
+    steps: int
+    resamples: int
+    snapshots: int
+    dt_min: float | None
+    dt_mean: float | None
+    dt_max: float | None
+    event: str
+
+
+@dataclass(frozen=True)
 class Snapshot:
     time: float
     curve: cv.PlaneCurve
@@ -99,6 +114,7 @@ class Trajectory:
     snapshots: list[Snapshot]
     events: list[Event] = field(default_factory=list)
     law: SpeedLaw = field(default_factory=SpeedLaw)
+    stats: RunStats | None = None
 
     def times(self) -> NDArray[np.float64]:
         return np.array([s.time for s in self.snapshots])
@@ -121,6 +137,7 @@ class _FlowState:
     """
 
     stop_kind = EVENT_EXTINCTION
+    chain = np.empty((0, 2))   # set_verts allocates each state's own, per point count
 
     def __init__(self, config: FlowConfig, area0: float, k0: float, length: float, count: int):
         self.events: list[Event] = []
@@ -134,6 +151,14 @@ class _FlowState:
         self.next_area = area0 * self.ratio
         self.stop_area = config.stop_area_fraction * area0
         self.done = False
+        self.snapshots = 1   # the one at t = 0
+
+    def set_verts(self, verts: NDArray[np.float64]) -> None:
+        """Copy the points into ``verts``, the inside of ``chain`` (ghost, points, ghost)."""
+        if len(self.chain) != len(verts) + 2:
+            self.chain = np.empty((len(verts) + 2, 2))
+            self.verts = self.chain[1:-1]
+        self.verts[...] = verts
 
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
@@ -165,6 +190,7 @@ class _FlowState:
         except InvalidInputError as exc:
             raise NumericalBreakdownError(f"geometry degenerated at t={t:.6g}: {exc}") from exc
         area = self.take(t, geometry)
+        self.snapshots += 1
         self.last_time = t
         if event is not None:
             self.end(event)
@@ -186,10 +212,14 @@ class _FlowState:
                 self.end(Event(self.stop_kind, t, self.centre()))
 
 
-def _evolve(states: list[_FlowState], config: FlowConfig) -> None:
-    """Step every state on one clock until one stops or the step budget runs out."""
+def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
+    """Step every state on one clock until one stops or the step budget runs out.
+
+    Returns the stats of each state, in order.
+    """
     t = 0.0
     steps = 0
+    dt_min, dt_max = np.inf, 0.0
     while steps < config.max_steps:
         dt = np.inf
         for s in states:
@@ -201,6 +231,8 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> None:
 
         t += dt
         steps += 1
+        dt_min = min(dt_min, dt)
+        dt_max = max(dt_max, dt)
         resample = steps % config.resample_every == 0
         due = [s.advance(t, dt, resample) for s in states]
         if any(due):
@@ -215,6 +247,9 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> None:
     for s in states:
         if not s.done:
             s.close(t, Event(kind, t))
+    dts = (float(dt_min), t / steps, float(dt_max)) if steps else (None, None, None)
+    return [RunStats(steps, steps // config.resample_every, s.snapshots, *dts, s.events[-1].kind)
+            for s in states]
 
 
 class _CurveState(_FlowState):
@@ -227,7 +262,6 @@ class _CurveState(_FlowState):
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
-        self.chain = np.empty((0, 2))
         self.set_verts(curve.vertices)
         m = cv.metrics(curve)
         k0 = max(abs(m.min_curvature), abs(m.max_curvature))
@@ -235,12 +269,6 @@ class _CurveState(_FlowState):
         self.law = law
         self.was_convex = m.convex
         self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
-
-    def set_verts(self, verts: NDArray[np.float64]) -> None:
-        if len(self.chain) != len(verts) + 2:
-            self.chain = np.empty((len(verts) + 2, 2))
-            self.verts = self.chain[1:-1]
-        self.verts[...] = verts
 
     def plan(self, t: float) -> float:
         k, left, h, area = _step_geometry(self.chain)
@@ -314,7 +342,7 @@ def run(curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig | None = None) -
     """Evolve one curve until an area stop, curvature stop or step budget."""
     config = config or FlowConfig()
     state = _CurveState(curve, law, config)
-    _evolve([state], config)
+    [state.traj.stats] = _evolve([state], config)
     return state.traj
 
 
@@ -331,7 +359,8 @@ def co_evolve(
         raise InvalidInputError("need at least one curve")
     config = config or FlowConfig()
     states = [_CurveState(c, law, config) for c in curve_list]
-    _evolve(states, config)
+    for s, stats in zip(states, _evolve(states, config)):
+        s.traj.stats = stats
     return [s.traj for s in states]
 
 

@@ -14,7 +14,7 @@ import time
 import traceback
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,6 +68,7 @@ class RunReport:
     traceback: str | None = None
     shared_flow: str | None = None    # the scenario whose flow this one reused
     warnings: list[str] = field(default_factory=list)   # "Category: message"
+    telemetry: dict | None = None     # the flow's run stats, as in telemetry.json
 
     @property
     def passed(self) -> bool:
@@ -506,6 +507,15 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
     return names
 
 
+def _telemetry(flow) -> dict | None:
+    """The run stats of each of the flow's trajectories, or None if it has none."""
+    trajs = flow if isinstance(flow, list) else [flow]
+    stats = [getattr(traj, "stats", None) for traj in trajs]
+    if None in stats:
+        return None
+    return {"trajectories": [asdict(st) for st in stats]}
+
+
 def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
     """Execute one scenario into its own subdirectory of out_root.
 
@@ -521,8 +531,11 @@ def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
     with _recorded_warnings() as caught:
         flow = _flow_for(s, flows)
         artifacts, checks, error, trace = [], [], flow.error, flow.traceback
+        telemetry = None if error is not None else _telemetry(flow.value)
         if error is None:
             try:
+                if telemetry is not None:
+                    write_json(out / "telemetry.json", telemetry)
                 artifacts = _write_flow(s, out, flow.value)
                 for analysis in s.analyses:
                     name, found = _EVALUATORS[analysis](s, out, flow.value)
@@ -534,7 +547,7 @@ def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
     return RunReport(scenario=s.name, checks=checks, artifacts=artifacts, error=error,
                      traceback=trace, wall_time=time.perf_counter() - started,
                      shared_flow=None if flow.owner is s else flow.owner.name,
-                     warnings=flow.warnings + caught)
+                     warnings=flow.warnings + caught, telemetry=telemetry)
 
 
 def accept(scenarios: list[Scenario], out_root, workers: int = 1):
@@ -568,6 +581,7 @@ def accept(scenarios: list[Scenario], out_root, workers: int = 1):
                 "error": r.error,
                 "traceback": r.traceback,
                 "warnings": r.warnings,
+                "telemetry": r.telemetry,
                 "artifacts": r.artifacts,
                 "checks": [
                     {"name": c.name, "passed": c.passed,

@@ -20,7 +20,6 @@ from .axisym import (
     TOPOLOGY_PERIODIC,
     AxiProfile,
     AxiTrajectory,
-    _chain_fields,
     _fields,
 )
 from .errors import FitFailureError, InvalidInputError
@@ -256,14 +255,13 @@ def window_curvatures(window: NDArray[np.float64], axisymmetric: bool) -> NDArra
     Plane-curve windows give the signed meridian curvature alone; profile
     windows also include the rotational principal curvature -nu_r/r.
     """
+    k, left, _ = cv._three_point(window)
     if axisymmetric:
+        # sigma orients the curvature and normal inward
         sigma = 1.0 if window[-1, 0] >= window[0, 0] else -1.0
-        kappa, nu, _, _ = _chain_fields(window, sigma)
         r = window[1:-1, 1]
         safe = np.where(np.abs(r) > 1e-30, r, 1e-30)
-        rotational = -nu[:, 1] / safe
-        return np.concatenate([kappa, rotational])
-    k, _, _ = cv._three_point(window)
+        return np.concatenate([-sigma * k, sigma * left[:, 1] / safe])
     # Orient so the majority of the window counts as convex when it bends
     # consistently; the convexity test only cares about sign uniformity.
     if np.sum(k) < 0:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import curveflow.axisym as ax
 import curveflow.flow1d as f1
@@ -147,6 +149,20 @@ class TestSphereRun:
             ax._axi_resample(pts, ax.TOPOLOGY_TWO_POLES, None, 0.05)
 
 
+class TestCylinderRun:
+    def test_straight_cylinder_follows_the_shrinking_law(self):
+        # The cylinder ghost rule makes every sample see the same neighbours, so
+        # the tube stays exactly uniform while r^2 = r0^2 - 2t.
+        traj = ax.run_axi(ax.cylinder_profile(0.3, 1.0, 64), f1.FlowConfig(cfl_factor=0.4))
+        for snap in traj.snapshots:
+            r = snap.profile.samples[:, 1]
+            assert np.ptp(r) == 0.0
+            want = oc.shrinker_radius("cylinder", 0.3, snap.time)
+            assert abs(r[0] - want) / want < 5e-3
+        assert [e.kind for e in traj.events] == [ax.EVENT_NECK_PINCH]
+        assert abs(traj.events[0].time - 0.042) < 1e-3
+
+
 class TestNeckPinch:
     def test_pinch_event_at_thinnest_section(self, neck_traj):
         events = {e.kind: e for e in neck_traj.events}
@@ -230,6 +246,66 @@ class TestTorusRun:
         traj = ax.run_axi(ax.torus_profile(1.0, 0.25, 48))
         assert traj.events[-1].kind == ax.EVENT_TORUS_COLLAPSE
         assert traj.events[-1].time > 0.5 * 0.25**2 / 2
+
+
+class TestInPlaceStep:
+    def test_snapshots_and_input_share_no_memory_with_the_buffer(self):
+        # The tube shrinks, so resampling lowers the sample count and the
+        # chain buffer is reallocated during the run.
+        profile = ax.torus_profile(1.0, 0.25, 64)
+        before = profile.samples.copy()
+        config = f1.FlowConfig()
+        state = ax._AxiState(profile, config)
+        first_chain = state.chain
+        f1._evolve([state], config)
+        assert np.array_equal(profile.samples, before)
+        snaps = state.traj.snapshots
+        assert len(snaps[-1].profile) < len(profile)
+        assert state.chain is not first_chain
+        arrays = [s.profile.samples for s in snaps]
+        for i, a in enumerate(arrays):
+            assert not np.shares_memory(a, state.chain)
+            assert not np.shares_memory(a, first_chain)
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+def brute_plateau_waist(r):
+    """The docstring of ax._plateau_waist, read literally with Python loops."""
+    runs = []   # [value, first index, last index]
+    for i, v in enumerate(r):
+        if runs and runs[-1][0] == v:
+            runs[-1][2] = i
+        else:
+            runs.append([v, i, i])
+    best = None
+    for k in range(1, len(runs) - 1):
+        v = runs[k][0]
+        if v < runs[k - 1][0] and v < runs[k + 1][0] and (best is None or v < runs[best][0]):
+            best = k
+    return None if best is None else (runs[best][1] + runs[best][2]) // 2
+
+
+@st.composite
+def arrays_with_runs(draw):
+    runs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), max_size=12))
+    return np.array([float(v) for v, length in runs for _ in range(length)])
+
+
+class TestPlateauWaist:
+    @given(arrays_with_runs())
+    @example(np.array([1.0, 1.0, 2.0, 3.0]))               # plateau at the start
+    @example(np.array([3.0, 2.0, 1.0, 1.0]))               # plateau at the end
+    @example(np.array([3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0]))   # flat tube
+    @example(np.array([3.0, 1.0, 3.0, 1.0, 3.0]))          # equal minima
+    def test_matches_the_brute_force_reading(self, r):
+        assert ax._plateau_waist(r) == brute_plateau_waist(r.tolist())
+
+    def test_named_cases(self):
+        assert ax._plateau_waist(np.array([1.0, 1.0, 2.0, 3.0])) is None
+        assert ax._plateau_waist(np.array([3.0, 2.0, 1.0, 1.0])) is None
+        assert ax._plateau_waist(np.array([3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0])) == 3
+        assert ax._plateau_waist(np.array([3.0, 1.0, 3.0, 1.0, 3.0])) == 1
 
 
 class TestProfileIO:

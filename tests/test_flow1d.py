@@ -290,3 +290,28 @@ def test_one_terminal_event_and_it_is_last(ending):
     assert traj.final().time == traj.events[-1].time
     times = traj.times()
     assert np.all(np.diff(times) > 0)
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_run_stats_describe_the_run(ending):
+    run, kind = ENDINGS[ending]
+    traj = run()
+    stats = traj.stats
+    assert stats.event == kind
+    assert stats.snapshots == len(traj.snapshots)
+    assert stats.resamples == stats.steps // f1.FlowConfig().resample_every
+    if ending.endswith("budget"):
+        assert stats.steps == 50
+    if stats.steps == 0:   # closed by the first plan
+        assert (stats.dt_min, stats.dt_mean, stats.dt_max) == (None, None, None)
+    else:
+        assert 0 < stats.dt_min <= stats.dt_mean <= stats.dt_max
+        assert stats.dt_mean * stats.steps == pytest.approx(traj.final().time, rel=1e-12)
+
+
+def test_co_evolved_trajectories_share_the_clock_stats():
+    pair = [_nested_pair(0), _nested_pair(1)]
+    a, b = (tr.stats for tr in pair)
+    assert (a.steps, a.resamples, a.dt_min, a.dt_mean, a.dt_max) == (
+        b.steps, b.resamples, b.dt_min, b.dt_mean, b.dt_max)
+    assert (a.event, b.event) == (f1.EVENT_PARTNER_STOPPED, f1.EVENT_EXTINCTION)

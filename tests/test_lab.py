@@ -413,6 +413,23 @@ class TestRunner:
             right = (tmp_path / "b" / "tiny_circle" / name).read_bytes()
             assert left == right, name
 
+    def test_telemetry_file_matches_the_summary_and_repeats(self, tmp_path):
+        batch = [tiny_circle_scenario(), scenarios.parse_config(TINY_SPHERE)[0],
+                 oracle_scenario()]
+        _, summary, _ = runner.accept(batch, tmp_path / "a")
+        runner.accept(batch, tmp_path / "b")
+        circle, sphere, oracle = summary["scenarios"]
+        for entry, event in ((circle, f1.EVENT_EXTINCTION), (sphere, ax.EVENT_POLE_EXTINCTION)):
+            on_disk = json.loads((tmp_path / "a" / entry["name"] / "telemetry.json").read_text())
+            assert on_disk == entry["telemetry"]
+            (stats,) = on_disk["trajectories"]
+            assert stats["event"] == event and stats["steps"] > 0
+            assert "telemetry.json" not in entry["artifacts"]
+        assert oracle["telemetry"] is None
+        assert not (tmp_path / "a" / "oracle_gate" / "telemetry.json").exists()
+        # no wall times: the telemetry files repeat byte for byte with the rest
+        assert scenario_files(tmp_path / "a") == scenario_files(tmp_path / "b")
+
     def test_nested_pair_writes_one_set_per_curve(self, tmp_path):
         text = """[pair]
 kind = curve-flow
