@@ -143,9 +143,6 @@ class AxiTrajectory:
     def times(self) -> NDArray[np.float64]:
         return np.array([s.time for s in self.snapshots])
 
-    def areas(self) -> NDArray[np.float64]:
-        return np.array([s.metrics.surface_area for s in self.snapshots])
-
     def min_radii(self) -> NDArray[np.float64]:
         return np.array([s.metrics.min_radius for s in self.snapshots])
 
@@ -177,14 +174,6 @@ def _fill_ghosts(chain: NDArray[np.float64], topology: str, period: float | None
         chain[-1, 0] += period
 
 
-def _ghost_chain(pts: NDArray[np.float64], topology: str, period: float | None) -> NDArray[np.float64]:
-    """The samples inside a new (n + 2, 2) chain with its ghosts filled."""
-    chain = np.empty((len(pts) + 2, 2))
-    chain[1:-1] = pts
-    _fill_ghosts(chain, topology, period)
-    return chain
-
-
 def _mean_curvature(
     kappa: NDArray[np.float64], nu: NDArray[np.float64], r: NDArray[np.float64], two_poles: bool
 ) -> NDArray[np.float64]:
@@ -200,15 +189,18 @@ def _mean_curvature(
 def _fields(
     pts: NDArray[np.float64], topology: str, period: float | None
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Per-sample meridian curvature, inward normal and h, plus the edge
-    lengths of the ghost chain (see ``_fill_ghosts``)."""
-    mu, left, seg = cv._three_point(_ghost_chain(pts, topology, period))
+    """Per-sample meridian curvature, inward normal and h, plus the (n + 2, 2)
+    ghost chain they were computed on (see ``_fill_ghosts``)."""
+    chain = np.empty((len(pts) + 2, 2))
+    chain[1:-1] = pts
+    _fill_ghosts(chain, topology, period)
+    mu, left, _ = cv._three_point(chain)
     clockwise = (not cv.polygon_area(pts) > 0 if topology == TOPOLOGY_PERIODIC
                  else pts[-1, 0] >= pts[0, 0])   # the solid lies to the right
     sigma = 1.0 if clockwise else -1.0
     kappa = -sigma * mu
     nu = -sigma * left
-    return kappa, nu, _mean_curvature(kappa, nu, pts[:, 1], topology == TOPOLOGY_TWO_POLES), seg
+    return kappa, nu, _mean_curvature(kappa, nu, pts[:, 1], topology == TOPOLOGY_TWO_POLES), chain
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +271,12 @@ def axi_metrics(profile: AxiProfile) -> AxiMetrics:
     """Area and volume of the revolved polyline, exact per conical frustum, and
     the waist and mean curvature range of the samples."""
     pts, topology = profile.samples, profile.topology
-    _, _, h, _ = _fields(pts, topology, profile.period)
+    _, _, h, chain = _fields(pts, topology, profile.period)
     hmin = float(h.min())
     hmax = float(h.max())
     rmin, rmin_x, _, _ = _waist_of(pts, topology)
     tol = MEAN_CONVEX_REL_TOL * max(1.0, abs(hmin), abs(hmax))
-    p, q = _segments(_ghost_chain(pts, topology, profile.period), topology)
+    p, q = _segments(chain, topology)
     r0, r1, dx = p[:, 1], q[:, 1], q[:, 0] - p[:, 0]
     return AxiMetrics(
         surface_area=_frustum_area(p, q),

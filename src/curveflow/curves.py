@@ -281,6 +281,23 @@ def _interval_pairs(
     return order[ii], order[jj]
 
 
+def _orientations(
+    a1: NDArray[np.float64],
+    a2: NDArray[np.float64],
+    b1: NDArray[np.float64],
+    b2: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], ...]:
+    """Per-pair cross products placing a1 and a2 against segment b, then b1 and
+    b2 against segment a; the segments properly cross iff both pairs differ in sign."""
+    da = a2 - a1
+    db = b2 - b1
+    diff = b1 - a1
+    return (db[:, 0] * (-diff[:, 1]) - db[:, 1] * (-diff[:, 0]),
+            db[:, 0] * (da - diff)[:, 1] - db[:, 1] * (da - diff)[:, 0],
+            da[:, 0] * diff[:, 1] - da[:, 1] * diff[:, 0],
+            da[:, 0] * (diff + db)[:, 1] - da[:, 1] * (diff + db)[:, 0])
+
+
 def _segments_touch(
     a1: NDArray[np.float64],
     a2: NDArray[np.float64],
@@ -289,14 +306,9 @@ def _segments_touch(
     tol: float,
 ) -> NDArray[np.bool_]:
     """Per-pair test whether segments a and b cross or touch within tol."""
+    d1, d2, d3, d4 = _orientations(a1, a2, b1, b2)
     da = a2 - a1
     db = b2 - b1
-    diff = b1 - a1
-    d1 = db[:, 0] * (-diff[:, 1]) - db[:, 1] * (-diff[:, 0])
-    d2 = db[:, 0] * (da - diff)[:, 1] - db[:, 1] * (da - diff)[:, 0]
-    d3 = da[:, 0] * diff[:, 1] - da[:, 1] * diff[:, 0]
-    d4 = da[:, 0] * (diff + db)[:, 1] - da[:, 1] * (diff + db)[:, 0]
-
     eps_a = tol * np.hypot(da[:, 0], da[:, 1])
     eps_b = tol * np.hypot(db[:, 0], db[:, 1])
     s1 = np.where(np.abs(d1) <= eps_b, 0, np.sign(d1))
@@ -384,15 +396,7 @@ def _curves_cross(c1: PlaneCurve, c2: PlaneCurve) -> bool:
     ii, jj = ii[keep], jj[keep]
     if len(ii) == 0:
         return False
-    a1, a2 = p1[ii], p2[ii]
-    b1, b2 = p1[jj], p2[jj]
-    da = a2 - a1
-    db = b2 - b1
-    diff = b1 - a1
-    t1 = db[:, 0] * (-diff[:, 1]) - db[:, 1] * (-diff[:, 0])
-    t2 = db[:, 0] * (da - diff)[:, 1] - db[:, 1] * (da - diff)[:, 0]
-    t3 = da[:, 0] * diff[:, 1] - da[:, 1] * diff[:, 0]
-    t4 = da[:, 0] * (diff + db)[:, 1] - da[:, 1] * (diff + db)[:, 0]
+    t1, t2, t3, t4 = _orientations(p1[ii], p2[ii], p1[jj], p2[jj])
     return bool(((t1 * t2 < 0) & (t3 * t4 < 0)).any())
 
 

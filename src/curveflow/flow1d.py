@@ -68,15 +68,16 @@ class FlowConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if self.cfl_factor <= 0 or self.cfl_factor > 1:
+        # Each guard is written so that NaN fails it.
+        if not 0.0 < self.cfl_factor <= 1.0:
             raise InvalidInputError("cfl_factor must be in (0, 1]")
-        if self.resample_every <= 0:
+        if not self.resample_every > 0:
             raise InvalidInputError("resample_every must be positive")
         if not 0.0 < self.stop_area_fraction < 1.0:
             raise InvalidInputError("stop_area_fraction must be in (0, 1)")
-        if self.max_curvature_stop is not None and self.max_curvature_stop <= 0:
+        if self.max_curvature_stop is not None and not self.max_curvature_stop > 0:
             raise InvalidInputError("max_curvature_stop must be positive")
-        if self.max_steps <= 0:
+        if not self.max_steps > 0:
             raise InvalidInputError("max_steps must be positive")
 
 

@@ -7,6 +7,7 @@ files so runs can be diffed across machines.
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ import numpy as np
 from .. import axisym as ax
 from .. import curves as cv
 from ..axisym import AxiProfile, AxiTrajectory
-from ..flow1d import Trajectory
+from ..errors import InvalidInputError
+from ..flow1d import Event, Snapshot, Trajectory
 
+# Each trajectory header names the time, then every metrics field in declaration order.
 CURVE_CSV_HEADER = "t,length,area,iso_ratio,kmin,kmax,convex"
 AXI_CSV_HEADER = "t,area,volume,rmin,rmin_x,hmin,hmax,mean_convex"
 
@@ -24,36 +27,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    lines = [CURVE_CSV_HEADER]
-    for s in traj.snapshots:
-        m = s.metrics
-        lines.append(",".join([
-            _fmt(s.time), _fmt(m.length), _fmt(m.enclosed_area),
-            _fmt(m.isoperimetric_ratio), _fmt(m.min_curvature),
-            _fmt(m.max_curvature), str(int(m.convex)),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def axi_trajectory_csv(traj: AxiTrajectory) -> str:
-    lines = [AXI_CSV_HEADER]
-    for s in traj.snapshots:
-        m = s.metrics
-        lines.append(",".join([
-            _fmt(s.time), _fmt(m.surface_area), _fmt(m.enclosed_volume),
-            _fmt(m.min_radius), _fmt(m.min_radius_location),
-            _fmt(m.min_mean_curvature), _fmt(m.max_mean_curvature),
-            str(int(m.mean_convex)),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
 def series_csv(header: str, rows) -> str:
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    return series_csv(CURVE_CSV_HEADER, ((s.time, *astuple(s.metrics)) for s in traj.snapshots))
+
+
+def axi_trajectory_csv(traj: AxiTrajectory) -> str:
+    return series_csv(AXI_CSV_HEADER, ((s.time, *astuple(s.metrics)) for s in traj.snapshots))
 
 
 def write_text(path: Path, text: str) -> Path:
@@ -159,27 +145,37 @@ def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
     """Rebuild a trajectory from a directory written by save_trajectory.
 
     Metrics are recomputed from the stored geometry; flow configuration is
-    not restored (analysis of saved runs never needs it).
+    not restored (analysis of saved runs never needs it).  An index without
+    its kind, times or snapshots, with unequal times and snapshots, or naming
+    a missing file raises InvalidInputError.
     """
     run_dir = Path(run_dir)
-    index = json.loads((run_dir / "index.json").read_text())
-    from ..flow1d import Event
-
+    path = run_dir / "index.json"
+    index = json.loads(path.read_text())
+    missing = [k for k in ("kind", "times", "snapshots") if k not in index]
+    if missing:
+        raise InvalidInputError(f"{path} has no {', '.join(missing)}")
+    kind, times, names = index["kind"], index["times"], index["snapshots"]
+    if kind not in ("axi-flow", "curve-flow"):
+        raise InvalidInputError(f"{path}: unknown kind {kind!r}")
+    if len(times) != len(names):
+        raise InvalidInputError(f"{path} lists {len(times)} times but {len(names)} snapshots")
+    absent = [name for name in names if not (run_dir / name).is_file()]
+    if absent:
+        raise InvalidInputError(f"{path} lists missing snapshot file(s): {', '.join(absent)}")
     events = [
         Event(kind=e["kind"], time=e["time"],
               location=tuple(e["location"]) if e["location"] else None)
         for e in index.get("events", [])
     ]
-    if index["kind"] == "axi-flow":
+    if kind == "axi-flow":
         snaps = []
-        for t, name in zip(index["times"], index["snapshots"]):
+        for t, name in zip(times, names):
             prof = ax.read_profile(run_dir / name)
             snaps.append(ax.AxiSnapshot(time=t, profile=prof, metrics=ax.axi_metrics(prof)))
         return AxiTrajectory(snapshots=snaps, events=events)
-    from ..flow1d import Snapshot
-
     snaps = []
-    for t, name in zip(index["times"], index["snapshots"]):
+    for t, name in zip(times, names):
         curve = cv.read_curve(run_dir / name)
         snaps.append(Snapshot(time=t, curve=curve, metrics=cv.metrics(curve)))
     return Trajectory(snapshots=snaps, events=events)

@@ -12,6 +12,8 @@ import os
 import sys
 from pathlib import Path
 
+from ..axisym import AxiProfile, write_profile
+from ..curves import write_curve
 from ..errors import ConfigError, CurveflowError
 from .. import oracle as oc
 from .. import rescale as rs
@@ -122,9 +124,6 @@ def _cmd_rescale(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     meta = []
     for i, frame in enumerate(frames):
-        from ..axisym import AxiProfile, write_profile
-        from ..curves import write_curve
-
         if isinstance(frame.snapshot, AxiProfile):
             name = f"frame_{i:03d}.axi"
             write_profile(frame.snapshot, out / name)

@@ -80,42 +80,6 @@ def grim_reaper(n: int = 161, half_width: float = 1.2) -> NDArray[np.float64]:
     return np.stack([x, -np.log(np.cos(x))], axis=1)
 
 
-def bowl_soliton(rho_max: float, n: int = 129) -> NDArray[np.float64]:
-    """Rotationally symmetric translating bowl profile, columns (x, r).
-
-    Height u(rho) solves u'' / (1 + u'^2) + u' / rho = 1 with u(0) = u'(0) = 0;
-    near the axis u ~ rho^2 / 4.  Integrated with an adaptive one-step method
-    started from the series expansion just off the singular axis point.
-    """
-    from scipy.integrate import solve_ivp
-
-    if rho_max < 0:
-        raise InvalidInputError("rho_max must be nonnegative")
-    if n < 32 and rho_max > 0:
-        raise InvalidInputError("n must be at least 32")
-    if rho_max == 0.0:
-        return np.zeros((1, 2))
-
-    def rhs(rho, y):
-        u, w = y
-        return [w, (1.0 + w * w) * (1.0 - w / rho)]
-
-    rho0 = min(1e-8, rho_max / 2.0)
-    y0 = [rho0 * rho0 / 4.0, rho0 / 2.0]
-    sol = solve_ivp(
-        rhs, (rho0, rho_max), y0, method="RK45",
-        rtol=1e-12, atol=1e-14, dense_output=True,
-    )
-    if not sol.success:
-        raise InvalidInputError(f"bowl integration failed: {sol.message}")
-    rho = np.linspace(0.0, rho_max, n)
-    u = np.empty_like(rho)
-    inside = rho >= rho0
-    u[inside] = sol.sol(rho[inside])[0]
-    u[~inside] = rho[~inside] ** 2 / 4.0
-    return np.stack([u, rho], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Independent ODE integration used to vouch for the closed forms
 # ---------------------------------------------------------------------------
@@ -213,8 +177,8 @@ def evolve_translating_front(
     moving up at unit speed, and return the final points; confirms the
     translating-front solution.  An end before the horizon raises
     NumericalBreakdownError."""
-    if duration <= 0:
-        raise InvalidInputError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise InvalidInputError(f"duration must be positive and finite, got {duration}")
     config = FlowConfig(cfl_factor=cfl_factor, resample_every=resample_every)
     state = _FrontState(points, duration, config)
     _evolve([state], config)

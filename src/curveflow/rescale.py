@@ -109,8 +109,10 @@ def parabolic_rescale(
     scales = list(scales)
     if not scales:
         raise InvalidInputError("need at least one scale")
-    if any(s <= 0 for s in scales):
-        raise InvalidInputError("scales must be positive")
+    if not all(0.0 < s < np.inf for s in scales):
+        raise InvalidInputError("scales must be positive and finite")
+    if not np.isfinite(reference_time) or not np.all(np.isfinite(center)):
+        raise InvalidInputError("reference time and center must be finite")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise InvalidInputError("scales must be strictly increasing")
     times = traj.times()
@@ -190,14 +192,6 @@ def roundness_series(traj: Trajectory) -> list[tuple[float, float, float]]:
     return out
 
 
-def hausdorff_distance(a: cv.PlaneCurve, b: cv.PlaneCurve) -> float:
-    """Symmetric Hausdorff distance between two closed polylines."""
-    va, vb = a.vertices, b.vertices
-    d_ab = cv._point_segment_distances(va, vb, np.roll(vb, -1, axis=0))
-    d_ba = cv._point_segment_distances(vb, va, np.roll(va, -1, axis=0))
-    return float(max(d_ab.max(), d_ba.max()))
-
-
 # ---------------------------------------------------------------------------
 # Curvature-normalized blow-up frames
 # ---------------------------------------------------------------------------
@@ -219,22 +213,6 @@ def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
     lo = max(0.0, s[index] - WINDOW_HALF)
     hi = min(float(s[-1]), s[index] + WINDOW_HALF)
     return cv._spline(s, pts, np.linspace(lo, hi, WINDOW_POINTS), periodic=False)
-
-
-def local_window(geo: cv.PlaneCurve | AxiProfile, point) -> NDArray[np.float64]:
-    """Evenly spaced samples of the arc within one unit of the given point.
-
-    The point snaps to the nearest vertex or sample; the window spans one
-    arclength unit to each side (less near the ends of an open meridian).
-    """
-    point = np.asarray(point, dtype=np.float64)
-    if isinstance(geo, AxiProfile):
-        pts = geo.samples
-        idx = int(np.argmin(np.hypot(pts[:, 0] - point[0], pts[:, 1] - point[1])))
-        return _window_profile(geo, idx)
-    pts = geo.vertices
-    idx = int(np.argmin(np.hypot(pts[:, 0] - point[0], pts[:, 1] - point[1])))
-    return _window_curve(pts, idx)
 
 
 def line_residual(window: NDArray[np.float64]) -> float:

@@ -121,7 +121,8 @@ class TestSphereRun:
         assert abs(t_end - 0.0625) < 0.0625 * 0.05
 
     def test_surface_area_decreases(self, small_sphere_traj):
-        assert np.all(np.diff(small_sphere_traj.areas()) < 0)
+        areas = [s.metrics.surface_area for s in small_sphere_traj.snapshots]
+        assert np.all(np.diff(areas) < 0)
 
     def test_mean_convexity_preserved(self, small_sphere_traj):
         assert all(s.metrics.mean_convex for s in small_sphere_traj.snapshots)

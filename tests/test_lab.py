@@ -17,7 +17,8 @@ import curveflow.axisym as ax
 import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
-from curveflow.errors import ConfigError
+import curveflow.rescale as rs
+from curveflow.errors import ConfigError, InvalidInputError
 from curveflow.lab import artifacts, cli, runner, scenarios
 
 TINY_CIRCLE = """[tiny_circle]
@@ -366,6 +367,23 @@ class TestArtifacts:
             assert s0.profile.topology == s1.profile.topology
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: f1.FlowConfig(cfl_factor=NAN), InvalidInputError, "cfl_factor"),
+    (lambda: scenarios.parse_config(TINY_CIRCLE.replace("cfl_factor = 0.5", "cfl_factor = nan")),
+     ConfigError, "cfl_factor"),
+    (lambda: f1.FlowConfig(max_curvature_stop=NAN), InvalidInputError, "max_curvature_stop"),
+    (lambda: oc.evolve_translating_front(oc.grim_reaper(41), NAN), InvalidInputError, "duration"),
+    (lambda: rs.parabolic_rescale(f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0)),
+                                  (0.0, 0.0), NAN, [2.0]), InvalidInputError, "reference time"),
+], ids=["cfl-factor", "scenario-cfl-factor", "curvature-stop", "front-duration", "rescale-time"])
+def test_non_finite_number_is_rejected_where_it_enters(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def scenario_files(root):
     """Every file under root but summary.json (it holds wall times), as bytes."""
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
@@ -708,6 +726,25 @@ class TestCli:
         assert cli.main(["rescale", str(tmp_path), "0,0", "1.0"]) == 2
         assert "index.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt, problem", [
+        (lambda index, snaps: index.pop("kind"), "has no kind"),
+        (lambda index, snaps: index["times"].append(1.0), "times but"),
+        (lambda index, snaps: (snaps / index["snapshots"][1]).unlink(), "missing snapshot"),
+    ], ids=["no-kind", "extra-time", "missing-file"])
+    def test_bad_index_is_named_and_rescale_exits_2(self, tmp_path, capsys, corrupt, problem):
+        traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
+                      f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
+        snaps = tmp_path / "snaps"
+        artifacts.save_trajectory(snaps, traj)
+        index = json.loads((snaps / "index.json").read_text())
+        corrupt(index, snaps)
+        artifacts.write_json(snaps / "index.json", index)
+        with pytest.raises(InvalidInputError, match=problem):
+            artifacts.load_trajectory(snaps)
+        assert cli.main(["rescale", str(snaps), "0,0", "0.1",
+                         "--out", str(tmp_path / "frames")]) == 2
+        assert problem in capsys.readouterr().err
+
 
 def run_python(*args):
     """Run a fresh interpreter that imports this curveflow tree."""
@@ -722,7 +759,8 @@ class TestImports:
     def test_runner_import_skips_interpolate_and_cli(self):
         # In a subprocess: the test modules themselves import scipy.interpolate.
         proc = run_python("-c", "import sys, curveflow, curveflow.lab.runner; print(sorted("
-                          "{'scipy.interpolate', 'curveflow.lab.cli'} & set(sys.modules)))")
+                          "{'scipy.interpolate', 'scipy.integrate', 'curveflow.lab.cli'}"
+                          " & set(sys.modules)))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

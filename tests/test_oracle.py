@@ -126,28 +126,6 @@ class TestTranslators:
         with pytest.raises(NumericalBreakdownError, match=kind):
             oc.evolve_translating_front(oc.grim_reaper(81, 1.0), 0.1)
 
-    def test_bowl_profile_is_convex_paraboloid_at_axis(self):
-        prof = oc.bowl_soliton(2.0, 129)
-        height, rho = prof[:, 0], prof[:, 1]
-        assert abs(height[0]) < 1e-12
-        assert np.all(np.diff(height) >= 0)
-        # near the axis the height looks like rho^2 / 4
-        near = rho < 0.15
-        assert np.max(np.abs(height[near] - rho[near] ** 2 / 4)) < 2e-4
-
-    def test_bowl_slope_increases_outward(self):
-        # convex: the slope grows outward, starting from u'' = 1/2 at the axis;
-        # slope and bend are finite differences of the profile
-        prof = oc.bowl_soliton(2.0, 129)
-        height, rho = prof[:, 0], prof[:, 1]
-        step = rho[1] - rho[0]
-        slope = np.diff(height) / step
-        bend = np.diff(slope) / step
-        assert np.all(np.diff(height) > 0)
-        assert np.all(slope > 0)
-        assert np.all(bend > 0)
-        assert abs(bend[0] - 0.5) < 0.01
-
 
 class TestPolylineDistance:
     def test_distance_to_square(self):

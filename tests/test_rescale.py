@@ -108,8 +108,8 @@ class TestParabolicRescale:
             radii = np.hypot(frame.snapshot.vertices[:, 0],
                              frame.snapshot.vertices[:, 1])
             assert np.max(np.abs(radii - math.sqrt(2.0))) < 1e-3
-            assert rs.hausdorff_distance(
-                cv.PlaneCurve(frame.snapshot.vertices), reference) < 1e-3
+            v = frame.snapshot.vertices
+            assert cv._point_segment_distances(reference.vertices, v, np.roll(v, -1, 0)).max() < 1e-3
             assert frame.rescaled_time == pytest.approx(-1.0, abs=0.05)
 
     def test_axisymmetric_rescale_scales_period(self, dumbbell_traj):
@@ -121,40 +121,33 @@ class TestParabolicRescale:
         assert np.max(np.abs(prof.samples - 2.0 * base.samples)) < 1e-12
 
 
-class TestHausdorff:
-    def test_offset_circles(self):
-        a = cv.circle_polygon(1.0, 512)
-        b = cv.circle_polygon(1.0, 512, center=(0.1, 0.0))
-        d = rs.hausdorff_distance(a, b)
-        assert abs(d - 0.1) < 1e-3
-        assert abs(rs.hausdorff_distance(b, a) - d) < 1e-12
-
-    def test_identical_curves(self):
-        a = cv.circle_polygon(1.0, 128)
-        assert rs.hausdorff_distance(a, a) < 1e-14
+def _nearest(pts, point):
+    return int(np.argmin(np.hypot(pts[:, 0] - point[0], pts[:, 1] - point[1])))
 
 
 class TestLocalWindows:
     def test_huge_circle_window_is_straight(self):
-        big = cv.circle_polygon(400.0, 4096)
-        window = rs.local_window(big, (400.0, 0.0))
+        big = cv.circle_polygon(400.0, 4096).vertices
+        window = rs._window_curve(big, _nearest(big, (400.0, 0.0)))
         assert rs.line_residual(window) < 0.01
 
     def test_unit_circle_window_is_curved(self):
-        window = rs.local_window(cv.circle_polygon(1.0, 512), (1.0, 0.0))
+        pts = cv.circle_polygon(1.0, 512).vertices
+        window = rs._window_curve(pts, _nearest(pts, (1.0, 0.0)))
         assert rs.line_residual(window) > 0.05
         _, radius, residual = rs.fit_circle(window)
         assert abs(radius - 1.0) < 1e-3
         assert residual < 1e-3
 
     def test_window_curvatures_of_circle(self):
-        window = rs.local_window(cv.circle_polygon(1.0, 512), (0.0, 1.0))
+        pts = cv.circle_polygon(1.0, 512).vertices
+        window = rs._window_curve(pts, _nearest(pts, (0.0, 1.0)))
         kappa = rs.window_curvatures(window, axisymmetric=False)
         assert np.max(np.abs(kappa - 1.0)) < 1e-2
 
     def test_window_curvatures_of_cylinder(self):
         prof = ax.cylinder_profile(2.0, 4.0, 256)
-        window = rs.local_window(prof, (0.0, 2.0))
+        window = rs._window_profile(prof, _nearest(prof.samples, (0.0, 2.0)))
         kappa = rs.window_curvatures(window, axisymmetric=True)
         # one principal curvature vanishes, the other is 1/r
         assert np.min(kappa) > -1e-6
