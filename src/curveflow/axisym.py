@@ -92,8 +92,8 @@ class AxiProfile:
             if np.any(r <= 0):
                 raise DegenerateGeometryError("sample on or below the axis")
         if topology == TOPOLOGY_CYLINDER:
-            if period is None or period <= 0:
-                raise InvalidInputError("cylinder topology requires a positive period")
+            if period is None or not 0 < period < np.inf:
+                raise InvalidInputError("cylinder topology requires a positive finite period")
             if np.any(np.diff(pts[:, 0]) <= 0):
                 raise InvalidInputError("cylinder samples must have increasing x")
             if pts[-1, 0] - pts[0, 0] >= period:
@@ -556,6 +556,7 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTraject
 class NeckReport:
     pinch_time: float                       # fitted T with r(t)^2 = 2 (T - t)
     series: NDArray[np.float64]             # (m, 2) columns (time, min_radius)
+    window: NDArray[np.bool_]               # the rows of series the fit reads
 
 
 def neck_report(traj: AxiTrajectory) -> NeckReport:
@@ -576,7 +577,7 @@ def neck_report(traj: AxiTrajectory) -> NeckReport:
     t_sel = times[mask]
     r_sel = radii[mask]
     pinch = float(np.mean(t_sel + 0.5 * r_sel * r_sel))
-    return NeckReport(pinch_time=pinch, series=np.column_stack([times, radii]))
+    return NeckReport(pinch, np.column_stack([times, radii]), mask)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ Exit status: 0 on success, 1 when a check fails, 2 on usage or config errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -29,40 +28,27 @@ def _out_root(explicit: str | None) -> Path:
     return Path(env) if env else Path(DEFAULT_OUT)
 
 
-def _run_batch(scenario_list, out) -> int:
-    reports, _, status = runner.accept(scenario_list, out)
-    print(runner.format_table(reports))
-    print(f"summary: {Path(out) / 'summary.json'}")
-    return status
-
-
 def _cmd_run(args) -> int:
+    """Run a config file's scenarios (`run`) or the built-in catalog (`accept`)."""
     try:
-        scenario_list = scenarios.parse_config_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not scenario_list:
-        print("config defines no scenarios", file=sys.stderr)
-        return 2
-    return _run_batch(scenario_list, _out_root(args.out))
-
-
-def _cmd_accept(args) -> int:
-    try:
-        if args.catalog:
-            scenario_list = scenarios.parse_config_file(args.catalog)
-        else:
+        if args.config is None:
             scenario_list = scenarios.builtin_catalog()
+        else:
+            scenario_list = scenarios.parse_config_file(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.kind:
         scenario_list = [s for s in scenario_list if s.kind == args.kind]
-        if not scenario_list:
-            print(f"no scenarios of kind {args.kind!r}", file=sys.stderr)
-            return 2
-    return _run_batch(scenario_list, _out_root(args.out))
+    if not scenario_list:
+        print("config defines no scenarios" if args.kind is None
+              else f"no scenarios of kind {args.kind!r}", file=sys.stderr)
+        return 2
+    out = _out_root(args.out)
+    reports, _, status = runner.accept(scenario_list, out)
+    print(runner.format_table(reports))
+    print(f"summary: {out / 'summary.json'}")
+    return status
 
 
 def _cmd_oracle(args) -> int:
@@ -153,15 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run scenarios from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output root directory")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, kind=None)
 
-    p_acc = sub.add_parser("accept", help="run the acceptance catalog")
-    p_acc.add_argument("--catalog", default=None,
-                       help="alternative catalog file (default: built-in)")
+    p_acc = sub.add_parser("accept", help="run the built-in acceptance catalog")
     p_acc.add_argument("--out", default=None)
     p_acc.add_argument("--kind", default=None,
                        help="restrict to scenarios of one kind")
-    p_acc.set_defaults(func=_cmd_accept)
+    p_acc.set_defaults(func=_cmd_run, config=None)
 
     p_or = sub.add_parser("oracle", help="closed-form reference values")
     p_or.add_argument("kind",

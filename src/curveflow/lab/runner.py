@@ -34,15 +34,7 @@ from .artifacts import (
     write_json,
     write_text,
 )
-from .scenarios import (
-    CURVE_SHAPES,
-    DIAL_ACCEPTS,
-    KIND_AXI,
-    KIND_CURVE,
-    KIND_ORACLE,
-    KIND_RESCALE,
-    Scenario,
-)
+from .scenarios import DIAL_ACCEPTS, KIND_AXI, KIND_ORACLE, SHAPES_BY_KIND, Scenario
 
 
 @dataclass
@@ -261,10 +253,8 @@ def _eval_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
 def _eval_neck(s: Scenario, out: Path, traj: ax.AxiTrajectory):
     report = ax.neck_report(traj)
     event = traj.events[-1] if traj.events else None
-    times = traj.times()
-    radii = traj.min_radii()
-    mask = radii <= 10.0 * radii.min()
-    ratios = radii[mask] / np.sqrt(2.0 * (report.pinch_time - times[mask]))
+    times, radii = report.series[report.window].T
+    ratios = radii / np.sqrt(2.0 * (report.pinch_time - times))
     payload = {
         "pinch_time_fit": report.pinch_time,
         "event": None if event is None else
@@ -390,16 +380,16 @@ _EVALUATORS = {
 # Scenario execution
 # ---------------------------------------------------------------------------
 
-_DRIVER_CURVE, _DRIVER_FRONT, _DRIVER_AXI = "curve", "front", "axi"
-
-
 class _FlowKey(NamedTuple):
-    """Every input of one driver run; _run_flow reads nothing else."""
-    driver: str
+    """Every input of one driver run; _run_flow reads nothing else.
+
+    The parser leaves the fields a driver ignores at their defaults.
+    """
+    kind: str
     shape: str
     shape_params: tuple[tuple[str, float], ...]
     n: int
-    law: f1.SpeedLaw | None          # None where the driver ignores the law
+    law: f1.SpeedLaw
     config: f1.FlowConfig
     duration: float | None           # the translating front's horizon only
 
@@ -408,15 +398,8 @@ def _flow_key(s: Scenario) -> _FlowKey | None:
     """The scenario's flow key, or None for a scenario that runs no flow."""
     if s.kind == KIND_ORACLE:
         return None
-    law = duration = None
-    if s.kind != KIND_CURVE:    # axi-flow and rescale-analysis run one driver
-        driver = _DRIVER_AXI
-    elif s.shape == "grim_reaper":
-        driver, duration = _DRIVER_FRONT, s.options["duration"]
-    else:
-        driver, law = _DRIVER_CURVE, s.law
-    return _FlowKey(driver, s.shape, tuple(sorted(s.shape_params.items())), s.n,
-                   law, s.config, duration)
+    return _FlowKey(s.kind, s.shape, tuple(sorted(s.shape_params.items())), s.n,
+                    s.law, s.config, s.options.get("duration"))
 
 
 def _run_flow(key: _FlowKey | None):
@@ -428,11 +411,10 @@ def _run_flow(key: _FlowKey | None):
     """
     if key is None:
         return None
-    shapes = ax.PROFILE_SHAPES if key.driver == _DRIVER_AXI else CURVE_SHAPES
-    geometry = shapes[key.shape][0](n=key.n, **dict(key.shape_params))
-    if key.driver == _DRIVER_AXI:
+    geometry = SHAPES_BY_KIND[key.kind][key.shape][0](n=key.n, **dict(key.shape_params))
+    if key.kind == KIND_AXI:
         return ax.run_axi(geometry, key.config)
-    if key.driver == _DRIVER_FRONT:
+    if key.shape == "grim_reaper":
         return geometry, oc.evolve_translating_front(
             geometry, key.duration, cfl_factor=key.config.cfl_factor,
             resample_every=key.config.resample_every)
@@ -489,7 +471,7 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
         emit_svg(flow[0], out / "initial.svg")
         emit_svg(flow[1], out / "final.svg")
         return ["initial.svg", "final.svg"]
-    axi = s.kind != KIND_CURVE
+    axi = s.kind == KIND_AXI
     trajs = flow if isinstance(flow, list) else [flow]
     names = []
     for i, traj in enumerate(trajs):
@@ -497,10 +479,9 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
         write_text(out / f"trajectory{tag}.csv",
                    (axi_trajectory_csv if axi else trajectory_csv)(traj))
         names.append(f"trajectory{tag}.csv")
-        if s.kind != KIND_RESCALE:
-            for label, snap in (("initial", traj.snapshots[0]), ("final", traj.final())):
-                emit_svg(snap.profile if axi else snap.curve, out / f"{label}{tag}.svg")
-                names.append(f"{label}{tag}.svg")
+        for label, snap in (("initial", traj.snapshots[0]), ("final", traj.final())):
+            emit_svg(snap.profile if axi else snap.curve, out / f"{label}{tag}.svg")
+            names.append(f"{label}{tag}.svg")
         if s.options.get("save_snapshots"):
             save_trajectory(out / f"snapshots{tag}", traj)
             names.append(f"snapshots{tag}/index.json")
@@ -550,6 +531,12 @@ def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
                      warnings=flow.warnings + caught, telemetry=telemetry)
 
 
+def _summary_entry(r: RunReport) -> dict:
+    entry = asdict(r)
+    return {"name": entry.pop("scenario"), "passed": r.passed,
+            **entry, "wall_time": round(r.wall_time, 3)}
+
+
 def accept(scenarios: list[Scenario], out_root, workers: int = 1):
     """Run every scenario in input order; return (reports, summary dict, exit status).
 
@@ -572,25 +559,7 @@ def accept(scenarios: list[Scenario], out_root, workers: int = 1):
         "total": len(reports),
         "passed": sum(r.passed for r in reports),
         "failed": sum(not r.passed for r in reports),
-        "scenarios": [
-            {
-                "name": r.scenario,
-                "passed": r.passed,
-                "wall_time": round(r.wall_time, 3),
-                "shared_flow": r.shared_flow,
-                "error": r.error,
-                "traceback": r.traceback,
-                "warnings": r.warnings,
-                "telemetry": r.telemetry,
-                "artifacts": r.artifacts,
-                "checks": [
-                    {"name": c.name, "passed": c.passed,
-                     "measured": c.measured, "detail": c.detail}
-                    for c in r.checks
-                ],
-            }
-            for r in reports
-        ],
+        "scenarios": [_summary_entry(r) for r in reports],
     }
     write_json(out_root / "summary.json", summary)
     status = 0 if all(r.passed for r in reports) else 1

@@ -10,6 +10,7 @@ semantic problems name the offending field.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -23,9 +24,8 @@ from ..flow1d import FlowConfig, SpeedLaw
 
 KIND_CURVE = "curve-flow"
 KIND_AXI = "axi-flow"
-KIND_RESCALE = "rescale-analysis"
 KIND_ORACLE = "oracle-check"
-KINDS = (KIND_CURVE, KIND_AXI, KIND_RESCALE, KIND_ORACLE)
+KINDS = (KIND_CURVE, KIND_AXI, KIND_ORACLE)
 
 
 def _nested_pair(outer_radius: float, a: float, b: float, n: int) -> list[cv.PlaneCurve]:
@@ -45,7 +45,6 @@ CURVE_SHAPES = {
 SHAPES_BY_KIND = {
     KIND_CURVE: CURVE_SHAPES,
     KIND_AXI: ax.PROFILE_SHAPES,
-    KIND_RESCALE: ax.PROFILE_SHAPES,
     KIND_ORACLE: {"selfcheck": (None, ())},
 }
 
@@ -73,7 +72,7 @@ class Field(NamedTuple):
 
 def _positive(raw: str) -> float:
     value = float(raw)
-    if not value > 0:
+    if not 0 < value < math.inf:
         raise ValueError(raw)
     return value
 
@@ -100,6 +99,10 @@ def _boolean(raw: str) -> bool:
     if word not in _BOOLEAN:
         raise ValueError(raw)
     return _BOOLEAN[word]
+
+
+_FLAG = Field(_boolean, "one of " + ", ".join(_BOOLEAN), False)
+_POSITIVE = Field(_positive, "a positive number")
 
 
 def _number(default: float | None = None) -> Field:
@@ -131,7 +134,7 @@ ANALYSES = {
     "roundness": Analysis((KIND_CURVE,), _ONE_CURVE, {
         "roundness_final": _number(0.02),
         "roundness_max": _number(),
-        "roundness_monotone": _number(0.0),     # nonzero: on
+        "roundness_monotone": _FLAG,
         "iso_final_tol": _number(0.01),
     }),
     "convexification": Analysis((KIND_CURVE,), _ONE_CURVE),
@@ -146,16 +149,16 @@ ANALYSES = {
     "translate": Analysis((KIND_CURVE,), ("grim_reaper",), {
         "translate_dev_tol": _number(5e-3),
     }, {
-        "duration": Field(_positive, "a positive number"),
+        "duration": _POSITIVE,
     }),
     "neck": Analysis((KIND_AXI,), _PROFILES, {
         "event": Field(str, "an event name"),
         "neck_ratio_band": _number(),
         "pinch_x_tol": _number(),
-        "mean_convex": _number(0.0),            # nonzero: on
+        "mean_convex": _FLAG,
         "circle_fit_spacing_factor": _number(),
     }),
-    "blowup": Analysis((KIND_RESCALE,), _PROFILES, {
+    "blowup": Analysis((KIND_AXI,), _PROFILES, {
         "dial_classes": Field(_outcomes, "a ';'-separated list of "
                               + ", ".join(DIAL_ACCEPTS),
                               ("plane-like", "convex-or-cylinder", "cylinder-like")),
@@ -170,12 +173,11 @@ ANALYSES = {
     }),
 }
 
-# read by the runner for every flow that keeps a trajectory to save
-_SAVE_SNAPSHOTS = Field(_boolean, "one of " + ", ".join(_BOOLEAN), False)
 # key -> what reads it, for naming a key set where nothing reads it
 _OWNER = {key: f"analysis {name!r}" for name, spec in ANALYSES.items()
           for key in [f"check.{k}" for k in spec.checks] + list(spec.options)}
 _OWNER["save_snapshots"] = "curve-flow and axi-flow scenarios that keep a trajectory"
+_OWNER["law.p"] = "curve-flow scenarios of closed curves"
 
 
 @dataclass
@@ -259,29 +261,24 @@ def _parse_scenario(name: str, items: dict[str, str]) -> Scenario:
         _fail(name, f"dial_powers lists {len(options['dial_powers'])} powers but "
                     f"check.dial_classes lists {len(checks['dial_classes'])} outcomes")
     if kind in (KIND_CURVE, KIND_AXI) and shape != "grim_reaper":
-        options["save_snapshots"] = _typed(items, name, "save_snapshots", _SAVE_SNAPSHOTS)
+        options["save_snapshots"] = _typed(items, name, "save_snapshots", _FLAG)
 
-    shape_params = {}
-    for pname in shapes[shape][1]:
-        shape_params[pname] = _get_float(items, name, f"shape.{pname}")
-        if not shape_params[pname] > 0:
-            _fail(name, f"shape.{pname} must be positive")
+    shape_params = {p: _typed(items, name, f"shape.{p}", _POSITIVE, required=True)
+                    for p in shapes[shape][1]}
 
     law, config, n = SpeedLaw(), FlowConfig(), 0
     if kind != KIND_ORACLE:
         n = _get_int(items, name, "n")
         if n < 8:
             _fail(name, "n must be at least 8")
-        if kind == KIND_CURVE:
+        keys = ("cfl_factor", "resample_every", "stop_area_fraction")
+        if shape == "grim_reaper":   # the translating front never stops on area
+            keys = keys[:2]          # and always moves by curvature
+        elif kind == KIND_CURVE:
             try:
                 law = SpeedLaw(_get_float(items, name, "law.p"))
             except InvalidInputError as exc:
                 _fail(name, str(exc))
-        keys = ("cfl_factor", "resample_every", "stop_area_fraction")
-        if shape == "grim_reaper":   # the translating front never stops on area
-            keys = keys[:2]
-            if law.p != 1.0:   # and moves by curvature, the p = 1 law
-                _fail(name, f"law.p must be 1 for grim_reaper, got {law.p:g}")
         flow_kwargs = {k: (_get_int if k == "resample_every" else _get_float)(items, name, k)
                        for k in keys}
         try:

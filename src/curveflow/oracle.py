@@ -28,8 +28,8 @@ EVENT_HORIZON = "horizon"
 def shrinker_lifetime(kind: str, r0: float) -> float:
     if kind not in SHRINKER_KINDS:
         raise InvalidInputError(f"unknown shrinker kind {kind!r}")
-    if r0 <= 0:
-        raise InvalidInputError("r0 must be positive")
+    if not 0 < r0 < math.inf:
+        raise InvalidInputError("r0 must be positive and finite")
     return r0 * r0 / (4.0 if kind == "sphere" else 2.0)
 
 
@@ -40,8 +40,8 @@ def shrinker_radius(kind: str, r0: float, t: float) -> float:
     principal curvatures active, as sqrt(r0^2 - 4t).
     """
     life = shrinker_lifetime(kind, r0)
-    if t < 0:
-        raise InvalidInputError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise InvalidInputError("t must be nonnegative and finite")
     if t >= life:
         raise ExtinctError(f"{kind} of radius {r0} is extinct at t={t} (lifetime {life})")
     factor = 4.0 if kind == "sphere" else 2.0
@@ -49,8 +49,8 @@ def shrinker_radius(kind: str, r0: float, t: float) -> float:
 
 
 def power_circle_lifetime(r0: float, p: float) -> float:
-    if r0 <= 0:
-        raise InvalidInputError("r0 must be positive")
+    if not 0 < r0 < math.inf:
+        raise InvalidInputError("r0 must be positive and finite")
     if not 0.0 < p <= MAX_POWER:
         raise InvalidInputError(f"p must be in (0, {MAX_POWER}], got {p}")
     return r0 ** (1.0 + p) / (1.0 + p)
@@ -62,8 +62,8 @@ def power_circle_radius(r0: float, p: float, t: float) -> float:
     r' = -r^(-p) integrates exactly: r(t) = (r0^(1+p) - (1+p) t)^(1/(1+p)).
     """
     life = power_circle_lifetime(r0, p)
-    if t < 0:
-        raise InvalidInputError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise InvalidInputError("t must be nonnegative and finite")
     if t >= life:
         raise ExtinctError(f"power-{p} circle of radius {r0} is extinct at t={t}")
     return (r0 ** (1.0 + p) - (1.0 + p) * t) ** (1.0 / (1.0 + p))

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -62,7 +63,6 @@ kind = curve-flow
 shape = grim_reaper
 shape.half_width = 1.2
 n = 41
-law.p = 1.0
 cfl_factor = 0.4
 resample_every = 25
 duration = 0.05
@@ -70,7 +70,7 @@ analyses = translate
 """
 
 BLOWUP = """[dial]
-kind = rescale-analysis
+kind = axi-flow
 shape = dumbbell
 shape.lobe_r = 1.0
 shape.tube_r = 0.15
@@ -97,7 +97,7 @@ stop_area_fraction = 0.02
 analyses = neck
 
 [{name}_dial]
-kind = rescale-analysis
+kind = axi-flow
 shape = {shape}
 {params}
 n = {n}
@@ -190,11 +190,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"missing required key {key}"):
             scenarios.parse_config(bad)
 
-    def test_reaper_rejects_other_powers(self):
-        # the front always moves by curvature; another law.p would not be read
+    def test_reaper_rejects_a_law(self):
+        # the front always moves by curvature, so nothing would read law.p
         assert scenarios.parse_config(GRIM_REAPER)[0].law.p == 1.0
-        with pytest.raises(ConfigError, match=r"law\.p must be 1"):
-            scenarios.parse_config(GRIM_REAPER.replace("law.p = 1.0", "law.p = 0.25"))
+        with pytest.raises(ConfigError, match=r"law\.p is not read.*closed curves"):
+            scenarios.parse_config(GRIM_REAPER.replace("n = 41", "n = 41\nlaw.p = 1.0"))
 
     def test_duplicate_scenario_name(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -216,9 +216,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             scenarios.parse_config(TINY_CIRCLE.replace(old, new))
 
-    def test_rescale_kind_needs_axisymmetric_shape(self):
-        bad = TINY_CIRCLE.replace("curve-flow", "rescale-analysis")
-        with pytest.raises(ConfigError, match="rescale-analysis"):
+    def test_blowup_needs_a_profile_shape(self):
+        bad = TINY_CIRCLE.replace("radius-law, area-law", "blowup")
+        with pytest.raises(ConfigError, match="'blowup' not available for curve-flow"):
             scenarios.parse_config(bad)
 
     def test_checks_and_options_are_complete_and_typed(self):
@@ -228,7 +228,8 @@ class TestParseConfig:
         assert s.options == {"save_snapshots": True}
         assert scenarios.parse_config(TINY_ORACLE)[0].options == {}
         dial = scenarios.parse_config(BLOWUP)[0]
-        assert dial.options == {"probe_count": 6, "dial_powers": (2.0, 1.0, 0.5)}
+        assert dial.options == {"probe_count": 6, "dial_powers": (2.0, 1.0, 0.5),
+                                "save_snapshots": False}
         assert dial.checks["dial_classes"] == ("plane-like", "convex-or-cylinder",
                                                "cylinder-like")
         neck = TINY_SPHERE.replace("radius-law", "neck")
@@ -274,14 +275,26 @@ class TestParseConfig:
         (TINY_CIRCLE, "save_snapshots = true", "save_snapshots = maybe", "save_snapshots"),
         # an option on a kind that never reads it
         (TINY_CIRCLE, "n = 96", "n = 96\nprobe_count = 6", "probe_count"),
-        (BLOWUP, "n = 200", "n = 200\nsave_snapshots = true", "save_snapshots"),
+        # check flags: one of the boolean words
+        (DUMBBELL_PAIR, "analyses = neck", "analyses = neck\ncheck.mean_convex = 2",
+         r"check\.mean_convex"),
+        (ELLIPSE_PAIR, "analyses = roundness",
+         "analyses = roundness\ncheck.roundness_monotone = 2", r"check\.roundness_monotone"),
         (TINY_ORACLE, "analyses", "save_snapshots = false\nanalyses", "save_snapshots"),
         (GRIM_REAPER, "n = 41", "n = 41\nsave_snapshots = true", "save_snapshots"),
+        # no infinite lengths or times
+        (TINY_CIRCLE, "shape.radius = 0.5", "shape.radius = inf", r"shape\.radius"),
+        (GRIM_REAPER, "duration = 0.05", "duration = inf", "duration"),
+        (BLOWUP, "dial_powers = 2.0, 1.0, 0.5", "dial_powers = 2.0, inf, 0.5", "dial_powers"),
     ])
     def test_option_rule_names_the_field(self, text, old, new, field):
         assert old in text
         with pytest.raises(ConfigError, match=field):
             scenarios.parse_config(text.replace(old, new, 1))
+
+    def test_blowup_may_save_snapshots(self):
+        dial = scenarios.parse_config(BLOWUP.replace("n = 200", "n = 200\nsave_snapshots = yes"))
+        assert dial[0].options["save_snapshots"] is True
 
 
 class TestBuiltinCatalog:
@@ -305,7 +318,6 @@ class TestBuiltinCatalog:
     def test_oracle_subset_is_nonempty(self):
         kinds = {s.kind for s in scenarios.builtin_catalog()}
         assert scenarios.KIND_ORACLE in kinds
-        assert scenarios.KIND_RESCALE in kinds
 
 
 class TestArtifacts:
@@ -378,7 +390,12 @@ NAN = float("nan")
     (lambda: oc.evolve_translating_front(oc.grim_reaper(41), NAN), InvalidInputError, "duration"),
     (lambda: rs.parabolic_rescale(f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0)),
                                   (0.0, 0.0), NAN, [2.0]), InvalidInputError, "reference time"),
-], ids=["cfl-factor", "scenario-cfl-factor", "curvature-stop", "front-duration", "rescale-time"])
+    (lambda: ax.AxiProfile(ax.cylinder_profile(0.3).samples, "cylinder", period=NAN),
+     InvalidInputError, "period"),
+    (lambda: ax.parse_profile(ax.format_profile(ax.cylinder_profile(0.3)).replace(
+        "period=1\n", "period=inf\n")), InvalidInputError, "period"),
+], ids=["cfl-factor", "scenario-cfl-factor", "curvature-stop", "front-duration", "rescale-time",
+        "profile-period-nan", "profile-period-inf"])
 def test_non_finite_number_is_rejected_where_it_enters(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -511,6 +528,11 @@ analyses = neck
         on_disk = json.loads((tmp_path / "2" / "summary.json").read_text())
         assert [s["name"] for s in on_disk["scenarios"]] == ["tiny_circle",
                                                              "oracle_gate"]
+        assert set(on_disk["scenarios"][0]) == {
+            "name", "passed", "wall_time", "shared_flow", "error", "traceback", "warnings",
+            "telemetry", "artifacts", "checks"}
+        assert set(on_disk["scenarios"][0]["checks"][0]) == {
+            "name", "passed", "measured", "detail"}
         # the worker count is ignored
         runner.accept(batch, tmp_path / "1", workers=1)
         assert scenario_files(tmp_path / "2") == scenario_files(tmp_path / "1")
@@ -665,12 +687,11 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         capsys.readouterr()
 
-    def test_accept_corrupted_catalog_fails(self, tmp_path, capsys):
-        catalog = tmp_path / "corrupted.cfg"
-        catalog.write_text(TINY_ORACLE.replace("check.selfcheck_tol = 1e-6",
-                                               "check.selfcheck_tol = 0"))
-        assert cli.main(["accept", "--catalog", str(catalog),
-                         "--out", str(tmp_path / "out")]) == 1
+    def test_run_fails_on_a_failed_check(self, tmp_path, capsys):
+        cfg = tmp_path / "corrupted.cfg"
+        cfg.write_text(TINY_ORACLE.replace("check.selfcheck_tol = 1e-6",
+                                           "check.selfcheck_tol = 0"))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         capsys.readouterr()
 
     def test_oracle_selfcheck_command(self, capsys):
@@ -691,19 +712,27 @@ class TestCli:
         assert cli.main(["oracle", "circle", "one", "0.1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("params", [
+        ["circle", "nan", "0.3"], ["circle", "1.0", "nan"], ["sphere", "inf", "0.1"],
+        ["power", "nan", "0.5", "0.1"], ["power", "1.0", "0.5", "nan"],
+    ])
+    def test_oracle_rejects_non_finite_values(self, params, capsys):
+        assert cli.main(["oracle", *params]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("option", ["--workers", "--catalog"])
     @pytest.mark.parametrize("command", ["run", "accept"])
-    def test_workers_option_is_a_usage_error(self, command, capsys):
+    def test_removed_option_is_a_usage_error(self, command, option, capsys):
         with pytest.raises(SystemExit) as err:
-            cli.main([command, *(["tiny.cfg"] if command == "run" else []),
-                      "--workers", "1"])
+            cli.main([command, *(["tiny.cfg"] if command == "run" else []), option, "1"])
         assert err.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert option in capsys.readouterr().err
 
     def test_rescale_command_on_saved_run(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -744,6 +773,21 @@ class TestCli:
         assert cli.main(["rescale", str(snaps), "0,0", "0.1",
                          "--out", str(tmp_path / "frames")]) == 2
         assert problem in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (ini,) = re.findall(r"^```ini\n(.*?)^```", text, flags=re.M | re.S)
+    assert scenarios.parse_config(ini)
+    commands = [line for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+                for line in block.splitlines() if line.startswith("curveflow ")]
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def run_python(*args):
