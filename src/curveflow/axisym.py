@@ -188,19 +188,20 @@ def _mean_curvature(
 
 def _fields(
     pts: NDArray[np.float64], topology: str, period: float | None
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+) -> tuple[NDArray[np.float64], ...]:
     """Per-sample meridian curvature, inward normal and h, plus the (n + 2, 2)
-    ghost chain they were computed on (see ``_fill_ghosts``)."""
+    ghost chain they were computed on (see ``_fill_ghosts``) and its edge lengths."""
     chain = np.empty((len(pts) + 2, 2))
     chain[1:-1] = pts
     _fill_ghosts(chain, topology, period)
-    mu, left, _ = cv._three_point(chain)
+    mu, left, seg = cv._three_point(chain)
     clockwise = (not cv.polygon_area(pts) > 0 if topology == TOPOLOGY_PERIODIC
                  else pts[-1, 0] >= pts[0, 0])   # the solid lies to the right
     sigma = 1.0 if clockwise else -1.0
     kappa = -sigma * mu
     nu = -sigma * left
-    return kappa, nu, _mean_curvature(kappa, nu, pts[:, 1], topology == TOPOLOGY_TWO_POLES), chain
+    h = _mean_curvature(kappa, nu, pts[:, 1], topology == TOPOLOGY_TWO_POLES)
+    return kappa, nu, h, chain, seg
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +209,19 @@ def _fields(
 # ---------------------------------------------------------------------------
 
 def _segments(
-    chain: NDArray[np.float64], topology: str
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Segment endpoint pairs (p, q) of a filled ghost chain, any wrap-around segment included."""
+    chain: NDArray[np.float64], seg: NDArray[np.float64], topology: str
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Segment endpoint pairs (p, q) of a filled ghost chain, any wrap-around
+    segment included, and their lengths taken from the chain's edge lengths ``seg``."""
     if topology == TOPOLOGY_TWO_POLES:
-        return chain[1:-2], chain[2:-1]
-    return chain[1:-1], chain[2:]
+        return chain[1:-2], chain[2:-1], seg[1:-1]
+    return chain[1:-1], chain[2:], seg[1:]
 
 
-def _frustum_area(p: NDArray[np.float64], q: NDArray[np.float64]) -> float:
-    """Lateral area of the revolved segments p -> q, exact per conical frustum."""
-    slant = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])
+def _frustum_area(
+    p: NDArray[np.float64], q: NDArray[np.float64], slant: NDArray[np.float64]
+) -> float:
+    """Lateral area of the revolved segments p -> q of lengths ``slant``, exact per frustum."""
     return float((np.pi * (p[:, 1] + q[:, 1]) * slant).sum())
 
 
@@ -241,11 +244,20 @@ def _plateau_waist(r: NDArray[np.float64]) -> int | None:
     return int((start[j] + end[j] - 1) // 2)
 
 
+def _has_dip(r: NDArray[np.float64]) -> bool:
+    """Whether r strictly falls and later strictly rises with only equal steps
+    between: true exactly when ``_plateau_waist(r)`` is not None, and cheaper.
+    A NaN compares unequal to its neighbours but neither falls nor rises."""
+    step = r[1:] != r[:-1]
+    fall, rise = (r[1:] < r[:-1])[step], (r[1:] > r[:-1])[step]
+    return bool((fall[:-1] & rise[1:]).any())
+
+
 def _waist_of(pts: NDArray[np.float64], topo: str) -> tuple[float, float, bool, int]:
     """Waist radius, its x, whether it is a true waist, and its sample index."""
     r = pts[:, 1]
     if topo == TOPOLOGY_PERIODIC:
-        center = pts.mean(axis=0)
+        center = pts.sum(axis=0) / len(pts)
         d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
         i = int(d.argmin())
         return float(d[i]), float(pts[i, 0]), True, i
@@ -271,15 +283,15 @@ def axi_metrics(profile: AxiProfile) -> AxiMetrics:
     """Area and volume of the revolved polyline, exact per conical frustum, and
     the waist and mean curvature range of the samples."""
     pts, topology = profile.samples, profile.topology
-    _, _, h, chain = _fields(pts, topology, profile.period)
+    _, _, h, chain, seg = _fields(pts, topology, profile.period)
     hmin = float(h.min())
     hmax = float(h.max())
     rmin, rmin_x, _, _ = _waist_of(pts, topology)
     tol = MEAN_CONVEX_REL_TOL * max(1.0, abs(hmin), abs(hmax))
-    p, q = _segments(chain, topology)
+    p, q, slant = _segments(chain, seg, topology)
     r0, r1, dx = p[:, 1], q[:, 1], q[:, 0] - p[:, 0]
     return AxiMetrics(
-        surface_area=_frustum_area(p, q),
+        surface_area=_frustum_area(p, q, slant),
         enclosed_volume=float(abs(np.sum(np.pi / 3.0 * (r0 * r0 + r0 * r1 + r1 * r1) * dx))),
         min_radius=rmin,
         min_radius_location=rmin_x,
@@ -409,10 +421,11 @@ PROFILE_SHAPES = {
 class _AxiState(_FlowState):
     """One meridian under mean curvature flow, as a raw sample array between snapshots.
 
-    The samples are the inside of a chain buffer with a ghost at each end, so
-    each step makes one geometry pass over the buffer and moves the samples in
-    place.  Snapshots fall due on the area schedule and, for a true waist, on
-    the same geometric schedule in its radius.
+    The samples are the inside of a chain buffer with a ghost at each end.  A
+    step moves them in place and ends with one geometry pass, ``measure``, whose
+    curvature, normals and edge lengths the next ``plan`` reads.  Snapshots fall
+    due on a geometric schedule in the lateral area, which that pass also gives,
+    and for a true waist on the same schedule in its radius.
     """
 
     def __init__(self, profile: AxiProfile, config: FlowConfig):
@@ -421,9 +434,7 @@ class _AxiState(_FlowState):
         self.period = profile.period
         m = axi_metrics(profile)
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
-        _fill_ghosts(self.chain, self.topology, self.period)
-        p, q = _segments(self.chain, self.topology)
-        length = float(np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]).sum())
+        length = float(self.measure().sum())
         super().__init__(config, m.surface_area, h0, length, len(profile))
         # A torus collapses and a cylinder pinches; only axis-bounded profiles end at a pole.
         periodic = self.topology == TOPOLOGY_PERIODIC
@@ -442,13 +453,21 @@ class _AxiState(_FlowState):
         self.next_waist = rmin0 * self.ratio
         self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events)
 
+    def measure(self) -> NDArray[np.float64]:
+        """The step's geometry pass: fill the ghosts, keep the chain's curvature,
+        left normal and edge lengths and the lateral area; return the segment lengths."""
+        _fill_ghosts(self.chain, self.topology, self.period)
+        self.mu, self.left, self.seg = cv._three_point(self.chain)
+        p, q, slant = _segments(self.chain, self.seg, self.topology)
+        self.area = _frustum_area(p, q, slant)
+        return slant
+
     def plan(self, t: float) -> float:
         """Velocity h*nu with pole guard; step bound from min spacing and interior rmin.
 
-        ``__init__`` and ``advance`` keep the ghosts current.  h nu is the same
-        for either orientation, so h and nu are taken as the left normal orients them."""
-        mu, left, seg = cv._three_point(self.chain)
-        h = _mean_curvature(mu, left, self.verts[:, 1], self.two_poles)
+        h nu is the same for either orientation, so h and nu are taken as the
+        left normal orients them."""
+        h = _mean_curvature(self.mu, self.left, self.verts[:, 1], self.two_poles)
         if self.two_poles:
             # Poles move along the axis at twice the meridian curvature, capped by
             # the neighboring samples so a noisy pole cannot outrun its cap.
@@ -458,9 +477,9 @@ class _AxiState(_FlowState):
         hmax = self.peak(t, h, self.verts)
         if hmax is None:
             return np.inf
-        left *= h[:, None]
-        self.vel = left
-        h_space = float(seg[1:].min())
+        self.vel = self.left   # h nu, in the normal's buffer; the next measure makes a new one
+        self.vel *= h[:, None]
+        h_space = float(self.seg[1:].min())
         dt = self.cfl * min(h_space * h_space, h_space * self.r_int) / 4.0
         if hmax > 0:
             dt = min(dt, DISPLACEMENT_FRACTION * h_space / hmax)
@@ -474,24 +493,25 @@ class _AxiState(_FlowState):
             self.verts[-1, 1] = 0.0
         if resample:
             self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
-        _fill_ghosts(self.chain, self.topology, self.period)
         pts = self.verts
 
-        rmin, rmin_x, true_waist, i = _waist_of(pts, self.topology)
-        if not self.two_poles or true_waist:
-            thr = _neck_threshold(pts, i)
-            if self.waist0 is not None:
-                thr = max(thr, NECK_RADIUS_FRACTION * self.waist0)
-            if rmin < thr:
-                self.close(t, Event(self.pinch_kind, t, (rmin_x, rmin)))
-                return False
+        # Without a dip, a two-pole profile that started without a true waist has none.
+        if not self.two_poles or self.waist0 is not None or _has_dip(pts[1:-1, 1]):
+            rmin, rmin_x, true_waist, i = _waist_of(pts, self.topology)
+            if not self.two_poles or true_waist:
+                thr = _neck_threshold(pts, i)
+                if self.waist0 is not None:
+                    thr = max(thr, NECK_RADIUS_FRACTION * self.waist0)
+                if rmin < thr:
+                    self.close(t, Event(self.pinch_kind, t, (rmin_x, rmin)))
+                    return False
         self.r_int = float(pts[self.off_axis, 1].min())
         if self.r_int <= 0:
             raise NumericalBreakdownError(
                 f"interior sample reached the axis at t={t:.6g} before a neck event"
             )
-        area = _frustum_area(*_segments(self.chain, self.topology))
-        return area <= self.next_area or (self.waist0 is not None and rmin <= self.next_waist)
+        self.measure()
+        return self.area <= self.next_area or (self.waist0 is not None and rmin <= self.next_waist)
 
     def validate(self) -> AxiProfile:
         return AxiProfile(self.verts, self.topology, self.period)
@@ -521,7 +541,9 @@ def _axi_resample(
     n = cv._sample_count(total, spacing, MIN_SAMPLES)
     if closed:
         return cv._spline(s, ext, np.arange(n) * (total / n), periodic=True)
-    out = cv._spline(s, ext, np.linspace(0.0, total, n + 1), periodic=False)
+    targets = np.arange(n + 1) * (total / n)   # np.linspace(0, total, n + 1), bit for bit
+    targets[-1] = total
+    out = cv._spline(s, ext, targets, periodic=False)
     out[0] = pts[0]
     out[-1] = pts[-1]
     out[0, 1] = 0.0

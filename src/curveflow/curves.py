@@ -189,11 +189,16 @@ def _spline(
     if len(h) < 3 or not np.all(h > 0):
         raise DegenerateGeometryError("spline has under 4 knots or a zero-length or non-finite edge")
     m, d = len(h), y.shape[1]
-    slope = (y[1:] - y[:-1]) / h[:, None]
-    # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1].
-    rhs = np.zeros((m, d + 1), order="F")
-    rhs[:, :d] = slope - np.concatenate([slope[-1:], slope[:-1]])
-    diag = 2.0 * (h + np.concatenate([h[-1:], h[:-1]]))
+    # Work on the transpose, one contiguous row per column of y: the per-knot
+    # factors then broadcast along rows, and rhs.T is the F-ordered gtsv input.
+    yt = y.T.copy()
+    slope = (yt[:, 1:] - yt[:, :-1]) / h
+    # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1],
+    # built for all m rows with i - 1 taken cyclically; the open spline drops row 0.
+    prev = np.arange(-1, m - 1)
+    rhs = np.zeros((d + 1, m) if periodic else (d, m))
+    np.subtract(slope, slope.take(prev, axis=1), out=rhs[:d])
+    diag = 2.0 * (h + h[prev])
     if periodic:
         # Rows 0..m-1, cyclic; the corners h[-1] move to u v^T, u = (g, 0.., h[-1]),
         # v = (1, 0.., h[-1] / g), solved for as the extra column (Sherman-Morrison).
@@ -201,33 +206,37 @@ def _spline(
         g, corner = -diag[0], h[-1]
         diag[0] -= g
         diag[-1] -= corner * corner / g
-        rhs[0, d], rhs[-1, d] = g, corner
+        rhs[d, 0], rhs[d, -1] = g, corner
     else:
         # Rows 1..m-1; not-a-knot gives q[0] = q[1] + a (q[1] - q[2]) and
         # q[m] = q[m-1] + b (q[m-1] - q[m-2]), eliminated from the end rows.
         a, b = h[0] / h[1], h[-1] / h[-2]
-        lower, upper, diag, rhs = h[1:-1].copy(), h[1:-1].copy(), diag[1:], rhs[1:, :d]
+        lower, upper, diag, rhs = h[1:-1].copy(), h[1:-1].copy(), diag[1:], rhs[:, 1:]
         diag[0] += h[0] * (1.0 + a)
         diag[-1] += h[-1] * (1.0 + b)
         upper[0] -= h[0] * a
         lower[-1] -= h[-1] * b
-    _, _, _, sol, info = _GTSV(lower, diag, upper, rhs, overwrite_d=1, overwrite_b=1)
+    _, _, _, sol, info = _GTSV(lower, diag, upper, rhs.T, overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise DegenerateGeometryError(f"spline solve failed (gtsv info {info})")
+    sol = sol.T
+    q = np.empty((d, m + 1))
     if periodic:
-        z, w = sol[:, d:], corner / g
-        q = sol[:, :d] - z * ((sol[0, :d] + w * sol[-1, :d]) / (1.0 + z[0, 0] + w * z[-1, 0]))
-        q = np.concatenate([q, q[:1]])
+        z, w = sol[d], corner / g
+        scale = (sol[:d, 0] + w * sol[:d, -1]) / (1.0 + z[0] + w * z[-1])
+        np.subtract(sol[:d], scale[:, None] * z, out=q[:, :m])
+        q[:, m] = q[:, 0]
     else:
-        q = np.concatenate([sol[:1] + a * (sol[:1] - sol[1:2]), sol,
-                            sol[-1:] + b * (sol[-1:] - sol[-2:-1])])
-    # Interval i in powers of (t - s[i]).
-    coef = np.stack([y[:-1], slope - h[:, None] * (2.0 * q[:-1] + q[1:]),
-                     3.0 * q[:-1], (q[1:] - q[:-1]) / h[:, None]], axis=1)
-    i = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, m - 1)
-    u = (targets - s[i])[:, None]
-    c = coef[i]
-    return c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
+        q[:, 1:m] = sol
+        q[:, 0] = sol[:, 0] + a * (sol[:, 0] - sol[:, 1])
+        q[:, m] = sol[:, -1] + b * (sol[:, -1] - sol[:, -2])
+    # Each target's interval i, in powers of u = t - s[i].
+    i = np.searchsorted(s, targets, side="right") - 1
+    np.clip(i, 0, m - 1, out=i)
+    u, hi = targets - s[i], h[i]
+    qi, qj = q.take(i, axis=1), q.take(i + 1, axis=1)
+    c1 = slope.take(i, axis=1) - hi * (2.0 * qi + qj)
+    return (yt.take(i, axis=1) + u * (c1 + u * (3.0 * qi + u * ((qj - qi) / hi)))).T.copy()
 
 
 def _linear_resample(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:

@@ -105,8 +105,15 @@ _FLAG = Field(_boolean, "one of " + ", ".join(_BOOLEAN), False)
 _POSITIVE = Field(_positive, "a positive number")
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _number(default: float | None = None) -> Field:
-    return Field(float, "a number", default)
+    return Field(_finite, "a finite number", default)
 
 
 class Analysis(NamedTuple):
@@ -215,7 +222,7 @@ def _typed(items: dict[str, str], scenario: str, key: str, spec: Field, required
 
 
 def _get_float(items: dict[str, str], scenario: str, key: str) -> float:
-    return _typed(items, scenario, key, _number(), required=True)
+    return _typed(items, scenario, key, Field(float, "a number"), required=True)
 
 
 def _get_int(items: dict[str, str], scenario: str, key: str) -> int:

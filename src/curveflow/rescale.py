@@ -360,7 +360,7 @@ def curvature_normalized_frames(
 def _local_curvature(geo, index: int) -> float:
     """Unsigned local (mean) curvature magnitude at one vertex or sample."""
     if isinstance(geo, AxiProfile):
-        _, _, h, _ = _fields(geo.samples, geo.topology, geo.period)
+        _, _, h, _, _ = _fields(geo.samples, geo.topology, geo.period)
         return float(abs(h[index]))
     k, _ = cv.curvature_profile(geo)
     return float(abs(k[index]))

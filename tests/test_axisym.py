@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import curveflow.axisym as ax
+import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
 import curveflow.rescale as rs
@@ -23,7 +24,7 @@ def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
 
 def mean_curvature(profile):
     """Scalar mean curvature and inward meridian normal per sample, poles included."""
-    _, nu, h, _ = ax._fields(profile.samples, profile.topology, profile.period)
+    _, nu, h, _, _ = ax._fields(profile.samples, profile.topology, profile.period)
     return h, nu
 
 
@@ -271,6 +272,48 @@ class TestInPlaceStep:
                 assert not np.shares_memory(a, b)
 
 
+def steps_by_hand(state, config, max_steps):
+    """The loop of ``flow1d._evolve`` for one state; yields before every plan."""
+    t, steps = 0.0, 0
+    while steps < max_steps and not state.done:
+        yield
+        dt = state.plan(t)
+        if state.done:
+            break
+        t += dt
+        steps += 1
+        if state.advance(t, dt, steps % config.resample_every == 0) and not state.done:
+            state.snapshot(t)
+
+
+class TestCachedGeometry:
+    @pytest.mark.parametrize("profile", [
+        ax.sphere_profile(0.5, 64),
+        ax.torus_profile(1.0, 0.25, 64),   # shrinks, so a resample reallocates the chain
+        ax.dumbbell_profile(1.0, 0.3, 1.0, 256),
+        perturbed_cylinder(n=128),
+    ], ids=["sphere", "torus", "dumbbell", "cylinder"])
+    def test_plan_reads_the_geometry_of_the_current_chain(self, profile):
+        config = f1.FlowConfig()
+        state = ax._AxiState(profile, config)
+        chains = set()
+        for _ in steps_by_hand(state, config, max_steps=1500):
+            chains.add(id(state.chain))
+            mu, left, seg = cv._three_point(state.chain)
+            assert np.array_equal(state.mu, mu)
+            assert np.array_equal(state.left, left)
+            assert np.array_equal(state.seg, seg)
+            p, q = state.chain[:-1], state.chain[1:]   # every edge, ghost edges included
+            ends = slice(1, -1) if profile.topology == ax.TOPOLOGY_TWO_POLES else slice(1, None)
+            slant = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])[ends]
+            area = float((np.pi * (p[ends, 1] + q[ends, 1]) * slant).sum())
+            assert state.area == area
+            assert state.area == ax._frustum_area(*ax._segments(state.chain, seg, profile.topology))
+        assert state.done
+        if profile.topology == ax.TOPOLOGY_PERIODIC:
+            assert len(chains) > 1
+
+
 def brute_plateau_waist(r):
     """The docstring of ax._plateau_waist, read literally with Python loops."""
     runs = []   # [value, first index, last index]
@@ -301,6 +344,20 @@ class TestPlateauWaist:
     @example(np.array([3.0, 1.0, 3.0, 1.0, 3.0]))          # equal minima
     def test_matches_the_brute_force_reading(self, r):
         assert ax._plateau_waist(r) == brute_plateau_waist(r.tolist())
+
+    @given(arrays_with_runs(), st.lists(st.integers(0, 47), max_size=3))
+    @example(np.array([1.0, 1.0, 2.0, 3.0]), [])
+    @example(np.array([3.0, 2.0, 1.0, 1.0]), [])
+    @example(np.array([3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0]), [])
+    @example(np.array([3.0, 1.0, 3.0, 1.0, 3.0]), [])
+    @example(np.array([3.0, 1.0, 5.0, 0.0, 2.0]), [2])       # a NaN between fall and rise
+    @example(np.array([3.0, 1.0, 1.0, 5.0, 2.0]), [3])
+    @example(np.array([5.0, 3.0, 1.0, 2.0, 5.0]), [0, 4])
+    @example(np.array([5.0, 5.0, 1.0]), [0, 1])
+    @example(np.array([2.0, math.inf, 1.0, math.inf]), [])
+    def test_dip_guard_agrees_with_the_waist_scan(self, r, nans):
+        r[[i for i in nans if i < len(r)]] = np.nan
+        assert ax._has_dip(r) == (ax._plateau_waist(r) is not None)
 
     def test_named_cases(self):
         assert ax._plateau_waist(np.array([1.0, 1.0, 2.0, 3.0])) is None

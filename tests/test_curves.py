@@ -140,7 +140,7 @@ def _closed_circle(radius):
 def _sphere_meridian(radius):
     """axisym fields on ghost-extended poles: positive where convex, inward normal."""
     def fields(pts):
-        kappa, nu, _, _ = ax._fields(pts, ax.TOPOLOGY_TWO_POLES, None)
+        kappa, nu, _, _, _ = ax._fields(pts, ax.TOPOLOGY_TWO_POLES, None)
         return kappa, nu
     return ax.sphere_profile(radius, 101).samples, fields, 1.0
 
@@ -211,6 +211,54 @@ def _brute_min_distance(c1, c2):
     return float(min(nearest(v1, a2, b2), nearest(v2, a1, b1)))
 
 
+def reference_spline(s, y, targets, periodic):
+    """The spline kernel in row layout with an (m, 4, d) coefficient array, one
+    row per interval: the bit-for-bit reference for ``cv._spline``."""
+    h = s[1:] - s[:-1]
+    if len(h) < 3 or not np.all(h > 0):
+        raise DegenerateGeometryError("spline has under 4 knots or a zero-length or non-finite edge")
+    m, d = len(h), y.shape[1]
+    slope = (y[1:] - y[:-1]) / h[:, None]
+    # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1].
+    rhs = np.zeros((m, d + 1), order="F")
+    rhs[:, :d] = slope - np.concatenate([slope[-1:], slope[:-1]])
+    diag = 2.0 * (h + np.concatenate([h[-1:], h[:-1]]))
+    if periodic:
+        # Rows 0..m-1, cyclic; the corners h[-1] move to u v^T, u = (g, 0.., h[-1]),
+        # v = (1, 0.., h[-1] / g), solved for as the extra column (Sherman-Morrison).
+        lower = upper = h[:-1]
+        g, corner = -diag[0], h[-1]
+        diag[0] -= g
+        diag[-1] -= corner * corner / g
+        rhs[0, d], rhs[-1, d] = g, corner
+    else:
+        # Rows 1..m-1; not-a-knot gives q[0] = q[1] + a (q[1] - q[2]) and
+        # q[m] = q[m-1] + b (q[m-1] - q[m-2]), eliminated from the end rows.
+        a, b = h[0] / h[1], h[-1] / h[-2]
+        lower, upper, diag, rhs = h[1:-1].copy(), h[1:-1].copy(), diag[1:], rhs[1:, :d]
+        diag[0] += h[0] * (1.0 + a)
+        diag[-1] += h[-1] * (1.0 + b)
+        upper[0] -= h[0] * a
+        lower[-1] -= h[-1] * b
+    _, _, _, sol, info = cv._GTSV(lower, diag, upper, rhs, overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise DegenerateGeometryError(f"spline solve failed (gtsv info {info})")
+    if periodic:
+        z, w = sol[:, d:], corner / g
+        q = sol[:, :d] - z * ((sol[0, :d] + w * sol[-1, :d]) / (1.0 + z[0, 0] + w * z[-1, 0]))
+        q = np.concatenate([q, q[:1]])
+    else:
+        q = np.concatenate([sol[:1] + a * (sol[:1] - sol[1:2]), sol,
+                            sol[-1:] + b * (sol[-1:] - sol[-2:-1])])
+    # Interval i in powers of (t - s[i]).
+    coef = np.stack([y[:-1], slope - h[:, None] * (2.0 * q[:-1] + q[1:]),
+                     3.0 * q[:-1], (q[1:] - q[:-1]) / h[:, None]], axis=1)
+    i = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, m - 1)
+    u = (targets - s[i])[:, None]
+    c = coef[i]
+    return c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
+
+
 class TestPeriodicSpline:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 90), m=st.integers(8, 200),
@@ -255,6 +303,34 @@ class TestPeriodicSpline:
                           bc_type="periodic")
         assert np.array_equal(out[:, 0], grid)
         assert np.max(np.abs(out[:, 1] - ref(grid))) <= 1e-12 * np.abs(pts[:, 1]).max()
+
+
+class TestSplineKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), knots=st.integers(4, 120), columns=st.integers(1, 3),
+           periodic=st.booleans(), grid=st.booleans())
+    def test_matches_the_reference_bit_for_bit(self, seed, knots, columns, periodic, grid):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-1.0, 1.0) + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.01, 2.0, knots - 1))])   # spacings up to 200:1
+        y = rng.normal(scale=3.0, size=(knots, columns))
+        if periodic:
+            y[-1] = y[0]
+        k = int(rng.integers(4, 2 * knots))
+        if grid:   # the resample form: a uniform grid from s[0], its last entry exactly s[-1]
+            targets = s[0] + np.arange(k + 1) * ((s[-1] - s[0]) / k)
+            targets[-1] = s[-1]
+        else:
+            targets = np.sort(rng.uniform(s[0], s[-1], k))
+        got = cv._spline(s, y, targets, periodic)
+        assert np.array_equal(got, reference_spline(s, y, targets, periodic))
+        assert got.flags.c_contiguous
+
+    @given(total=st.floats(1e-9, 1e9), n=st.integers(1, 5000))
+    def test_open_resample_targets_equal_linspace(self, total, n):
+        targets = np.arange(n + 1) * (total / n)
+        targets[-1] = total
+        assert np.array_equal(targets, np.linspace(0.0, total, n + 1))
 
 
 class TestOpenSpline:

@@ -251,7 +251,7 @@ class TestParseConfig:
     def test_malformed_check_value_rejected(self):
         bad = TINY_CIRCLE.replace("check.radius_rel_tol = 1e-2",
                                   "check.radius_rel_tol = tight")
-        with pytest.raises(ConfigError, match=r"check\.radius_rel_tol must be a number"):
+        with pytest.raises(ConfigError, match=r"check\.radius_rel_tol must be a finite number"):
             scenarios.parse_config(bad)
 
     @pytest.mark.parametrize("text, old, new, field", [
@@ -394,8 +394,16 @@ NAN = float("nan")
      InvalidInputError, "period"),
     (lambda: ax.parse_profile(ax.format_profile(ax.cylinder_profile(0.3)).replace(
         "period=1\n", "period=inf\n")), InvalidInputError, "period"),
+    (lambda: scenarios.parse_config(TINY_ORACLE.replace("1e-6", "inf")),
+     ConfigError, r"check\.selfcheck_tol must be a finite number"),
+    (lambda: scenarios.parse_config(TINY_ORACLE.replace("1e-6", "nan")),
+     ConfigError, r"check\.selfcheck_tol must be a finite number"),
+    (lambda: scenarios.parse_config(TINY_CIRCLE.replace("radius_rel_tol = 1e-2",
+                                                        "radius_rel_tol = -inf")),
+     ConfigError, r"check\.radius_rel_tol must be a finite number"),
 ], ids=["cfl-factor", "scenario-cfl-factor", "curvature-stop", "front-duration", "rescale-time",
-        "profile-period-nan", "profile-period-inf"])
+        "profile-period-nan", "profile-period-inf", "check-selfcheck-tol-inf",
+        "check-selfcheck-tol-nan", "check-radius-tol-minus-inf"])
 def test_non_finite_number_is_rejected_where_it_enters(call, error, match):
     with pytest.raises(error, match=match):
         call()
