@@ -158,41 +158,41 @@ _AXIS_MIRROR = np.array([1.0, -1.0])
 
 
 def _fill_ghosts(chain: NDArray[np.float64], topology: str, period: float | None) -> None:
-    """Fill the ghost neighbours at both ends of the (n + 2, 2) chain of a meridian.
+    """Fill the ghost columns at both ends of the (2, n + 2) rows x, r of a meridian.
 
     The wrapped sample on a periodic loop, the sample shifted by one period on
     a cylinder, and at an axis pole the reflection (x1, -r1) of its neighbour.
     """
     if topology == TOPOLOGY_TWO_POLES:
-        chain[0] = chain[2] * _AXIS_MIRROR
-        chain[-1] = chain[-3] * _AXIS_MIRROR
+        chain[:, 0] = chain[:, 2] * _AXIS_MIRROR
+        chain[:, -1] = chain[:, -3] * _AXIS_MIRROR
         return
-    chain[0] = chain[-2]
-    chain[-1] = chain[1]
+    chain[:, 0] = chain[:, -2]
+    chain[:, -1] = chain[:, 1]
     if topology == TOPOLOGY_CYLINDER:
         chain[0, 0] -= period
-        chain[-1, 0] += period
+        chain[0, -1] += period
 
 
 def _mean_curvature(
     kappa: NDArray[np.float64], nu: NDArray[np.float64], r: NDArray[np.float64], two_poles: bool
 ) -> NDArray[np.float64]:
-    """h = kappa - nu_r / r off the axis; at a pole both principal curvatures
-    agree, so h there is 2 kappa.  Every sample off the axis has r > 0."""
+    """h = kappa - nu_r / r off the axis, nu as (2, n) rows; at a pole both principal
+    curvatures agree, so h there is 2 kappa.  Every sample off the axis has r > 0."""
     if not two_poles:
-        return kappa - nu[:, 1] / r
+        return kappa - nu[1] / r
     h = 2.0 * kappa
-    h[1:-1] = kappa[1:-1] - nu[1:-1, 1] / r[1:-1]
+    h[1:-1] = kappa[1:-1] - nu[1, 1:-1] / r[1:-1]
     return h
 
 
 def _fields(
     pts: NDArray[np.float64], topology: str, period: float | None
 ) -> tuple[NDArray[np.float64], ...]:
-    """Per-sample meridian curvature, inward normal and h, plus the (n + 2, 2)
+    """Per-sample meridian curvature, (n, 2) inward normal and h, plus the (2, n + 2)
     ghost chain they were computed on (see ``_fill_ghosts``) and its edge lengths."""
-    chain = np.empty((len(pts) + 2, 2))
-    chain[1:-1] = pts
+    chain = np.empty((2, len(pts) + 2))
+    chain[:, 1:-1] = pts.T
     _fill_ghosts(chain, topology, period)
     mu, left, seg = cv._three_point(chain)
     clockwise = (not cv.polygon_area(pts) > 0 if topology == TOPOLOGY_PERIODIC
@@ -201,7 +201,7 @@ def _fields(
     kappa = -sigma * mu
     nu = -sigma * left
     h = _mean_curvature(kappa, nu, pts[:, 1], topology == TOPOLOGY_TWO_POLES)
-    return kappa, nu, h, chain, seg
+    return kappa, nu.T, h, chain, seg
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +211,18 @@ def _fields(
 def _segments(
     chain: NDArray[np.float64], seg: NDArray[np.float64], topology: str
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Segment endpoint pairs (p, q) of a filled ghost chain, any wrap-around
+    """Segment endpoint rows (p, q) of a filled ghost chain, any wrap-around
     segment included, and their lengths taken from the chain's edge lengths ``seg``."""
     if topology == TOPOLOGY_TWO_POLES:
-        return chain[1:-2], chain[2:-1], seg[1:-1]
-    return chain[1:-1], chain[2:], seg[1:]
+        return chain[:, 1:-2], chain[:, 2:-1], seg[1:-1]
+    return chain[:, 1:-1], chain[:, 2:], seg[1:]
 
 
 def _frustum_area(
     p: NDArray[np.float64], q: NDArray[np.float64], slant: NDArray[np.float64]
 ) -> float:
     """Lateral area of the revolved segments p -> q of lengths ``slant``, exact per frustum."""
-    return float((np.pi * (p[:, 1] + q[:, 1]) * slant).sum())
+    return float((np.pi * (p[1] + q[1]) * slant).sum())
 
 
 def _plateau_waist(r: NDArray[np.float64]) -> int | None:
@@ -257,7 +257,8 @@ def _waist_of(pts: NDArray[np.float64], topo: str) -> tuple[float, float, bool, 
     """Waist radius, its x, whether it is a true waist, and its sample index."""
     r = pts[:, 1]
     if topo == TOPOLOGY_PERIODIC:
-        center = pts.sum(axis=0) / len(pts)
+        # Summed from a C-ordered copy, whatever the layout of pts, for the same bits.
+        center = np.ascontiguousarray(pts).sum(axis=0) / len(pts)
         d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
         i = int(d.argmin())
         return float(d[i]), float(pts[i, 0]), True, i
@@ -289,7 +290,7 @@ def axi_metrics(profile: AxiProfile) -> AxiMetrics:
     rmin, rmin_x, _, _ = _waist_of(pts, topology)
     tol = MEAN_CONVEX_REL_TOL * max(1.0, abs(hmin), abs(hmax))
     p, q, slant = _segments(chain, seg, topology)
-    r0, r1, dx = p[:, 1], q[:, 1], q[:, 0] - p[:, 0]
+    r0, r1, dx = p[1], q[1], q[0] - p[0]
     return AxiMetrics(
         surface_area=_frustum_area(p, q, slant),
         enclosed_volume=float(abs(np.sum(np.pi / 3.0 * (r0 * r0 + r0 * r1 + r1 * r1) * dx))),
@@ -419,17 +420,18 @@ PROFILE_SHAPES = {
 # ---------------------------------------------------------------------------
 
 class _AxiState(_FlowState):
-    """One meridian under mean curvature flow, as a raw sample array between snapshots.
+    """One meridian under mean curvature flow, as raw sample rows between snapshots.
 
-    The samples are the inside of a chain buffer with a ghost at each end.  A
-    step moves them in place and ends with one geometry pass, ``measure``, whose
-    curvature, normals and edge lengths the next ``plan`` reads.  Snapshots fall
-    due on a geometric schedule in the lateral area, which that pass also gives,
-    and for a true waist on the same schedule in its radius.
+    The rows, x in ``verts[0]`` and r in ``verts[1]``, are the inside of a
+    (2, n + 2) chain buffer with a ghost column at each end.  A step moves them
+    in place and ends with one geometry pass, ``measure``, whose curvature,
+    normals and edge lengths the next ``plan`` reads.  Snapshots fall due on a
+    geometric schedule in the lateral area, which that pass also gives, and for
+    a true waist on the same schedule in its radius.
     """
 
     def __init__(self, profile: AxiProfile, config: FlowConfig):
-        self.set_verts(profile.samples)
+        self.set_verts(profile.samples.T)
         self.topology = profile.topology
         self.period = profile.period
         m = axi_metrics(profile)
@@ -441,14 +443,14 @@ class _AxiState(_FlowState):
         self.pinch_kind = EVENT_TORUS_COLLAPSE if periodic else EVENT_NECK_PINCH
         self.two_poles = self.topology == TOPOLOGY_TWO_POLES
         self.stop_kind = EVENT_POLE_EXTINCTION if self.two_poles else self.pinch_kind
-        rmin0, x0, true_waist, i = _waist_of(self.verts, self.topology)
-        thr = _neck_threshold(self.verts, i)
+        rmin0, x0, true_waist, i = _waist_of(profile.samples, self.topology)
+        thr = _neck_threshold(profile.samples, i)
         if true_waist and rmin0 < NECK_START_MARGIN * thr:
             raise InvalidInputError(f"initial waist {rmin0:.4g} at x = {x0:.4g} is within "
                                     f"{NECK_START_MARGIN:.3g} x its neck threshold {thr:.4g}; "
                                     "use more samples")
         self.off_axis = slice(1, -1) if self.two_poles else slice(None)
-        self.r_int = float(self.verts[self.off_axis, 1].min())   # read by plan
+        self.r_int = float(self.verts[1, self.off_axis].min())   # read by plan
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
         self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events)
@@ -467,18 +469,18 @@ class _AxiState(_FlowState):
 
         h nu is the same for either orientation, so h and nu are taken as the
         left normal orients them."""
-        h = _mean_curvature(self.mu, self.left, self.verts[:, 1], self.two_poles)
+        h = _mean_curvature(self.mu, self.left, self.verts[1], self.two_poles)
         if self.two_poles:
             # Poles move along the axis at twice the meridian curvature, capped by
             # the neighboring samples so a noisy pole cannot outrun its cap.
             for i, j in ((0, 1), (-1, -2)):
                 lim = 2.0 * abs(float(h[j]))
                 h[i] = min(max(float(h[i]), -lim), lim)
-        hmax = self.peak(t, h, self.verts)
+        hmax = self.peak(t, h, self.verts.T)
         if hmax is None:
             return np.inf
         self.vel = self.left   # h nu, in the normal's buffer; the next measure makes a new one
-        self.vel *= h[:, None]
+        self.vel *= h
         h_space = float(self.seg[1:].min())
         dt = self.cfl * min(h_space * h_space, h_space * self.r_int) / 4.0
         if hmax > 0:
@@ -489,14 +491,14 @@ class _AxiState(_FlowState):
         self.vel *= dt
         self.verts += self.vel
         if self.two_poles:
-            self.verts[0, 1] = 0.0
-            self.verts[-1, 1] = 0.0
+            self.verts[1, 0] = 0.0
+            self.verts[1, -1] = 0.0
         if resample:
-            self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
-        pts = self.verts
+            self.set_verts(_axi_resample(self.verts.T, self.topology, self.period, self.spacing).T)
+        pts = self.verts.T
 
         # Without a dip, a two-pole profile that started without a true waist has none.
-        if not self.two_poles or self.waist0 is not None or _has_dip(pts[1:-1, 1]):
+        if not self.two_poles or self.waist0 is not None or _has_dip(self.verts[1, 1:-1]):
             rmin, rmin_x, true_waist, i = _waist_of(pts, self.topology)
             if not self.two_poles or true_waist:
                 thr = _neck_threshold(pts, i)
@@ -505,7 +507,7 @@ class _AxiState(_FlowState):
                 if rmin < thr:
                     self.close(t, Event(self.pinch_kind, t, (rmin_x, rmin)))
                     return False
-        self.r_int = float(pts[self.off_axis, 1].min())
+        self.r_int = float(self.verts[1, self.off_axis].min())
         if self.r_int <= 0:
             raise NumericalBreakdownError(
                 f"interior sample reached the axis at t={t:.6g} before a neck event"
@@ -514,7 +516,7 @@ class _AxiState(_FlowState):
         return self.area <= self.next_area or (self.waist0 is not None and rmin <= self.next_waist)
 
     def validate(self) -> AxiProfile:
-        return AxiProfile(self.verts, self.topology, self.period)
+        return AxiProfile(self.verts.T, self.topology, self.period)
 
     def take(self, t: float, profile: AxiProfile) -> float:
         m = axi_metrics(profile)
@@ -523,7 +525,7 @@ class _AxiState(_FlowState):
         return m.surface_area
 
     def centre(self) -> tuple[float, float]:
-        return float(self.verts[:, 0].mean()), 0.0
+        return float(self.verts[0].mean()), 0.0
 
 
 def _axi_resample(

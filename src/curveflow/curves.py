@@ -36,7 +36,12 @@ def polygon_area(vertices: NDArray[np.float64]) -> float:
     """Shoelace area, positive for counterclockwise traversal."""
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
+
+
+def _next(a: NDArray) -> NDArray:
+    """``np.roll(a, -1, axis=0)`` by slices: each row's cyclic successor."""
+    return np.concatenate([a[1:], a[:1]])
 
 
 def bbox_diameter(vertices: NDArray[np.float64]) -> float:
@@ -54,7 +59,7 @@ def _checked_points(
     neighbours (last and first are neighbours when ``closed``), and
     ExtinctError below the extinction diameter.
     """
-    arr = np.array(points, dtype=np.float64)
+    arr = np.array(points, dtype=np.float64, order="C")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidInputError(f"{noun} must have shape (n, 2), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -98,8 +103,8 @@ class CurveMetrics:
 
 
 def _closed_chain(vertices: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Cyclic vertices with the last prepended and the first appended."""
-    return np.concatenate([vertices[-1:], vertices, vertices[:1]])
+    """(2, n + 2) rows x, y of the cyclic vertices, the last prepended and the first appended."""
+    return np.concatenate([vertices[-1:], vertices, vertices[:1]]).T
 
 
 def _three_point(
@@ -107,44 +112,49 @@ def _three_point(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """Circumcircle curvature at the interior points of a chain.
 
-    ``chain`` is (m + 2, 2): each of the m interior points has one neighbour
-    on each side.  Returns the curvature, signed positive for a left turn,
-    the unit left normal of the neighbour chord (m, 2), and the m + 1 edge
-    lengths of the chain.  A fold-back point (neighbours coincide) has no
-    circumcircle and is treated as flat: curvature 0, not NaN.
+    ``chain`` is (2, m + 2), row 0 the x and row 1 the y of m interior points
+    with one neighbour on each side; any strides, so the ``.T`` of an
+    (m + 2, 2) array serves.  Returns the curvature, signed positive for a
+    left turn, the (2, m) unit left normal of the neighbour chord, and the
+    m + 1 edge lengths of the chain.  A fold-back point (neighbours coincide)
+    has no circumcircle and is treated as flat: curvature 0, not NaN.
     """
-    e = chain[1:] - chain[:-1]
-    seg = np.hypot(e[:, 0], e[:, 1])
-    chord = chain[2:] - chain[:-2]
-    c = np.hypot(chord[:, 0], chord[:, 1])
-    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    e = chain[:, 1:] - chain[:, :-1]
+    seg = np.hypot(e[0], e[1])
+    chord = chain[:, 2:] - chain[:, :-2]
+    c = np.hypot(chord[0], chord[1])
+    cross = e[0, :-1] * e[1, 1:] - e[1, :-1] * e[0, 1:]
     # A zero edge or chord zeroes the cross product, and a zero chord the normal,
     # so the floored divisors give 0 there, not NaN.
     k = 2.0 * cross / np.maximum(seg[:-1] * seg[1:] * c, 1e-300)
-    left = chord[:, ::-1] * (1.0 / np.maximum(c, 1e-300))[:, None]
-    left[:, 0] = -left[:, 0]
+    left = chord[::-1] * (1.0 / np.maximum(c, 1e-300))
+    np.negative(left[0], out=left[0])
     return k, left, seg
 
 
 def curvature_profile(curve: PlaneCurve) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Signed curvature and inward unit normal at every vertex.
+    """Signed curvature and (n, 2) inward unit normal at every vertex.
 
     The magnitude is the inverse circumradius of each vertex-neighbor triple;
     the sign is positive where the curve bends toward the enclosed region.
     """
     k, left, _ = _three_point(_closed_chain(curve.vertices))
     orient = 1.0 if curve.counterclockwise else -1.0
-    return orient * k, orient * left
+    return orient * k, orient * left.T
 
 
 def metrics(curve: PlaneCurve) -> CurveMetrics:
     """Scalar summary of a curve; curvature stats use the vertex estimator."""
-    v = curve.vertices
-    k, _, seg = _three_point(_closed_chain(v))
-    if not curve.counterclockwise:
+    k, _, seg = _three_point(_closed_chain(curve.vertices))
+    return _metrics_of(k, seg, polygon_area(curve.vertices))
+
+
+def _metrics_of(k: NDArray[np.float64], seg: NDArray[np.float64], area: float) -> CurveMetrics:
+    """``metrics`` from a closed chain's kernel curvature and edge lengths and
+    the signed area, which orients the curvature."""
+    if not area > 0.0:
         k = -k
     length = float(np.sum(seg[1:]))
-    area = polygon_area(v)
     kmin = float(k.min())
     kmax = float(k.max())
     tol = CONVEX_REL_TOL * max(1.0, float(np.abs(k).max()))
@@ -177,9 +187,17 @@ def _sample_count(total: float, spacing: float, minimum: int) -> int:
 def _spline(
     s: NDArray[np.float64], y: NDArray[np.float64], targets: NDArray[np.float64], periodic: bool
 ) -> NDArray[np.float64]:
-    """Cubic spline through the rows of ``y`` at increasing knots ``s``, evaluated
-    at targets in [s[0], s[-1]]: periodic (the last row repeats the first) or
-    open with not-a-knot ends.  One ``gtsv`` call solves for q = y'' / 6.
+    """``_spline_rows`` on (m + 1, d) knot values ``y``, returning (targets, d)."""
+    return _spline_rows(s, y.T.copy(), targets, periodic).T.copy()
+
+
+def _spline_rows(
+    s: NDArray[np.float64], yt: NDArray[np.float64], targets: NDArray[np.float64], periodic: bool
+) -> NDArray[np.float64]:
+    """Cubic spline through the columns of the (d, m + 1) rows ``yt`` at
+    increasing knots ``s``, evaluated at targets in [s[0], s[-1]]; returns
+    (d, targets) rows.  Periodic (the last column repeats the first) or open
+    with not-a-knot ends.  One ``gtsv`` call solves for q = y'' / 6.
 
     Fewer than four knots (scipy's not-a-knot ``CubicSpline`` fits a parabola to
     three), a zero-length or non-finite interval or a failed solve raise
@@ -188,10 +206,9 @@ def _spline(
     h = s[1:] - s[:-1]
     if len(h) < 3 or not np.all(h > 0):
         raise DegenerateGeometryError("spline has under 4 knots or a zero-length or non-finite edge")
-    m, d = len(h), y.shape[1]
-    # Work on the transpose, one contiguous row per column of y: the per-knot
-    # factors then broadcast along rows, and rhs.T is the F-ordered gtsv input.
-    yt = y.T.copy()
+    m, d = len(h), len(yt)
+    # One row per coordinate: the per-knot factors broadcast along rows, and
+    # rhs.T is the F-ordered gtsv input.
     slope = (yt[:, 1:] - yt[:, :-1]) / h
     # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1],
     # built for all m rows with i - 1 taken cyclically; the open spline drops row 0.
@@ -236,7 +253,7 @@ def _spline(
     u, hi = targets - s[i], h[i]
     qi, qj = q.take(i, axis=1), q.take(i + 1, axis=1)
     c1 = slope.take(i, axis=1) - hi * (2.0 * qi + qj)
-    return (yt.take(i, axis=1) + u * (c1 + u * (3.0 * qi + u * ((qj - qi) / hi)))).T.copy()
+    return yt.take(i, axis=1) + u * (c1 + u * (3.0 * qi + u * ((qj - qi) / hi)))
 
 
 def _linear_resample(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
@@ -260,10 +277,15 @@ def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
     return PlaneCurve(_linear_resample(curve.vertices, n))
 
 
-def spline_resample_array(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
-    """Periodic-spline redistribution on a raw closed vertex array."""
-    pts, s = _arclength(vertices, closed=True)
-    return _spline(s, pts, np.arange(n) * (s[-1] / n), periodic=True)
+def spline_resample_array(closed: NDArray[np.float64], spacing: float) -> NDArray[np.float64]:
+    """Periodic-spline redistribution of a raw closed polygon, given as (2, n + 1)
+    rows x and y whose last column repeats the first, to (2, m) rows at equal
+    arclength; m is the length over ``spacing``, rounded, and at least MIN_VERTICES."""
+    d = closed[:, 1:] - closed[:, :-1]
+    seg = np.hypot(d[0], d[1])
+    m = _sample_count(float(seg.sum()), spacing, MIN_VERTICES)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    return _spline_rows(s, closed, np.arange(m) * (s[-1] / m), periodic=True)
 
 
 def _interval_pairs(
@@ -343,7 +365,7 @@ def is_embedded(curve: PlaneCurve) -> bool:
     v = curve.vertices
     n = len(v)
     p1 = v
-    p2 = np.roll(v, -1, axis=0)
+    p2 = _next(v)
     tol = DISTINCT_REL_TOL * bbox_diameter(v)
     mins = np.minimum(p1, p2)
     maxs = np.maximum(p1, p2)
@@ -351,16 +373,17 @@ def is_embedded(curve: PlaneCurve) -> bool:
     if len(ii) == 0:
         return True
     gap = (jj - ii) % n
+    ymin, ymax = mins[:, 1].copy(), maxs[:, 1].copy()
     keep = (
         (gap != 1)
         & (gap != n - 1)
-        & (mins[ii, 1] <= maxs[jj, 1] + tol)
-        & (mins[jj, 1] <= maxs[ii, 1] + tol)
+        & (ymin.take(ii) <= ymax.take(jj) + tol)
+        & (ymin.take(jj) <= ymax.take(ii) + tol)
     )
     ii, jj = ii[keep], jj[keep]
     if len(ii) == 0:
         return True
-    return not _segments_touch(p1[ii], p2[ii], p1[jj], p2[jj], tol).any()
+    return not _segments_touch(*(p.take(i, axis=0) for i in (ii, jj) for p in (p1, p2)), tol).any()
 
 
 def _point_segment(
@@ -393,19 +416,20 @@ def _curves_cross(c1: PlaneCurve, c2: PlaneCurve) -> bool:
     v1, v2 = c1.vertices, c2.vertices
     n1 = len(v1)
     p1 = np.vstack([v1, v2])
-    p2 = np.vstack([np.roll(v1, -1, axis=0), np.roll(v2, -1, axis=0)])
+    p2 = np.vstack([_next(v1), _next(v2)])
     mins = np.minimum(p1, p2)
     maxs = np.maximum(p1, p2)
     ii, jj = _interval_pairs(mins[:, 0], maxs[:, 0])
+    ymin, ymax = mins[:, 1].copy(), maxs[:, 1].copy()
     keep = (
         ((ii < n1) != (jj < n1))
-        & (mins[ii, 1] <= maxs[jj, 1])
-        & (mins[jj, 1] <= maxs[ii, 1])
+        & (ymin.take(ii) <= ymax.take(jj))
+        & (ymin.take(jj) <= ymax.take(ii))
     )
     ii, jj = ii[keep], jj[keep]
     if len(ii) == 0:
         return False
-    t1, t2, t3, t4 = _orientations(p1[ii], p2[ii], p1[jj], p2[jj])
+    t1, t2, t3, t4 = _orientations(*(p.take(i, axis=0) for i in (ii, jj) for p in (p1, p2)))
     return bool(((t1 * t2 < 0) & (t3 * t4 < 0)).any())
 
 
@@ -421,14 +445,15 @@ def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
         return 0.0
     v1, v2 = c1.vertices, c2.vertices
     tree1, tree2 = cKDTree(v1), cKDTree(v2)
-    edges = [np.roll(v, -1, axis=0) - v for v in (v1, v2)]
+    edges = [_next(v) - v for v in (v1, v2)]
     reach = tree2.query(v1)[0].min() + 0.5 * max(np.hypot(e[:, 0], e[:, 1]).max() for e in edges)
     # The relative slack keeps a pair exactly at the reach in the candidates.
     near = tree1.sparse_distance_matrix(tree2, reach * (1.0 + 1e-9), output_type="ndarray")
     best = np.inf
     for i, j, a, b in ((near["i"], near["j"], v1, v2), (near["j"], near["i"], v2, v1)):
         e = np.concatenate([j - 1, j])      # the edges of b into and out of vertex j
-        dist = _point_segment(a[np.concatenate([i, i])], b[e], b[(e + 1) % len(b)])
+        dist = _point_segment(a.take(np.concatenate([i, i]), axis=0), b.take(e, axis=0),
+                              b.take((e + 1) % len(b), axis=0))
         best = min(best, float(dist.min()))
     return best
 

@@ -7,7 +7,11 @@ schedule in remaining area so the approach to extinction is well sampled.
 The same loop, ``_evolve``, steps the other two drivers: the meridians of
 ``axisym`` and the open translating front of ``oracle``.  All three share its
 step budget, curvature cap and terminal events; curves and meridians also
-share its snapshot schedule.
+share its snapshot schedule.  Curves and meridians hold their points as rows,
+x in one and y (or r) in the other, between two ghost columns of a (2, n + 2)
+chain, so the stencil and the Euler update run along contiguous rows; each
+step ends with one geometry pass that the next step bound, the snapshot
+schedule and the snapshot's metrics all read.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ class _FlowState:
     """
 
     stop_kind = EVENT_EXTINCTION
-    chain = np.empty((0, 2))   # set_verts allocates each state's own, per point count
+    chain = np.empty((2, 0))   # set_verts allocates each state's own, per point count
 
     def __init__(self, config: FlowConfig, area0: float, k0: float, length: float, count: int):
         self.events: list[Event] = []
@@ -154,12 +158,13 @@ class _FlowState:
         self.done = False
         self.snapshots = 1   # the one at t = 0
 
-    def set_verts(self, verts: NDArray[np.float64]) -> None:
-        """Copy the points into ``verts``, the inside of ``chain`` (ghost, points, ghost)."""
-        if len(self.chain) != len(verts) + 2:
-            self.chain = np.empty((len(verts) + 2, 2))
-            self.verts = self.chain[1:-1]
-        self.verts[...] = verts
+    def set_verts(self, rows: NDArray[np.float64]) -> None:
+        """Copy (2, n) point rows into ``verts``, the inside of the (2, n + 2)
+        ``chain``: a ghost column, the points, a ghost column."""
+        if self.chain.shape[1] != rows.shape[1] + 2:
+            self.chain = np.empty((2, rows.shape[1] + 2))
+            self.verts = self.chain[:, 1:-1]
+        self.verts[...] = rows
 
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
@@ -256,58 +261,71 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
 class _CurveState(_FlowState):
     """One curve under the speed law.
 
-    Between snapshots the curve lives as a raw vertex array; the validated
-    curve object is only rebuilt when a snapshot is recorded.  The array is the
-    inside of a chain buffer with a ghost point at each end, which is
-    reallocated only when a resample changes the vertex count.
+    Between snapshots the curve lives as raw rows, x in ``verts[0]`` and y in
+    ``verts[1]``: the inside of a (2, n + 2) chain buffer with a ghost column at
+    each end, reallocated only when a resample changes the vertex count.  A step
+    moves the rows in place and ends with one geometry pass, ``measure``; the
+    next ``plan``, the snapshot schedule and the snapshot's metrics all read the
+    curvature, normal, edge lengths and area it keeps.  The validated curve
+    object is only built when a snapshot is recorded.
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
-        self.set_verts(curve.vertices)
-        m = cv.metrics(curve)
+        self.set_verts(curve.vertices.T)
+        self.measure()
+        m = cv._metrics_of(self.k, self.seg, self.area)
         k0 = max(abs(m.min_curvature), abs(m.max_curvature))
         super().__init__(config, abs(m.enclosed_area), k0, m.length, len(curve))
         self.law = law
         self.was_convex = m.convex
         self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
 
+    def measure(self) -> None:
+        """The step's geometry pass: fill the ghost columns and keep the curvature
+        (positive for a left turn), unit left normal, edge lengths and signed
+        area.  The speed law is odd in k, so speed(k) times the left normal is
+        the inward velocity for either traversal direction."""
+        x, y = self.chain[0], self.chain[1]
+        x[0], x[-1], y[0], y[-1] = x[-2], x[1], y[-2], y[1]
+        self.k, self.left, self.seg = cv._three_point(self.chain)
+        self.area = 0.5 * float((x[1:-1] * y[2:] - x[2:] * y[1:-1]).sum())
+
     def plan(self, t: float) -> float:
-        k, left, h, area = _step_geometry(self.chain)
-        kmax = self.peak(t, k, self.verts)
+        k = self.k
+        kmax = self.peak(t, k, self.verts.T)
         if kmax is None:
             return np.inf
         p = self.law.p
-        speed = k if p == 1.0 else self.law.speed(k)
-        self.planned = (speed, left, area)
+        self.speed = k if p == 1.0 else self.law.speed(k)
         if p == 1.0:
             diffusivity = 1.0
         else:
             mag = np.abs(k)
             mag = mag[mag >= CURVATURE_CLAMP]
             diffusivity = float(np.max(mag ** (p - 1.0))) if len(mag) else 1.0
+        h = float(self.seg.min())
         dt = self.cfl * h * h / (2.0 * diffusivity)
-        vmax = kmax if p == 1.0 else float(np.abs(speed).max())
+        vmax = kmax if p == 1.0 else float(np.abs(self.speed).max())
         if vmax > 0:
             dt = min(dt, DISPLACEMENT_FRACTION * h / vmax)
         return dt
 
     def advance(self, t: float, dt: float, resample: bool) -> bool:
-        speed, left, area = self.planned
-        left *= (dt * speed)[:, None]
+        due = abs(self.area) <= self.next_area   # the area before the step
+        left = self.left   # moved in the normal's buffer; measure makes a new one
+        left *= dt * self.speed
         self.verts += left
         if resample:
-            self.chain[-1] = self.verts[0]
-            d = self.chain[2:] - self.verts   # every edge, the closing one last
-            total = float(np.hypot(d[:, 0], d[:, 1]).sum())
-            n = cv._sample_count(total, self.spacing, cv.MIN_VERTICES)
-            self.set_verts(cv.spline_resample_array(self.verts, n))
-        return abs(area) <= self.next_area
+            self.chain[:, -1] = self.verts[:, 0]   # close the rows for the resample
+            self.set_verts(cv.spline_resample_array(self.chain[:, 1:], self.spacing))
+        self.measure()
+        return due
 
     def validate(self) -> cv.PlaneCurve:
-        return cv.PlaneCurve(self.verts)
+        return cv.PlaneCurve(self.verts.T)
 
     def take(self, t: float, curve: cv.PlaneCurve) -> float:
-        m = cv.metrics(curve)
+        m = cv._metrics_of(self.k, self.seg, self.area)   # curve holds the measured points
         self.traj.snapshots.append(Snapshot(t, curve, m))
         if m.convex and not self.was_convex:
             self.events.append(Event(EVENT_CONVEXIFICATION, t))
@@ -317,26 +335,8 @@ class _CurveState(_FlowState):
         return abs(m.enclosed_area)
 
     def centre(self) -> tuple[float, float]:
-        c = self.verts.mean(axis=0)
+        c = self.verts.T.copy().mean(axis=0)   # C order: mean sums as on the (n, 2) curve
         return float(c[0]), float(c[1])
-
-
-def _step_geometry(
-    chain: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], float, float]:
-    """Curvature (positive for a left turn), unit left normal, min spacing, area.
-
-    Fills the ghost points of ``chain``.  Fused so the driver touches each vertex
-    array a single time per step.  The speed law is odd in k, so speed(k) times
-    the left normal equals the inward velocity for either traversal direction.
-    """
-    v = chain[1:-1]
-    chain[0] = v[-1]
-    chain[-1] = v[0]
-    k, left, seg = cv._three_point(chain)
-    nxt = chain[2:]
-    area = 0.5 * float((v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]).sum())
-    return k, left, float(seg.min()), area
 
 
 def run(curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig | None = None) -> Trajectory:

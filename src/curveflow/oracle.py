@@ -132,7 +132,7 @@ class _FrontState(_FlowState):
     def __init__(self, points, duration: float, config: FlowConfig):
         self.pts = points
         self.pts = self.validate()   # a checked float copy
-        k, _, seg = cv._three_point(self.pts)
+        k, _, seg = cv._three_point(self.pts.T)
         # An open chain encloses no area, and the front never snapshots on one.
         super().__init__(config, 0.0, float(np.abs(k).max()), float(seg.sum()), len(self.pts))
         self.duration = duration
@@ -143,10 +143,10 @@ class _FrontState(_FlowState):
         if t >= self.duration - 1e-15:
             self.close(t, Event(EVENT_HORIZON, t))
             return np.inf
-        k, left, seg = cv._three_point(self.pts)
+        k, left, seg = cv._three_point(self.pts.T)
         if self.peak(t, k, self.pts[1:-1]) is None:
             return np.inf
-        self.vel[1:-1] = k[:, None] * left
+        np.multiply(k, left, out=self.vel[1:-1].T)
         h_min = float(seg.min())
         return min(self.cfl * h_min * h_min / 2.0, self.duration - t)
 

@@ -233,13 +233,13 @@ def window_curvatures(window: NDArray[np.float64], axisymmetric: bool) -> NDArra
     Plane-curve windows give the signed meridian curvature alone; profile
     windows also include the rotational principal curvature -nu_r/r.
     """
-    k, left, _ = cv._three_point(window)
+    k, left, _ = cv._three_point(window.T)
     if axisymmetric:
         # sigma orients the curvature and normal inward
         sigma = 1.0 if window[-1, 0] >= window[0, 0] else -1.0
         r = window[1:-1, 1]
         safe = np.where(np.abs(r) > 1e-30, r, 1e-30)
-        return np.concatenate([-sigma * k, sigma * left[:, 1] / safe])
+        return np.concatenate([-sigma * k, sigma * left[1] / safe])
     # Orient so the majority of the window counts as convex when it bends
     # consistently; the convexity test only cares about sign uniformity.
     if np.sum(k) < 0:

@@ -102,6 +102,15 @@ class TestProfiles:
             ax.AxiProfile(np.column_stack([np.linspace(0, 1, 32),
                                            -np.ones(32)]), ax.TOPOLOGY_CYLINDER, 1.0)
 
+    @pytest.mark.parametrize("prof", [ax.sphere_profile(1.0, 64), ax.torus_profile(1.0, 0.25, 64)],
+                             ids=["sphere", "torus"])
+    def test_memory_layout_does_not_change_the_bits(self, prof):
+        pts = prof.samples
+        for a in (np.asfortranarray(pts), np.ascontiguousarray(pts.T).T):   # F, a .T view
+            other = ax.AxiProfile(a, prof.topology)
+            assert other.samples.flags.c_contiguous
+            assert ax.axi_metrics(other) == ax.axi_metrics(prof)
+
 
 class TestSphereRun:
     def test_radius_tracks_closed_form(self, small_sphere_traj):
@@ -303,10 +312,10 @@ class TestCachedGeometry:
             assert np.array_equal(state.mu, mu)
             assert np.array_equal(state.left, left)
             assert np.array_equal(state.seg, seg)
-            p, q = state.chain[:-1], state.chain[1:]   # every edge, ghost edges included
+            (px, pr), (qx, qr) = state.chain[:, :-1], state.chain[:, 1:]   # ghost edges included
             ends = slice(1, -1) if profile.topology == ax.TOPOLOGY_TWO_POLES else slice(1, None)
-            slant = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])[ends]
-            area = float((np.pi * (p[ends, 1] + q[ends, 1]) * slant).sum())
+            slant = np.hypot(qx - px, qr - pr)[ends]
+            area = float((np.pi * (pr[ends] + qr[ends]) * slant).sum())
             assert state.area == area
             assert state.area == ax._frustum_area(*ax._segments(state.chain, seg, profile.topology))
         assert state.done

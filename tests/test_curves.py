@@ -20,6 +20,13 @@ def rotate(points, angle):
     return points @ np.array([[c, s], [-s, c]])
 
 
+def spline_resample_to(vertices, n):
+    """``cv.spline_resample_array`` asked for n points on the closed (n, 2) polygon."""
+    _, s = cv._arclength(vertices, closed=True)
+    closed = np.concatenate([vertices, vertices[:1]]).T
+    return cv.spline_resample_array(closed, s[-1] / n).T
+
+
 class TestFactories:
     def test_circle_vertices_on_circle(self):
         curve = cv.circle_polygon(2.0, 64, center=(1.0, -1.0))
@@ -87,6 +94,15 @@ class TestValidation:
         with pytest.raises(DegenerateGeometryError):
             cv.PlaneCurve(pts)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_memory_layout_does_not_change_the_bits(self, seed):
+        pts = _star(seed, 200)
+        layouts = [pts, np.asfortranarray(pts), np.ascontiguousarray(pts.T).T]   # C, F, a .T view
+        curves = [cv.PlaneCurve(a) for a in layouts]
+        assert all(c.vertices.flags.c_contiguous for c in curves)
+        got = [(cv.metrics(c), cv.curve_centroid(c), cv.is_embedded(c)) for c in curves]
+        assert got[1] == got[0] and got[2] == got[0]
+
 
 class TestMetricsProperties:
     def test_isoperimetric_ratio_at_least_one(self, rng):
@@ -148,10 +164,24 @@ def _sphere_meridian(radius):
 def _open_arc(radius):
     """The bare kernel on interior points: positive for a left turn, left normal."""
     def fields(pts):
-        k, left, _ = cv._three_point(pts)
-        return k, left
+        k, left, _ = cv._three_point(pts.T)
+        return k, left.T
     t = np.linspace(0.25, 2.0, 60)
     return np.column_stack([radius * np.cos(t), radius * np.sin(t)]), fields, -1.0
+
+
+def reference_three_point(chain):
+    """The stencil kernel on an (m + 2, 2) point chain, one row per point: the
+    bit-for-bit reference for ``cv._three_point`` on its (2, m + 2) rows."""
+    e = chain[1:] - chain[:-1]
+    seg = np.hypot(e[:, 0], e[:, 1])
+    chord = chain[2:] - chain[:-2]
+    c = np.hypot(chord[:, 0], chord[:, 1])
+    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    k = 2.0 * cross / np.maximum(seg[:-1] * seg[1:] * c, 1e-300)
+    left = chord[:, ::-1] * (1.0 / np.maximum(c, 1e-300))[:, None]
+    left[:, 0] = -left[:, 0]
+    return k, left, seg
 
 
 class TestThreePointKernel:
@@ -175,6 +205,24 @@ class TestThreePointKernel:
             assert k[i] == 0.0
             assert np.all(np.isfinite(k)) and np.all(np.isfinite(normal))
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300),
+           folds=st.integers(0, 5), repeats=st.integers(0, 5))
+    def test_matches_the_reference_bit_for_bit(self, seed, m, folds, repeats):
+        rng = np.random.default_rng(seed)
+        chain = rng.normal(scale=rng.uniform(1e-3, 1e3), size=(m + 2, 2))
+        for i in rng.integers(1, m + 1, folds):    # fold-back: the neighbours coincide
+            chain[i + 1] = chain[i - 1]
+        for i in rng.integers(0, m + 1, repeats):  # zero edge, and zero chords beside it
+            chain[i + 1] = chain[i]
+        want = reference_three_point(chain)
+        for rows in (np.ascontiguousarray(chain.T), chain.T):
+            got = cv._three_point(rows)
+            assert got[1].shape == (2, m)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b.T)
+            assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
 
 def _star(seed, n, center=(0.0, 0.0), scale=1.0):
     """Star-shaped polygon with random radii and non-uniform angular spacing."""
@@ -269,7 +317,7 @@ class TestPeriodicSpline:
         ref = CubicSpline(s, ext, axis=0, bc_type="periodic")
         scale = np.abs(pts).max()
         uniform = np.arange(m) * (s[-1] / m)
-        assert np.max(np.abs(cv.spline_resample_array(pts, m) - ref(uniform))) <= 1e-10 * scale
+        assert np.max(np.abs(spline_resample_to(pts, m) - ref(uniform))) <= 1e-10 * scale
         # the blow-up window wraps around the start of the curve
         index %= n
         half = min(rs.WINDOW_HALF, 0.49 * s[-1])
@@ -280,14 +328,14 @@ class TestPeriodicSpline:
         pts = cv.circle_polygon(1.0, 32).vertices.copy()
         pts[7] = pts[6]
         with pytest.raises(DegenerateGeometryError, match="zero-length"):
-            cv.spline_resample_array(pts, 32)
+            spline_resample_to(pts, 32)
 
     def test_failed_solve_raises(self, monkeypatch):
         def singular(dl, d, du, b, **kw):
             return dl, d, du, np.full_like(b, np.nan), 3
         monkeypatch.setattr(cv, "_GTSV", singular)
         with pytest.raises(DegenerateGeometryError, match="info 3"):
-            cv.spline_resample_array(cv.circle_polygon(1.0, 32).vertices, 32)
+            spline_resample_to(cv.circle_polygon(1.0, 32).vertices, 32)
         with pytest.raises(DegenerateGeometryError, match="info 3"):
             cv._spline(np.arange(8.0), np.ones((8, 2)), np.arange(8.0), periodic=False)
 
@@ -453,7 +501,7 @@ class TestEmbeddingAndDistance:
 
 class TestResampling:
     def test_spline_resample_preserves_circle(self):
-        fine = cv.spline_resample_array(cv.circle_polygon(1.0, 64).vertices, 256)
+        fine = spline_resample_to(cv.circle_polygon(1.0, 64).vertices, 256)
         radii = np.hypot(fine[:, 0], fine[:, 1])
         assert fine.shape == (256, 2)
         assert np.max(np.abs(radii - 1.0)) < 1e-4
@@ -467,7 +515,7 @@ class TestResampling:
 
     def test_resample_preserves_length_and_area(self):
         curve = cv.peanut_polygon(1.0, 0.3, 200)
-        out = cv.PlaneCurve(cv.spline_resample_array(curve.vertices, 400))
+        out = cv.PlaneCurve(spline_resample_to(curve.vertices, 400))
         m0, m1 = cv.metrics(curve), cv.metrics(out)
         assert abs(m0.length - m1.length) / m0.length < 1e-3
         assert abs(m0.enclosed_area - m1.enclosed_area) / m0.enclosed_area < 1e-3

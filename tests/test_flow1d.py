@@ -74,7 +74,7 @@ class TestStepping:
     def test_non_finite_chain_length_raises_named_error(self):
         state = f1._CurveState(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0), f1.FlowConfig())
         dt = state.plan(0.0)
-        state.verts[10] = np.nan
+        state.verts[:, 10] = np.nan
         with pytest.raises(DegenerateGeometryError, match="not finite"):
             state.advance(dt, dt, resample=True)
 
@@ -248,6 +248,44 @@ class TestCoEvolution:
     def test_empty_list_rejected(self):
         with pytest.raises(InvalidInputError):
             f1.co_evolve([], f1.SpeedLaw(1.0))
+
+
+class TestCachedGeometry:
+    """``plan``, the snapshot schedule and the snapshot metrics read the geometry
+    that ``_CurveState.measure`` kept; it must always be that of the current points."""
+
+    @pytest.mark.parametrize("curves, p", [
+        ([cv.circle_polygon(1.0, 64)], 1.0),
+        ([cv.peanut_polygon(1.0, 0.3, 128)], 1.0),
+        ([cv.ellipse_polygon(1.0, 0.5, 64)], 1.0 / 3.0),
+        ([cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 64)], 1.0),
+    ], ids=["circle", "peanut", "ellipse-p1/3", "nested-pair"])
+    def test_held_geometry_matches_a_fresh_pass(self, curves, p):
+        config = f1.FlowConfig(max_steps=4000)
+        states = [f1._CurveState(c, f1.SpeedLaw(p), config) for c in curves]
+        counts = [set() for _ in states]
+
+        def checked(state, seen):
+            plan = state.plan
+
+            def plan_after_check(t):
+                rows = state.verts
+                fresh = cv._three_point(cv._closed_chain(rows.T))
+                for held, want in zip((state.k, state.left, state.seg), fresh):
+                    assert np.array_equal(held, want)
+                assert state.area == cv.polygon_area(rows.T)
+                seen.add(rows.shape[1])
+                return plan(t)
+            return plan_after_check
+
+        for state, seen in zip(states, counts):
+            state.plan = checked(state, seen)
+        f1._evolve(states, config)
+        for state, seen in zip(states, counts):
+            assert len(seen) > 2   # resamples changed the vertex count
+            assert len(state.traj.snapshots) > 10
+            for snap in state.traj.snapshots:
+                assert snap.metrics == cv.metrics(snap.curve)
 
 
 def _nested_pair(i):
