@@ -189,7 +189,7 @@ def _mean_curvature(
 def _fields(
     pts: NDArray[np.float64], topology: str, period: float | None
 ) -> tuple[NDArray[np.float64], ...]:
-    """Per-sample meridian curvature, (n, 2) inward normal and h, plus the (2, n + 2)
+    """Per-sample meridian curvature, (2, n) inward normal rows and h, plus the (2, n + 2)
     ghost chain they were computed on (see ``_fill_ghosts``) and its edge lengths."""
     chain = np.empty((2, len(pts) + 2))
     chain[:, 1:-1] = pts.T
@@ -201,7 +201,7 @@ def _fields(
     kappa = -sigma * mu
     nu = -sigma * left
     h = _mean_curvature(kappa, nu, pts[:, 1], topology == TOPOLOGY_TWO_POLES)
-    return kappa, nu.T, h, chain, seg
+    return kappa, nu, h, chain, seg
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +494,7 @@ class _AxiState(_FlowState):
             self.verts[1, 0] = 0.0
             self.verts[1, -1] = 0.0
         if resample:
-            self.set_verts(_axi_resample(self.verts.T, self.topology, self.period, self.spacing).T)
+            self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
         pts = self.verts.T
 
         # Without a dip, a two-pole profile that started without a true waist has none.
@@ -529,27 +529,30 @@ class _AxiState(_FlowState):
 
 
 def _axi_resample(
-    pts: NDArray[np.float64], topology: str, period: float | None, spacing: float
+    rows: NDArray[np.float64], topology: str, period: float | None, spacing: float
 ) -> NDArray[np.float64]:
-    """Arclength redistribution preserving topology constraints."""
+    """Arclength redistribution of (2, n) sample rows, x and r, preserving
+    topology constraints; returns (2, m) rows."""
     if topology == TOPOLOGY_CYLINDER:
         # keep the uniform x grid; refresh r through a periodic spline in x
-        ext = np.vstack([pts, pts[:1] + [period, 0.0]])
-        grid = pts[0, 0] + np.arange(len(pts)) * (period / len(pts))
-        return np.column_stack([grid, cv._spline(ext[:, 0], ext[:, 1:], grid, periodic=True)])
+        n = rows.shape[1]
+        x = np.append(rows[0], rows[0, 0] + period)
+        r = np.append(rows[1], rows[1, 0])
+        grid = rows[0, 0] + np.arange(n) * (period / n)
+        return np.vstack([grid, cv._spline_rows(x, r[None], grid, periodic=True)])
     closed = topology == TOPOLOGY_PERIODIC
-    ext, s = cv._arclength(pts, closed=closed)
+    ext, s = cv._arclength(rows, closed=closed)
     total = float(s[-1])
     n = cv._sample_count(total, spacing, MIN_SAMPLES)
     if closed:
-        return cv._spline(s, ext, np.arange(n) * (total / n), periodic=True)
+        return cv._spline_rows(s, ext, np.arange(n) * (total / n), periodic=True)
     targets = np.arange(n + 1) * (total / n)   # np.linspace(0, total, n + 1), bit for bit
     targets[-1] = total
-    out = cv._spline(s, ext, targets, periodic=False)
-    out[0] = pts[0]
-    out[-1] = pts[-1]
-    out[0, 1] = 0.0
-    out[-1, 1] = 0.0
+    out = cv._spline_rows(s, ext, targets, periodic=False)
+    out[:, 0] = rows[:, 0]
+    out[:, -1] = rows[:, -1]
+    out[1, 0] = 0.0
+    out[1, -1] = 0.0
     return out
 
 

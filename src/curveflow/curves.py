@@ -169,12 +169,13 @@ def _metrics_of(k: NDArray[np.float64], seg: NDArray[np.float64], area: float) -
 
 
 def _arclength(
-    points: NDArray[np.float64], closed: bool
+    rows: NDArray[np.float64], closed: bool
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The points (closed chains end back at the first) and their arclengths."""
-    pts = np.concatenate([points, points[:1]]) if closed else points
-    d = np.diff(pts, axis=0)
-    return pts, np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
+    """The (2, n) point rows (closed chains end back at the first column) and
+    their arclengths."""
+    ext = np.concatenate([rows, rows[:, :1]], axis=1) if closed else rows
+    d = ext[:, 1:] - ext[:, :-1]
+    return ext, np.concatenate([[0.0], np.cumsum(np.hypot(d[0], d[1]))])
 
 
 def _sample_count(total: float, spacing: float, minimum: int) -> int:
@@ -188,7 +189,7 @@ def _spline(
     s: NDArray[np.float64], y: NDArray[np.float64], targets: NDArray[np.float64], periodic: bool
 ) -> NDArray[np.float64]:
     """``_spline_rows`` on (m + 1, d) knot values ``y``, returning (targets, d)."""
-    return _spline_rows(s, y.T.copy(), targets, periodic).T.copy()
+    return _spline_rows(s, y.T, targets, periodic).T.copy()
 
 
 def _spline_rows(
@@ -258,11 +259,9 @@ def _spline_rows(
 
 def _linear_resample(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
     """``n`` points at equal arclength spacing along a closed polygon."""
-    ext, s = _arclength(vertices, closed=True)
+    ext, s = _arclength(vertices.T, closed=True)
     targets = np.arange(n) * (s[-1] / n)
-    return np.stack(
-        [np.interp(targets, s, ext[:, 0]), np.interp(targets, s, ext[:, 1])], axis=1
-    )
+    return np.stack([np.interp(targets, s, ext[0]), np.interp(targets, s, ext[1])], axis=1)
 
 
 def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:

@@ -153,7 +153,7 @@ class _FrontState(_FlowState):
     def advance(self, t: float, dt: float, resample: bool) -> bool:
         self.pts += dt * self.vel
         if resample:
-            _, s = cv._arclength(self.pts, closed=False)
+            _, s = cv._arclength(self.pts.T, closed=False)
             self.pts = cv._spline(s, self.pts, np.linspace(0.0, s[-1], len(self.pts)), periodic=False)
         return False
 

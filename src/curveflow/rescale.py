@@ -198,18 +198,18 @@ def roundness_series(traj: Trajectory) -> list[tuple[float, float, float]]:
 
 def _window_curve(pts: NDArray[np.float64], index: int) -> NDArray[np.float64]:
     """Evenly spaced points on the closed arc within one unit of ``pts[index]``."""
-    ext, s = cv._arclength(pts, closed=True)
+    ext, s = cv._arclength(pts.T, closed=True)
     total = float(s[-1])
     half = min(WINDOW_HALF, 0.49 * total)
     targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
-    return cv._spline(s, ext, targets, periodic=True)
+    return cv._spline(s, ext.T, targets, periodic=True)
 
 
 def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
     pts = profile.samples
     if profile.topology == TOPOLOGY_PERIODIC:
         return _window_curve(pts, index)
-    _, s = cv._arclength(pts, closed=False)
+    _, s = cv._arclength(pts.T, closed=False)
     lo = max(0.0, s[index] - WINDOW_HALF)
     hi = min(float(s[-1]), s[index] + WINDOW_HALF)
     return cv._spline(s, pts, np.linspace(lo, hi, WINDOW_POINTS), periodic=False)

@@ -25,7 +25,7 @@ def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
 def mean_curvature(profile):
     """Scalar mean curvature and inward meridian normal per sample, poles included."""
     _, nu, h, _, _ = ax._fields(profile.samples, profile.topology, profile.period)
-    return h, nu
+    return h, nu.T
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ class TestSphereRun:
         pts = ax.sphere_profile(1.0, 64).samples.copy()
         pts[10] = np.nan
         with pytest.raises(DegenerateGeometryError, match="not finite"):
-            ax._axi_resample(pts, ax.TOPOLOGY_TWO_POLES, None, 0.05)
+            ax._axi_resample(pts.T, ax.TOPOLOGY_TWO_POLES, None, 0.05)
 
 
 class TestCylinderRun:

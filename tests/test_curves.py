@@ -22,7 +22,7 @@ def rotate(points, angle):
 
 def spline_resample_to(vertices, n):
     """``cv.spline_resample_array`` asked for n points on the closed (n, 2) polygon."""
-    _, s = cv._arclength(vertices, closed=True)
+    _, s = cv._arclength(vertices.T, closed=True)
     closed = np.concatenate([vertices, vertices[:1]]).T
     return cv.spline_resample_array(closed, s[-1] / n).T
 
@@ -157,7 +157,7 @@ def _sphere_meridian(radius):
     """axisym fields on ghost-extended poles: positive where convex, inward normal."""
     def fields(pts):
         kappa, nu, _, _, _ = ax._fields(pts, ax.TOPOLOGY_TWO_POLES, None)
-        return kappa, nu
+        return kappa, nu.T
     return ax.sphere_profile(radius, 101).samples, fields, 1.0
 
 
@@ -313,8 +313,8 @@ class TestPeriodicSpline:
            index=st.integers(0, 10**6), size=st.floats(0.01, 100.0))
     def test_matches_scipy_periodic_spline(self, seed, n, m, index, size):
         pts = _star(seed, n, scale=size)
-        ext, s = cv._arclength(pts, closed=True)
-        ref = CubicSpline(s, ext, axis=0, bc_type="periodic")
+        ext, s = cv._arclength(pts.T, closed=True)
+        ref = CubicSpline(s, ext.T, axis=0, bc_type="periodic")
         scale = np.abs(pts).max()
         uniform = np.arange(m) * (s[-1] / m)
         assert np.max(np.abs(spline_resample_to(pts, m) - ref(uniform))) <= 1e-10 * scale
@@ -345,7 +345,7 @@ class TestPeriodicSpline:
         pts = prof.samples.copy()
         pts[1:, 0] += rng.uniform(-0.3, 0.3, n - 1) * (period / n)
         pts[:, 1] *= 1.0 + 0.3 * np.cos(np.pi * pts[:, 0]) + rng.uniform(-0.02, 0.02, n)
-        out = ax._axi_resample(pts, ax.TOPOLOGY_CYLINDER, period, period / n)
+        out = ax._axi_resample(pts.T, ax.TOPOLOGY_CYLINDER, period, period / n).T
         grid = np.arange(n) * (period / n)
         ref = CubicSpline(np.append(pts[:, 0], period), np.append(pts[:, 1], pts[0, 1]),
                           bc_type="periodic")
@@ -403,7 +403,7 @@ class TestOpenSpline:
         pts = ax.sphere_profile(1.0, 64).samples.copy()
         pts[20] = pts[19]
         with pytest.raises(DegenerateGeometryError, match="zero-length or non-finite"):
-            ax._axi_resample(pts, ax.TOPOLOGY_TWO_POLES, None, 0.05)
+            ax._axi_resample(pts.T, ax.TOPOLOGY_TWO_POLES, None, 0.05)
 
     @pytest.mark.parametrize("bad", ["repeat", "nan"])
     def test_window_on_bad_samples_raises_named_error(self, bad):
