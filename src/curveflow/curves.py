@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, ExtinctError, InvalidInputError
 
@@ -30,6 +29,8 @@ Float2 = tuple[float, float]
 
 # LAPACK tridiagonal solver (with partial pivoting) for the cubic splines.
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
+# Entries in one block of min_distance's vertex-to-vertex distance matrix.
+_DISTANCE_BLOCK = 1 << 16
 
 
 def polygon_area(vertices: NDArray[np.float64]) -> float:
@@ -198,7 +199,9 @@ def _spline_rows(
     """Cubic spline through the columns of the (d, m + 1) rows ``yt`` at
     increasing knots ``s``, evaluated at targets in [s[0], s[-1]]; returns
     (d, targets) rows.  Periodic (the last column repeats the first) or open
-    with not-a-knot ends.  One ``gtsv`` call solves for q = y'' / 6.
+    with not-a-knot ends.  One ``gtsv`` call solves for q = y'' / 6.  No caller
+    passes a target below s[0], so the interval index is clamped only from
+    above (a target at s[-1] falls in the last interval).
 
     Fewer than four knots (scipy's not-a-knot ``CubicSpline`` fits a parabola to
     three), a zero-length or non-finite interval or a failed solve raise
@@ -216,7 +219,7 @@ def _spline_rows(
     prev = np.arange(-1, m - 1)
     rhs = np.zeros((d + 1, m) if periodic else (d, m))
     np.subtract(slope, slope.take(prev, axis=1), out=rhs[:d])
-    diag = 2.0 * (h + h[prev])
+    diag = 2.0 * (h + h.take(prev))
     if periodic:
         # Rows 0..m-1, cyclic; the corners h[-1] move to u v^T, u = (g, 0.., h[-1]),
         # v = (1, 0.., h[-1] / g), solved for as the extra column (Sherman-Morrison).
@@ -250,8 +253,8 @@ def _spline_rows(
         q[:, m] = sol[:, -1] + b * (sol[:, -1] - sol[:, -2])
     # Each target's interval i, in powers of u = t - s[i].
     i = np.searchsorted(s, targets, side="right") - 1
-    np.clip(i, 0, m - 1, out=i)
-    u, hi = targets - s[i], h[i]
+    np.minimum(i, m - 1, out=i)
+    u, hi = targets - s.take(i), h.take(i)
     qi, qj = q.take(i, axis=1), q.take(i + 1, axis=1)
     c1 = slope.take(i, axis=1) - hi * (2.0 * qi + qj)
     return yt.take(i, axis=1) + u * (c1 + u * (3.0 * qi + u * ((qj - qi) / hi)))
@@ -438,22 +441,40 @@ def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
     Exact: the minimum is a vertex-to-edge distance of at most the smallest
     vertex-to-vertex distance dv, and lies within half an edge of one of that
     edge's ends.  So each vertex meets only the two edges at every vertex of
-    the other curve within dv + max_edge / 2.
+    the other curve within dv + max_edge / 2, and any upper bound on dv only
+    adds candidates.  The vertices of c1 go in blocks whose squared distance
+    matrix against c2 holds at most ``_DISTANCE_BLOCK`` entries, and each
+    block takes its candidates within the running minimum of dv so far, so
+    the work arrays stay bounded at any n.
     """
     if _curves_cross(c1, c2):
         return 0.0
     v1, v2 = c1.vertices, c2.vertices
-    tree1, tree2 = cKDTree(v1), cKDTree(v2)
-    edges = [_next(v) - v for v in (v1, v2)]
-    reach = tree2.query(v1)[0].min() + 0.5 * max(np.hypot(e[:, 0], e[:, 1]).max() for e in edges)
-    # The relative slack keeps a pair exactly at the reach in the candidates.
-    near = tree1.sparse_distance_matrix(tree2, reach * (1.0 + 1e-9), output_type="ndarray")
-    best = np.inf
-    for i, j, a, b in ((near["i"], near["j"], v1, v2), (near["j"], near["i"], v2, v1)):
-        e = np.concatenate([j - 1, j])      # the edges of b into and out of vertex j
-        dist = _point_segment(a.take(np.concatenate([i, i]), axis=0), b.take(e, axis=0),
-                              b.take((e + 1) % len(b), axis=0))
-        best = min(best, float(dist.min()))
+    half_edge = 0.5 * max(np.hypot(e[:, 0], e[:, 1]).max() for e in (_next(v) - v for v in (v1, v2)))
+    x2, y2 = v2.T.copy()
+    rows = max(1, _DISTANCE_BLOCK // len(v2))
+    d2, dy = np.empty((2, min(rows, len(v1)), len(v2)))
+    dv2 = best = np.inf
+    for lo in range(0, len(v1), rows):
+        block = v1[lo:lo + rows]
+        d2, dy = d2[:len(block)], dy[:len(block)]
+        np.subtract.outer(block[:, 0], x2, out=d2)
+        np.subtract.outer(block[:, 1], y2, out=dy)
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        dv2 = min(dv2, d2.min())
+        # The relative slack keeps a pair exactly at the reach in the candidates.
+        reach = (np.sqrt(dv2) + half_edge) * (1.0 + 1e-9)
+        i, j = np.divmod(np.flatnonzero(d2 <= reach * reach), len(v2))
+        if len(i) == 0:
+            continue
+        i += lo
+        for p, q, a, b in ((i, j, v1, v2), (j, i, v2, v1)):
+            e = np.concatenate([q - 1, q])      # the edges of b into and out of vertex q
+            dist = _point_segment(a.take(np.concatenate([p, p]), axis=0), b.take(e, axis=0),
+                                  b.take((e + 1) % len(b), axis=0))
+            best = min(best, float(dist.min()))
     return best
 
 

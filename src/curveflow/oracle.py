@@ -84,16 +84,24 @@ def grim_reaper(n: int = 161, half_width: float = 1.2) -> NDArray[np.float64]:
 # Independent ODE integration used to vouch for the closed forms
 # ---------------------------------------------------------------------------
 
-def _rk4_radius(rate, r0: float, t_end: float, step: float) -> float:
-    """Classic fixed-step RK4 on r' = rate(r)."""
+def _rk4_radius(c: float, p: float, r0: float, t_end: float, step: float) -> float:
+    """Classic fixed-step RK4 on r' = -c r^(-p), with the stages inline; at
+    p = 1 each stage divides (-c / r) instead of taking a power."""
     r = r0
     t = 0.0
+    nc, q = -c, -p
     while t < t_end - 1e-15:
         h = min(step, t_end - t)
-        k1 = rate(r)
-        k2 = rate(r + 0.5 * h * k1)
-        k3 = rate(r + 0.5 * h * k2)
-        k4 = rate(r + h * k3)
+        if p == 1.0:
+            k1 = nc / r
+            k2 = nc / (r + 0.5 * h * k1)
+            k3 = nc / (r + 0.5 * h * k2)
+            k4 = nc / (r + h * k3)
+        else:
+            k1 = nc * r ** q
+            k2 = nc * (r + 0.5 * h * k1) ** q
+            k3 = nc * (r + 0.5 * h * k2) ** q
+            k4 = nc * (r + h * k3) ** q
         r += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
     return r
@@ -102,19 +110,21 @@ def _rk4_radius(rate, r0: float, t_end: float, step: float) -> float:
 def selfcheck(step: float = SELFCHECK_STEP) -> dict[str, float]:
     """Absolute closed-form vs RK4 mismatch for each oracle; all must sit
     below SELFCHECK_TOL or the oracles cannot be trusted."""
+    if not 0.0 < step < math.inf:
+        raise InvalidInputError(f"step must be positive and finite, got {step}")
     cases = {}
 
-    r = _rk4_radius(lambda r: -1.0 / r, 1.0, 0.375, step)
+    r = _rk4_radius(1.0, 1.0, 1.0, 0.375, step)
     cases["circle_p1"] = abs(r - shrinker_radius("circle", 1.0, 0.375))
 
-    r = _rk4_radius(lambda r: -1.0 / r, 0.2, 0.015, step)
+    r = _rk4_radius(1.0, 1.0, 0.2, 0.015, step)
     cases["cylinder"] = abs(r - shrinker_radius("cylinder", 0.2, 0.015))
 
-    r = _rk4_radius(lambda r: -2.0 / r, 1.0, 0.1875, step)
+    r = _rk4_radius(2.0, 1.0, 1.0, 0.1875, step)
     cases["sphere"] = abs(r - shrinker_radius("sphere", 1.0, 0.1875))
 
     for p, label in ((1.0 / 3.0, "power_cuberoot"), (0.2, "power_fifthroot"), (2.0, "power_square")):
-        r = _rk4_radius(lambda r: -(r ** (-p)), 1.0, 0.3, step)
+        r = _rk4_radius(1.0, p, 1.0, 0.3, step)
         cases[label] = abs(r - power_circle_radius(1.0, p, 0.3))
 
     return cases

@@ -1,6 +1,7 @@
 """Geometry primitives: factories, metrics, embeddedness, resampling, file IO."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -452,6 +453,57 @@ class TestPrunedMinDistance:
                            (0.0, -0.25), (0.0, -0.5), (0.0, -0.75), (0.0, -1.0)])
         assert abs(cv.min_distance(a, b) - 0.001) < 1e-15
         assert cv.min_distance(a, b) == _brute_min_distance(a, b)
+
+    @staticmethod
+    def _block_minima(a, b):
+        """Smallest vertex-to-vertex distance within each of min_distance's
+        blocks of a's vertices against b."""
+        rows = max(1, cv._DISTANCE_BLOCK // len(b))
+        d = np.linalg.norm(a.vertices[:, None] - b.vertices[None], axis=-1)
+        return np.array([d[lo:lo + rows].min() for lo in range(0, len(a), rows)])
+
+    @pytest.mark.parametrize("tip", [1.0, -1.0])
+    def test_blocks_equal_all_pairs_reference(self, tip):
+        # A long ellipse (700 vertices, counterclockwise from its +x tip) and a
+        # small circle (300) off one tip: four blocks of rows in either order.
+        a = cv.ellipse_polygon(3.0, 0.3, n=700)
+        b = cv.circle_polygon(0.2, n=300, center=(3.5 * tip, 0.0))
+        for x, y in ((a, b), (b, a)):
+            minima = self._block_minima(x, y)
+            assert len(minima) > 1
+            if x is a:
+                edge = max(np.max(np.hypot(*(np.roll(c.vertices, -1, axis=0) - c.vertices).T))
+                           for c in (a, b))
+                if tip > 0:
+                    # the minimum in the first block; later blocks have no candidates
+                    assert np.argmin(minima) == 0 and np.any(minima[1:] > minima[0] + edge)
+                else:
+                    # the running minimum first appears in a later block
+                    assert np.argmin(minima) > 0
+            assert cv.min_distance(x, y) == _brute_min_distance(x, y)
+
+    @pytest.mark.parametrize("n1, n2", [(700, 300), (1000, 100), (2000, 40)])
+    def test_multi_block_stars_equal_all_pairs_reference(self, n1, n2):
+        # Each order spans several blocks of 2**16 distance entries.
+        for seed in range(3):
+            a = cv.PlaneCurve(_star(seed, n1))
+            for center, scale in (((0.05, 0.1), 0.4), ((3.0, 0.5), 1.0)):
+                b = cv.PlaneCurve(_star(seed + 1, n2, center=center, scale=scale))
+                assert cv.min_distance(a, b) == _brute_min_distance(a, b)
+                assert cv.min_distance(b, a) == _brute_min_distance(b, a)
+
+    def test_work_arrays_stay_bounded(self):
+        # One full 4000 x 4000 distance matrix alone would take 122 MiB.
+        a = cv.circle_polygon(2.0, n=4000)
+        b = cv.ellipse_polygon(1.2, 0.6, n=4000)
+        tracemalloc.start()
+        try:
+            d = cv.min_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(d - 0.8) < 1e-6
+        assert peak < 8 * 2**20
 
 
 class TestEmbeddingAndDistance:

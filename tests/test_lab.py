@@ -810,9 +810,11 @@ def run_python(*args):
 class TestImports:
     def test_runner_import_skips_interpolate_and_cli(self):
         # In a subprocess: the test modules themselves import scipy.interpolate.
+        # Of scipy, only scipy.linalg.lapack (gtsv) may load; it pulls in none
+        # of spatial, sparse or special.
         proc = run_python("-c", "import sys, curveflow, curveflow.lab.runner; print(sorted("
-                          "{'scipy.interpolate', 'scipy.integrate', 'curveflow.lab.cli'}"
-                          " & set(sys.modules)))")
+                          "{'scipy.interpolate', 'scipy.integrate', 'scipy.spatial', 'scipy.sparse',"
+                          " 'scipy.special', 'curveflow.lab.cli'} & set(sys.modules)))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

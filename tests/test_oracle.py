@@ -81,6 +81,42 @@ class TestSelfCheck:
         for kind in oc.SHRINKER_KINDS:
             assert kind in names
 
+    @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+    def test_rejects_step_that_is_not_positive_and_finite(self, step):
+        # A step that is not positive never advances t, so the integration would not end.
+        with pytest.raises(InvalidInputError):
+            oc.selfcheck(step)
+
+    def test_matches_rate_function_reference(self):
+        # The inline RK4 stages against the same integration through a rate
+        # function per stage, bit for bit.
+        def rk4(rate, r, t_end, step):
+            t = 0.0
+            while t < t_end - 1e-15:
+                h = min(step, t_end - t)
+                k1 = rate(r)
+                k2 = rate(r + 0.5 * h * k1)
+                k3 = rate(r + 0.5 * h * k2)
+                k4 = rate(r + h * k3)
+                r += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t += h
+            return r
+
+        step = oc.SELFCHECK_STEP
+        expected = {
+            "circle_p1": abs(rk4(lambda r: -1.0 / r, 1.0, 0.375, step)
+                             - oc.shrinker_radius("circle", 1.0, 0.375)),
+            "cylinder": abs(rk4(lambda r: -1.0 / r, 0.2, 0.015, step)
+                            - oc.shrinker_radius("cylinder", 0.2, 0.015)),
+            "sphere": abs(rk4(lambda r: -2.0 / r, 1.0, 0.1875, step)
+                          - oc.shrinker_radius("sphere", 1.0, 0.1875)),
+        }
+        for p, label in ((1.0 / 3.0, "power_cuberoot"), (0.2, "power_fifthroot"),
+                         (2.0, "power_square")):
+            expected[label] = abs(rk4(lambda r: -(r ** (-p)), 1.0, 0.3, step)
+                                  - oc.power_circle_radius(1.0, p, 0.3))
+        assert oc.selfcheck() == expected
+
 
 class TestTranslators:
     def test_grim_reaper_graph(self):
