@@ -534,21 +534,21 @@ def _axi_resample(
     """Arclength redistribution of (2, n) sample rows, x and r, preserving
     topology constraints; returns (2, m) rows."""
     if topology == TOPOLOGY_CYLINDER:
-        # keep the uniform x grid; refresh r through a periodic spline in x
+        # keep the uniform x grid; refresh r through the periodic local cubic in x
         n = rows.shape[1]
         x = np.append(rows[0], rows[0, 0] + period)
         r = np.append(rows[1], rows[1, 0])
         grid = rows[0, 0] + np.arange(n) * (period / n)
-        return np.vstack([grid, cv._spline_rows(x, r[None], grid, periodic=True)])
+        return np.vstack([grid, cv._interpolate_rows(x, r[None], grid, periodic=True)])
     closed = topology == TOPOLOGY_PERIODIC
     ext, s = cv._arclength(rows, closed=closed)
     total = float(s[-1])
     n = cv._sample_count(total, spacing, MIN_SAMPLES)
     if closed:
-        return cv._spline_rows(s, ext, np.arange(n) * (total / n), periodic=True)
+        return cv._interpolate_rows(s, ext, np.arange(n) * (total / n), periodic=True)
     targets = np.arange(n + 1) * (total / n)   # np.linspace(0, total, n + 1), bit for bit
     targets[-1] = total
-    out = cv._spline_rows(s, ext, targets, periodic=False)
+    out = cv._interpolate_rows(s, ext, targets, periodic=False)
     out[:, 0] = rows[:, 0]
     out[:, -1] = rows[:, -1]
     out[1, 0] = 0.0

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DegenerateGeometryError, ExtinctError, InvalidInputError
 
@@ -27,8 +26,6 @@ CONVEX_REL_TOL = 1e-6
 
 Float2 = tuple[float, float]
 
-# LAPACK tridiagonal solver (with partial pivoting) for the cubic splines.
-_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 # Entries in one block of min_distance's vertex-to-vertex distance matrix.
 _DISTANCE_BLOCK = 1 << 16
 
@@ -186,78 +183,47 @@ def _sample_count(total: float, spacing: float, minimum: int) -> int:
     return max(minimum, int(round(total / spacing)))
 
 
-def _spline(
-    s: NDArray[np.float64], y: NDArray[np.float64], targets: NDArray[np.float64], periodic: bool
-) -> NDArray[np.float64]:
-    """``_spline_rows`` on (m + 1, d) knot values ``y``, returning (targets, d)."""
-    return _spline_rows(s, y.T, targets, periodic).T.copy()
-
-
-def _spline_rows(
+def _interpolate_rows(
     s: NDArray[np.float64], yt: NDArray[np.float64], targets: NDArray[np.float64], periodic: bool
 ) -> NDArray[np.float64]:
-    """Cubic spline through the columns of the (d, m + 1) rows ``yt`` at
-    increasing knots ``s``, evaluated at targets in [s[0], s[-1]]; returns
-    (d, targets) rows.  Periodic (the last column repeats the first) or open
-    with not-a-knot ends.  One ``gtsv`` call solves for q = y'' / 6.  No caller
-    passes a target below s[0], so the interval index is clamped only from
-    above (a target at s[-1] falls in the last interval).
+    """Local cubic interpolant through the columns of the (d, m + 1) rows ``yt``
+    at increasing knots ``s``, evaluated at targets in [s[0], s[-1]]; returns
+    (d, targets) rows.  A target in [s[i], s[i+1]] takes the cubic through the
+    four knots i - 1 .. i + 2.  A periodic chain (the last column repeats the
+    first) wraps one knot on each side; an open chain shifts the stencil inward
+    at its ends.  The interpolant needs no solve, reproduces cubics and is
+    O(h^4) accurate, but it is only C0 at the knots, where neighbouring
+    intervals switch stencils (a cubic spline is C2 there).  A target at s[-1]
+    falls in the last interval; no caller passes one below s[0], so a periodic
+    chain clamps the interval index only from above.
 
-    Fewer than four knots (scipy's not-a-knot ``CubicSpline`` fits a parabola to
-    three), a zero-length or non-finite interval or a failed solve raise
+    Fewer than four knots, or a zero-length or non-finite interval, raise
     :class:`DegenerateGeometryError`, never NaN.
     """
     h = s[1:] - s[:-1]
     if len(h) < 3 or not np.all(h > 0):
-        raise DegenerateGeometryError("spline has under 4 knots or a zero-length or non-finite edge")
-    m, d = len(h), len(yt)
-    # One row per coordinate: the per-knot factors broadcast along rows, and
-    # rhs.T is the F-ordered gtsv input.
-    slope = (yt[:, 1:] - yt[:, :-1]) / h
-    # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1],
-    # built for all m rows with i - 1 taken cyclically; the open spline drops row 0.
-    prev = np.arange(-1, m - 1)
-    rhs = np.zeros((d + 1, m) if periodic else (d, m))
-    np.subtract(slope, slope.take(prev, axis=1), out=rhs[:d])
-    diag = 2.0 * (h + h.take(prev))
-    if periodic:
-        # Rows 0..m-1, cyclic; the corners h[-1] move to u v^T, u = (g, 0.., h[-1]),
-        # v = (1, 0.., h[-1] / g), solved for as the extra column (Sherman-Morrison).
-        lower = upper = h[:-1]
-        g, corner = -diag[0], h[-1]
-        diag[0] -= g
-        diag[-1] -= corner * corner / g
-        rhs[d, 0], rhs[d, -1] = g, corner
-    else:
-        # Rows 1..m-1; not-a-knot gives q[0] = q[1] + a (q[1] - q[2]) and
-        # q[m] = q[m-1] + b (q[m-1] - q[m-2]), eliminated from the end rows.
-        a, b = h[0] / h[1], h[-1] / h[-2]
-        lower, upper, diag, rhs = h[1:-1].copy(), h[1:-1].copy(), diag[1:], rhs[:, 1:]
-        diag[0] += h[0] * (1.0 + a)
-        diag[-1] += h[-1] * (1.0 + b)
-        upper[0] -= h[0] * a
-        lower[-1] -= h[-1] * b
-    _, _, _, sol, info = _GTSV(lower, diag, upper, rhs.T, overwrite_d=1, overwrite_b=1)
-    if info != 0:
-        raise DegenerateGeometryError(f"spline solve failed (gtsv info {info})")
-    sol = sol.T
-    q = np.empty((d, m + 1))
-    if periodic:
-        z, w = sol[d], corner / g
-        scale = (sol[:d, 0] + w * sol[:d, -1]) / (1.0 + z[0] + w * z[-1])
-        np.subtract(sol[:d], scale[:, None] * z, out=q[:, :m])
-        q[:, m] = q[:, 0]
-    else:
-        q[:, 1:m] = sol
-        q[:, 0] = sol[:, 0] + a * (sol[:, 0] - sol[:, 1])
-        q[:, m] = sol[:, -1] + b * (sol[:, -1] - sol[:, -2])
-    # Each target's interval i, in powers of u = t - s[i].
+        raise DegenerateGeometryError(
+            "interpolant has under 4 knots or a zero-length or non-finite edge")
+    m = len(h)
     i = np.searchsorted(s, targets, side="right") - 1
-    np.minimum(i, m - 1, out=i)
-    u, hi = targets - s.take(i), h.take(i)
-    qi, qj = q.take(i, axis=1), q.take(i + 1, axis=1)
-    c1 = slope.take(i, axis=1) - hi * (2.0 * qi + qj)
-    return yt.take(i, axis=1) + u * (c1 + u * (3.0 * qi + u * ((qj - qi) / hi)))
+    if periodic:
+        # Knot m - 1 one period back in front, knot 1 one period on behind:
+        # interval i's stencil starts at extended knot i.
+        total = s[-1] - s[0]
+        s = np.concatenate([[s[-2] - total], s, [s[1] + total]])
+        yt = np.concatenate([yt[:, -2:-1], yt, yt[:, 1:2]], axis=1)
+        h = s[1:] - s[:-1]
+        np.minimum(i, m - 1, out=i)
+    else:
+        np.clip(i - 1, 0, m - 3, out=i)
+    # Divided differences over every run of 2, 3 and 4 consecutive knots; the
+    # stencil from knot i is then the Newton form on its knots x0 < x1 < x2 < x3.
+    d1 = (yt[:, 1:] - yt[:, :-1]) / h
+    d2 = (d1[:, 1:] - d1[:, :-1]) / (s[2:] - s[:-2])
+    d3 = (d2[:, 1:] - d2[:, :-1]) / (s[3:] - s[:-3])
+    u = targets - s.take(i + np.arange(3)[:, None])
+    c = d2.take(i, axis=1) + u[2] * d3.take(i, axis=1)
+    return yt.take(i, axis=1) + u[0] * (d1.take(i, axis=1) + u[1] * c)
 
 
 def _linear_resample(vertices: NDArray[np.float64], n: int) -> NDArray[np.float64]:
@@ -280,14 +246,15 @@ def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
 
 
 def spline_resample_array(closed: NDArray[np.float64], spacing: float) -> NDArray[np.float64]:
-    """Periodic-spline redistribution of a raw closed polygon, given as (2, n + 1)
-    rows x and y whose last column repeats the first, to (2, m) rows at equal
-    arclength; m is the length over ``spacing``, rounded, and at least MIN_VERTICES."""
+    """Redistribution of a raw closed polygon, given as (2, n + 1) rows x and y
+    whose last column repeats the first, to (2, m) rows at equal arclength
+    through the periodic local cubic interpolant of ``_interpolate_rows``; m is
+    the length over ``spacing``, rounded, and at least MIN_VERTICES."""
     d = closed[:, 1:] - closed[:, :-1]
     seg = np.hypot(d[0], d[1])
     m = _sample_count(float(seg.sum()), spacing, MIN_VERTICES)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    return _spline_rows(s, closed, np.arange(m) * (s[-1] / m), periodic=True)
+    return _interpolate_rows(s, closed, np.arange(m) * (s[-1] / m), periodic=True)
 
 
 def _interval_pairs(

@@ -1,9 +1,10 @@
 """Explicit evolution of closed plane curves with normal speed sign(k) |k|^p.
 
 The driver is deliberately plain: forward Euler under a parabolic CFL bound,
-periodic tangential redistribution through a periodic spline (linear chord
-resampling would bleed area every pass), and snapshots recorded on a geometric
-schedule in remaining area so the approach to extinction is well sampled.
+periodic tangential redistribution through a local cubic interpolant (linear
+chord resampling would bleed area every pass), and snapshots recorded on a
+geometric schedule in remaining area so the approach to extinction is well
+sampled.
 The same loop, ``_evolve``, steps the other two drivers: the meridians of
 ``axisym`` and the open translating front of ``oracle``.  All three share its
 step budget, curvature cap and terminal events; curves and meridians also

@@ -164,7 +164,8 @@ class _FrontState(_FlowState):
         self.pts += dt * self.vel
         if resample:
             _, s = cv._arclength(self.pts.T, closed=False)
-            self.pts = cv._spline(s, self.pts, np.linspace(0.0, s[-1], len(self.pts)), periodic=False)
+            targets = np.linspace(0.0, s[-1], len(self.pts))
+            self.pts = cv._interpolate_rows(s, self.pts.T, targets, periodic=False).T
         return False
 
     def validate(self) -> NDArray[np.float64]:

@@ -202,7 +202,7 @@ def _window_curve(pts: NDArray[np.float64], index: int) -> NDArray[np.float64]:
     total = float(s[-1])
     half = min(WINDOW_HALF, 0.49 * total)
     targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
-    return cv._spline(s, ext.T, targets, periodic=True)
+    return cv._interpolate_rows(s, ext, targets, periodic=True).T
 
 
 def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
@@ -212,7 +212,7 @@ def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
     _, s = cv._arclength(pts.T, closed=False)
     lo = max(0.0, s[index] - WINDOW_HALF)
     hi = min(float(s[-1]), s[index] + WINDOW_HALF)
-    return cv._spline(s, pts, np.linspace(lo, hi, WINDOW_POINTS), periodic=False)
+    return cv._interpolate_rows(s, pts.T, np.linspace(lo, hi, WINDOW_POINTS), periodic=False).T
 
 
 def line_residual(window: NDArray[np.float64]) -> float:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
 
 import curveflow.axisym as ax
 import curveflow.curves as cv
@@ -260,121 +259,104 @@ def _brute_min_distance(c1, c2):
     return float(min(nearest(v1, a2, b2), nearest(v2, a1, b1)))
 
 
-def reference_spline(s, y, targets, periodic):
-    """The spline kernel in row layout with an (m, 4, d) coefficient array, one
-    row per interval: the bit-for-bit reference for ``cv._spline``."""
-    h = s[1:] - s[:-1]
-    if len(h) < 3 or not np.all(h > 0):
-        raise DegenerateGeometryError("spline has under 4 knots or a zero-length or non-finite edge")
-    m, d = len(h), y.shape[1]
-    slope = (y[1:] - y[:-1]) / h[:, None]
-    # Row i: h[i-1] q[i-1] + 2 (h[i-1] + h[i]) q[i] + h[i] q[i+1] = slope[i] - slope[i-1].
-    rhs = np.zeros((m, d + 1), order="F")
-    rhs[:, :d] = slope - np.concatenate([slope[-1:], slope[:-1]])
-    diag = 2.0 * (h + np.concatenate([h[-1:], h[:-1]]))
-    if periodic:
-        # Rows 0..m-1, cyclic; the corners h[-1] move to u v^T, u = (g, 0.., h[-1]),
-        # v = (1, 0.., h[-1] / g), solved for as the extra column (Sherman-Morrison).
-        lower = upper = h[:-1]
-        g, corner = -diag[0], h[-1]
-        diag[0] -= g
-        diag[-1] -= corner * corner / g
-        rhs[0, d], rhs[-1, d] = g, corner
-    else:
-        # Rows 1..m-1; not-a-knot gives q[0] = q[1] + a (q[1] - q[2]) and
-        # q[m] = q[m-1] + b (q[m-1] - q[m-2]), eliminated from the end rows.
-        a, b = h[0] / h[1], h[-1] / h[-2]
-        lower, upper, diag, rhs = h[1:-1].copy(), h[1:-1].copy(), diag[1:], rhs[1:, :d]
-        diag[0] += h[0] * (1.0 + a)
-        diag[-1] += h[-1] * (1.0 + b)
-        upper[0] -= h[0] * a
-        lower[-1] -= h[-1] * b
-    _, _, _, sol, info = cv._GTSV(lower, diag, upper, rhs, overwrite_d=1, overwrite_b=1)
-    if info != 0:
-        raise DegenerateGeometryError(f"spline solve failed (gtsv info {info})")
-    if periodic:
-        z, w = sol[:, d:], corner / g
-        q = sol[:, :d] - z * ((sol[0, :d] + w * sol[-1, :d]) / (1.0 + z[0, 0] + w * z[-1, 0]))
-        q = np.concatenate([q, q[:1]])
-    else:
-        q = np.concatenate([sol[:1] + a * (sol[:1] - sol[1:2]), sol,
-                            sol[-1:] + b * (sol[-1:] - sol[-2:-1])])
-    # Interval i in powers of (t - s[i]).
-    coef = np.stack([y[:-1], slope - h[:, None] * (2.0 * q[:-1] + q[1:]),
-                     3.0 * q[:-1], (q[1:] - q[:-1]) / h[:, None]], axis=1)
-    i = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, m - 1)
-    u = (targets - s[i])[:, None]
-    c = coef[i]
-    return c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
+def _uneven_knots(rng, knots):
+    """Increasing knots from a random origin, spacings up to 200:1."""
+    return rng.uniform(-1.0, 1.0) + np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(0.01, 2.0, knots - 1))])
+
+
+def _smooth_angles(n):
+    """n increasing angles in [0, 2 pi) from 0, unevenly but smoothly spaced."""
+    u = np.arange(n) / n
+    return 2 * math.pi * (u + 0.1 * np.sin(2 * math.pi * u))
+
+
+class TestLocalCubic:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), knots=st.integers(4, 120), columns=st.integers(1, 3))
+    def test_exact_on_cubics_with_uneven_open_knots(self, seed, knots, columns):
+        rng = np.random.default_rng(seed)
+        s = _uneven_knots(rng, knots)
+        # A cubic in the scaled coordinate u in [-1, 1], so its values are O(1).
+        coef = rng.normal(size=(columns, 4))
+        mid, half = (s[0] + s[-1]) / 2, (s[-1] - s[0]) / 2
+        cubic = lambda t: np.stack([np.polyval(c, (t - mid) / half) for c in coef])
+        # the first and last intervals take the stencils shifted inward
+        targets = np.sort(np.concatenate([rng.uniform(s[0], s[-1], 200),
+                                          rng.uniform(s[0], s[1], 20),
+                                          rng.uniform(s[-2], s[-1], 20), [s[-1]]]))
+        got = cv._interpolate_rows(s, cubic(s), targets, periodic=False)
+        assert got.shape == (columns, len(targets))
+        assert np.max(np.abs(got - cubic(targets))) <= 1e-12 * np.abs(coef).sum()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), knots=st.integers(4, 120), columns=st.integers(1, 3),
+           periodic=st.booleans())
+    def test_returns_the_knot_values_at_the_knots(self, seed, knots, columns, periodic):
+        rng = np.random.default_rng(seed)
+        s = _uneven_knots(rng, knots)
+        y = rng.normal(scale=3.0, size=(columns, knots))
+        if periodic:
+            y[:, -1] = y[:, 0]
+        got = cv._interpolate_rows(s, y, s, periodic)
+        assert np.max(np.abs(got - y)) <= 1e-12 * np.abs(y).max()
+
+    def test_circle_error_converges_at_fourth_order(self):
+        def error(n):
+            theta = _smooth_angles(n)
+            closed = np.stack([np.cos(theta), np.sin(theta)])
+            closed = np.concatenate([closed, closed[:, :1]], axis=1)
+            out = cv.spline_resample_array(closed, 2 * math.pi / (3 * n))
+            return np.max(np.abs(np.hypot(out[0], out[1]) - 1.0))
+
+        errors = [error(n) for n in (32, 64, 128, 256)]
+        assert errors[-1] < 1e-7
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 12.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 90), index=st.integers(0, 10**6),
+           size=st.floats(0.01, 100.0))
+    def test_periodic_wrap(self, seed, n, index, size):
+        pts = _star(seed, n, scale=size)
+        ext, s = cv._arclength(pts.T, closed=True)
+        scale = np.abs(pts).max()
+        ends = cv._interpolate_rows(s, ext, s[[0, -1]], periodic=True)
+        assert np.max(np.abs(ends[:, 0] - ends[:, 1])) <= 1e-12 * scale
+        # The blow-up window wraps around the start of the curve; it is the same
+        # window when the curve starts at its centre vertex instead.
+        index %= n
+        rolled = rs._window_curve(np.roll(pts, -index, axis=0), 0)
+        assert np.max(np.abs(rs._window_curve(pts, index) - rolled)) <= 1e-12 * scale
+
+    def test_cylinder_resample_keeps_the_grid_and_is_fourth_order(self):
+        def radius(x):
+            return 0.5 * (1.0 + 0.3 * np.cos(np.pi * x))
+
+        def error(n):
+            period = 2.0
+            x = period * _smooth_angles(n) / (2 * math.pi)
+            rows = np.stack([x, radius(x)])
+            out = ax._axi_resample(rows, ax.TOPOLOGY_CYLINDER, period, period / n)
+            grid = np.arange(n) * (period / n)
+            assert np.array_equal(out[0], grid)
+            return np.max(np.abs(out[1] - radius(grid)))
+
+        errors = [error(n) for n in (32, 64, 128)]
+        assert errors[-1] < 1e-6
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 12.0
 
 
 class TestPeriodicSpline:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 90), m=st.integers(8, 200),
-           index=st.integers(0, 10**6), size=st.floats(0.01, 100.0))
-    def test_matches_scipy_periodic_spline(self, seed, n, m, index, size):
-        pts = _star(seed, n, scale=size)
-        ext, s = cv._arclength(pts.T, closed=True)
-        ref = CubicSpline(s, ext.T, axis=0, bc_type="periodic")
-        scale = np.abs(pts).max()
-        uniform = np.arange(m) * (s[-1] / m)
-        assert np.max(np.abs(spline_resample_to(pts, m) - ref(uniform))) <= 1e-10 * scale
-        # the blow-up window wraps around the start of the curve
-        index %= n
-        half = min(rs.WINDOW_HALF, 0.49 * s[-1])
-        wrapped = (s[index] + np.linspace(-half, half, rs.WINDOW_POINTS)) % s[-1]
-        assert np.max(np.abs(rs._window_curve(pts, index) - ref(wrapped))) <= 1e-10 * scale
-
     def test_repeated_vertex_raises(self):
         pts = cv.circle_polygon(1.0, 32).vertices.copy()
         pts[7] = pts[6]
         with pytest.raises(DegenerateGeometryError, match="zero-length"):
             spline_resample_to(pts, 32)
 
-    def test_failed_solve_raises(self, monkeypatch):
-        def singular(dl, d, du, b, **kw):
-            return dl, d, du, np.full_like(b, np.nan), 3
-        monkeypatch.setattr(cv, "_GTSV", singular)
-        with pytest.raises(DegenerateGeometryError, match="info 3"):
-            spline_resample_to(cv.circle_polygon(1.0, 32).vertices, 32)
-        with pytest.raises(DegenerateGeometryError, match="info 3"):
-            cv._spline(np.arange(8.0), np.ones((8, 2)), np.arange(8.0), periodic=False)
-
-    def test_cylinder_resample_matches_scipy_periodic_spline(self, rng):
-        prof = ax.cylinder_profile(0.5, 2.0, 96)
-        n, period = len(prof), prof.period
-        pts = prof.samples.copy()
-        pts[1:, 0] += rng.uniform(-0.3, 0.3, n - 1) * (period / n)
-        pts[:, 1] *= 1.0 + 0.3 * np.cos(np.pi * pts[:, 0]) + rng.uniform(-0.02, 0.02, n)
-        out = ax._axi_resample(pts.T, ax.TOPOLOGY_CYLINDER, period, period / n).T
-        grid = np.arange(n) * (period / n)
-        ref = CubicSpline(np.append(pts[:, 0], period), np.append(pts[:, 1], pts[0, 1]),
-                          bc_type="periodic")
-        assert np.array_equal(out[:, 0], grid)
-        assert np.max(np.abs(out[:, 1] - ref(grid))) <= 1e-12 * np.abs(pts[:, 1]).max()
-
 
 class TestSplineKernel:
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), knots=st.integers(4, 120), columns=st.integers(1, 3),
-           periodic=st.booleans(), grid=st.booleans())
-    def test_matches_the_reference_bit_for_bit(self, seed, knots, columns, periodic, grid):
-        rng = np.random.default_rng(seed)
-        s = rng.uniform(-1.0, 1.0) + np.concatenate(
-            [[0.0], np.cumsum(rng.uniform(0.01, 2.0, knots - 1))])   # spacings up to 200:1
-        y = rng.normal(scale=3.0, size=(knots, columns))
-        if periodic:
-            y[-1] = y[0]
-        k = int(rng.integers(4, 2 * knots))
-        if grid:   # the resample form: a uniform grid from s[0], its last entry exactly s[-1]
-            targets = s[0] + np.arange(k + 1) * ((s[-1] - s[0]) / k)
-            targets[-1] = s[-1]
-        else:
-            targets = np.sort(rng.uniform(s[0], s[-1], k))
-        got = cv._spline(s, y, targets, periodic)
-        assert np.array_equal(got, reference_spline(s, y, targets, periodic))
-        assert got.flags.c_contiguous
-
     @given(total=st.floats(1e-9, 1e9), n=st.integers(1, 5000))
     def test_open_resample_targets_equal_linspace(self, total, n):
         targets = np.arange(n + 1) * (total / n)
@@ -383,22 +365,11 @@ class TestSplineKernel:
 
 
 class TestOpenSpline:
-    @pytest.mark.parametrize("n", [4, 5, 16, 161, 1400])
-    @pytest.mark.parametrize("columns", [1, 2])
-    def test_matches_scipy_not_a_knot(self, rng, n, columns):
-        s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, n - 1))])
-        y = rng.normal(scale=3.0, size=(n, columns))
-        targets = np.concatenate([s, rng.uniform(s[0], s[-1], 400)])
-        ref = CubicSpline(s, y, axis=0, bc_type="not-a-knot")(targets)
-        got = cv._spline(s, y, targets, periodic=False)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
-
     @pytest.mark.parametrize("periodic", [False, True])
     def test_fewer_than_four_knots_raise(self, periodic):
         s = np.arange(3.0)
         with pytest.raises(DegenerateGeometryError, match="under 4 knots"):
-            cv._spline(s, np.ones((3, 2)), s, periodic)
+            cv._interpolate_rows(s, np.ones((2, 3)), s, periodic)
 
     def test_repeated_sample_raises_named_error(self):
         pts = ax.sphere_profile(1.0, 64).samples.copy()

@@ -808,15 +808,34 @@ def run_python(*args):
 
 
 class TestImports:
-    def test_runner_import_skips_interpolate_and_cli(self):
-        # In a subprocess: the test modules themselves import scipy.interpolate.
-        # Of scipy, only scipy.linalg.lapack (gtsv) may load; it pulls in none
-        # of spatial, sparse or special.
+    def test_runner_import_skips_scipy_and_cli(self):
+        # In a subprocess, so that no module this test process imported counts.
+        # curveflow depends on numpy alone: no scipy module may load.
         proc = run_python("-c", "import sys, curveflow, curveflow.lab.runner; print(sorted("
-                          "{'scipy.interpolate', 'scipy.integrate', 'scipy.spatial', 'scipy.sparse',"
-                          " 'scipy.special', 'curveflow.lab.cli'} & set(sys.modules)))")
+                          "m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                          " or m == 'curveflow.lab.cli'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_every_resampler_runs_without_scipy(self):
+        # sys.modules["scipy"] = None makes any import of scipy raise.
+        proc = run_python("-W", "error", "-c", """
+import sys
+sys.modules["scipy"] = None
+from curveflow import axisym as ax, curves as cv, flow1d as f1, oracle as oc, rescale as rs
+traj = f1.run(cv.ellipse_polygon(2.0, 1.0, 48), f1.SpeedLaw(1.0),
+              f1.FlowConfig(resample_every=5, max_steps=40))
+assert traj.stats.resamples > 0, traj.stats
+for prof in (ax.sphere_profile(1.0, 48), ax.torus_profile(2.0, 0.5, 48),
+             ax.cylinder_profile(0.5, 1.0, 48)):
+    ax._axi_resample(prof.samples.T, prof.topology, prof.period, 0.05)
+rs._window_profile(ax.sphere_profile(1.0, 48), 10)
+rs._window_curve(cv.circle_polygon(1.0, 48).vertices, 0)
+oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=5)
+print("ok")
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
     def test_cli_as_module_warns_nothing(self):
         proc = run_python("-W", "error::RuntimeWarning", "-m", "curveflow.lab.cli",
