@@ -364,12 +364,62 @@ class TestSplineKernel:
         assert np.array_equal(targets, np.linspace(0.0, total, n + 1))
 
 
+def reference_local_cubic(s, yt, targets, periodic):
+    """The local cubic one target at a time, in Lagrange form on the stencil
+    picked by a linear scan: the reference for ``cv._interpolate_rows``."""
+    m, total = len(s) - 1, s[-1] - s[0]
+    out = np.empty((yt.shape[0], len(targets)))
+    for k, t in enumerate(targets):
+        i = min(max(j for j in range(m + 1) if s[j] <= t), m - 1)
+        if periodic:
+            # knots i - 1 .. i + 2 taken round the period
+            js = range(i - 1, i + 3)
+            xs = [s[j % m] + total * (j // m) for j in js]
+            ys = [yt[:, j % m] for j in js]
+        else:
+            start = min(max(i - 1, 0), m - 3)
+            xs = list(s[start:start + 4])
+            ys = [yt[:, j] for j in range(start, start + 4)]
+        out[:, k] = sum(y * math.prod((t - xb) / (xa - xb) for xb in xs if xb != xa)
+                        for xa, y in zip(xs, ys))
+    return out
+
+
 class TestOpenSpline:
+    @pytest.mark.parametrize("n", [4, 5, 16, 161, 1400])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_matches_the_stencil_reference(self, rng, n, columns):
+        s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, n - 1))])
+        yt = rng.normal(scale=3.0, size=(columns, n))
+        targets = np.concatenate([s, rng.uniform(s[0], s[-1], 400)])
+        ref = reference_local_cubic(s, yt, targets, periodic=False)
+        got = cv._interpolate_rows(s, yt, targets, periodic=False)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.abs(yt).max()
+
+    @pytest.mark.parametrize("n", [4, 5, 16, 161, 1400])
+    def test_periodic_matches_the_stencil_reference(self, rng, n):
+        s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, n - 1))])
+        yt = rng.normal(scale=3.0, size=(2, n))
+        yt[:, -1] = yt[:, 0]
+        targets = np.concatenate([s, rng.uniform(s[0], s[-1], 400)])
+        ref = reference_local_cubic(s, yt, targets, periodic=True)
+        got = cv._interpolate_rows(s, yt, targets, periodic=True)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.abs(yt).max()
+
     @pytest.mark.parametrize("periodic", [False, True])
     def test_fewer_than_four_knots_raise(self, periodic):
         s = np.arange(3.0)
         with pytest.raises(DegenerateGeometryError, match="under 4 knots"):
             cv._interpolate_rows(s, np.ones((2, 3)), s, periodic)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_non_finite_knot_raises(self, periodic):
+        s = np.arange(8.0)
+        s[4] = np.nan
+        with pytest.raises(DegenerateGeometryError, match="non-finite"):
+            cv._interpolate_rows(s, np.ones((2, 8)), np.arange(7.0), periodic)
 
     def test_repeated_sample_raises_named_error(self):
         pts = ax.sphere_profile(1.0, 64).samples.copy()
