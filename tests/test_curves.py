@@ -271,6 +271,27 @@ def _smooth_angles(n):
     return 2 * math.pi * (u + 0.1 * np.sin(2 * math.pi * u))
 
 
+def reference_local_cubic(s, yt, targets, periodic):
+    """The local cubic one target at a time, in Lagrange form on the stencil
+    picked by a linear scan: the reference for ``cv._interpolate_rows``."""
+    m, total = len(s) - 1, s[-1] - s[0]
+    out = np.empty((yt.shape[0], len(targets)))
+    for k, t in enumerate(targets):
+        i = min(max(j for j in range(m + 1) if s[j] <= t), m - 1)
+        if periodic:
+            # knots i - 1 .. i + 2 taken round the period
+            js = range(i - 1, i + 3)
+            xs = [s[j % m] + total * (j // m) for j in js]
+            ys = [yt[:, j % m] for j in js]
+        else:
+            start = min(max(i - 1, 0), m - 3)
+            xs = list(s[start:start + 4])
+            ys = [yt[:, j] for j in range(start, start + 4)]
+        out[:, k] = sum(y * math.prod((t - xb) / (xa - xb) for xb in xs if xb != xa)
+                        for xa, y in zip(xs, ys))
+    return out
+
+
 class TestLocalCubic:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), knots=st.integers(4, 120), columns=st.integers(1, 3))
@@ -347,45 +368,6 @@ class TestLocalCubic:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
 
-
-class TestPeriodicSpline:
-    def test_repeated_vertex_raises(self):
-        pts = cv.circle_polygon(1.0, 32).vertices.copy()
-        pts[7] = pts[6]
-        with pytest.raises(DegenerateGeometryError, match="zero-length"):
-            spline_resample_to(pts, 32)
-
-
-class TestSplineKernel:
-    @given(total=st.floats(1e-9, 1e9), n=st.integers(1, 5000))
-    def test_open_resample_targets_equal_linspace(self, total, n):
-        targets = np.arange(n + 1) * (total / n)
-        targets[-1] = total
-        assert np.array_equal(targets, np.linspace(0.0, total, n + 1))
-
-
-def reference_local_cubic(s, yt, targets, periodic):
-    """The local cubic one target at a time, in Lagrange form on the stencil
-    picked by a linear scan: the reference for ``cv._interpolate_rows``."""
-    m, total = len(s) - 1, s[-1] - s[0]
-    out = np.empty((yt.shape[0], len(targets)))
-    for k, t in enumerate(targets):
-        i = min(max(j for j in range(m + 1) if s[j] <= t), m - 1)
-        if periodic:
-            # knots i - 1 .. i + 2 taken round the period
-            js = range(i - 1, i + 3)
-            xs = [s[j % m] + total * (j // m) for j in js]
-            ys = [yt[:, j % m] for j in js]
-        else:
-            start = min(max(i - 1, 0), m - 3)
-            xs = list(s[start:start + 4])
-            ys = [yt[:, j] for j in range(start, start + 4)]
-        out[:, k] = sum(y * math.prod((t - xb) / (xa - xb) for xb in xs if xb != xa)
-                        for xa, y in zip(xs, ys))
-    return out
-
-
-class TestOpenSpline:
     @pytest.mark.parametrize("n", [4, 5, 16, 161, 1400])
     @pytest.mark.parametrize("columns", [1, 2])
     def test_matches_the_stencil_reference(self, rng, n, columns):
@@ -420,6 +402,20 @@ class TestOpenSpline:
         s[4] = np.nan
         with pytest.raises(DegenerateGeometryError, match="non-finite"):
             cv._interpolate_rows(s, np.ones((2, 8)), np.arange(7.0), periodic)
+
+
+class TestResampleCallers:
+    def test_repeated_vertex_raises(self):
+        pts = cv.circle_polygon(1.0, 32).vertices.copy()
+        pts[7] = pts[6]
+        with pytest.raises(DegenerateGeometryError, match="zero-length"):
+            spline_resample_to(pts, 32)
+
+    @given(total=st.floats(1e-9, 1e9), n=st.integers(1, 5000))
+    def test_open_resample_targets_equal_linspace(self, total, n):
+        targets = np.arange(n + 1) * (total / n)
+        targets[-1] = total
+        assert np.array_equal(targets, np.linspace(0.0, total, n + 1))
 
     def test_repeated_sample_raises_named_error(self):
         pts = ax.sphere_profile(1.0, 64).samples.copy()
