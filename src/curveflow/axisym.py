@@ -23,7 +23,6 @@ from .errors import (
     NumericalBreakdownError,
 )
 from .flow1d import (
-    DISPLACEMENT_FRACTION,
     Event,
     FlowConfig,
     RunStats,
@@ -476,20 +475,16 @@ class _AxiState(_FlowState):
             for i, j in ((0, 1), (-1, -2)):
                 lim = 2.0 * abs(float(h[j]))
                 h[i] = min(max(float(h[i]), -lim), lim)
-        hmax = self.peak(t, h, self.verts.T)
+        hmax = self.peak(t, h, self.verts)
         if hmax is None:
             return np.inf
         self.vel = self.left   # h nu, in the normal's buffer; the next measure makes a new one
         self.vel *= h
         h_space = float(self.seg[1:].min())
-        dt = self.cfl * min(h_space * h_space, h_space * self.r_int) / 4.0
-        if hmax > 0:
-            dt = min(dt, DISPLACEMENT_FRACTION * h_space / hmax)
-        return dt
+        return self.capped(self.cfl * min(h_space * h_space, h_space * self.r_int) / 4.0,
+                           h_space, hmax)
 
-    def advance(self, t: float, dt: float, resample: bool) -> bool:
-        self.vel *= dt
-        self.verts += self.vel
+    def advance(self, t: float, resample: bool) -> bool:
         if self.two_poles:
             self.verts[1, 0] = 0.0
             self.verts[1, -1] = 0.0

@@ -6,13 +6,13 @@ chord resampling would bleed area every pass), and snapshots recorded on a
 geometric schedule in remaining area so the approach to extinction is well
 sampled.
 The same loop, ``_evolve``, steps the other two drivers: the meridians of
-``axisym`` and the open translating front of ``oracle``.  All three share its
-step budget, curvature cap and terminal events; curves and meridians also
-share its snapshot schedule.  Curves and meridians hold their points as rows,
-x in one and y (or r) in the other, between two ghost columns of a (2, n + 2)
-chain, so the stencil and the Euler update run along contiguous rows; each
-step ends with one geometry pass that the next step bound, the snapshot
-schedule and the snapshot's metrics all read.
+``axisym`` and the open translating front of ``oracle``.  It owns the Euler
+step: each driver's ``plan`` fills ``vel`` and returns a bound, the loop moves
+every driver's (2, n) point rows, x and y (or r), and ``advance`` follows.  All
+three share its step budget, displacement and curvature caps and terminal
+events.  Curves and meridians also share its snapshot schedule, keep their
+rows between two ghost columns of a (2, n + 2) chain, and end each step with
+one geometry pass that the next bound and the snapshots read.
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ class _FlowState:
     """One trajectory in ``_evolve``: the stop cap, spacing and area schedule.
 
     Every terminal event goes through :meth:`end` into ``events``, so there is
-    exactly one and it is the last.  Subclasses keep the working points and
-    supply ``plan`` (step bound; may close the state), ``advance`` (step; is a
-    snapshot due?), ``validate``, ``take`` (keep a snapshot, return its area),
-    ``centre`` and ``stop_kind``.
+    exactly one and it is the last.  Subclasses keep their points as (2, n)
+    rows in ``verts`` and supply ``plan`` (fills ``vel`` and returns a bound,
+    or closes the state), ``advance(t, resample)`` (is a snapshot due?),
+    ``validate``, ``take`` (keep a snapshot, return its area) and ``stop_kind``.
     """
 
     stop_kind = EVENT_EXTINCTION
@@ -167,20 +167,24 @@ class _FlowState:
             self.verts = self.chain[:, 1:-1]
         self.verts[...] = rows
 
+    def capped(self, dt: float, h: float, vmax: float) -> float:
+        """dt, cut so no point moves over DISPLACEMENT_FRACTION of h at speed vmax."""
+        return min(dt, DISPLACEMENT_FRACTION * h / vmax) if vmax > 0 else dt
+
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
         if not self.done:
             self.events.append(event)
             self.done = True
 
-    def peak(self, t: float, k: NDArray[np.float64], pts: NDArray[np.float64]) -> float | None:
+    def peak(self, t: float, k: NDArray[np.float64], rows: NDArray[np.float64]) -> float | None:
         """Largest |k|, or None once the trajectory is closed on reaching the cap."""
         mag = np.abs(k)
         kmax = float(mag.max())
         if kmax < self.cap:
             return kmax
         i = int(np.argmax(mag))
-        self.close(t, Event(EVENT_BLOWUP, t, (float(pts[i, 0]), float(pts[i, 1]))))
+        self.close(t, Event(EVENT_BLOWUP, t, (float(rows[0, i]), float(rows[1, i]))))
         return None
 
     def record(self, t: float, event: Event | None = None) -> float | None:
@@ -218,11 +222,16 @@ class _FlowState:
             if area <= self.stop_area:
                 self.end(Event(self.stop_kind, t, self.centre()))
 
+    def centre(self) -> tuple[float, float]:
+        c = self.verts.T.copy().mean(axis=0)   # C order: mean sums as on (n, 2) points
+        return float(c[0]), float(c[1])
+
 
 def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
     """Step every state on one clock until one stops or the step budget runs out.
 
-    Returns the stats of each state, in order.
+    A step moves every state's ``verts`` by dt ``vel`` (forward Euler), dt the
+    smallest bound a ``plan`` returns.  Returns the stats of each state, in order.
     """
     t = 0.0
     steps = 0
@@ -236,12 +245,15 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
         if s.done:
             break
 
+        for s in states:
+            s.vel *= dt
+            s.verts += s.vel
         t += dt
         steps += 1
         dt_min = min(dt_min, dt)
         dt_max = max(dt_max, dt)
         resample = steps % config.resample_every == 0
-        due = [s.advance(t, dt, resample) for s in states]
+        due = [s.advance(t, resample) for s in states]
         if any(due):
             for s in states:
                 if not s.done:
@@ -293,11 +305,13 @@ class _CurveState(_FlowState):
 
     def plan(self, t: float) -> float:
         k = self.k
-        kmax = self.peak(t, k, self.verts.T)
+        kmax = self.peak(t, k, self.verts)
         if kmax is None:
             return np.inf
         p = self.law.p
-        self.speed = k if p == 1.0 else self.law.speed(k)
+        speed = k if p == 1.0 else self.law.speed(k)
+        self.vel = self.left   # in the normal's buffer; the next measure makes a new one
+        self.vel *= speed
         if p == 1.0:
             diffusivity = 1.0
         else:
@@ -305,17 +319,11 @@ class _CurveState(_FlowState):
             mag = mag[mag >= CURVATURE_CLAMP]
             diffusivity = float(np.max(mag ** (p - 1.0))) if len(mag) else 1.0
         h = float(self.seg.min())
-        dt = self.cfl * h * h / (2.0 * diffusivity)
-        vmax = kmax if p == 1.0 else float(np.abs(self.speed).max())
-        if vmax > 0:
-            dt = min(dt, DISPLACEMENT_FRACTION * h / vmax)
-        return dt
+        vmax = kmax if p == 1.0 else float(np.abs(speed).max())
+        return self.capped(self.cfl * h * h / (2.0 * diffusivity), h, vmax)
 
-    def advance(self, t: float, dt: float, resample: bool) -> bool:
-        due = abs(self.area) <= self.next_area   # the area before the step
-        left = self.left   # moved in the normal's buffer; measure makes a new one
-        left *= dt * self.speed
-        self.verts += left
+    def advance(self, t: float, resample: bool) -> bool:
+        due = abs(self.area) <= self.next_area   # the area measured before the step
         if resample:
             self.chain[:, -1] = self.verts[:, 0]   # close the rows for the resample
             self.set_verts(cv.spline_resample_array(self.chain[:, 1:], self.spacing))
@@ -334,10 +342,6 @@ class _CurveState(_FlowState):
         if not cv.is_embedded(curve):
             self.end(Event(EVENT_EMBEDDEDNESS_LOSS, t))
         return abs(m.enclosed_area)
-
-    def centre(self) -> tuple[float, float]:
-        c = self.verts.T.copy().mean(axis=0)   # C order: mean sums as on the (n, 2) curve
-        return float(c[0]), float(c[1])
 
 
 def run(curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig | None = None) -> Trajectory:

@@ -146,8 +146,9 @@ def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
 
     Metrics are recomputed from the stored geometry; flow configuration is
     not restored (analysis of saved runs never needs it).  An index without
-    its kind, times or snapshots, with unequal times and snapshots, or naming
-    a missing file raises InvalidInputError.
+    its kind, times or snapshots, with unequal times and snapshots, naming a
+    missing file, or with an event lacking its kind, time or location raises
+    InvalidInputError.
     """
     run_dir = Path(run_dir)
     path = run_dir / "index.json"
@@ -163,11 +164,13 @@ def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
     absent = [name for name in names if not (run_dir / name).is_file()]
     if absent:
         raise InvalidInputError(f"{path} lists missing snapshot file(s): {', '.join(absent)}")
-    events = [
-        Event(kind=e["kind"], time=e["time"],
-              location=tuple(e["location"]) if e["location"] else None)
-        for e in index.get("events", [])
-    ]
+    events = []
+    for i, e in enumerate(index.get("events", [])):
+        missing = [k for k in ("kind", "time", "location") if not isinstance(e, dict) or k not in e]
+        if missing:
+            raise InvalidInputError(f"{path}: event {i} {e!r} has no {', '.join(missing)}")
+        events.append(Event(kind=e["kind"], time=e["time"],
+                            location=tuple(e["location"]) if e["location"] else None))
     if kind == "axi-flow":
         snaps = []
         for t, name in zip(times, names):

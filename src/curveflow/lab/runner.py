@@ -332,7 +332,7 @@ def _eval_blowup(s: Scenario, out: Path, traj: ax.AxiTrajectory):
 
 
 def _eval_translate(s: Scenario, out: Path, front):
-    start, final = front
+    start, final, _ = front
     duration = s.options["duration"]
     n = len(start)
     trim = max(1, n // 10)
@@ -405,8 +405,8 @@ def _flow_key(s: Scenario) -> _FlowKey | None:
 def _run_flow(key: _FlowKey | None):
     """Build the geometry and run the key's driver.
 
-    Returns None without a key (the oracle), (start, final) point arrays for
-    the translating front, a list of trajectories for a nested pair, else one
+    Returns None without a key (the oracle), (start, final, stats) for the
+    translating front, a list of trajectories for a nested pair, else one
     trajectory.
     """
     if key is None:
@@ -415,9 +415,9 @@ def _run_flow(key: _FlowKey | None):
     if key.kind == KIND_AXI:
         return ax.run_axi(geometry, key.config)
     if key.shape == "grim_reaper":
-        return geometry, oc.evolve_translating_front(
+        return (geometry, *oc.evolve_translating_front(
             geometry, key.duration, cfl_factor=key.config.cfl_factor,
-            resample_every=key.config.resample_every)
+            resample_every=key.config.resample_every))
     if isinstance(geometry, list):
         return f1.co_evolve(geometry, key.law, key.config)
     return f1.run(geometry, key.law, key.config)
@@ -490,8 +490,11 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
 
 def _telemetry(flow) -> dict | None:
     """The run stats of each of the flow's trajectories, or None if it has none."""
-    trajs = flow if isinstance(flow, list) else [flow]
-    stats = [getattr(traj, "stats", None) for traj in trajs]
+    if isinstance(flow, tuple):   # the translating front: (start, final, stats)
+        stats = [flow[2]]
+    else:
+        trajs = flow if isinstance(flow, list) else [flow]
+        stats = [getattr(traj, "stats", None) for traj in trajs]
     if None in stats:
         return None
     return {"trajectories": [asdict(st) for st in stats]}

@@ -14,14 +14,14 @@ from numpy.typing import NDArray
 
 from . import curves as cv
 from .errors import ExtinctError, InvalidInputError, NumericalBreakdownError
-from .flow1d import Event, FlowConfig, _evolve, _FlowState
+from .flow1d import Event, FlowConfig, RunStats, _evolve, _FlowState
 
 SHRINKER_KINDS = ("circle", "cylinder", "sphere")
 MAX_POWER = 8.0
 SELFCHECK_STEP = 1e-5
 SELFCHECK_TOL = 1e-6
-# The ends of the unit-speed grim reaper move straight up.
-FRONT_END_VELOCITY = np.array([0.0, 1.0])
+# The ends of the unit-speed grim reaper move straight up: (x, y) as a column.
+FRONT_END_VELOCITY = np.array([[0.0], [1.0]])
 EVENT_HORIZON = "horizon"
 
 
@@ -136,46 +136,42 @@ def selfcheck(step: float = SELFCHECK_STEP) -> dict[str, float]:
 
 class _FrontState(_FlowState):
     """An open chain whose interior moves by its curvature vector and whose two
-    ends move at FRONT_END_VELOCITY, until t reaches ``duration``.  Resampling
-    keeps the point count, and no snapshots are kept."""
+    ends, the stencil's neighbours (no ghosts), move at FRONT_END_VELOCITY until
+    t reaches ``duration``.  Resampling keeps the point count; no snapshots."""
 
     def __init__(self, points, duration: float, config: FlowConfig):
-        self.pts = points
-        self.pts = self.validate()   # a checked float copy
-        k, _, seg = cv._three_point(self.pts.T)
+        self.set_verts(cv._checked_points(points, 4, closed=False, noun="front points")[0].T)
+        k, _, seg = cv._three_point(self.verts)
         # An open chain encloses no area, and the front never snapshots on one.
-        super().__init__(config, 0.0, float(np.abs(k).max()), float(seg.sum()), len(self.pts))
+        super().__init__(config, 0.0, float(np.abs(k).max()), float(seg.sum()), self.verts.shape[1])
         self.duration = duration
-        self.vel = np.empty_like(self.pts)
-        self.vel[[0, -1]] = FRONT_END_VELOCITY
+        self.vel = np.empty_like(self.verts)
 
     def plan(self, t: float) -> float:
         if t >= self.duration - 1e-15:
             self.close(t, Event(EVENT_HORIZON, t))
             return np.inf
-        k, left, seg = cv._three_point(self.pts.T)
-        if self.peak(t, k, self.pts[1:-1]) is None:
+        k, left, seg = cv._three_point(self.verts)
+        kmax = self.peak(t, k, self.verts[:, 1:-1])
+        if kmax is None:
             return np.inf
-        np.multiply(k, left, out=self.vel[1:-1].T)
+        self.vel[:, [0, -1]] = FRONT_END_VELOCITY   # refilled: _evolve scales vel by dt
+        np.multiply(k, left, out=self.vel[:, 1:-1])
         h_min = float(seg.min())
-        return min(self.cfl * h_min * h_min / 2.0, self.duration - t)
+        return min(self.capped(self.cfl * h_min * h_min / 2.0, h_min, kmax), self.duration - t)
 
-    def advance(self, t: float, dt: float, resample: bool) -> bool:
-        self.pts += dt * self.vel
+    def advance(self, t: float, resample: bool) -> bool:
         if resample:
-            _, s = cv._arclength(self.pts.T, closed=False)
-            targets = np.linspace(0.0, s[-1], len(self.pts))
-            self.pts = cv._interpolate_rows(s, self.pts.T, targets, periodic=False).T
+            _, s = cv._arclength(self.verts, closed=False)
+            targets = np.linspace(0.0, s[-1], self.verts.shape[1])
+            self.set_verts(cv._interpolate_rows(s, self.verts, targets, periodic=False))
         return False
 
     def validate(self) -> NDArray[np.float64]:
-        return cv._checked_points(self.pts, 4, closed=False, noun="front points")[0]
+        return cv._checked_points(self.verts.T, 4, closed=False, noun="front points")[0]
 
     def take(self, t: float, pts: NDArray[np.float64]) -> float:
         return 0.0   # the caller reads the final points
-
-    def centre(self) -> tuple[float, float]:
-        return tuple(float(c) for c in self.pts.mean(axis=0))
 
 
 def evolve_translating_front(
@@ -183,22 +179,22 @@ def evolve_translating_front(
     duration: float,
     cfl_factor: float = 0.4,
     resample_every: int = 25,
-) -> NDArray[np.float64]:
+) -> tuple[NDArray[np.float64], RunStats]:
     """March an open polyline by its curvature vector for ``duration``, its ends
-    moving up at unit speed, and return the final points; confirms the
-    translating-front solution.  An end before the horizon raises
-    NumericalBreakdownError."""
+    moving up at unit speed, and return the final (n, 2) points and the run's
+    stats; confirms the translating-front solution.  An end before the horizon
+    raises NumericalBreakdownError."""
     if not 0.0 < duration < math.inf:
         raise InvalidInputError(f"duration must be positive and finite, got {duration}")
     config = FlowConfig(cfl_factor=cfl_factor, resample_every=resample_every)
     state = _FrontState(points, duration, config)
-    _evolve([state], config)
+    [stats] = _evolve([state], config)
     end = state.events[-1]
     if end.kind != EVENT_HORIZON:
         raise NumericalBreakdownError(
             f"translating front ended with {end.kind} at t={end.time:.6g}, "
             f"before its horizon t={duration:.6g}")
-    return state.pts
+    return state.verts.T.copy(), stats
 
 
 def polyline_distance(points: NDArray[np.float64], target: NDArray[np.float64]) -> NDArray[np.float64]:

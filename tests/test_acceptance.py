@@ -271,7 +271,7 @@ def test_11_grim_reaper_translates_rigidly():
     budget = 30.0
     t0 = time.perf_counter()
     start = oc.grim_reaper(161, 1.2)
-    final = oc.evolve_translating_front(start, 0.3)
+    final, _ = oc.evolve_translating_front(start, 0.3)
     target = start + np.array([0.0, 0.3])
     trim = len(final) // 10
     deviation = float(np.max(oc.polyline_distance(final[trim:-trim], target)))

@@ -281,20 +281,6 @@ class TestInPlaceStep:
                 assert not np.shares_memory(a, b)
 
 
-def steps_by_hand(state, config, max_steps):
-    """The loop of ``flow1d._evolve`` for one state; yields before every plan."""
-    t, steps = 0.0, 0
-    while steps < max_steps and not state.done:
-        yield
-        dt = state.plan(t)
-        if state.done:
-            break
-        t += dt
-        steps += 1
-        if state.advance(t, dt, steps % config.resample_every == 0) and not state.done:
-            state.snapshot(t)
-
-
 class TestCachedGeometry:
     @pytest.mark.parametrize("profile", [
         ax.sphere_profile(0.5, 64),
@@ -303,10 +289,12 @@ class TestCachedGeometry:
         perturbed_cylinder(n=128),
     ], ids=["sphere", "torus", "dumbbell", "cylinder"])
     def test_plan_reads_the_geometry_of_the_current_chain(self, profile):
-        config = f1.FlowConfig()
+        config = f1.FlowConfig(max_steps=1500)
         state = ax._AxiState(profile, config)
         chains = set()
-        for _ in steps_by_hand(state, config, max_steps=1500):
+        plan = state.plan
+
+        def checked_plan(t):   # runs before every plan of the real loop
             chains.add(id(state.chain))
             mu, left, seg = cv._three_point(state.chain)
             assert np.array_equal(state.mu, mu)
@@ -318,7 +306,12 @@ class TestCachedGeometry:
             area = float((np.pi * (pr[ends] + qr[ends]) * slant).sum())
             assert state.area == area
             assert state.area == ax._frustum_area(*ax._segments(state.chain, seg, profile.topology))
-        assert state.done
+            return plan(t)
+
+        state.plan = checked_plan
+        [stats] = f1._evolve([state], config)
+        assert stats.event != f1.EVENT_STEP_BUDGET
+        assert chains   # the spy ran
         if profile.topology == ax.TOPOLOGY_PERIODIC:
             assert len(chains) > 1
 

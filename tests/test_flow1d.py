@@ -76,7 +76,7 @@ class TestStepping:
         dt = state.plan(0.0)
         state.verts[:, 10] = np.nan
         with pytest.raises(DegenerateGeometryError, match="not finite"):
-            state.advance(dt, dt, resample=True)
+            state.advance(dt, resample=True)
 
 
 class TestCircleRun:

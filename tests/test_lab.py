@@ -458,11 +458,12 @@ class TestRunner:
 
     def test_telemetry_file_matches_the_summary_and_repeats(self, tmp_path):
         batch = [tiny_circle_scenario(), scenarios.parse_config(TINY_SPHERE)[0],
-                 oracle_scenario()]
+                 scenarios.parse_config(GRIM_REAPER)[0], oracle_scenario()]
         _, summary, _ = runner.accept(batch, tmp_path / "a")
         runner.accept(batch, tmp_path / "b")
-        circle, sphere, oracle = summary["scenarios"]
-        for entry, event in ((circle, f1.EVENT_EXTINCTION), (sphere, ax.EVENT_POLE_EXTINCTION)):
+        circle, sphere, front, oracle = summary["scenarios"]
+        for entry, event in ((circle, f1.EVENT_EXTINCTION), (sphere, ax.EVENT_POLE_EXTINCTION),
+                             (front, oc.EVENT_HORIZON)):
             on_disk = json.loads((tmp_path / "a" / entry["name"] / "telemetry.json").read_text())
             assert on_disk == entry["telemetry"]
             (stats,) = on_disk["trajectories"]
@@ -767,7 +768,11 @@ class TestCli:
         (lambda index, snaps: index.pop("kind"), "has no kind"),
         (lambda index, snaps: index["times"].append(1.0), "times but"),
         (lambda index, snaps: (snaps / index["snapshots"][1]).unlink(), "missing snapshot"),
-    ], ids=["no-kind", "extra-time", "missing-file"])
+        (lambda index, snaps: index["events"][0].pop("location"), "event 0 .* has no location"),
+        (lambda index, snaps: index["events"][0].pop("kind"), "event 0 .* has no kind"),
+        (lambda index, snaps: index["events"][0].pop("time"), "event 0 .* has no time"),
+    ], ids=["no-kind", "extra-time", "missing-file", "event-no-location", "event-no-kind",
+            "event-no-time"])
     def test_bad_index_is_named_and_rescale_exits_2(self, tmp_path, capsys, corrupt, problem):
         traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
                       f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
@@ -780,7 +785,7 @@ class TestCli:
             artifacts.load_trajectory(snaps)
         assert cli.main(["rescale", str(snaps), "0,0", "0.1",
                          "--out", str(tmp_path / "frames")]) == 2
-        assert problem in capsys.readouterr().err
+        assert re.search(problem, capsys.readouterr().err)
 
 
 def test_readme_examples_parse():
@@ -831,7 +836,8 @@ for prof in (ax.sphere_profile(1.0, 48), ax.torus_profile(2.0, 0.5, 48),
     ax._axi_resample(prof.samples.T, prof.topology, prof.period, 0.05)
 rs._window_profile(ax.sphere_profile(1.0, 48), 10)
 rs._window_curve(cv.circle_polygon(1.0, 48).vertices, 0)
-oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=5)
+_, stats = oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=5)
+assert stats.resamples > 0, stats
 print("ok")
 """)
         assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
 from curveflow.errors import (
@@ -131,11 +132,23 @@ class TestTranslators:
 
     def test_front_translates_rigidly(self):
         pts = oc.grim_reaper(81, 1.0)
-        moved = oc.evolve_translating_front(pts, 0.1)
+        moved, stats = oc.evolve_translating_front(pts, 0.1)
+        assert stats.event == oc.EVENT_HORIZON and stats.steps > 0
         target = pts + np.array([0.0, 0.1])
         trim = len(moved) // 10
         dev = oc.polyline_distance(moved[trim:-trim], target)
         assert np.max(dev) < 2e-3
+
+    def test_front_step_obeys_the_displacement_cap(self):
+        # One right angle between edges of length h: k h = sqrt(2) > 1.25, so
+        # the cap 0.25 h / max|k| lies below the parabolic bound cfl h^2 / 2.
+        h = 0.1
+        pts = h * np.array([[-3.0, 0.0], [-2, 0], [-1, 0], [0, 0], [0, 1], [0, 2], [0, 3]])
+        state = oc._FrontState(pts, 1.0, f1.FlowConfig())
+        k, _, seg = cv._three_point(state.verts)
+        kmax, h_min = float(np.abs(k).max()), float(seg.min())
+        assert kmax * h_min == pytest.approx(math.sqrt(2.0))
+        assert state.plan(0.0) <= f1.DISPLACEMENT_FRACTION * h_min / kmax
 
     @pytest.mark.parametrize("value, error, match", [
         ("repeat", DegenerateGeometryError, "coincide"),
