@@ -173,56 +173,35 @@ def _fill_ghosts(chain: NDArray[np.float64], topology: str, period: float | None
         chain[0, -1] += period
 
 
-def _mean_curvature(
-    kappa: NDArray[np.float64], nu: NDArray[np.float64], r: NDArray[np.float64], two_poles: bool
-) -> NDArray[np.float64]:
-    """h = kappa - nu_r / r off the axis, nu as (2, n) rows; at a pole both principal
-    curvatures agree, so h there is 2 kappa.  Every sample off the axis has r > 0."""
-    if not two_poles:
-        return kappa - nu[1] / r
-    h = 2.0 * kappa
-    h[1:-1] = kappa[1:-1] - nu[1, 1:-1] / r[1:-1]
-    return h
+def _polyline(topology: str) -> slice:
+    """Columns of a filled chain, and edges of its edge lengths, on the revolved
+    polyline: the samples, closed through the end ghost on a loop or cylinder."""
+    return slice(1, -1) if topology == TOPOLOGY_TWO_POLES else slice(1, None)
 
 
-def _fields(
-    pts: NDArray[np.float64], topology: str, period: float | None
-) -> tuple[NDArray[np.float64], ...]:
-    """Per-sample meridian curvature, (2, n) inward normal rows and h, plus the (2, n + 2)
-    ghost chain they were computed on (see ``_fill_ghosts``) and its edge lengths."""
-    chain = np.empty((2, len(pts) + 2))
-    chain[:, 1:-1] = pts.T
+def _meridian_pass(
+    chain: NDArray[np.float64], topology: str, period: float | None
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], float]:
+    """The one geometry pass over a meridian's (2, n + 2) chain of rows x, r: fill
+    the ghosts, run the stencil once.  Returns h = kappa - nu_r / r with kappa and
+    nu as the left normal orients them (2 kappa at a pole, where both principal
+    curvatures agree), the (2, n) left normal rows, the polyline's segment lengths
+    and its lateral area, exact per conical frustum; ``_metrics_of`` turns h inward."""
     _fill_ghosts(chain, topology, period)
-    mu, left, seg = cv._three_point(chain)
-    clockwise = (not cv.polygon_area(pts) > 0 if topology == TOPOLOGY_PERIODIC
-                 else pts[-1, 0] >= pts[0, 0])   # the solid lies to the right
-    sigma = 1.0 if clockwise else -1.0
-    kappa = -sigma * mu
-    nu = -sigma * left
-    h = _mean_curvature(kappa, nu, pts[:, 1], topology == TOPOLOGY_TWO_POLES)
-    return kappa, nu, h, chain, seg
+    k, left, seg = cv._three_point(chain)
+    if topology == TOPOLOGY_TWO_POLES:
+        h = 2.0 * k
+        h[1:-1] = k[1:-1] - left[1, 1:-1] / chain[1, 2:-2]
+    else:
+        h = k - left[1] / chain[1, 1:-1]
+    ends = _polyline(topology)
+    r, seg = chain[1, ends], seg[ends]
+    return h, left, seg, float((np.pi * (r[:-1] + r[1:]) * seg).sum())
 
 
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-def _segments(
-    chain: NDArray[np.float64], seg: NDArray[np.float64], topology: str
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Segment endpoint rows (p, q) of a filled ghost chain, any wrap-around
-    segment included, and their lengths taken from the chain's edge lengths ``seg``."""
-    if topology == TOPOLOGY_TWO_POLES:
-        return chain[:, 1:-2], chain[:, 2:-1], seg[1:-1]
-    return chain[:, 1:-1], chain[:, 2:], seg[1:]
-
-
-def _frustum_area(
-    p: NDArray[np.float64], q: NDArray[np.float64], slant: NDArray[np.float64]
-) -> float:
-    """Lateral area of the revolved segments p -> q of lengths ``slant``, exact per frustum."""
-    return float((np.pi * (p[1] + q[1]) * slant).sum())
-
 
 def _plateau_waist(r: NDArray[np.float64]) -> int | None:
     """Index of the deepest interior local minimum of an open chain.
@@ -279,19 +258,24 @@ def _neck_threshold(pts: NDArray[np.float64], i: int) -> float:
     return NECK_SPACING_FACTOR * float(np.hypot(d[0], d[1]) / (hi - lo))
 
 
-def axi_metrics(profile: AxiProfile) -> AxiMetrics:
-    """Area and volume of the revolved polyline, exact per conical frustum, and
-    the waist and mean curvature range of the samples."""
-    pts, topology = profile.samples, profile.topology
-    _, _, h, chain, seg = _fields(pts, topology, profile.period)
+def _metrics_of(
+    chain: NDArray[np.float64], topology: str, h: NDArray[np.float64], area: float
+) -> AxiMetrics:
+    """AxiMetrics of a chain that ``_meridian_pass`` filled, from its h and lateral
+    area: the volume of the revolved polyline, exact per conical frustum, and the
+    waist and inward mean curvature range of the samples."""
+    pts = chain[:, 1:-1].T
+    if (not cv.polygon_area(pts) > 0 if topology == TOPOLOGY_PERIODIC
+            else pts[-1, 0] >= pts[0, 0]):
+        h = -h   # the solid lies to the right of the samples, against the left normal
     hmin = float(h.min())
     hmax = float(h.max())
     rmin, rmin_x, _, _ = _waist_of(pts, topology)
     tol = MEAN_CONVEX_REL_TOL * max(1.0, abs(hmin), abs(hmax))
-    p, q, slant = _segments(chain, seg, topology)
-    r0, r1, dx = p[1], q[1], q[0] - p[0]
+    x, r = chain[:, _polyline(topology)]
+    r0, r1, dx = r[:-1], r[1:], np.diff(x)
     return AxiMetrics(
-        surface_area=_frustum_area(p, q, slant),
+        surface_area=area,
         enclosed_volume=float(abs(np.sum(np.pi / 3.0 * (r0 * r0 + r0 * r1 + r1 * r1) * dx))),
         min_radius=rmin,
         min_radius_location=rmin_x,
@@ -299,6 +283,14 @@ def axi_metrics(profile: AxiProfile) -> AxiMetrics:
         max_mean_curvature=hmax,
         mean_convex=hmin >= -tol,
     )
+
+
+def axi_metrics(profile: AxiProfile) -> AxiMetrics:
+    """Area and volume of the revolved polyline, exact per conical frustum, and
+    the waist and mean curvature range of the samples."""
+    chain = cv._closed_chain(profile.samples)   # the pass refills its ghost columns
+    h, _, _, area = _meridian_pass(chain, profile.topology, profile.period)
+    return _metrics_of(chain, profile.topology, h, area)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +415,12 @@ class _AxiState(_FlowState):
 
     The rows, x in ``verts[0]`` and r in ``verts[1]``, are the inside of a
     (2, n + 2) chain buffer with a ghost column at each end.  A step moves them
-    in place and ends with one geometry pass, ``measure``, whose curvature,
-    normals and edge lengths the next ``plan`` reads.  Snapshots fall due on a
-    geometric schedule in the lateral area, which that pass also gives, and for
+    in place and its ``advance`` makes the step's one geometry pass, ``measure``
+    (``_meridian_pass``), before it looks for a neck.  The next ``plan`` reads
+    that pass's h, normals and segment lengths, and every snapshot, whether due,
+    at a neck, a curvature blow-up or the end of the run, builds its metrics
+    from it (``_metrics_of``) instead of measuring again.  Snapshots fall due on
+    a geometric schedule in the lateral area, which the pass also gives, and for
     a true waist on the same schedule in its radius.
     """
 
@@ -433,10 +428,10 @@ class _AxiState(_FlowState):
         self.set_verts(profile.samples.T)
         self.topology = profile.topology
         self.period = profile.period
-        m = axi_metrics(profile)
+        self.measure()
+        m = _metrics_of(self.chain, self.topology, self.h, self.area)
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
-        length = float(self.measure().sum())
-        super().__init__(config, m.surface_area, h0, length, len(profile))
+        super().__init__(config, m.surface_area, h0, float(self.seg.sum()), len(profile))
         # A torus collapses and a cylinder pinches; only axis-bounded profiles end at a pole.
         periodic = self.topology == TOPOLOGY_PERIODIC
         self.pinch_kind = EVENT_TORUS_COLLAPSE if periodic else EVENT_NECK_PINCH
@@ -454,24 +449,23 @@ class _AxiState(_FlowState):
         self.next_waist = rmin0 * self.ratio
         self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events)
 
-    def measure(self) -> NDArray[np.float64]:
-        """The step's geometry pass: fill the ghosts, keep the chain's curvature,
-        left normal and edge lengths and the lateral area; return the segment lengths."""
-        _fill_ghosts(self.chain, self.topology, self.period)
-        self.mu, self.left, self.seg = cv._three_point(self.chain)
-        p, q, slant = _segments(self.chain, self.seg, self.topology)
-        self.area = _frustum_area(p, q, slant)
-        return slant
+    def measure(self) -> None:
+        """The step's geometry pass: keep h, the left normal, the segment lengths
+        and the lateral area of the current chain."""
+        self.h, self.left, self.seg, self.area = _meridian_pass(
+            self.chain, self.topology, self.period)
 
     def plan(self, t: float) -> float:
         """Velocity h*nu with pole guard; step bound from min spacing and interior rmin.
 
         h nu is the same for either orientation, so h and nu are taken as the
         left normal orients them."""
-        h = _mean_curvature(self.mu, self.left, self.verts[1], self.two_poles)
+        h = self.h
         if self.two_poles:
             # Poles move along the axis at twice the meridian curvature, capped by
-            # the neighboring samples so a noisy pole cannot outrun its cap.
+            # the neighboring samples so a noisy pole cannot outrun its cap.  On a
+            # copy: a snapshot reads the measured h.
+            h = h.copy()
             for i, j in ((0, 1), (-1, -2)):
                 lim = 2.0 * abs(float(h[j]))
                 h[i] = min(max(float(h[i]), -lim), lim)
@@ -480,7 +474,7 @@ class _AxiState(_FlowState):
             return np.inf
         self.vel = self.left   # h nu, in the normal's buffer; the next measure makes a new one
         self.vel *= h
-        h_space = float(self.seg[1:].min())
+        h_space = float(self.seg.min())
         return self.capped(self.cfl * min(h_space * h_space, h_space * self.r_int) / 4.0,
                            h_space, hmax)
 
@@ -490,6 +484,7 @@ class _AxiState(_FlowState):
             self.verts[1, -1] = 0.0
         if resample:
             self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
+        self.measure()
         pts = self.verts.T
 
         # Without a dip, a two-pole profile that started without a true waist has none.
@@ -507,14 +502,13 @@ class _AxiState(_FlowState):
             raise NumericalBreakdownError(
                 f"interior sample reached the axis at t={t:.6g} before a neck event"
             )
-        self.measure()
         return self.area <= self.next_area or (self.waist0 is not None and rmin <= self.next_waist)
 
     def validate(self) -> AxiProfile:
         return AxiProfile(self.verts.T, self.topology, self.period)
 
     def take(self, t: float, profile: AxiProfile) -> float:
-        m = axi_metrics(profile)
+        m = _metrics_of(self.chain, self.topology, self.h, self.area)   # the pass over profile
         self.traj.snapshots.append(AxiSnapshot(t, profile, m))
         self.next_waist = m.min_radius * self.ratio   # read only for a true waist
         return m.surface_area

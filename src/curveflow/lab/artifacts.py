@@ -7,6 +7,7 @@ files so runs can be diffed across machines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import astuple
 from pathlib import Path
 
@@ -141,6 +142,11 @@ def save_trajectory(out_dir, traj: Trajectory | AxiTrajectory) -> list[Path]:
     return files
 
 
+def _finite(x) -> bool:
+    """Whether a JSON value is a finite number (true and false are not numbers)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
     """Rebuild a trajectory from a directory written by save_trajectory.
 
@@ -148,7 +154,10 @@ def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
     not restored (analysis of saved runs never needs it).  An index without
     its kind, times or snapshots, with unequal times and snapshots, naming a
     missing file, or with an event lacking its kind, time or location raises
-    InvalidInputError.
+    InvalidInputError.  So does one whose times are not a list of finite
+    numbers, snapshots not a list of names or events not a list, or with an
+    event whose time is not a finite number or whose location is neither null
+    nor two finite numbers.
     """
     run_dir = Path(run_dir)
     path = run_dir / "index.json"
@@ -159,18 +168,31 @@ def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
     kind, times, names = index["kind"], index["times"], index["snapshots"]
     if kind not in ("axi-flow", "curve-flow"):
         raise InvalidInputError(f"{path}: unknown kind {kind!r}")
+    bad = [t for t in times if not _finite(t)] if isinstance(times, list) else [times]
+    if bad:
+        raise InvalidInputError(f"{path}: times must be a list of finite numbers, got {bad[0]!r}")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise InvalidInputError(f"{path}: snapshots must be a list of file names, got {names!r}")
     if len(times) != len(names):
         raise InvalidInputError(f"{path} lists {len(times)} times but {len(names)} snapshots")
     absent = [name for name in names if not (run_dir / name).is_file()]
     if absent:
         raise InvalidInputError(f"{path} lists missing snapshot file(s): {', '.join(absent)}")
+    entries = index.get("events", [])
+    if not isinstance(entries, list):
+        raise InvalidInputError(f"{path}: events must be a list, got {entries!r}")
     events = []
-    for i, e in enumerate(index.get("events", [])):
+    for i, e in enumerate(entries):
         missing = [k for k in ("kind", "time", "location") if not isinstance(e, dict) or k not in e]
         if missing:
             raise InvalidInputError(f"{path}: event {i} {e!r} has no {', '.join(missing)}")
+        loc = e["location"]
+        if not _finite(e["time"]) or not (loc is None or isinstance(loc, list) and len(loc) == 2
+                                          and all(map(_finite, loc))):
+            raise InvalidInputError(f"{path}: event {i} {e!r} needs a finite time and a "
+                                    "location of null or two finite numbers")
         events.append(Event(kind=e["kind"], time=e["time"],
-                            location=tuple(e["location"]) if e["location"] else None))
+                            location=None if loc is None else tuple(loc)))
     if kind == "axi-flow":
         snaps = []
         for t, name in zip(times, names):

@@ -20,7 +20,7 @@ from .axisym import (
     TOPOLOGY_PERIODIC,
     AxiProfile,
     AxiTrajectory,
-    _fields,
+    _meridian_pass,
 )
 from .errors import FitFailureError, InvalidInputError
 from .flow1d import Trajectory
@@ -360,7 +360,7 @@ def curvature_normalized_frames(
 def _local_curvature(geo, index: int) -> float:
     """Unsigned local (mean) curvature magnitude at one vertex or sample."""
     if isinstance(geo, AxiProfile):
-        _, _, h, _, _ = _fields(geo.samples, geo.topology, geo.period)
+        h, _, _, _ = _meridian_pass(cv._closed_chain(geo.samples), geo.topology, geo.period)
         return float(abs(h[index]))
     k, _ = cv.curvature_profile(geo)
     return float(abs(k[index]))

@@ -22,10 +22,17 @@ def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
     return ax.AxiProfile(samples, prof.topology, prof.period)
 
 
+def meridian_pass(profile):
+    """The geometry pass on a fresh chain of the profile's samples."""
+    return ax._meridian_pass(cv._closed_chain(profile.samples), profile.topology, profile.period)
+
+
 def mean_curvature(profile):
-    """Scalar mean curvature and inward meridian normal per sample, poles included."""
-    _, nu, h, _, _ = ax._fields(profile.samples, profile.topology, profile.period)
-    return h, nu.T
+    """Scalar mean curvature and inward meridian normal per sample, poles included:
+    the pass's h and left normal, turned the way axi_metrics turns its h range."""
+    h, left, _, _ = meridian_pass(profile)
+    sign = 1.0 if ax.axi_metrics(profile).max_mean_curvature == h.max() else -1.0
+    return sign * h, sign * left.T
 
 
 @pytest.fixture(scope="module")
@@ -296,16 +303,18 @@ class TestCachedGeometry:
 
         def checked_plan(t):   # runs before every plan of the real loop
             chains.add(id(state.chain))
-            mu, left, seg = cv._three_point(state.chain)
-            assert np.array_equal(state.mu, mu)
+            fresh = state.chain.copy()
+            h, left, seg, area = ax._meridian_pass(fresh, profile.topology, profile.period)
+            assert np.array_equal(fresh, state.chain)   # the ghosts were current
+            assert np.array_equal(state.h, h)
             assert np.array_equal(state.left, left)
             assert np.array_equal(state.seg, seg)
             (px, pr), (qx, qr) = state.chain[:, :-1], state.chain[:, 1:]   # ghost edges included
             ends = slice(1, -1) if profile.topology == ax.TOPOLOGY_TWO_POLES else slice(1, None)
             slant = np.hypot(qx - px, qr - pr)[ends]
-            area = float((np.pi * (pr[ends] + qr[ends]) * slant).sum())
+            assert np.array_equal(state.seg, slant)
+            assert state.area == float((np.pi * (pr[ends] + qr[ends]) * slant).sum())
             assert state.area == area
-            assert state.area == ax._frustum_area(*ax._segments(state.chain, seg, profile.topology))
             return plan(t)
 
         state.plan = checked_plan
@@ -314,6 +323,102 @@ class TestCachedGeometry:
         assert chains   # the spy ran
         if profile.topology == ax.TOPOLOGY_PERIODIC:
             assert len(chains) > 1
+
+
+class TestOnePass:
+    """The step's geometry pass is the only one: plan, the neck check and every
+    snapshot read it, and axi_metrics runs the same pass on a fresh chain."""
+
+    @pytest.mark.parametrize("run, event", [
+        ("small_sphere_traj", ax.EVENT_POLE_EXTINCTION),
+        ("dumbbell_traj", ax.EVENT_NECK_PINCH),
+        ("neck_traj", ax.EVENT_NECK_PINCH),   # a perturbed cylinder
+        (lambda: ax.run_axi(ax.torus_profile(1.0, 0.25, 64)), ax.EVENT_TORUS_COLLAPSE),
+        (lambda: ax.run_axi(ax.sphere_profile(0.5, 200), f1.FlowConfig(max_curvature_stop=6.0)),
+         f1.EVENT_BLOWUP),
+        (lambda: ax.run_axi(ax.sphere_profile(1.0, 100), f1.FlowConfig(max_steps=300)),
+         f1.EVENT_STEP_BUDGET),
+    ], ids=["pole-extinction", "neck-pinch-dumbbell", "neck-pinch-cylinder", "torus-collapse",
+            "curvature-blowup", "step-budget"])
+    def test_snapshot_metrics_are_those_of_the_profile(self, run, event, request):
+        traj = request.getfixturevalue(run) if isinstance(run, str) else run()
+        assert traj.stats.event == event
+        assert len(traj.snapshots) > 2
+        for snap in traj.snapshots:
+            assert snap.metrics == ax.axi_metrics(snap.profile)
+
+    def test_plan_clamps_the_pole_on_a_copy(self):
+        # Sample 1 pulled back past the pole: |h| at the pole is over twice |h_1|,
+        # so the clamp binds; a blow-up snapshot taken in plan reads the stored h.
+        s = ax.sphere_profile(0.5, 64).samples.copy()
+        dx, dr = s[1] - s[0]
+        s[1] = s[0] + (-2.0 * dx, 0.6 * dr)
+        state = ax._AxiState(ax.AxiProfile(s), f1.FlowConfig())
+        h = state.h.copy()
+        assert abs(h[0]) > 2.0 * abs(h[1])
+        assert np.isfinite(state.plan(0.0))
+        assert np.array_equal(state.h, h)
+        assert np.array_equal(state.vel[:, 0], 2.0 * abs(h[1]) * np.sign(h[0]) * meridian_pass(
+            ax.AxiProfile(s))[1][:, 0])
+
+    @pytest.mark.parametrize("profile", [ax.sphere_profile(1.0, 64),
+                                         ax.dumbbell_profile(1.0, 0.15, 1.2, 801)],
+                             ids=["sphere", "dumbbell"])
+    def test_reversal_keeps_the_metrics(self, profile):
+        rev = ax.axi_metrics(ax.AxiProfile(profile.samples[::-1], profile.topology))
+        m = ax.axi_metrics(profile)
+        # The dumbbell is mirror-symmetric bit for bit, so reversal changes nothing.
+        # The sphere's samples are not: its area and volume sum other terms in another order.
+        assert (rev.min_radius, rev.min_radius_location, rev.min_mean_curvature,
+                rev.max_mean_curvature, rev.mean_convex) == (
+                m.min_radius, m.min_radius_location, m.min_mean_curvature,
+                m.max_mean_curvature, m.mean_convex)
+        assert rev.surface_area == pytest.approx(m.surface_area, rel=1e-12)
+        assert rev.enclosed_volume == pytest.approx(m.enclosed_volume, rel=1e-12)
+        if np.array_equal(profile.samples[::-1] * [-1.0, 1.0], profile.samples):
+            assert rev == m
+
+    def test_reversed_torus_matches(self):
+        # The waist x is left out: every sample of a circular tube lies at the same
+        # distance from its centre, so argmin picks a roundoff winner.
+        prof = ax.torus_profile(1.0, 0.25, 256)
+        rev = ax.axi_metrics(ax.AxiProfile(prof.samples[::-1], prof.topology))
+        m = ax.axi_metrics(prof)
+        for name in ("surface_area", "enclosed_volume", "min_radius", "min_mean_curvature",
+                     "max_mean_curvature"):
+            assert getattr(rev, name) == pytest.approx(getattr(m, name), rel=1e-12)
+        assert rev.mean_convex == m.mean_convex
+
+
+@pytest.mark.parametrize("case", ["curve-peanut", "curve-pair", "meridian-sphere",
+                                  "meridian-torus", "meridian-dumbbell", "meridian-cylinder",
+                                  "front"])
+def test_one_stencil_pass_per_step(case, monkeypatch):
+    """Every driver runs the stencil kernel once per state and step, plus once at the
+    start: K x (steps + 1) calls for K states on one clock, snapshots included."""
+    calls = []
+    kernel = cv._three_point
+
+    def counted(chain):
+        calls.append(chain.shape[1])
+        return kernel(chain)
+
+    monkeypatch.setattr(cv, "_three_point", counted)
+    if case == "curve-peanut":
+        k, stats = 1, f1.run(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0)).stats
+    elif case == "curve-pair":
+        pair = [cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 64)]
+        k, stats = 2, f1.co_evolve(pair, f1.SpeedLaw(1.0))[0].stats
+    elif case == "front":
+        k, (_, stats) = 1, oc.evolve_translating_front(oc.grim_reaper(81, 1.0), 0.1)
+    else:
+        profile = {"sphere": ax.sphere_profile(0.5, 64),
+                   "torus": ax.torus_profile(1.0, 0.25, 64),
+                   "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256),
+                   "cylinder": perturbed_cylinder(n=128)}[case.split("-")[1]]
+        k, stats = 1, ax.run_axi(profile).stats
+    assert stats.steps > 100 and (stats.snapshots > 2 or case == "front")
+    assert len(calls) == k * (stats.steps + 1)
 
 
 def brute_plateau_waist(r):
