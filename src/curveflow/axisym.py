@@ -414,14 +414,11 @@ class _AxiState(_FlowState):
     """One meridian under mean curvature flow, as raw sample rows between snapshots.
 
     The rows, x in ``verts[0]`` and r in ``verts[1]``, are the inside of a
-    (2, n + 2) chain buffer with a ghost column at each end.  A step moves them
-    in place and its ``advance`` makes the step's one geometry pass, ``measure``
-    (``_meridian_pass``), before it looks for a neck.  The next ``plan`` reads
-    that pass's h, normals and segment lengths, and every snapshot, whether due,
-    at a neck, a curvature blow-up or the end of the run, builds its metrics
-    from it (``_metrics_of``) instead of measuring again.  Snapshots fall due on
-    a geometric schedule in the lateral area, which the pass also gives, and for
-    a true waist on the same schedule in its radius.
+    (2, n + 2) chain buffer with a ghost column at each end.  ``advance`` makes
+    the step's one geometry pass, ``measure``, before it looks for a neck; the
+    next ``plan`` and every snapshot (``_metrics_of``) read that pass.
+    Snapshots fall due on a geometric schedule in the lateral area and, for a
+    true waist, in its radius.
     """
 
     def __init__(self, profile: AxiProfile, config: FlowConfig):
@@ -508,7 +505,7 @@ class _AxiState(_FlowState):
         return AxiProfile(self.verts.T, self.topology, self.period)
 
     def take(self, t: float, profile: AxiProfile) -> float:
-        m = _metrics_of(self.chain, self.topology, self.h, self.area)   # the pass over profile
+        m = _metrics_of(self.chain, self.topology, self.h, self.area)
         self.traj.snapshots.append(AxiSnapshot(t, profile, m))
         self.next_waist = m.min_radius * self.ratio   # read only for a true waist
         return m.surface_area

@@ -12,10 +12,7 @@ every driver's (2, n) point rows, x and y (or r), and ``advance`` follows.  All
 three share its step budget, displacement and curvature caps and terminal
 events.  Curves and meridians also share its snapshot schedule, keep their
 rows between two ghost columns of a (2, n + 2) chain, and make one geometry
-pass per step, in ``advance``.  The next bound reads it, and so does every
-snapshot: a snapshot's metrics come from the pass over the points it holds,
-whether it is due, ends the run or is taken in ``plan`` at a blow-up, so no
-snapshot runs the stencil again.
+pass per step, in ``advance``, that the next bound and every snapshot read.
 """
 
 from __future__ import annotations

@@ -143,8 +143,12 @@ def save_trajectory(out_dir, traj: Trajectory | AxiTrajectory) -> list[Path]:
 
 
 def _finite(x) -> bool:
-    """Whether a JSON value is a finite number (true and false are not numbers)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """Whether a JSON value is a finite number that fits a float (true and false
+    are not numbers)."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:

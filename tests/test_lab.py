@@ -778,12 +778,17 @@ class TestCli:
         (lambda index, snaps: index["events"][0].update(time=np.nan), "event 0 .* finite time"),
         (lambda index, snaps: index["times"].__setitem__(1, "0.1"), "times must be .* got '0.1'"),
         (lambda index, snaps: index["times"].__setitem__(2, np.nan), "times must be .* got nan"),
+        (lambda index, snaps: index["times"].__setitem__(1, 10**400), "times must be .* got 1000"),
+        (lambda index, snaps: index["events"][0].update(time=10**400), "event 0 .* finite time"),
+        (lambda index, snaps: index["events"][0].update(location=[0, 10**400]),
+         "event 0 .* location"),
         (lambda index, snaps: index.update(times=5), "times must be .* got 5"),
         (lambda index, snaps: index.update(snapshots=5), "snapshots must be .* got 5"),
         (lambda index, snaps: index.update(events=5), "events must be a list, got 5"),
     ], ids=["no-kind", "extra-time", "missing-file", "event-no-location", "event-no-kind",
             "event-no-time", "location-number", "location-one-number", "location-string",
-            "event-time-string", "event-time-nan", "times-string", "times-nan", "times-number",
+            "event-time-string", "event-time-nan", "times-string", "times-nan", "times-huge-int",
+            "event-time-huge-int", "location-huge-int", "times-number",
             "snapshots-number", "events-number"])
     def test_bad_index_is_named_and_rescale_exits_2(self, tmp_path, capsys, corrupt, problem):
         traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
