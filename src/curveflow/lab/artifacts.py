@@ -155,17 +155,19 @@ def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
     """Rebuild a trajectory from a directory written by save_trajectory.
 
     Metrics are recomputed from the stored geometry; flow configuration is
-    not restored (analysis of saved runs never needs it).  An index without
-    its kind, times or snapshots, with unequal times and snapshots, naming a
-    missing file, or with an event lacking its kind, time or location raises
-    InvalidInputError.  So does one whose times are not a list of finite
-    numbers, snapshots not a list of names or events not a list, or with an
-    event whose time is not a finite number or whose location is neither null
-    nor two finite numbers.
+    not restored (analysis of saved runs never needs it).  An index that is
+    not a JSON object, or one without its kind, times or snapshots, with
+    unequal times and snapshots, naming a missing file, or with an event
+    lacking its kind, time or location raises InvalidInputError.  So does one
+    whose times are not a list of finite numbers, snapshots not a list of
+    names or events not a list, or with an event whose time is not a finite
+    number or whose location is neither null nor two finite numbers.
     """
     run_dir = Path(run_dir)
     path = run_dir / "index.json"
     index = json.loads(path.read_text())
+    if not isinstance(index, dict):
+        raise InvalidInputError(f"{path} must hold a JSON object, got {type(index).__name__}")
     missing = [k for k in ("kind", "times", "snapshots") if k not in index]
     if missing:
         raise InvalidInputError(f"{path} has no {', '.join(missing)}")

@@ -116,25 +116,24 @@ def _eval_area_law(s: Scenario, out: Path, traj: f1.Trajectory):
         "initial_area": a0,
     }
     checks = []
-    if s.law.p == 1.0:
-        target_slope = -2.0 * math.pi
-        rel = abs(law.slope - target_slope) / abs(target_slope)
-        tol = s.checks["slope_rel_tol"]
-        payload["slope_target"] = target_slope
-        checks.append(CheckResult(
-            "area-law/slope", rel < tol, law.slope,
-            f"dA/dt = {law.slope:.6f} vs -2*pi, rel err {rel:.3e} tol {tol:g}"))
-        target = s.checks["extinction_target"]
-        target = a0 / (2.0 * math.pi) if target is None else target
-        err = abs(law.extinction_estimate - target)
-        mode, tol = "abs", s.checks["extinction_abs_tol"]
-        if tol is None:
-            mode, err, tol = "rel", err / target, s.checks["extinction_rel_tol"]
-        payload["extinction_target"] = target
-        checks.append(CheckResult(
-            "area-law/extinction", err < tol, law.extinction_estimate,
-            f"extinction {law.extinction_estimate:.6f} vs {target:g}, "
-            f"{mode} err {err:.3e} tol {tol:g}"))
+    target_slope = -2.0 * math.pi
+    rel = abs(law.slope - target_slope) / abs(target_slope)
+    tol = s.checks["slope_rel_tol"]
+    payload["slope_target"] = target_slope
+    checks.append(CheckResult(
+        "area-law/slope", rel < tol, law.slope,
+        f"dA/dt = {law.slope:.6f} vs -2*pi, rel err {rel:.3e} tol {tol:g}"))
+    target = s.checks["extinction_target"]
+    target = a0 / (2.0 * math.pi) if target is None else target
+    err = abs(law.extinction_estimate - target)
+    mode, tol = "abs", s.checks["extinction_abs_tol"]
+    if tol is None:
+        mode, err, tol = "rel", err / target, s.checks["extinction_rel_tol"]
+    payload["extinction_target"] = target
+    checks.append(CheckResult(
+        "area-law/extinction", err < tol, law.extinction_estimate,
+        f"extinction {law.extinction_estimate:.6f} vs {target:g}, "
+        f"{mode} err {err:.3e} tol {tol:g}"))
     life_max = s.checks["lifetime_max"]
     if life_max is not None:
         ok = law.extinction_estimate < life_max

@@ -180,6 +180,9 @@ ANALYSES = {
     }),
 }
 
+# analyses whose closed forms hold for curve shortening (law.p = 1) alone
+_P_ONE_ANALYSES = ("area-law", "roundness")
+
 # key -> what reads it, for naming a key set where nothing reads it
 _OWNER = {key: f"analysis {name!r}" for name, spec in ANALYSES.items()
           for key in [f"check.{k}" for k in spec.checks] + list(spec.options)}
@@ -286,6 +289,9 @@ def _parse_scenario(name: str, items: dict[str, str]) -> Scenario:
                 law = SpeedLaw(_get_float(items, name, "law.p"))
             except InvalidInputError as exc:
                 _fail(name, str(exc))
+            unit_only = [a for a in analyses if a in _P_ONE_ANALYSES]
+            if unit_only and law.p != 1.0:
+                _fail(name, f"analysis {unit_only[0]!r} needs law.p = 1, got law.p = {law.p:g}")
         flow_kwargs = {k: (_get_int if k == "resample_every" else _get_float)(items, name, k)
                        for k in keys}
         try:

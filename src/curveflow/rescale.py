@@ -19,6 +19,7 @@ from . import curves as cv
 from .axisym import (
     TOPOLOGY_PERIODIC,
     AxiProfile,
+    AxiSnapshot,
     AxiTrajectory,
     _meridian_pass,
 )
@@ -82,16 +83,26 @@ class BlowupReport:
         }
 
 
-def _rescale_geometry(
-    snap: cv.PlaneCurve | AxiProfile, center: tuple[float, float], lam: float
-):
-    if isinstance(snap, AxiProfile):
-        pts = snap.samples.copy()
-        pts[:, 0] = lam * (pts[:, 0] - center[0])
-        pts[:, 1] = lam * pts[:, 1]
-        period = snap.period * lam if snap.period is not None else None
-        return AxiProfile(pts, snap.topology, period)
-    return cv.PlaneCurve(lam * (snap.vertices - np.asarray(center)))
+def _frame(snap, index, center, reference_time, lam, offset=0.0) -> RescaleFrame:
+    """Snapshot number ``index`` translated by -center and dilated by lam; a
+    meridian moves along the axis only (center[1] is ignored), and a cylinder's
+    period dilates with it."""
+    if isinstance(snap, AxiSnapshot):
+        prof = snap.profile
+        pts = np.column_stack([lam * (prof.samples[:, 0] - center[0]), lam * prof.samples[:, 1]])
+        period = prof.period * lam if prof.period is not None else None
+        geo = AxiProfile(pts, prof.topology, period)
+    else:
+        geo = cv.PlaneCurve(lam * (snap.curve.vertices - np.asarray(center)))
+    return RescaleFrame(
+        center=center,
+        reference_time=reference_time,
+        scale=float(lam),
+        snapshot=geo,
+        rescaled_time=float(lam * lam * (snap.time - reference_time)),
+        snapshot_index=index,
+        probe_offset=offset,
+    )
 
 
 def parabolic_rescale(
@@ -115,6 +126,7 @@ def parabolic_rescale(
         raise InvalidInputError("reference time and center must be finite")
     if any(b <= a for a, b in zip(scales, scales[1:])):
         raise InvalidInputError("scales must be strictly increasing")
+    center = (float(center[0]), float(center[1]))
     times = traj.times()
     frames = []
     for lam in scales:
@@ -127,23 +139,8 @@ def parabolic_rescale(
             )
             continue
         idx = int(np.argmin(np.abs(times - target)))
-        snap = traj.snapshots[idx]
-        geo = _rescale_geometry(_snapshot_geometry(snap), center, lam)
-        frames.append(
-            RescaleFrame(
-                center=(float(center[0]), float(center[1])),
-                reference_time=reference_time,
-                scale=float(lam),
-                snapshot=geo,
-                rescaled_time=float(lam * lam * (snap.time - reference_time)),
-                snapshot_index=idx,
-            )
-        )
+        frames.append(_frame(traj.snapshots[idx], idx, center, reference_time, lam))
     return frames
-
-
-def _snapshot_geometry(snap):
-    return snap.curve if hasattr(snap, "curve") else snap.profile
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +153,7 @@ def fit_circle(points) -> tuple[tuple[float, float], float, float]:
     Returns (center, radius, residual) with residual the rms radial deviation
     divided by the fitted radius, so the measure is dilation invariant.
     """
-    pts = points.vertices if isinstance(points, cv.PlaneCurve) else np.asarray(points)
+    pts = np.asarray(points)
     if len(pts) < 3:
         raise FitFailureError("need at least 3 points for a circle fit")
     x, y = pts[:, 0], pts[:, 1]
@@ -196,23 +193,21 @@ def roundness_series(traj: Trajectory) -> list[tuple[float, float, float]]:
 # Curvature-normalized blow-up frames
 # ---------------------------------------------------------------------------
 
-def _window_curve(pts: NDArray[np.float64], index: int) -> NDArray[np.float64]:
-    """Evenly spaced points on the closed arc within one unit of ``pts[index]``."""
-    ext, s = cv._arclength(pts.T, closed=True)
+def _window(pts: NDArray[np.float64], index: int, closed: bool) -> NDArray[np.float64]:
+    """Evenly spaced points on the chain within one unit of arclength of ``pts[index]``.
+
+    A closed chain wraps around its start; an open one is cut at its ends.
+    """
+    ext, s = cv._arclength(pts.T, closed=closed)
     total = float(s[-1])
-    half = min(WINDOW_HALF, 0.49 * total)
-    targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
-    return cv._interpolate_rows(s, ext, targets, periodic=True).T
-
-
-def _window_profile(profile: AxiProfile, index: int) -> NDArray[np.float64]:
-    pts = profile.samples
-    if profile.topology == TOPOLOGY_PERIODIC:
-        return _window_curve(pts, index)
-    _, s = cv._arclength(pts.T, closed=False)
-    lo = max(0.0, s[index] - WINDOW_HALF)
-    hi = min(float(s[-1]), s[index] + WINDOW_HALF)
-    return cv._interpolate_rows(s, pts.T, np.linspace(lo, hi, WINDOW_POINTS), periodic=False).T
+    if closed:
+        half = min(WINDOW_HALF, 0.49 * total)
+        targets = (s[index] + np.linspace(-half, half, WINDOW_POINTS)) % total
+    else:
+        lo = max(0.0, s[index] - WINDOW_HALF)
+        hi = min(total, s[index] + WINDOW_HALF)
+        targets = np.linspace(lo, hi, WINDOW_POINTS)
+    return cv._interpolate_rows(s, ext, targets, periodic=closed).T
 
 
 def line_residual(window: NDArray[np.float64]) -> float:
@@ -250,11 +245,9 @@ def window_curvatures(window: NDArray[np.float64], axisymmetric: bool) -> NDArra
 def _classify_window(window: NDArray[np.float64], axisymmetric: bool) -> tuple[str, float]:
     """(class, residual) for one rescaled window, first matching template wins."""
     line_res = line_residual(window)
-    if line_res < PLANE_RESIDUAL_MAX:
-        if not axisymmetric:
-            return CLASS_PLANE, line_res
-        if np.abs(window[:, 1]).min() >= PLANE_AXIS_DISTANCE_MIN:
-            return CLASS_PLANE, line_res
+    if line_res < PLANE_RESIDUAL_MAX and (
+            not axisymmetric or np.abs(window[:, 1]).min() >= PLANE_AXIS_DISTANCE_MIN):
+        return CLASS_PLANE, line_res
     try:
         _, radius, circ_res = fit_circle(window)
     except FitFailureError:
@@ -308,12 +301,19 @@ def curvature_normalized_frames(
     for k, probe in enumerate(probes):
         idx = start + k
         snap = snaps[idx]
-        geo = _snapshot_geometry(snap)
-        pts = geo.samples if isinstance(geo, AxiProfile) else geo.vertices
+        axisymmetric = isinstance(snap, AxiSnapshot)
+        if axisymmetric:
+            prof = snap.profile
+            pts = prof.samples
+            h, _, _, _ = _meridian_pass(cv._closed_chain(pts), prof.topology, prof.period)
+            closed = prof.topology == TOPOLOGY_PERIODIC
+        else:
+            pts = snap.curve.vertices
+            h, _ = cv.curvature_profile(snap.curve)
+            closed = True
         d = np.hypot(pts[:, 0] - probe[0], pts[:, 1] - probe[1])
         vi = int(np.argmin(d))
-        offset = float(d[vi])
-        h_local = _local_curvature(geo, vi)
+        h_local = float(abs(h[vi]))
         if h_local <= 0:
             warnings.warn(
                 f"frame {k}: nonpositive local curvature at the probe; skipped",
@@ -322,33 +322,15 @@ def curvature_normalized_frames(
             continue
         lam = float(h_local ** scale_power)
         center = (float(pts[vi, 0]), float(pts[vi, 1]))
-        if isinstance(geo, AxiProfile):
-            rescaled = _rescale_geometry(geo, (center[0], 0.0), lam)
-            window = _window_profile(rescaled, vi)
-            cls, res = _classify_window(window, axisymmetric=True)
-        else:
-            rescaled = _rescale_geometry(geo, center, lam)
-            window = _window_curve(rescaled.vertices, vi)
-            cls, res = _classify_window(window, axisymmetric=False)
-        frames.append(
-            RescaleFrame(
-                center=center,
-                reference_time=reference_time,
-                scale=lam,
-                snapshot=rescaled,
-                rescaled_time=float(lam * lam * (snap.time - reference_time)),
-                snapshot_index=idx,
-                probe_offset=offset,
-            )
-        )
+        frame = _frame(snap, idx, center, reference_time, lam, offset=float(d[vi]))
+        rescaled = frame.snapshot.samples if axisymmetric else frame.snapshot.vertices
+        cls, res = _classify_window(_window(rescaled, vi, closed), axisymmetric)
+        frames.append(frame)
         classes.append(cls)
         residuals.append(res)
 
     tail = classes[-3:]
-    if len(tail) == 3 and len(set(tail)) == 1 and tail[0] != CLASS_NONE:
-        limit = tail[0]
-    else:
-        limit = CLASS_NONE
+    limit = tail[0] if len(tail) == 3 and len(set(tail)) == 1 else CLASS_NONE
     return BlowupReport(
         frames=frames,
         limit_classification=limit,
@@ -356,11 +338,3 @@ def curvature_normalized_frames(
         frame_classes=classes,
     )
 
-
-def _local_curvature(geo, index: int) -> float:
-    """Unsigned local (mean) curvature magnitude at one vertex or sample."""
-    if isinstance(geo, AxiProfile):
-        h, _, _, _ = _meridian_pass(cv._closed_chain(geo.samples), geo.topology, geo.period)
-        return float(abs(h[index]))
-    k, _ = cv.curvature_profile(geo)
-    return float(abs(k[index]))

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,8 +349,8 @@ class TestLocalCubic:
         # The blow-up window wraps around the start of the curve; it is the same
         # window when the curve starts at its centre vertex instead.
         index %= n
-        rolled = rs._window_curve(np.roll(pts, -index, axis=0), 0)
-        assert np.max(np.abs(rs._window_curve(pts, index) - rolled)) <= 1e-12 * scale
+        rolled = rs._window(np.roll(pts, -index, axis=0), 0, closed=True)
+        assert np.max(np.abs(rs._window(pts, index, closed=True) - rolled)) <= 1e-12 * scale
 
     def test_cylinder_resample_keeps_the_grid_and_is_fourth_order(self):
         def radius(x):
@@ -430,10 +429,9 @@ class TestResampleCallers:
     def test_window_on_bad_samples_raises_named_error(self, bad):
         pts = ax.sphere_profile(1.0, 64).samples.copy()
         pts[20] = pts[19] if bad == "repeat" else np.nan
-        # AxiProfile rejects such samples, so an unchecked stand-in reaches the window.
-        profile = SimpleNamespace(samples=pts, topology=ax.TOPOLOGY_TWO_POLES)
+        # AxiProfile rejects such samples, so the raw points reach the window.
         with pytest.raises(DegenerateGeometryError, match="zero-length or non-finite"):
-            rs._window_profile(profile, 30)
+            rs._window(pts, 30, closed=False)
 
 
 _PAIRS = ("nested", "side-by-side", "near-touching", "crossing")

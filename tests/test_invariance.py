@@ -1,10 +1,13 @@
 """Property tests of the flows' invariances: rigid motions, orientation and
-parabolic scaling map one discrete trajectory onto another.
+parabolic scaling map one discrete trajectory onto another, and the closed-form
+area and radius laws hold for random shapes and sizes.
 
-Every run stays short (n <= 128, at most 200 steps) and never resamples, so
-the vertices of the two runs correspond one to one and the final points can be
-compared directly.  Only roundoff separates them, so the tolerance is 1e-9 of
-the diameter.
+Every invariance run stays short (n <= 128, at most 200 steps) and never
+resamples, so the vertices of the two runs correspond one to one and the final
+points can be compared directly.  Only roundoff separates them, so the
+tolerance is 1e-9 of the diameter.  The law runs resample and take a few
+hundred steps each; their tolerances are about twice the largest error
+measured over many random examples.
 """
 
 import numpy as np
@@ -106,6 +109,46 @@ class TestMeridianFlow:
             t_moved, end_moved = self.final_samples(moved)
             assert t_moved == pytest.approx(t, rel=TOL)
             assert_close(end_moved, end * [flip, 1.0] + [offset, 0.0], 2.0 * r0)
+
+
+class TestClosedFormLaws:
+    @EXAMPLES
+    @given(st.integers(64, 128), st.booleans(), st.floats(0.5, 1.0), st.floats(0.2, 0.3))
+    def test_area_drains_at_two_pi(self, n, peanut, b, amplitude):
+        # Gage-Hamilton-Grayson: at p = 1, dA/dt = -2 pi for any embedded curve.
+        # Here aspect 1-2 ellipses and concave peanuts lose half their area in
+        # 250-520 steps.  The error is second order in the spacing and does not
+        # depend on the size: rel * n^2 was at most 10.7 over 150 random shapes.
+        curve = (cv.peanut_polygon(1.0, amplitude, n) if peanut
+                 else cv.ellipse_polygon(1.0, b, n))
+        traj = f1.run(curve, f1.SpeedLaw(1.0), f1.FlowConfig(stop_area_fraction=0.5))
+        rel = abs(f1.analyze_area_law(traj).slope + 2.0 * np.pi) / (2.0 * np.pi)
+        assert rel < 20.0 / n**2
+
+    @EXAMPLES
+    @given(st.floats(0.1, 10.0))
+    def test_sphere_radius_follows_its_law(self, r0):
+        # r^2 = r0^2 - 4t until the area stop at 0.7 of the lifetime, in about
+        # 590 steps; the largest error measured at n = 64 was 5.8e-4.
+        traj = ax.run_axi(ax.sphere_profile(r0, 64),
+                          f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.3))
+        for snap in traj.snapshots:
+            pts = snap.profile.samples
+            center = 0.5 * (pts[:, 0].min() + pts[:, 0].max())
+            got = np.hypot(pts[:, 0] - center, pts[:, 1]).mean()
+            want = oc.shrinker_radius("sphere", r0, snap.time)
+            assert abs(got - want) / want < 1e-3
+
+    @EXAMPLES
+    @given(st.floats(0.1, 10.0))
+    def test_cylinder_radius_follows_its_law(self, r0):
+        # r^2 = r0^2 - 2t until the pinch; 16 samples over a period of 2 r0 take
+        # about 200 steps.  The largest error measured was 9.5e-4.
+        traj = ax.run_axi(ax.cylinder_profile(r0, 2.0 * r0, 16), f1.FlowConfig(cfl_factor=0.4))
+        assert traj.stats.event == ax.EVENT_NECK_PINCH
+        for snap in traj.snapshots:
+            want = oc.shrinker_radius("cylinder", r0, snap.time)
+            assert abs(snap.profile.samples[:, 1].mean() - want) / want < 2e-3
 
 
 class TestTranslatingFront:

@@ -164,6 +164,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"law\.p"):
             scenarios.parse_config(bad)
 
+    @pytest.mark.parametrize("analysis", ["area-law", "roundness"])
+    def test_unit_law_analysis_rejects_other_p(self, tmp_path, capsys, analysis):
+        # their closed forms hold at p = 1 alone, so the parser, not the run, says so
+        text = TINY_ELLIPSE.format(name="p", analysis=analysis).replace(
+            "law.p = 1.0", "law.p = 0.333333333333")
+        with pytest.raises(ConfigError, match=rf"'{analysis}' needs law\.p = 1"):
+            scenarios.parse_config(text)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "law.p" in capsys.readouterr().err
+        assert scenarios.parse_config(text.replace(analysis, "norm-length"))
+
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="wobble"):
             scenarios.parse_config(TINY_CIRCLE + "wobble = 3\n")
@@ -613,8 +626,9 @@ analyses = neck
         ("stop_area_fraction = 0.3", "stop_area_fraction = 0.4"),
     ], ids=["n", "law.p", "stop_area_fraction"])
     def test_different_flow_inputs_run_apart(self, tmp_path, driver_calls, old, new):
+        # norm-length accepts any law.p; area-law and roundness need p = 1
         text = (TINY_ELLIPSE.format(name="area", analysis="area-law")
-                + TINY_ELLIPSE.format(name="roundness", analysis="roundness").replace(old, new))
+                + TINY_ELLIPSE.format(name="length", analysis="norm-length").replace(old, new))
         _, summary, _ = runner.accept(scenarios.parse_config(text), tmp_path)
         assert driver_calls == ["run", "run"]
         assert [e["shared_flow"] for e in summary["scenarios"]] == [None, None]
@@ -785,11 +799,15 @@ class TestCli:
         (lambda index, snaps: index.update(times=5), "times must be .* got 5"),
         (lambda index, snaps: index.update(snapshots=5), "snapshots must be .* got 5"),
         (lambda index, snaps: index.update(events=5), "events must be a list, got 5"),
+        # the whole index replaced by a JSON string or list that names the three keys
+        (lambda index, snaps: index.update(whole="kind times snapshots"), "JSON object, got str"),
+        (lambda index, snaps: index.update(whole=["kind", "times", "snapshots"]),
+         "JSON object, got list"),
     ], ids=["no-kind", "extra-time", "missing-file", "event-no-location", "event-no-kind",
             "event-no-time", "location-number", "location-one-number", "location-string",
             "event-time-string", "event-time-nan", "times-string", "times-nan", "times-huge-int",
             "event-time-huge-int", "location-huge-int", "times-number",
-            "snapshots-number", "events-number"])
+            "snapshots-number", "events-number", "index-string", "index-list"])
     def test_bad_index_is_named_and_rescale_exits_2(self, tmp_path, capsys, corrupt, problem):
         traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
                       f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
@@ -797,7 +815,7 @@ class TestCli:
         artifacts.save_trajectory(snaps, traj)
         index = json.loads((snaps / "index.json").read_text())
         corrupt(index, snaps)
-        artifacts.write_json(snaps / "index.json", index)
+        artifacts.write_json(snaps / "index.json", index.pop("whole", index))
         with pytest.raises(InvalidInputError, match=problem):
             artifacts.load_trajectory(snaps)
         assert cli.main(["rescale", str(snaps), "0,0", "0.1",
@@ -851,8 +869,8 @@ assert traj.stats.resamples > 0, traj.stats
 for prof in (ax.sphere_profile(1.0, 48), ax.torus_profile(2.0, 0.5, 48),
              ax.cylinder_profile(0.5, 1.0, 48)):
     ax._axi_resample(prof.samples.T, prof.topology, prof.period, 0.05)
-rs._window_profile(ax.sphere_profile(1.0, 48), 10)
-rs._window_curve(cv.circle_polygon(1.0, 48).vertices, 0)
+rs._window(ax.sphere_profile(1.0, 48).samples, 10, closed=False)
+rs._window(cv.circle_polygon(1.0, 48).vertices, 0, closed=True)
 _, stats = oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=5)
 assert stats.resamples > 0, stats
 print("ok")

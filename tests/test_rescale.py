@@ -20,6 +20,11 @@ def circle_traj():
 
 
 @pytest.fixture(scope="module")
+def cylinder_traj():
+    return ax.run_axi(ax.cylinder_profile(0.5, 1.0, 16), f1.FlowConfig(cfl_factor=0.5))
+
+
+@pytest.fixture(scope="module")
 def dumbbell_traj():
     return ax.run_axi(ax.dumbbell_profile(1.0, 0.15, 1.2, 1400),
                       f1.FlowConfig(cfl_factor=0.4))
@@ -120,6 +125,18 @@ class TestParabolicRescale:
         base = dumbbell_traj.snapshots[0].profile
         assert np.max(np.abs(prof.samples - 2.0 * base.samples)) < 1e-12
 
+    def test_meridian_moves_along_the_axis_and_its_period_dilates(self, cylinder_traj):
+        T = cylinder_traj.times()[-1]
+        x0, lam = 0.3, 4.0
+        # center[1] is recorded but ignored: a meridian only moves along the axis
+        (frame,) = rs.parabolic_rescale(cylinder_traj, (x0, 7.0), T, [lam])
+        base = cylinder_traj.snapshots[frame.snapshot_index].profile
+        assert frame.center == (x0, 7.0)
+        assert frame.snapshot.topology == ax.TOPOLOGY_CYLINDER
+        assert frame.snapshot.period == lam * base.period
+        np.testing.assert_array_equal(frame.snapshot.samples[:, 0], lam * (base.samples[:, 0] - x0))
+        np.testing.assert_array_equal(frame.snapshot.samples[:, 1], lam * base.samples[:, 1])
+
 
 def _nearest(pts, point):
     return int(np.argmin(np.hypot(pts[:, 0] - point[0], pts[:, 1] - point[1])))
@@ -128,12 +145,12 @@ def _nearest(pts, point):
 class TestLocalWindows:
     def test_huge_circle_window_is_straight(self):
         big = cv.circle_polygon(400.0, 4096).vertices
-        window = rs._window_curve(big, _nearest(big, (400.0, 0.0)))
+        window = rs._window(big, _nearest(big, (400.0, 0.0)), closed=True)
         assert rs.line_residual(window) < 0.01
 
     def test_unit_circle_window_is_curved(self):
         pts = cv.circle_polygon(1.0, 512).vertices
-        window = rs._window_curve(pts, _nearest(pts, (1.0, 0.0)))
+        window = rs._window(pts, _nearest(pts, (1.0, 0.0)), closed=True)
         assert rs.line_residual(window) > 0.05
         _, radius, residual = rs.fit_circle(window)
         assert abs(radius - 1.0) < 1e-3
@@ -141,13 +158,13 @@ class TestLocalWindows:
 
     def test_window_curvatures_of_circle(self):
         pts = cv.circle_polygon(1.0, 512).vertices
-        window = rs._window_curve(pts, _nearest(pts, (0.0, 1.0)))
+        window = rs._window(pts, _nearest(pts, (0.0, 1.0)), closed=True)
         kappa = rs.window_curvatures(window, axisymmetric=False)
         assert np.max(np.abs(kappa - 1.0)) < 1e-2
 
     def test_window_curvatures_of_cylinder(self):
         prof = ax.cylinder_profile(2.0, 4.0, 256)
-        window = rs._window_profile(prof, _nearest(prof.samples, (0.0, 2.0)))
+        window = rs._window(prof.samples, _nearest(prof.samples, (0.0, 2.0)), closed=False)
         kappa = rs.window_curvatures(window, axisymmetric=True)
         # one principal curvature vanishes, the other is 1/r
         assert np.min(kappa) > -1e-6
@@ -207,6 +224,21 @@ class TestBlowupDial:
         assert sqrt_h.limit_classification == rs.CLASS_CYLINDER
         plane = rs.curvature_normalized_frames(dumbbell_traj, probes, scale_power=2.0)
         assert plane.limit_classification == rs.CLASS_PLANE
+
+    def test_torus_window_wraps_around_the_meridian_start(self):
+        traj = ax.run_axi(ax.torus_profile(1.0, 0.3, 48), f1.FlowConfig(cfl_factor=0.4))
+        assert traj.stats.event == ax.EVENT_TORUS_COLLAPSE
+        # Probing sample 0 of each closed meridian puts the window across its
+        # start; the tube shrinks round, so each window is circle-like.
+        probes = [snap.profile.samples[0] for snap in traj.snapshots[-4:]]
+        report = rs.curvature_normalized_frames(traj, probes, scale_power=1.0)
+        assert report.limit_classification == rs.CLASS_CIRCLE
+        for frame, residual in zip(report.frames, report.fit_residuals):
+            assert frame.probe_offset == 0.0 and frame.snapshot.period is None
+            window = rs._window(frame.snapshot.samples, 0, closed=True)
+            assert np.array_equal(window[rs.WINDOW_POINTS // 2], frame.snapshot.samples[0])
+            assert window[:, 0].min() < 0.0 < window[:, 0].max()
+            assert rs._classify_window(window, axisymmetric=True)[1] == residual
 
     def test_report_serializes_to_json(self, circle_traj):
         report = rs.curvature_normalized_frames(circle_traj, [(0.0, 0.0)] * 4)
