@@ -10,7 +10,7 @@ inward unit normal of the meridian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,7 +25,8 @@ from .errors import (
 from .flow1d import (
     Event,
     FlowConfig,
-    RunStats,
+    Snapshot,
+    Trajectory,
     _evolve,
     _FlowState,
 )
@@ -124,29 +125,6 @@ class AxiMetrics:
     min_mean_curvature: float
     max_mean_curvature: float
     mean_convex: bool
-
-
-@dataclass(frozen=True)
-class AxiSnapshot:
-    time: float
-    profile: AxiProfile
-    metrics: AxiMetrics
-
-
-@dataclass
-class AxiTrajectory:
-    snapshots: list[AxiSnapshot]
-    events: list[Event] = field(default_factory=list)
-    stats: RunStats | None = None
-
-    def times(self) -> NDArray[np.float64]:
-        return np.array([s.time for s in self.snapshots])
-
-    def min_radii(self) -> NDArray[np.float64]:
-        return np.array([s.metrics.min_radius for s in self.snapshots])
-
-    def final(self) -> AxiSnapshot:
-        return self.snapshots[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +422,7 @@ class _AxiState(_FlowState):
         self.r_int = float(self.verts[1, self.off_axis].min())   # read by plan
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
-        self.traj = AxiTrajectory([AxiSnapshot(0.0, profile, m)], self.events)
+        self.traj = Trajectory([Snapshot(0.0, profile, m)], self.events)
 
     def measure(self) -> None:
         """The step's geometry pass: keep h, the left normal, the segment lengths
@@ -506,7 +484,7 @@ class _AxiState(_FlowState):
 
     def take(self, t: float, profile: AxiProfile) -> float:
         m = _metrics_of(self.chain, self.topology, self.h, self.area)
-        self.traj.snapshots.append(AxiSnapshot(t, profile, m))
+        self.traj.snapshots.append(Snapshot(t, profile, m))
         self.next_waist = m.min_radius * self.ratio   # read only for a true waist
         return m.surface_area
 
@@ -526,12 +504,12 @@ def _axi_resample(
         r = np.append(rows[1], rows[1, 0])
         grid = rows[0, 0] + np.arange(n) * (period / n)
         return np.vstack([grid, cv._interpolate_rows(x, r[None], grid, periodic=True)])
-    closed = topology == TOPOLOGY_PERIODIC
-    ext, s = cv._arclength(rows, closed=closed)
+    if topology == TOPOLOGY_PERIODIC:
+        return cv.spline_resample_array(np.concatenate([rows, rows[:, :1]], axis=1), spacing,
+                                        MIN_SAMPLES)
+    ext, s = cv._arclength(rows, closed=False)
     total = float(s[-1])
     n = cv._sample_count(total, spacing, MIN_SAMPLES)
-    if closed:
-        return cv._interpolate_rows(s, ext, np.arange(n) * (total / n), periodic=True)
     targets = np.arange(n + 1) * (total / n)   # np.linspace(0, total, n + 1), bit for bit
     targets[-1] = total
     out = cv._interpolate_rows(s, ext, targets, periodic=False)
@@ -542,7 +520,7 @@ def _axi_resample(
     return out
 
 
-def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> AxiTrajectory:
+def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> Trajectory:
     """Evolve a meridian by mean curvature until a pinch, collapse or stop.
 
     The curve driver's loop (``flow1d._evolve``) steps it, so snapshots,
@@ -572,7 +550,7 @@ class NeckReport:
     window: NDArray[np.bool_]               # the rows of series the fit reads
 
 
-def neck_report(traj: AxiTrajectory) -> NeckReport:
+def neck_report(traj: Trajectory) -> NeckReport:
     """One-parameter fit of the shrinking-cylinder law to the waist series.
 
     Fits min_radius(t)^2 = 2 (T - t) by least squares over the last decade of
@@ -582,7 +560,7 @@ def neck_report(traj: AxiTrajectory) -> NeckReport:
     if not kinds & {EVENT_NECK_PINCH, EVENT_TORUS_COLLAPSE}:
         raise NoNeckError("trajectory has no neck-pinch or torus-collapse event")
     times = traj.times()
-    radii = traj.min_radii()
+    radii = np.array([s.metrics.min_radius for s in traj.snapshots])
     r_last = radii.min()
     mask = radii <= 10.0 * r_last
     if mask.sum() < 3:

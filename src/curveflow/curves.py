@@ -245,14 +245,17 @@ def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
     return PlaneCurve(_linear_resample(curve.vertices, n))
 
 
-def spline_resample_array(closed: NDArray[np.float64], spacing: float) -> NDArray[np.float64]:
-    """Redistribution of a raw closed polygon, given as (2, n + 1) rows x and y
-    whose last column repeats the first, to (2, m) rows at equal arclength
-    through the periodic local cubic interpolant of ``_interpolate_rows``; m is
-    the length over ``spacing``, rounded, and at least MIN_VERTICES."""
+def spline_resample_array(
+    closed: NDArray[np.float64], spacing: float, minimum: int = MIN_VERTICES
+) -> NDArray[np.float64]:
+    """Redistribution of a raw closed polygon, given as (2, n + 1) rows whose
+    last column repeats the first (x and y, or a torus meridian's x and r), to
+    (2, m) rows at equal arclength through the periodic local cubic interpolant
+    of ``_interpolate_rows``; m is the length over ``spacing``, rounded, and at
+    least ``minimum``."""
     d = closed[:, 1:] - closed[:, :-1]
     seg = np.hypot(d[0], d[1])
-    m = _sample_count(float(seg.sum()), spacing, MIN_VERTICES)
+    m = _sample_count(float(seg.sum()), spacing, minimum)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     return _interpolate_rows(s, closed, np.arange(m) * (s[-1] / m), periodic=True)
 

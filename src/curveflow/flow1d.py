@@ -18,6 +18,7 @@ pass per step, in ``advance``, that the next bound and every snapshot read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,6 +30,9 @@ from .errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
+
+if TYPE_CHECKING:   # axisym imports this module
+    from .axisym import AxiMetrics, AxiProfile
 
 # Curvatures below this are treated as exactly flat, so degenerate-power laws
 # (p < 1) send them nowhere instead of amplifying noise.
@@ -110,13 +114,18 @@ class RunStats:
 
 @dataclass(frozen=True)
 class Snapshot:
+    """One recorded state of a curve run (a ``PlaneCurve`` and its ``CurveMetrics``)
+    or of a meridian run (an ``AxiProfile`` and its ``AxiMetrics``)."""
+
     time: float
-    curve: cv.PlaneCurve
-    metrics: cv.CurveMetrics
+    geometry: cv.PlaneCurve | AxiProfile
+    metrics: cv.CurveMetrics | AxiMetrics
 
 
 @dataclass
 class Trajectory:
+    """One curve or meridian run; a meridian keeps the default law, p = 1."""
+
     snapshots: list[Snapshot]
     events: list[Event] = field(default_factory=list)
     law: SpeedLaw = field(default_factory=SpeedLaw)

@@ -10,18 +10,44 @@ import json
 import math
 from dataclasses import astuple
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .. import axisym as ax
 from .. import curves as cv
-from ..axisym import AxiProfile, AxiTrajectory
+from ..axisym import AxiProfile
 from ..errors import InvalidInputError
-from ..flow1d import Event, Snapshot, Trajectory
+from ..flow1d import Event, Snapshot, SpeedLaw, Trajectory
 
 # Each trajectory header names the time, then every metrics field in declaration order.
 CURVE_CSV_HEADER = "t,length,area,iso_ratio,kmin,kmax,convex"
 AXI_CSV_HEADER = "t,area,volume,rmin,rmin_x,hmin,hmax,mean_convex"
+
+
+class GeometryFormat(NamedTuple):
+    """How a run of one geometry type is saved, read back and measured: the kind
+    in its index.json, the suffix of its snapshot and rescale frame files, its
+    trajectory.csv header, write(geometry, path), read(path) and metrics(geometry)."""
+
+    kind: str
+    suffix: str
+    header: str
+    write: Callable
+    read: Callable
+    metrics: Callable
+
+
+# The functions are called through their modules, so a wrapper later bound to
+# the module attribute (curvebench's tracer) sees every call.
+FORMATS = {
+    cv.PlaneCurve: GeometryFormat(
+        "curve-flow", "xy", CURVE_CSV_HEADER, lambda curve, path: cv.write_curve(path, curve),
+        lambda path: cv.read_curve(path), lambda curve: cv.metrics(curve)),
+    AxiProfile: GeometryFormat(
+        "axi-flow", "axi", AXI_CSV_HEADER, lambda prof, path: ax.write_profile(prof, path),
+        lambda path: ax.read_profile(path), lambda prof: ax.axi_metrics(prof)),
+}
 
 
 def _fmt(x: float) -> str:
@@ -36,11 +62,9 @@ def series_csv(header: str, rows) -> str:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    return series_csv(CURVE_CSV_HEADER, ((s.time, *astuple(s.metrics)) for s in traj.snapshots))
-
-
-def axi_trajectory_csv(traj: AxiTrajectory) -> str:
-    return series_csv(AXI_CSV_HEADER, ((s.time, *astuple(s.metrics)) for s in traj.snapshots))
+    """The time and metrics of every snapshot, under its geometry's header."""
+    header = FORMATS[type(traj.snapshots[0].geometry)].header
+    return series_csv(header, ((s.time, *astuple(s.metrics)) for s in traj.snapshots))
 
 
 def write_text(path: Path, text: str) -> Path:
@@ -111,25 +135,17 @@ def emit_svg(geometry, path) -> Path:
 # Trajectory persistence (geometry snapshots + index)
 # ---------------------------------------------------------------------------
 
-def save_trajectory(out_dir, traj: Trajectory | AxiTrajectory) -> list[Path]:
+def save_trajectory(out_dir, traj: Trajectory) -> list[Path]:
     """Write every snapshot's geometry plus an index.json tying times to files."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    axi = isinstance(traj, AxiTrajectory)
-    ext = "axi" if axi else "xy"
-    files = []
-    names = []
-    for k, snap in enumerate(traj.snapshots):
-        name = f"snap_{k:05d}.{ext}"
-        p = out_dir / name
-        if axi:
-            ax.write_profile(snap.profile, p)
-        else:
-            cv.write_curve(p, snap.curve)
-        files.append(p)
-        names.append(name)
+    fmt = FORMATS[type(traj.snapshots[0].geometry)]
+    names = [f"snap_{k:05d}.{fmt.suffix}" for k in range(len(traj.snapshots))]
+    for snap, name in zip(traj.snapshots, names):
+        fmt.write(snap.geometry, out_dir / name)
     index = {
-        "kind": "axi-flow" if axi else "curve-flow",
+        "kind": fmt.kind,
+        "law_p": float(traj.law.p),
         "times": [float(s.time) for s in traj.snapshots],
         "snapshots": names,
         "events": [
@@ -138,8 +154,7 @@ def save_trajectory(out_dir, traj: Trajectory | AxiTrajectory) -> list[Path]:
             for e in traj.events
         ],
     }
-    files.append(write_json(out_dir / "index.json", index))
-    return files
+    return [out_dir / name for name in names] + [write_json(out_dir / "index.json", index)]
 
 
 def _finite(x) -> bool:
@@ -151,17 +166,20 @@ def _finite(x) -> bool:
         return False
 
 
-def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
+def load_trajectory(run_dir) -> Trajectory:
     """Rebuild a trajectory from a directory written by save_trajectory.
 
     Metrics are recomputed from the stored geometry; flow configuration is
-    not restored (analysis of saved runs never needs it).  An index that is
-    not a JSON object, or one without its kind, times or snapshots, with
-    unequal times and snapshots, naming a missing file, or with an event
-    lacking its kind, time or location raises InvalidInputError.  So does one
-    whose times are not a list of finite numbers, snapshots not a list of
-    names or events not a list, or with an event whose time is not a finite
-    number or whose location is neither null nor two finite numbers.
+    not restored (analysis of saved runs never needs it).  The speed law is
+    restored from ``law_p``; an index saved without it loads as p = 1.  An
+    index that is not a JSON object, or one without its kind, times or
+    snapshots, with unequal times and snapshots, naming a missing file, or
+    with an event lacking its kind, time or location raises
+    InvalidInputError.  So does one whose times are not a list of finite
+    numbers, snapshots not a list of names or events not a list, whose
+    ``law_p`` is not a finite number in SpeedLaw's range, or with an event
+    whose kind is not a string, whose time is not a finite number or whose
+    location is neither null nor two finite numbers.
     """
     run_dir = Path(run_dir)
     path = run_dir / "index.json"
@@ -172,8 +190,13 @@ def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
     if missing:
         raise InvalidInputError(f"{path} has no {', '.join(missing)}")
     kind, times, names = index["kind"], index["times"], index["snapshots"]
-    if kind not in ("axi-flow", "curve-flow"):
+    fmt = next((f for f in FORMATS.values() if f.kind == kind), None)
+    if fmt is None:
         raise InvalidInputError(f"{path}: unknown kind {kind!r}")
+    law_p = index.get("law_p", 1.0)
+    if not _finite(law_p):
+        raise InvalidInputError(f"{path}: law_p must be a finite number, got {law_p!r}")
+    law = SpeedLaw(float(law_p))
     bad = [t for t in times if not _finite(t)] if isinstance(times, list) else [times]
     if bad:
         raise InvalidInputError(f"{path}: times must be a list of finite numbers, got {bad[0]!r}")
@@ -193,20 +216,14 @@ def load_trajectory(run_dir) -> Trajectory | AxiTrajectory:
         if missing:
             raise InvalidInputError(f"{path}: event {i} {e!r} has no {', '.join(missing)}")
         loc = e["location"]
-        if not _finite(e["time"]) or not (loc is None or isinstance(loc, list) and len(loc) == 2
-                                          and all(map(_finite, loc))):
-            raise InvalidInputError(f"{path}: event {i} {e!r} needs a finite time and a "
-                                    "location of null or two finite numbers")
+        if not (isinstance(e["kind"], str) and _finite(e["time"]) and (
+                loc is None or isinstance(loc, list) and len(loc) == 2 and all(map(_finite, loc)))):
+            raise InvalidInputError(f"{path}: event {i} {e!r} needs a string kind, a finite "
+                                    "time and a location of null or two finite numbers")
         events.append(Event(kind=e["kind"], time=e["time"],
                             location=None if loc is None else tuple(loc)))
-    if kind == "axi-flow":
-        snaps = []
-        for t, name in zip(times, names):
-            prof = ax.read_profile(run_dir / name)
-            snaps.append(ax.AxiSnapshot(time=t, profile=prof, metrics=ax.axi_metrics(prof)))
-        return AxiTrajectory(snapshots=snaps, events=events)
     snaps = []
     for t, name in zip(times, names):
-        curve = cv.read_curve(run_dir / name)
-        snaps.append(Snapshot(time=t, curve=curve, metrics=cv.metrics(curve)))
-    return Trajectory(snapshots=snaps, events=events)
+        geometry = fmt.read(run_dir / name)
+        snaps.append(Snapshot(t, geometry, fmt.metrics(geometry)))
+    return Trajectory(snaps, events, law)

@@ -11,8 +11,6 @@ import os
 import sys
 from pathlib import Path
 
-from ..axisym import AxiProfile, write_profile
-from ..curves import write_curve
 from ..errors import ConfigError, CurveflowError
 from .. import oracle as oc
 from .. import rescale as rs
@@ -110,12 +108,9 @@ def _cmd_rescale(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     meta = []
     for i, frame in enumerate(frames):
-        if isinstance(frame.snapshot, AxiProfile):
-            name = f"frame_{i:03d}.axi"
-            write_profile(frame.snapshot, out / name)
-        else:
-            name = f"frame_{i:03d}.xy"
-            write_curve(out / name, frame.snapshot)
+        fmt = artifacts.FORMATS[type(frame.snapshot)]
+        name = f"frame_{i:03d}.{fmt.suffix}"
+        fmt.write(frame.snapshot, out / name)
         meta.append({
             "file": name,
             "scale": frame.scale,

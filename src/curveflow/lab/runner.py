@@ -26,7 +26,6 @@ from .. import flow1d as f1
 from .. import oracle as oc
 from .. import rescale as rs
 from .artifacts import (
-    axi_trajectory_csv,
     emit_svg,
     save_trajectory,
     series_csv,
@@ -86,10 +85,10 @@ def _sphere_radius(profile: ax.AxiProfile) -> float:
 def _eval_radius_law(s: Scenario, out: Path, traj):
     times = traj.times()
     if s.kind == KIND_AXI:
-        measured = [_sphere_radius(snap.profile) for snap in traj.snapshots]
+        measured = [_sphere_radius(snap.geometry) for snap in traj.snapshots]
         reference = [oc.shrinker_radius("sphere", s.shape_params["r0"], t) for t in times]
     else:
-        measured = [_mean_radius(snap.curve) for snap in traj.snapshots]
+        measured = [_mean_radius(snap.geometry) for snap in traj.snapshots]
         reference = [oc.power_circle_radius(s.shape_params["radius"], s.law.p, t)
                      for t in times]
     rows = [(t, m, r, abs(m - r) / r) for t, m, r in zip(times, measured, reference)]
@@ -179,7 +178,7 @@ def _eval_roundness(s: Scenario, out: Path, traj: f1.Trajectory):
 def _eval_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
     conv_t = f1.convexification_time(traj)
     end_t = float(traj.times()[-1])
-    embedded = [bool(cv.is_embedded(snap.curve)) for snap in traj.snapshots]
+    embedded = [bool(cv.is_embedded(snap.geometry)) for snap in traj.snapshots]
     write_json(out / "convexification.json", {
         "convexification_time": conv_t,
         "final_time": end_t,
@@ -201,7 +200,7 @@ def _eval_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
 def _eval_eccentricity(s: Scenario, out: Path, traj: f1.Trajectory):
     rows = []
     for snap in traj.snapshots:
-        fit = f1.fit_ellipse(snap.curve)
+        fit = f1.fit_ellipse(snap.geometry)
         rows.append((snap.time, fit.eccentricity, fit.residual))
     write_text(out / "eccentricity.csv",
                series_csv("t,eccentricity,fit_residual", rows))
@@ -235,8 +234,8 @@ def _eval_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
     rows = []
     embedded = True
     for sa, sb in zip(t_a.snapshots, t_b.snapshots):
-        rows.append((sa.time, cv.min_distance(sa.curve, sb.curve)))
-        embedded = embedded and cv.is_embedded(sa.curve) and cv.is_embedded(sb.curve)
+        rows.append((sa.time, cv.min_distance(sa.geometry, sb.geometry)))
+        embedded = embedded and cv.is_embedded(sa.geometry) and cv.is_embedded(sb.geometry)
     write_text(out / "pair_distance.csv", series_csv("t,min_distance", rows))
     dmin = float(min(r[1] for r in rows))
     floor = s.checks["min_separation"]
@@ -249,7 +248,7 @@ def _eval_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
     ]
 
 
-def _eval_neck(s: Scenario, out: Path, traj: ax.AxiTrajectory):
+def _eval_neck(s: Scenario, out: Path, traj: f1.Trajectory):
     report = ax.neck_report(traj)
     event = traj.events[-1] if traj.events else None
     times, radii = report.series[report.window].T
@@ -291,7 +290,7 @@ def _eval_neck(s: Scenario, out: Path, traj: ax.AxiTrajectory):
             f"{sum(flags)}/{len(flags)} snapshots mean convex"))
     fac = s.checks["circle_fit_spacing_factor"]
     if fac is not None:
-        pts = traj.final().profile.samples
+        pts = traj.final().geometry.samples
         (cx, cy), radius, _ = rs.fit_circle(pts)
         dev = float(np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - radius).max())
         seg = np.hypot(*np.diff(pts, axis=0).T)
@@ -303,16 +302,16 @@ def _eval_neck(s: Scenario, out: Path, traj: ax.AxiTrajectory):
     return "neck.json", checks
 
 
-def _waist_probes(traj: ax.AxiTrajectory, count: int):
+def _waist_probes(traj: f1.Trajectory, count: int):
     probes = []
     for snap in traj.snapshots[-count:]:
-        pts = snap.profile.samples
+        pts = snap.geometry.samples
         spacing = float(np.hypot(*np.diff(pts, axis=0).T).mean())
         probes.append((snap.metrics.min_radius_location - 3.0 * spacing, 0.0))
     return probes
 
 
-def _eval_blowup(s: Scenario, out: Path, traj: ax.AxiTrajectory):
+def _eval_blowup(s: Scenario, out: Path, traj: f1.Trajectory):
     probes = _waist_probes(traj, s.options["probe_count"])
     dials = []
     checks = []
@@ -470,16 +469,14 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
         emit_svg(flow[0], out / "initial.svg")
         emit_svg(flow[1], out / "final.svg")
         return ["initial.svg", "final.svg"]
-    axi = s.kind == KIND_AXI
     trajs = flow if isinstance(flow, list) else [flow]
     names = []
     for i, traj in enumerate(trajs):
         tag = f"_{i}" if len(trajs) > 1 else ""
-        write_text(out / f"trajectory{tag}.csv",
-                   (axi_trajectory_csv if axi else trajectory_csv)(traj))
+        write_text(out / f"trajectory{tag}.csv", trajectory_csv(traj))
         names.append(f"trajectory{tag}.csv")
         for label, snap in (("initial", traj.snapshots[0]), ("final", traj.final())):
-            emit_svg(snap.profile if axi else snap.curve, out / f"{label}{tag}.svg")
+            emit_svg(snap.geometry, out / f"{label}{tag}.svg")
             names.append(f"{label}{tag}.svg")
         if s.options.get("save_snapshots"):
             save_trajectory(out / f"snapshots{tag}", traj)

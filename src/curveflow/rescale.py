@@ -16,15 +16,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import curves as cv
-from .axisym import (
-    TOPOLOGY_PERIODIC,
-    AxiProfile,
-    AxiSnapshot,
-    AxiTrajectory,
-    _meridian_pass,
-)
+from .axisym import TOPOLOGY_PERIODIC, AxiProfile, _meridian_pass
 from .errors import FitFailureError, InvalidInputError
-from .flow1d import Trajectory
+from .flow1d import Snapshot, Trajectory
 
 CLASS_PLANE = "plane-like"
 CLASS_CIRCLE = "circle-like/sphere-like"
@@ -83,17 +77,17 @@ class BlowupReport:
         }
 
 
-def _frame(snap, index, center, reference_time, lam, offset=0.0) -> RescaleFrame:
+def _frame(snap: Snapshot, index, center, reference_time, lam, offset=0.0) -> RescaleFrame:
     """Snapshot number ``index`` translated by -center and dilated by lam; a
     meridian moves along the axis only (center[1] is ignored), and a cylinder's
     period dilates with it."""
-    if isinstance(snap, AxiSnapshot):
-        prof = snap.profile
-        pts = np.column_stack([lam * (prof.samples[:, 0] - center[0]), lam * prof.samples[:, 1]])
-        period = prof.period * lam if prof.period is not None else None
-        geo = AxiProfile(pts, prof.topology, period)
+    g = snap.geometry
+    if isinstance(g, AxiProfile):
+        pts = np.column_stack([lam * (g.samples[:, 0] - center[0]), lam * g.samples[:, 1]])
+        period = g.period * lam if g.period is not None else None
+        geo = AxiProfile(pts, g.topology, period)
     else:
-        geo = cv.PlaneCurve(lam * (snap.curve.vertices - np.asarray(center)))
+        geo = cv.PlaneCurve(lam * (g.vertices - np.asarray(center)))
     return RescaleFrame(
         center=center,
         reference_time=reference_time,
@@ -106,7 +100,7 @@ def _frame(snap, index, center, reference_time, lam, offset=0.0) -> RescaleFrame
 
 
 def parabolic_rescale(
-    traj: Trajectory | AxiTrajectory,
+    traj: Trajectory,
     center: tuple[float, float],
     reference_time: float,
     scales,
@@ -183,7 +177,7 @@ def roundness_series(traj: Trajectory) -> list[tuple[float, float, float]]:
     out = []
     for snap in traj.snapshots:
         area = abs(snap.metrics.enclosed_area)
-        verts = snap.curve.vertices * np.sqrt(np.pi / area)
+        verts = snap.geometry.vertices * np.sqrt(np.pi / area)
         _, _, resid = fit_circle(verts)
         out.append((snap.time, resid, snap.metrics.isoperimetric_ratio))
     return out
@@ -269,7 +263,7 @@ def _classify_window(window: NDArray[np.float64], axisymmetric: bool) -> tuple[s
 
 
 def curvature_normalized_frames(
-    traj: Trajectory | AxiTrajectory,
+    traj: Trajectory,
     probe_points,
     scale_power: float = 1.0,
 ) -> BlowupReport:
@@ -301,15 +295,15 @@ def curvature_normalized_frames(
     for k, probe in enumerate(probes):
         idx = start + k
         snap = snaps[idx]
-        axisymmetric = isinstance(snap, AxiSnapshot)
+        geo = snap.geometry
+        axisymmetric = isinstance(geo, AxiProfile)
         if axisymmetric:
-            prof = snap.profile
-            pts = prof.samples
-            h, _, _, _ = _meridian_pass(cv._closed_chain(pts), prof.topology, prof.period)
-            closed = prof.topology == TOPOLOGY_PERIODIC
+            pts = geo.samples
+            h, _, _, _ = _meridian_pass(cv._closed_chain(pts), geo.topology, geo.period)
+            closed = geo.topology == TOPOLOGY_PERIODIC
         else:
-            pts = snap.curve.vertices
-            h, _ = cv.curvature_profile(snap.curve)
+            pts = geo.vertices
+            h, _ = cv.curvature_profile(geo)
             closed = True
         d = np.hypot(pts[:, 0] - probe[0], pts[:, 1] - probe[1])
         vi = int(np.argmin(d))

@@ -66,7 +66,7 @@ def test_01_shrinking_circle_radius_law():
         if snap.time > 0.45:
             break
         want = math.sqrt(1.0 - 2.0 * snap.time)
-        errs.append(abs(mean_radius(snap.curve) - want) / want)
+        errs.append(abs(mean_radius(snap.geometry) - want) / want)
     worst = max(errs)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and abs(law.extinction_estimate - 0.5) <= 0.005 \
@@ -124,7 +124,7 @@ def test_04_spiral_unwinds_then_vanishes():
     t0 = time.perf_counter()
     traj = f1.run(cv.spiral_polygon(1.0, 2.0, 1.5, n=960), f1.SpeedLaw(1.0),
                   f1.FlowConfig(cfl_factor=0.4))
-    embedded = all(cv.is_embedded(s.curve) for s in traj.snapshots)
+    embedded = all(cv.is_embedded(s.geometry) for s in traj.snapshots)
     t_conv = f1.convexification_time(traj)
     law = f1.analyze_area_law(traj)
     lifetime = law.extinction_estimate
@@ -148,7 +148,7 @@ def test_05_affine_flow_preserves_eccentricity():
     t0 = time.perf_counter()
     traj = f1.run(cv.ellipse_polygon(2.0, 1.0, 512), f1.SpeedLaw(1.0 / 3.0),
                   f1.FlowConfig(cfl_factor=0.4, stop_area_fraction=0.5))
-    fits = [f1.fit_ellipse(s.curve) for s in traj.snapshots]
+    fits = [f1.fit_ellipse(s.geometry) for s in traj.snapshots]
     e0 = fits[0].eccentricity
     drift = max(abs(f.eccentricity - e0) for f in fits)
     worst_residual = max(f.residual for f in fits)
@@ -188,7 +188,7 @@ def test_07_shrinking_sphere_radius_law():
         if snap.time > 0.22:
             break
         want = math.sqrt(1.0 - 4.0 * snap.time)
-        errs.append(abs(profile_radius(snap.profile) - want) / want)
+        errs.append(abs(profile_radius(snap.geometry) - want) / want)
     worst = max(errs)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and elapsed < budget
@@ -230,7 +230,7 @@ def test_09_torus_collapses_to_meridian_circle():
     t0 = time.perf_counter()
     traj = ax.run_axi(ax.torus_profile(1.0, 0.1, 400), f1.FlowConfig(cfl_factor=0.4))
     has_collapse = any(e.kind == ax.EVENT_TORUS_COLLAPSE for e in traj.events)
-    final = traj.final().profile.samples
+    final = traj.final().geometry.samples
     spacing = float(np.linalg.norm(np.diff(final, axis=0), axis=1).mean())
     center, radius, _ = rs.fit_circle(final)
     deviation = float(np.max(np.abs(
@@ -252,10 +252,10 @@ def test_10_disjoint_curves_stay_disjoint():
     inner = cv.ellipse_polygon(1.2, 0.6, 512)
     trajs = f1.co_evolve([outer, inner], f1.SpeedLaw(1.0),
                          f1.FlowConfig(cfl_factor=0.4))
-    gaps = [cv.min_distance(s0.curve, s1.curve)
+    gaps = [cv.min_distance(s0.geometry, s1.geometry)
             for s0, s1 in zip(trajs[0].snapshots, trajs[1].snapshots)]
     separated = min(gaps) > 0
-    embedded = all(cv.is_embedded(s.curve)
+    embedded = all(cv.is_embedded(s.geometry)
                    for traj in trajs for s in traj.snapshots)
     elapsed = time.perf_counter() - t0
     ok = separated and embedded and elapsed < budget
@@ -287,7 +287,7 @@ def test_12_blowup_dial_separates_scales(dumbbell_run):
     budget = 120.0
     t0 = time.perf_counter()
     traj = dumbbell_run["traj"]
-    final = traj.final().profile.samples
+    final = traj.final().geometry.samples
     spacing = float(np.linalg.norm(np.diff(final, axis=0), axis=1).mean())
     probes = [(s.metrics.min_radius_location - 3 * spacing, 0.0)
               for s in traj.snapshots[-6:]]

@@ -126,7 +126,7 @@ class TestSphereRun:
             if snap.time > 0.9 * lifetime:
                 break
             want = oc.shrinker_radius("sphere", 0.5, snap.time)
-            pts = snap.profile.samples
+            pts = snap.geometry.samples
             center = 0.5 * (pts[0, 0] + pts[-1, 0])
             got = np.mean(np.hypot(pts[:, 0] - center, pts[:, 1]))
             assert abs(got - want) / want < 5e-3
@@ -173,7 +173,7 @@ class TestCylinderRun:
         # the tube stays exactly uniform while r^2 = r0^2 - 2t.
         traj = ax.run_axi(ax.cylinder_profile(0.3, 1.0, 64), f1.FlowConfig(cfl_factor=0.4))
         for snap in traj.snapshots:
-            r = snap.profile.samples[:, 1]
+            r = snap.geometry.samples[:, 1]
             assert np.ptp(r) == 0.0
             want = oc.shrinker_radius("cylinder", 0.3, snap.time)
             assert abs(r[0] - want) / want < 5e-3
@@ -199,7 +199,7 @@ class TestNeckPinch:
 
     def test_min_radius_series_reaches_halt(self, neck_traj):
         # the run halts once the waist drops under a few sample spacings
-        radii = neck_traj.min_radii()
+        radii = np.array([s.metrics.min_radius for s in neck_traj.snapshots])
         assert radii[-1] < 0.4 * radii[0]
         spacing = 2.0 / 192
         assert radii[-1] < 6 * spacing
@@ -243,7 +243,7 @@ class TestTorusRun:
         traj = ax.run_axi(ax.torus_profile(0.6, 0.08, 256), f1.FlowConfig(cfl_factor=0.4))
         kinds = [e.kind for e in traj.events]
         assert ax.EVENT_TORUS_COLLAPSE in kinds
-        final = traj.final().profile.samples
+        final = traj.final().geometry.samples
         seg = np.linalg.norm(np.diff(final, axis=0), axis=1)
         _, _, residual = rs.fit_circle(final)
         center, radius, _ = rs.fit_circle(final)
@@ -278,9 +278,9 @@ class TestInPlaceStep:
         f1._evolve([state], config)
         assert np.array_equal(profile.samples, before)
         snaps = state.traj.snapshots
-        assert len(snaps[-1].profile) < len(profile)
+        assert len(snaps[-1].geometry) < len(profile)
         assert state.chain is not first_chain
-        arrays = [s.profile.samples for s in snaps]
+        arrays = [s.geometry.samples for s in snaps]
         for i, a in enumerate(arrays):
             assert not np.shares_memory(a, state.chain)
             assert not np.shares_memory(a, first_chain)
@@ -345,7 +345,7 @@ class TestOnePass:
         assert traj.stats.event == event
         assert len(traj.snapshots) > 2
         for snap in traj.snapshots:
-            assert snap.metrics == ax.axi_metrics(snap.profile)
+            assert snap.metrics == ax.axi_metrics(snap.geometry)
 
     def test_plan_clamps_the_pole_on_a_copy(self):
         # Sample 1 pulled back past the pole: |h| at the pole is over twice |h_1|,

@@ -61,7 +61,7 @@ class TestStepping:
             a = f1.run(ccw, law, cfg).final()
             b = f1.run(cw, law, cfg).final()
             assert a.time == b.time
-            assert np.array_equal(a.curve.vertices, b.curve.vertices[::-1])
+            assert np.array_equal(a.geometry.vertices, b.geometry.vertices[::-1])
 
     def test_clockwise_curve_snapshots_like_counterclockwise(self):
         ccw = cv.circle_polygon(0.5, 64)
@@ -98,7 +98,7 @@ class TestCircleRun:
             if snap.time > 0.9 * 0.125:
                 break
             want = oc.shrinker_radius("circle", 0.5, snap.time)
-            pts = snap.curve.vertices
+            pts = snap.geometry.vertices
             got = np.mean(np.hypot(pts[:, 0], pts[:, 1]))
             assert abs(got - want) / want < 5e-3
 
@@ -120,7 +120,7 @@ class TestCircleRun:
         cfg = f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.3)
         a = f1.run(cv.circle_polygon(0.5, 96), f1.SpeedLaw(1.0), cfg)
         b = f1.run(cv.circle_polygon(0.5, 96), f1.SpeedLaw(1.0), cfg)
-        assert np.array_equal(a.final().curve.vertices, b.final().curve.vertices)
+        assert np.array_equal(a.final().geometry.vertices, b.final().geometry.vertices)
         assert np.array_equal(a.times(), b.times())
 
 
@@ -143,7 +143,7 @@ class TestConvexification:
 
     def test_peanut_stays_embedded(self, peanut_traj):
         for snap in peanut_traj.snapshots:
-            assert cv.is_embedded(snap.curve)
+            assert cv.is_embedded(snap.geometry)
 
 
 class TestNormalizedLength:
@@ -220,8 +220,8 @@ class TestCoEvolution:
         assert len(trajs) == 2
         assert np.array_equal(trajs[0].times(), trajs[1].times())
         for s0, s1 in zip(trajs[0].snapshots, trajs[1].snapshots):
-            assert cv.min_distance(s0.curve, s1.curve) > 0
-            assert cv.is_embedded(s0.curve) and cv.is_embedded(s1.curve)
+            assert cv.min_distance(s0.geometry, s1.geometry) > 0
+            assert cv.is_embedded(s0.geometry) and cv.is_embedded(s1.geometry)
 
     def test_inner_curve_drives_the_stop(self):
         outer = cv.circle_polygon(1.5, 128)
@@ -285,7 +285,7 @@ class TestCachedGeometry:
             assert len(seen) > 2   # resamples changed the vertex count
             assert len(state.traj.snapshots) > 10
             for snap in state.traj.snapshots:
-                assert snap.metrics == cv.metrics(snap.curve)
+                assert snap.metrics == cv.metrics(snap.geometry)
 
 
 def _nested_pair(i):

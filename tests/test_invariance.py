@@ -46,7 +46,7 @@ def final_curve(curve: cv.PlaneCurve, law: f1.SpeedLaw):
     traj = f1.run(curve, law, CONFIG)
     assert traj.stats.event == f1.EVENT_STEP_BUDGET and traj.stats.resamples == 0
     snap = traj.final()
-    return snap.time, snap.curve.vertices
+    return snap.time, snap.geometry.vertices
 
 
 def assert_close(a, b, diameter):
@@ -97,7 +97,7 @@ class TestMeridianFlow:
     def final_samples(samples):
         traj = ax.run_axi(ax.AxiProfile(samples, ax.TOPOLOGY_TWO_POLES), CONFIG)
         assert traj.stats.event == f1.EVENT_STEP_BUDGET and traj.stats.resamples == 0
-        return traj.final().time, traj.final().profile.samples
+        return traj.final().time, traj.final().geometry.samples
 
     @EXAMPLES
     @given(st.floats(0.5, 2.0), st.integers(48, 128), st.floats(-5.0, 5.0))
@@ -133,7 +133,7 @@ class TestClosedFormLaws:
         traj = ax.run_axi(ax.sphere_profile(r0, 64),
                           f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.3))
         for snap in traj.snapshots:
-            pts = snap.profile.samples
+            pts = snap.geometry.samples
             center = 0.5 * (pts[:, 0].min() + pts[:, 0].max())
             got = np.hypot(pts[:, 0] - center, pts[:, 1]).mean()
             want = oc.shrinker_radius("sphere", r0, snap.time)
@@ -148,7 +148,7 @@ class TestClosedFormLaws:
         assert traj.stats.event == ax.EVENT_NECK_PINCH
         for snap in traj.snapshots:
             want = oc.shrinker_radius("cylinder", r0, snap.time)
-            assert abs(snap.profile.samples[:, 1].mean() - want) / want < 2e-3
+            assert abs(snap.geometry.samples[:, 1].mean() - want) / want < 2e-3
 
 
 class TestTranslatingFront:

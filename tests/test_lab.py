@@ -1,5 +1,6 @@
 """Scenario lab: config parsing, artifacts, runner reports, CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -371,25 +372,28 @@ class TestArtifacts:
         assert a == b
         assert a.splitlines()[0] == artifacts.CURVE_CSV_HEADER
 
-    def test_save_then_load_trajectory_is_exact(self, tmp_path):
-        traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
-                      f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
+    @pytest.mark.parametrize("make", [
+        lambda cfg: f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0), cfg),
+        lambda cfg: f1.run(cv.peanut_polygon(1.0, 0.15, 64), f1.SpeedLaw(1.0 / 3.0), cfg),
+        lambda cfg: ax.run_axi(ax.sphere_profile(0.3, 96), cfg),
+        lambda cfg: ax.run_axi(ax.torus_profile(1.0, 0.25, 64), cfg),
+        lambda cfg: ax.run_axi(ax.cylinder_profile(0.3, 1.0, 64), cfg),
+        lambda cfg: ax.run_axi(ax.dumbbell_profile(1.0, 0.3, 1.0, 256), cfg),
+    ], ids=["circle", "peanut-p-third", "sphere", "torus", "cylinder", "dumbbell"])
+    def test_save_then_load_trajectory_is_exact(self, tmp_path, make):
+        traj = make(f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
         artifacts.save_trajectory(tmp_path / "snaps", traj)
         assert (tmp_path / "snaps" / "index.json").exists()
         back = artifacts.load_trajectory(tmp_path / "snaps")
         assert np.array_equal(back.times(), traj.times())
+        assert len(back.snapshots) == len(traj.snapshots)
         for s0, s1 in zip(traj.snapshots, back.snapshots):
-            assert np.array_equal(s0.curve.vertices, s1.curve.vertices)
-
-    def test_axi_save_load_round_trip(self, tmp_path):
-        traj = ax.run_axi(ax.sphere_profile(0.3, 96),
-                          f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
-        artifacts.save_trajectory(tmp_path / "snaps", traj)
-        back = artifacts.load_trajectory(tmp_path / "snaps")
-        assert np.array_equal(back.times(), traj.times())
-        for s0, s1 in zip(traj.snapshots, back.snapshots):
-            assert np.array_equal(s0.profile.samples, s1.profile.samples)
-            assert s0.profile.topology == s1.profile.topology
+            assert type(s1.geometry) is type(s0.geometry)
+            for f in dataclasses.fields(s0.geometry):
+                assert np.array_equal(getattr(s1.geometry, f.name), getattr(s0.geometry, f.name))
+        assert back.events == traj.events
+        assert back.law == traj.law
+        assert artifacts.trajectory_csv(back) == artifacts.trajectory_csv(traj)
 
 
 NAN = float("nan")
@@ -800,6 +804,11 @@ class TestCli:
         (lambda index, snaps: index.update(snapshots=5), "snapshots must be .* got 5"),
         (lambda index, snaps: index.update(events=5), "events must be a list, got 5"),
         # the whole index replaced by a JSON string or list that names the three keys
+        (lambda index, snaps: index["events"][0].update(kind=["neck-pinch"]),
+         "event 0 .* string kind"),
+        (lambda index, snaps: index["events"][0].update(kind=3), "event 0 .* string kind"),
+        (lambda index, snaps: index.update(law_p="1/3"), "law_p must be a finite number"),
+        (lambda index, snaps: index.update(law_p=0), "law.p must be in"),
         (lambda index, snaps: index.update(whole="kind times snapshots"), "JSON object, got str"),
         (lambda index, snaps: index.update(whole=["kind", "times", "snapshots"]),
          "JSON object, got list"),
@@ -807,7 +816,8 @@ class TestCli:
             "event-no-time", "location-number", "location-one-number", "location-string",
             "event-time-string", "event-time-nan", "times-string", "times-nan", "times-huge-int",
             "event-time-huge-int", "location-huge-int", "times-number",
-            "snapshots-number", "events-number", "index-string", "index-list"])
+            "snapshots-number", "events-number", "event-kind-list", "event-kind-number",
+            "law-p-string", "law-p-zero", "index-string", "index-list"])
     def test_bad_index_is_named_and_rescale_exits_2(self, tmp_path, capsys, corrupt, problem):
         traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
                       f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))

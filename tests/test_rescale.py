@@ -77,7 +77,7 @@ class TestParabolicRescale:
         assert len(frames) == 1
         assert frames[0].snapshot_index == k
         assert np.array_equal(frames[0].snapshot.vertices,
-                              circle_traj.snapshots[k].curve.vertices)
+                              circle_traj.snapshots[k].geometry.vertices)
         assert frames[0].rescaled_time == pytest.approx(-1.0)
 
     def test_out_of_range_scales_skipped_with_notice(self, circle_traj):
@@ -122,7 +122,7 @@ class TestParabolicRescale:
         frames = rs.parabolic_rescale(dumbbell_traj, (0.0, 0.0), t0 + 0.25, [2.0])
         prof = frames[0].snapshot
         assert isinstance(prof, ax.AxiProfile)
-        base = dumbbell_traj.snapshots[0].profile
+        base = dumbbell_traj.snapshots[0].geometry
         assert np.max(np.abs(prof.samples - 2.0 * base.samples)) < 1e-12
 
     def test_meridian_moves_along_the_axis_and_its_period_dilates(self, cylinder_traj):
@@ -130,7 +130,7 @@ class TestParabolicRescale:
         x0, lam = 0.3, 4.0
         # center[1] is recorded but ignored: a meridian only moves along the axis
         (frame,) = rs.parabolic_rescale(cylinder_traj, (x0, 7.0), T, [lam])
-        base = cylinder_traj.snapshots[frame.snapshot_index].profile
+        base = cylinder_traj.snapshots[frame.snapshot_index].geometry
         assert frame.center == (x0, 7.0)
         assert frame.snapshot.topology == ax.TOPOLOGY_CYLINDER
         assert frame.snapshot.period == lam * base.period
@@ -186,7 +186,7 @@ class TestRoundness:
             assert iso >= 1.0 - 1e-9
             # the polygon isoperimetric offset scales like 1/n^2, so only
             # snapshots that keep their resolution are held to a tight bound
-            if len(snap.curve.vertices) >= 100:
+            if len(snap.geometry.vertices) >= 100:
                 assert abs(iso - 1.0) < 1e-3
 
     def test_ellipse_residual_decreases_to_round(self):
@@ -216,7 +216,7 @@ class TestBlowupDial:
 
     def test_dumbbell_waist_dial(self, dumbbell_traj):
         spacing = np.mean([np.linalg.norm(d) for d in
-                           np.diff(dumbbell_traj.final().profile.samples, axis=0)])
+                           np.diff(dumbbell_traj.final().geometry.samples, axis=0)])
         probes = []
         for snap in dumbbell_traj.snapshots[-6:]:
             probes.append((snap.metrics.min_radius_location - 3 * spacing, 0.0))
@@ -230,7 +230,7 @@ class TestBlowupDial:
         assert traj.stats.event == ax.EVENT_TORUS_COLLAPSE
         # Probing sample 0 of each closed meridian puts the window across its
         # start; the tube shrinks round, so each window is circle-like.
-        probes = [snap.profile.samples[0] for snap in traj.snapshots[-4:]]
+        probes = [snap.geometry.samples[0] for snap in traj.snapshots[-4:]]
         report = rs.curvature_normalized_frames(traj, probes, scale_power=1.0)
         assert report.limit_classification == rs.CLASS_CIRCLE
         for frame, residual in zip(report.frames, report.fit_residuals):
