@@ -393,7 +393,7 @@ class _AxiState(_FlowState):
 
     The rows, x in ``verts[0]`` and r in ``verts[1]``, are the inside of a
     (2, n + 2) chain buffer with a ghost column at each end.  ``advance`` makes
-    the step's one geometry pass, ``measure``, before it looks for a neck; the
+    the step's last geometry pass, ``measure``, before it looks for a neck; the
     next ``plan`` and every snapshot (``_metrics_of``) read that pass.
     Snapshots fall due on a geometric schedule in the lateral area and, for a
     true waist, in its radius.
@@ -403,6 +403,7 @@ class _AxiState(_FlowState):
         self.set_verts(profile.samples.T)
         self.topology = profile.topology
         self.period = profile.period
+        self.two_poles = self.topology == TOPOLOGY_TWO_POLES
         self.measure()
         m = _metrics_of(self.chain, self.topology, self.h, self.area)
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
@@ -410,7 +411,6 @@ class _AxiState(_FlowState):
         # A torus collapses and a cylinder pinches; only axis-bounded profiles end at a pole.
         periodic = self.topology == TOPOLOGY_PERIODIC
         self.pinch_kind = EVENT_TORUS_COLLAPSE if periodic else EVENT_NECK_PINCH
-        self.two_poles = self.topology == TOPOLOGY_TWO_POLES
         self.stop_kind = EVENT_POLE_EXTINCTION if self.two_poles else self.pinch_kind
         rmin0, x0, true_waist, i = _waist_of(profile.samples, self.topology)
         thr = _neck_threshold(profile.samples, i)
@@ -425,38 +425,42 @@ class _AxiState(_FlowState):
         self.traj = Trajectory([Snapshot(0.0, profile, m)], self.events)
 
     def measure(self) -> None:
-        """The step's geometry pass: keep h, the left normal, the segment lengths
-        and the lateral area of the current chain."""
+        """One geometry pass: put the poles back on the axis, then keep h, the
+        left normal, the segment lengths and the lateral area of the chain."""
+        if self.two_poles:
+            self.verts[1, 0] = 0.0
+            self.verts[1, -1] = 0.0
         self.h, self.left, self.seg, self.area = _meridian_pass(
             self.chain, self.topology, self.period)
 
-    def plan(self, t: float) -> float:
-        """Velocity h*nu with pole guard; step bound from min spacing and interior rmin.
+    def velocity(self) -> NDArray[np.float64]:
+        """Fill ``vel`` with h nu and return h.  h nu is the same for either
+        orientation, so h and nu are taken as the left normal orients them.
 
-        h nu is the same for either orientation, so h and nu are taken as the
-        left normal orients them."""
+        Poles move along the axis at twice the meridian curvature, capped by
+        the neighboring samples so a noisy pole cannot outrun its cap.  On a
+        copy: a snapshot reads the measured h."""
         h = self.h
         if self.two_poles:
-            # Poles move along the axis at twice the meridian curvature, capped by
-            # the neighboring samples so a noisy pole cannot outrun its cap.  On a
-            # copy: a snapshot reads the measured h.
             h = h.copy()
             for i, j in ((0, 1), (-1, -2)):
                 lim = 2.0 * abs(float(h[j]))
                 h[i] = min(max(float(h[i]), -lim), lim)
+        self.vel = self.left   # h nu, in the normal's buffer; the next measure makes a new one
+        self.vel *= h
+        return h
+
+    def plan(self, t: float) -> float:
+        """Velocity h nu with the pole guard; diffusive bound from the smallest
+        spacing and interior radius."""
+        h = self.velocity()
         hmax = self.peak(t, h, self.verts)
         if hmax is None:
             return np.inf
-        self.vel = self.left   # h nu, in the normal's buffer; the next measure makes a new one
-        self.vel *= h
         h_space = float(self.seg.min())
-        return self.capped(self.cfl * min(h_space * h_space, h_space * self.r_int) / 4.0,
-                           h_space, hmax)
+        return self.capped(min(h_space * h_space, h_space * self.r_int) / 4.0, h_space, hmax)
 
     def advance(self, t: float, resample: bool) -> bool:
-        if self.two_poles:
-            self.verts[1, 0] = 0.0
-            self.verts[1, -1] = 0.0
         if resample:
             self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
         self.measure()

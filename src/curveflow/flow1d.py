@@ -1,18 +1,22 @@
 """Explicit evolution of closed plane curves with normal speed sign(k) |k|^p.
 
-The driver is deliberately plain: forward Euler under a parabolic CFL bound,
-periodic tangential redistribution through a local cubic interpolant (linear
-chord resampling would bleed area every pass), and snapshots recorded on a
-geometric schedule in remaining area so the approach to extinction is well
-sampled.
+The driver is deliberately plain: explicit Runge-Kutta-Legendre steps (RKL2:
+Meyer, Balsara and Aslam, J. Comput. Phys. 257, 2014; s velocity evaluations
+are stable over (s^2 + s - 2) / 4 forward-Euler steps of the parabolic bound,
+second order in time, with no solve), periodic tangential redistribution
+through a local cubic interpolant (linear chord resampling would bleed area
+every pass), and snapshots recorded on a geometric schedule in remaining area
+so the approach to extinction is well sampled.
 The same loop, ``_evolve``, steps the other two drivers: the meridians of
-``axisym`` and the open translating front of ``oracle``.  It owns the Euler
-step: each driver's ``plan`` fills ``vel`` and returns a bound, the loop moves
-every driver's (2, n) point rows, x and y (or r), and ``advance`` follows.  All
-three share its step budget, displacement and curvature caps and terminal
+``axisym`` and the open translating front of ``oracle``.  It owns the update:
+each driver's ``plan`` fills ``vel`` with F(Y0) and returns its displacement
+cap, ``stage_velocity`` refills ``vel`` at each later stage, the loop combines
+every driver's (2, n) point rows, x and y (or r), and ``advance`` follows.
+All three share its step budget, displacement and curvature caps and terminal
 events.  Curves and meridians also share its snapshot schedule, keep their
 rows between two ghost columns of a (2, n + 2) chain, and make one geometry
-pass per step, in ``advance``, that the next bound and every snapshot read.
+pass per evaluation; the next bound and every snapshot read the one that
+``advance`` makes at the end of a step.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ BLOWUP_FACTOR = 1e4
 SNAPSHOT_LEVELS = 140
 # Largest fraction of the local spacing a vertex may move per step.
 DISPLACEMENT_FRACTION = 0.25
+# Most velocity evaluations in one RKL2 step: stable over 409.5 Euler steps.
+MAX_STAGES = 40
 
 EVENT_EXTINCTION = "extinction-approach"
 EVENT_BLOWUP = "curvature-blowup"
@@ -70,6 +76,12 @@ class SpeedLaw:
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """Stepping of a flow.  ``cfl_factor`` is the fraction of the stability
+    bound that a step may use: a step of s RKL2 stages spans at most
+    cfl_factor * dt_E * (s^2 + s - 2) / 4, with dt_E the forward-Euler
+    diffusive bound.  The displacement cap sets the step, and s is the fewest
+    stages that cover it; at MAX_STAGES the step is cut to that bound."""
+
     cfl_factor: float = 0.4
     resample_every: int = 10
     stop_area_fraction: float = 0.02
@@ -100,10 +112,14 @@ class Event:
 @dataclass(frozen=True)
 class RunStats:
     """What ``_evolve`` did for one trajectory.  It holds no wall times, so
-    equal inputs give equal stats.  ``dt_mean`` is the end time over the
-    steps; the dt figures are None when the run took no step."""
+    equal inputs give equal stats.  ``evaluations`` counts the velocity
+    evaluations of all steps, ``max_stages`` those of the longest step.
+    ``dt_mean`` is the end time over the steps; the dt figures are None when
+    the run took no step."""
 
     steps: int
+    evaluations: int
+    max_stages: int
     resamples: int
     snapshots: int
     dt_min: float | None
@@ -135,7 +151,13 @@ class Trajectory:
         return np.array([s.time for s in self.snapshots])
 
     def areas(self) -> NDArray[np.float64]:
+        self.require_curves("enclosed areas")
         return np.array([abs(s.metrics.enclosed_area) for s in self.snapshots])
+
+    def require_curves(self, analysis: str) -> None:
+        """Raise InvalidInputError unless every snapshot holds a plane curve."""
+        if not all(isinstance(s.geometry, cv.PlaneCurve) for s in self.snapshots):
+            raise InvalidInputError(f"{analysis}: needs a curve trajectory, not a meridian")
 
     def final(self) -> Snapshot:
         return self.snapshots[-1]
@@ -146,9 +168,11 @@ class _FlowState:
 
     Every terminal event goes through :meth:`end` into ``events``, so there is
     exactly one and it is the last.  Subclasses keep their points as (2, n)
-    rows in ``verts`` and supply ``plan`` (fills ``vel`` and returns a bound,
-    or closes the state), ``advance(t, resample)`` (is a snapshot due?),
-    ``validate``, ``take`` (keep a snapshot, return its area) and ``stop_kind``.
+    rows in ``verts`` and supply ``plan`` (fills ``vel`` with F(Y0), records
+    the diffusive bound through ``capped`` and returns the cap, or closes the
+    state), ``measure`` and ``velocity`` (a geometry pass, then ``vel`` from
+    it), ``advance(t, resample)`` (is a snapshot due?), ``validate``, ``take``
+    (keep a snapshot, return its area) and ``stop_kind``.
     """
 
     stop_kind = EVENT_EXTINCTION
@@ -157,7 +181,6 @@ class _FlowState:
     def __init__(self, config: FlowConfig, area0: float, k0: float, length: float, count: int):
         self.events: list[Event] = []
         self.last_time = 0.0   # of the latest snapshot; the initial one is at t = 0
-        self.cfl = config.cfl_factor
         self.cap = config.max_curvature_stop
         if self.cap is None:
             self.cap = BLOWUP_FACTOR * max(k0, 1.0)
@@ -170,15 +193,26 @@ class _FlowState:
 
     def set_verts(self, rows: NDArray[np.float64]) -> None:
         """Copy (2, n) point rows into ``verts``, the inside of the (2, n + 2)
-        ``chain``: a ghost column, the points, a ghost column."""
+        ``chain``: a ghost column, the points, a ghost column.  The RKL2 stage
+        buffers, Y0, tau F(Y0), Y(j-2) and a work row pair, follow its size."""
         if self.chain.shape[1] != rows.shape[1] + 2:
             self.chain = np.empty((2, rows.shape[1] + 2))
             self.verts = self.chain[:, 1:-1]
+            self.stages = np.empty((4,) + rows.shape)
         self.verts[...] = rows
 
-    def capped(self, dt: float, h: float, vmax: float) -> float:
-        """dt, cut so no point moves over DISPLACEMENT_FRACTION of h at speed vmax."""
-        return min(dt, DISPLACEMENT_FRACTION * h / vmax) if vmax > 0 else dt
+    def capped(self, dt_e: float, h: float, vmax: float) -> float:
+        """Record dt_e, the forward-Euler diffusive bound, and return the
+        displacement cap: the time in which no point moves over
+        DISPLACEMENT_FRACTION of h at speed vmax (inf when nothing moves)."""
+        self.dt_e = dt_e
+        return DISPLACEMENT_FRACTION * h / vmax if vmax > 0 else np.inf
+
+    def stage_velocity(self) -> None:
+        """Fill ``vel`` with F at the working points: a fresh geometry pass,
+        then the velocity that ``plan`` takes as F(Y0)."""
+        self.measure()
+        self.velocity()
 
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
@@ -236,31 +270,78 @@ class _FlowState:
         return float(c[0]), float(c[1])
 
 
+def _rkl2(stages: int) -> tuple[float, list[tuple[float, float, float, float]]]:
+    """Coefficients of an RKL2 step of ``stages`` evaluations (Meyer, Balsara and
+    Aslam 2014, eq. 16-17): mu~_1, then (mu_j, nu_j, mu~_j, gamma~_j) for j >= 2."""
+    w1 = 4.0 / (stages * stages + stages - 2)
+    b = [1.0 / 3.0] * 2 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(2, stages + 1)]
+    rest = []
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        rest.append((mu, nu, mu * w1, -(1.0 - b[j - 1]) * mu * w1))
+    return b[1] * w1, rest
+
+
+def _stage_count(tau: float, euler: float) -> tuple[int, float]:
+    """The fewest stages s >= 2 whose stability bound euler (s^2 + s - 2) / 4
+    covers tau, and the step: tau, cut to that bound at MAX_STAGES."""
+    s = 2
+    while s < MAX_STAGES and tau > euler * (s * s + s - 2) / 4.0:
+        s += 1
+    return s, min(tau, euler * (s * s + s - 2) / 4.0)
+
+
 def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
     """Step every state on one clock until one stops or the step budget runs out.
 
-    A step moves every state's ``verts`` by dt ``vel`` (forward Euler), dt the
-    smallest bound a ``plan`` returns.  Returns the stats of each state, in order.
+    A step is one RKL2 step over tau, the smallest cap a ``plan`` returns, in
+    as many stages as ``FlowConfig`` says.  Stage j combines Y(j-1), Y(j-2), Y0,
+    tau F(Y(j-1)) and tau F(Y0) in place.  Returns each state's stats, in order.
     """
     t = 0.0
-    steps = 0
+    steps = evaluations = max_stages = 0
     dt_min, dt_max = np.inf, 0.0
     while steps < config.max_steps:
-        dt = np.inf
+        tau, dt_e = np.inf, np.inf
         for s in states:
-            dt = min(dt, s.plan(t))
+            tau = min(tau, s.plan(t))
             if s.done:   # closed in plan: a curvature blow-up or a time horizon
                 break
+            dt_e = min(dt_e, s.dt_e)
         if s.done:
             break
 
+        stages, tau = _stage_count(tau, config.cfl_factor * dt_e)
+        first, rest = _rkl2(stages)
         for s in states:
-            s.vel *= dt
-            s.verts += s.vel
-        t += dt
+            y0, f0, prev, work = s.stages
+            y0[...] = s.verts
+            prev[...] = s.verts
+            np.multiply(s.vel, tau, out=f0)
+            np.multiply(f0, first, out=work)
+            s.verts += work
+        for mu, nu, mu_f, gamma_f in rest:
+            for s in states:
+                s.stage_velocity()
+                y0, f0, prev, work = s.stages
+                prev *= nu
+                np.multiply(y0, 1.0 - mu - nu, out=work)
+                prev += work
+                s.vel *= mu_f * tau
+                prev += s.vel
+                np.multiply(f0, gamma_f, out=work)
+                prev += work
+                work[...] = s.verts   # Y(j-1), the next stage's Y(j-2)
+                s.verts *= mu
+                s.verts += prev          # Y(j)
+                prev[...] = work
+        t += tau
         steps += 1
-        dt_min = min(dt_min, dt)
-        dt_max = max(dt_max, dt)
+        evaluations += stages
+        max_stages = max(max_stages, stages)
+        dt_min = min(dt_min, tau)
+        dt_max = max(dt_max, tau)
         resample = steps % config.resample_every == 0
         due = [s.advance(t, resample) for s in states]
         if any(due):
@@ -276,7 +357,8 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
         if not s.done:
             s.close(t, Event(kind, t))
     dts = (float(dt_min), t / steps, float(dt_max)) if steps else (None, None, None)
-    return [RunStats(steps, steps // config.resample_every, s.snapshots, *dts, s.events[-1].kind)
+    return [RunStats(steps, evaluations, max_stages, steps // config.resample_every,
+                     s.snapshots, *dts, s.events[-1].kind)
             for s in states]
 
 
@@ -286,10 +368,11 @@ class _CurveState(_FlowState):
     Between snapshots the curve lives as raw rows, x in ``verts[0]`` and y in
     ``verts[1]``: the inside of a (2, n + 2) chain buffer with a ghost column at
     each end, reallocated only when a resample changes the vertex count.  A step
-    moves the rows in place and ends with one geometry pass, ``measure``; the
-    next ``plan``, the snapshot schedule and the snapshot's metrics all read the
-    curvature, normal, edge lengths and area it keeps.  The validated curve
-    object is only built when a snapshot is recorded.
+    moves the rows in place, with one geometry pass, ``measure``, per stage
+    after the first and one at its end; the next ``plan``, the snapshot
+    schedule and the snapshot's metrics all read the curvature, normal, edge
+    lengths and area the last pass keeps.  The validated curve object is only
+    built when a snapshot is recorded.
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
@@ -303,7 +386,7 @@ class _CurveState(_FlowState):
         self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
 
     def measure(self) -> None:
-        """The step's geometry pass: fill the ghost columns and keep the curvature
+        """One geometry pass: fill the ghost columns and keep the curvature
         (positive for a left turn), unit left normal, edge lengths and signed
         area.  The speed law is odd in k, so speed(k) times the left normal is
         the inward velocity for either traversal direction."""
@@ -312,32 +395,37 @@ class _CurveState(_FlowState):
         self.k, self.left, self.seg = cv._three_point(self.chain)
         self.area = 0.5 * float((x[1:-1] * y[2:] - x[2:] * y[1:-1]).sum())
 
+    def velocity(self) -> NDArray[np.float64]:
+        """Fill ``vel`` with the measured speed along the left normal; return the speed."""
+        speed = self.k if self.law.p == 1.0 else self.law.speed(self.k)
+        self.vel = self.left   # in the normal's buffer; the next measure makes a new one
+        self.vel *= speed
+        return speed
+
     def plan(self, t: float) -> float:
         k = self.k
         kmax = self.peak(t, k, self.verts)
         if kmax is None:
             return np.inf
         p = self.law.p
-        speed = k if p == 1.0 else self.law.speed(k)
-        self.vel = self.left   # in the normal's buffer; the next measure makes a new one
-        self.vel *= speed
+        speed = self.velocity()
         if p == 1.0:
             diffusivity = 1.0
         else:
-            mag = np.abs(k)
-            mag = mag[mag >= CURVATURE_CLAMP]
-            diffusivity = float(np.max(mag ** (p - 1.0))) if len(mag) else 1.0
+            # Curvature below 1 / length is floored there, so that roundoff
+            # curvature on a flat side cannot collapse the bound at p < 1.
+            floor = 1.0 / float(self.seg[1:].sum())
+            diffusivity = float(np.max(np.maximum(np.abs(k), floor) ** (p - 1.0)))
         h = float(self.seg.min())
         vmax = kmax if p == 1.0 else float(np.abs(speed).max())
-        return self.capped(self.cfl * h * h / (2.0 * diffusivity), h, vmax)
+        return self.capped(h * h / (2.0 * diffusivity), h, vmax)
 
     def advance(self, t: float, resample: bool) -> bool:
-        due = abs(self.area) <= self.next_area   # the area measured before the step
         if resample:
             self.chain[:, -1] = self.verts[:, 0]   # close the rows for the resample
             self.set_verts(cv.spline_resample_array(self.chain[:, 1:], self.spacing))
         self.measure()
-        return due
+        return abs(self.area) <= self.next_area
 
     def validate(self) -> cv.PlaneCurve:
         return cv.PlaneCurve(self.verts.T)
@@ -392,6 +480,7 @@ class AreaLaw:
 def analyze_area_law(traj: Trajectory) -> AreaLaw:
     """Fit area(t) by a line; under unit-power flow the slope is -2 pi and the
     zero crossing predicts the extinction time (initial area / 2 pi)."""
+    traj.require_curves("area law analysis")
     if traj.law.p != 1.0:
         raise InvalidInputError("area law analysis applies to p = 1 trajectories")
     if len(traj.snapshots) < 10:
@@ -406,6 +495,7 @@ def analyze_area_law(traj: Trajectory) -> AreaLaw:
 
 def convexification_time(traj: Trajectory) -> float | None:
     """Time of the first snapshot with nonnegative curvature everywhere."""
+    traj.require_curves("convexification time")
     for snap in traj.snapshots:
         if snap.metrics.convex:
             return snap.time
@@ -418,6 +508,7 @@ def rescaled_length_series(traj: Trajectory) -> list[tuple[float, float]]:
     Constant (2 sqrt(pi A0)) on shrinking circles; growth signals that the
     flow is driving the shape away from roundness.
     """
+    traj.require_curves("rescaled lengths")
     a0 = abs(traj.snapshots[0].metrics.enclosed_area)
     out = []
     for snap in traj.snapshots:

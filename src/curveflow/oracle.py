@@ -141,24 +141,32 @@ class _FrontState(_FlowState):
 
     def __init__(self, points, duration: float, config: FlowConfig):
         self.set_verts(cv._checked_points(points, 4, closed=False, noun="front points")[0].T)
-        k, _, seg = cv._three_point(self.verts)
+        self.measure()
         # An open chain encloses no area, and the front never snapshots on one.
-        super().__init__(config, 0.0, float(np.abs(k).max()), float(seg.sum()), self.verts.shape[1])
+        super().__init__(config, 0.0, float(np.abs(self.k).max()), float(self.seg.sum()),
+                         self.verts.shape[1])
         self.duration = duration
         self.vel = np.empty_like(self.verts)
 
+    def measure(self) -> None:
+        self.k, self.left, self.seg = cv._three_point(self.verts)
+
+    def velocity(self) -> None:
+        self.vel[:, [0, -1]] = FRONT_END_VELOCITY   # refilled: _evolve scales vel in place
+        np.multiply(self.k, self.left, out=self.vel[:, 1:-1])
+
     def plan(self, t: float) -> float:
+        """Measure and fill ``vel``; the horizon joins the displacement cap."""
         if t >= self.duration - 1e-15:
             self.close(t, Event(EVENT_HORIZON, t))
             return np.inf
-        k, left, seg = cv._three_point(self.verts)
-        kmax = self.peak(t, k, self.verts[:, 1:-1])
+        self.measure()
+        kmax = self.peak(t, self.k, self.verts[:, 1:-1])
         if kmax is None:
             return np.inf
-        self.vel[:, [0, -1]] = FRONT_END_VELOCITY   # refilled: _evolve scales vel by dt
-        np.multiply(k, left, out=self.vel[:, 1:-1])
-        h_min = float(seg.min())
-        return min(self.capped(self.cfl * h_min * h_min / 2.0, h_min, kmax), self.duration - t)
+        self.velocity()
+        h_min = float(self.seg.min())
+        return min(self.capped(h_min * h_min / 2.0, h_min, kmax), self.duration - t)
 
     def advance(self, t: float, resample: bool) -> bool:
         if resample:

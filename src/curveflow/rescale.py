@@ -172,6 +172,7 @@ def roundness_series(traj: Trajectory) -> list[tuple[float, float, float]]:
     Curves are normalized to unit enclosed area before fitting; both reported
     quantities are dilation invariant, so the series measures pure shape.
     """
+    traj.require_curves("roundness series")
     if traj.law.p != 1.0:
         raise InvalidInputError("roundness series applies to p = 1 trajectories")
     out = []

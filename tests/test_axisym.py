@@ -145,7 +145,7 @@ class TestSphereRun:
         assert all(s.metrics.mean_convex for s in small_sphere_traj.snapshots)
 
     def test_step_budget_ends_with_event(self):
-        traj = ax.run_axi(ax.sphere_profile(1.0, 100), f1.FlowConfig(max_steps=300))
+        traj = ax.run_axi(ax.sphere_profile(1.0, 100), f1.FlowConfig(max_steps=40))
         assert [e.kind for e in traj.events] == [f1.EVENT_STEP_BUDGET]
         assert traj.final().time == traj.events[0].time
         assert traj.final().time > traj.snapshots[-2].time
@@ -336,7 +336,7 @@ class TestOnePass:
         (lambda: ax.run_axi(ax.torus_profile(1.0, 0.25, 64)), ax.EVENT_TORUS_COLLAPSE),
         (lambda: ax.run_axi(ax.sphere_profile(0.5, 200), f1.FlowConfig(max_curvature_stop=6.0)),
          f1.EVENT_BLOWUP),
-        (lambda: ax.run_axi(ax.sphere_profile(1.0, 100), f1.FlowConfig(max_steps=300)),
+        (lambda: ax.run_axi(ax.sphere_profile(1.0, 100), f1.FlowConfig(max_steps=40)),
          f1.EVENT_STEP_BUDGET),
     ], ids=["pole-extinction", "neck-pinch-dumbbell", "neck-pinch-cylinder", "torus-collapse",
             "curvature-blowup", "step-budget"])
@@ -394,8 +394,9 @@ class TestOnePass:
                                   "meridian-torus", "meridian-dumbbell", "meridian-cylinder",
                                   "front"])
 def test_one_stencil_pass_per_step(case, monkeypatch):
-    """Every driver runs the stencil kernel once per state and step, plus once at the
-    start: K x (steps + 1) calls for K states on one clock, snapshots included."""
+    """Every driver runs the stencil kernel once per state and velocity evaluation,
+    plus once at the start: K x (evaluations + 1) calls for K states on one clock,
+    snapshots included."""
     calls = []
     kernel = cv._three_point
 
@@ -417,8 +418,8 @@ def test_one_stencil_pass_per_step(case, monkeypatch):
                    "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256),
                    "cylinder": perturbed_cylinder(n=128)}[case.split("-")[1]]
         k, stats = 1, ax.run_axi(profile).stats
-    assert stats.steps > 100 and (stats.snapshots > 2 or case == "front")
-    assert len(calls) == k * (stats.steps + 1)
+    assert stats.evaluations > 100 and (stats.snapshots > 2 or case == "front")
+    assert len(calls) == k * (stats.evaluations + 1)
 
 
 def brute_plateau_waist(r):

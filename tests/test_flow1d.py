@@ -9,6 +9,7 @@ import curveflow.axisym as ax
 import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
+import curveflow.rescale as rs
 from curveflow.errors import DegenerateGeometryError, InvalidInputError
 
 
@@ -198,17 +199,27 @@ class TestStops:
 
     def test_step_budget_closes_every_trajectory(self):
         traj = f1.run(cv.circle_polygon(1.0, 128), f1.SpeedLaw(1.0),
-                      f1.FlowConfig(max_steps=500))
+                      f1.FlowConfig(max_steps=25))
         assert [e.kind for e in traj.events] == [f1.EVENT_STEP_BUDGET]
         assert traj.final().time == traj.events[0].time
         assert traj.final().time > traj.snapshots[-2].time
         pair = f1.co_evolve(
             [cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 64)],
-            f1.SpeedLaw(1.0), f1.FlowConfig(max_steps=50))
+            f1.SpeedLaw(1.0), f1.FlowConfig(max_steps=20))
         t_end = pair[0].final().time
         for tr in pair:
             assert [e.kind for e in tr.events] == [f1.EVENT_STEP_BUDGET]
             assert tr.final().time == tr.events[0].time == t_end > 0
+
+    @pytest.mark.parametrize("p", [1.0 / 3.0, 0.2])
+    def test_flat_sides_do_not_stall_below_p_one(self, p):
+        # Roundoff curvature on a flat side must not set the step bound at
+        # p < 1, or dt collapses and the run spins until its step budget.
+        traj = f1.run(cv.rectangle_polygon(2.0, 1.0, 256), f1.SpeedLaw(p),
+                      f1.FlowConfig(stop_area_fraction=0.05))
+        stats = traj.stats
+        assert stats.event == f1.EVENT_EXTINCTION
+        assert stats.dt_min >= 1e-2 * stats.dt_max
 
 
 class TestCoEvolution:
@@ -248,6 +259,20 @@ class TestCoEvolution:
     def test_empty_list_rejected(self):
         with pytest.raises(InvalidInputError):
             f1.co_evolve([], f1.SpeedLaw(1.0))
+
+
+@pytest.fixture(scope="module")
+def sphere_traj():
+    return ax.run_axi(ax.sphere_profile(0.3, 96))
+
+
+@pytest.mark.parametrize("analysis", [
+    f1.analyze_area_law, f1.rescaled_length_series, f1.convexification_time,
+    rs.roundness_series, f1.Trajectory.areas,
+], ids=["area-law", "rescaled-length", "convexification", "roundness", "areas"])
+def test_curve_analyses_refuse_a_meridian(analysis, sphere_traj):
+    with pytest.raises(InvalidInputError, match="curve trajectory"):
+        analysis(sphere_traj)
 
 
 class TestCachedGeometry:
@@ -293,6 +318,8 @@ def _nested_pair(i):
     return f1.co_evolve(curves, f1.SpeedLaw(1.0))[i]
 
 
+# A step budget that ends the budget runs below before their area or pole stop.
+BUDGET = 10
 # name -> (run, the terminal event it must end with); both drivers, every way a run ends
 ENDINGS = {
     "curve-extinction": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0)),
@@ -300,7 +327,7 @@ ENDINGS = {
     "curve-blowup": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0),
                                     f1.FlowConfig(max_curvature_stop=6.0)), f1.EVENT_BLOWUP),
     "curve-budget": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0),
-                                    f1.FlowConfig(max_steps=50)), f1.EVENT_STEP_BUDGET),
+                                    f1.FlowConfig(max_steps=BUDGET)), f1.EVENT_STEP_BUDGET),
     "curve-partner": (lambda: _nested_pair(0), f1.EVENT_PARTNER_STOPPED),
     "curve-partner-driver": (lambda: _nested_pair(1), f1.EVENT_EXTINCTION),
     "meridian-pole": (lambda: ax.run_axi(ax.sphere_profile(0.5, 32)), ax.EVENT_POLE_EXTINCTION),
@@ -312,7 +339,7 @@ ENDINGS = {
                                            f1.FlowConfig(max_curvature_stop=1.5)),
                         f1.EVENT_BLOWUP),
     "meridian-budget": (lambda: ax.run_axi(ax.sphere_profile(1.0, 32),
-                                           f1.FlowConfig(max_steps=50)), f1.EVENT_STEP_BUDGET),
+                                           f1.FlowConfig(max_steps=BUDGET)), f1.EVENT_STEP_BUDGET),
 }
 TERMINAL = {f1.EVENT_EXTINCTION, f1.EVENT_BLOWUP, f1.EVENT_EMBEDDEDNESS_LOSS,
             f1.EVENT_STEP_BUDGET, f1.EVENT_PARTNER_STOPPED, ax.EVENT_POLE_EXTINCTION,
@@ -339,11 +366,15 @@ def test_run_stats_describe_the_run(ending):
     assert stats.snapshots == len(traj.snapshots)
     assert stats.resamples == stats.steps // f1.FlowConfig().resample_every
     if ending.endswith("budget"):
-        assert stats.steps == 50
+        assert stats.steps == BUDGET
+    assert stats.evaluations >= 2 * stats.steps
     if stats.steps == 0:   # closed by the first plan
         assert (stats.dt_min, stats.dt_mean, stats.dt_max) == (None, None, None)
+        assert stats.evaluations == stats.max_stages == 0
     else:
         assert 0 < stats.dt_min <= stats.dt_mean <= stats.dt_max
+        assert 2 <= stats.max_stages <= f1.MAX_STAGES
+        assert stats.evaluations <= stats.max_stages * stats.steps
         assert stats.dt_mean * stats.steps == pytest.approx(traj.final().time, rel=1e-12)
 
 

@@ -2,12 +2,13 @@
 parabolic scaling map one discrete trajectory onto another, and the closed-form
 area and radius laws hold for random shapes and sizes.
 
-Every invariance run stays short (n <= 128, at most 200 steps) and never
+Every invariance run stays short (n <= 128, at most 40 steps) and never
 resamples, so the vertices of the two runs correspond one to one and the final
 points can be compared directly.  Only roundoff separates them, so the
-tolerance is 1e-9 of the diameter.  The law runs resample and take a few
-hundred steps each; their tolerances are about twice the largest error
-measured over many random examples.
+tolerance is 1e-9 of the diameter.  The law runs resample and take a dozen
+to a few dozen steps each; their tolerances are about twice the largest
+error measured over many random forward-Euler examples, and the RKL2 errors
+are smaller.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ import curveflow.flow1d as f1
 import curveflow.oracle as oc
 
 TOL = 1e-9
-MAX_STEPS = 200
+MAX_STEPS = 40
 # resample_every above the step budget: no resample, so vertex i stays vertex i.
 CONFIG = f1.FlowConfig(max_steps=MAX_STEPS, resample_every=MAX_STEPS + 1)
 EXAMPLES = settings(max_examples=10, deadline=None)
@@ -32,9 +33,9 @@ LAWS = pytest.mark.parametrize("law", [f1.SpeedLaw(1.0), f1.SpeedLaw(1.0 / 3.0)]
 def shapes(law: f1.SpeedLaw):
     """A circle or a peanut, 64-128 vertices: lifetimes long enough that the
     step budget, not an area stop, ends the run.  The peanut is concave for
-    amplitudes above 0.2.  Below p = 1 the step bound reads the smallest
-    curvature, so near a flat point the step, and with it the clock, follows
-    roundoff (the p < 1 stall); those runs keep the peanut clearly convex."""
+    amplitudes above 0.2.  Below p = 1 the speed |k|^p is not Lipschitz at
+    k = 0, so where an inflection vanishes roundoff in k moves the points by
+    far more than roundoff; those runs keep the peanut clearly convex."""
     n = st.integers(64, 128)
     circle = st.builds(cv.circle_polygon, st.floats(0.5, 2.0), n)
     amplitude = st.floats(0.0, 0.35 if law.p == 1.0 else 0.15)
@@ -117,8 +118,9 @@ class TestClosedFormLaws:
     def test_area_drains_at_two_pi(self, n, peanut, b, amplitude):
         # Gage-Hamilton-Grayson: at p = 1, dA/dt = -2 pi for any embedded curve.
         # Here aspect 1-2 ellipses and concave peanuts lose half their area in
-        # 250-520 steps.  The error is second order in the spacing and does not
-        # depend on the size: rel * n^2 was at most 10.7 over 150 random shapes.
+        # 16-46 steps.  The error is second order in the spacing and does not
+        # depend on the size: rel * n^2 was at most 10.7 over 150 random shapes
+        # under forward Euler, and 6.4 over 60 under RKL2.
         curve = (cv.peanut_polygon(1.0, amplitude, n) if peanut
                  else cv.ellipse_polygon(1.0, b, n))
         traj = f1.run(curve, f1.SpeedLaw(1.0), f1.FlowConfig(stop_area_fraction=0.5))
@@ -128,8 +130,9 @@ class TestClosedFormLaws:
     @EXAMPLES
     @given(st.floats(0.1, 10.0))
     def test_sphere_radius_follows_its_law(self, r0):
-        # r^2 = r0^2 - 4t until the area stop at 0.7 of the lifetime, in about
-        # 590 steps; the largest error measured at n = 64 was 5.8e-4.
+        # r^2 = r0^2 - 4t until the area stop at 0.7 of the lifetime, in 39
+        # steps; the largest error measured at n = 64 was 5.8e-4 under forward
+        # Euler and 4.8e-5 under RKL2.
         traj = ax.run_axi(ax.sphere_profile(r0, 64),
                           f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.3))
         for snap in traj.snapshots:
@@ -143,7 +146,8 @@ class TestClosedFormLaws:
     @given(st.floats(0.1, 10.0))
     def test_cylinder_radius_follows_its_law(self, r0):
         # r^2 = r0^2 - 2t until the pinch; 16 samples over a period of 2 r0 take
-        # about 200 steps.  The largest error measured was 9.5e-4.
+        # 12 steps.  The largest error measured was 9.5e-4 under forward Euler
+        # and 2.3e-4 under RKL2.
         traj = ax.run_axi(ax.cylinder_profile(r0, 2.0 * r0, 16), f1.FlowConfig(cfl_factor=0.4))
         assert traj.stats.event == ax.EVENT_NECK_PINCH
         for snap in traj.snapshots:

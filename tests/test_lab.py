@@ -881,7 +881,7 @@ for prof in (ax.sphere_profile(1.0, 48), ax.torus_profile(2.0, 0.5, 48),
     ax._axi_resample(prof.samples.T, prof.topology, prof.period, 0.05)
 rs._window(ax.sphere_profile(1.0, 48).samples, 10, closed=False)
 rs._window(cv.circle_polygon(1.0, 48).vertices, 0, closed=True)
-_, stats = oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=5)
+_, stats = oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=1)
 assert stats.resamples > 0, stats
 print("ok")
 """)
