@@ -10,6 +10,7 @@ typed check table (see scenarios.ANALYSES).
 from __future__ import annotations
 
 import math
+import operator
 import time
 import traceback
 import warnings
@@ -36,17 +37,53 @@ from .artifacts import (
 from .scenarios import DIAL_ACCEPTS, KIND_AXI, KIND_ORACLE, SHAPES_BY_KIND, Scenario
 
 
+# How each sense compares a check's value with its tolerance.
+_SENSES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, "==": operator.eq,
+           "in": lambda value, accepted: value in accepted}
+
+
+def _plain(x):
+    """A figure as strict JSON takes it: a Python number, None if not finite."""
+    if isinstance(x, (np.floating, np.integer)):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+def _text(x) -> str:
+    return f"{x:.6g}" if isinstance(x, float) else str(x)
+
+
 @dataclass
 class CheckResult:
+    """One acceptance check, passed when ``value sense tolerance`` holds.
+
+    A missing (None) or non-finite value fails.  ``measured`` is the figure
+    reported: ``value`` unless the caller gives another, such as the slope
+    whose relative error is the value.  ``margin``, for "<" and "<=" with a
+    positive tolerance, is value / tolerance: the share of its bound the
+    check uses.  Otherwise it is None.
+    """
     name: str
-    passed: bool
-    measured: float | str
-    detail: str
+    value: float | int | str | None
+    sense: str
+    tolerance: float | int | str | tuple[str, ...]
+    measured: float | int | str | None = None
+    passed: bool = field(init=False)
+    margin: float | None = field(init=False)
+    detail: str = field(init=False)
 
     def __post_init__(self):
-        self.passed = bool(self.passed)
-        if isinstance(self.measured, (np.floating, np.integer)):
-            self.measured = float(self.measured)
+        self.value = _plain(self.value)
+        self.measured = self.value if self.measured is None else _plain(self.measured)
+        self.passed = self.value is not None and bool(
+            _SENSES[self.sense](self.value, self.tolerance))
+        bounded = self.sense in ("<", "<=") and self.value is not None and self.tolerance > 0
+        self.margin = _plain(self.value / self.tolerance) if bounded else None
+        self.detail = f"{_text(self.value)} {self.sense} {_text(self.tolerance)}"
+        if self.measured is not self.value:
+            self.detail += f"; measured {_text(self.measured)}"
 
 
 @dataclass
@@ -94,53 +131,38 @@ def _eval_radius_law(s: Scenario, out: Path, traj):
     rows = [(t, m, r, abs(m - r) / r) for t, m, r in zip(times, measured, reference)]
     write_text(out / "radius_law.csv",
                series_csv("t,measured,reference,rel_err", rows))
-    rel = np.array([row[3] for row in rows])
     t_max = s.checks["radius_time_max"]
-    window = np.array(times) <= (t_max if t_max is not None else np.inf)
-    worst = float(rel[window].max())
-    tol = s.checks["radius_rel_tol"]
+    worst = np.max([rel for t, _, _, rel in rows if t_max is None or t <= t_max])
     return "radius_law.csv", [CheckResult(
-        "radius-law/max_rel_err", worst < tol, worst,
-        f"max relative radius error {worst:.3e} vs oracle, tolerance {tol:g}"
-        + (f" for t <= {t_max:g}" if t_max is not None else ""),
-    )]
+        "radius-law/max_rel_err", worst, "<", s.checks["radius_rel_tol"])]
 
 
 def _eval_area_law(s: Scenario, out: Path, traj: f1.Trajectory):
     law = f1.analyze_area_law(traj)
     a0 = float(traj.areas()[0])
-    payload = {
+    target_slope = -2.0 * math.pi
+    target = s.checks["extinction_target"]
+    target = a0 / (2.0 * math.pi) if target is None else target
+    write_json(out / "area_law.json", {
         "slope": law.slope,
         "extinction_estimate": law.extinction_estimate,
         "initial_area": a0,
-    }
-    checks = []
-    target_slope = -2.0 * math.pi
-    rel = abs(law.slope - target_slope) / abs(target_slope)
-    tol = s.checks["slope_rel_tol"]
-    payload["slope_target"] = target_slope
-    checks.append(CheckResult(
-        "area-law/slope", rel < tol, law.slope,
-        f"dA/dt = {law.slope:.6f} vs -2*pi, rel err {rel:.3e} tol {tol:g}"))
-    target = s.checks["extinction_target"]
-    target = a0 / (2.0 * math.pi) if target is None else target
+        "slope_target": target_slope,
+        "extinction_target": target,
+    })
     err = abs(law.extinction_estimate - target)
-    mode, tol = "abs", s.checks["extinction_abs_tol"]
+    tol = s.checks["extinction_abs_tol"]
     if tol is None:
-        mode, err, tol = "rel", err / target, s.checks["extinction_rel_tol"]
-    payload["extinction_target"] = target
-    checks.append(CheckResult(
-        "area-law/extinction", err < tol, law.extinction_estimate,
-        f"extinction {law.extinction_estimate:.6f} vs {target:g}, "
-        f"{mode} err {err:.3e} tol {tol:g}"))
+        err, tol = err / target, s.checks["extinction_rel_tol"]
+    checks = [
+        CheckResult("area-law/slope", abs(law.slope - target_slope) / abs(target_slope),
+                    "<", s.checks["slope_rel_tol"], law.slope),
+        CheckResult("area-law/extinction", err, "<", tol, law.extinction_estimate),
+    ]
     life_max = s.checks["lifetime_max"]
     if life_max is not None:
-        ok = law.extinction_estimate < life_max
         checks.append(CheckResult(
-            "area-law/lifetime", ok, law.extinction_estimate,
-            f"extinction estimate {law.extinction_estimate:.4f} "
-            f"< bound {life_max:g}"))
-    write_json(out / "area_law.json", payload)
+            "area-law/lifetime", law.extinction_estimate, "<", life_max))
     return "area_law.json", checks
 
 
@@ -149,29 +171,18 @@ def _eval_roundness(s: Scenario, out: Path, traj: f1.Trajectory):
     write_text(out / "roundness.csv",
                series_csv("t,circle_residual,iso_ratio", series))
     times, resid, iso = (np.array(column) for column in zip(*series))
-    checks = []
-    tol_f = s.checks["roundness_final"]
-    checks.append(CheckResult(
-        "roundness/final", resid[-1] < tol_f, float(resid[-1]),
-        f"final circle residual {resid[-1]:.4f} < {tol_f:g}"))
-    tol_i = s.checks["iso_final_tol"]
-    iso_err = abs(iso[-1] - 1.0)
-    checks.append(CheckResult(
-        "roundness/iso", iso_err < tol_i, float(iso[-1]),
-        f"final isoperimetric ratio {iso[-1]:.6f}, |ratio-1| {iso_err:.3e} < {tol_i:g}"))
+    checks = [
+        CheckResult("roundness/final", resid[-1], "<", s.checks["roundness_final"]),
+        CheckResult("roundness/iso", abs(iso[-1] - 1.0), "<", s.checks["iso_final_tol"],
+                    iso[-1]),
+    ]
     if s.checks["roundness_monotone"]:
         half = times >= times[-1] / 2.0
-        diffs = np.diff(resid[half])
-        bad = int(np.sum(diffs >= 0))
-        checks.append(CheckResult(
-            "roundness/monotone", bad == 0, bad,
-            f"{bad} non-decreasing residual steps over the final half-lifetime"))
+        rises = int(np.sum(np.diff(resid[half]) >= 0))
+        checks.append(CheckResult("roundness/monotone", rises, "==", 0))
     r_max = s.checks["roundness_max"]
     if r_max is not None:
-        worst = float(resid.max())
-        checks.append(CheckResult(
-            "roundness/max", worst < r_max, worst,
-            f"max circle residual {worst:.3e} < {r_max:g}"))
+        checks.append(CheckResult("roundness/max", resid.max(), "<", r_max))
     return "roundness.csv", checks
 
 
@@ -185,15 +196,10 @@ def _eval_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
         "embedded_all": all(embedded),
     })
     return "convexification.json", [
-        CheckResult(
-            "convexification/event_order",
-            conv_t is not None and conv_t < end_t,
-            conv_t if conv_t is not None else "none",
-            f"convexification at {conv_t} strictly before final time {end_t:.4f}"
-            if conv_t is not None else "no convexification event recorded"),
-        CheckResult(
-            "convexification/embedded", all(embedded), int(sum(embedded)),
-            f"{sum(embedded)}/{len(embedded)} snapshots embedded"),
+        CheckResult("convexification/event_order", conv_t, "<", end_t,
+                    "none" if conv_t is None else conv_t),
+        CheckResult("convexification/embedded", embedded.count(False), "==", 0,
+                    sum(embedded)),
     ]
 
 
@@ -205,14 +211,10 @@ def _eval_eccentricity(s: Scenario, out: Path, traj: f1.Trajectory):
     write_text(out / "eccentricity.csv",
                series_csv("t,eccentricity,fit_residual", rows))
     _, ecc, res = (np.array(column) for column in zip(*rows))
-    drift = float(np.abs(ecc - ecc[0]).max())
-    tol_d = s.checks["ecc_drift_tol"]
-    tol_r = s.checks["ellipse_fit_tol"]
     return "eccentricity.csv", [
-        CheckResult("eccentricity/drift", drift < tol_d, drift,
-                    f"max eccentricity drift {drift:.3e} < {tol_d:g}"),
-        CheckResult("eccentricity/fit", float(res.max()) < tol_r, float(res.max()),
-                    f"max ellipse-fit residual {res.max():.3e} < {tol_r:g}"),
+        CheckResult("eccentricity/drift", np.abs(ecc - ecc[0]).max(), "<",
+                    s.checks["ecc_drift_tol"]),
+        CheckResult("eccentricity/fit", res.max(), "<", s.checks["ellipse_fit_tol"]),
     ]
 
 
@@ -220,85 +222,62 @@ def _eval_norm_length(s: Scenario, out: Path, traj: f1.Trajectory):
     series = f1.rescaled_length_series(traj)
     write_text(out / "norm_length.csv",
                series_csv("t,normalized_length", series))
-    vals = np.array([v for _, v in series])
-    diffs = np.diff(vals)
-    bad = int(np.sum(diffs <= 0))
-    return "norm_length.csv", [CheckResult(
-        "norm-length/increasing", bad == 0, bad,
-        f"{bad} non-increasing steps; normalized length "
-        f"{vals[0]:.4f} -> {vals[-1]:.4f}")]
+    falls = int(np.sum(np.diff([v for _, v in series]) <= 0))
+    return "norm_length.csv", [CheckResult("norm-length/increasing", falls, "==", 0)]
 
 
 def _eval_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
     t_a, t_b = trajs
     rows = []
-    embedded = True
+    broken = 0    # shared snapshots where either curve is not embedded
     for sa, sb in zip(t_a.snapshots, t_b.snapshots):
         rows.append((sa.time, cv.min_distance(sa.geometry, sb.geometry)))
-        embedded = embedded and cv.is_embedded(sa.geometry) and cv.is_embedded(sb.geometry)
+        broken += not (cv.is_embedded(sa.geometry) and cv.is_embedded(sb.geometry))
     write_text(out / "pair_distance.csv", series_csv("t,min_distance", rows))
-    dmin = float(min(r[1] for r in rows))
-    floor = s.checks["min_separation"]
     return "pair_distance.csv", [
-        CheckResult("pair-distance/separation", dmin > floor, dmin,
-                    f"min inter-curve distance {dmin:.4f} > {floor:g}"),
-        CheckResult("pair-distance/embedded", embedded, int(embedded),
-                    "both curves embedded at every shared snapshot"
-                    if embedded else "embeddedness lost"),
+        CheckResult("pair-distance/separation", min(r[1] for r in rows), ">",
+                    s.checks["min_separation"]),
+        CheckResult("pair-distance/embedded", broken, "==", 0, int(broken == 0)),
     ]
 
 
 def _eval_neck(s: Scenario, out: Path, traj: f1.Trajectory):
     report = ax.neck_report(traj)
-    event = traj.events[-1] if traj.events else None
+    event = traj.events[-1]    # the terminal neck-pinch or torus-collapse event
     times, radii = report.series[report.window].T
     ratios = radii / np.sqrt(2.0 * (report.pinch_time - times))
-    payload = {
+    write_json(out / "neck.json", {
         "pinch_time_fit": report.pinch_time,
-        "event": None if event is None else
-        {"kind": event.kind, "time": event.time,
-         "location": list(event.location) if event.location else None},
+        "event": {"kind": event.kind, "time": event.time,
+                  "location": list(event.location)},
         "ratio_min": float(ratios.min()),
         "ratio_max": float(ratios.max()),
         "series": [[float(a), float(b)] for a, b in report.series],
-    }
-    write_json(out / "neck.json", payload)
+    })
     checks = []
     want = s.checks["event"]
     if want is not None:
-        got = event.kind if event is not None else "none"
-        checks.append(CheckResult(
-            "neck/event", got == want, got,
-            f"terminating event {got!r}, expected {want!r}"))
+        checks.append(CheckResult("neck/event", event.kind, "==", want))
     band = s.checks["neck_ratio_band"]
     if band is not None:
-        ok = ratios.min() >= 1.0 - band and ratios.max() <= 1.0 + band
-        checks.append(CheckResult(
-            "neck/ratio_band", ok,
-            f"[{ratios.min():.4f}, {ratios.max():.4f}]",
-            f"waist / sqrt(2(T-t)) within 1 +- {band:g} over the final decade"))
+        # waist / sqrt(2(T-t)) within 1 +- band over the final decade
+        spread = max(1.0 - ratios.min(), ratios.max() - 1.0)
+        checks.append(CheckResult("neck/ratio_band", spread, "<=", band))
     x_tol = s.checks["pinch_x_tol"]
-    if x_tol is not None and event is not None and event.location is not None:
-        x = abs(event.location[0])
-        checks.append(CheckResult(
-            "neck/location", x <= x_tol, event.location[0],
-            f"pinch at x = {event.location[0]:.4f}, |x| <= {x_tol:g}"))
+    if x_tol is not None:
+        x = event.location[0]
+        checks.append(CheckResult("neck/location", abs(x), "<=", x_tol, x))
     if s.checks["mean_convex"]:
         flags = [bool(snap.metrics.mean_convex) for snap in traj.snapshots]
-        checks.append(CheckResult(
-            "neck/mean_convex", all(flags), int(sum(flags)),
-            f"{sum(flags)}/{len(flags)} snapshots mean convex"))
+        checks.append(CheckResult("neck/mean_convex", flags.count(False), "==", 0,
+                                  sum(flags)))
     fac = s.checks["circle_fit_spacing_factor"]
     if fac is not None:
         pts = traj.final().geometry.samples
         (cx, cy), radius, _ = rs.fit_circle(pts)
-        dev = float(np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - radius).max())
+        dev = np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - radius).max()
         seg = np.hypot(*np.diff(pts, axis=0).T)
-        allowance = fac * float(seg.mean())
-        checks.append(CheckResult(
-            "neck/collapse_circle", dev <= allowance, dev,
-            f"final samples within {dev:.2e} of a single circle "
-            f"(allowance {allowance:.2e})"))
+        checks.append(CheckResult("neck/collapse_circle", dev, "<=", fac * float(seg.mean())))
     return "neck.json", checks
 
 
@@ -317,13 +296,9 @@ def _eval_blowup(s: Scenario, out: Path, traj: f1.Trajectory):
     checks = []
     for power, want in zip(s.options["dial_powers"], s.checks["dial_classes"]):
         report = rs.curvature_normalized_frames(traj, probes, scale_power=power)
-        entry = report.to_json_dict()
-        entry["scale_power"] = power
-        dials.append(entry)
-        got = report.limit_classification
-        checks.append(CheckResult(
-            f"blowup/dial_h^{power:g}", got in DIAL_ACCEPTS[want], got,
-            f"scale h^{power:g} classified {got!r}, accepted {want!r}"))
+        dials.append({**report.to_json_dict(), "scale_power": power})
+        checks.append(CheckResult(f"blowup/dial_h^{power:g}", report.limit_classification,
+                                  "in", DIAL_ACCEPTS[want]))
     write_json(out / "blowup.json", {"probes": [list(p) for p in probes],
                                      "dials": dials})
     return "blowup.json", checks
@@ -335,17 +310,14 @@ def _eval_translate(s: Scenario, out: Path, front):
     n = len(start)
     trim = max(1, n // 10)
     target = start + np.array([0.0, duration])
-    dev = oc.polyline_distance(final[trim:-trim], target)
-    worst = float(dev.max())
-    tol = s.checks["translate_dev_tol"]
+    worst = float(oc.polyline_distance(final[trim:-trim], target).max())
     write_json(out / "translate.json", {
         "duration": duration,
         "interior_max_deviation": worst,
         "interior_samples": int(n - 2 * trim),
     })
     return "translate.json", [CheckResult(
-        "translate/deviation", worst < tol, worst,
-        f"interior deviation {worst:.2e} from the rigid translate, tol {tol:g}")]
+        "translate/deviation", worst, "<", s.checks["translate_dev_tol"])]
 
 
 def _eval_selfcheck(s: Scenario, out: Path, _flow):
@@ -353,10 +325,8 @@ def _eval_selfcheck(s: Scenario, out: Path, _flow):
     worst = float(max(cases.values()))
     write_json(out / "oracle_selfcheck.json",
                {"cases": cases, "worst": worst})
-    tol = s.checks["selfcheck_tol"]
     return "oracle_selfcheck.json", [CheckResult(
-        "selfcheck/max_error", worst < tol, worst,
-        f"worst closed-form vs RK4 mismatch {worst:.2e} < {tol:g}")]
+        "selfcheck/max_error", worst, "<", s.checks["selfcheck_tol"])]
 
 
 _EVALUATORS = {
@@ -485,14 +455,14 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
 
 
 def _telemetry(flow) -> dict | None:
-    """The run stats of each of the flow's trajectories, or None if it has none."""
+    """The run stats of each of the flow's trajectories; None for the oracle,
+    which runs no flow."""
+    if flow is None:
+        return None
     if isinstance(flow, tuple):   # the translating front: (start, final, stats)
         stats = [flow[2]]
     else:
-        trajs = flow if isinstance(flow, list) else [flow]
-        stats = [getattr(traj, "stats", None) for traj in trajs]
-    if None in stats:
-        return None
+        stats = [traj.stats for traj in (flow if isinstance(flow, list) else [flow])]
     return {"trajectories": [asdict(st) for st in stats]}
 
 
@@ -575,9 +545,8 @@ def format_table(reports: list[RunReport]) -> str:
         if r.error is not None:
             body = f"error: {r.error}"
         else:
-            good = sum(c.passed for c in r.checks)
-            body = f"{good}/{len(r.checks)} ok"
             failed = [c.name for c in r.checks if not c.passed]
+            body = f"{len(r.checks) - len(failed)}/{len(r.checks)} ok"
             if failed:
                 body += "  failing: " + ", ".join(failed)
         lines.append(f"{r.scenario:<{name_w}}  {status:<6}  {r.wall_time:7.1f}s  {body}")

@@ -114,6 +114,22 @@ DUMBBELL_PAIR = AXI_PAIR.format(
 COARSE_TORUS_PAIR = AXI_PAIR.format(
     name="torus", shape="torus", n=32, params="shape.ring_r = 1.0\nshape.tube_r = 0.25")
 
+# A circle of radius 1.5 around a 0.8 x 0.4 ellipse: they start 0.7 apart.
+NESTED_PAIR = """[pair]
+kind = curve-flow
+shape = nested_pair
+shape.outer_radius = 1.5
+shape.a = 0.8
+shape.b = 0.4
+n = 48
+law.p = 1.0
+cfl_factor = 0.5
+resample_every = 10
+stop_area_fraction = 0.5
+analyses = pair-distance
+save_snapshots = true
+"""
+
 TINY_ELLIPSE = """[ellipse_{name}]
 kind = curve-flow
 shape = ellipse
@@ -492,21 +508,7 @@ class TestRunner:
         assert scenario_files(tmp_path / "a") == scenario_files(tmp_path / "b")
 
     def test_nested_pair_writes_one_set_per_curve(self, tmp_path):
-        text = """[pair]
-kind = curve-flow
-shape = nested_pair
-shape.outer_radius = 1.5
-shape.a = 0.8
-shape.b = 0.4
-n = 48
-law.p = 1.0
-cfl_factor = 0.5
-resample_every = 10
-stop_area_fraction = 0.5
-analyses = pair-distance
-save_snapshots = true
-"""
-        report = runner.run_scenario(scenarios.parse_config(text)[0], tmp_path)
+        report = runner.run_scenario(scenarios.parse_config(NESTED_PAIR)[0], tmp_path)
         assert report.passed, report.error
         assert report.artifacts == [
             f"{stem}_{i}{ext}" for i in (0, 1)
@@ -558,10 +560,44 @@ analyses = neck
             "name", "passed", "wall_time", "shared_flow", "error", "traceback", "warnings",
             "telemetry", "artifacts", "checks"}
         assert set(on_disk["scenarios"][0]["checks"][0]) == {
-            "name", "passed", "measured", "detail"}
+            "name", "passed", "measured", "detail", "value", "sense", "tolerance", "margin"}
         # the worker count is ignored
         runner.accept(batch, tmp_path / "1", workers=1)
         assert scenario_files(tmp_path / "2") == scenario_files(tmp_path / "1")
+
+    def test_each_sense_fails_on_a_wrong_tolerance(self, tmp_path):
+        # one check set to fail per sense: <, >, == and in
+        text = (TINY_CIRCLE.replace("radius_rel_tol = 1e-2", "radius_rel_tol = 1e-12")
+                + NESTED_PAIR + "check.min_separation = 1.0\n"
+                + DUMBBELL_PAIR.replace("analyses = neck\n",
+                                   "analyses = neck\ncheck.event = torus-collapse\n")
+                .replace("analyses = blowup\n", "analyses = blowup\ncheck.dial_classes = "
+                         "circle-like; convex-or-cylinder; cylinder-like\n"))
+        reports, summary, status = runner.accept(scenarios.parse_config(text), tmp_path)
+        assert status == 1 and summary["failed"] == 4
+        failing = [c for r in reports for c in r.checks if not c.passed]
+        assert [(c.name, c.sense) for c in failing] == [
+            ("radius-law/max_rel_err", "<"), ("pair-distance/separation", ">"),
+            ("neck/event", "=="), ("blowup/dial_h^2", "in")]
+        assert [r.error for r in reports] == [None] * 4
+        assert [r.passed for r in reports] == [False] * 4
+        assert failing[0].margin > 1
+        assert [c.margin for c in failing[1:]] == [None] * 3
+        assert (failing[2].value, failing[3].value) == ("neck-pinch", "plane-like")
+
+    def test_closed_form_measures_are_the_analyses_figures(self, tmp_path):
+        # curvebench's closed_form_rel_err reads these two measured figures
+        s = scenarios.parse_config(TINY_CIRCLE + "check.radius_time_max = 0.05\n")[0]
+        runner.accept([s], tmp_path)
+        (entry,) = json.loads((tmp_path / "summary.json").read_text())["scenarios"]
+        measured = {c["name"]: c["measured"] for c in entry["checks"]}
+        traj = runner._run_flow(runner._flow_key(s))
+        assert measured["area-law/slope"] == f1.analyze_area_law(traj).slope
+        rows = np.loadtxt(tmp_path / "tiny_circle" / "radius_law.csv", delimiter=",",
+                          skiprows=1)
+        window = rows[:, 0] <= 0.05
+        assert 0 < window.sum() < len(rows)
+        assert measured["radius-law/max_rel_err"] == rows[window, 3].max()
 
     def test_summary_keeps_the_traceback_of_a_failure(self, tmp_path):
         bad = scenarios.parse_config(BLOWUP.replace("tube_r = 0.15", "tube_r = 1.5"))[0]
