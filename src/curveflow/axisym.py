@@ -159,12 +159,12 @@ def _polyline(topology: str) -> slice:
 
 def _meridian_pass(
     chain: NDArray[np.float64], topology: str, period: float | None
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], float]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """The one geometry pass over a meridian's (2, n + 2) chain of rows x, r: fill
     the ghosts, run the stencil once.  Returns h = kappa - nu_r / r with kappa and
     nu as the left normal orients them (2 kappa at a pole, where both principal
-    curvatures agree), the (2, n) left normal rows, the polyline's segment lengths
-    and its lateral area, exact per conical frustum; ``_metrics_of`` turns h inward."""
+    curvatures agree), the (2, n) left normal rows and the polyline's segment
+    lengths; ``_metrics_of`` turns h inward."""
     _fill_ghosts(chain, topology, period)
     k, left, seg = cv._three_point(chain)
     if topology == TOPOLOGY_TWO_POLES:
@@ -172,9 +172,14 @@ def _meridian_pass(
         h[1:-1] = k[1:-1] - left[1, 1:-1] / chain[1, 2:-2]
     else:
         h = k - left[1] / chain[1, 1:-1]
-    ends = _polyline(topology)
-    r, seg = chain[1, ends], seg[ends]
-    return h, left, seg, float((np.pi * (r[:-1] + r[1:]) * seg).sum())
+    return h, left, seg[_polyline(topology)]
+
+
+def _lateral_area(chain: NDArray[np.float64], topology: str, seg: NDArray[np.float64]) -> float:
+    """Lateral area of the revolved polyline of a chain that ``_meridian_pass``
+    filled, from its segment lengths, exact per conical frustum."""
+    r = chain[1, _polyline(topology)]
+    return float((np.pi * (r[:-1] + r[1:]) * seg).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +272,8 @@ def axi_metrics(profile: AxiProfile) -> AxiMetrics:
     """Area and volume of the revolved polyline, exact per conical frustum, and
     the waist and mean curvature range of the samples."""
     chain = cv._closed_chain(profile.samples)   # the pass refills its ghost columns
-    h, _, _, area = _meridian_pass(chain, profile.topology, profile.period)
-    return _metrics_of(chain, profile.topology, h, area)
+    h, _, seg = _meridian_pass(chain, profile.topology, profile.period)
+    return _metrics_of(chain, profile.topology, h, _lateral_area(chain, profile.topology, seg))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +398,8 @@ class _AxiState(_FlowState):
 
     The rows, x in ``verts[0]`` and r in ``verts[1]``, are the inside of a
     (2, n + 2) chain buffer with a ghost column at each end.  ``advance`` makes
-    the step's last geometry pass, ``measure``, before it looks for a neck; the
-    next ``plan`` and every snapshot (``_metrics_of``) read that pass.
+    the step's last geometry pass, ``measure`` and ``measure_area``, before it
+    looks for a neck; the next ``plan`` and every snapshot read that pass.
     Snapshots fall due on a geometric schedule in the lateral area and, for a
     true waist, in its radius.
     """
@@ -405,6 +410,7 @@ class _AxiState(_FlowState):
         self.period = profile.period
         self.two_poles = self.topology == TOPOLOGY_TWO_POLES
         self.measure()
+        self.measure_area()
         m = _metrics_of(self.chain, self.topology, self.h, self.area)
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
         super().__init__(config, m.surface_area, h0, float(self.seg.sum()), len(profile))
@@ -426,12 +432,15 @@ class _AxiState(_FlowState):
 
     def measure(self) -> None:
         """One geometry pass: put the poles back on the axis, then keep h, the
-        left normal, the segment lengths and the lateral area of the chain."""
+        left normal and the segment lengths of the chain."""
         if self.two_poles:
             self.verts[1, 0] = 0.0
             self.verts[1, -1] = 0.0
-        self.h, self.left, self.seg, self.area = _meridian_pass(
-            self.chain, self.topology, self.period)
+        self.h, self.left, self.seg = _meridian_pass(self.chain, self.topology, self.period)
+
+    def measure_area(self) -> None:
+        """Keep the lateral area of the chain ``measure`` filled."""
+        self.area = _lateral_area(self.chain, self.topology, self.seg)
 
     def velocity(self) -> NDArray[np.float64]:
         """Fill ``vel`` with h nu and return h.  h nu is the same for either
@@ -446,8 +455,7 @@ class _AxiState(_FlowState):
             for i, j in ((0, 1), (-1, -2)):
                 lim = 2.0 * abs(float(h[j]))
                 h[i] = min(max(float(h[i]), -lim), lim)
-        self.vel = self.left   # h nu, in the normal's buffer; the next measure makes a new one
-        self.vel *= h
+        np.multiply(self.left, h, out=self.vel)
         return h
 
     def plan(self, t: float) -> float:
@@ -464,6 +472,7 @@ class _AxiState(_FlowState):
         if resample:
             self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
         self.measure()
+        self.measure_area()
         pts = self.verts.T
 
         # Without a dip, a two-pole profile that started without a true waist has none.

@@ -10,18 +10,20 @@ so the approach to extinction is well sampled.
 The same loop, ``_evolve``, steps the other two drivers: the meridians of
 ``axisym`` and the open translating front of ``oracle``.  It owns the update:
 each driver's ``plan`` fills ``vel`` with F(Y0) and returns its displacement
-cap, ``stage_velocity`` refills ``vel`` at each later stage, the loop combines
-every driver's (2, n) point rows, x and y (or r), and ``advance`` follows.
-All three share its step budget, displacement and curvature caps and terminal
-events.  Curves and meridians also share its snapshot schedule, keep their
-rows between two ghost columns of a (2, n + 2) chain, and make one geometry
-pass per evaluation; the next bound and every snapshot read the one that
-``advance`` makes at the end of a step.
+cap, ``stage_velocity`` refills ``vel`` at each later stage, and each stage
+is one weighted sum over a bank of six (2, n + 2) buffers per state: a row of
+``_rkl2``'s table dotted with Y(j-1) (the point rows, x and y or r, between
+two ghost columns), Y(j-2), Y0, F and F0.  All three drivers share its step
+budget, caps and terminal events; curves and meridians also share its
+snapshot schedule and make one geometry pass per evaluation.  Only the pass
+``advance`` makes at a step's end adds the area; the next bound and every
+snapshot read that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -168,11 +170,12 @@ class _FlowState:
 
     Every terminal event goes through :meth:`end` into ``events``, so there is
     exactly one and it is the last.  Subclasses keep their points as (2, n)
-    rows in ``verts`` and supply ``plan`` (fills ``vel`` with F(Y0), records
-    the diffusive bound through ``capped`` and returns the cap, or closes the
-    state), ``measure`` and ``velocity`` (a geometry pass, then ``vel`` from
-    it), ``advance(t, resample)`` (is a snapshot due?), ``validate``, ``take``
-    (keep a snapshot, return its area) and ``stop_kind``.
+    rows in ``verts`` (``set_verts``) and supply ``plan`` (fills ``vel`` with
+    F(Y0), records the diffusive bound through ``capped`` and returns the cap,
+    or closes the state), ``measure`` and ``velocity`` (a geometry pass without
+    the area, then ``vel``), ``advance(t, resample)`` (the last pass, with the
+    area: is a snapshot due?), ``validate``, ``take`` (keep a snapshot, return
+    its area) and ``stop_kind``.
     """
 
     stop_kind = EVENT_EXTINCTION
@@ -193,12 +196,15 @@ class _FlowState:
 
     def set_verts(self, rows: NDArray[np.float64]) -> None:
         """Copy (2, n) point rows into ``verts``, the inside of the (2, n + 2)
-        ``chain``: a ghost column, the points, a ghost column.  The RKL2 stage
-        buffers, Y0, tau F(Y0), Y(j-2) and a work row pair, follow its size."""
+        ``chain`` (ghost, points, ghost): slot 0 of ``bank``, whose six slots,
+        zeroed when n changes, are Y(j-1), Y(j-2), Y0, F (inside: ``vel``), F0
+        and a stage's output; ``flat`` holds each slot as one row."""
         if self.chain.shape[1] != rows.shape[1] + 2:
-            self.chain = np.empty((2, rows.shape[1] + 2))
+            self.bank = np.zeros((6, 2, rows.shape[1] + 2))   # 0 x an unread entry must be 0
+            self.flat = self.bank.reshape(6, -1)
+            self.chain = self.bank[0]
             self.verts = self.chain[:, 1:-1]
-            self.stages = np.empty((4,) + rows.shape)
+            self.vel = self.bank[3, :, 1:-1]
         self.verts[...] = rows
 
     def capped(self, dt_e: float, h: float, vmax: float) -> float:
@@ -209,8 +215,8 @@ class _FlowState:
         return DISPLACEMENT_FRACTION * h / vmax if vmax > 0 else np.inf
 
     def stage_velocity(self) -> None:
-        """Fill ``vel`` with F at the working points: a fresh geometry pass,
-        then the velocity that ``plan`` takes as F(Y0)."""
+        """Fill ``vel`` with F at the working points: a fresh geometry pass
+        without the area, then the velocity that ``plan`` takes as F(Y0)."""
         self.measure()
         self.velocity()
 
@@ -270,17 +276,22 @@ class _FlowState:
         return float(c[0]), float(c[1])
 
 
-def _rkl2(stages: int) -> tuple[float, list[tuple[float, float, float, float]]]:
-    """Coefficients of an RKL2 step of ``stages`` evaluations (Meyer, Balsara and
-    Aslam 2014, eq. 16-17): mu~_1, then (mu_j, nu_j, mu~_j, gamma~_j) for j >= 2."""
+@cache
+def _rkl2(stages: int) -> NDArray[np.float64]:
+    """Weights of an RKL2 step of ``stages`` evaluations (Meyer, Balsara and
+    Aslam 2014, eq. 16-17), one row per stage over (Y(j-1), Y(j-2), Y0, F, F0);
+    the F columns are to be scaled by the step.  Row 1 is Y0 + mu~_1 tau F0, row
+    j >= 2 is (mu_j, nu_j, 1 - mu_j - nu_j, mu~_j, gamma~_j).  Read-only, cached."""
     w1 = 4.0 / (stages * stages + stages - 2)
     b = [1.0 / 3.0] * 2 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(2, stages + 1)]
-    rest = []
+    table = np.zeros((stages, 5))
+    table[0, 2:] = 1.0, 0.0, b[1] * w1
     for j in range(2, stages + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
-        rest.append((mu, nu, mu * w1, -(1.0 - b[j - 1]) * mu * w1))
-    return b[1] * w1, rest
+        table[j - 1] = mu, nu, 1.0 - mu - nu, mu * w1, -(1.0 - b[j - 1]) * mu * w1
+    table.setflags(write=False)
+    return table
 
 
 def _stage_count(tau: float, euler: float) -> tuple[int, float]:
@@ -296,8 +307,9 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
     """Step every state on one clock until one stops or the step budget runs out.
 
     A step is one RKL2 step over tau, the smallest cap a ``plan`` returns, in
-    as many stages as ``FlowConfig`` says.  Stage j combines Y(j-1), Y(j-2), Y0,
-    tau F(Y(j-1)) and tau F(Y0) in place.  Returns each state's stats, in order.
+    as many stages as ``FlowConfig`` says.  Stage j writes Y(j), one weighted
+    sum of a bank's first five slots, into slot 5, then shifts Y(j-1) into
+    slot 1 and Y(j) into the chain.  Returns each state's stats, in order.
     """
     t = 0.0
     steps = evaluations = max_stages = 0
@@ -313,29 +325,17 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
             break
 
         stages, tau = _stage_count(tau, config.cfl_factor * dt_e)
-        first, rest = _rkl2(stages)
+        weights = _rkl2(stages) * [1.0, 1.0, 1.0, tau, tau]
         for s in states:
-            y0, f0, prev, work = s.stages
-            y0[...] = s.verts
-            prev[...] = s.verts
-            np.multiply(s.vel, tau, out=f0)
-            np.multiply(f0, first, out=work)
-            s.verts += work
-        for mu, nu, mu_f, gamma_f in rest:
+            s.bank[2] = s.bank[0]   # Y0
+            s.bank[4] = s.bank[3]   # F0, which plan left in F
+        for j, w in enumerate(weights):
             for s in states:
-                s.stage_velocity()
-                y0, f0, prev, work = s.stages
-                prev *= nu
-                np.multiply(y0, 1.0 - mu - nu, out=work)
-                prev += work
-                s.vel *= mu_f * tau
-                prev += s.vel
-                np.multiply(f0, gamma_f, out=work)
-                prev += work
-                work[...] = s.verts   # Y(j-1), the next stage's Y(j-2)
-                s.verts *= mu
-                s.verts += prev          # Y(j)
-                prev[...] = work
+                if j:
+                    s.stage_velocity()
+                np.dot(w, s.flat[:5], out=s.flat[5])
+                s.flat[1] = s.flat[0]   # Y(j-1), the next stage's Y(j-2)
+                s.flat[0] = s.flat[5]   # Y(j)
         t += tau
         steps += 1
         evaluations += stages
@@ -369,15 +369,16 @@ class _CurveState(_FlowState):
     ``verts[1]``: the inside of a (2, n + 2) chain buffer with a ghost column at
     each end, reallocated only when a resample changes the vertex count.  A step
     moves the rows in place, with one geometry pass, ``measure``, per stage
-    after the first and one at its end; the next ``plan``, the snapshot
-    schedule and the snapshot's metrics all read the curvature, normal, edge
-    lengths and area the last pass keeps.  The validated curve object is only
-    built when a snapshot is recorded.
+    after the first and one at its end, which alone adds ``measure_area``; the
+    next ``plan``, the snapshot schedule and the snapshot's metrics all read
+    the curvature, normal, edge lengths and area it keeps.  The validated
+    curve object is only built when a snapshot is recorded.
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
         self.set_verts(curve.vertices.T)
         self.measure()
+        self.measure_area()
         m = cv._metrics_of(self.k, self.seg, self.area)
         k0 = max(abs(m.min_curvature), abs(m.max_curvature))
         super().__init__(config, abs(m.enclosed_area), k0, m.length, len(curve))
@@ -387,19 +388,22 @@ class _CurveState(_FlowState):
 
     def measure(self) -> None:
         """One geometry pass: fill the ghost columns and keep the curvature
-        (positive for a left turn), unit left normal, edge lengths and signed
-        area.  The speed law is odd in k, so speed(k) times the left normal is
-        the inward velocity for either traversal direction."""
-        x, y = self.chain[0], self.chain[1]
-        x[0], x[-1], y[0], y[-1] = x[-2], x[1], y[-2], y[1]
+        (positive for a left turn), unit left normal and edge lengths.  The
+        speed law is odd in k, so speed(k) times the left normal is the inward
+        velocity for either traversal direction."""
+        self.chain[:, 0] = self.chain[:, -2]
+        self.chain[:, -1] = self.chain[:, 1]
         self.k, self.left, self.seg = cv._three_point(self.chain)
+
+    def measure_area(self) -> None:
+        """Keep the signed area of the chain ``measure`` filled."""
+        x, y = self.chain
         self.area = 0.5 * float((x[1:-1] * y[2:] - x[2:] * y[1:-1]).sum())
 
     def velocity(self) -> NDArray[np.float64]:
         """Fill ``vel`` with the measured speed along the left normal; return the speed."""
         speed = self.k if self.law.p == 1.0 else self.law.speed(self.k)
-        self.vel = self.left   # in the normal's buffer; the next measure makes a new one
-        self.vel *= speed
+        np.multiply(self.left, speed, out=self.vel)
         return speed
 
     def plan(self, t: float) -> float:
@@ -425,6 +429,7 @@ class _CurveState(_FlowState):
             self.chain[:, -1] = self.verts[:, 0]   # close the rows for the resample
             self.set_verts(cv.spline_resample_array(self.chain[:, 1:], self.spacing))
         self.measure()
+        self.measure_area()
         return abs(self.area) <= self.next_area
 
     def validate(self) -> cv.PlaneCurve:

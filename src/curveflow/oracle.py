@@ -18,7 +18,7 @@ from .flow1d import Event, FlowConfig, RunStats, _evolve, _FlowState
 
 SHRINKER_KINDS = ("circle", "cylinder", "sphere")
 MAX_POWER = 8.0
-SELFCHECK_STEP = 1e-5
+SELFCHECK_STEP = 1e-4
 SELFCHECK_TOL = 1e-6
 # The ends of the unit-speed grim reaper move straight up: (x, y) as a column.
 FRONT_END_VELOCITY = np.array([[0.0], [1.0]])
@@ -146,13 +146,12 @@ class _FrontState(_FlowState):
         super().__init__(config, 0.0, float(np.abs(self.k).max()), float(self.seg.sum()),
                          self.verts.shape[1])
         self.duration = duration
-        self.vel = np.empty_like(self.verts)
+        self.vel[:, [0, -1]] = FRONT_END_VELOCITY   # once: a resample keeps the bank
 
     def measure(self) -> None:
         self.k, self.left, self.seg = cv._three_point(self.verts)
 
     def velocity(self) -> None:
-        self.vel[:, [0, -1]] = FRONT_END_VELOCITY   # refilled: _evolve scales vel in place
         np.multiply(self.k, self.left, out=self.vel[:, 1:-1])
 
     def plan(self, t: float) -> float:

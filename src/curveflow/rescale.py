@@ -300,7 +300,7 @@ def curvature_normalized_frames(
         axisymmetric = isinstance(geo, AxiProfile)
         if axisymmetric:
             pts = geo.samples
-            h, _, _, _ = _meridian_pass(cv._closed_chain(pts), geo.topology, geo.period)
+            h, _, _ = _meridian_pass(cv._closed_chain(pts), geo.topology, geo.period)
             closed = geo.topology == TOPOLOGY_PERIODIC
         else:
             pts = geo.vertices

@@ -30,7 +30,7 @@ def meridian_pass(profile):
 def mean_curvature(profile):
     """Scalar mean curvature and inward meridian normal per sample, poles included:
     the pass's h and left normal, turned the way axi_metrics turns its h range."""
-    h, left, _, _ = meridian_pass(profile)
+    h, left, _ = meridian_pass(profile)
     sign = 1.0 if ax.axi_metrics(profile).max_mean_curvature == h.max() else -1.0
     return sign * h, sign * left.T
 
@@ -304,7 +304,8 @@ class TestCachedGeometry:
         def checked_plan(t):   # runs before every plan of the real loop
             chains.add(id(state.chain))
             fresh = state.chain.copy()
-            h, left, seg, area = ax._meridian_pass(fresh, profile.topology, profile.period)
+            h, left, seg = ax._meridian_pass(fresh, profile.topology, profile.period)
+            area = ax._lateral_area(fresh, profile.topology, seg)
             assert np.array_equal(fresh, state.chain)   # the ghosts were current
             assert np.array_equal(state.h, h)
             assert np.array_equal(state.left, left)

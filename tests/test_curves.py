@@ -157,7 +157,7 @@ def _sphere_meridian(radius):
     inward normal.  On a sphere both principal curvatures agree, so h / 2 is the
     meridian curvature; a meridian run with x increasing has the solid on its right."""
     def fields(pts):
-        h, left, _, _ = ax._meridian_pass(cv._closed_chain(pts), ax.TOPOLOGY_TWO_POLES, None)
+        h, left, _ = ax._meridian_pass(cv._closed_chain(pts), ax.TOPOLOGY_TWO_POLES, None)
         sign = -1.0 if pts[-1, 0] >= pts[0, 0] else 1.0
         return sign * h / 2.0, sign * left.T
     return ax.sphere_profile(radius, 101).samples, fields, 1.0

@@ -1,10 +1,15 @@
 """Curve evolution driver: stepping, events, area law, fits, co-evolution."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curveflow
 import curveflow.axisym as ax
 import curveflow.curves as cv
 import curveflow.flow1d as f1
@@ -384,3 +389,90 @@ def test_co_evolved_trajectories_share_the_clock_stats():
     assert (a.steps, a.resamples, a.dt_min, a.dt_mean, a.dt_max) == (
         b.steps, b.resamples, b.dt_min, b.dt_mean, b.dt_max)
     assert (a.event, b.event) == (f1.EVENT_PARTNER_STOPPED, f1.EVENT_EXTINCTION)
+
+
+def rkl2_by_table(stages, tau, lam):
+    """One step of y' = lam y from y0 = 1 as ``_evolve`` takes it: a bank of
+    (Y(j-1), Y(j-2), Y0, F, F0, out), one dot of a scaled table row per stage."""
+    weights = f1._rkl2(stages) * [1.0, 1.0, 1.0, tau, tau]
+    bank = np.zeros((6, 1))
+    bank[0] = 1.0
+    bank[3] = lam * bank[0]
+    bank[2], bank[4] = bank[0], bank[3]
+    for j, w in enumerate(weights):
+        if j:
+            bank[3] = lam * bank[0]
+        np.dot(w, bank[:5], out=bank[5])
+        bank[1] = bank[0]
+        bank[0] = bank[5]
+    return float(bank[0, 0])
+
+
+def rkl2_by_recurrence(stages, tau, lam):
+    """The same step from Meyer, Balsara and Aslam (2014), eq. 16-17, written out."""
+    def b(j):
+        return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
+    w1 = 4.0 / (stages * stages + stages - 2)
+    y0 = 1.0
+    older, y = y0, y0 + b(1) * w1 * tau * lam * y0
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) / j * b(j) / b(j - 1)
+        nu = -(j - 1) / j * b(j) / b(j - 2)
+        gamma = -(1.0 - b(j - 1)) * mu * w1
+        older, y = y, (mu * y + nu * older + (1.0 - mu - nu) * y0
+                       + mu * w1 * tau * lam * y + gamma * tau * lam * y0)
+    return y
+
+
+class TestRKL2Table:
+    """``_rkl2``'s weight table, combined as ``_evolve`` combines it, on y' = -y:
+    forward Euler is stable up to tau = 2, so s stages up to (s^2 + s - 2) / 2."""
+
+    @pytest.mark.parametrize("stages", range(2, f1.MAX_STAGES + 1))
+    def test_table_is_the_recurrence(self, stages):
+        bound = (stages * stages + stages - 2) / 2.0
+        for tau in (bound, bound / 4.0):
+            # Relative to y0 = 1: at the bound an odd s leaves |y1| near 1 / s^2.
+            assert abs(rkl2_by_table(stages, tau, -1.0)
+                       - rkl2_by_recurrence(stages, tau, -1.0)) <= 1e-13
+        # Stable at the bound; an even s meets |y1| = 1 there, up to roundoff.
+        assert abs(rkl2_by_table(stages, bound, -1.0)) <= 1.0 + 1e-13
+
+    @pytest.mark.parametrize("stages", range(2, f1.MAX_STAGES + 1))
+    def test_second_order(self, stages):
+        # The local error of a second-order step is O(tau^3): halving tau cuts it 8x.
+        errors = [abs(rkl2_by_table(stages, tau, -1.0) - math.exp(-tau)) for tau in (1e-2, 5e-3)]
+        assert 7.5 < errors[0] / errors[1] < 8.5
+
+    def test_table_is_cached_and_read_only(self):
+        table = f1._rkl2(7)
+        assert table.shape == (7, 5) and f1._rkl2(7) is table
+        assert not table.flags.writeable
+
+
+def test_stages_do_not_depend_on_blas_threads():
+    """A co_evolve pair at n = 1400 is bit-identical on one BLAS thread and on
+    the default count: each stage's sum is one np.dot over about 5 x 2800
+    numbers per curve, over the size at which OpenBLAS may split it among threads."""
+    script = """
+import hashlib
+import curveflow.curves as cv, curveflow.flow1d as f1
+pair = [cv.circle_polygon(1.5, 1400), cv.ellipse_polygon(0.8, 0.4, 1400)]
+digest = hashlib.sha256()
+for traj in f1.co_evolve(pair, f1.SpeedLaw(1.0), f1.FlowConfig(max_steps=20)):
+    for snap in traj.snapshots:
+        digest.update(snap.geometry.vertices.tobytes())
+    digest.update(repr(traj.stats).encode())
+print(digest.hexdigest())
+"""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(curveflow.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = []
+    for threads in (None, "1"):
+        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=run_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

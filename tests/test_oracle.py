@@ -77,6 +77,11 @@ class TestSelfCheck:
         worst = max(report.values())
         assert worst < oc.SELFCHECK_TOL
 
+    def test_step_leaves_room_below_the_tolerance(self):
+        # At SELFCHECK_STEP = 1e-4 the worst mismatch is 3.4e-12 (cylinder), far
+        # below SELFCHECK_TOL; a coarser step would show here first.
+        assert max(oc.selfcheck().values()) < 1e-10
+
     def test_case_names_cover_every_kind(self):
         names = " ".join(oc.selfcheck())
         for kind in oc.SHRINKER_KINDS:
