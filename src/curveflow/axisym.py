@@ -547,9 +547,7 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> Trajectory
     used half its lifetime.
     """
     config = config or FlowConfig()
-    state = _AxiState(profile, config)
-    [state.traj.stats] = _evolve([state], config)
-    return state.traj
+    return _evolve([_AxiState(profile, config)], config)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ through a local cubic interpolant (linear chord resampling would bleed area
 every pass), and snapshots recorded on a geometric schedule in remaining area
 so the approach to extinction is well sampled.
 The same loop, ``_evolve``, steps the other two drivers: the meridians of
-``axisym`` and the open translating front of ``oracle``.  It owns the update:
+``axisym`` and the open translating front of ``oracle``; every driver returns
+the ``Trajectory`` of each state it stepped.  It owns the update:
 each driver's ``plan`` fills ``vel`` with F(Y0) and returns its displacement
 cap, ``stage_velocity`` refills ``vel`` at each later stage, and each stage
 is one weighted sum over a bank of six (2, n + 2) buffers per state: a row of
 ``_rkl2``'s table dotted with Y(j-1) (the point rows, x and y or r, between
 two ghost columns), Y(j-2), Y0, F and F0.  All three drivers share its step
-budget, caps and terminal events; curves and meridians also share its
-snapshot schedule and make one geometry pass per evaluation.  Only the pass
+budget, caps and terminal events and make one geometry pass per evaluation;
+curves and meridians also share its snapshot schedule.  Only the pass
 ``advance`` makes at a step's end adds the area; the next bound and every
 snapshot read that pass.
 """
@@ -132,17 +133,19 @@ class RunStats:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One recorded state of a curve run (a ``PlaneCurve`` and its ``CurveMetrics``)
-    or of a meridian run (an ``AxiProfile`` and its ``AxiMetrics``)."""
+    """One recorded state of a curve run (a ``PlaneCurve`` and its ``CurveMetrics``),
+    of a meridian run (an ``AxiProfile`` and its ``AxiMetrics``) or of an open
+    front (its (n, 2) points, and no metrics: None)."""
 
     time: float
-    geometry: cv.PlaneCurve | AxiProfile
-    metrics: cv.CurveMetrics | AxiMetrics
+    geometry: cv.PlaneCurve | AxiProfile | NDArray[np.float64]
+    metrics: cv.CurveMetrics | AxiMetrics | None
 
 
 @dataclass
 class Trajectory:
-    """One curve or meridian run; a meridian keeps the default law, p = 1."""
+    """One curve, meridian or front run; a meridian or front keeps the default
+    law, p = 1."""
 
     snapshots: list[Snapshot]
     events: list[Event] = field(default_factory=list)
@@ -159,7 +162,8 @@ class Trajectory:
     def require_curves(self, analysis: str) -> None:
         """Raise InvalidInputError unless every snapshot holds a plane curve."""
         if not all(isinstance(s.geometry, cv.PlaneCurve) for s in self.snapshots):
-            raise InvalidInputError(f"{analysis}: needs a curve trajectory, not a meridian")
+            raise InvalidInputError(
+                f"{analysis}: needs a curve trajectory, not a meridian or front")
 
     def final(self) -> Snapshot:
         return self.snapshots[-1]
@@ -175,7 +179,8 @@ class _FlowState:
     or closes the state), ``measure`` and ``velocity`` (a geometry pass without
     the area, then ``vel``), ``advance(t, resample)`` (the last pass, with the
     area: is a snapshot due?), ``validate``, ``take`` (keep a snapshot, return
-    its area) and ``stop_kind``.
+    its area), ``stop_kind`` and ``traj``, the ``Trajectory`` that ``take``
+    appends to.
     """
 
     stop_kind = EVENT_EXTINCTION
@@ -192,7 +197,6 @@ class _FlowState:
         self.next_area = area0 * self.ratio
         self.stop_area = config.stop_area_fraction * area0
         self.done = False
-        self.snapshots = 1   # the one at t = 0
 
     def set_verts(self, rows: NDArray[np.float64]) -> None:
         """Copy (2, n) point rows into ``verts``, the inside of the (2, n + 2)
@@ -250,7 +254,6 @@ class _FlowState:
         except InvalidInputError as exc:
             raise NumericalBreakdownError(f"geometry degenerated at t={t:.6g}: {exc}") from exc
         area = self.take(t, geometry)
-        self.snapshots += 1
         self.last_time = t
         if event is not None:
             self.end(event)
@@ -303,13 +306,14 @@ def _stage_count(tau: float, euler: float) -> tuple[int, float]:
     return s, min(tau, euler * (s * s + s - 2) / 4.0)
 
 
-def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
+def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
     """Step every state on one clock until one stops or the step budget runs out.
 
     A step is one RKL2 step over tau, the smallest cap a ``plan`` returns, in
     as many stages as ``FlowConfig`` says.  Stage j writes Y(j), one weighted
     sum of a bank's first five slots, into slot 5, then shifts Y(j-1) into
-    slot 1 and Y(j) into the chain.  Returns each state's stats, in order.
+    slot 1 and Y(j) into the chain.  Returns each state's trajectory, in
+    order, with its stats.
     """
     t = 0.0
     steps = evaluations = max_stages = 0
@@ -357,9 +361,10 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[RunStats]:
         if not s.done:
             s.close(t, Event(kind, t))
     dts = (float(dt_min), t / steps, float(dt_max)) if steps else (None, None, None)
-    return [RunStats(steps, evaluations, max_stages, steps // config.resample_every,
-                     s.snapshots, *dts, s.events[-1].kind)
-            for s in states]
+    for s in states:
+        s.traj.stats = RunStats(steps, evaluations, max_stages, steps // config.resample_every,
+                                len(s.traj.snapshots), *dts, s.events[-1].kind)
+    return [s.traj for s in states]
 
 
 class _CurveState(_FlowState):
@@ -449,9 +454,7 @@ class _CurveState(_FlowState):
 def run(curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig | None = None) -> Trajectory:
     """Evolve one curve until an area stop, curvature stop or step budget."""
     config = config or FlowConfig()
-    state = _CurveState(curve, law, config)
-    [state.traj.stats] = _evolve([state], config)
-    return state.traj
+    return _evolve([_CurveState(curve, law, config)], config)[0]
 
 
 def co_evolve(
@@ -466,10 +469,7 @@ def co_evolve(
     if not curve_list:
         raise InvalidInputError("need at least one curve")
     config = config or FlowConfig()
-    states = [_CurveState(c, law, config) for c in curve_list]
-    for s, stats in zip(states, _evolve(states, config)):
-        s.traj.stats = stats
-    return [s.traj for s in states]
+    return _evolve([_CurveState(c, law, config) for c in curve_list], config)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,14 @@ FORMATS = {
 }
 
 
+def _format_of(traj: Trajectory) -> GeometryFormat:
+    """The format of the trajectory's geometry; InvalidInputError if it has none."""
+    kind = type(traj.snapshots[0].geometry)
+    if kind not in FORMATS:
+        raise InvalidInputError(f"no trajectory format for {kind.__name__} geometry")
+    return FORMATS[kind]
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -63,7 +71,7 @@ def series_csv(header: str, rows) -> str:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """The time and metrics of every snapshot, under its geometry's header."""
-    header = FORMATS[type(traj.snapshots[0].geometry)].header
+    header = _format_of(traj).header
     return series_csv(header, ((s.time, *astuple(s.metrics)) for s in traj.snapshots))
 
 
@@ -137,9 +145,9 @@ def emit_svg(geometry, path) -> Path:
 
 def save_trajectory(out_dir, traj: Trajectory) -> list[Path]:
     """Write every snapshot's geometry plus an index.json tying times to files."""
+    fmt = _format_of(traj)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = FORMATS[type(traj.snapshots[0].geometry)]
     names = [f"snap_{k:05d}.{fmt.suffix}" for k in range(len(traj.snapshots))]
     for snap, name in zip(traj.snapshots, names):
         fmt.write(snap.geometry, out_dir / name)

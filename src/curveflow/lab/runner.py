@@ -1,10 +1,10 @@
 """Scenario execution: flows, analyses, artifact emission, pass/fail checks.
 
 Each scenario owns one output directory.  run_scenario builds the geometry,
-runs the kind's driver, writes the trajectory artifacts, then hands the flow
-to one evaluator per requested analysis; each evaluator writes exactly one
-named artifact and returns its checks, read against the scenario's complete,
-typed check table (see scenarios.ANALYSES).
+runs the kind's driver, writes the trajectory artifacts, then hands the flow's
+trajectories to one evaluator per requested analysis; each evaluator writes
+exactly one named artifact and returns its checks, read against the
+scenario's complete, typed check table (see scenarios.ANALYSES).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _sphere_radius(profile: ax.AxiProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-analysis evaluators: (scenario, out dir, flow) -> (artifact name, checks)
+# Per-analysis evaluators: (scenario, out dir, *trajectories) -> (artifact name, checks)
 # ---------------------------------------------------------------------------
 
 def _eval_radius_law(s: Scenario, out: Path, traj):
@@ -226,8 +226,7 @@ def _eval_norm_length(s: Scenario, out: Path, traj: f1.Trajectory):
     return "norm_length.csv", [CheckResult("norm-length/increasing", falls, "==", 0)]
 
 
-def _eval_pair_distance(s: Scenario, out: Path, trajs: list[f1.Trajectory]):
-    t_a, t_b = trajs
+def _eval_pair_distance(s: Scenario, out: Path, t_a: f1.Trajectory, t_b: f1.Trajectory):
     rows = []
     broken = 0    # shared snapshots where either curve is not embedded
     for sa, sb in zip(t_a.snapshots, t_b.snapshots):
@@ -304,8 +303,8 @@ def _eval_blowup(s: Scenario, out: Path, traj: f1.Trajectory):
     return "blowup.json", checks
 
 
-def _eval_translate(s: Scenario, out: Path, front):
-    start, final, _ = front
+def _eval_translate(s: Scenario, out: Path, front: f1.Trajectory):
+    start, final = front.snapshots[0].geometry, front.final().geometry
     duration = s.options["duration"]
     n = len(start)
     trim = max(1, n // 10)
@@ -320,7 +319,7 @@ def _eval_translate(s: Scenario, out: Path, front):
         "translate/deviation", worst, "<", s.checks["translate_dev_tol"])]
 
 
-def _eval_selfcheck(s: Scenario, out: Path, _flow):
+def _eval_selfcheck(s: Scenario, out: Path):
     cases = oc.selfcheck()
     worst = float(max(cases.values()))
     write_json(out / "oracle_selfcheck.json",
@@ -370,32 +369,32 @@ def _flow_key(s: Scenario) -> _FlowKey | None:
                     s.law, s.config, s.options.get("duration"))
 
 
-def _run_flow(key: _FlowKey | None):
-    """Build the geometry and run the key's driver.
+def _run_flow(key: _FlowKey | None) -> list[f1.Trajectory]:
+    """Build the geometry and run the key's driver; return its trajectories.
 
-    Returns None without a key (the oracle), (start, final, stats) for the
-    translating front, a list of trajectories for a nested pair, else one
-    trajectory.
+    Without a key (the oracle) it runs nothing and returns []; a nested pair
+    returns two trajectories, every other flow one.
     """
     if key is None:
-        return None
+        return []
     geometry = SHAPES_BY_KIND[key.kind][key.shape][0](n=key.n, **dict(key.shape_params))
     if key.kind == KIND_AXI:
-        return ax.run_axi(geometry, key.config)
+        return [ax.run_axi(geometry, key.config)]
     if key.shape == "grim_reaper":
-        return (geometry, *oc.evolve_translating_front(
+        return [oc.evolve_translating_front(
             geometry, key.duration, cfl_factor=key.config.cfl_factor,
-            resample_every=key.config.resample_every))
+            resample_every=key.config.resample_every)]
     if isinstance(geometry, list):
         return f1.co_evolve(geometry, key.law, key.config)
-    return f1.run(geometry, key.law, key.config)
+    return [f1.run(geometry, key.law, key.config)]
 
 
 @dataclass
 class _Flow:
-    """The outcome of one driver run: its value or the error it raised, and its warnings."""
+    """The outcome of one driver run: its trajectories or the error it raised,
+    and its warnings."""
     owner: Scenario
-    value: object = None
+    trajs: list[f1.Trajectory] = field(default_factory=list)
     error: str | None = None
     traceback: str | None = None
     warnings: list[str] = field(default_factory=list)
@@ -421,7 +420,7 @@ def _flow_for(s: Scenario, flows: dict | None) -> _Flow:
     flow = _Flow(s)
     with _recorded_warnings() as caught:
         try:
-            flow.value = _run_flow(key)
+            flow.trajs = _run_flow(key)
         except Exception as exc:
             flow.error = f"{type(exc).__name__}: {exc}"
             flow.traceback = traceback.format_exc()
@@ -431,20 +430,15 @@ def _flow_for(s: Scenario, flows: dict | None) -> _Flow:
     return flow
 
 
-def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
-    """Write the trajectory CSVs, drawings and saved snapshots; return their names."""
-    if flow is None:
-        return []
-    if s.shape == "grim_reaper":
-        emit_svg(flow[0], out / "initial.svg")
-        emit_svg(flow[1], out / "final.svg")
-        return ["initial.svg", "final.svg"]
-    trajs = flow if isinstance(flow, list) else [flow]
+def _write_flow(s: Scenario, out: Path, trajs: list[f1.Trajectory]) -> list[str]:
+    """Write the trajectory CSVs (of snapshots with metrics), drawings and saved
+    snapshots; return their names."""
     names = []
     for i, traj in enumerate(trajs):
         tag = f"_{i}" if len(trajs) > 1 else ""
-        write_text(out / f"trajectory{tag}.csv", trajectory_csv(traj))
-        names.append(f"trajectory{tag}.csv")
+        if traj.snapshots[0].metrics is not None:
+            write_text(out / f"trajectory{tag}.csv", trajectory_csv(traj))
+            names.append(f"trajectory{tag}.csv")
         for label, snap in (("initial", traj.snapshots[0]), ("final", traj.final())):
             emit_svg(snap.geometry, out / f"{label}{tag}.svg")
             names.append(f"{label}{tag}.svg")
@@ -452,18 +446,6 @@ def _write_flow(s: Scenario, out: Path, flow) -> list[str]:
             save_trajectory(out / f"snapshots{tag}", traj)
             names.append(f"snapshots{tag}/index.json")
     return names
-
-
-def _telemetry(flow) -> dict | None:
-    """The run stats of each of the flow's trajectories; None for the oracle,
-    which runs no flow."""
-    if flow is None:
-        return None
-    if isinstance(flow, tuple):   # the translating front: (start, final, stats)
-        stats = [flow[2]]
-    else:
-        stats = [traj.stats for traj in (flow if isinstance(flow, list) else [flow])]
-    return {"trajectories": [asdict(st) for st in stats]}
 
 
 def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
@@ -481,14 +463,15 @@ def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
     with _recorded_warnings() as caught:
         flow = _flow_for(s, flows)
         artifacts, checks, error, trace = [], [], flow.error, flow.traceback
-        telemetry = None if error is not None else _telemetry(flow.value)
+        telemetry = ({"trajectories": [asdict(t.stats) for t in flow.trajs]}
+                     if flow.trajs else None)
         if error is None:
             try:
                 if telemetry is not None:
                     write_json(out / "telemetry.json", telemetry)
-                artifacts = _write_flow(s, out, flow.value)
+                artifacts = _write_flow(s, out, flow.trajs)
                 for analysis in s.analyses:
-                    name, found = _EVALUATORS[analysis](s, out, flow.value)
+                    name, found = _EVALUATORS[analysis](s, out, *flow.trajs)
                     artifacts.append(name)
                     checks += found
             except Exception as exc:

@@ -14,7 +14,7 @@ from numpy.typing import NDArray
 
 from . import curves as cv
 from .errors import ExtinctError, InvalidInputError, NumericalBreakdownError
-from .flow1d import Event, FlowConfig, RunStats, _evolve, _FlowState
+from .flow1d import Event, FlowConfig, Snapshot, Trajectory, _evolve, _FlowState
 
 SHRINKER_KINDS = ("circle", "cylinder", "sphere")
 MAX_POWER = 8.0
@@ -137,16 +137,19 @@ def selfcheck(step: float = SELFCHECK_STEP) -> dict[str, float]:
 class _FrontState(_FlowState):
     """An open chain whose interior moves by its curvature vector and whose two
     ends, the stencil's neighbours (no ghosts), move at FRONT_END_VELOCITY until
-    t reaches ``duration``.  Resampling keeps the point count; no snapshots."""
+    t reaches ``duration``.  Resampling keeps the point count; the trajectory
+    keeps the start and the snapshot taken at the end."""
 
     def __init__(self, points, duration: float, config: FlowConfig):
-        self.set_verts(cv._checked_points(points, 4, closed=False, noun="front points")[0].T)
+        start = cv._checked_points(points, 4, closed=False, noun="front points")[0]
+        self.set_verts(start.T)
         self.measure()
         # An open chain encloses no area, and the front never snapshots on one.
         super().__init__(config, 0.0, float(np.abs(self.k).max()), float(self.seg.sum()),
                          self.verts.shape[1])
         self.duration = duration
         self.vel[:, [0, -1]] = FRONT_END_VELOCITY   # once: a resample keeps the bank
+        self.traj = Trajectory([Snapshot(0.0, start, None)], self.events)
 
     def measure(self) -> None:
         self.k, self.left, self.seg = cv._three_point(self.verts)
@@ -155,11 +158,10 @@ class _FrontState(_FlowState):
         np.multiply(self.k, self.left, out=self.vel[:, 1:-1])
 
     def plan(self, t: float) -> float:
-        """Measure and fill ``vel``; the horizon joins the displacement cap."""
+        """Fill ``vel`` from the last pass; the horizon joins the displacement cap."""
         if t >= self.duration - 1e-15:
             self.close(t, Event(EVENT_HORIZON, t))
             return np.inf
-        self.measure()
         kmax = self.peak(t, self.k, self.verts[:, 1:-1])
         if kmax is None:
             return np.inf
@@ -172,13 +174,15 @@ class _FrontState(_FlowState):
             _, s = cv._arclength(self.verts, closed=False)
             targets = np.linspace(0.0, s[-1], self.verts.shape[1])
             self.set_verts(cv._interpolate_rows(s, self.verts, targets, periodic=False))
+        self.measure()
         return False
 
     def validate(self) -> NDArray[np.float64]:
         return cv._checked_points(self.verts.T, 4, closed=False, noun="front points")[0]
 
     def take(self, t: float, pts: NDArray[np.float64]) -> float:
-        return 0.0   # the caller reads the final points
+        self.traj.snapshots.append(Snapshot(t, pts, None))
+        return 0.0   # no area: the front never snapshots on a schedule
 
 
 def evolve_translating_front(
@@ -186,22 +190,22 @@ def evolve_translating_front(
     duration: float,
     cfl_factor: float = 0.4,
     resample_every: int = 25,
-) -> tuple[NDArray[np.float64], RunStats]:
+) -> Trajectory:
     """March an open polyline by its curvature vector for ``duration``, its ends
-    moving up at unit speed, and return the final (n, 2) points and the run's
-    stats; confirms the translating-front solution.  An end before the horizon
+    moving up at unit speed, and return its trajectory with the run's stats:
+    two snapshots, the start and the final (n, 2) points at the horizon.  It
+    confirms the translating-front solution.  An end before the horizon
     raises NumericalBreakdownError."""
     if not 0.0 < duration < math.inf:
         raise InvalidInputError(f"duration must be positive and finite, got {duration}")
     config = FlowConfig(cfl_factor=cfl_factor, resample_every=resample_every)
-    state = _FrontState(points, duration, config)
-    [stats] = _evolve([state], config)
-    end = state.events[-1]
+    [traj] = _evolve([_FrontState(points, duration, config)], config)
+    end = traj.events[-1]
     if end.kind != EVENT_HORIZON:
         raise NumericalBreakdownError(
             f"translating front ended with {end.kind} at t={end.time:.6g}, "
             f"before its horizon t={duration:.6g}")
-    return state.verts.T.copy(), stats
+    return traj
 
 
 def polyline_distance(points: NDArray[np.float64], target: NDArray[np.float64]) -> NDArray[np.float64]:

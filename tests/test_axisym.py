@@ -319,7 +319,8 @@ class TestCachedGeometry:
             return plan(t)
 
         state.plan = checked_plan
-        [stats] = f1._evolve([state], config)
+        [traj] = f1._evolve([state], config)
+        stats = traj.stats
         assert stats.event != f1.EVENT_STEP_BUDGET
         assert chains   # the spy ran
         if profile.topology == ax.TOPOLOGY_PERIODIC:
@@ -412,7 +413,7 @@ def test_one_stencil_pass_per_step(case, monkeypatch):
         pair = [cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 64)]
         k, stats = 2, f1.co_evolve(pair, f1.SpeedLaw(1.0))[0].stats
     elif case == "front":
-        k, (_, stats) = 1, oc.evolve_translating_front(oc.grim_reaper(81, 1.0), 0.1)
+        k, stats = 1, oc.evolve_translating_front(oc.grim_reaper(81, 1.0), 0.1).stats
     else:
         profile = {"sphere": ax.sphere_profile(0.5, 64),
                    "torus": ax.torus_profile(1.0, 0.25, 64),

@@ -325,7 +325,7 @@ def _nested_pair(i):
 
 # A step budget that ends the budget runs below before their area or pole stop.
 BUDGET = 10
-# name -> (run, the terminal event it must end with); both drivers, every way a run ends
+# name -> (run, the terminal event it must end with); every driver, every way a run ends
 ENDINGS = {
     "curve-extinction": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0)),
                          f1.EVENT_EXTINCTION),
@@ -345,10 +345,12 @@ ENDINGS = {
                         f1.EVENT_BLOWUP),
     "meridian-budget": (lambda: ax.run_axi(ax.sphere_profile(1.0, 32),
                                            f1.FlowConfig(max_steps=BUDGET)), f1.EVENT_STEP_BUDGET),
+    "front-horizon": (lambda: oc.evolve_translating_front(oc.grim_reaper(41), 0.02,
+                                                          resample_every=10), oc.EVENT_HORIZON),
 }
 TERMINAL = {f1.EVENT_EXTINCTION, f1.EVENT_BLOWUP, f1.EVENT_EMBEDDEDNESS_LOSS,
             f1.EVENT_STEP_BUDGET, f1.EVENT_PARTNER_STOPPED, ax.EVENT_POLE_EXTINCTION,
-            ax.EVENT_NECK_PINCH, ax.EVENT_TORUS_COLLAPSE}
+            ax.EVENT_NECK_PINCH, ax.EVENT_TORUS_COLLAPSE, oc.EVENT_HORIZON}
 
 
 @pytest.mark.parametrize("ending", ENDINGS)

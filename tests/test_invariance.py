@@ -162,8 +162,8 @@ class TestTranslatingFront:
         pts = oc.grim_reaper(n, half_width)
         runs = [oc.evolve_translating_front(p, 0.002, resample_every=MAX_STEPS + 1)
                 for p in (pts, pts + [shift, 0.0])]
-        for _, stats in runs:
+        for stats in (traj.stats for traj in runs):
             assert stats.event == oc.EVENT_HORIZON
             assert stats.steps <= MAX_STEPS and stats.resamples == 0
-        (end, _), (end_moved, _) = runs
+        end, end_moved = (traj.final().geometry for traj in runs)
         assert_close(end_moved, end + [shift, 0.0], cv.bbox_diameter(pts))

@@ -411,6 +411,16 @@ class TestArtifacts:
         assert back.law == traj.law
         assert artifacts.trajectory_csv(back) == artifacts.trajectory_csv(traj)
 
+    @pytest.mark.parametrize("write", [
+        lambda traj, out: artifacts.trajectory_csv(traj),
+        lambda traj, out: artifacts.save_trajectory(out / "snaps", traj),
+    ], ids=["trajectory-csv", "save-trajectory"])
+    def test_front_trajectory_has_no_format(self, tmp_path, write):
+        front = oc.evolve_translating_front(oc.grim_reaper(41), 0.02)
+        with pytest.raises(InvalidInputError, match="no trajectory format for ndarray"):
+            write(front, tmp_path)
+        assert not (tmp_path / "snaps").exists()
+
 
 NAN = float("nan")
 
@@ -591,7 +601,7 @@ analyses = neck
         runner.accept([s], tmp_path)
         (entry,) = json.loads((tmp_path / "summary.json").read_text())["scenarios"]
         measured = {c["name"]: c["measured"] for c in entry["checks"]}
-        traj = runner._run_flow(runner._flow_key(s))
+        [traj] = runner._run_flow(runner._flow_key(s))
         assert measured["area-law/slope"] == f1.analyze_area_law(traj).slope
         rows = np.loadtxt(tmp_path / "tiny_circle" / "radius_law.csv", delimiter=",",
                           skiprows=1)
@@ -610,10 +620,10 @@ analyses = neck
     def test_warnings_are_recorded_per_scenario(self, tmp_path, monkeypatch):
         selfcheck = runner._EVALUATORS["selfcheck"]
 
-        def warn_then_check(s, out, flow):
+        def warn_then_check(s, out):
             if s.name == "oracle_gate":
                 warnings.warn("frame 3 skipped", UserWarning)
-            return selfcheck(s, out, flow)
+            return selfcheck(s, out)
 
         monkeypatch.setitem(runner._EVALUATORS, "selfcheck", warn_then_check)
         quiet = oracle_scenario(TINY_ORACLE.replace("[oracle_gate]", "[oracle_quiet]"))
@@ -917,7 +927,7 @@ for prof in (ax.sphere_profile(1.0, 48), ax.torus_profile(2.0, 0.5, 48),
     ax._axi_resample(prof.samples.T, prof.topology, prof.period, 0.05)
 rs._window(ax.sphere_profile(1.0, 48).samples, 10, closed=False)
 rs._window(cv.circle_polygon(1.0, 48).vertices, 0, closed=True)
-_, stats = oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=1)
+stats = oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=1).stats
 assert stats.resamples > 0, stats
 print("ok")
 """)

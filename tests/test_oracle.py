@@ -137,7 +137,8 @@ class TestTranslators:
 
     def test_front_translates_rigidly(self):
         pts = oc.grim_reaper(81, 1.0)
-        moved, stats = oc.evolve_translating_front(pts, 0.1)
+        traj = oc.evolve_translating_front(pts, 0.1)
+        moved, stats = traj.final().geometry, traj.stats
         assert stats.event == oc.EVENT_HORIZON and stats.steps > 0
         target = pts + np.array([0.0, 0.1])
         trim = len(moved) // 10
