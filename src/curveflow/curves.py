@@ -105,29 +105,69 @@ def _closed_chain(vertices: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.concatenate([vertices[-1:], vertices, vertices[:1]]).T
 
 
-def _three_point(
-    chain: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Circumcircle curvature at the interior points of a chain.
+class _Stencil:
+    """Circumcircle curvature at the interior points of one chain, bound to it.
 
     ``chain`` is (2, m + 2), row 0 the x and row 1 the y of m interior points
     with one neighbour on each side; any strides, so the ``.T`` of an
-    (m + 2, 2) array serves.  Returns the curvature, signed positive for a
-    left turn, the (2, m) unit left normal of the neighbour chord, and the
-    m + 1 edge lengths of the chain.  A fold-back point (neighbours coincide)
-    has no circumcircle and is treated as flat: curvature 0, not NaN.
+    (m + 2, 2) array serves.  The input views are sliced and the outputs
+    allocated once, here; each call reads the chain's current points and
+    returns the curvature, signed positive for a left turn, the (2, m) unit
+    left normal of the neighbour chord, and the m + 1 edge lengths of the
+    chain, always in the same three arrays.  A fold-back point (neighbours
+    coincide) has no circumcircle and is treated as flat: curvature 0, not NaN.
     """
-    e = chain[:, 1:] - chain[:, :-1]
-    seg = np.hypot(e[0], e[1])
-    chord = chain[:, 2:] - chain[:, :-2]
-    c = np.hypot(chord[0], chord[1])
-    cross = e[0, :-1] * e[1, 1:] - e[1, :-1] * e[0, 1:]
-    # A zero edge or chord zeroes the cross product, and a zero chord the normal,
-    # so the floored divisors give 0 there, not NaN.
-    k = 2.0 * cross / np.maximum(seg[:-1] * seg[1:] * c, 1e-300)
-    left = chord[::-1] * (1.0 / np.maximum(c, 1e-300))
-    np.negative(left[0], out=left[0])
-    return k, left, seg
+
+    def __init__(self, chain: NDArray[np.float64]):
+        m = chain.shape[1] - 2
+        self.edge_ends = chain[:, 1:], chain[:, :-1]
+        self.chord_ends = chain[:, 2:], chain[:, :-2]
+        # Each buffer puts two quantities side by side, so that one ufunc call
+        # serves both: the edge and chord vectors (one hypot), the chord length
+        # and the product that divides the curvature (one floor), and 1 and
+        # twice the cross product over those two (one division).
+        diffs = np.empty((2, 2 * m + 1))           # edges, then chords
+        lengths = np.empty(3 * m + 1)              # seg, c, then seg0 seg1 c
+        self.numerators = np.empty(2 * m)          # 1, then twice the cross product
+        self.numerators[:m] = 1.0
+        self.quotients = np.empty(2 * m)           # 1 / c, then k
+        self.e, self.chord = diffs[:, :m + 1], diffs[:, m + 1:]
+        self.diff_rows = diffs[0], diffs[1]
+        self.lengths, self.divisors = lengths[:2 * m + 1], lengths[m + 1:]
+        self.seg, self.c, self.product = np.split(lengths, [m + 1, 2 * m + 1])
+        self.seg_pair = self.seg[:-1], self.seg[1:]
+        self.cross_terms = (self.e[0, :-1], self.e[1, 1:]), (self.e[1, :-1], self.e[0, 1:])
+        self.cross, self.scratch = self.numerators[m:], np.empty(m)
+        self.inverse_c, self.k = self.quotients[:m], self.quotients[m:]
+        self.left = np.empty((2, m))
+        self.chord_swapped, self.left_x = self.chord[::-1], self.left[0]
+
+    def __call__(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+        cross, t, product = self.cross, self.scratch, self.product
+        np.subtract(*self.edge_ends, out=self.e)
+        np.subtract(*self.chord_ends, out=self.chord)
+        np.hypot(*self.diff_rows, out=self.lengths)
+        forward, backward = self.cross_terms
+        np.multiply(*forward, out=cross)
+        np.multiply(*backward, out=t)
+        np.subtract(cross, t, out=cross)
+        np.multiply(2.0, cross, out=cross)
+        np.multiply(*self.seg_pair, out=product)
+        np.multiply(product, self.c, out=product)
+        # A zero edge or chord zeroes the cross product, and a zero chord the normal,
+        # so the floored divisors give 0 there, not NaN.
+        np.maximum(self.divisors, 1e-300, out=self.divisors)
+        np.divide(self.numerators, self.divisors, out=self.quotients)
+        np.multiply(self.chord_swapped, self.inverse_c, out=self.left)
+        np.negative(self.left_x, out=self.left_x)
+        return self.k, self.left, self.seg
+
+
+def _three_point(
+    chain: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """One-shot :class:`_Stencil` pass over a chain, into fresh arrays."""
+    return _Stencil(chain)()
 
 
 def curvature_profile(curve: PlaneCurve) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -556,8 +596,12 @@ def spiral_polygon(
 # ---------------------------------------------------------------------------
 
 def format_curve(curve: PlaneCurve) -> str:
-    lines = [f"{x:.17g} {y:.17g}" for x, y in curve.vertices]
-    return "\n".join(lines) + "\n"
+    return _format_points(curve.vertices)
+
+
+def _format_points(points: NDArray[np.float64]) -> str:
+    """One "x y" line per (n, 2) point at 17 significant digits, in one format call."""
+    return ("%.17g %.17g\n" * len(points)) % tuple(points.ravel().tolist())
 
 
 def write_curve(path, curve: PlaneCurve) -> None:

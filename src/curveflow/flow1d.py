@@ -16,9 +16,11 @@ is one weighted sum over a bank of six (2, n + 2) buffers per state: a row of
 ``_rkl2``'s table dotted with Y(j-1) (the point rows, x and y or r, between
 two ghost columns), Y(j-2), Y0, F and F0.  All three drivers share its step
 budget, caps and terminal events and make one geometry pass per evaluation;
-curves and meridians also share its snapshot schedule.  Only the pass
-``advance`` makes at a step's end adds the area; the next bound and every
-snapshot read that pass.
+curves and meridians also share its snapshot schedule.  The pass is bound:
+each state binds its stencil to its bank when the bank is allocated, so a call
+slices no view and allocates no array, and writes the same buffers each time.
+Only the pass ``advance`` makes at a step's end adds the area; the next bound
+and every snapshot read that pass.
 """
 
 from __future__ import annotations
@@ -174,13 +176,13 @@ class _FlowState:
 
     Every terminal event goes through :meth:`end` into ``events``, so there is
     exactly one and it is the last.  Subclasses keep their points as (2, n)
-    rows in ``verts`` (``set_verts``) and supply ``plan`` (fills ``vel`` with
-    F(Y0), records the diffusive bound through ``capped`` and returns the cap,
-    or closes the state), ``measure`` and ``velocity`` (a geometry pass without
-    the area, then ``vel``), ``advance(t, resample)`` (the last pass, with the
-    area: is a snapshot due?), ``validate``, ``take`` (keep a snapshot, return
-    its area), ``stop_kind`` and ``traj``, the ``Trajectory`` that ``take``
-    appends to.
+    rows in ``verts`` (``set_verts``, which calls ``bind`` on a new bank) and
+    supply ``plan`` (fills ``vel`` with F(Y0), records the diffusive bound
+    through ``capped`` and returns the cap, or closes the state), ``measure``
+    and ``velocity`` (a geometry pass without the area, then ``vel``),
+    ``advance(t, resample)`` (the last pass, with the area: is a snapshot
+    due?), ``validate``, ``take`` (keep a snapshot, return its area),
+    ``stop_kind`` and ``traj``, the ``Trajectory`` that ``take`` appends to.
     """
 
     stop_kind = EVENT_EXTINCTION
@@ -202,14 +204,22 @@ class _FlowState:
         """Copy (2, n) point rows into ``verts``, the inside of the (2, n + 2)
         ``chain`` (ghost, points, ghost): slot 0 of ``bank``, whose six slots,
         zeroed when n changes, are Y(j-1), Y(j-2), Y0, F (inside: ``vel``), F0
-        and a stage's output; ``flat`` holds each slot as one row."""
+        and a stage's output; ``flat`` holds each slot as one row.  A new bank,
+        on the first call and on a resample that changes n, is bound anew
+        (``bind``), so no view into the old one survives it."""
         if self.chain.shape[1] != rows.shape[1] + 2:
             self.bank = np.zeros((6, 2, rows.shape[1] + 2))   # 0 x an unread entry must be 0
             self.flat = self.bank.reshape(6, -1)
             self.chain = self.bank[0]
             self.verts = self.chain[:, 1:-1]
             self.vel = self.bank[3, :, 1:-1]
+            self.bind()
         self.verts[...] = rows
+
+    def bind(self) -> None:
+        """Bind ``stencil``, the state's one geometry pass (here a
+        :class:`curves._Stencil`), to the chain; ``measure`` calls it."""
+        self.stencil = cv._Stencil(self.chain)
 
     def capped(self, dt_e: float, h: float, vmax: float) -> float:
         """Record dt_e, the forward-Euler diffusive bound, and return the
@@ -376,7 +386,9 @@ class _CurveState(_FlowState):
     moves the rows in place, with one geometry pass, ``measure``, per stage
     after the first and one at its end, which alone adds ``measure_area``; the
     next ``plan``, the snapshot schedule and the snapshot's metrics all read
-    the curvature, normal, edge lengths and area it keeps.  The validated
+    the curvature, normal, edge lengths and area it keeps.  The pass is the
+    state's ``stencil``, bound with the chain: it overwrites the same
+    curvature, normal and edge-length arrays at every call.  The validated
     curve object is only built when a snapshot is recorded.
     """
 
@@ -391,14 +403,20 @@ class _CurveState(_FlowState):
         self.was_convex = m.convex
         self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
 
+    def bind(self) -> None:
+        """The bound stencil, and the ghost columns with the points they wrap to."""
+        super().bind()
+        c = self.chain
+        self.wraps = (c[:, 0], c[:, -2]), (c[:, -1], c[:, 1])
+
     def measure(self) -> None:
         """One geometry pass: fill the ghost columns and keep the curvature
         (positive for a left turn), unit left normal and edge lengths.  The
         speed law is odd in k, so speed(k) times the left normal is the inward
         velocity for either traversal direction."""
-        self.chain[:, 0] = self.chain[:, -2]
-        self.chain[:, -1] = self.chain[:, 1]
-        self.k, self.left, self.seg = cv._three_point(self.chain)
+        for ghost, point in self.wraps:
+            ghost[...] = point
+        self.k, self.left, self.seg = self.stencil()
 
     def measure_area(self) -> None:
         """Keep the signed area of the chain ``measure`` filled."""

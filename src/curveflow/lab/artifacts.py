@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple
+from dataclasses import fields
+from functools import cache
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -58,21 +61,25 @@ def _format_of(traj: Trajectory) -> GeometryFormat:
     return FORMATS[kind]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def series_csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """The header, then one line per row of numbers (bools as 1 and 0) at 17
+    significant digits, in one format call; every row has the first's length."""
+    rows = list(rows)
+    line = ",".join(["%.17g"] * len(rows[0])) + "\n" if rows else ""
+    return header + "\n" + (line * len(rows)) % tuple(chain.from_iterable(rows))
+
+
+@cache
+def _fields(metrics_type: type) -> Callable:
+    """attrgetter of every field of a metrics dataclass, in declaration order."""
+    return attrgetter(*(f.name for f in fields(metrics_type)))
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """The time and metrics of every snapshot, under its geometry's header."""
     header = _format_of(traj).header
-    return series_csv(header, ((s.time, *astuple(s.metrics)) for s in traj.snapshots))
+    get = _fields(type(traj.snapshots[0].metrics))
+    return series_csv(header, [(s.time, *get(s.metrics)) for s in traj.snapshots])
 
 
 def write_text(path: Path, text: str) -> Path:
@@ -104,7 +111,7 @@ def _svg_document(points: np.ndarray, closed: bool) -> str:
     margin = 0.025 * float(span.max() if span.max() > 0 else 1.0)
     x0, y0 = lo - margin
     w, h = span + 2 * margin
-    coords = " ".join(f"{p[0]:.6g},{p[1]:.6g}" for p in pts)
+    coords = " ".join(["%.6g,%.6g"] * len(pts)) % tuple(pts.ravel().tolist())
     tag = "polygon" if closed else "polyline"
     stroke_w = 0.004 * max(w, h)
     return (

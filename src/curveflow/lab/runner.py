@@ -186,10 +186,24 @@ def _eval_roundness(s: Scenario, out: Path, traj: f1.Trajectory):
     return "roundness.csv", checks
 
 
+def _embedded(traj: f1.Trajectory) -> list[bool]:
+    """``is_embedded`` of each snapshot of a curve run, testing only the first.
+
+    The driver tests every snapshot it appends and ends the run at the first
+    that fails, with an embeddedness-loss event; so every later snapshot is
+    embedded, except the last one of a run that ends with that event.
+    """
+    flags = [bool(cv.is_embedded(traj.snapshots[0].geometry))]
+    flags += [True] * (len(traj.snapshots) - 1)
+    if traj.events[-1].kind == f1.EVENT_EMBEDDEDNESS_LOSS:
+        flags[-1] = False
+    return flags
+
+
 def _eval_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
     conv_t = f1.convexification_time(traj)
     end_t = float(traj.times()[-1])
-    embedded = [bool(cv.is_embedded(snap.geometry)) for snap in traj.snapshots]
+    embedded = _embedded(traj)
     write_json(out / "convexification.json", {
         "convexification_time": conv_t,
         "final_time": end_t,
@@ -227,11 +241,10 @@ def _eval_norm_length(s: Scenario, out: Path, traj: f1.Trajectory):
 
 
 def _eval_pair_distance(s: Scenario, out: Path, t_a: f1.Trajectory, t_b: f1.Trajectory):
-    rows = []
-    broken = 0    # shared snapshots where either curve is not embedded
-    for sa, sb in zip(t_a.snapshots, t_b.snapshots):
-        rows.append((sa.time, cv.min_distance(sa.geometry, sb.geometry)))
-        broken += not (cv.is_embedded(sa.geometry) and cv.is_embedded(sb.geometry))
+    rows = [(sa.time, cv.min_distance(sa.geometry, sb.geometry))
+            for sa, sb in zip(t_a.snapshots, t_b.snapshots)]
+    # shared snapshots where either curve is not embedded
+    broken = sum(not (a and b) for a, b in zip(_embedded(t_a), _embedded(t_b)))
     write_text(out / "pair_distance.csv", series_csv("t,min_distance", rows))
     return "pair_distance.csv", [
         CheckResult("pair-distance/separation", min(r[1] for r in rows), ">",

@@ -151,11 +151,16 @@ class _FrontState(_FlowState):
         self.vel[:, [0, -1]] = FRONT_END_VELOCITY   # once: a resample keeps the bank
         self.traj = Trajectory([Snapshot(0.0, start, None)], self.events)
 
+    def bind(self) -> None:
+        """The stencil on the points alone, and the velocity of the interior."""
+        self.stencil = cv._Stencil(self.verts)
+        self.vel_inside = self.vel[:, 1:-1]
+
     def measure(self) -> None:
-        self.k, self.left, self.seg = cv._three_point(self.verts)
+        self.k, self.left, self.seg = self.stencil()
 
     def velocity(self) -> None:
-        np.multiply(self.k, self.left, out=self.vel[:, 1:-1])
+        np.multiply(self.k, self.left, out=self.vel_inside)
 
     def plan(self, t: float) -> float:
         """Fill ``vel`` from the last pass; the horizon joins the displacement cap."""

@@ -396,17 +396,17 @@ class TestOnePass:
                                   "meridian-torus", "meridian-dumbbell", "meridian-cylinder",
                                   "front"])
 def test_one_stencil_pass_per_step(case, monkeypatch):
-    """Every driver runs the stencil kernel once per state and velocity evaluation,
-    plus once at the start: K x (evaluations + 1) calls for K states on one clock,
-    snapshots included."""
+    """Every driver runs its bound stencil pass once per state and velocity
+    evaluation, plus once at the start: K x (evaluations + 1) calls for K states
+    on one clock, snapshots included."""
     calls = []
-    kernel = cv._three_point
+    kernel = cv._Stencil.__call__
 
-    def counted(chain):
-        calls.append(chain.shape[1])
-        return kernel(chain)
+    def counted(stencil):
+        calls.append(len(stencil.k))
+        return kernel(stencil)
 
-    monkeypatch.setattr(cv, "_three_point", counted)
+    monkeypatch.setattr(cv._Stencil, "__call__", counted)
     if case == "curve-peanut":
         k, stats = 1, f1.run(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0)).stats
     elif case == "curve-pair":
@@ -422,6 +422,67 @@ def test_one_stencil_pass_per_step(case, monkeypatch):
         k, stats = 1, ax.run_axi(profile).stats
     assert stats.evaluations > 100 and (stats.snapshots > 2 or case == "front")
     assert len(calls) == k * (stats.evaluations + 1)
+
+
+@pytest.mark.parametrize("case", ["curve-peanut", "meridian-sphere", "meridian-torus",
+                                  "meridian-dumbbell", "meridian-cylinder", "front"])
+def test_bound_pass_matches_a_fresh_pass(case):
+    """After every RKL2 stage and every resample, the state's bound pass holds
+    what a fresh one-shot pass gives on its current chain, bit for bit, so no
+    view outlives a bank that a resample dropped; a meridian's velocity is the
+    pole clamp read literally."""
+    config = f1.FlowConfig(max_steps=3000, resample_every=2)
+    if case == "curve-peanut":
+        state = f1._CurveState(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0), config)
+
+        def fresh():
+            return cv._three_point(cv._closed_chain(state.verts.T))
+    elif case == "front":
+        state = oc._FrontState(oc.grim_reaper(81, 1.0), 0.1, config)
+
+        def fresh():
+            return cv._three_point(state.verts.copy())
+    else:
+        profile = {"sphere": ax.sphere_profile(0.5, 64),
+                   "torus": ax.torus_profile(1.0, 0.25, 64),
+                   "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256),
+                   "cylinder": perturbed_cylinder(n=128)}[case.split("-")[1]]
+        state = ax._AxiState(profile, config)
+
+        def fresh():
+            if state.two_poles:
+                assert state.verts[1, 0] == 0.0 and state.verts[1, -1] == 0.0
+            return ax._meridian_pass(state.chain.copy(), state.topology, state.period)
+
+        velocity = state.velocity
+
+        def checked_velocity():
+            h = state.h.copy()
+            if state.two_poles:
+                for i, j in ((0, 1), (-1, -2)):
+                    lim = 2.0 * abs(float(h[j]))
+                    h[i] = min(max(float(h[i]), -lim), lim)
+            moved = velocity()
+            assert np.array_equal(moved, h)
+            assert np.array_equal(state.vel, state.left * h)
+            return moved
+
+        state.velocity = checked_velocity
+    measure = state.measure
+    sizes = []
+
+    def checked_measure():
+        measure()
+        held = (state.h if hasattr(state, "h") else state.k, state.left, state.seg)
+        for a, b in zip(held, fresh()):
+            assert np.array_equal(a, b)
+        sizes.append(state.verts.shape[1])
+
+    state.measure = checked_measure
+    [traj] = f1._evolve([state], config)
+    assert len(sizes) == traj.stats.evaluations and traj.stats.resamples > 2
+    if case in ("curve-peanut", "meridian-sphere", "meridian-torus"):
+        assert len(set(sizes)) > 2   # resamples changed the point count
 
 
 def brute_plateau_waist(r):

@@ -421,6 +421,54 @@ class TestArtifacts:
             write(front, tmp_path)
         assert not (tmp_path / "snaps").exists()
 
+    def test_one_format_call_matches_per_value_formatting(self):
+        """Each artifact is byte-equal to the per-value f-strings it replaced,
+        on signed zeros, subnormals, huge and tiny values and bools."""
+        def old_points(pts):
+            return "\n".join(f"{x:.17g} {y:.17g}" for x, y in pts) + "\n"
+
+        def old_series(header, rows):
+            return "\n".join([header] + [",".join(format(float(x), ".17g") for x in row)
+                                         for row in rows]) + "\n"
+
+        t = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        octagon = 1e100 * np.column_stack([np.cos(t), np.sin(t)])
+        octagon[0] = 1e100, -0.0
+        octagon[2] = 5e-324, 1e100
+        octagon[4] = -1e100, 1.25e-7
+        rng = np.random.default_rng(7)
+        tiny = 1e-7 * (octagon / 1e100 + rng.normal(scale=0.01, size=(8, 2)))
+        for pts in (octagon, tiny):
+            assert cv.format_curve(cv.PlaneCurve(pts)) == old_points(pts)
+        for prof in (ax.sphere_profile(2.5e-5, 32), ax.cylinder_profile(3.5e-5, 1e-4, 16)):
+            head = ax.format_profile(prof).splitlines()[0]
+            assert ax.format_profile(prof) == head + "\n" + old_points(prof.samples)
+
+        pts = np.array([[-0.0, 0.0], [5e-324, 1e300], [1.25e-7, -3.5e-12], [1.0, 2.0]])
+        flipped = np.column_stack([pts[:, 0], -pts[:, 1]])
+        coords = " ".join(f"{p[0]:.6g},{p[1]:.6g}" for p in flipped)
+        assert f'points="{coords}"' in artifacts._svg_document(pts, closed=False)
+
+        rows = [(0.0, -0.0, True), (5e-324, np.float64(1e300), np.False_), (-1.25e-7, 3, 2.5)]
+        assert artifacts.series_csv("a,b,c", rows) == old_series("a,b,c", rows)
+        assert artifacts.series_csv("a,b,c", []) == "a,b,c\n"
+
+        curve = cv.PlaneCurve(octagon)
+        snaps = [f1.Snapshot(0.0, curve, cv.metrics(curve)),
+                 f1.Snapshot(5e-324, curve, cv.CurveMetrics(1e300, -0.0, 5e-324, -1.25e-7,
+                                                            np.float64(3.0), True))]
+        traj = f1.Trajectory(snaps)
+        want = old_series(artifacts.CURVE_CSV_HEADER,
+                          [(s.time, *dataclasses.astuple(s.metrics)) for s in snaps])
+        assert artifacts.trajectory_csv(traj) == want
+        prof = ax.sphere_profile(0.5, 32)
+        axi = f1.Trajectory([f1.Snapshot(0.0, prof, ax.axi_metrics(prof)),
+                             f1.Snapshot(1.0, prof, ax.AxiMetrics(1e300, 5e-324, -0.0, -2e-9,
+                                                                  -1.0, 2.0, np.True_))])
+        want = old_series(artifacts.AXI_CSV_HEADER,
+                          [(s.time, *dataclasses.astuple(s.metrics)) for s in axi.snapshots])
+        assert artifacts.trajectory_csv(axi) == want
+
 
 NAN = float("nan")
 
@@ -489,6 +537,23 @@ class TestRunner:
         assert report.artifacts.count("area_law.json") == 1
         prefixes = {c.name.split("/")[0] for c in report.checks}
         assert prefixes == {"radius-law", "area-law"}
+
+    @pytest.mark.parametrize("ending", ["crossed-start", "embeddedness-loss"])
+    def test_embedded_flags_match_a_test_of_every_snapshot(self, ending):
+        """The runner tests only the first snapshot and reads the rest from the
+        run's ending; that must equal ``is_embedded`` of each snapshot."""
+        bowtie = cv.PlaneCurve([[0, 0], [1, 1], [2, 1], [2, 0], [1, 0], [0, 1],
+                                [-1, 1], [-1, 0.5]])
+        circle = cv.circle_polygon(1.0, 32)
+        if ending == "crossed-start":
+            curves, event = [bowtie, circle, circle], f1.EVENT_EXTINCTION
+        else:
+            curves, event = [circle, circle, bowtie], f1.EVENT_EMBEDDEDNESS_LOSS
+        snaps = [f1.Snapshot(float(i), c, cv.metrics(c)) for i, c in enumerate(curves)]
+        traj = f1.Trajectory(snaps, [f1.Event(f1.EVENT_CONVEXIFICATION, 0.5), f1.Event(event, 2.0)])
+        want = [cv.is_embedded(snap.geometry) for snap in traj.snapshots]
+        assert want.count(False) == 1
+        assert runner._embedded(traj) == want
 
     def test_runs_are_bit_identical(self, tmp_path):
         s = tiny_circle_scenario()
