@@ -132,8 +132,6 @@ class AxiMetrics:
 # ---------------------------------------------------------------------------
 
 _AXIS_MIRROR = np.array([1.0, -1.0])
-# The samples beside the first and the last pole, whose h caps the poles' speed.
-_POLE_NEIGHBOURS = np.array([1, -2])
 
 
 def _polyline(topology: str) -> slice:
@@ -142,58 +140,35 @@ def _polyline(topology: str) -> slice:
     return slice(1, -1) if topology == TOPOLOGY_TWO_POLES else slice(1, None)
 
 
-class _MeridianPass:
-    """The one geometry pass over a meridian's (2, n + 2) chain of rows x, r,
-    bound to the chain like the :class:`curves._Stencil` it runs.  A call fills
-    the ghost columns (the wrapped sample on a periodic loop, the sample
-    shifted by one period on a cylinder, and at an axis pole the reflection
-    (x1, -r1) of its neighbour), runs the stencil once and returns
-    h = kappa - nu_r / r with kappa and nu as the left normal orients them
-    (2 kappa at a pole, where both principal curvatures agree), the (2, n) left
-    normal rows and the polyline's segment lengths, always in the same three
-    arrays; ``_metrics_of`` turns h inward."""
-
-    def __init__(self, chain: NDArray[np.float64], topology: str, period: float | None):
-        self.stencil = cv._Stencil(chain)
-        k, left, seg = self.stencil.k, self.stencil.left, self.stencil.seg
-        self.h = h = np.empty_like(k)
-        self.seg = seg[_polyline(topology)]
-        self.two_poles = topology == TOPOLOGY_TWO_POLES
-        if self.two_poles:
-            self.ghosts = (chain[:, 0], chain[:, 2]), (chain[:, -1], chain[:, -3])
-            self.shifts = ()
-            # h = 2 kappa, then the interior: kappa - nu_r / r
-            self.interior = k[1:-1], left[1, 1:-1], chain[1, 2:-2], h[1:-1]
-        else:
-            self.ghosts = (chain[:, 0], chain[:, -2]), (chain[:, -1], chain[:, 1])
-            x = chain[0]
-            cylinder = topology == TOPOLOGY_CYLINDER
-            self.shifts = ((x[:1], -period), (x[-1:], period)) if cylinder else ()
-            self.interior = k, left[1], chain[1, 1:-1], h
-
-    def __call__(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-        if self.two_poles:
-            for ghost, point in self.ghosts:
-                np.multiply(point, _AXIS_MIRROR, out=ghost)
-        else:
-            for ghost, point in self.ghosts:
-                ghost[...] = point
-            for x, shift in self.shifts:   # a cylinder's ghosts lie one period out
-                np.add(x, shift, out=x)
-        k, left, _ = self.stencil()
-        if self.two_poles:
-            np.multiply(2.0, k, out=self.h)
-        kappa, nu_r, r, out = self.interior
-        np.divide(nu_r, r, out=out)
-        np.subtract(kappa, out, out=out)
-        return self.h, left, self.seg
-
-
 def _meridian_pass(
-    chain: NDArray[np.float64], topology: str, period: float | None
+    chain: NDArray[np.float64], topology: str, period: float | None,
+    stencil: cv._Stencil | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """One-shot :class:`_MeridianPass` over a chain, into fresh arrays."""
-    return _MeridianPass(chain, topology, period)()
+    """The one geometry pass over a meridian's (2, n + 2) chain of rows x, r.
+
+    Fills the ghost columns (the wrapped sample on a periodic loop, the sample
+    shifted by one period on a cylinder, and at an axis pole the reflection
+    (x1, -r1) of its neighbour), then runs ``stencil``, the one bound to the
+    chain, or a fresh one.  Returns h = kappa - nu_r / r with kappa and nu as
+    the left normal orients them (2 kappa at a pole, where both principal
+    curvatures agree), the (2, n) left normal rows and the polyline's segment
+    lengths; ``_metrics_of`` turns h inward."""
+    if topology == TOPOLOGY_TWO_POLES:
+        chain[:, 0] = chain[:, 2] * _AXIS_MIRROR
+        chain[:, -1] = chain[:, -3] * _AXIS_MIRROR
+    else:
+        chain[:, 0] = chain[:, -2]
+        chain[:, -1] = chain[:, 1]
+        if topology == TOPOLOGY_CYLINDER:
+            chain[0, 0] -= period
+            chain[0, -1] += period
+    k, left, seg = (stencil or cv._Stencil(chain))()
+    if topology == TOPOLOGY_TWO_POLES:
+        h = 2.0 * k
+        h[1:-1] = k[1:-1] - left[1, 1:-1] / chain[1, 2:-2]
+    else:
+        h = k - left[1] / chain[1, 1:-1]
+    return h, left, seg[_polyline(topology)]
 
 
 def _lateral_area(chain: NDArray[np.float64], topology: str, seg: NDArray[np.float64]) -> float:
@@ -224,15 +199,6 @@ def _plateau_waist(r: NDArray[np.float64]) -> int | None:
         return None
     j = idx[np.argmin(vals[idx])]
     return int((start[j] + end[j] - 1) // 2)
-
-
-def _has_dip(r: NDArray[np.float64]) -> bool:
-    """Whether r strictly falls and later strictly rises with only equal steps
-    between: true exactly when ``_plateau_waist(r)`` is not None, and cheaper.
-    A NaN compares unequal to its neighbours but neither falls nor rises."""
-    step = r[1:] != r[:-1]
-    fall, rise = (r[1:] < r[:-1])[step], (r[1:] > r[:-1])[step]
-    return bool((fall[:-1] & rise[1:]).any())
 
 
 def _waist_of(pts: NDArray[np.float64], topo: str) -> tuple[float, float, bool, int]:
@@ -421,10 +387,9 @@ class _AxiState(_FlowState):
     (2, n + 2) chain buffer with a ghost column at each end.  ``advance`` makes
     the step's last geometry pass, ``measure`` and ``measure_area``, before it
     looks for a neck; the next ``plan`` and every snapshot read that pass.  The
-    pass is a :class:`_MeridianPass` bound with the chain: ghosts, stencil and
-    h write the same buffers at every call, and the pole clamp of ``velocity``
-    writes ``h_moved``.  Snapshots fall due on a geometric schedule in the
-    lateral area and, for a true waist, in its radius.
+    pass is ``_meridian_pass`` around the state's bound stencil.  Snapshots fall
+    due on a geometric schedule in the lateral area and, for a true waist, in
+    its radius.
     """
 
     def __init__(self, profile: AxiProfile, config: FlowConfig):
@@ -453,23 +418,14 @@ class _AxiState(_FlowState):
         self.next_waist = rmin0 * self.ratio
         self.traj = Trajectory([Snapshot(0.0, profile, m)], self.events)
 
-    def bind(self) -> None:
-        """Bind the meridian pass to the chain and, between two poles, the pole
-        radii ``measure`` zeroes and the buffers of the pole clamp in ``velocity``."""
-        self.stencil = _MeridianPass(self.chain, self.topology, self.period)
-        if self.two_poles:
-            n = self.verts.shape[1]
-            self.pole_r = self.verts[1, ::n - 1]
-            self.h_moved = np.empty(n)
-            self.poles = self.h_moved[::n - 1]
-            self.pole_lim, self.pole_floor = np.empty((2, 2))
-
     def measure(self) -> None:
         """One geometry pass: put the poles back on the axis, then keep h, the
         left normal and the segment lengths of the chain."""
         if self.two_poles:
-            self.pole_r.fill(0.0)
-        self.h, self.left, self.seg = self.stencil()
+            self.verts[1, 0] = 0.0
+            self.verts[1, -1] = 0.0
+        self.h, self.left, self.seg = _meridian_pass(
+            self.chain, self.topology, self.period, self.stencil)
 
     def measure_area(self) -> None:
         """Keep the lateral area of the chain ``measure`` filled."""
@@ -480,19 +436,14 @@ class _AxiState(_FlowState):
         orientation, so h and nu are taken as the left normal orients them.
 
         Poles move along the axis at twice the meridian curvature, capped by
-        the neighboring samples so a noisy pole cannot outrun its cap.  In
-        ``h_moved``: a snapshot reads the measured h."""
+        the neighboring samples so a noisy pole cannot outrun its cap.  On a
+        copy: a snapshot reads the measured h."""
         h = self.h
         if self.two_poles:
-            lim, floor = self.pole_lim, self.pole_floor
-            np.take(h, _POLE_NEIGHBOURS, out=lim)
-            np.abs(lim, out=lim)
-            np.multiply(2.0, lim, out=lim)
-            np.negative(lim, out=floor)
-            h = self.h_moved
-            h[...] = self.h
-            np.maximum(self.poles, floor, out=self.poles)
-            np.minimum(self.poles, lim, out=self.poles)
+            h = h.copy()
+            for i, j in ((0, 1), (-1, -2)):
+                lim = 2.0 * abs(float(h[j]))
+                h[i] = min(max(float(h[i]), -lim), lim)
         np.multiply(self.left, h, out=self.vel)
         return h
 
@@ -512,17 +463,14 @@ class _AxiState(_FlowState):
         self.measure()
         self.measure_area()
         pts = self.verts.T
-
-        # Without a dip, a two-pole profile that started without a true waist has none.
-        if not self.two_poles or self.waist0 is not None or _has_dip(self.verts[1, 1:-1]):
-            rmin, rmin_x, true_waist, i = _waist_of(pts, self.topology)
-            if not self.two_poles or true_waist:
-                thr = _neck_threshold(pts, i)
-                if self.waist0 is not None:
-                    thr = max(thr, NECK_RADIUS_FRACTION * self.waist0)
-                if rmin < thr:
-                    self.close(t, Event(self.pinch_kind, t, (rmin_x, rmin)))
-                    return False
+        rmin, rmin_x, true_waist, i = _waist_of(pts, self.topology)
+        if true_waist:
+            thr = _neck_threshold(pts, i)
+            if self.waist0 is not None:
+                thr = max(thr, NECK_RADIUS_FRACTION * self.waist0)
+            if rmin < thr:
+                self.close(t, Event(self.pinch_kind, t, (rmin_x, rmin)))
+                return False
         self.r_int = float(self.verts[1, self.off_axis].min())
         if self.r_int <= 0:
             raise NumericalBreakdownError(
@@ -530,10 +478,8 @@ class _AxiState(_FlowState):
             )
         return self.area <= self.next_area or (self.waist0 is not None and rmin <= self.next_waist)
 
-    def validate(self) -> AxiProfile:
-        return AxiProfile(self.verts.T, self.topology, self.period)
-
-    def take(self, t: float, profile: AxiProfile) -> float:
+    def take(self, t: float) -> float:
+        profile = AxiProfile(self.verts.T, self.topology, self.period)
         m = _metrics_of(self.chain, self.topology, self.h, self.area)
         self.traj.snapshots.append(Snapshot(t, profile, m))
         self.next_waist = m.min_radius * self.ratio   # read only for a true waist
@@ -647,19 +593,7 @@ def parse_profile(text: str) -> AxiProfile:
                 raise InvalidInputError(f"bad period value {val!r}") from exc
         else:
             raise InvalidInputError(f"unknown profile header field {key!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise InvalidInputError(f"line {lineno}: expected 'x r', got {line!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise InvalidInputError(f"line {lineno}: non-numeric value") from exc
-    return AxiProfile(np.array(rows, dtype=np.float64), topology, period)
+    return AxiProfile(cv._parse_points(lines[1:], 2, "x r"), topology, period)
 
 
 def write_profile(profile: AxiProfile, path) -> None:

@@ -372,6 +372,18 @@ def _segments_touch(
     return touch
 
 
+def _box_pairs(
+    p1: NDArray[np.float64], p2: NDArray[np.float64], tol: float
+) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.bool_]]:
+    """Index pairs of segments p1-p2 whose x-ranges overlap within tol (one
+    sweep, each pair once), and which of them have y-ranges that overlap too."""
+    mins = np.minimum(p1, p2)
+    maxs = np.maximum(p1, p2)
+    ii, jj = _interval_pairs(mins[:, 0], maxs[:, 0] + tol)
+    ymin, ymax = mins[:, 1].copy(), maxs[:, 1].copy()
+    return ii, jj, (ymin.take(ii) <= ymax.take(jj) + tol) & (ymin.take(jj) <= ymax.take(ii) + tol)
+
+
 def is_embedded(curve: PlaneCurve) -> bool:
     """Exact segment-pair test: no two non-adjacent edges may touch or cross."""
     v = curve.vertices
@@ -379,19 +391,9 @@ def is_embedded(curve: PlaneCurve) -> bool:
     p1 = v
     p2 = _next(v)
     tol = DISTINCT_REL_TOL * bbox_diameter(v)
-    mins = np.minimum(p1, p2)
-    maxs = np.maximum(p1, p2)
-    ii, jj = _interval_pairs(mins[:, 0], maxs[:, 0] + tol)
-    if len(ii) == 0:
-        return True
+    ii, jj, boxed = _box_pairs(p1, p2, tol)
     gap = (jj - ii) % n
-    ymin, ymax = mins[:, 1].copy(), maxs[:, 1].copy()
-    keep = (
-        (gap != 1)
-        & (gap != n - 1)
-        & (ymin.take(ii) <= ymax.take(jj) + tol)
-        & (ymin.take(jj) <= ymax.take(ii) + tol)
-    )
+    keep = boxed & (gap != 1) & (gap != n - 1)
     ii, jj = ii[keep], jj[keep]
     if len(ii) == 0:
         return True
@@ -429,15 +431,8 @@ def _curves_cross(c1: PlaneCurve, c2: PlaneCurve) -> bool:
     n1 = len(v1)
     p1 = np.vstack([v1, v2])
     p2 = np.vstack([_next(v1), _next(v2)])
-    mins = np.minimum(p1, p2)
-    maxs = np.maximum(p1, p2)
-    ii, jj = _interval_pairs(mins[:, 0], maxs[:, 0])
-    ymin, ymax = mins[:, 1].copy(), maxs[:, 1].copy()
-    keep = (
-        ((ii < n1) != (jj < n1))
-        & (ymin.take(ii) <= ymax.take(jj))
-        & (ymin.take(jj) <= ymax.take(ii))
-    )
+    ii, jj, boxed = _box_pairs(p1, p2, 0.0)
+    keep = boxed & ((ii < n1) != (jj < n1))
     ii, jj = ii[keep], jj[keep]
     if len(ii) == 0:
         return False
@@ -609,23 +604,30 @@ def write_curve(path, curve: PlaneCurve) -> None:
         fh.write(format_curve(curve))
 
 
-def parse_curve(text: str) -> PlaneCurve:
-    """Accepts unix or windows line endings and blank trailing lines."""
+def _parse_points(lines: list[str], first_lineno: int, names: str) -> NDArray[np.float64]:
+    """(n, 2) points from lines of two numbers each, ``names`` ("x y") naming
+    them in errors; blank lines and ``#`` lines are skipped.  A bad line raises
+    InvalidInputError with its number, counted from ``first_lineno``."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=first_lineno):
         line = raw.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise InvalidInputError(f"line {lineno}: expected 'x y', got {raw!r}")
+            raise InvalidInputError(f"line {lineno}: expected {names!r}, got {raw!r}")
         try:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise InvalidInputError(f"line {lineno}: {exc}") from exc
-    return PlaneCurve(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
+
+
+def parse_curve(text: str) -> PlaneCurve:
+    """Accepts unix or windows line endings, blank lines and ``#`` comment lines."""
+    return PlaneCurve(_parse_points(text.splitlines(), 1, "x y"))
 
 
 def read_curve(path) -> PlaneCurve:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8") as fh:   # a comment line may hold any text
         return parse_curve(fh.read())

@@ -11,20 +11,21 @@ The same loop, ``_evolve``, steps the other two drivers: the meridians of
 ``axisym`` and the open translating front of ``oracle``; every driver returns
 the ``Trajectory`` of each state it stepped.  It owns the update:
 each driver's ``plan`` fills ``vel`` with F(Y0) and returns its displacement
-cap, ``stage_velocity`` refills ``vel`` at each later stage, and each stage
-is one weighted sum over a bank of six (2, n + 2) buffers per state: a row of
-``_rkl2``'s table dotted with Y(j-1) (the point rows, x and y or r, between
-two ghost columns), Y(j-2), Y0, F and F0.  All three drivers share its step
-budget, caps and terminal events and make one geometry pass per evaluation;
-curves and meridians also share its snapshot schedule.  The pass is bound:
-each state binds its stencil to its bank when the bank is allocated, so a call
-slices no view and allocates no array, and writes the same buffers each time.
-Only the pass ``advance`` makes at a step's end adds the area; the next bound
-and every snapshot read that pass.
+cap, ``measure`` and ``velocity`` refill ``vel`` at each later stage, and
+each stage is one weighted sum over a bank of six (2, n + 2) buffers per
+state: a row of ``_rkl2``'s table dotted with Y(j-1) (the point rows, x and
+y or r, between two ghost columns), Y(j-2), Y0, F and F0.  All three drivers
+share its step budget, caps and terminal events and make one geometry pass
+per evaluation; curves and meridians also share its snapshot schedule.  Each
+state binds its stencil to its bank when the bank is allocated, so a stencil
+call slices no view and allocates no array, and writes the same buffers each
+time.  Only the pass ``advance`` makes at a step's end adds the area; the
+next bound and every snapshot read that pass.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 from typing import TYPE_CHECKING
@@ -97,14 +98,14 @@ class FlowConfig:
         # Each guard is written so that NaN fails it.
         if not 0.0 < self.cfl_factor <= 1.0:
             raise InvalidInputError("cfl_factor must be in (0, 1]")
-        if not self.resample_every > 0:
-            raise InvalidInputError("resample_every must be positive")
+        for name in ("resample_every", "max_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or not value > 0:
+                raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.stop_area_fraction < 1.0:
             raise InvalidInputError("stop_area_fraction must be in (0, 1)")
         if self.max_curvature_stop is not None and not self.max_curvature_stop > 0:
             raise InvalidInputError("max_curvature_stop must be positive")
-        if not self.max_steps > 0:
-            raise InvalidInputError("max_steps must be positive")
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,9 @@ class _FlowState:
     through ``capped`` and returns the cap, or closes the state), ``measure``
     and ``velocity`` (a geometry pass without the area, then ``vel``),
     ``advance(t, resample)`` (the last pass, with the area: is a snapshot
-    due?), ``validate``, ``take`` (keep a snapshot, return its area),
-    ``stop_kind`` and ``traj``, the ``Trajectory`` that ``take`` appends to.
+    due?), ``take(t)`` (build and check the snapshot's geometry, append it,
+    return its area), ``stop_kind`` and ``traj``, the ``Trajectory`` that
+    ``take`` appends to.
     """
 
     stop_kind = EVENT_EXTINCTION
@@ -217,8 +219,8 @@ class _FlowState:
         self.verts[...] = rows
 
     def bind(self) -> None:
-        """Bind ``stencil``, the state's one geometry pass (here a
-        :class:`curves._Stencil`), to the chain; ``measure`` calls it."""
+        """Bind ``stencil``, a :class:`curves._Stencil`, to the chain; ``measure``
+        runs it."""
         self.stencil = cv._Stencil(self.chain)
 
     def capped(self, dt_e: float, h: float, vmax: float) -> float:
@@ -227,12 +229,6 @@ class _FlowState:
         DISPLACEMENT_FRACTION of h at speed vmax (inf when nothing moves)."""
         self.dt_e = dt_e
         return DISPLACEMENT_FRACTION * h / vmax if vmax > 0 else np.inf
-
-    def stage_velocity(self) -> None:
-        """Fill ``vel`` with F at the working points: a fresh geometry pass
-        without the area, then the velocity that ``plan`` takes as F(Y0)."""
-        self.measure()
-        self.velocity()
 
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
@@ -257,13 +253,12 @@ class _FlowState:
         (returning None); any other degeneracy is a genuine failure.
         """
         try:
-            geometry = self.validate()
+            area = self.take(t)
         except ExtinctError:
             self.end(Event(self.stop_kind, t, self.centre()))
             return None
         except InvalidInputError as exc:
             raise NumericalBreakdownError(f"geometry degenerated at t={t:.6g}: {exc}") from exc
-        area = self.take(t, geometry)
         self.last_time = t
         if event is not None:
             self.end(event)
@@ -346,7 +341,8 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
         for j, w in enumerate(weights):
             for s in states:
                 if j:
-                    s.stage_velocity()
+                    s.measure()
+                    s.velocity()
                 np.dot(w, s.flat[:5], out=s.flat[5])
                 s.flat[1] = s.flat[0]   # Y(j-1), the next stage's Y(j-2)
                 s.flat[0] = s.flat[5]   # Y(j)
@@ -455,10 +451,8 @@ class _CurveState(_FlowState):
         self.measure_area()
         return abs(self.area) <= self.next_area
 
-    def validate(self) -> cv.PlaneCurve:
-        return cv.PlaneCurve(self.verts.T)
-
-    def take(self, t: float, curve: cv.PlaneCurve) -> float:
+    def take(self, t: float) -> float:
+        curve = cv.PlaneCurve(self.verts.T)
         m = cv._metrics_of(self.k, self.seg, self.area)   # curve holds the measured points
         self.traj.snapshots.append(Snapshot(t, curve, m))
         if m.convex and not self.was_convex:

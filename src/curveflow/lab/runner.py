@@ -394,9 +394,7 @@ def _run_flow(key: _FlowKey | None) -> list[f1.Trajectory]:
     if key.kind == KIND_AXI:
         return [ax.run_axi(geometry, key.config)]
     if key.shape == "grim_reaper":
-        return [oc.evolve_translating_front(
-            geometry, key.duration, cfl_factor=key.config.cfl_factor,
-            resample_every=key.config.resample_every)]
+        return [oc.evolve_translating_front(geometry, key.duration, key.config)]
     if isinstance(geometry, list):
         return f1.co_evolve(geometry, key.law, key.config)
     return [f1.run(geometry, key.law, key.config)]

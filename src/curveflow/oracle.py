@@ -107,11 +107,11 @@ def _rk4_radius(c: float, p: float, r0: float, t_end: float, step: float) -> flo
     return r
 
 
-def selfcheck(step: float = SELFCHECK_STEP) -> dict[str, float]:
-    """Absolute closed-form vs RK4 mismatch for each oracle; all must sit
-    below SELFCHECK_TOL or the oracles cannot be trusted."""
-    if not 0.0 < step < math.inf:
-        raise InvalidInputError(f"step must be positive and finite, got {step}")
+def selfcheck() -> dict[str, float]:
+    """Absolute closed-form vs RK4 mismatch for each oracle, at RK4 step
+    SELFCHECK_STEP; all must sit below SELFCHECK_TOL or the oracles cannot be
+    trusted."""
+    step = SELFCHECK_STEP
     cases = {}
 
     r = _rk4_radius(1.0, 1.0, 1.0, 0.375, step)
@@ -182,28 +182,25 @@ class _FrontState(_FlowState):
         self.measure()
         return False
 
-    def validate(self) -> NDArray[np.float64]:
-        return cv._checked_points(self.verts.T, 4, closed=False, noun="front points")[0]
-
-    def take(self, t: float, pts: NDArray[np.float64]) -> float:
+    def take(self, t: float) -> float:
+        pts = cv._checked_points(self.verts.T, 4, closed=False, noun="front points")[0]
         self.traj.snapshots.append(Snapshot(t, pts, None))
         return 0.0   # no area: the front never snapshots on a schedule
 
 
 def evolve_translating_front(
-    points: NDArray[np.float64],
-    duration: float,
-    cfl_factor: float = 0.4,
-    resample_every: int = 25,
+    points: NDArray[np.float64], duration: float, config: FlowConfig | None = None
 ) -> Trajectory:
     """March an open polyline by its curvature vector for ``duration``, its ends
     moving up at unit speed, and return its trajectory with the run's stats:
     two snapshots, the start and the final (n, 2) points at the horizon.  It
-    confirms the translating-front solution.  An end before the horizon
-    raises NumericalBreakdownError."""
+    confirms the translating-front solution.  ``config`` steps it as it steps
+    the other drivers (default: ``FlowConfig(resample_every=25)``); its area
+    stop never fires on an open chain.  An end before the horizon, the step
+    budget or a curvature stop included, raises NumericalBreakdownError."""
     if not 0.0 < duration < math.inf:
         raise InvalidInputError(f"duration must be positive and finite, got {duration}")
-    config = FlowConfig(cfl_factor=cfl_factor, resample_every=resample_every)
+    config = config or FlowConfig(resample_every=25)
     [traj] = _evolve([_FrontState(points, duration, config)], config)
     end = traj.events[-1]
     if end.kind != EVENT_HORIZON:

@@ -516,20 +516,6 @@ class TestPlateauWaist:
     def test_matches_the_brute_force_reading(self, r):
         assert ax._plateau_waist(r) == brute_plateau_waist(r.tolist())
 
-    @given(arrays_with_runs(), st.lists(st.integers(0, 47), max_size=3))
-    @example(np.array([1.0, 1.0, 2.0, 3.0]), [])
-    @example(np.array([3.0, 2.0, 1.0, 1.0]), [])
-    @example(np.array([3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0]), [])
-    @example(np.array([3.0, 1.0, 3.0, 1.0, 3.0]), [])
-    @example(np.array([3.0, 1.0, 5.0, 0.0, 2.0]), [2])       # a NaN between fall and rise
-    @example(np.array([3.0, 1.0, 1.0, 5.0, 2.0]), [3])
-    @example(np.array([5.0, 3.0, 1.0, 2.0, 5.0]), [0, 4])
-    @example(np.array([5.0, 5.0, 1.0]), [0, 1])
-    @example(np.array([2.0, math.inf, 1.0, math.inf]), [])
-    def test_dip_guard_agrees_with_the_waist_scan(self, r, nans):
-        r[[i for i in nans if i < len(r)]] = np.nan
-        assert ax._has_dip(r) == (ax._plateau_waist(r) is not None)
-
     def test_named_cases(self):
         assert ax._plateau_waist(np.array([1.0, 1.0, 2.0, 3.0])) is None
         assert ax._plateau_waist(np.array([3.0, 2.0, 1.0, 1.0])) is None

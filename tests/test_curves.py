@@ -603,6 +603,16 @@ class TestFileRoundTrip:
         with pytest.raises(InvalidInputError, match="line 2"):
             cv.parse_curve("0 0\n1\n")
 
+    def test_parse_skips_comment_lines(self, tmp_path):
+        curve = cv.circle_polygon(1.0, 32)
+        text = "# a circle, r\u00e9sum\u00e9\n" + cv.format_curve(curve) + "  # trailing note\n"
+        assert np.array_equal(cv.parse_curve(text).vertices, curve.vertices)
+        path = tmp_path / "commented.xy"
+        path.write_text(text, encoding="utf-8")
+        assert np.array_equal(cv.read_curve(path).vertices, curve.vertices)
+        with pytest.raises(InvalidInputError, match="line 3"):
+            cv.parse_curve("# header\n0 0\n1\n")
+
     def test_parse_error_on_non_numeric(self):
         with pytest.raises(InvalidInputError, match="line 1"):
             cv.parse_curve("a b\n")

@@ -48,6 +48,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             f1.FlowConfig(resample_every=0)
 
+    def test_step_settings_take_numpy_integers(self):
+        cfg = f1.FlowConfig(resample_every=np.int64(5), max_steps=np.int32(12))
+        stats = f1.run(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0), cfg).stats
+        assert (stats.steps, stats.resamples) == (12, 2)
+
 
 class TestStepping:
     def test_velocity_power_law(self):
@@ -345,8 +350,8 @@ ENDINGS = {
                         f1.EVENT_BLOWUP),
     "meridian-budget": (lambda: ax.run_axi(ax.sphere_profile(1.0, 32),
                                            f1.FlowConfig(max_steps=BUDGET)), f1.EVENT_STEP_BUDGET),
-    "front-horizon": (lambda: oc.evolve_translating_front(oc.grim_reaper(41), 0.02,
-                                                          resample_every=10), oc.EVENT_HORIZON),
+    "front-horizon": (lambda: oc.evolve_translating_front(
+        oc.grim_reaper(41), 0.02, config=f1.FlowConfig(resample_every=10)), oc.EVENT_HORIZON),
 }
 TERMINAL = {f1.EVENT_EXTINCTION, f1.EVENT_BLOWUP, f1.EVENT_EMBEDDEDNESS_LOSS,
             f1.EVENT_STEP_BUDGET, f1.EVENT_PARTNER_STOPPED, ax.EVENT_POLE_EXTINCTION,

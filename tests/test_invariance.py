@@ -160,7 +160,8 @@ class TestTranslatingFront:
     @given(st.integers(17, 128), st.floats(0.6, 1.4), st.floats(-5.0, 5.0))
     def test_horizontal_shift_moves_the_front(self, n, half_width, shift):
         pts = oc.grim_reaper(n, half_width)
-        runs = [oc.evolve_translating_front(p, 0.002, resample_every=MAX_STEPS + 1)
+        config = f1.FlowConfig(resample_every=MAX_STEPS + 1)
+        runs = [oc.evolve_translating_front(p, 0.002, config=config)
                 for p in (pts, pts + [shift, 0.0])]
         for stats in (traj.stats for traj in runs):
             assert stats.event == oc.EVENT_HORIZON

@@ -478,6 +478,8 @@ NAN = float("nan")
     (lambda: scenarios.parse_config(TINY_CIRCLE.replace("cfl_factor = 0.5", "cfl_factor = nan")),
      ConfigError, "cfl_factor"),
     (lambda: f1.FlowConfig(max_curvature_stop=NAN), InvalidInputError, "max_curvature_stop"),
+    (lambda: f1.FlowConfig(resample_every=2.5), InvalidInputError, "resample_every"),
+    (lambda: f1.FlowConfig(max_steps=12.5), InvalidInputError, "max_steps"),
     (lambda: oc.evolve_translating_front(oc.grim_reaper(41), NAN), InvalidInputError, "duration"),
     (lambda: rs.parabolic_rescale(f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0)),
                                   (0.0, 0.0), NAN, [2.0]), InvalidInputError, "reference time"),
@@ -492,7 +494,8 @@ NAN = float("nan")
     (lambda: scenarios.parse_config(TINY_CIRCLE.replace("radius_rel_tol = 1e-2",
                                                         "radius_rel_tol = -inf")),
      ConfigError, r"check\.radius_rel_tol must be a finite number"),
-], ids=["cfl-factor", "scenario-cfl-factor", "curvature-stop", "front-duration", "rescale-time",
+], ids=["cfl-factor", "scenario-cfl-factor", "curvature-stop", "resample-every-fraction",
+        "max-steps-fraction", "front-duration", "rescale-time",
         "profile-period-nan", "profile-period-inf", "check-selfcheck-tol-inf",
         "check-selfcheck-tol-nan", "check-radius-tol-minus-inf"])
 def test_non_finite_number_is_rejected_where_it_enters(call, error, match):
@@ -992,7 +995,8 @@ for prof in (ax.sphere_profile(1.0, 48), ax.torus_profile(2.0, 0.5, 48),
     ax._axi_resample(prof.samples.T, prof.topology, prof.period, 0.05)
 rs._window(ax.sphere_profile(1.0, 48).samples, 10, closed=False)
 rs._window(cv.circle_polygon(1.0, 48).vertices, 0, closed=True)
-stats = oc.evolve_translating_front(oc.grim_reaper(41), 0.02, resample_every=1).stats
+stats = oc.evolve_translating_front(oc.grim_reaper(41), 0.02,
+                                    config=f1.FlowConfig(resample_every=1)).stats
 assert stats.resamples > 0, stats
 print("ok")
 """)
