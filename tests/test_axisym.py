@@ -551,3 +551,12 @@ class TestProfileIO:
         text = "# topology=cylinder period=1.0\n0 1\nbad 1\n"
         with pytest.raises(InvalidInputError, match="line 3"):
             ax.parse_profile(text)
+
+    def test_parse_skips_comment_and_blank_lines_in_the_body(self):
+        prof = ax.cylinder_profile(0.3, 1.7, 64)
+        head, body = ax.format_profile(prof).split("\n", 1)
+        back = ax.parse_profile(head + "\n# a note\n\n" + body)
+        assert np.array_equal(back.samples, prof.samples)
+        assert (back.topology, back.period) == (prof.topology, prof.period)
+        with pytest.raises(InvalidInputError, match="line 4"):
+            ax.parse_profile("# topology=cylinder period=1.0\n# a note\n0 1\nbad 1\n")

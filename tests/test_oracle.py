@@ -165,6 +165,19 @@ class TestTranslators:
         with pytest.raises(error, match=match):
             oc.evolve_translating_front(pts, 0.3)
 
+    def test_front_default_config_is_resample_every_25(self):
+        # The default steps the front exactly as the explicit FlowConfig does;
+        # the config's resample_every and cfl_factor both reach the front.
+        pts = oc.grim_reaper(81, 1.0)
+        default, explicit, every_10, finer = [
+            oc.evolve_translating_front(pts, 0.2, config=cfg)
+            for cfg in (None, f1.FlowConfig(resample_every=25), f1.FlowConfig(resample_every=10),
+                        f1.FlowConfig(resample_every=25, cfl_factor=0.2))]
+        assert np.array_equal(default.final().geometry, explicit.final().geometry)
+        assert default.stats == explicit.stats and default.stats.resamples > 0
+        assert every_10.stats.resamples > default.stats.resamples
+        assert finer.stats.evaluations > default.stats.evaluations
+
     @pytest.mark.parametrize("field, value, kind", [
         ("max_steps", 5, f1.EVENT_STEP_BUDGET),
         ("max_curvature_stop", 0.5, f1.EVENT_BLOWUP),
