@@ -27,6 +27,7 @@ from .flow1d import (
     FlowConfig,
     Snapshot,
     Trajectory,
+    _cap,
     _evolve,
     _FlowState,
 )
@@ -435,7 +436,7 @@ class _AxiState(_FlowState):
         """Fill ``vel`` with h nu and return h.  h nu is the same for either
         orientation, so h and nu are taken as the left normal orients them.
 
-        Poles move along the axis at twice the meridian curvature, capped by
+        Poles move along the axis at twice the meridian curvature, clamped by
         the neighboring samples so a noisy pole cannot outrun its cap.  On a
         copy: a snapshot reads the measured h."""
         h = self.h
@@ -447,15 +448,12 @@ class _AxiState(_FlowState):
         np.multiply(self.left, h, out=self.vel)
         return h
 
-    def plan(self, t: float) -> float:
+    def plan(self, t: float) -> tuple[float, float]:
         """Velocity h nu with the pole guard; diffusive bound from the smallest
         spacing and interior radius."""
-        h = self.velocity()
-        hmax = self.peak(t, h, self.verts)
-        if hmax is None:
-            return np.inf
+        hmax = self.peak(t, self.velocity(), self.verts)
         h_space = float(self.seg.min())
-        return self.capped(min(h_space * h_space, h_space * self.r_int) / 4.0, h_space, hmax)
+        return _cap(h_space, hmax), min(h_space * h_space, h_space * self.r_int) / 4.0
 
     def advance(self, t: float, resample: bool) -> bool:
         if resample:

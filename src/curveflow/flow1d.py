@@ -11,7 +11,8 @@ The same loop, ``_evolve``, steps the other two drivers: the meridians of
 ``axisym`` and the open translating front of ``oracle``; every driver returns
 the ``Trajectory`` of each state it stepped.  It owns the update:
 each driver's ``plan`` fills ``vel`` with F(Y0) and returns its displacement
-cap, ``measure`` and ``velocity`` refill ``vel`` at each later stage, and
+cap and its diffusive bound, and ``_evolve`` steps by the smallest of each;
+``measure`` and ``velocity`` refill ``vel`` at each later stage, and
 each stage is one weighted sum over a bank of six (2, n + 2) buffers per
 state: a row of ``_rkl2``'s table dotted with Y(j-1) (the point rows, x and
 y or r, between two ghost columns), Y(j-2), Y0, F and F0.  All three drivers
@@ -176,11 +177,13 @@ class _FlowState:
     """One trajectory in ``_evolve``: the stop cap, spacing and area schedule.
 
     Every terminal event goes through :meth:`end` into ``events``, so there is
-    exactly one and it is the last.  Subclasses keep their points as (2, n)
-    rows in ``verts`` (``set_verts``, which calls ``bind`` on a new bank) and
-    supply ``plan`` (fills ``vel`` with F(Y0), records the diffusive bound
-    through ``capped`` and returns the cap, or closes the state), ``measure``
-    and ``velocity`` (a geometry pass without the area, then ``vel``),
+    exactly one and it is the last; :meth:`close` ends on an event at t after
+    a snapshot at t, and :meth:`record` only takes snapshots.  Subclasses keep
+    their points as (2, n) rows in ``verts`` (``set_verts``, which calls
+    ``bind`` on a new bank) and supply ``plan`` (fills ``vel`` with F(Y0) and
+    returns the displacement cap, ``_cap``, and the forward-Euler diffusive
+    bound; ``peak`` closes it at the curvature cap), ``measure`` and
+    ``velocity`` (a geometry pass without the area, then ``vel``),
     ``advance(t, resample)`` (the last pass, with the area: is a snapshot
     due?), ``take(t)`` (build and check the snapshot's geometry, append it,
     return its area), ``stop_kind`` and ``traj``, the ``Trajectory`` that
@@ -223,31 +226,23 @@ class _FlowState:
         runs it."""
         self.stencil = cv._Stencil(self.chain)
 
-    def capped(self, dt_e: float, h: float, vmax: float) -> float:
-        """Record dt_e, the forward-Euler diffusive bound, and return the
-        displacement cap: the time in which no point moves over
-        DISPLACEMENT_FRACTION of h at speed vmax (inf when nothing moves)."""
-        self.dt_e = dt_e
-        return DISPLACEMENT_FRACTION * h / vmax if vmax > 0 else np.inf
-
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
         if not self.done:
             self.events.append(event)
             self.done = True
 
-    def peak(self, t: float, k: NDArray[np.float64], rows: NDArray[np.float64]) -> float | None:
-        """Largest |k|, or None once the trajectory is closed on reaching the cap."""
+    def peak(self, t: float, k: NDArray[np.float64], rows: NDArray[np.float64]) -> float:
+        """Largest |k|; on reaching the cap the trajectory is closed too."""
         mag = np.abs(k)
         kmax = float(mag.max())
-        if kmax < self.cap:
-            return kmax
-        i = int(np.argmax(mag))
-        self.close(t, Event(EVENT_BLOWUP, t, (float(rows[0, i]), float(rows[1, i]))))
-        return None
+        if kmax >= self.cap:
+            i = int(np.argmax(mag))
+            self.close(t, Event(EVENT_BLOWUP, t, (float(rows[0, i]), float(rows[1, i]))))
+        return kmax
 
-    def record(self, t: float, event: Event | None = None) -> float | None:
-        """Snapshot the working points at t and return its area, then end with ``event``.
+    def record(self, t: float) -> float | None:
+        """Snapshot the working points at t and return its area.
 
         Collapse below the extinction diameter ends with the stop event instead
         (returning None); any other degeneracy is a genuine failure.
@@ -260,16 +255,13 @@ class _FlowState:
         except InvalidInputError as exc:
             raise NumericalBreakdownError(f"geometry degenerated at t={t:.6g}: {exc}") from exc
         self.last_time = t
-        if event is not None:
-            self.end(event)
         return area
 
     def close(self, t: float, event: Event) -> None:
         """End with ``event`` on a snapshot at t, reusing one just taken."""
-        if self.last_time == t:
-            self.end(event)
-        else:
-            self.record(t, event)
+        if self.last_time != t:
+            self.record(t)
+        self.end(event)
 
     def snapshot(self, t: float) -> None:
         """Scheduled snapshot; stops once the area fraction is reached."""
@@ -282,6 +274,12 @@ class _FlowState:
     def centre(self) -> tuple[float, float]:
         c = self.verts.T.copy().mean(axis=0)   # C order: mean sums as on (n, 2) points
         return float(c[0]), float(c[1])
+
+
+def _cap(h: float, vmax: float) -> float:
+    """The displacement cap: the time in which no point moves over
+    DISPLACEMENT_FRACTION of h at speed vmax (inf when nothing moves)."""
+    return DISPLACEMENT_FRACTION * h / vmax if vmax > 0 else np.inf
 
 
 @cache
@@ -326,10 +324,10 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
     while steps < config.max_steps:
         tau, dt_e = np.inf, np.inf
         for s in states:
-            tau = min(tau, s.plan(t))
+            cap, bound = s.plan(t)
             if s.done:   # closed in plan: a curvature blow-up or a time horizon
                 break
-            dt_e = min(dt_e, s.dt_e)
+            tau, dt_e = min(tau, cap), min(dt_e, bound)
         if s.done:
             break
 
@@ -425,11 +423,9 @@ class _CurveState(_FlowState):
         np.multiply(self.left, speed, out=self.vel)
         return speed
 
-    def plan(self, t: float) -> float:
+    def plan(self, t: float) -> tuple[float, float]:
         k = self.k
         kmax = self.peak(t, k, self.verts)
-        if kmax is None:
-            return np.inf
         p = self.law.p
         speed = self.velocity()
         if p == 1.0:
@@ -441,7 +437,7 @@ class _CurveState(_FlowState):
             diffusivity = float(np.max(np.maximum(np.abs(k), floor) ** (p - 1.0)))
         h = float(self.seg.min())
         vmax = kmax if p == 1.0 else float(np.abs(speed).max())
-        return self.capped(h * h / (2.0 * diffusivity), h, vmax)
+        return _cap(h, vmax), h * h / (2.0 * diffusivity)
 
     def advance(self, t: float, resample: bool) -> bool:
         if resample:

@@ -2,9 +2,10 @@
 
 Each scenario owns one output directory.  run_scenario builds the geometry,
 runs the kind's driver, writes the trajectory artifacts, then hands the flow's
-trajectories to one evaluator per requested analysis; each evaluator writes
-exactly one named artifact and returns its checks, read against the
-scenario's complete, typed check table (see scenarios.ANALYSES).
+trajectories to one evaluator per requested analysis.  Each evaluator writes
+nothing: it returns exactly one named artifact, its text or JSON payload, and
+its checks, read against the scenario's complete, typed check table (see
+scenarios.ANALYSES); run_scenario writes the artifact.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ def _sphere_radius(profile: ax.AxiProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-analysis evaluators: (scenario, out dir, *trajectories) -> (artifact name, checks)
+# Per-analysis evaluators: (scenario, *trajectories) -> (artifact name, text or JSON, checks)
 # ---------------------------------------------------------------------------
 
-def _eval_radius_law(s: Scenario, out: Path, traj):
+def _eval_radius_law(s: Scenario, traj):
     times = traj.times()
     if s.kind == KIND_AXI:
         measured = [_sphere_radius(snap.geometry) for snap in traj.snapshots]
@@ -129,27 +130,25 @@ def _eval_radius_law(s: Scenario, out: Path, traj):
         reference = [oc.power_circle_radius(s.shape_params["radius"], s.law.p, t)
                      for t in times]
     rows = [(t, m, r, abs(m - r) / r) for t, m, r in zip(times, measured, reference)]
-    write_text(out / "radius_law.csv",
-               series_csv("t,measured,reference,rel_err", rows))
     t_max = s.checks["radius_time_max"]
     worst = np.max([rel for t, _, _, rel in rows if t_max is None or t <= t_max])
-    return "radius_law.csv", [CheckResult(
+    return "radius_law.csv", series_csv("t,measured,reference,rel_err", rows), [CheckResult(
         "radius-law/max_rel_err", worst, "<", s.checks["radius_rel_tol"])]
 
 
-def _eval_area_law(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_area_law(s: Scenario, traj: f1.Trajectory):
     law = f1.analyze_area_law(traj)
     a0 = float(traj.areas()[0])
     target_slope = -2.0 * math.pi
     target = s.checks["extinction_target"]
     target = a0 / (2.0 * math.pi) if target is None else target
-    write_json(out / "area_law.json", {
+    payload = {
         "slope": law.slope,
         "extinction_estimate": law.extinction_estimate,
         "initial_area": a0,
         "slope_target": target_slope,
         "extinction_target": target,
-    })
+    }
     err = abs(law.extinction_estimate - target)
     tol = s.checks["extinction_abs_tol"]
     if tol is None:
@@ -163,13 +162,11 @@ def _eval_area_law(s: Scenario, out: Path, traj: f1.Trajectory):
     if life_max is not None:
         checks.append(CheckResult(
             "area-law/lifetime", law.extinction_estimate, "<", life_max))
-    return "area_law.json", checks
+    return "area_law.json", payload, checks
 
 
-def _eval_roundness(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_roundness(s: Scenario, traj: f1.Trajectory):
     series = rs.roundness_series(traj)
-    write_text(out / "roundness.csv",
-               series_csv("t,circle_residual,iso_ratio", series))
     times, resid, iso = (np.array(column) for column in zip(*series))
     checks = [
         CheckResult("roundness/final", resid[-1], "<", s.checks["roundness_final"]),
@@ -183,7 +180,7 @@ def _eval_roundness(s: Scenario, out: Path, traj: f1.Trajectory):
     r_max = s.checks["roundness_max"]
     if r_max is not None:
         checks.append(CheckResult("roundness/max", resid.max(), "<", r_max))
-    return "roundness.csv", checks
+    return "roundness.csv", series_csv("t,circle_residual,iso_ratio", series), checks
 
 
 def _embedded(traj: f1.Trajectory) -> list[bool]:
@@ -200,16 +197,15 @@ def _embedded(traj: f1.Trajectory) -> list[bool]:
     return flags
 
 
-def _eval_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_convexification(s: Scenario, traj: f1.Trajectory):
     conv_t = f1.convexification_time(traj)
     end_t = float(traj.times()[-1])
     embedded = _embedded(traj)
-    write_json(out / "convexification.json", {
+    return "convexification.json", {
         "convexification_time": conv_t,
         "final_time": end_t,
         "embedded_all": all(embedded),
-    })
-    return "convexification.json", [
+    }, [
         CheckResult("convexification/event_order", conv_t, "<", end_t,
                     "none" if conv_t is None else conv_t),
         CheckResult("convexification/embedded", embedded.count(False), "==", 0,
@@ -217,55 +213,51 @@ def _eval_convexification(s: Scenario, out: Path, traj: f1.Trajectory):
     ]
 
 
-def _eval_eccentricity(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_eccentricity(s: Scenario, traj: f1.Trajectory):
     rows = []
     for snap in traj.snapshots:
         fit = f1.fit_ellipse(snap.geometry)
         rows.append((snap.time, fit.eccentricity, fit.residual))
-    write_text(out / "eccentricity.csv",
-               series_csv("t,eccentricity,fit_residual", rows))
     _, ecc, res = (np.array(column) for column in zip(*rows))
-    return "eccentricity.csv", [
+    return "eccentricity.csv", series_csv("t,eccentricity,fit_residual", rows), [
         CheckResult("eccentricity/drift", np.abs(ecc - ecc[0]).max(), "<",
                     s.checks["ecc_drift_tol"]),
         CheckResult("eccentricity/fit", res.max(), "<", s.checks["ellipse_fit_tol"]),
     ]
 
 
-def _eval_norm_length(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_norm_length(s: Scenario, traj: f1.Trajectory):
     series = f1.rescaled_length_series(traj)
-    write_text(out / "norm_length.csv",
-               series_csv("t,normalized_length", series))
     falls = int(np.sum(np.diff([v for _, v in series]) <= 0))
-    return "norm_length.csv", [CheckResult("norm-length/increasing", falls, "==", 0)]
+    return "norm_length.csv", series_csv("t,normalized_length", series), [
+        CheckResult("norm-length/increasing", falls, "==", 0)]
 
 
-def _eval_pair_distance(s: Scenario, out: Path, t_a: f1.Trajectory, t_b: f1.Trajectory):
+def _eval_pair_distance(s: Scenario, t_a: f1.Trajectory, t_b: f1.Trajectory):
     rows = [(sa.time, cv.min_distance(sa.geometry, sb.geometry))
             for sa, sb in zip(t_a.snapshots, t_b.snapshots)]
     # shared snapshots where either curve is not embedded
     broken = sum(not (a and b) for a, b in zip(_embedded(t_a), _embedded(t_b)))
-    write_text(out / "pair_distance.csv", series_csv("t,min_distance", rows))
-    return "pair_distance.csv", [
+    return "pair_distance.csv", series_csv("t,min_distance", rows), [
         CheckResult("pair-distance/separation", min(r[1] for r in rows), ">",
                     s.checks["min_separation"]),
         CheckResult("pair-distance/embedded", broken, "==", 0, int(broken == 0)),
     ]
 
 
-def _eval_neck(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_neck(s: Scenario, traj: f1.Trajectory):
     report = ax.neck_report(traj)
     event = traj.events[-1]    # the terminal neck-pinch or torus-collapse event
     times, radii = report.series[report.window].T
     ratios = radii / np.sqrt(2.0 * (report.pinch_time - times))
-    write_json(out / "neck.json", {
+    payload = {
         "pinch_time_fit": report.pinch_time,
         "event": {"kind": event.kind, "time": event.time,
                   "location": list(event.location)},
         "ratio_min": float(ratios.min()),
         "ratio_max": float(ratios.max()),
         "series": [[float(a), float(b)] for a, b in report.series],
-    })
+    }
     checks = []
     want = s.checks["event"]
     if want is not None:
@@ -290,7 +282,7 @@ def _eval_neck(s: Scenario, out: Path, traj: f1.Trajectory):
         dev = np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - radius).max()
         seg = np.hypot(*np.diff(pts, axis=0).T)
         checks.append(CheckResult("neck/collapse_circle", dev, "<=", fac * float(seg.mean())))
-    return "neck.json", checks
+    return "neck.json", payload, checks
 
 
 def _waist_probes(traj: f1.Trajectory, count: int):
@@ -302,7 +294,7 @@ def _waist_probes(traj: f1.Trajectory, count: int):
     return probes
 
 
-def _eval_blowup(s: Scenario, out: Path, traj: f1.Trajectory):
+def _eval_blowup(s: Scenario, traj: f1.Trajectory):
     probes = _waist_probes(traj, s.options["probe_count"])
     dials = []
     checks = []
@@ -311,33 +303,28 @@ def _eval_blowup(s: Scenario, out: Path, traj: f1.Trajectory):
         dials.append({**report.to_json_dict(), "scale_power": power})
         checks.append(CheckResult(f"blowup/dial_h^{power:g}", report.limit_classification,
                                   "in", DIAL_ACCEPTS[want]))
-    write_json(out / "blowup.json", {"probes": [list(p) for p in probes],
-                                     "dials": dials})
-    return "blowup.json", checks
+    return "blowup.json", {"probes": [list(p) for p in probes], "dials": dials}, checks
 
 
-def _eval_translate(s: Scenario, out: Path, front: f1.Trajectory):
+def _eval_translate(s: Scenario, front: f1.Trajectory):
     start, final = front.snapshots[0].geometry, front.final().geometry
     duration = s.options["duration"]
     n = len(start)
     trim = max(1, n // 10)
     target = start + np.array([0.0, duration])
     worst = float(oc.polyline_distance(final[trim:-trim], target).max())
-    write_json(out / "translate.json", {
+    return "translate.json", {
         "duration": duration,
         "interior_max_deviation": worst,
         "interior_samples": int(n - 2 * trim),
-    })
-    return "translate.json", [CheckResult(
+    }, [CheckResult(
         "translate/deviation", worst, "<", s.checks["translate_dev_tol"])]
 
 
-def _eval_selfcheck(s: Scenario, out: Path):
+def _eval_selfcheck(s: Scenario):
     cases = oc.selfcheck()
     worst = float(max(cases.values()))
-    write_json(out / "oracle_selfcheck.json",
-               {"cases": cases, "worst": worst})
-    return "oracle_selfcheck.json", [CheckResult(
+    return "oracle_selfcheck.json", {"cases": cases, "worst": worst}, [CheckResult(
         "selfcheck/max_error", worst, "<", s.checks["selfcheck_tol"])]
 
 
@@ -423,10 +410,10 @@ def _recorded_warnings():
             texts += [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
-def _flow_for(s: Scenario, flows: dict | None) -> _Flow:
+def _flow_for(s: Scenario, flows: dict) -> _Flow:
     """Run the scenario's flow, or reuse the one ``flows`` holds under its key."""
     key = _flow_key(s)
-    if flows is not None and key in flows:
+    if key in flows:
         return flows[key]
     flow = _Flow(s)
     with _recorded_warnings() as caught:
@@ -436,7 +423,7 @@ def _flow_for(s: Scenario, flows: dict | None) -> _Flow:
             flow.error = f"{type(exc).__name__}: {exc}"
             flow.traceback = traceback.format_exc()
     flow.warnings = caught
-    if flows is not None and key is not None:
+    if key is not None:
         flows[key] = flow
     return flow
 
@@ -459,14 +446,15 @@ def _write_flow(s: Scenario, out: Path, trajs: list[f1.Trajectory]) -> list[str]
     return names
 
 
-def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
+def run_scenario(s: Scenario, out_root, flows: dict) -> RunReport:
     """Execute one scenario into its own subdirectory of out_root.
 
     ``flows`` maps flow keys to the flows a batch has run: a scenario whose
     key is there reuses that flow (its error and warnings too) instead of
-    running the driver again, and one that runs a flow adds it.  Without it
-    the scenario runs its own flow.  Warnings raised while the scenario runs
-    are recorded in the report, not shown.
+    running the driver again, and one that runs a flow adds it; pass {} to
+    run the scenario's own flow.  Each evaluator returns its artifact, and
+    this writes it: a str as text, anything else as JSON.  Warnings raised
+    while the scenario runs are recorded in the report, not shown.
     """
     started = time.perf_counter()
     out = Path(out_root) / s.name
@@ -482,7 +470,9 @@ def run_scenario(s: Scenario, out_root, flows: dict | None = None) -> RunReport:
                     write_json(out / "telemetry.json", telemetry)
                 artifacts = _write_flow(s, out, flow.trajs)
                 for analysis in s.analyses:
-                    name, found = _EVALUATORS[analysis](s, out, *flow.trajs)
+                    name, payload, found = _EVALUATORS[analysis](s, *flow.trajs)
+                    write = write_text if isinstance(payload, str) else write_json
+                    write(out / name, payload)
                     artifacts.append(name)
                     checks += found
             except Exception as exc:

@@ -112,6 +112,13 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _non_negative(raw: str) -> float:
+    value = _finite(raw)
+    if value < 0:
+        raise ValueError(raw)
+    return value
+
+
 def _number(default: float | None = None) -> Field:
     return Field(_finite, "a finite number", default)
 
@@ -129,11 +136,11 @@ _PROFILES = tuple(ax.PROFILE_SHAPES)
 ANALYSES = {
     "radius-law": Analysis((KIND_CURVE, KIND_AXI), ("circle", "sphere"), {
         "radius_rel_tol": _number(1e-3),
-        "radius_time_max": _number(),           # off: every snapshot
+        "radius_time_max": _POSITIVE,           # off: every snapshot
     }),
     "area-law": Analysis((KIND_CURVE,), _ONE_CURVE, {
         "slope_rel_tol": _number(0.005),
-        "extinction_target": _number(),         # off: initial area / (2 pi)
+        "extinction_target": _POSITIVE,         # off: initial area / (2 pi)
         "extinction_rel_tol": _number(0.02),
         "extinction_abs_tol": _number(),        # set: compare absolutely
         "lifetime_max": _number(),
@@ -151,7 +158,7 @@ ANALYSES = {
     }),
     "norm-length": Analysis((KIND_CURVE,), _ONE_CURVE),
     "pair-distance": Analysis((KIND_CURVE,), ("nested_pair",), {
-        "min_separation": _number(0.0),
+        "min_separation": Field(_non_negative, "a non-negative number", 0.0),
     }),
     "translate": Analysis((KIND_CURVE,), ("grim_reaper",), {
         "translate_dev_tol": _number(5e-3),

@@ -14,7 +14,7 @@ from numpy.typing import NDArray
 
 from . import curves as cv
 from .errors import ExtinctError, InvalidInputError, NumericalBreakdownError
-from .flow1d import Event, FlowConfig, Snapshot, Trajectory, _evolve, _FlowState
+from .flow1d import Event, FlowConfig, Snapshot, Trajectory, _cap, _evolve, _FlowState
 
 SHRINKER_KINDS = ("circle", "cylinder", "sphere")
 MAX_POWER = 8.0
@@ -162,17 +162,15 @@ class _FrontState(_FlowState):
     def velocity(self) -> None:
         np.multiply(self.k, self.left, out=self.vel_inside)
 
-    def plan(self, t: float) -> float:
+    def plan(self, t: float) -> tuple[float, float]:
         """Fill ``vel`` from the last pass; the horizon joins the displacement cap."""
         if t >= self.duration - 1e-15:
             self.close(t, Event(EVENT_HORIZON, t))
-            return np.inf
+            return np.inf, np.inf
         kmax = self.peak(t, self.k, self.verts[:, 1:-1])
-        if kmax is None:
-            return np.inf
         self.velocity()
         h_min = float(self.seg.min())
-        return min(self.capped(h_min * h_min / 2.0, h_min, kmax), self.duration - t)
+        return min(_cap(h_min, kmax), self.duration - t), h_min * h_min / 2.0
 
     def advance(self, t: float, resample: bool) -> bool:
         if resample:

@@ -84,7 +84,7 @@ class TestStepping:
 
     def test_non_finite_chain_length_raises_named_error(self):
         state = f1._CurveState(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0), f1.FlowConfig())
-        dt = state.plan(0.0)
+        dt = state.plan(0.0)[0]
         state.verts[:, 10] = np.nan
         with pytest.raises(DegenerateGeometryError, match="not finite"):
             state.advance(dt, resample=True)
@@ -336,6 +336,10 @@ ENDINGS = {
                          f1.EVENT_EXTINCTION),
     "curve-blowup": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0),
                                     f1.FlowConfig(max_curvature_stop=6.0)), f1.EVENT_BLOWUP),
+    # k = 2 is past the cap at the start: the first plan closes the run
+    "curve-blowup-at-start": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0),
+                                             f1.FlowConfig(max_curvature_stop=1.0)),
+                              f1.EVENT_BLOWUP),
     "curve-budget": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0),
                                     f1.FlowConfig(max_steps=BUDGET)), f1.EVENT_STEP_BUDGET),
     "curve-partner": (lambda: _nested_pair(0), f1.EVENT_PARTNER_STOPPED),

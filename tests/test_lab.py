@@ -316,6 +316,13 @@ class TestParseConfig:
         (TINY_CIRCLE, "shape.radius = 0.5", "shape.radius = inf", r"shape\.radius"),
         (GRIM_REAPER, "duration = 0.05", "duration = inf", "duration"),
         (BLOWUP, "dial_powers = 2.0, 1.0, 0.5", "dial_powers = 2.0, inf, 0.5", "dial_powers"),
+        # check keys whose sign would flip the verdict or break the analysis
+        (TINY_CIRCLE, "n = 96", "n = 96\ncheck.extinction_target = -1",
+         r"check\.extinction_target"),
+        (TINY_CIRCLE, "n = 96", "n = 96\ncheck.extinction_target = 0",
+         r"check\.extinction_target"),
+        (TINY_CIRCLE, "n = 96", "n = 96\ncheck.radius_time_max = -1", r"check\.radius_time_max"),
+        (NESTED_PAIR, "n = 48", "n = 48\ncheck.min_separation = -1", r"check\.min_separation"),
     ])
     def test_option_rule_names_the_field(self, text, old, new, field):
         assert old in text
@@ -524,7 +531,7 @@ def driver_calls(monkeypatch):
 
 class TestRunner:
     def test_tiny_circle_scenario_passes(self, tmp_path):
-        report = runner.run_scenario(tiny_circle_scenario(), tmp_path)
+        report = runner.run_scenario(tiny_circle_scenario(), tmp_path, {})
         assert report.error is None
         assert report.passed
         assert report.wall_time > 0
@@ -535,11 +542,39 @@ class TestRunner:
                                          "area_law.json", "snapshots/index.json"}
 
     def test_each_analysis_contributes_exactly_once(self, tmp_path):
-        report = runner.run_scenario(tiny_circle_scenario(), tmp_path)
+        report = runner.run_scenario(tiny_circle_scenario(), tmp_path, {})
         assert report.artifacts.count("radius_law.csv") == 1
         assert report.artifacts.count("area_law.json") == 1
         prefixes = {c.name.split("/")[0] for c in report.checks}
         assert prefixes == {"radius-law", "area-law"}
+
+    def test_evaluators_return_the_artifact_and_write_nothing(self, tmp_path, monkeypatch):
+        text = (TINY_CIRCLE + NESTED_PAIR + GRIM_REAPER + TINY_ORACLE
+                + TINY_ELLIPSE.format(name="all", analysis="roundness, convexification, "
+                                      "eccentricity, norm-length")
+                + DUMBBELL_PAIR)
+        batch = scenarios.parse_config(text)
+        assert {a for s in batch for a in s.analyses} == set(runner._EVALUATORS)
+        empty = tmp_path / "cwd"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        flows = {}
+        for s in batch:
+            report = runner.run_scenario(s, tmp_path / "out", flows)
+            assert report.error is None, report.error
+            flow = flows.get(runner._flow_key(s))
+            trajs = flow.trajs if flow else []
+            before = sorted(tmp_path.rglob("*"))
+            for analysis in s.analyses:
+                name, payload, _ = runner._EVALUATORS[analysis](s, *trajs)
+                assert name in report.artifacts
+                written = (tmp_path / "out" / s.name / name).read_text()
+                if isinstance(payload, str):
+                    assert written == payload, name
+                else:
+                    assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
+            assert sorted(tmp_path.rglob("*")) == before
+            assert list(empty.iterdir()) == []
 
     @pytest.mark.parametrize("ending", ["crossed-start", "embeddedness-loss"])
     def test_embedded_flags_match_a_test_of_every_snapshot(self, ending):
@@ -560,8 +595,8 @@ class TestRunner:
 
     def test_runs_are_bit_identical(self, tmp_path):
         s = tiny_circle_scenario()
-        runner.run_scenario(s, tmp_path / "a")
-        runner.run_scenario(s, tmp_path / "b")
+        runner.run_scenario(s, tmp_path / "a", {})
+        runner.run_scenario(s, tmp_path / "b", {})
         for name in ("trajectory.csv", "radius_law.csv", "area_law.json"):
             left = (tmp_path / "a" / "tiny_circle" / name).read_bytes()
             right = (tmp_path / "b" / "tiny_circle" / name).read_bytes()
@@ -586,7 +621,7 @@ class TestRunner:
         assert scenario_files(tmp_path / "a") == scenario_files(tmp_path / "b")
 
     def test_nested_pair_writes_one_set_per_curve(self, tmp_path):
-        report = runner.run_scenario(scenarios.parse_config(NESTED_PAIR)[0], tmp_path)
+        report = runner.run_scenario(scenarios.parse_config(NESTED_PAIR)[0], tmp_path, {})
         assert report.passed, report.error
         assert report.artifacts == [
             f"{stem}_{i}{ext}" for i in (0, 1)
@@ -609,7 +644,7 @@ resample_every = 10
 stop_area_fraction = 0.02
 analyses = neck
 """
-        report = runner.run_scenario(scenarios.parse_config(text)[0], tmp_path)
+        report = runner.run_scenario(scenarios.parse_config(text)[0], tmp_path, {})
         assert not report.passed
         assert report.error is not None
         assert "InvalidInputError" in report.error
@@ -618,7 +653,7 @@ analyses = neck
 
     def test_oracle_scenario_is_fast(self, tmp_path):
         started = time.perf_counter()
-        report = runner.run_scenario(oracle_scenario(), tmp_path)
+        report = runner.run_scenario(oracle_scenario(), tmp_path, {})
         elapsed = time.perf_counter() - started
         assert report.passed
         assert elapsed < 5.0
@@ -688,10 +723,10 @@ analyses = neck
     def test_warnings_are_recorded_per_scenario(self, tmp_path, monkeypatch):
         selfcheck = runner._EVALUATORS["selfcheck"]
 
-        def warn_then_check(s, out):
+        def warn_then_check(s):
             if s.name == "oracle_gate":
                 warnings.warn("frame 3 skipped", UserWarning)
-            return selfcheck(s, out)
+            return selfcheck(s)
 
         monkeypatch.setitem(runner._EVALUATORS, "selfcheck", warn_then_check)
         quiet = oracle_scenario(TINY_ORACLE.replace("[oracle_gate]", "[oracle_quiet]"))
@@ -731,7 +766,7 @@ analyses = neck
         assert [(e["name"], e["shared_flow"]) for e in summary["scenarios"]] == [
             (s.name, first.name if s is second else None) for s in batch]
         for s in batch:
-            assert runner.run_scenario(s, tmp_path / "alone").shared_flow is None
+            assert runner.run_scenario(s, tmp_path / "alone", {}).shared_flow is None
         # alone, the pair's second member runs the flow the batch shared
         assert len(driver_calls) - in_batch == in_batch + 1
         files = scenario_files(tmp_path / "batch")

@@ -147,7 +147,7 @@ class TestTranslators:
         k, _, seg = cv._three_point(state.verts)
         kmax, h_min = float(np.abs(k).max()), float(seg.min())
         assert kmax * h_min == pytest.approx(math.sqrt(2.0))
-        assert state.plan(0.0) <= f1.DISPLACEMENT_FRACTION * h_min / kmax
+        assert state.plan(0.0)[0] <= f1.DISPLACEMENT_FRACTION * h_min / kmax
 
     @pytest.mark.parametrize("value, error, match", [
         ("repeat", DegenerateGeometryError, "coincide"),
