@@ -272,8 +272,7 @@ def sphere_profile(r0: float, n: int = 400) -> AxiProfile:
     """Semicircular meridian of a sphere of radius r0, poles included."""
     if r0 <= 0:
         raise InvalidInputError("sphere radius must be positive")
-    if n < MIN_SAMPLES:
-        raise InvalidInputError(f"need at least {MIN_SAMPLES} samples")
+    cv._check_count(n, MIN_SAMPLES, f"need at least {MIN_SAMPLES} samples")
     theta = np.linspace(0.0, np.pi, n)
     pts = np.column_stack([-r0 * np.cos(theta), r0 * np.sin(theta)])
     pts[0, 1] = 0.0
@@ -287,8 +286,7 @@ def torus_profile(ring_r: float, tube_r: float, n: int = 400) -> AxiProfile:
         raise InvalidInputError("torus radii must be positive")
     if tube_r >= ring_r:
         raise InvalidInputError("tube radius must be smaller than the ring radius")
-    if n < MIN_SAMPLES:
-        raise InvalidInputError(f"need at least {MIN_SAMPLES} samples")
+    cv._check_count(n, MIN_SAMPLES, f"need at least {MIN_SAMPLES} samples")
     theta = np.arange(n) * (2.0 * np.pi / n)
     pts = np.column_stack([tube_r * np.sin(theta), ring_r + tube_r * np.cos(theta)])
     return AxiProfile(pts, TOPOLOGY_PERIODIC)
@@ -298,8 +296,7 @@ def cylinder_profile(radius: float, period: float = 1.0, n: int = 128) -> AxiPro
     """Straight meridian r = radius, periodic in x with the given period."""
     if radius <= 0 or period <= 0:
         raise InvalidInputError("cylinder radius and period must be positive")
-    if n < MIN_SAMPLES:
-        raise InvalidInputError(f"need at least {MIN_SAMPLES} samples")
+    cv._check_count(n, MIN_SAMPLES, f"need at least {MIN_SAMPLES} samples")
     x = np.arange(n) * (period / n)
     pts = np.column_stack([x, np.full(n, float(radius))])
     return AxiProfile(pts, TOPOLOGY_CYLINDER, period=period)
@@ -325,8 +322,7 @@ def dumbbell_profile(
         raise InvalidInputError("dumbbell dimensions must be positive")
     if tube_r >= lobe_r:
         raise InvalidInputError("tube radius must be smaller than the lobe radius")
-    if n < 8 * MIN_SAMPLES:
-        raise InvalidInputError(f"need at least {8 * MIN_SAMPLES} samples")
+    cv._check_count(n, 8 * MIN_SAMPLES, f"need at least {8 * MIN_SAMPLES} samples")
 
     rho = FILLET_RADIUS_FACTOR * lobe_r
     d = tube_len / 2.0

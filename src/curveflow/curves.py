@@ -8,6 +8,7 @@ region.  Inward normals follow the same convention, so the curvature vector
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,15 @@ def _checked_points(
     if np.hypot(d[:, 0], d[:, 1]).min() <= DISTINCT_REL_TOL * diam:
         raise DegenerateGeometryError(f"consecutive {noun} coincide")
     return arr, diam
+
+
+def _check_count(n, minimum: int = 0, message: str | None = None) -> None:
+    """Raise InvalidInputError unless the point count ``n`` is an integer (numpy's
+    too) of at least ``minimum``; ``message``, if given, explains a smaller one."""
+    if not isinstance(n, numbers.Integral):
+        raise InvalidInputError(f"n must be an integer, got {n!r}")
+    if n < minimum:
+        raise InvalidInputError(message or f"n must be at least {minimum}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -163,27 +173,20 @@ class _Stencil:
         return self.k, self.left, self.seg
 
 
-def _three_point(
-    chain: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """One-shot :class:`_Stencil` pass over a chain, into fresh arrays."""
-    return _Stencil(chain)()
-
-
 def curvature_profile(curve: PlaneCurve) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Signed curvature and (n, 2) inward unit normal at every vertex.
 
     The magnitude is the inverse circumradius of each vertex-neighbor triple;
     the sign is positive where the curve bends toward the enclosed region.
     """
-    k, left, _ = _three_point(_closed_chain(curve.vertices))
+    k, left, _ = _Stencil(_closed_chain(curve.vertices))()
     orient = 1.0 if curve.counterclockwise else -1.0
     return orient * k, orient * left.T
 
 
 def metrics(curve: PlaneCurve) -> CurveMetrics:
     """Scalar summary of a curve; curvature stats use the vertex estimator."""
-    k, _, seg = _three_point(_closed_chain(curve.vertices))
+    k, _, seg = _Stencil(_closed_chain(curve.vertices))()
     return _metrics_of(k, seg, polygon_area(curve.vertices))
 
 
@@ -280,8 +283,7 @@ def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
     the input polygon, so total length can only shrink, and by less than 0.1%
     once ``n`` is at least the input vertex count.
     """
-    if n < MIN_VERTICES:
-        raise InvalidInputError(f"n must be at least {MIN_VERTICES}, got {n}")
+    _check_count(n, MIN_VERTICES)
     return PlaneCurve(_linear_resample(curve.vertices, n))
 
 
@@ -495,6 +497,7 @@ def curve_centroid(curve: PlaneCurve) -> Float2:
 def circle_polygon(radius: float, n: int = 512, center: Float2 = (0.0, 0.0)) -> PlaneCurve:
     if radius <= 0:
         raise InvalidInputError("radius must be positive")
+    _check_count(n)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     pts = np.stack([center[0] + radius * np.cos(t), center[1] + radius * np.sin(t)], axis=1)
     return PlaneCurve(pts)
@@ -505,6 +508,7 @@ def ellipse_polygon(a: float, b: float, n: int = 512, center: Float2 = (0.0, 0.0
     when ``n`` is a multiple of 4."""
     if a <= 0 or b <= 0:
         raise InvalidInputError("semi-axes must be positive")
+    _check_count(n)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     pts = np.stack([center[0] + a * np.cos(t), center[1] + b * np.sin(t)], axis=1)
     return PlaneCurve(pts)
@@ -515,6 +519,7 @@ def rectangle_polygon(width: float, height: float, n: int = 64) -> PlaneCurve:
     only when the spacing divides the side lengths."""
     if width <= 0 or height <= 0:
         raise InvalidInputError("width and height must be positive")
+    _check_count(n)
     w2, h2 = width / 2.0, height / 2.0
     corners = np.array([[w2, -h2], [w2, h2], [-w2, h2], [-w2, -h2]])
     return PlaneCurve(_linear_resample(corners, n))
@@ -525,6 +530,7 @@ def peanut_polygon(base_radius: float = 1.0, amplitude: float = 0.3, n: int = 51
     for amplitude > 0.2, which is what the convexification tests want."""
     if not 0.0 <= amplitude < 1.0:
         raise InvalidInputError("amplitude must be in [0, 1)")
+    _check_count(n)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     r = base_radius * (1.0 + amplitude * np.cos(2.0 * t))
     return PlaneCurve(np.stack([r * np.cos(t), r * np.sin(t)], axis=1))

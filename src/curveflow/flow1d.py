@@ -56,6 +56,9 @@ SNAPSHOT_LEVELS = 140
 DISPLACEMENT_FRACTION = 0.25
 # Most velocity evaluations in one RKL2 step: stable over 409.5 Euler steps.
 MAX_STAGES = 40
+# Fraction of the RKL2 stability bound a step may use.  The displacement cap
+# sets the step; this sets only how many stages cover it (``_stage_count``).
+STABILITY_FRACTION = 0.5
 
 EVENT_EXTINCTION = "extinction-approach"
 EVENT_BLOWUP = "curvature-blowup"
@@ -83,13 +86,9 @@ class SpeedLaw:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Stepping of a flow.  ``cfl_factor`` is the fraction of the stability
-    bound that a step may use: a step of s RKL2 stages spans at most
-    cfl_factor * dt_E * (s^2 + s - 2) / 4, with dt_E the forward-Euler
-    diffusive bound.  The displacement cap sets the step, and s is the fewest
-    stages that cover it; at MAX_STAGES the step is cut to that bound."""
+    """Stepping of a flow: how often it resamples and when it stops.  Each
+    step's length and stage count are the loop's own (``_evolve``)."""
 
-    cfl_factor: float = 0.4
     resample_every: int = 10
     stop_area_fraction: float = 0.02
     max_curvature_stop: float | None = None      # None: BLOWUP_FACTOR * initial max
@@ -97,8 +96,6 @@ class FlowConfig:
 
     def __post_init__(self) -> None:
         # Each guard is written so that NaN fails it.
-        if not 0.0 < self.cfl_factor <= 1.0:
-            raise InvalidInputError("cfl_factor must be in (0, 1]")
         for name in ("resample_every", "max_steps"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or not value > 0:
@@ -302,7 +299,8 @@ def _rkl2(stages: int) -> NDArray[np.float64]:
 
 def _stage_count(tau: float, euler: float) -> tuple[int, float]:
     """The fewest stages s >= 2 whose stability bound euler (s^2 + s - 2) / 4
-    covers tau, and the step: tau, cut to that bound at MAX_STAGES."""
+    covers tau, and the step: tau, cut to that bound at MAX_STAGES.  ``_evolve``
+    passes STABILITY_FRACTION of the forward-Euler diffusive bound as euler."""
     s = 2
     while s < MAX_STAGES and tau > euler * (s * s + s - 2) / 4.0:
         s += 1
@@ -313,10 +311,10 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
     """Step every state on one clock until one stops or the step budget runs out.
 
     A step is one RKL2 step over tau, the smallest cap a ``plan`` returns, in
-    as many stages as ``FlowConfig`` says.  Stage j writes Y(j), one weighted
-    sum of a bank's first five slots, into slot 5, then shifts Y(j-1) into
-    slot 1 and Y(j) into the chain.  Returns each state's trajectory, in
-    order, with its stats.
+    ``_stage_count``'s stages.  Stage j writes Y(j), one weighted sum of a
+    bank's first five slots, into slot 5, then shifts Y(j-1) into slot 1 and
+    Y(j) into the chain.  Returns each state's trajectory, in order, with its
+    stats.
     """
     t = 0.0
     steps = evaluations = max_stages = 0
@@ -331,7 +329,7 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
         if s.done:
             break
 
-        stages, tau = _stage_count(tau, config.cfl_factor * dt_e)
+        stages, tau = _stage_count(tau, STABILITY_FRACTION * dt_e)
         weights = _rkl2(stages) * [1.0, 1.0, 1.0, tau, tau]
         for s in states:
             s.bank[2] = s.bank[0]   # Y0

@@ -288,9 +288,9 @@ def _parse_scenario(name: str, items: dict[str, str]) -> Scenario:
         n = _get_int(items, name, "n")
         if n < 8:
             _fail(name, "n must be at least 8")
-        keys = ("cfl_factor", "resample_every", "stop_area_fraction")
+        keys = ("resample_every", "stop_area_fraction")
         if shape == "grim_reaper":   # the translating front never stops on area
-            keys = keys[:2]          # and always moves by curvature
+            keys = keys[:1]          # and always moves by curvature
         elif kind == KIND_CURVE:
             try:
                 law = SpeedLaw(_get_float(items, name, "law.p"))

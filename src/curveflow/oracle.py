@@ -72,8 +72,7 @@ def power_circle_radius(r0: float, p: float, t: float) -> float:
 def grim_reaper(n: int = 161, half_width: float = 1.2) -> NDArray[np.float64]:
     """Open polyline sampling y = -ln(cos x), the curve that translates
     vertically at unit speed under curvature motion.  Columns are (x, y)."""
-    if n < 16:
-        raise InvalidInputError("n must be at least 16")
+    cv._check_count(n, 16, "n must be at least 16")
     if not 0.0 < half_width < math.pi / 2.0:
         raise InvalidInputError("half_width must lie in (0, pi/2)")
     x = np.linspace(-half_width, half_width, n)

@@ -223,7 +223,7 @@ def window_curvatures(window: NDArray[np.float64], axisymmetric: bool) -> NDArra
     Plane-curve windows give the signed meridian curvature alone; profile
     windows also include the rotational principal curvature -nu_r/r.
     """
-    k, left, _ = cv._three_point(window.T)
+    k, left, _ = cv._Stencil(window.T)()
     if axisymmetric:
         # sigma orients the curvature and normal inward
         sigma = 1.0 if window[-1, 0] >= window[0, 0] else -1.0

@@ -42,7 +42,7 @@ def ellipse_run():
     """Shared 2:1 ellipse evolution used by the area-law and roundness gates."""
     t0 = time.perf_counter()
     traj = f1.run(cv.ellipse_polygon(2.0, 1.0, 512), f1.SpeedLaw(1.0),
-                  f1.FlowConfig(cfl_factor=0.4))
+                  f1.FlowConfig())
     return {"traj": traj, "seconds": time.perf_counter() - t0}
 
 
@@ -51,7 +51,7 @@ def dumbbell_run():
     """Shared dumbbell evolution used by the neck-pinch and blow-up gates."""
     t0 = time.perf_counter()
     traj = ax.run_axi(ax.dumbbell_profile(1.0, 0.15, 1.2, 2800),
-                      f1.FlowConfig(cfl_factor=0.4))
+                      f1.FlowConfig())
     return {"traj": traj, "seconds": time.perf_counter() - t0}
 
 
@@ -59,7 +59,7 @@ def test_01_shrinking_circle_radius_law():
     budget = 10.0
     t0 = time.perf_counter()
     traj = f1.run(cv.circle_polygon(1.0, 512), f1.SpeedLaw(1.0),
-                  f1.FlowConfig(cfl_factor=0.5))
+                  f1.FlowConfig())
     law = f1.analyze_area_law(traj)
     errs = []
     for snap in traj.snapshots:
@@ -123,7 +123,7 @@ def test_04_spiral_unwinds_then_vanishes():
     budget = 120.0
     t0 = time.perf_counter()
     traj = f1.run(cv.spiral_polygon(1.0, 2.0, 1.5, n=960), f1.SpeedLaw(1.0),
-                  f1.FlowConfig(cfl_factor=0.4))
+                  f1.FlowConfig())
     embedded = all(cv.is_embedded(s.geometry) for s in traj.snapshots)
     t_conv = f1.convexification_time(traj)
     law = f1.analyze_area_law(traj)
@@ -147,7 +147,7 @@ def test_05_affine_flow_preserves_eccentricity():
     budget = 60.0
     t0 = time.perf_counter()
     traj = f1.run(cv.ellipse_polygon(2.0, 1.0, 512), f1.SpeedLaw(1.0 / 3.0),
-                  f1.FlowConfig(cfl_factor=0.4, stop_area_fraction=0.5))
+                  f1.FlowConfig(stop_area_fraction=0.5))
     fits = [f1.fit_ellipse(s.geometry) for s in traj.snapshots]
     e0 = fits[0].eccentricity
     drift = max(abs(f.eccentricity - e0) for f in fits)
@@ -166,7 +166,7 @@ def test_06_slow_exponent_drives_length_up():
     budget = 60.0
     t0 = time.perf_counter()
     traj = f1.run(cv.ellipse_polygon(1.5, 0.5, 384), f1.SpeedLaw(0.2),
-                  f1.FlowConfig(cfl_factor=0.4, stop_area_fraction=0.5))
+                  f1.FlowConfig(stop_area_fraction=0.5))
     series = f1.rescaled_length_series(traj)
     values = np.array([v for _, v in series])
     increasing = bool(np.all(np.diff(values) > 0))
@@ -182,7 +182,7 @@ def test_06_slow_exponent_drives_length_up():
 def test_07_shrinking_sphere_radius_law():
     budget = 30.0
     t0 = time.perf_counter()
-    traj = ax.run_axi(ax.sphere_profile(1.0, 400), f1.FlowConfig(cfl_factor=0.5))
+    traj = ax.run_axi(ax.sphere_profile(1.0, 400), f1.FlowConfig())
     errs = []
     for snap in traj.snapshots:
         if snap.time > 0.22:
@@ -228,7 +228,7 @@ def test_08_dumbbell_neck_pinch(dumbbell_run):
 def test_09_torus_collapses_to_meridian_circle():
     budget = 60.0
     t0 = time.perf_counter()
-    traj = ax.run_axi(ax.torus_profile(1.0, 0.1, 400), f1.FlowConfig(cfl_factor=0.4))
+    traj = ax.run_axi(ax.torus_profile(1.0, 0.1, 400), f1.FlowConfig())
     has_collapse = any(e.kind == ax.EVENT_TORUS_COLLAPSE for e in traj.events)
     final = traj.final().geometry.samples
     spacing = float(np.linalg.norm(np.diff(final, axis=0), axis=1).mean())
@@ -251,7 +251,7 @@ def test_10_disjoint_curves_stay_disjoint():
     outer = cv.circle_polygon(2.0, 512)
     inner = cv.ellipse_polygon(1.2, 0.6, 512)
     trajs = f1.co_evolve([outer, inner], f1.SpeedLaw(1.0),
-                         f1.FlowConfig(cfl_factor=0.4))
+                         f1.FlowConfig())
     gaps = [cv.min_distance(s0.geometry, s1.geometry)
             for s0, s1 in zip(trajs[0].snapshots, trajs[1].snapshots)]
     separated = min(gaps) > 0

@@ -37,12 +37,12 @@ def mean_curvature(profile):
 
 @pytest.fixture(scope="module")
 def small_sphere_traj():
-    return ax.run_axi(ax.sphere_profile(0.5, 200), f1.FlowConfig(cfl_factor=0.5))
+    return ax.run_axi(ax.sphere_profile(0.5, 200), f1.FlowConfig())
 
 
 @pytest.fixture(scope="module")
 def neck_traj():
-    return ax.run_axi(perturbed_cylinder(), f1.FlowConfig(cfl_factor=0.4))
+    return ax.run_axi(perturbed_cylinder(), f1.FlowConfig())
 
 
 class TestProfiles:
@@ -171,7 +171,7 @@ class TestCylinderRun:
     def test_straight_cylinder_follows_the_shrinking_law(self):
         # The cylinder ghost rule makes every sample see the same neighbours, so
         # the tube stays exactly uniform while r^2 = r0^2 - 2t.
-        traj = ax.run_axi(ax.cylinder_profile(0.3, 1.0, 64), f1.FlowConfig(cfl_factor=0.4))
+        traj = ax.run_axi(ax.cylinder_profile(0.3, 1.0, 64), f1.FlowConfig())
         for snap in traj.snapshots:
             r = snap.geometry.samples[:, 1]
             assert np.ptp(r) == 0.0
@@ -212,7 +212,7 @@ class TestNeckPinch:
 @pytest.fixture(scope="module")
 def dumbbell_traj():
     return ax.run_axi(ax.dumbbell_profile(1.0, 0.15, 1.2, 1400),
-                      f1.FlowConfig(cfl_factor=0.4))
+                      f1.FlowConfig())
 
 
 class TestDumbbellRun:
@@ -240,7 +240,7 @@ class TestDumbbellRun:
 
 class TestTorusRun:
     def test_collapse_to_meridian_circle(self):
-        traj = ax.run_axi(ax.torus_profile(0.6, 0.08, 256), f1.FlowConfig(cfl_factor=0.4))
+        traj = ax.run_axi(ax.torus_profile(0.6, 0.08, 256), f1.FlowConfig())
         kinds = [e.kind for e in traj.events]
         assert ax.EVENT_TORUS_COLLAPSE in kinds
         final = traj.final().geometry.samples
@@ -436,12 +436,12 @@ def test_bound_pass_matches_a_fresh_pass(case):
         state = f1._CurveState(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0), config)
 
         def fresh():
-            return cv._three_point(cv._closed_chain(state.verts.T))
+            return cv._Stencil(cv._closed_chain(state.verts.T))()
     elif case == "front":
         state = oc._FrontState(oc.grim_reaper(81, 1.0), 0.1, config)
 
         def fresh():
-            return cv._three_point(state.verts.copy())
+            return cv._Stencil(state.verts.copy())()
     else:
         profile = {"sphere": ax.sphere_profile(0.5, 64),
                    "torus": ax.torus_profile(1.0, 0.25, 64),

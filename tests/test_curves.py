@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import curveflow.axisym as ax
 import curveflow.curves as cv
+import curveflow.oracle as oc
 import curveflow.rescale as rs
 from curveflow.errors import DegenerateGeometryError, InvalidInputError
 
@@ -74,6 +75,39 @@ class TestFactories:
             cv.ellipse_polygon(2.0, 0.0)
         with pytest.raises(InvalidInputError):
             cv.spiral_polygon(2.0, 1.0, 1.5)
+
+    # Every factory that takes a point count n, its smallest n and the message
+    # for one below it.
+    FACTORIES = {
+        "resample": (lambda n: cv.resample_uniform(cv.circle_polygon(1.0, 16), n), 8,
+                     "n must be at least 8, got 7"),
+        "circle": (lambda n: cv.circle_polygon(1.0, n), 8, "at least 8 vertices"),
+        "ellipse": (lambda n: cv.ellipse_polygon(2.0, 1.0, n), 8, "at least 8 vertices"),
+        "rectangle": (lambda n: cv.rectangle_polygon(2.0, 1.0, n), 8, "at least 8 vertices"),
+        "peanut": (lambda n: cv.peanut_polygon(1.0, 0.3, n), 8, "at least 8 vertices"),
+        "spiral": (lambda n: cv.spiral_polygon(n=n), 8, "n must be at least 8, got 7"),
+        "sphere": (lambda n: ax.sphere_profile(1.0, n), 16, "need at least 16 samples"),
+        "torus": (lambda n: ax.torus_profile(1.0, 0.1, n), 16, "need at least 16 samples"),
+        "cylinder": (lambda n: ax.cylinder_profile(0.5, 1.0, n), 16, "need at least 16 samples"),
+        "dumbbell": (lambda n: ax.dumbbell_profile(1.0, 0.15, 1.2, n), 128,
+                     "need at least 128 samples"),
+        "grim_reaper": (lambda n: oc.grim_reaper(n), 16, "n must be at least 16"),
+    }
+
+    @pytest.mark.parametrize("name", FACTORIES)
+    @pytest.mark.parametrize("n", [200.5, 200.0, np.float64(200.0), "200"])
+    def test_non_integer_point_count_is_named(self, name, n):
+        # A fractional n used to give a short closing edge, not an error.
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            self.FACTORIES[name][0](n)
+
+    @pytest.mark.parametrize("name", FACTORIES)
+    @pytest.mark.parametrize("kind", [int, np.int32, np.int64])
+    def test_integer_point_counts_pass_and_the_minimum_holds(self, name, kind):
+        build, minimum, message = self.FACTORIES[name]
+        assert len(build(kind(201))) == 201   # odd: the dumbbell adds a point to an even n
+        with pytest.raises((InvalidInputError, DegenerateGeometryError), match=message):
+            build(kind(minimum - 1))
 
 
 class TestValidation:
@@ -166,7 +200,7 @@ def _sphere_meridian(radius):
 def _open_arc(radius):
     """The bare kernel on interior points: positive for a left turn, left normal."""
     def fields(pts):
-        k, left, _ = cv._three_point(pts.T)
+        k, left, _ = cv._Stencil(pts.T)()
         return k, left.T
     t = np.linspace(0.25, 2.0, 60)
     return np.column_stack([radius * np.cos(t), radius * np.sin(t)]), fields, -1.0
@@ -174,7 +208,7 @@ def _open_arc(radius):
 
 def reference_three_point(chain):
     """The stencil kernel on an (m + 2, 2) point chain, one row per point: the
-    bit-for-bit reference for ``cv._three_point`` on its (2, m + 2) rows."""
+    bit-for-bit reference for a ``cv._Stencil`` pass on its (2, m + 2) rows."""
     e = chain[1:] - chain[:-1]
     seg = np.hypot(e[:, 0], e[:, 1])
     chord = chain[2:] - chain[:-2]
@@ -220,7 +254,7 @@ class TestThreePointKernel:
             chain[i + 1] = chain[i]
         want = reference_three_point(chain)
         for rows in (np.ascontiguousarray(chain.T), chain.T):
-            got = cv._three_point(rows)
+            got = cv._Stencil(rows)()
             assert got[1].shape == (2, m)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b.T)

@@ -21,13 +21,13 @@ from curveflow.errors import DegenerateGeometryError, InvalidInputError
 @pytest.fixture(scope="module")
 def small_circle_traj():
     return f1.run(cv.circle_polygon(0.5, 128), f1.SpeedLaw(1.0),
-                  f1.FlowConfig(cfl_factor=0.5))
+                  f1.FlowConfig())
 
 
 @pytest.fixture(scope="module")
 def peanut_traj():
     return f1.run(cv.peanut_polygon(1.0, 0.3, 256), f1.SpeedLaw(1.0),
-                  f1.FlowConfig(cfl_factor=0.4))
+                  f1.FlowConfig())
 
 
 class TestConfigValidation:
@@ -39,10 +39,6 @@ class TestConfigValidation:
         assert f1.SpeedLaw(8.0).p == 8.0
 
     def test_flow_config_ranges(self):
-        with pytest.raises(InvalidInputError):
-            f1.FlowConfig(cfl_factor=1.5)
-        with pytest.raises(InvalidInputError):
-            f1.FlowConfig(cfl_factor=0.0)
         with pytest.raises(InvalidInputError):
             f1.FlowConfig(stop_area_fraction=0.0)
         with pytest.raises(InvalidInputError):
@@ -128,7 +124,7 @@ class TestCircleRun:
         assert small_circle_traj.final() is small_circle_traj.snapshots[-1]
 
     def test_run_is_deterministic(self):
-        cfg = f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.3)
+        cfg = f1.FlowConfig(stop_area_fraction=0.3)
         a = f1.run(cv.circle_polygon(0.5, 96), f1.SpeedLaw(1.0), cfg)
         b = f1.run(cv.circle_polygon(0.5, 96), f1.SpeedLaw(1.0), cfg)
         assert np.array_equal(a.final().geometry.vertices, b.final().geometry.vertices)
@@ -197,7 +193,7 @@ class TestEllipseFit:
 
 class TestStops:
     def test_curvature_cap_halts_run(self):
-        cfg = f1.FlowConfig(cfl_factor=0.5, max_curvature_stop=20.0)
+        cfg = f1.FlowConfig(max_curvature_stop=20.0)
         traj = f1.run(cv.circle_polygon(0.3, 128), f1.SpeedLaw(1.0), cfg)
         kinds = [e.kind for e in traj.events]
         assert f1.EVENT_BLOWUP in kinds
@@ -231,13 +227,29 @@ class TestStops:
         assert stats.event == f1.EVENT_EXTINCTION
         assert stats.dt_min >= 1e-2 * stats.dt_max
 
+    @pytest.mark.parametrize("p", [1.0, 1.0 / 3.0, 0.2], ids=["p-1", "p-third", "p-0.2"])
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-2])
+    def test_noisy_circle_rounds_at_the_stability_fraction(self, sigma, p):
+        # Vertex noise puts energy in the shortest modes, the ones the stage
+        # count must keep stable; the default config still rounds the circle
+        # off and runs it to its area stop.
+        noise = sigma * np.random.default_rng(0).standard_normal((256, 2))
+        traj = f1.run(cv.PlaneCurve(cv.circle_polygon(1.0, 256).vertices + noise),
+                      f1.SpeedLaw(p), f1.FlowConfig())
+        kinds = [e.kind for e in traj.events]
+        assert traj.stats.event == f1.EVENT_EXTINCTION
+        assert f1.EVENT_BLOWUP not in kinds and f1.EVENT_EMBEDDEDNESS_LOSS not in kinds
+        m = traj.final().metrics
+        assert m.convex and m.min_curvature > 0
+        assert m.max_curvature / m.min_curvature < 1.1
+
 
 class TestCoEvolution:
     def test_nested_curves_share_times_and_stay_apart(self):
         outer = cv.circle_polygon(1.5, 128)
         inner = cv.ellipse_polygon(0.8, 0.4, 128)
         trajs = f1.co_evolve([outer, inner], f1.SpeedLaw(1.0),
-                             f1.FlowConfig(cfl_factor=0.4))
+                             f1.FlowConfig())
         assert len(trajs) == 2
         assert np.array_equal(trajs[0].times(), trajs[1].times())
         for s0, s1 in zip(trajs[0].snapshots, trajs[1].snapshots):
@@ -305,7 +317,7 @@ class TestCachedGeometry:
 
             def plan_after_check(t):
                 rows = state.verts
-                fresh = cv._three_point(cv._closed_chain(rows.T))
+                fresh = cv._Stencil(cv._closed_chain(rows.T))()
                 for held, want in zip((state.k, state.left, state.seg), fresh):
                     assert np.array_equal(held, want)
                 assert state.area == cv.polygon_area(rows.T)
@@ -459,6 +471,29 @@ class TestRKL2Table:
         table = f1._rkl2(7)
         assert table.shape == (7, 5) and f1._rkl2(7) is table
         assert not table.flags.writeable
+
+
+def euler_steps(stages):
+    """Forward-Euler steps that an RKL2 step of ``stages`` stages is stable over."""
+    return (stages * stages + stages - 2) / 4.0
+
+
+class TestStageCount:
+    """``_stage_count`` with a forward-Euler bound of 1."""
+
+    def test_fewest_stages_whose_bound_covers_the_step(self):
+        for stages in range(3, f1.MAX_STAGES + 1):
+            for tau in (math.nextafter(euler_steps(stages - 1), math.inf), euler_steps(stages)):
+                assert f1._stage_count(tau, 1.0) == (stages, tau)
+
+    @pytest.mark.parametrize("tau", [1e-12, 0.5, 1.0])
+    def test_a_step_within_one_euler_step_takes_two_stages(self, tau):
+        assert f1._stage_count(tau, 1.0) == (2, tau)
+
+    @pytest.mark.parametrize("tau", [math.nextafter(409.5, math.inf), 1e3, math.inf])
+    def test_a_longer_step_is_cut_at_max_stages(self, tau):
+        assert euler_steps(f1.MAX_STAGES) == 409.5
+        assert f1._stage_count(tau, 1.0) == (f1.MAX_STAGES, 409.5)
 
 
 def test_stages_do_not_depend_on_blas_threads():

@@ -134,7 +134,7 @@ class TestClosedFormLaws:
         # steps; the largest error measured at n = 64 was 5.8e-4 under forward
         # Euler and 4.8e-5 under RKL2.
         traj = ax.run_axi(ax.sphere_profile(r0, 64),
-                          f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.3))
+                          f1.FlowConfig(stop_area_fraction=0.3))
         for snap in traj.snapshots:
             pts = snap.geometry.samples
             center = 0.5 * (pts[:, 0].min() + pts[:, 0].max())
@@ -148,7 +148,7 @@ class TestClosedFormLaws:
         # r^2 = r0^2 - 2t until the pinch; 16 samples over a period of 2 r0 take
         # 12 steps.  The largest error measured was 9.5e-4 under forward Euler
         # and 2.3e-4 under RKL2.
-        traj = ax.run_axi(ax.cylinder_profile(r0, 2.0 * r0, 16), f1.FlowConfig(cfl_factor=0.4))
+        traj = ax.run_axi(ax.cylinder_profile(r0, 2.0 * r0, 16), f1.FlowConfig())
         assert traj.stats.event == ax.EVENT_NECK_PINCH
         for snap in traj.snapshots:
             want = oc.shrinker_radius("cylinder", r0, snap.time)

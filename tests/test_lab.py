@@ -29,7 +29,6 @@ shape = circle
 shape.radius = 0.5
 n = 96
 law.p = 1.0
-cfl_factor = 0.5
 resample_every = 10
 stop_area_fraction = 0.3
 analyses = radius-law, area-law
@@ -51,7 +50,6 @@ kind = axi-flow
 shape = sphere
 shape.r0 = 0.3
 n = 96
-cfl_factor = 0.5
 resample_every = 10
 stop_area_fraction = 0.5
 analyses = radius-law
@@ -64,7 +62,6 @@ kind = curve-flow
 shape = grim_reaper
 shape.half_width = 1.2
 n = 41
-cfl_factor = 0.4
 resample_every = 25
 duration = 0.05
 analyses = translate
@@ -77,7 +74,6 @@ shape.lobe_r = 1.0
 shape.tube_r = 0.15
 shape.tube_len = 1.2
 n = 200
-cfl_factor = 0.4
 resample_every = 10
 stop_area_fraction = 0.02
 analyses = blowup
@@ -92,7 +88,6 @@ kind = axi-flow
 shape = {shape}
 {params}
 n = {n}
-cfl_factor = 0.4
 resample_every = 10
 stop_area_fraction = 0.02
 analyses = neck
@@ -102,7 +97,6 @@ kind = axi-flow
 shape = {shape}
 {params}
 n = {n}
-cfl_factor = 0.4
 resample_every = 10
 stop_area_fraction = 0.02
 analyses = blowup
@@ -123,7 +117,6 @@ shape.a = 0.8
 shape.b = 0.4
 n = 48
 law.p = 1.0
-cfl_factor = 0.5
 resample_every = 10
 stop_area_fraction = 0.5
 analyses = pair-distance
@@ -137,7 +130,6 @@ shape.a = 0.6
 shape.b = 0.3
 n = 64
 law.p = 1.0
-cfl_factor = 0.5
 resample_every = 10
 stop_area_fraction = 0.3
 analyses = {analysis}
@@ -167,7 +159,7 @@ class TestParseConfig:
         assert s.shape_params == {"radius": 0.5}
         assert s.n == 96
         assert s.law.p == 1.0
-        assert s.config.cfl_factor == 0.5
+        assert s.config.resample_every == 10
         assert s.config.stop_area_fraction == 0.3
         assert list(s.analyses) == ["radius-law", "area-law"]
         assert s.checks["radius_rel_tol"] == 1e-2
@@ -213,7 +205,7 @@ class TestParseConfig:
             scenarios.parse_config(TINY_CIRCLE.replace("radius-law, area-law",
                                                        "translate"))
 
-    @pytest.mark.parametrize("key", ["cfl_factor", "resample_every"])
+    @pytest.mark.parametrize("key", ["resample_every"])
     def test_reaper_flow_keys_required(self, key):
         # no hidden default: FlowConfig's resample_every differs from the oracle's
         bad = re.sub(rf"^{key} = .*\n", "", GRIM_REAPER, flags=re.M)
@@ -323,6 +315,9 @@ class TestParseConfig:
          r"check\.extinction_target"),
         (TINY_CIRCLE, "n = 96", "n = 96\ncheck.radius_time_max = -1", r"check\.radius_time_max"),
         (NESTED_PAIR, "n = 48", "n = 48\ncheck.min_separation = -1", r"check\.min_separation"),
+        # the stability fraction is a constant of the stepper, not a key
+        (TINY_CIRCLE, "n = 96", "n = 96\ncfl_factor = 0.4", "unknown key.*cfl_factor"),
+        (GRIM_REAPER, "n = 41", "n = 41\ncfl_factor = 0.4", "unknown key.*cfl_factor"),
     ])
     def test_option_rule_names_the_field(self, text, old, new, field):
         assert old in text
@@ -389,7 +384,7 @@ class TestArtifacts:
 
     def test_trajectory_csv_header_and_determinism(self):
         traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
-                      f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
+                      f1.FlowConfig(stop_area_fraction=0.5))
         a = artifacts.trajectory_csv(traj)
         b = artifacts.trajectory_csv(traj)
         assert a == b
@@ -404,7 +399,7 @@ class TestArtifacts:
         lambda cfg: ax.run_axi(ax.dumbbell_profile(1.0, 0.3, 1.0, 256), cfg),
     ], ids=["circle", "peanut-p-third", "sphere", "torus", "cylinder", "dumbbell"])
     def test_save_then_load_trajectory_is_exact(self, tmp_path, make):
-        traj = make(f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
+        traj = make(f1.FlowConfig(stop_area_fraction=0.5))
         artifacts.save_trajectory(tmp_path / "snaps", traj)
         assert (tmp_path / "snaps" / "index.json").exists()
         back = artifacts.load_trajectory(tmp_path / "snaps")
@@ -481,9 +476,6 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: f1.FlowConfig(cfl_factor=NAN), InvalidInputError, "cfl_factor"),
-    (lambda: scenarios.parse_config(TINY_CIRCLE.replace("cfl_factor = 0.5", "cfl_factor = nan")),
-     ConfigError, "cfl_factor"),
     (lambda: f1.FlowConfig(max_curvature_stop=NAN), InvalidInputError, "max_curvature_stop"),
     (lambda: f1.FlowConfig(resample_every=2.5), InvalidInputError, "resample_every"),
     (lambda: f1.FlowConfig(max_steps=12.5), InvalidInputError, "max_steps"),
@@ -501,9 +493,8 @@ NAN = float("nan")
     (lambda: scenarios.parse_config(TINY_CIRCLE.replace("radius_rel_tol = 1e-2",
                                                         "radius_rel_tol = -inf")),
      ConfigError, r"check\.radius_rel_tol must be a finite number"),
-], ids=["cfl-factor", "scenario-cfl-factor", "curvature-stop", "resample-every-fraction",
-        "max-steps-fraction", "front-duration", "rescale-time",
-        "profile-period-nan", "profile-period-inf", "check-selfcheck-tol-inf",
+], ids=["curvature-stop", "resample-every-fraction", "max-steps-fraction", "front-duration",
+        "rescale-time", "profile-period-nan", "profile-period-inf", "check-selfcheck-tol-inf",
         "check-selfcheck-tol-nan", "check-radius-tol-minus-inf"])
 def test_non_finite_number_is_rejected_where_it_enters(call, error, match):
     with pytest.raises(error, match=match):
@@ -639,7 +630,6 @@ shape.lobe_r = 0.1
 shape.tube_r = 0.3
 shape.tube_len = 1.0
 n = 200
-cfl_factor = 0.4
 resample_every = 10
 stop_area_fraction = 0.02
 analyses = neck
@@ -969,7 +959,7 @@ class TestCli:
             "law-p-string", "law-p-zero", "index-string", "index-list"])
     def test_bad_index_is_named_and_rescale_exits_2(self, tmp_path, capsys, corrupt, problem):
         traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
-                      f1.FlowConfig(cfl_factor=0.5, stop_area_fraction=0.5))
+                      f1.FlowConfig(stop_area_fraction=0.5))
         snaps = tmp_path / "snaps"
         artifacts.save_trajectory(snaps, traj)
         index = json.loads((snaps / "index.json").read_text())

@@ -140,11 +140,12 @@ class TestTranslators:
 
     def test_front_step_obeys_the_displacement_cap(self):
         # One right angle between edges of length h: k h = sqrt(2) > 1.25, so
-        # the cap 0.25 h / max|k| lies below the parabolic bound cfl h^2 / 2.
+        # the cap 0.25 h / max|k| lies below the parabolic bound
+        # STABILITY_FRACTION h^2 / 2.
         h = 0.1
         pts = h * np.array([[-3.0, 0.0], [-2, 0], [-1, 0], [0, 0], [0, 1], [0, 2], [0, 3]])
         state = oc._FrontState(pts, 1.0, f1.FlowConfig())
-        k, _, seg = cv._three_point(state.verts)
+        k, _, seg = cv._Stencil(state.verts)()
         kmax, h_min = float(np.abs(k).max()), float(seg.min())
         assert kmax * h_min == pytest.approx(math.sqrt(2.0))
         assert state.plan(0.0)[0] <= f1.DISPLACEMENT_FRACTION * h_min / kmax
@@ -167,16 +168,14 @@ class TestTranslators:
 
     def test_front_default_config_is_resample_every_25(self):
         # The default steps the front exactly as the explicit FlowConfig does;
-        # the config's resample_every and cfl_factor both reach the front.
+        # the config's resample_every reaches the front.
         pts = oc.grim_reaper(81, 1.0)
-        default, explicit, every_10, finer = [
+        default, explicit, every_10 = [
             oc.evolve_translating_front(pts, 0.2, config=cfg)
-            for cfg in (None, f1.FlowConfig(resample_every=25), f1.FlowConfig(resample_every=10),
-                        f1.FlowConfig(resample_every=25, cfl_factor=0.2))]
+            for cfg in (None, f1.FlowConfig(resample_every=25), f1.FlowConfig(resample_every=10))]
         assert np.array_equal(default.final().geometry, explicit.final().geometry)
         assert default.stats == explicit.stats and default.stats.resamples > 0
         assert every_10.stats.resamples > default.stats.resamples
-        assert finer.stats.evaluations > default.stats.evaluations
 
     @pytest.mark.parametrize("field, value, kind", [
         ("max_steps", 5, f1.EVENT_STEP_BUDGET),

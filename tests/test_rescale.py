@@ -16,18 +16,18 @@ from curveflow.errors import FitFailureError, InvalidInputError
 @pytest.fixture(scope="module")
 def circle_traj():
     return f1.run(cv.circle_polygon(1.0, 256), f1.SpeedLaw(1.0),
-                  f1.FlowConfig(cfl_factor=0.5))
+                  f1.FlowConfig())
 
 
 @pytest.fixture(scope="module")
 def cylinder_traj():
-    return ax.run_axi(ax.cylinder_profile(0.5, 1.0, 16), f1.FlowConfig(cfl_factor=0.5))
+    return ax.run_axi(ax.cylinder_profile(0.5, 1.0, 16), f1.FlowConfig())
 
 
 @pytest.fixture(scope="module")
 def dumbbell_traj():
     return ax.run_axi(ax.dumbbell_profile(1.0, 0.15, 1.2, 1400),
-                      f1.FlowConfig(cfl_factor=0.4))
+                      f1.FlowConfig())
 
 
 class TestCircleFit:
@@ -191,7 +191,7 @@ class TestRoundness:
 
     def test_ellipse_residual_decreases_to_round(self):
         traj = f1.run(cv.ellipse_polygon(2.0, 1.0, 256), f1.SpeedLaw(1.0),
-                      f1.FlowConfig(cfl_factor=0.4))
+                      f1.FlowConfig())
         series = rs.roundness_series(traj)
         t_half = traj.times()[-1] / 2
         tail = [r for t, r, _ in series if t >= t_half]
@@ -226,7 +226,7 @@ class TestBlowupDial:
         assert plane.limit_classification == rs.CLASS_PLANE
 
     def test_torus_window_wraps_around_the_meridian_start(self):
-        traj = ax.run_axi(ax.torus_profile(1.0, 0.3, 48), f1.FlowConfig(cfl_factor=0.4))
+        traj = ax.run_axi(ax.torus_profile(1.0, 0.3, 48), f1.FlowConfig())
         assert traj.stats.event == ax.EVENT_TORUS_COLLAPSE
         # Probing sample 0 of each closed meridian puts the window across its
         # start; the tube shrinks round, so each window is circle-like.
