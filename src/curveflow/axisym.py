@@ -317,6 +317,9 @@ def dumbbell_profile(
     The tube spans [-tube_len/2, tube_len/2] at radius tube_r; fillet arcs of
     radius FILLET_RADIUS_FACTOR * lobe_r meet both the tube line and the lobe
     circles tangentially, so the meridian is C1 and everywhere mean convex.
+    The two mirror halves share the sample at x = 0: 2 (n // 2) + 1 samples,
+    so an even n gives n + 1, unless a tube, fillet or lobe too short for n
+    takes its minimum of 8 samples per half.
     """
     if lobe_r <= 0 or tube_r <= 0 or tube_len <= 0:
         raise InvalidInputError("dumbbell dimensions must be positive")

@@ -497,7 +497,7 @@ def curve_centroid(curve: PlaneCurve) -> Float2:
 def circle_polygon(radius: float, n: int = 512, center: Float2 = (0.0, 0.0)) -> PlaneCurve:
     if radius <= 0:
         raise InvalidInputError("radius must be positive")
-    _check_count(n)
+    _check_count(n, MIN_VERTICES)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     pts = np.stack([center[0] + radius * np.cos(t), center[1] + radius * np.sin(t)], axis=1)
     return PlaneCurve(pts)
@@ -508,7 +508,7 @@ def ellipse_polygon(a: float, b: float, n: int = 512, center: Float2 = (0.0, 0.0
     when ``n`` is a multiple of 4."""
     if a <= 0 or b <= 0:
         raise InvalidInputError("semi-axes must be positive")
-    _check_count(n)
+    _check_count(n, MIN_VERTICES)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     pts = np.stack([center[0] + a * np.cos(t), center[1] + b * np.sin(t)], axis=1)
     return PlaneCurve(pts)
@@ -519,7 +519,7 @@ def rectangle_polygon(width: float, height: float, n: int = 64) -> PlaneCurve:
     only when the spacing divides the side lengths."""
     if width <= 0 or height <= 0:
         raise InvalidInputError("width and height must be positive")
-    _check_count(n)
+    _check_count(n, MIN_VERTICES)
     w2, h2 = width / 2.0, height / 2.0
     corners = np.array([[w2, -h2], [w2, h2], [-w2, h2], [-w2, -h2]])
     return PlaneCurve(_linear_resample(corners, n))
@@ -530,7 +530,7 @@ def peanut_polygon(base_radius: float = 1.0, amplitude: float = 0.3, n: int = 51
     for amplitude > 0.2, which is what the convexification tests want."""
     if not 0.0 <= amplitude < 1.0:
         raise InvalidInputError("amplitude must be in [0, 1)")
-    _check_count(n)
+    _check_count(n, MIN_VERTICES)
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     r = base_radius * (1.0 + amplitude * np.cos(2.0 * t))
     return PlaneCurve(np.stack([r * np.cos(t), r * np.sin(t)], axis=1))

@@ -56,9 +56,6 @@ SNAPSHOT_LEVELS = 140
 DISPLACEMENT_FRACTION = 0.25
 # Most velocity evaluations in one RKL2 step: stable over 409.5 Euler steps.
 MAX_STAGES = 40
-# Fraction of the RKL2 stability bound a step may use.  The displacement cap
-# sets the step; this sets only how many stages cover it (``_stage_count``).
-STABILITY_FRACTION = 0.5
 
 EVENT_EXTINCTION = "extinction-approach"
 EVENT_BLOWUP = "curvature-blowup"
@@ -79,8 +76,19 @@ class SpeedLaw:
             raise InvalidInputError(f"law.p must be in (0, 8], got {self.p}")
 
     def speed(self, k: NDArray[np.float64]) -> NDArray[np.float64]:
-        mag = np.abs(k)
-        out = np.where(mag < CURVATURE_CLAMP, 0.0, np.sign(k) * mag ** self.p)
+        shape = np.shape(k)
+        return self.speed_into(k, np.empty(shape), np.empty(shape, bool), np.empty(shape))
+
+    def speed_into(self, k: NDArray[np.float64], mag: NDArray[np.float64],
+                   flat: NDArray[np.bool_], out: NDArray[np.float64]) -> NDArray[np.float64]:
+        """``speed(k)`` written into ``out`` and returned, with ``mag`` and ``flat``
+        as scratch of k's shape: sign(k) |k|^p, and +0.0 where |k| is below the clamp."""
+        np.abs(k, out=mag)
+        np.less(mag, CURVATURE_CLAMP, out=flat)
+        mag **= self.p   # the operator's own path, as in mag ** p
+        np.sign(k, out=out)
+        out *= mag
+        np.copyto(out, 0.0, where=flat)
         return out
 
 
@@ -117,12 +125,14 @@ class Event:
 class RunStats:
     """What ``_evolve`` did for one trajectory.  It holds no wall times, so
     equal inputs give equal stats.  ``evaluations`` counts the velocity
-    evaluations of all steps, ``max_stages`` those of the longest step.
-    ``dt_mean`` is the end time over the steps; the dt figures are None when
-    the run took no step."""
+    evaluations of all steps, ``min_stages`` and ``max_stages`` those of the
+    shortest and longest step (0 when the run took no step).  ``dt_mean`` is
+    the end time over the steps; the dt figures are None when the run took no
+    step."""
 
     steps: int
     evaluations: int
+    min_stages: int
     max_stages: int
     resamples: int
     snapshots: int
@@ -206,12 +216,15 @@ class _FlowState:
         """Copy (2, n) point rows into ``verts``, the inside of the (2, n + 2)
         ``chain`` (ghost, points, ghost): slot 0 of ``bank``, whose six slots,
         zeroed when n changes, are Y(j-1), Y(j-2), Y0, F (inside: ``vel``), F0
-        and a stage's output; ``flat`` holds each slot as one row.  A new bank,
-        on the first call and on a resample that changes n, is bound anew
-        (``bind``), so no view into the old one survives it."""
+        and a stage's output.  Each slot flattened to one row, a stage reads the
+        first five as ``stage_in``, writes ``stage_out`` and shifts it into
+        ``newest`` (slot 0) after ``newest`` into ``older`` (slot 1).  A new
+        bank, on the first call and on a resample that changes n, is bound
+        anew (``bind``), so no view into the old one survives it."""
         if self.chain.shape[1] != rows.shape[1] + 2:
             self.bank = np.zeros((6, 2, rows.shape[1] + 2))   # 0 x an unread entry must be 0
-            self.flat = self.bank.reshape(6, -1)
+            flat = self.bank.reshape(6, -1)
+            self.stage_in, self.stage_out, self.older, self.newest = flat[:5], flat[5], flat[1], flat[0]
             self.chain = self.bank[0]
             self.verts = self.chain[:, 1:-1]
             self.vel = self.bank[3, :, 1:-1]
@@ -300,7 +313,8 @@ def _rkl2(stages: int) -> NDArray[np.float64]:
 def _stage_count(tau: float, euler: float) -> tuple[int, float]:
     """The fewest stages s >= 2 whose stability bound euler (s^2 + s - 2) / 4
     covers tau, and the step: tau, cut to that bound at MAX_STAGES.  ``_evolve``
-    passes STABILITY_FRACTION of the forward-Euler diffusive bound as euler."""
+    passes the smallest forward-Euler bound in full: each is at most h_min^2 / (2 D),
+    and by Gershgorin the three-point stencil's eigenvalues are at most 4 D / h_min^2."""
     s = 2
     while s < MAX_STAGES and tau > euler * (s * s + s - 2) / 4.0:
         s += 1
@@ -318,6 +332,7 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
     """
     t = 0.0
     steps = evaluations = max_stages = 0
+    min_stages = MAX_STAGES
     dt_min, dt_max = np.inf, 0.0
     while steps < config.max_steps:
         tau, dt_e = np.inf, np.inf
@@ -329,7 +344,7 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
         if s.done:
             break
 
-        stages, tau = _stage_count(tau, STABILITY_FRACTION * dt_e)
+        stages, tau = _stage_count(tau, dt_e)
         weights = _rkl2(stages) * [1.0, 1.0, 1.0, tau, tau]
         for s in states:
             s.bank[2] = s.bank[0]   # Y0
@@ -339,12 +354,13 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
                 if j:
                     s.measure()
                     s.velocity()
-                np.dot(w, s.flat[:5], out=s.flat[5])
-                s.flat[1] = s.flat[0]   # Y(j-1), the next stage's Y(j-2)
-                s.flat[0] = s.flat[5]   # Y(j)
+                np.dot(w, s.stage_in, out=s.stage_out)
+                s.older[...] = s.newest   # Y(j-1), the next stage's Y(j-2)
+                s.newest[...] = s.stage_out   # Y(j)
         t += tau
         steps += 1
         evaluations += stages
+        min_stages = min(min_stages, stages)
         max_stages = max(max_stages, stages)
         dt_min = min(dt_min, tau)
         dt_max = max(dt_max, tau)
@@ -363,9 +379,11 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
         if not s.done:
             s.close(t, Event(kind, t))
     dts = (float(dt_min), t / steps, float(dt_max)) if steps else (None, None, None)
+    min_stages = min_stages if steps else 0
     for s in states:
-        s.traj.stats = RunStats(steps, evaluations, max_stages, steps // config.resample_every,
-                                len(s.traj.snapshots), *dts, s.events[-1].kind)
+        s.traj.stats = RunStats(steps, evaluations, min_stages, max_stages,
+                                steps // config.resample_every, len(s.traj.snapshots), *dts,
+                                s.events[-1].kind)
     return [s.traj for s in states]
 
 
@@ -396,10 +414,13 @@ class _CurveState(_FlowState):
         self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
 
     def bind(self) -> None:
-        """The bound stencil, and the ghost columns with the points they wrap to."""
+        """The bound stencil, the ghost columns with the points they wrap to, and
+        the buffers ``velocity`` writes the speed into at p != 1."""
         super().bind()
         c = self.chain
         self.wraps = (c[:, 0], c[:, -2]), (c[:, -1], c[:, 1])
+        n = c.shape[1] - 2
+        self.speed_bufs = np.empty(n), np.empty(n, bool), np.empty(n)
 
     def measure(self) -> None:
         """One geometry pass: fill the ghost columns and keep the curvature
@@ -417,7 +438,7 @@ class _CurveState(_FlowState):
 
     def velocity(self) -> NDArray[np.float64]:
         """Fill ``vel`` with the measured speed along the left normal; return the speed."""
-        speed = self.k if self.law.p == 1.0 else self.law.speed(self.k)
+        speed = self.k if self.law.p == 1.0 else self.law.speed_into(self.k, *self.speed_bufs)
         np.multiply(self.left, speed, out=self.vel)
         return speed
 
@@ -429,10 +450,13 @@ class _CurveState(_FlowState):
         if p == 1.0:
             diffusivity = 1.0
         else:
-            # Curvature below 1 / length is floored there, so that roundoff
-            # curvature on a flat side cannot collapse the bound at p < 1.
+            # The linearised law diffuses at F'(k) = p |k|^(p-1).  Curvature
+            # below 1 / length is floored there, so that roundoff curvature on
+            # a flat side cannot collapse the bound at p < 1.  The floor cuts
+            # F' off at near-flat points, so p < 1 keeps a 1 / p margin: the
+            # factor is max(p, 1), not p.
             floor = 1.0 / float(self.seg[1:].sum())
-            diffusivity = float(np.max(np.maximum(np.abs(k), floor) ** (p - 1.0)))
+            diffusivity = max(p, 1.0) * float(np.max(np.maximum(np.abs(k), floor) ** (p - 1.0)))
         h = float(self.seg.min())
         vmax = kmax if p == 1.0 else float(np.abs(speed).max())
         return _cap(h, vmax), h * h / (2.0 * diffusivity)

@@ -418,7 +418,7 @@ def test_one_stencil_pass_per_step(case, monkeypatch):
         profile = {"sphere": ax.sphere_profile(0.5, 64),
                    "torus": ax.torus_profile(1.0, 0.25, 64),
                    "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256),
-                   "cylinder": perturbed_cylinder(n=128)}[case.split("-")[1]]
+                   "cylinder": perturbed_cylinder()}[case.split("-")[1]]
         k, stats = 1, ax.run_axi(profile).stats
     assert stats.evaluations > 100 and (stats.snapshots > 2 or case == "front")
     assert len(calls) == k * (stats.evaluations + 1)

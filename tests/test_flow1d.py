@@ -60,6 +60,16 @@ class TestStepping:
         law = f1.SpeedLaw(1.0 / 3.0)
         assert np.array_equal(law.speed(-k), -law.speed(k))
 
+    @pytest.mark.parametrize("p", [0.2, 0.5, 2.0, 1.5, 8.0])
+    def test_speed_in_place_is_the_plain_expression(self, p):
+        # Bit for bit, signed zeros included: the in-place speed takes |k|^p
+        # through the ** operator's own path and clamps near-flat k to +0.0.
+        k = np.concatenate([np.random.default_rng(2).standard_normal(500) * 10,
+                            [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12]])
+        mag = np.abs(k)
+        plain = np.where(mag < f1.CURVATURE_CLAMP, 0.0, np.sign(k) * mag ** p)
+        assert np.array_equal(f1.SpeedLaw(p).speed(k).view(np.int64), plain.view(np.int64))
+
     def test_clockwise_curve_moves_like_counterclockwise(self):
         ccw = cv.circle_polygon(1.0, 64)
         cw = cv.PlaneCurve(ccw.vertices[::-1])
@@ -227,12 +237,15 @@ class TestStops:
         assert stats.event == f1.EVENT_EXTINCTION
         assert stats.dt_min >= 1e-2 * stats.dt_max
 
-    @pytest.mark.parametrize("p", [1.0, 1.0 / 3.0, 0.2], ids=["p-1", "p-third", "p-0.2"])
+    @pytest.mark.parametrize("p", [1.0, 1.0 / 3.0, 0.2, 2.0, 8.0],
+                             ids=["p-1", "p-third", "p-0.2", "p-2", "p-8"])
     @pytest.mark.parametrize("sigma", [1e-3, 1e-2])
-    def test_noisy_circle_rounds_at_the_stability_fraction(self, sigma, p):
+    def test_noisy_circle_rounds_at_the_full_bound(self, sigma, p):
         # Vertex noise puts energy in the shortest modes, the ones the stage
         # count must keep stable; the default config still rounds the circle
-        # off and runs it to its area stop.
+        # off and runs it to its area stop.  With the exact factor p in the
+        # diffusivity at p = 0.2, not max(p, 1), the spread at sigma = 1e-3
+        # ends near 1.104.
         noise = sigma * np.random.default_rng(0).standard_normal((256, 2))
         traj = f1.run(cv.PlaneCurve(cv.circle_polygon(1.0, 256).vertices + noise),
                       f1.SpeedLaw(p), f1.FlowConfig())
@@ -242,6 +255,29 @@ class TestStops:
         m = traj.final().metrics
         assert m.convex and m.min_curvature > 0
         assert m.max_curvature / m.min_curvature < 1.1
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
+    def test_ellipse_rounds_at_large_p(self, p):
+        # A diffusivity of |k|^(p-1), without the factor p of F'(k), let the
+        # step outgrow the stencil's bound: at p = 4 this ellipse lost its
+        # embeddedness with k between -19 and 17.
+        traj = f1.run(cv.ellipse_polygon(1.5, 0.5, 128), f1.SpeedLaw(p), f1.FlowConfig())
+        assert [e.kind for e in traj.events] == [f1.EVENT_EXTINCTION]
+        m = traj.final().metrics
+        assert m.convex and m.min_curvature > 0
+        assert m.max_curvature / m.min_curvature < 1.1
+
+    @pytest.mark.parametrize("p", [0.2, 1.0, 3.0])
+    def test_diffusive_bound_counts_the_law_derivative(self, p):
+        # F'(k) = p |k|^(p-1), with |k| floored at 1 / length; below p = 1 the
+        # factor stays 1.
+        curve = cv.ellipse_polygon(1.5, 0.5, 64)
+        state = f1._CurveState(curve, f1.SpeedLaw(p), f1.FlowConfig())
+        k, _ = cv.curvature_profile(curve)
+        edges = np.hypot(*np.diff(np.vstack([curve.vertices, curve.vertices[:1]]), axis=0).T)
+        h, length = edges.min(), edges.sum()
+        diffusivity = max(p, 1.0) * np.max(np.maximum(np.abs(k), 1.0 / length) ** (p - 1.0))
+        assert state.plan(0.0)[1] == pytest.approx(h * h / (2.0 * diffusivity), rel=1e-12)
 
 
 class TestCoEvolution:
@@ -398,11 +434,11 @@ def test_run_stats_describe_the_run(ending):
     assert stats.evaluations >= 2 * stats.steps
     if stats.steps == 0:   # closed by the first plan
         assert (stats.dt_min, stats.dt_mean, stats.dt_max) == (None, None, None)
-        assert stats.evaluations == stats.max_stages == 0
+        assert stats.evaluations == stats.min_stages == stats.max_stages == 0
     else:
         assert 0 < stats.dt_min <= stats.dt_mean <= stats.dt_max
-        assert 2 <= stats.max_stages <= f1.MAX_STAGES
-        assert stats.evaluations <= stats.max_stages * stats.steps
+        assert 2 <= stats.min_stages <= stats.max_stages <= f1.MAX_STAGES
+        assert stats.min_stages * stats.steps <= stats.evaluations <= stats.max_stages * stats.steps
         assert stats.dt_mean * stats.steps == pytest.approx(traj.final().time, rel=1e-12)
 
 

@@ -315,7 +315,7 @@ class TestParseConfig:
          r"check\.extinction_target"),
         (TINY_CIRCLE, "n = 96", "n = 96\ncheck.radius_time_max = -1", r"check\.radius_time_max"),
         (NESTED_PAIR, "n = 48", "n = 48\ncheck.min_separation = -1", r"check\.min_separation"),
-        # the stability fraction is a constant of the stepper, not a key
+        # the stepper's stability bound is its own, not a key
         (TINY_CIRCLE, "n = 96", "n = 96\ncfl_factor = 0.4", "unknown key.*cfl_factor"),
         (GRIM_REAPER, "n = 41", "n = 41\ncfl_factor = 0.4", "unknown key.*cfl_factor"),
     ])

@@ -139,9 +139,8 @@ class TestTranslators:
         assert np.max(dev) < 2e-3
 
     def test_front_step_obeys_the_displacement_cap(self):
-        # One right angle between edges of length h: k h = sqrt(2) > 1.25, so
-        # the cap 0.25 h / max|k| lies below the parabolic bound
-        # STABILITY_FRACTION h^2 / 2.
+        # One right angle between edges of length h: k h = sqrt(2) > 1/2, so
+        # the cap 0.25 h / max|k| lies below the forward-Euler bound h^2 / 2.
         h = 0.1
         pts = h * np.array([[-3.0, 0.0], [-2, 0], [-1, 0], [0, 0], [0, 1], [0, 2], [0, 3]])
         state = oc._FrontState(pts, 1.0, f1.FlowConfig())
