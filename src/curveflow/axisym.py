@@ -62,6 +62,12 @@ class AxiProfile:
                "periodic"  closed loop off the axis (torus meridian)
                "cylinder"  graph r(x), periodic in x with the given period
     period   : x-period, required for the cylinder topology
+
+    A twopoles or periodic meridian bounds the solid, so it must be simple:
+    ``curves.is_embedded``'s test, once, on the checked samples.  A twopoles
+    one closes on the axis chord; if x is strictly monotone and every |dx|
+    and interior r exceed c tol (c = 1000 and tol as there), edges i < j - 1
+    are a whole |dx| apart in x and the chord meets only the end edges.
     """
 
     samples: NDArray[np.float64]
@@ -85,10 +91,11 @@ class AxiProfile:
         if topology == TOPOLOGY_TWO_POLES:
             if abs(r[0]) > tiny or abs(r[-1]) > tiny:
                 raise InvalidInputError("twopoles profile must start and end at r = 0")
-            r[0] = 0.0
-            r[-1] = 0.0
+            r[[0, -1]] = 0.0
             if np.any(r[1:-1] <= 0):
                 raise DegenerateGeometryError("interior sample on or below the axis")
+            if abs(pts[-1, 0] - pts[0, 0]) <= cv.DISTINCT_REL_TOL * diam:
+                raise DegenerateGeometryError("twopoles profile's poles coincide")
         else:
             if np.any(r <= 0):
                 raise DegenerateGeometryError("sample on or below the axis")
@@ -101,12 +108,9 @@ class AxiProfile:
                 raise InvalidInputError("cylinder samples must span less than one period")
         else:
             period = None
-        if topology in (TOPOLOGY_TWO_POLES, TOPOLOGY_PERIODIC):
-            # Simplicity: the meridian plus its axis closure bounds the solid,
-            # so it must not cross itself.  For twopoles the closing chord lies
-            # on the axis and cannot meet the strictly positive interior.
-            if not cv.is_embedded(cv.PlaneCurve(pts)):
-                raise InvalidInputError("meridian profile is self-intersecting")
+        if topology != TOPOLOGY_CYLINDER and not cv._is_simple(
+                pts, diam, topology == TOPOLOGY_TWO_POLES):
+            raise InvalidInputError("meridian profile is self-intersecting")
 
         pts.setflags(write=False)
         object.__setattr__(self, "samples", pts)

@@ -24,6 +24,8 @@ DISTINCT_REL_TOL = 1e-12
 EXTINCT_DIAMETER = 1e-9
 # Signed curvatures above -CONVEX_REL_TOL * max|k| still count as convex.
 CONVEX_REL_TOL = 1e-6
+# The edge gap, in units of the touch tolerance, that certifies a simple polygon.
+_CERTIFIED_GAP = 1000.0
 
 Float2 = tuple[float, float]
 
@@ -44,8 +46,8 @@ def _next(a: NDArray) -> NDArray:
 
 
 def bbox_diameter(vertices: NDArray[np.float64]) -> float:
-    span = vertices.max(axis=0) - vertices.min(axis=0)
-    return float(np.hypot(span[0], span[1]))
+    x, y = vertices.T     # a reduction per column, not over axis 0 of (n, 2)
+    return float(np.hypot(x.max() - x.min(), y.max() - y.min()))
 
 
 def _checked_points(
@@ -387,12 +389,42 @@ def _box_pairs(
 
 
 def is_embedded(curve: PlaneCurve) -> bool:
-    """Exact segment-pair test: no two non-adjacent edges may touch or cross."""
-    v = curve.vertices
-    n = len(v)
-    p1 = v
-    p2 = _next(v)
-    tol = DISTINCT_REL_TOL * bbox_diameter(v)
+    """Exact segment-pair test: no two non-adjacent edges may touch or cross.
+
+    The sweep, ``_segment_sweep``, flags only edges within (1 + 2 sqrt 2) tol,
+    tol = DISTINCT_REL_TOL times the diameter.  If all turns share one strict
+    sign and the edge direction enters the upper half plane once, the curve
+    winds once and is strictly convex: all vertices but v_k lie across the
+    chord of its neighbours, so non-adjacent edges (closest at an end of one)
+    are at least the least chord distance apart.  Where that exceeds c tol,
+    c = ``_CERTIFIED_GAP`` = 1000, the sweep is skipped.
+    """
+    return _is_simple(curve.vertices, bbox_diameter(curve.vertices))
+
+
+def _is_simple(v: NDArray[np.float64], diam: float, two_poles: bool = False) -> bool:
+    """``is_embedded`` of the closed polygon ``v``: the convex certificate, or
+    ``AxiProfile``'s x-monotone one for a ``two_poles`` meridian, else the sweep."""
+    tol = DISTINCT_REL_TOL * diam
+    bound = _CERTIFIED_GAP * tol
+    e = _next(v) - v
+    if two_poles:
+        dx = e[:-1, 0]
+        certified = (dx.min() > bound or dx.max() < -bound) and v[1:-1, 1].min() > bound
+    else:
+        after = _next(e)
+        # Twice the area each vertex cuts off: its chord times its distance to it.
+        turn = e[:, 0] * after[:, 1] - e[:, 1] * after[:, 0]
+        gap = bound * np.hypot(*(e + after).T)
+        upper = e[:, 1] > 0.0
+        certified = (((turn > gap).all() or (turn < -gap).all())
+                     and np.count_nonzero(upper != _next(upper)) == 2)
+    return bool(certified) or _segment_sweep(v, tol)
+
+
+def _segment_sweep(v: NDArray[np.float64], tol: float) -> bool:
+    """Whether no two non-adjacent edges of the closed polygon ``v`` touch within tol."""
+    n, p1, p2 = len(v), v, _next(v)
     ii, jj, boxed = _box_pairs(p1, p2, tol)
     gap = (jj - ii) % n
     keep = boxed & (gap != 1) & (gap != n - 1)

@@ -414,13 +414,16 @@ class _CurveState(_FlowState):
         self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
 
     def bind(self) -> None:
-        """The bound stencil, the ghost columns with the points they wrap to, and
-        the buffers ``velocity`` writes the speed into at p != 1."""
+        """The bound stencil, the ghost columns with the points they wrap to, the
+        buffers ``velocity`` writes the speed into at p != 1, and the shoelace
+        terms of ``measure_area`` with the two buffers it multiplies them into."""
         super().bind()
         c = self.chain
         self.wraps = (c[:, 0], c[:, -2]), (c[:, -1], c[:, 1])
         n = c.shape[1] - 2
         self.speed_bufs = np.empty(n), np.empty(n, bool), np.empty(n)
+        (x, y), self.area_bufs = c, (np.empty(n), np.empty(n))
+        self.area_terms = (x[1:-1], y[2:]), (x[2:], y[1:-1])
 
     def measure(self) -> None:
         """One geometry pass: fill the ghost columns and keep the curvature
@@ -433,8 +436,9 @@ class _CurveState(_FlowState):
 
     def measure_area(self) -> None:
         """Keep the signed area of the chain ``measure`` filled."""
-        x, y = self.chain
-        self.area = 0.5 * float((x[1:-1] * y[2:] - x[2:] * y[1:-1]).sum())
+        (forward, backward), (a, b) = self.area_terms, self.area_bufs
+        np.subtract(np.multiply(*forward, out=a), np.multiply(*backward, out=b), out=a)
+        self.area = 0.5 * float(a.sum())
 
     def velocity(self) -> NDArray[np.float64]:
         """Fill ``vel`` with the measured speed along the left normal; return the speed."""

@@ -424,6 +424,33 @@ def test_one_stencil_pass_per_step(case, monkeypatch):
     assert len(calls) == k * (stats.evaluations + 1)
 
 
+@pytest.mark.parametrize("case", ["sphere", "torus", "dumbbell", "ellipse", "spiral"])
+def test_simple_snapshots_skip_the_sweep(case, monkeypatch):
+    """Every snapshot of a shrinking sphere, torus, dumbbell and 2:1 ellipse is
+    certified simple in O(n), so none reaches the segment sweep; the spiral,
+    neither convex nor a meridian, still does."""
+    calls = []
+    sweep = cv._segment_sweep
+
+    def guarded(v, tol):
+        if case != "spiral":
+            raise AssertionError(f"{case} reached the segment sweep")
+        calls.append(len(v))
+        return sweep(v, tol)
+
+    monkeypatch.setattr(cv, "_segment_sweep", guarded)
+    if case == "ellipse":
+        traj = f1.run(cv.ellipse_polygon(1.0, 0.5, 128), f1.SpeedLaw(1.0))
+    elif case == "spiral":
+        traj = f1.run(cv.spiral_polygon(n=200), f1.SpeedLaw(1.0), f1.FlowConfig(max_steps=200))
+    else:
+        traj = ax.run_axi({"sphere": ax.sphere_profile(0.5, 64),
+                           "torus": ax.torus_profile(1.0, 0.25, 64),
+                           "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256)}[case])
+    assert len(traj.snapshots) > 10
+    assert (len(calls) > 10) == (case == "spiral")
+
+
 @pytest.mark.parametrize("case", ["curve-peanut", "meridian-sphere", "meridian-torus",
                                   "meridian-dumbbell", "meridian-cylinder", "front"])
 def test_bound_pass_matches_a_fresh_pass(case):

@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curveflow.axisym as ax
@@ -602,6 +603,137 @@ class TestEmbeddingAndDistance:
         a = cv.circle_polygon(1.0, 128)
         b = cv.circle_polygon(1.0, 128, center=(1.0, 0.0))
         assert cv.min_distance(a, b) < 1e-6
+
+
+def swept_and_certified(points, two_poles=False):
+    """The segment sweep's verdict on the closed polygon, and whether
+    ``_is_simple`` certified it without the sweep; asserts the two agree."""
+    v = np.asarray(points, dtype=np.float64)
+    diam = cv.bbox_diameter(v)
+    swept = cv._segment_sweep(v, cv.DISTINCT_REL_TOL * diam)
+    with mock.patch.object(cv, "_segment_sweep", return_value=None):
+        certified = cv._is_simple(v, diam, two_poles) is True
+    assert cv._is_simple(v, diam, two_poles) == swept
+    assert swept or not certified
+    if not two_poles and len(v) >= cv.MIN_VERTICES:
+        assert cv.is_embedded(cv.PlaneCurve(v)) == swept
+    return swept, certified
+
+
+def convex_polygon(seed, n, aspect, clockwise):
+    """n points at sorted random angles on a rotated ellipse."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    pts = rotate(np.column_stack([np.cos(t), aspect * np.sin(t)]), rng.uniform(0.0, math.pi))
+    return pts[::-1] if clockwise else pts
+
+
+def needle(width, n=8):
+    """An ellipse of semi-axes 1 and ``width``; its least chord distance is
+    (1 - cos(2 pi / n)) width, at the two flat sides."""
+    t = np.arange(n) * (2.0 * math.pi / n)
+    return np.column_stack([np.cos(t), width * np.sin(t)])
+
+
+def looped_profile(loop, n=64):
+    """A twopoles meridian whose middle is a trochoid, which loops for loop > 1 / (6 pi)."""
+    s = np.linspace(0.0, 1.0, n)
+    phase = 6.0 * math.pi * s
+    mid = np.column_stack([s - loop * np.sin(phase), 1.0 - loop * np.cos(phase)])
+    return np.vstack([[(-0.5, 0.0)], mid, [(1.5, 0.0)]])
+
+
+def sphere_with_sample_at(r, k=20, n=64):
+    """The semicircular meridian with its sample k moved to height r."""
+    pts = ax.sphere_profile(1.0, n).samples.copy()
+    pts[k, 1] = r
+    return pts
+
+
+class TestSimpleCertificate:
+    """The O(n) certificates of ``cv._is_simple`` decide only where the
+    segment sweep agrees: a certified polygon is always one the sweep passes."""
+
+    TOL = cv.DISTINCT_REL_TOL * math.sqrt(5.0)   # a unit sphere's meridian spans 2 by 1
+    GAP = cv._CERTIFIED_GAP
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 120),
+           aspect=st.floats(1e-3, 1.0), clockwise=st.booleans())
+    def test_random_convex_polygons(self, seed, n, aspect, clockwise):
+        swept, _ = swept_and_certified(convex_polygon(seed, n, aspect, clockwise))
+        assert swept
+
+    @pytest.mark.parametrize("clockwise", [False, True])
+    def test_regular_polygons_are_certified(self, clockwise):
+        for n in (3, 8, 64, 960):
+            pts = cv.circle_polygon(1.0, max(n, 8)).vertices if n >= 8 else needle(1.0, n)
+            assert swept_and_certified(pts[::-1] if clockwise else pts) == (True, True)
+
+    @pytest.mark.parametrize("n", [9, 10, 64])
+    def test_doubly_wound_polygon_is_declined(self, n):
+        # Every turn has one sign, but the direction goes round twice: the odd
+        # count is a star that crosses itself, the even one retraces its edges.
+        t = np.arange(n) * (4.0 * math.pi / n)
+        assert swept_and_certified(np.column_stack([np.cos(t), np.sin(t)])) == (False, False)
+
+    def test_needle_near_the_certified_gap(self):
+        tol = cv.DISTINCT_REL_TOL * 2.0     # the needle's diameter is 2 to roundoff
+        chord = 1.0 - math.cos(2.0 * math.pi / 8)
+        for factor, certified in ((0.5, False), (0.999, False), (1.001, True), (2.0, True)):
+            width = factor * self.GAP * tol / chord
+            assert swept_and_certified(needle(width)) == (True, certified)
+        # A needle thinner than the sweep's touching distance is not embedded,
+        # and the certificate leaves it to the sweep.
+        assert swept_and_certified(needle(0.25 * tol)) == (False, False)
+
+    def test_rectangle_with_collinear_runs_is_declined(self):
+        pts = cv.rectangle_polygon(2.0, 1.0, 64).vertices
+        assert swept_and_certified(pts) == (True, False)
+        assert swept_and_certified(pts[::-1]) == (True, False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 200), fold=st.floats(0.0, 0.3))
+    @example(seed=0, n=64, fold=0.0)
+    @example(seed=1, n=64, fold=0.3)
+    def test_two_pole_profiles(self, seed, n, fold):
+        """Random graphs over the axis, pushed back in x by ``fold`` at random samples."""
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(0.05, 1.0, n) * np.where(rng.random(n) < fold, -1.0, 1.0))
+        r = np.concatenate([[0.0], rng.uniform(0.05, 1.0, n - 2), [0.0]])
+        swept, certified = swept_and_certified(np.column_stack([x, r]), two_poles=True)
+        if fold == 0.0:
+            assert swept and certified
+
+    @pytest.mark.parametrize("loop, expected", [(0.02, (True, True)), (0.1, (False, False)),
+                                                (0.3, (False, False))])
+    def test_profile_that_loops(self, loop, expected):
+        assert swept_and_certified(looped_profile(loop), two_poles=True) == expected
+
+    @pytest.mark.parametrize("fold", [0.1, 0.3, 1.0])
+    def test_simple_profile_that_folds_back(self, fold):
+        t = np.linspace(0.0, math.pi, 64)
+        pts = np.column_stack([-np.cos(t) + fold * np.sin(3.0 * t), np.sin(t)])
+        pts[[0, -1], 1] = 0.0
+        assert swept_and_certified(pts, two_poles=True) == (True, False)
+
+    @pytest.mark.parametrize("height, expected", [(0.4, (False, False)), (500.0, (True, False)),
+                                                  (2000.0, (True, True))])
+    def test_interior_sample_near_the_axis(self, height, expected):
+        pts = sphere_with_sample_at(height * self.TOL)
+        assert swept_and_certified(pts, two_poles=True) == expected
+        if expected[0]:
+            ax.AxiProfile(pts)
+        else:
+            with pytest.raises(InvalidInputError, match="self-intersecting"):
+                ax.AxiProfile(pts)
+
+    def test_two_pole_samples_whose_poles_coincide(self):
+        # A loop through the axis at (0, 0), sampled from there back to there.
+        t = np.linspace(0.0, 2.0 * math.pi, 64)
+        pts = np.column_stack([np.sin(t), 1.0 - np.cos(t)])
+        with pytest.raises(DegenerateGeometryError, match="coincide"):
+            ax.AxiProfile(pts)
 
 
 class TestResampling:

@@ -370,6 +370,24 @@ class TestCachedGeometry:
             for snap in state.traj.snapshots:
                 assert snap.metrics == cv.metrics(snap.geometry)
 
+    @pytest.mark.parametrize("p", [1.0, 1.0 / 3.0])
+    def test_area_is_the_shoelace_of_the_same_rows(self, p):
+        """``measure_area`` multiplies into buffers bound with the chain; at every
+        call, across resamples that change n, its area is ``polygon_area`` of
+        the current rows, bit for bit."""
+        config = f1.FlowConfig(max_steps=4000, resample_every=2)
+        state = f1._CurveState(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(p), config)
+        measure_area, sizes = state.measure_area, []
+
+        def checked():
+            measure_area()
+            assert state.area == cv.polygon_area(state.verts.T)
+            sizes.append(state.verts.shape[1])
+
+        state.measure_area = checked
+        f1._evolve([state], config)
+        assert len(sizes) > 50 and len(set(sizes)) > 2
+
 
 def _nested_pair(i):
     curves = [cv.circle_polygon(1.5, 32), cv.ellipse_polygon(0.8, 0.4, 32)]
