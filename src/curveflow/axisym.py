@@ -80,12 +80,17 @@ class AxiProfile:
         topology: str = TOPOLOGY_TWO_POLES,
         period: float | None = None,
     ) -> None:
+        self._adopt(samples, topology, period)
+
+    def _adopt(self, samples, topology, period, seg=None, stencil=None, r_int=None) -> None:
+        """Check and keep the samples; a flow's pass over them may give the
+        ``seg`` of ``curves._checked_points`` and ``_is_simple``'s arrays."""
         if topology not in TOPOLOGIES:
             raise InvalidInputError(
                 f"topology must be one of {TOPOLOGIES}, got {topology!r}"
             )
         pts, diam = cv._checked_points(
-            samples, MIN_SAMPLES, closed=topology == TOPOLOGY_PERIODIC, noun="samples")
+            samples, MIN_SAMPLES, closed=topology == TOPOLOGY_PERIODIC, noun="samples", seg=seg)
         r = pts[:, 1]
         tiny = 1e-9 * diam
         if topology == TOPOLOGY_TWO_POLES:
@@ -109,7 +114,7 @@ class AxiProfile:
         else:
             period = None
         if topology != TOPOLOGY_CYLINDER and not cv._is_simple(
-                pts, diam, topology == TOPOLOGY_TWO_POLES):
+                pts, diam, topology == TOPOLOGY_TWO_POLES, stencil, r_int):
             raise InvalidInputError("meridian profile is self-intersecting")
 
         pts.setflags(write=False)
@@ -212,7 +217,7 @@ def _waist_of(pts: NDArray[np.float64], topo: str) -> tuple[float, float, bool, 
     if topo == TOPOLOGY_PERIODIC:
         # Summed from a C-ordered copy, whatever the layout of pts, for the same bits.
         center = np.ascontiguousarray(pts).sum(axis=0) / len(pts)
-        d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+        d = cv._length(pts[:, 0] - center[0], pts[:, 1] - center[1])
         i = int(d.argmin())
         return float(d[i]), float(pts[i, 0]), True, i
     if topo == TOPOLOGY_CYLINDER:
@@ -234,18 +239,18 @@ def _neck_threshold(pts: NDArray[np.float64], i: int) -> float:
 
 
 def _metrics_of(
-    chain: NDArray[np.float64], topology: str, h: NDArray[np.float64], area: float
+    chain: NDArray[np.float64], topology: str, h: NDArray[np.float64], area: float, waist: tuple
 ) -> AxiMetrics:
-    """AxiMetrics of a chain that ``_meridian_pass`` filled, from its h and lateral
-    area: the volume of the revolved polyline, exact per conical frustum, and the
-    waist and inward mean curvature range of the samples."""
+    """AxiMetrics of a chain that ``_meridian_pass`` filled, from its h, lateral
+    area and ``_waist_of``: the volume of the revolved polyline, exact per
+    conical frustum, the waist and the inward mean curvature range."""
     pts = chain[:, 1:-1].T
     if (not cv.polygon_area(pts) > 0 if topology == TOPOLOGY_PERIODIC
             else pts[-1, 0] >= pts[0, 0]):
         h = -h   # the solid lies to the right of the samples, against the left normal
     hmin = float(h.min())
     hmax = float(h.max())
-    rmin, rmin_x, _, _ = _waist_of(pts, topology)
+    rmin, rmin_x, _, _ = waist
     tol = MEAN_CONVEX_REL_TOL * max(1.0, abs(hmin), abs(hmax))
     x, r = chain[:, _polyline(topology)]
     r0, r1, dx = r[:-1], r[1:], np.diff(x)
@@ -265,7 +270,8 @@ def axi_metrics(profile: AxiProfile) -> AxiMetrics:
     the waist and mean curvature range of the samples."""
     chain = cv._closed_chain(profile.samples)   # the pass refills its ghost columns
     h, _, seg = _meridian_pass(chain, profile.topology, profile.period)
-    return _metrics_of(chain, profile.topology, h, _lateral_area(chain, profile.topology, seg))
+    return _metrics_of(chain, profile.topology, h, _lateral_area(chain, profile.topology, seg),
+                       _waist_of(profile.samples, profile.topology))
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +406,23 @@ class _AxiState(_FlowState):
         self.topology = profile.topology
         self.period = profile.period
         self.two_poles = self.topology == TOPOLOGY_TWO_POLES
+        self.off_axis = slice(1, -1) if self.two_poles else slice(None)
         self.set_verts(profile.samples.T)
         self.measure()
         self.measure_area()
-        m = _metrics_of(self.chain, self.topology, self.h, self.area)
+        m = _metrics_of(self.chain, self.topology, self.h, self.area, self.waist)
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
         super().__init__(config, m.surface_area, h0, float(self.seg.sum()), len(profile))
         # A torus collapses and a cylinder pinches; only axis-bounded profiles end at a pole.
         periodic = self.topology == TOPOLOGY_PERIODIC
         self.pinch_kind = EVENT_TORUS_COLLAPSE if periodic else EVENT_NECK_PINCH
         self.stop_kind = EVENT_POLE_EXTINCTION if self.two_poles else self.pinch_kind
-        rmin0, x0, true_waist, i = _waist_of(profile.samples, self.topology)
+        rmin0, x0, true_waist, i = self.waist
         thr = _neck_threshold(profile.samples, i)
         if true_waist and rmin0 < NECK_START_MARGIN * thr:
             raise InvalidInputError(f"initial waist {rmin0:.4g} at x = {x0:.4g} is within "
                                     f"{NECK_START_MARGIN:.3g} x its neck threshold {thr:.4g}; "
                                     "use more samples")
-        self.off_axis = slice(1, -1) if self.two_poles else slice(None)
-        self.r_int = float(self.verts[1, self.off_axis].min())   # read by plan
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
         self.traj = Trajectory([Snapshot(0.0, profile, m)], self.events)
@@ -432,8 +437,11 @@ class _AxiState(_FlowState):
             self.chain, self.topology, self.period, self.stencil)
 
     def measure_area(self) -> None:
-        """Keep the lateral area of the chain ``measure`` filled."""
+        """Keep the lateral area, the ``_waist_of`` and the least off-axis r,
+        ``r_int``, of the chain ``measure`` filled."""
         self.area = _lateral_area(self.chain, self.topology, self.seg)
+        self.waist = _waist_of(self.verts.T, self.topology)
+        self.r_int = float(self.verts[1, self.off_axis].min())
 
     def velocity(self) -> NDArray[np.float64]:
         """Fill ``vel`` with h nu and return h.  h nu is the same for either
@@ -463,16 +471,14 @@ class _AxiState(_FlowState):
             self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
         self.measure()
         self.measure_area()
-        pts = self.verts.T
-        rmin, rmin_x, true_waist, i = _waist_of(pts, self.topology)
+        rmin, rmin_x, true_waist, i = self.waist
         if true_waist:
-            thr = _neck_threshold(pts, i)
+            thr = _neck_threshold(self.verts.T, i)
             if self.waist0 is not None:
                 thr = max(thr, NECK_RADIUS_FRACTION * self.waist0)
             if rmin < thr:
                 self.close(t, Event(self.pinch_kind, t, (rmin_x, rmin)))
                 return False
-        self.r_int = float(self.verts[1, self.off_axis].min())
         if self.r_int <= 0:
             raise NumericalBreakdownError(
                 f"interior sample reached the axis at t={t:.6g} before a neck event"
@@ -480,8 +486,11 @@ class _AxiState(_FlowState):
         return self.area <= self.next_area or (self.waist0 is not None and rmin <= self.next_waist)
 
     def take(self, t: float) -> float:
-        profile = AxiProfile(self.verts.T, self.topology, self.period)
-        m = _metrics_of(self.chain, self.topology, self.h, self.area)
+        """``AxiProfile``'s checks on the pass (a cylinder's period edge left out)."""
+        profile = object.__new__(AxiProfile)
+        seg = self.seg[:-1] if self.topology == TOPOLOGY_CYLINDER else self.seg
+        profile._adopt(self.verts.T, self.topology, self.period, seg, self.stencil, self.r_int)
+        m = _metrics_of(self.chain, self.topology, self.h, self.area, self.waist)
         self.traj.snapshots.append(Snapshot(t, profile, m))
         self.next_waist = m.min_radius * self.ratio   # read only for a true waist
         return m.surface_area

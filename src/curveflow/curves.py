@@ -22,6 +22,8 @@ MIN_VERTICES = 8
 DISTINCT_REL_TOL = 1e-12
 # Curves smaller than this are treated as already gone, not as bad input.
 EXTINCT_DIAMETER = 1e-9
+# Larger inputs are refused: no product of three lengths can overflow below it.
+MAX_DIAMETER = 1e100
 # Signed curvatures above -CONVEX_REL_TOL * max|k| still count as convex.
 CONVEX_REL_TOL = 1e-6
 # The edge gap, in units of the touch tolerance, that certifies a simple polygon.
@@ -50,14 +52,20 @@ def bbox_diameter(vertices: NDArray[np.float64]) -> float:
     return float(np.hypot(x.max() - x.min(), y.max() - y.min()))
 
 
+def _length(dx, dy):
+    """The kernels' one length formula, IEEE-rounded in any layout; ``_Stencil`` inlines it."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def _checked_points(
-    points, min_count: int, closed: bool, noun: str
+    points, min_count: int, closed: bool, noun: str, seg=None
 ) -> tuple[NDArray[np.float64], float]:
     """A fresh float copy of an (n, 2) point array, and its bounding-box diameter.
 
-    Raises InvalidInputError for another shape or non-finite values,
-    DegenerateGeometryError for fewer than ``min_count`` points or coincident
-    neighbours (last and first are neighbours when ``closed``), and
+    Raises InvalidInputError for another shape, non-finite values or a span
+    over MAX_DIAMETER, DegenerateGeometryError for fewer than ``min_count``
+    points or coincident neighbours (last and first are neighbours when
+    ``closed``; a flow's pass may give their distances, ``seg``), and
     ExtinctError below the extinction diameter.
     """
     arr = np.array(points, dtype=np.float64, order="C")
@@ -70,8 +78,10 @@ def _checked_points(
     diam = bbox_diameter(arr)
     if diam < EXTINCT_DIAMETER:
         raise ExtinctError(f"{noun} span {diam:.3e}, below the extinction diameter")
-    d = np.diff(np.concatenate([arr, arr[:1]]) if closed else arr, axis=0)
-    if np.hypot(d[:, 0], d[:, 1]).min() <= DISTINCT_REL_TOL * diam:
+    if diam > MAX_DIAMETER:
+        raise InvalidInputError(f"{noun} span {diam:.3e}, above {MAX_DIAMETER:.0e}")
+    seg = _edge_lengths(arr.T, closed)[1] if seg is None else seg
+    if seg.min() <= DISTINCT_REL_TOL * diam:
         raise DegenerateGeometryError(f"consecutive {noun} coincide")
     return arr, diam
 
@@ -93,10 +103,16 @@ class PlaneCurve:
     counterclockwise: bool = False
 
     def __init__(self, vertices) -> None:
-        arr, _ = _checked_points(vertices, MIN_VERTICES, closed=True, noun="vertices")
+        self._adopt(vertices)
+
+    def _adopt(self, vertices, seg=None, area=None) -> float:
+        """Check and keep ``vertices`` and return their diameter; a flow's pass
+        over them may give their n edge lengths and signed area."""
+        arr, diam = _checked_points(vertices, MIN_VERTICES, closed=True, noun="vertices", seg=seg)
         arr.flags.writeable = False
         object.__setattr__(self, "vertices", arr)
-        object.__setattr__(self, "counterclockwise", polygon_area(arr) > 0.0)
+        object.__setattr__(self, "counterclockwise", (polygon_area(arr) if area is None else area) > 0)
+        return diam
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -126,25 +142,26 @@ class _Stencil:
     allocated once, here; each call reads the chain's current points and
     returns the curvature, signed positive for a left turn, the (2, m) unit
     left normal of the neighbour chord, and the m + 1 edge lengths of the
-    chain, always in the same three arrays.  A fold-back point (neighbours
-    coincide) has no circumcircle and is treated as flat: curvature 0, not NaN.
+    chain, always in the same three arrays; ``_is_simple`` reads ``cross`` (twice
+    the turns), ``c`` (the chords, floored at 1e-300) and the edge rows ``e``.  A
+    fold-back point (neighbours coincide) is flat: curvature 0, not NaN.
     """
 
     def __init__(self, chain: NDArray[np.float64]):
         m = chain.shape[1] - 2
         self.edge_ends = chain[:, 1:], chain[:, :-1]
         self.chord_ends = chain[:, 2:], chain[:, :-2]
-        # Each buffer puts two quantities side by side, so that one ufunc call
-        # serves both: the edge and chord vectors (one hypot), the chord length
-        # and the product that divides the curvature (one floor), and 1 and
-        # twice the cross product over those two (one division).
-        diffs = np.empty((2, 2 * m + 1))           # edges, then chords
+        # Each buffer puts two quantities side by side, so one ufunc call serves both:
+        # the edge and chord vectors (one ``_length``), the chord length and the
+        # curvature's divisor (one floor), and 1 and twice the cross product (one division).
+        self.diffs = diffs = np.empty((2, 2 * m + 1))   # edges, then chords
+        self.squares = np.empty((2, 2 * m + 1))
+        self.square_rows = self.squares[0], self.squares[1]
         lengths = np.empty(3 * m + 1)              # seg, c, then seg0 seg1 c
         self.numerators = np.empty(2 * m)          # 1, then twice the cross product
         self.numerators[:m] = 1.0
         self.quotients = np.empty(2 * m)           # 1 / c, then k
         self.e, self.chord = diffs[:, :m + 1], diffs[:, m + 1:]
-        self.diff_rows = diffs[0], diffs[1]
         self.lengths, self.divisors = lengths[:2 * m + 1], lengths[m + 1:]
         self.seg, self.c, self.product = np.split(lengths, [m + 1, 2 * m + 1])
         self.seg_pair = self.seg[:-1], self.seg[1:]
@@ -158,7 +175,9 @@ class _Stencil:
         cross, t, product = self.cross, self.scratch, self.product
         np.subtract(*self.edge_ends, out=self.e)
         np.subtract(*self.chord_ends, out=self.chord)
-        np.hypot(*self.diff_rows, out=self.lengths)
+        np.multiply(self.diffs, self.diffs, out=self.squares)
+        np.add(*self.square_rows, out=self.lengths)
+        np.sqrt(self.lengths, out=self.lengths)
         forward, backward = self.cross_terms
         np.multiply(*forward, out=cross)
         np.multiply(*backward, out=t)
@@ -211,14 +230,16 @@ def _metrics_of(k: NDArray[np.float64], seg: NDArray[np.float64], area: float) -
     )
 
 
-def _arclength(
-    rows: NDArray[np.float64], closed: bool
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The (2, n) point rows (closed chains end back at the first column) and
-    their arclengths."""
+def _edge_lengths(rows: NDArray[np.float64], closed: bool) -> tuple[NDArray, NDArray]:
+    """The (2, n) point rows (closed chains end back at the first column) and their edge lengths."""
     ext = np.concatenate([rows, rows[:, :1]], axis=1) if closed else rows
-    d = ext[:, 1:] - ext[:, :-1]
-    return ext, np.concatenate([[0.0], np.cumsum(np.hypot(d[0], d[1]))])
+    return ext, _length(ext[0, 1:] - ext[0, :-1], ext[1, 1:] - ext[1, :-1])
+
+
+def _arclength(rows: NDArray[np.float64], closed: bool) -> tuple[NDArray, NDArray]:
+    """``_edge_lengths``, but the arclengths of the points in place of the edge lengths."""
+    ext, seg = _edge_lengths(rows, closed)
+    return ext, np.concatenate([[0.0], np.cumsum(seg)])
 
 
 def _sample_count(total: float, spacing: float, minimum: int) -> int:
@@ -297,8 +318,7 @@ def spline_resample_array(
     (2, m) rows at equal arclength through the periodic local cubic interpolant
     of ``_interpolate_rows``; m is the length over ``spacing``, rounded, and at
     least ``minimum``."""
-    d = closed[:, 1:] - closed[:, :-1]
-    seg = np.hypot(d[0], d[1])
+    seg = _edge_lengths(closed, False)[1]
     m = _sample_count(float(seg.sum()), spacing, minimum)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     return _interpolate_rows(s, closed, np.arange(m) * (s[-1] / m), periodic=True)
@@ -395,30 +415,33 @@ def is_embedded(curve: PlaneCurve) -> bool:
     tol = DISTINCT_REL_TOL times the diameter.  If all turns share one strict
     sign and the edge direction enters the upper half plane once, the curve
     winds once and is strictly convex: all vertices but v_k lie across the
-    chord of its neighbours, so non-adjacent edges (closest at an end of one)
-    are at least the least chord distance apart.  Where that exceeds c tol,
-    c = ``_CERTIFIED_GAP`` = 1000, the sweep is skipped.
+    chord v(k+1) - v(k-1) of its neighbours, so non-adjacent edges (closest at
+    an end of one) are at least the least chord distance apart.  Where that
+    exceeds c tol, c = ``_CERTIFIED_GAP`` = 1000, the sweep is skipped.
     """
     return _is_simple(curve.vertices, bbox_diameter(curve.vertices))
 
 
-def _is_simple(v: NDArray[np.float64], diam: float, two_poles: bool = False) -> bool:
+def _is_simple(v: NDArray[np.float64], diam: float, two_poles: bool = False,
+               stencil: _Stencil | None = None, r_int: float | None = None) -> bool:
     """``is_embedded`` of the closed polygon ``v``: the convex certificate, or
-    ``AxiProfile``'s x-monotone one for a ``two_poles`` meridian, else the sweep."""
+    ``AxiProfile``'s x-monotone one for a ``two_poles`` meridian, else the sweep;
+    a flow's pass may give ``stencil``, over v's closed chain, and ``r_int``."""
     tol = DISTINCT_REL_TOL * diam
     bound = _CERTIFIED_GAP * tol
-    e = _next(v) - v
     if two_poles:
-        dx = e[:-1, 0]
-        certified = (dx.min() > bound or dx.max() < -bound) and v[1:-1, 1].min() > bound
+        dx = v[1:, 0] - v[:-1, 0] if stencil is None else stencil.e[0, 1:-1]
+        r_int = v[1:-1, 1].min() if r_int is None else r_int
+        certified = (dx.min() > bound or dx.max() < -bound) and r_int > bound
     else:
-        after = _next(e)
-        # Twice the area each vertex cuts off: its chord times its distance to it.
-        turn = e[:, 0] * after[:, 1] - e[:, 1] * after[:, 0]
-        gap = bound * np.hypot(*(e + after).T)
-        upper = e[:, 1] > 0.0
-        certified = (((turn > gap).all() or (turn < -gap).all())
-                     and np.count_nonzero(upper != _next(upper)) == 2)
+        if stencil is None:
+            stencil = _Stencil(_closed_chain(v))
+            stencil()
+        # cross is twice the area each vertex cuts off: its chord times its distance to it.
+        gap = 2.0 * bound * stencil.c
+        upper = stencil.e[1] > 0.0
+        certified = (((stencil.cross > gap).all() or (stencil.cross < -gap).all())
+                     and np.count_nonzero(upper[1:] != upper[:-1]) == 2)
     return bool(certified) or _segment_sweep(v, tol)
 
 

@@ -75,14 +75,10 @@ class SpeedLaw:
         if not 0.0 < self.p <= 8.0:
             raise InvalidInputError(f"law.p must be in (0, 8], got {self.p}")
 
-    def speed(self, k: NDArray[np.float64]) -> NDArray[np.float64]:
-        shape = np.shape(k)
-        return self.speed_into(k, np.empty(shape), np.empty(shape, bool), np.empty(shape))
-
     def speed_into(self, k: NDArray[np.float64], mag: NDArray[np.float64],
                    flat: NDArray[np.bool_], out: NDArray[np.float64]) -> NDArray[np.float64]:
-        """``speed(k)`` written into ``out`` and returned, with ``mag`` and ``flat``
-        as scratch of k's shape: sign(k) |k|^p, and +0.0 where |k| is below the clamp."""
+        """sign(k) |k|^p, and +0.0 where |k| is below the clamp, written into ``out``
+        and returned; ``mag`` and ``flat`` are scratch of k's shape."""
         np.abs(k, out=mag)
         np.less(mag, CURVATURE_CLAMP, out=flat)
         mag **= self.p   # the operator's own path, as in mag ** p
@@ -395,11 +391,11 @@ class _CurveState(_FlowState):
     each end, reallocated only when a resample changes the vertex count.  A step
     moves the rows in place, with one geometry pass, ``measure``, per stage
     after the first and one at its end, which alone adds ``measure_area``; the
-    next ``plan``, the snapshot schedule and the snapshot's metrics all read
-    the curvature, normal, edge lengths and area it keeps.  The pass is the
-    state's ``stencil``, bound with the chain: it overwrites the same
-    curvature, normal and edge-length arrays at every call.  The validated
-    curve object is only built when a snapshot is recorded.
+    next ``plan``, the snapshot schedule and the snapshot's metrics and
+    checks all read the curvature, normal, edge lengths, turns and area it
+    keeps.  The pass is the state's ``stencil``, bound with the chain: it
+    overwrites the same arrays at every call.  The validated curve object is
+    only built when a snapshot is recorded.
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
@@ -474,13 +470,15 @@ class _CurveState(_FlowState):
         return abs(self.area) <= self.next_area
 
     def take(self, t: float) -> float:
-        curve = cv.PlaneCurve(self.verts.T)
-        m = cv._metrics_of(self.k, self.seg, self.area)   # curve holds the measured points
+        """``PlaneCurve``'s and ``is_embedded``'s checks on the pass."""
+        curve = object.__new__(cv.PlaneCurve)
+        diam = curve._adopt(self.verts.T, self.seg[1:], self.area)
+        m = cv._metrics_of(self.k, self.seg, self.area)
         self.traj.snapshots.append(Snapshot(t, curve, m))
         if m.convex and not self.was_convex:
             self.events.append(Event(EVENT_CONVEXIFICATION, t))
         self.was_convex = m.convex
-        if not cv.is_embedded(curve):
+        if not cv._is_simple(curve.vertices, diam, stencil=self.stencil):
             self.end(Event(EVENT_EMBEDDEDNESS_LOSS, t))
         return abs(m.enclosed_area)
 

@@ -1,10 +1,12 @@
 """Axisymmetric surface evolution: profiles, curvature, events, neck fits."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curveflow.axisym as ax
@@ -12,7 +14,7 @@ import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
 import curveflow.rescale as rs
-from curveflow.errors import DegenerateGeometryError, InvalidInputError, NoNeckError
+from curveflow.errors import CurveflowError, DegenerateGeometryError, InvalidInputError, NoNeckError
 
 
 def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
@@ -312,7 +314,8 @@ class TestCachedGeometry:
             assert np.array_equal(state.seg, seg)
             (px, pr), (qx, qr) = state.chain[:, :-1], state.chain[:, 1:]   # ghost edges included
             ends = slice(1, -1) if profile.topology == ax.TOPOLOGY_TWO_POLES else slice(1, None)
-            slant = np.hypot(qx - px, qr - pr)[ends]
+            dx, dr = qx - px, qr - pr
+            slant = np.sqrt(dx * dx + dr * dr)[ends]
             assert np.array_equal(state.seg, slant)
             assert state.area == float((np.pi * (pr[ends] + qr[ends]) * slant).sum())
             assert state.area == area
@@ -398,7 +401,8 @@ class TestOnePass:
 def test_one_stencil_pass_per_step(case, monkeypatch):
     """Every driver runs its bound stencil pass once per state and velocity
     evaluation, plus once at the start: K x (evaluations + 1) calls for K states
-    on one clock, snapshots included."""
+    on one clock, snapshots included.  The inputs are built before the count
+    starts: a torus meridian's constructor runs a pass of its own."""
     calls = []
     kernel = cv._Stencil.__call__
 
@@ -406,20 +410,23 @@ def test_one_stencil_pass_per_step(case, monkeypatch):
         calls.append(len(stencil.k))
         return kernel(stencil)
 
-    monkeypatch.setattr(cv._Stencil, "__call__", counted)
     if case == "curve-peanut":
-        k, stats = 1, f1.run(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0)).stats
+        peanut = cv.peanut_polygon(1.0, 0.3, 128)
+        k, flow = 1, lambda: f1.run(peanut, f1.SpeedLaw(1.0))
     elif case == "curve-pair":
         pair = [cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 64)]
-        k, stats = 2, f1.co_evolve(pair, f1.SpeedLaw(1.0))[0].stats
+        k, flow = 2, lambda: f1.co_evolve(pair, f1.SpeedLaw(1.0))[0]
     elif case == "front":
-        k, stats = 1, oc.evolve_translating_front(oc.grim_reaper(81, 1.0), 0.1).stats
+        front = oc.grim_reaper(81, 1.0)
+        k, flow = 1, lambda: oc.evolve_translating_front(front, 0.1)
     else:
         profile = {"sphere": ax.sphere_profile(0.5, 64),
                    "torus": ax.torus_profile(1.0, 0.25, 64),
                    "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256),
                    "cylinder": perturbed_cylinder()}[case.split("-")[1]]
-        k, stats = 1, ax.run_axi(profile).stats
+        k, flow = 1, lambda: ax.run_axi(profile)
+    monkeypatch.setattr(cv._Stencil, "__call__", counted)
+    stats = flow().stats
     assert stats.evaluations > 100 and (stats.snapshots > 2 or case == "front")
     assert len(calls) == k * (stats.evaluations + 1)
 
@@ -449,6 +456,117 @@ def test_simple_snapshots_skip_the_sweep(case, monkeypatch):
                            "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256)}[case])
     assert len(traj.snapshots) > 10
     assert (len(calls) > 10) == (case == "spiral")
+
+
+@functools.cache
+def snapshot_start(kind):
+    """A valid start of each kind, the curve or meridian a state is built from."""
+    if kind in ("convex", "fold-back"):
+        return cv.ellipse_polygon(1.5, 0.6, 96)
+    if kind == "spiral":
+        return cv.spiral_polygon(n=320)
+    if kind == "folded":   # a limacon: its inner loop crosses the outer one
+        t = np.arange(97) * (2.0 * math.pi / 97)
+        r = 0.5 + np.cos(t)
+        return cv.PlaneCurve(np.column_stack([r * np.cos(t), r * np.sin(t)]))
+    if kind == "sphere":
+        return ax.sphere_profile(0.8, 64)
+    if kind == "torus":
+        return ax.torus_profile(1.0, 0.3, 64)
+    if kind == "dumbbell":
+        return ax.dumbbell_profile(1.0, 0.3, 1.0, 256)
+    return perturbed_cylinder()
+
+
+def outcome(build):
+    """``build()`` and None, or None and the type of the package error it raised."""
+    try:
+        return build(), None
+    except CurveflowError as exc:
+        return None, type(exc)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["convex", "spiral", "folded", "fold-back",
+                             "sphere", "torus", "dumbbell", "cylinder"]),
+       seed=st.integers(0, 2**32 - 1),
+       damage=st.sampled_from(["none", "nan", "coincident", "extinct", "near-axis"]))
+def test_snapshot_checks_on_the_pass_match_the_constructor(kind, seed, damage):
+    """A state's ``take`` checks its rows on the arrays of its last pass; the
+    public constructor, on the same rows, computes its own.  Both give the same
+    arrays bit for bit, the same orientation, embedded verdict and metrics, and
+    leave the same polygons to the segment sweep, or raise the same exception:
+    on NaN rows, coincident neighbours (the closing or last pair often) and rows
+    below the extinction diameter.  A meridian sample 500 tol from the axis
+    keeps it valid but denies the two-pole certificate."""
+    start = snapshot_start(kind)
+    rng = np.random.default_rng(seed)
+    is_curve = isinstance(start, cv.PlaneCurve)
+    pts = (start.vertices if is_curve else start.samples).copy()
+    n = len(pts)
+    two_poles = not is_curve and start.topology == ax.TOPOLOGY_TWO_POLES
+    noise = 0.05 * rng.standard_normal((n, 2)) * np.hypot(*np.diff(pts, axis=0).T).mean()
+    if two_poles:
+        noise[[0, -1], 1] = 0.0   # the poles stay on the axis
+    pts += noise
+    if is_curve:   # a random similarity
+        pts = rotate(pts, rng.uniform(0.0, 2.0 * math.pi)) * 10.0 ** rng.uniform(-3, 3)
+        pts += rng.uniform(-5.0, 5.0, 2)
+    if kind == "fold-back":   # the neighbours of one vertex coincide
+        i = rng.integers(1, n - 1)
+        pts[i + 1] = pts[i - 1]
+    rows = pts.T.copy()
+    closed = is_curve or start.topology == ax.TOPOLOGY_PERIODIC
+    if damage == "nan":
+        rows[rng.integers(2), rng.integers(2, n - 2)] = np.nan
+    elif damage == "coincident":   # the pole and its neighbour never: r = 0 there
+        last = n - 1 if closed else n - 2 - two_poles
+        i = rng.choice([last, rng.integers(0 if closed else 1, last + 1)])
+        rows[:, (i + 1) % n] = rows[:, i]
+    elif damage == "extinct":
+        rows *= 1e-10 / cv.bbox_diameter(pts)
+    elif damage == "near-axis" and not is_curve:
+        rows[1, rng.integers(1, n - 1)] = 500.0 * cv.DISTINCT_REL_TOL * cv.bbox_diameter(pts)
+
+    config = f1.FlowConfig()
+    state = (f1._CurveState(start, f1.SpeedLaw(1.0), config) if is_curve
+             else ax._AxiState(start, config))
+    state.set_verts(rows)
+    state.measure()   # the step's last pass, as advance makes it
+    state.measure_area()
+    with mock.patch.object(cv, "_segment_sweep", wraps=cv._segment_sweep) as sweep:
+        _, got_error = outcome(lambda: state.take(1.0))
+        swept = sweep.call_count
+        if is_curve:
+            want, want_error = outcome(lambda: cv.PlaneCurve(rows.T))
+            embedded = want_error is None and cv.is_embedded(want)
+        else:
+            want, want_error = outcome(lambda: ax.AxiProfile(rows.T, start.topology, start.period))
+        assert got_error == want_error
+        assert sweep.call_count == 2 * swept
+    if want_error is not None:
+        return
+    snap = state.traj.snapshots[-1]
+    if is_curve:
+        assert same_bits(snap.geometry.vertices, want.vertices)
+        assert snap.geometry.counterclockwise == want.counterclockwise
+        assert snap.metrics == cv.metrics(want)
+        lost = any(e.kind == f1.EVENT_EMBEDDEDNESS_LOSS for e in state.events)
+        assert lost == (not embedded)
+        assert lost == (kind in ("folded", "fold-back"))
+    else:
+        assert same_bits(snap.geometry.samples, want.samples)
+        assert (snap.geometry.topology, snap.geometry.period) == (want.topology, want.period)
+        assert snap.metrics == ax.axi_metrics(want)
+
+
+def rotate(points, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return points @ np.array([[c, s], [-s, c]])
 
 
 @pytest.mark.parametrize("case", ["curve-peanut", "meridian-sphere", "meridian-torus",

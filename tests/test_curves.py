@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import curveflow.axisym as ax
 import curveflow.curves as cv
+import curveflow.flow1d as f1
 import curveflow.oracle as oc
 import curveflow.rescale as rs
 from curveflow.errors import DegenerateGeometryError, InvalidInputError
@@ -129,6 +130,20 @@ class TestValidation:
         with pytest.raises(DegenerateGeometryError):
             cv.PlaneCurve(pts)
 
+    def test_span_past_the_overflow_bound_is_named(self):
+        # Past MAX_DIAMETER the product of three lengths in the curvature could
+        # overflow, which would end a run in a RuntimeWarning.
+        with pytest.raises(InvalidInputError, match="span"):
+            cv.circle_polygon(1e155, 64)
+        with pytest.raises(InvalidInputError, match="span"):
+            ax.sphere_profile(1e155, 64)
+        with pytest.raises(InvalidInputError, match="span"):
+            oc.evolve_translating_front(1e155 * oc.grim_reaper(41, 1.0), 0.1)
+        # Just inside it, each flow steps without a warning.
+        config = f1.FlowConfig(max_steps=3)
+        assert f1.run(cv.circle_polygon(3.5e99, 64), f1.SpeedLaw(1.0), config).stats.steps == 3
+        assert ax.run_axi(ax.sphere_profile(4e99, 64), config).stats.steps == 3
+
     @pytest.mark.parametrize("seed", range(20))
     def test_memory_layout_does_not_change_the_bits(self, seed):
         pts = _star(seed, 200)
@@ -212,9 +227,9 @@ def reference_three_point(chain):
     """The stencil kernel on an (m + 2, 2) point chain, one row per point: the
     bit-for-bit reference for a ``cv._Stencil`` pass on its (2, m + 2) rows."""
     e = chain[1:] - chain[:-1]
-    seg = np.hypot(e[:, 0], e[:, 1])
+    seg = np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])
     chord = chain[2:] - chain[:-2]
-    c = np.hypot(chord[:, 0], chord[:, 1])
+    c = np.sqrt(chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1])
     cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
     k = 2.0 * cross / np.maximum(seg[:-1] * seg[1:] * c, 1e-300)
     left = chord[:, ::-1] * (1.0 / np.maximum(c, 1e-300))[:, None]
@@ -261,6 +276,20 @@ class TestThreePointKernel:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b.T)
             assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300), repeats=st.integers(0, 3))
+    def test_edge_lengths_equal_the_validators_bit_for_bit(self, seed, n, repeats):
+        """A pass's edge lengths are the distances ``_checked_points`` checks, on a
+        closed polygon (the pass's first edge repeats its last) and an open chain."""
+        rng = np.random.default_rng(seed)
+        v = rng.normal(scale=rng.uniform(1e-3, 1e3), size=(n, 2))
+        for i in rng.integers(0, n - 1, repeats):
+            v[i + 1] = v[i]
+        closed = cv._Stencil(cv._closed_chain(v))()[2]
+        assert np.array_equal(closed[1:], cv._edge_lengths(v.T, closed=True)[1])
+        assert closed[0] == closed[-1]
+        assert np.array_equal(cv._Stencil(v.T)()[2], cv._edge_lengths(v.T, closed=False)[1])
 
 def _star(seed, n, center=(0.0, 0.0), scale=1.0):
     """Star-shaped polygon with random radii and non-uniform angular spacing."""

@@ -440,8 +440,10 @@ class TestArtifacts:
         octagon[4] = -1e100, 1.25e-7
         rng = np.random.default_rng(7)
         tiny = 1e-7 * (octagon / 1e100 + rng.normal(scale=0.01, size=(8, 2)))
-        for pts in (octagon, tiny):
-            assert cv.format_curve(cv.PlaneCurve(pts)) == old_points(pts)
+        # A curve spans at most MAX_DIAMETER, so the 1e100 octagon goes to the
+        # formatter unchecked.
+        assert cv._format_points(octagon) == old_points(octagon)
+        assert cv.format_curve(cv.PlaneCurve(tiny)) == old_points(tiny)
         for prof in (ax.sphere_profile(2.5e-5, 32), ax.cylinder_profile(3.5e-5, 1e-4, 16)):
             head = ax.format_profile(prof).splitlines()[0]
             assert ax.format_profile(prof) == head + "\n" + old_points(prof.samples)
@@ -455,7 +457,7 @@ class TestArtifacts:
         assert artifacts.series_csv("a,b,c", rows) == old_series("a,b,c", rows)
         assert artifacts.series_csv("a,b,c", []) == "a,b,c\n"
 
-        curve = cv.PlaneCurve(octagon)
+        curve = cv.PlaneCurve(0.25 * octagon)   # spans 7.1e99, within MAX_DIAMETER
         snaps = [f1.Snapshot(0.0, curve, cv.metrics(curve)),
                  f1.Snapshot(5e-324, curve, cv.CurveMetrics(1e300, -0.0, 5e-324, -1.25e-7,
                                                             np.float64(3.0), True))]
