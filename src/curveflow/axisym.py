@@ -141,44 +141,51 @@ class AxiMetrics:
 # Mean curvature of a sampled meridian
 # ---------------------------------------------------------------------------
 
-_AXIS_MIRROR = np.array([1.0, -1.0])
-
-
 def _polyline(topology: str) -> slice:
     """Columns of a filled chain, and edges of its edge lengths, on the revolved
     polyline: the samples, closed through the end ghost on a loop or cylinder."""
     return slice(1, -1) if topology == TOPOLOGY_TWO_POLES else slice(1, None)
 
 
+def _bind_pass(chain: NDArray[np.float64], topology: str) -> tuple:
+    """What ``_meridian_pass`` reads and writes, bound to ``chain``: a new
+    stencil, h, the views of nu_r, r, kappa and h at the off-axis samples and
+    the polyline's segment lengths, each sliced once."""
+    stencil, h = cv._Stencil(chain), np.empty(chain.shape[1] - 2)
+    off = slice(1, -1) if topology == TOPOLOGY_TWO_POLES else slice(None)
+    return (stencil, h, (stencil.left[1, off], chain[1, 1:-1][off], stencil.k[off], h[off]),
+            stencil.seg[_polyline(topology)])
+
+
 def _meridian_pass(
-    chain: NDArray[np.float64], topology: str, period: float | None,
-    stencil: cv._Stencil | None = None,
+    chain: NDArray[np.float64], topology: str, period: float | None, bound: tuple | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """The one geometry pass over a meridian's (2, n + 2) chain of rows x, r.
 
     Fills the ghost columns (the wrapped sample on a periodic loop, the sample
     shifted by one period on a cylinder, and at an axis pole the reflection
-    (x1, -r1) of its neighbour), then runs ``stencil``, the one bound to the
-    chain, or a fresh one.  Returns h = kappa - nu_r / r with kappa and nu as
-    the left normal orients them (2 kappa at a pole, where both principal
-    curvatures agree), the (2, n) left normal rows and the polyline's segment
-    lengths; ``_metrics_of`` turns h inward."""
+    (x1, -r1) of its neighbour), then runs the stencil of ``bound``, the
+    chain's ``_bind_pass`` that a state keeps, or of a fresh one.  Returns
+    h = kappa - nu_r / r with kappa and nu as the left normal orients them
+    (2 kappa at a pole, where both principal curvatures agree, so nothing
+    divides by r = 0), the (2, n) left normal rows and the polyline's segment
+    lengths, in the bound arrays; ``_metrics_of`` turns h inward."""
     if topology == TOPOLOGY_TWO_POLES:
-        chain[:, 0] = chain[:, 2] * _AXIS_MIRROR
-        chain[:, -1] = chain[:, -3] * _AXIS_MIRROR
+        chain[0, 0], chain[1, 0] = chain[0, 2], -chain[1, 2]
+        chain[0, -1], chain[1, -1] = chain[0, -3], -chain[1, -3]
     else:
-        chain[:, 0] = chain[:, -2]
-        chain[:, -1] = chain[:, 1]
+        chain[0, 0], chain[1, 0] = chain[0, -2], chain[1, -2]
+        chain[0, -1], chain[1, -1] = chain[0, 1], chain[1, 1]
         if topology == TOPOLOGY_CYLINDER:
             chain[0, 0] -= period
             chain[0, -1] += period
-    k, left, seg = (stencil or cv._Stencil(chain))()
+    stencil, h, (nu_r, r, kappa, h_off), seg = bound or _bind_pass(chain, topology)
+    k, left, _ = stencil()
+    np.divide(nu_r, r, out=h_off)
+    np.subtract(kappa, h_off, out=h_off)
     if topology == TOPOLOGY_TWO_POLES:
-        h = 2.0 * k
-        h[1:-1] = k[1:-1] - left[1, 1:-1] / chain[1, 2:-2]
-    else:
-        h = k - left[1] / chain[1, 1:-1]
-    return h, left, seg[_polyline(topology)]
+        h[0], h[-1] = 2.0 * k[0], 2.0 * k[-1]
+    return h, left, seg
 
 
 def _lateral_area(chain: NDArray[np.float64], topology: str, seg: NDArray[np.float64]) -> float:
@@ -397,7 +404,7 @@ class _AxiState(_FlowState):
     (2, n + 2) chain buffer with a ghost column at each end.  ``advance`` makes
     the step's last geometry pass, ``measure`` and ``measure_area``, before it
     looks for a neck; the next ``plan`` and every snapshot read that pass.  The
-    pass is ``_meridian_pass`` around the state's bound stencil.  Snapshots fall
+    pass is ``_meridian_pass`` on the arrays ``bind`` binds.  Snapshots fall
     due on a geometric schedule in the lateral area and, for a true waist, in
     its radius.
     """
@@ -427,6 +434,11 @@ class _AxiState(_FlowState):
         self.next_waist = rmin0 * self.ratio
         self.traj = Trajectory([Snapshot(0.0, profile, m)], self.events)
 
+    def bind(self) -> None:
+        """Bind what ``_meridian_pass`` reads and writes, its stencil among them."""
+        self.bound = _bind_pass(self.chain, self.topology)
+        self.stencil = self.bound[0]
+
     def measure(self) -> None:
         """One geometry pass: put the poles back on the axis, then keep h, the
         left normal and the segment lengths of the chain."""
@@ -434,7 +446,7 @@ class _AxiState(_FlowState):
             self.verts[1, 0] = 0.0
             self.verts[1, -1] = 0.0
         self.h, self.left, self.seg = _meridian_pass(
-            self.chain, self.topology, self.period, self.stencil)
+            self.chain, self.topology, self.period, self.bound)
 
     def measure_area(self) -> None:
         """Keep the lateral area, the ``_waist_of`` and the least off-axis r,
@@ -448,23 +460,24 @@ class _AxiState(_FlowState):
         orientation, so h and nu are taken as the left normal orients them.
 
         Poles move along the axis at twice the meridian curvature, clamped by
-        the neighboring samples so a noisy pole cannot outrun its cap.  On a
-        copy: a snapshot reads the measured h."""
+        the neighboring samples so a noisy pole cannot outrun its cap.  A
+        binding clamp moves a copy: a snapshot reads the measured h."""
         h = self.h
         if self.two_poles:
-            h = h.copy()
-            for i, j in ((0, 1), (-1, -2)):
-                lim = 2.0 * abs(float(h[j]))
-                h[i] = min(max(float(h[i]), -lim), lim)
+            lim0, lim1 = 2.0 * abs(h.item(1)), 2.0 * abs(h.item(-2))
+            if not (-lim0 <= h.item(0) <= lim0 and -lim1 <= h.item(-1) <= lim1):
+                h = h.copy()
+                h[0] = min(max(h.item(0), -lim0), lim0)
+                h[-1] = min(max(h.item(-1), -lim1), lim1)
         np.multiply(self.left, h, out=self.vel)
         return h
 
     def plan(self, t: float) -> tuple[float, float]:
-        """Velocity h nu with the pole guard; diffusive bound from the smallest
-        spacing and interior radius."""
+        """Velocity h nu with the pole guard; Gershgorin's forward-Euler bound
+        min(h^2 / 2, h r_int / 4) from the least spacing and interior r (README)."""
         hmax = self.peak(t, self.velocity(), self.verts)
         h_space = float(self.seg.min())
-        return _cap(h_space, hmax), min(h_space * h_space, h_space * self.r_int) / 4.0
+        return _cap(h_space, hmax), min(h_space * h_space / 2.0, h_space * self.r_int / 4.0)
 
     def advance(self, t: float, resample: bool) -> bool:
         if resample:

@@ -507,10 +507,10 @@ def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
     adds candidates.  The vertices of c1 go in blocks whose squared distance
     matrix against c2 holds at most ``_DISTANCE_BLOCK`` entries, and each
     block takes its candidates within the running minimum of dv so far, so
-    the work arrays stay bounded at any n.
+    the work arrays stay bounded at any n.  A crossing point lies within half
+    an edge of an end of its edge, so the crossing sweep runs only when the
+    vertex-to-edge minimum is at most max_edge / 2.
     """
-    if _curves_cross(c1, c2):
-        return 0.0
     v1, v2 = c1.vertices, c2.vertices
     half_edge = 0.5 * max(np.hypot(e[:, 0], e[:, 1]).max() for e in (_next(v) - v for v in (v1, v2)))
     x2, y2 = v2.T.copy()
@@ -537,7 +537,8 @@ def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
             dist = _point_segment(a.take(np.concatenate([p, p]), axis=0), b.take(e, axis=0),
                                   b.take((e + 1) % len(b), axis=0))
             best = min(best, float(dist.min()))
-    return best
+    # The relative slack keeps a crossing at exactly half an edge in the sweep.
+    return 0.0 if best <= half_edge * (1.0 + 1e-9) and _curves_cross(c1, c2) else best
 
 
 def curve_centroid(curve: PlaneCurve) -> Float2:

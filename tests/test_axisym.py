@@ -15,6 +15,7 @@ import curveflow.flow1d as f1
 import curveflow.oracle as oc
 import curveflow.rescale as rs
 from curveflow.errors import CurveflowError, DegenerateGeometryError, InvalidInputError, NoNeckError
+from test_curves import reference_three_point
 
 
 def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
@@ -27,6 +28,26 @@ def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
 def meridian_pass(profile):
     """The geometry pass on a fresh chain of the profile's samples."""
     return ax._meridian_pass(cv._closed_chain(profile.samples), profile.topology, profile.period)
+
+
+def reference_meridian_pass(points, topology, period=None):
+    """The meridian pass in plain array expressions on (n, 2) samples, around
+    ``reference_three_point``: the bit-for-bit reference for the h, (2, n) left
+    normal rows and polyline segment lengths of ``ax._meridian_pass``."""
+    if topology == ax.TOPOLOGY_TWO_POLES:
+        mirror = np.array([1.0, -1.0])   # a pole's ghost reflects its neighbour in the axis
+        chain = np.vstack([points[1] * mirror, points, points[-2] * mirror])
+    else:
+        chain = np.vstack([points[-1:], points, points[:1]])
+        if topology == ax.TOPOLOGY_CYLINDER:
+            chain[0, 0] -= period
+            chain[-1, 0] += period
+    k, left, seg = reference_three_point(chain)
+    if topology != ax.TOPOLOGY_TWO_POLES:
+        return k - left[:, 1] / chain[1:-1, 1], left.T, seg[1:]
+    h = 2.0 * k
+    h[1:-1] = k[1:-1] - left[1:-1, 1] / chain[2:-2, 1]
+    return h, left.T, seg[1:-1]
 
 
 def mean_curvature(profile):
@@ -330,6 +351,73 @@ class TestCachedGeometry:
             assert len(chains) > 1
 
 
+MERIDIANS = {
+    "sphere": ax.sphere_profile(0.5, 64),
+    "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256),
+    "torus": ax.torus_profile(1.0, 0.25, 64),
+    "cylinder": perturbed_cylinder(n=128),
+}
+
+
+def noisy_meridian(shape, sigma):
+    """A torus meridian (tube 0.25, n = 128) or a cylinder (r = 0.3, n = 64)
+    with its samples moved by normal jitter of scale sigma: along the radius
+    about the tube's centre, or in r."""
+    jitter = sigma * np.random.default_rng(0).standard_normal(128 if shape == "torus" else 64)
+    if shape == "torus":
+        profile, centre = ax.torus_profile(1.0, 0.25, 128), np.array([0.0, 1.0])
+        samples = centre + (profile.samples - centre) * (1.0 + jitter / 0.25)[:, None]
+    else:
+        profile = ax.cylinder_profile(0.3, 1.0, 64)
+        samples = profile.samples + np.column_stack([np.zeros_like(jitter), jitter])
+    return ax.AxiProfile(samples, profile.topology, profile.period)
+
+
+def roughness(profile):
+    """Largest second difference of h around the samples over the largest |h|:
+    up to 4 for a sawtooth, near 0 for a smooth meridian."""
+    h = meridian_pass(profile)[0]
+    return np.abs(np.roll(h, 1) - 2.0 * h + np.roll(h, -1)).max() / np.abs(h).max()
+
+
+class TestMeridianPass:
+    @pytest.mark.parametrize("name", list(MERIDIANS) + ["reversed-dumbbell"])
+    def test_one_shot_pass_matches_the_reference(self, name):
+        profile = MERIDIANS[name.split("-")[-1]]
+        if name.startswith("reversed"):
+            profile = ax.AxiProfile(profile.samples[::-1], profile.topology)
+        want = reference_meridian_pass(profile.samples, profile.topology, profile.period)
+        for got, ref in zip(meridian_pass(profile), want):
+            assert same_bits(got, ref)
+
+    @pytest.mark.parametrize("name", list(MERIDIANS))
+    def test_bound_is_gershgorin(self, name):
+        """plan's forward-Euler bound is min(h^2 / 2, h r_int / 4).  On two poles
+        the r_int term is the smaller, so the bound is that of min(h^2, h r_int) / 4."""
+        profile = MERIDIANS[name]
+        pts = profile.samples
+        two_poles = profile.topology == ax.TOPOLOGY_TWO_POLES
+        ends = pts if two_poles else np.vstack([pts, pts[:1] + [profile.period or 0.0, 0.0]])
+        h = np.hypot(*np.diff(ends, axis=0).T).min()
+        r_int = pts[1:-1, 1].min() if two_poles else pts[:, 1].min()
+        bound = ax._AxiState(profile, f1.FlowConfig()).plan(0.0)[1]
+        assert bound == pytest.approx(min(h * h / 2.0, h * r_int / 4.0), rel=1e-12)
+        assert (h * r_int / 4.0 < h * h / 2.0) == two_poles
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-3])
+    @pytest.mark.parametrize("shape", ["torus", "cylinder"])
+    def test_noisy_meridian_smooths_at_the_full_bound(self, shape, sigma):
+        # Jitter puts energy in the shortest modes, the ones the stage count must
+        # keep stable.  At the bound h^2 / 1.5 the roughness grew past its start
+        # (3.2 from 1.7 on the torus at sigma = 1e-4) before the flow ended.
+        traj = ax.run_axi(noisy_meridian(shape, sigma), f1.FlowConfig())
+        assert traj.stats.event == (ax.EVENT_TORUS_COLLAPSE if shape == "torus"
+                                    else ax.EVENT_NECK_PINCH)
+        rough = [roughness(s.geometry) for s in traj.snapshots]
+        assert rough[0] > 1.0
+        assert max(rough[1:]) < 0.5 * rough[0] and rough[-1] < 0.05
+
+
 class TestOnePass:
     """The step's geometry pass is the only one: plan, the neck check and every
     snapshot read it, and axi_metrics runs the same pass on a fresh chain."""
@@ -352,19 +440,24 @@ class TestOnePass:
         for snap in traj.snapshots:
             assert snap.metrics == ax.axi_metrics(snap.geometry)
 
-    def test_plan_clamps_the_pole_on_a_copy(self):
-        # Sample 1 pulled back past the pole: |h| at the pole is over twice |h_1|,
-        # so the clamp binds; a blow-up snapshot taken in plan reads the stored h.
-        s = ax.sphere_profile(0.5, 64).samples.copy()
-        dx, dr = s[1] - s[0]
-        s[1] = s[0] + (-2.0 * dx, 0.6 * dr)
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["h-up", "h-down"])
+    def test_plan_clamps_the_pole_on_a_copy(self, end, reverse):
+        # A pole's neighbour pulled back past it: |h| at the pole is over twice
+        # |h| there, so the clamp binds, for h of either sign at either pole; a
+        # blow-up snapshot taken in plan reads the stored h.
+        s = ax.sphere_profile(0.5, 64).samples[::-1 if reverse else 1].copy()
+        j = 1 if end == 0 else -2
+        dx, dr = s[j] - s[end]
+        s[j] = s[end] + (-2.0 * dx, 0.6 * dr)
         state = ax._AxiState(ax.AxiProfile(s), f1.FlowConfig())
         h = state.h.copy()
-        assert abs(h[0]) > 2.0 * abs(h[1])
+        assert abs(h[end]) > 2.0 * abs(h[j]) and (h[end] < 0) == reverse
         assert np.isfinite(state.plan(0.0)[0])
         assert np.array_equal(state.h, h)
-        assert np.array_equal(state.vel[:, 0], 2.0 * abs(h[1]) * np.sign(h[0]) * meridian_pass(
-            ax.AxiProfile(s))[1][:, 0])
+        assert same_bits(state.h, reference_meridian_pass(s, ax.TOPOLOGY_TWO_POLES)[0])
+        assert np.array_equal(state.vel[:, end], 2.0 * abs(h[j]) * np.sign(h[end]) * meridian_pass(
+            ax.AxiProfile(s))[1][:, end])
 
     @pytest.mark.parametrize("profile", [ax.sphere_profile(1.0, 64),
                                          ax.dumbbell_profile(1.0, 0.15, 1.2, 801)],
@@ -573,9 +666,9 @@ def rotate(points, angle):
                                   "meridian-dumbbell", "meridian-cylinder", "front"])
 def test_bound_pass_matches_a_fresh_pass(case):
     """After every RKL2 stage and every resample, the state's bound pass holds
-    what a fresh one-shot pass gives on its current chain, bit for bit, so no
-    view outlives a bank that a resample dropped; a meridian's velocity is the
-    pole clamp read literally."""
+    what a fresh one-shot pass gives on its current chain (on a meridian, the
+    plain-expression reference), bit for bit, so no view outlives a bank that a
+    resample dropped; a meridian's velocity is the pole clamp read literally."""
     config = f1.FlowConfig(max_steps=3000, resample_every=2)
     if case == "curve-peanut":
         state = f1._CurveState(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0), config)
@@ -597,7 +690,7 @@ def test_bound_pass_matches_a_fresh_pass(case):
         def fresh():
             if state.two_poles:
                 assert state.verts[1, 0] == 0.0 and state.verts[1, -1] == 0.0
-            return ax._meridian_pass(state.chain.copy(), state.topology, state.period)
+            return reference_meridian_pass(state.verts.T, state.topology, state.period)
 
         velocity = state.velocity
 
@@ -620,7 +713,7 @@ def test_bound_pass_matches_a_fresh_pass(case):
         measure()
         held = (state.h if hasattr(state, "h") else state.k, state.left, state.seg)
         for a, b in zip(held, fresh()):
-            assert np.array_equal(a, b)
+            assert same_bits(a, b)
         sizes.append(state.verts.shape[1])
 
     state.measure = checked_measure

@@ -575,6 +575,35 @@ class TestPrunedMinDistance:
                 assert cv.min_distance(a, b) == _brute_min_distance(a, b)
                 assert cv.min_distance(b, a) == _brute_min_distance(b, a)
 
+    def test_crossing_off_every_vertex_is_zero(self):
+        # The diamond |x| + |y| = 1.2 crosses the square's sides at (1, 0.2) and
+        # its mirror images, between vertices: the nearest vertex-to-edge pair,
+        # (1, 0) and x + y = 1.2, is 0.2 / sqrt 2 apart, under half an edge (0.5).
+        square = cv.rectangle_polygon(2.0, 2.0, 8)
+        t = np.arange(8) * (math.pi / 4)
+        diamond = cv.PlaneCurve(1.2 * np.column_stack([np.cos(t), np.sin(t)])
+                                / (np.abs(np.cos(t)) + np.abs(np.sin(t)))[:, None])
+        vertex_edge = min(cv._point_segment_distances(a.vertices, b.vertices,
+                                                      np.roll(b.vertices, -1, axis=0)).min()
+                          for a, b in ((square, diamond), (diamond, square)))
+        assert vertex_edge == pytest.approx(0.2 / math.sqrt(2.0), rel=1e-12)
+        with mock.patch.object(cv, "_curves_cross", wraps=cv._curves_cross) as sweep:
+            assert cv.min_distance(square, diamond) == 0.0
+            assert cv.min_distance(diamond, square) == 0.0
+        assert sweep.call_count == 2
+        assert _brute_min_distance(square, diamond) == 0.0
+
+    def test_pairs_over_half_an_edge_apart_skip_the_crossing_sweep(self):
+        # disjoint_nested's pair, at a quarter of its catalog n: every snapshot
+        # pair is over half an edge apart, so no crossing sweep runs.
+        trajs = f1.co_evolve([cv.circle_polygon(2.0, 128), cv.ellipse_polygon(1.2, 0.6, 128)],
+                             f1.SpeedLaw(1.0))
+        pairs = [(a.geometry, b.geometry) for a, b in zip(*(t.snapshots for t in trajs))]
+        with mock.patch.object(cv, "_curves_cross", wraps=cv._curves_cross) as sweep:
+            gaps = [cv.min_distance(a, b) for a, b in pairs]
+        assert sweep.call_count == 0 and len(gaps) > 10
+        assert gaps == [_brute_min_distance(a, b) for a, b in pairs]
+
     def test_work_arrays_stay_bounded(self):
         # One full 4000 x 4000 distance matrix alone would take 122 MiB.
         a = cv.circle_polygon(2.0, n=4000)
