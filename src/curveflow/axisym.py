@@ -61,7 +61,8 @@ class AxiProfile:
     topology : "twopoles"  endpoints on the axis (sphere, dumbbell)
                "periodic"  closed loop off the axis (torus meridian)
                "cylinder"  graph r(x), periodic in x with the given period
-    period   : x-period, required for the cylinder topology
+    period   : x-period, required for the cylinder topology and refused
+               for the others
 
     A twopoles or periodic meridian bounds the solid, so it must be simple:
     ``curves.is_embedded``'s test, once, on the checked samples.  A twopoles
@@ -111,8 +112,9 @@ class AxiProfile:
                 raise InvalidInputError("cylinder samples must have increasing x")
             if pts[-1, 0] - pts[0, 0] >= period:
                 raise InvalidInputError("cylinder samples must span less than one period")
-        else:
-            period = None
+        elif period is not None:
+            raise InvalidInputError(f"period is for the cylinder topology only, got {period!r} "
+                                    f"with {topology!r}")
         if topology != TOPOLOGY_CYLINDER and not cv._is_simple(
                 pts, diam, topology == TOPOLOGY_TWO_POLES, stencil, r_int):
             raise InvalidInputError("meridian profile is self-intersecting")
@@ -587,43 +589,3 @@ def neck_report(traj: Trajectory) -> NeckReport:
     r_sel = radii[mask]
     pinch = float(np.mean(t_sel + 0.5 * r_sel * r_sel))
     return NeckReport(pinch, np.column_stack([times, radii]), mask)
-
-
-# ---------------------------------------------------------------------------
-# Profile text format
-# ---------------------------------------------------------------------------
-
-def format_profile(profile: AxiProfile) -> str:
-    header = f"# topology={profile.topology}"
-    if profile.period is not None:
-        header += f" period={profile.period:.17g}"
-    return header + "\n" + cv._format_points(profile.samples)
-
-
-def parse_profile(text: str) -> AxiProfile:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# topology="):
-        raise InvalidInputError("profile text must start with '# topology=...'")
-    head = lines[0][2:].split()
-    topology = head[0].split("=", 1)[1]
-    period = None
-    for tok in head[1:]:
-        key, _, val = tok.partition("=")
-        if key == "period":
-            try:
-                period = float(val)
-            except ValueError as exc:
-                raise InvalidInputError(f"bad period value {val!r}") from exc
-        else:
-            raise InvalidInputError(f"unknown profile header field {key!r}")
-    return AxiProfile(cv._parse_points(lines[1:], 2, "x r"), topology, period)
-
-
-def write_profile(profile: AxiProfile, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_profile(profile))
-
-
-def read_profile(path) -> AxiProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_profile(fh.read())

@@ -646,50 +646,3 @@ def spiral_polygon(
     if not curve.counterclockwise:
         curve = PlaneCurve(curve.vertices[::-1])
     return curve
-
-
-# ---------------------------------------------------------------------------
-# Serialization: one "x y" pair per line, no repeated closing vertex
-# ---------------------------------------------------------------------------
-
-def format_curve(curve: PlaneCurve) -> str:
-    return _format_points(curve.vertices)
-
-
-def _format_points(points: NDArray[np.float64]) -> str:
-    """One "x y" line per (n, 2) point at 17 significant digits, in one format call."""
-    return ("%.17g %.17g\n" * len(points)) % tuple(points.ravel().tolist())
-
-
-def write_curve(path, curve: PlaneCurve) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_curve(curve))
-
-
-def _parse_points(lines: list[str], first_lineno: int, names: str) -> NDArray[np.float64]:
-    """(n, 2) points from lines of two numbers each, ``names`` ("x y") naming
-    them in errors; blank lines and ``#`` lines are skipped.  A bad line raises
-    InvalidInputError with its number, counted from ``first_lineno``."""
-    rows = []
-    for lineno, raw in enumerate(lines, start=first_lineno):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidInputError(f"line {lineno}: expected {names!r}, got {raw!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise InvalidInputError(f"line {lineno}: {exc}") from exc
-    return np.array(rows, dtype=np.float64)
-
-
-def parse_curve(text: str) -> PlaneCurve:
-    """Accepts unix or windows line endings, blank lines and ``#`` comment lines."""
-    return PlaneCurve(_parse_points(text.splitlines(), 1, "x y"))
-
-
-def read_curve(path) -> PlaneCurve:
-    with open(path, "r", encoding="utf-8") as fh:   # a comment line may hold any text
-        return parse_curve(fh.read())

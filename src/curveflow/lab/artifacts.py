@@ -1,7 +1,8 @@
 """Flat-file artifact emission: CSV series, geometry snapshots, SVG figures.
 
 Everything here is deterministic text; identical inputs produce bit-identical
-files so runs can be diffed across machines.
+files so runs can be diffed across machines.  Every file goes through
+write_text and comes back through read_text, as UTF-8 with "\n" line ends.
 """
 
 from __future__ import annotations
@@ -28,28 +29,81 @@ CURVE_CSV_HEADER = "t,length,area,iso_ratio,kmin,kmax,convex"
 AXI_CSV_HEADER = "t,area,volume,rmin,rmin_x,hmin,hmax,mean_convex"
 
 
+# ---------------------------------------------------------------------------
+# Snapshot text: one point per line, a meridian's under a "# topology=" header
+# ---------------------------------------------------------------------------
+
+def _points_text(points: np.ndarray) -> str:
+    """One "x y" line per (n, 2) point at 17 significant digits, in one format
+    call; a closed curve's first vertex is not repeated."""
+    return ("%.17g %.17g\n" * len(points)) % tuple(points.ravel().tolist())
+
+
+def _parse_points(lines: list[str], first_lineno: int, names: str) -> np.ndarray:
+    """(n, 2) points from lines of two numbers each, ``names`` ("x y") naming
+    them in errors; blank lines and ``#`` lines are skipped.  A bad line raises
+    InvalidInputError with its number, counted from ``first_lineno``."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InvalidInputError(f"line {lineno}: expected {names!r}, got {raw!r}")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise InvalidInputError(f"line {lineno}: {exc}") from exc
+    return np.array(rows, dtype=np.float64)
+
+
+def _profile_text(profile: AxiProfile) -> str:
+    period = "" if profile.period is None else f" period={profile.period:.17g}"
+    return f"# topology={profile.topology}{period}\n" + _points_text(profile.samples)
+
+
+def _parse_profile(text: str) -> AxiProfile:
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("# topology="):
+        raise InvalidInputError("profile text must start with '# topology=...'")
+    head = lines[0][2:].split()
+    topology = head[0].split("=", 1)[1]
+    period = None
+    for key, _, val in (tok.partition("=") for tok in head[1:]):
+        if key != "period":
+            raise InvalidInputError(f"unknown profile header field {key!r}")
+        try:
+            period = float(val)
+        except ValueError as exc:
+            raise InvalidInputError(f"bad period value {val!r}") from exc
+    return AxiProfile(_parse_points(lines[1:], 2, "x r"), topology, period)
+
+
 class GeometryFormat(NamedTuple):
     """How a run of one geometry type is saved, read back and measured: the kind
     in its index.json, the suffix of its snapshot and rescale frame files, its
-    trajectory.csv header, write(geometry, path), read(path) and metrics(geometry)."""
+    trajectory.csv header, text(geometry) for a snapshot file, parse(text) for
+    its contents and metrics(geometry)."""
 
     kind: str
     suffix: str
     header: str
-    write: Callable
-    read: Callable
+    text: Callable
+    parse: Callable
     metrics: Callable
 
 
-# The functions are called through their modules, so a wrapper later bound to
-# the module attribute (curvebench's tracer) sees every call.
+# metrics is called through its module, so a wrapper later bound to the module
+# attribute (curvebench's tracer) sees every call.
 FORMATS = {
     cv.PlaneCurve: GeometryFormat(
-        "curve-flow", "xy", CURVE_CSV_HEADER, lambda curve, path: cv.write_curve(path, curve),
-        lambda path: cv.read_curve(path), lambda curve: cv.metrics(curve)),
+        "curve-flow", "xy", CURVE_CSV_HEADER, lambda curve: _points_text(curve.vertices),
+        lambda text: cv.PlaneCurve(_parse_points(text.splitlines(), 1, "x y")),
+        lambda curve: cv.metrics(curve)),
     AxiProfile: GeometryFormat(
-        "axi-flow", "axi", AXI_CSV_HEADER, lambda prof, path: ax.write_profile(prof, path),
-        lambda path: ax.read_profile(path), lambda prof: ax.axi_metrics(prof)),
+        "axi-flow", "axi", AXI_CSV_HEADER, _profile_text, _parse_profile,
+        lambda prof: ax.axi_metrics(prof)),
 }
 
 
@@ -83,10 +137,16 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def write_text(path: Path, text: str) -> Path:
+    """Write text as UTF-8 with "\n" line ends, making its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", newline="\n")
     return path
+
+
+def read_text(path) -> str:
+    """A UTF-8 file's text, any line end read as "\n"."""
+    return Path(path).read_text(encoding="utf-8")
 
 
 def write_json(path: Path, payload) -> Path:
@@ -154,10 +214,9 @@ def save_trajectory(out_dir, traj: Trajectory) -> list[Path]:
     """Write every snapshot's geometry plus an index.json tying times to files."""
     fmt = _format_of(traj)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = [f"snap_{k:05d}.{fmt.suffix}" for k in range(len(traj.snapshots))]
     for snap, name in zip(traj.snapshots, names):
-        fmt.write(snap.geometry, out_dir / name)
+        write_text(out_dir / name, fmt.text(snap.geometry))
     index = {
         "kind": fmt.kind,
         "law_p": float(traj.law.p),
@@ -198,7 +257,7 @@ def load_trajectory(run_dir) -> Trajectory:
     """
     run_dir = Path(run_dir)
     path = run_dir / "index.json"
-    index = json.loads(path.read_text())
+    index = json.loads(read_text(path))
     if not isinstance(index, dict):
         raise InvalidInputError(f"{path} must hold a JSON object, got {type(index).__name__}")
     missing = [k for k in ("kind", "times", "snapshots") if k not in index]
@@ -239,6 +298,6 @@ def load_trajectory(run_dir) -> Trajectory:
                             location=None if loc is None else tuple(loc)))
     snaps = []
     for t, name in zip(times, names):
-        geometry = fmt.read(run_dir / name)
+        geometry = fmt.parse(read_text(run_dir / name))
         snaps.append(Snapshot(t, geometry, fmt.metrics(geometry)))
     return Trajectory(snaps, events, law)

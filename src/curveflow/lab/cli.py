@@ -105,12 +105,11 @@ def _cmd_rescale(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out) if args.out else run_dir / "rescale"
-    out.mkdir(parents=True, exist_ok=True)
     meta = []
     for i, frame in enumerate(frames):
         fmt = artifacts.FORMATS[type(frame.snapshot)]
         name = f"frame_{i:03d}.{fmt.suffix}"
-        fmt.write(frame.snapshot, out / name)
+        artifacts.write_text(out / name, fmt.text(frame.snapshot))
         meta.append({
             "file": name,
             "scale": frame.scale,

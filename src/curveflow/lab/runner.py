@@ -499,7 +499,6 @@ def accept(scenarios: list[Scenario], out_root, workers: int = 1):
     ``workers`` is ignored; it is kept for callers that still pass it.
     """
     out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
     keys = [_flow_key(s) for s in scenarios]
     last = {key: i for i, key in enumerate(keys)}
     flows: dict[_FlowKey, _Flow] = {}

@@ -350,9 +350,6 @@ def parse_config_file(path) -> list[Scenario]:
     return parse_config(text)
 
 
-def builtin_catalog_text() -> str:
-    return resources.files("curveflow.lab").joinpath("catalog.cfg").read_text()
-
-
 def builtin_catalog() -> list[Scenario]:
-    return parse_config(builtin_catalog_text())
+    return parse_config(
+        resources.files("curveflow.lab").joinpath("catalog.cfg").read_text(encoding="utf-8"))

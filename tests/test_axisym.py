@@ -134,6 +134,13 @@ class TestProfiles:
 
     @pytest.mark.parametrize("prof", [ax.sphere_profile(1.0, 64), ax.torus_profile(1.0, 0.25, 64)],
                              ids=["sphere", "torus"])
+    def test_period_is_refused_off_the_cylinder(self, prof):
+        with pytest.raises(InvalidInputError, match="period is for the cylinder topology only"):
+            ax.AxiProfile(prof.samples, prof.topology, period=2.0)
+        assert ax.AxiProfile(prof.samples, prof.topology, period=None).period is None
+
+    @pytest.mark.parametrize("prof", [ax.sphere_profile(1.0, 64), ax.torus_profile(1.0, 0.25, 64)],
+                             ids=["sphere", "torus"])
     def test_memory_layout_does_not_change_the_bits(self, prof):
         pts = prof.samples
         for a in (np.asfortranarray(pts), np.ascontiguousarray(pts.T).T):   # F, a .T view
@@ -759,42 +766,3 @@ class TestPlateauWaist:
         assert ax._plateau_waist(np.array([3.0, 2.0, 1.0, 1.0])) is None
         assert ax._plateau_waist(np.array([3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0])) == 3
         assert ax._plateau_waist(np.array([3.0, 1.0, 3.0, 1.0, 3.0])) == 1
-
-
-class TestProfileIO:
-    def test_round_trip(self, tmp_path):
-        prof = ax.dumbbell_profile(1.0, 0.2, 1.0, 200)
-        path = tmp_path / "profile.axi"
-        ax.write_profile(prof, path)
-        back = ax.read_profile(path)
-        assert back.topology == prof.topology
-        assert np.array_equal(back.samples, prof.samples)
-
-    def test_periodic_round_trip_keeps_period(self, tmp_path):
-        prof = ax.cylinder_profile(0.3, 1.7, 64)
-        path = tmp_path / "profile.axi"
-        ax.write_profile(prof, path)
-        assert ax.read_profile(path).period == prof.period
-
-    def test_parse_requires_topology_header(self):
-        with pytest.raises(InvalidInputError, match="topology"):
-            ax.parse_profile("0 0\n1 1\n")
-
-    def test_parse_rejects_open_topology(self):
-        with pytest.raises(InvalidInputError, match="topology"):
-            ax.parse_profile("# topology=open\n" + "".join(
-                f"{x} 1\n" for x in range(20)))
-
-    def test_parse_error_reports_line_number(self):
-        text = "# topology=cylinder period=1.0\n0 1\nbad 1\n"
-        with pytest.raises(InvalidInputError, match="line 3"):
-            ax.parse_profile(text)
-
-    def test_parse_skips_comment_and_blank_lines_in_the_body(self):
-        prof = ax.cylinder_profile(0.3, 1.7, 64)
-        head, body = ax.format_profile(prof).split("\n", 1)
-        back = ax.parse_profile(head + "\n# a note\n\n" + body)
-        assert np.array_equal(back.samples, prof.samples)
-        assert (back.topology, back.period) == (prof.topology, prof.period)
-        with pytest.raises(InvalidInputError, match="line 4"):
-            ax.parse_profile("# topology=cylinder period=1.0\n# a note\n0 1\nbad 1\n")

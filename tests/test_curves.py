@@ -814,35 +814,3 @@ class TestResampling:
         m0, m1 = cv.metrics(curve), cv.metrics(out)
         assert abs(m0.length - m1.length) / m0.length < 1e-3
         assert abs(m0.enclosed_area - m1.enclosed_area) / m0.enclosed_area < 1e-3
-
-
-class TestFileRoundTrip:
-    def test_write_then_read_is_exact(self, tmp_path):
-        curve = cv.peanut_polygon(1.0, 0.3, 96)
-        path = tmp_path / "curve.xy"
-        cv.write_curve(path, curve)
-        back = cv.read_curve(path)
-        assert np.array_equal(back.vertices, curve.vertices)
-
-    def test_parse_error_reports_line_number(self):
-        with pytest.raises(InvalidInputError, match="line 2"):
-            cv.parse_curve("0 0\n1\n")
-
-    def test_parse_skips_comment_lines(self, tmp_path):
-        curve = cv.circle_polygon(1.0, 32)
-        text = "# a circle, r\u00e9sum\u00e9\n" + cv.format_curve(curve) + "  # trailing note\n"
-        assert np.array_equal(cv.parse_curve(text).vertices, curve.vertices)
-        path = tmp_path / "commented.xy"
-        path.write_text(text, encoding="utf-8")
-        assert np.array_equal(cv.read_curve(path).vertices, curve.vertices)
-        with pytest.raises(InvalidInputError, match="line 3"):
-            cv.parse_curve("# header\n0 0\n1\n")
-
-    def test_parse_error_on_non_numeric(self):
-        with pytest.raises(InvalidInputError, match="line 1"):
-            cv.parse_curve("a b\n")
-
-    def test_format_parse_round_trip(self):
-        curve = cv.circle_polygon(1.0, 32)
-        again = cv.parse_curve(cv.format_curve(curve))
-        assert np.array_equal(again.vertices, curve.vertices)

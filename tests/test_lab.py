@@ -423,11 +423,26 @@ class TestArtifacts:
             write(front, tmp_path)
         assert not (tmp_path / "snaps").exists()
 
-    def test_one_format_call_matches_per_value_formatting(self):
+    def test_one_format_call_matches_per_value_formatting(self, tmp_path):
         """Each artifact is byte-equal to the per-value f-strings it replaced,
-        on signed zeros, subnormals, huge and tiny values and bools."""
+        on signed zeros, subnormals, huge and tiny values and bools, and each
+        snapshot file to the one its geometry's own writer wrote."""
         def old_points(pts):
             return "\n".join(f"{x:.17g} {y:.17g}" for x, y in pts) + "\n"
+
+        def old_snapshot_file(path, geometry):
+            """The writers the snapshot text replaced: a curve's points in
+            ASCII, a meridian's header and points in UTF-8, both with "\\n" ends."""
+            if isinstance(geometry, cv.PlaneCurve):
+                text, encoding = old_points(geometry.vertices), "ascii"
+            else:
+                header = f"# topology={geometry.topology}"
+                if geometry.period is not None:
+                    header += f" period={geometry.period:.17g}"
+                text, encoding = header + "\n" + old_points(geometry.samples), "utf-8"
+            with open(path, "w", encoding=encoding, newline="\n") as fh:
+                fh.write(text)
+            return path.read_bytes()
 
         def old_series(header, rows):
             return "\n".join([header] + [",".join(format(float(x), ".17g") for x in row)
@@ -442,11 +457,28 @@ class TestArtifacts:
         tiny = 1e-7 * (octagon / 1e100 + rng.normal(scale=0.01, size=(8, 2)))
         # A curve spans at most MAX_DIAMETER, so the 1e100 octagon goes to the
         # formatter unchecked.
-        assert cv._format_points(octagon) == old_points(octagon)
-        assert cv.format_curve(cv.PlaneCurve(tiny)) == old_points(tiny)
+        assert artifacts._points_text(octagon) == old_points(octagon)
+        curve_text, profile_text = (artifacts.FORMATS[k].text for k in (cv.PlaneCurve, ax.AxiProfile))
+        assert curve_text(cv.PlaneCurve(tiny)) == old_points(tiny)
         for prof in (ax.sphere_profile(2.5e-5, 32), ax.cylinder_profile(3.5e-5, 1e-4, 16)):
-            head = ax.format_profile(prof).splitlines()[0]
-            assert ax.format_profile(prof) == head + "\n" + old_points(prof.samples)
+            head = profile_text(prof).splitlines()[0]
+            assert profile_text(prof) == head + "\n" + old_points(prof.samples)
+
+        # Whole snapshot files, as save_trajectory writes them.  A geometry spans
+        # at most MAX_DIAMETER = 1e100, so +1e100 and -1e100 take a curve each.
+        edge = np.column_stack([5e99 * (1.0 + np.cos(t)), 1e80 * np.sin(t)])
+        edge[0], edge[4] = (1e100, -0.0), (-0.0, 5e-324)
+        x = np.delete(np.linspace(-4e99, 4e99, 17), 9)
+        x[8] = -0.0
+        r = np.full(16, 1e90)
+        r[[0, 5, 8]] = 5e-324, 1.25e-7, 2.5e-300
+        geometries = [cv.PlaneCurve(edge), cv.PlaneCurve(-edge), cv.PlaneCurve(tiny),
+                      ax.AxiProfile(np.column_stack([x, r]), ax.TOPOLOGY_CYLINDER, 1e100),
+                      ax.sphere_profile(2.5e-5, 32), ax.cylinder_profile(3.5e-5, 1e-4, 16)]
+        for i, geometry in enumerate(geometries):
+            path = artifacts.save_trajectory(
+                tmp_path / str(i), f1.Trajectory([f1.Snapshot(0.0, geometry, None)]))[0]
+            assert path.read_bytes() == old_snapshot_file(tmp_path / f"old_{i}", geometry)
 
         pts = np.array([[-0.0, 0.0], [5e-324, 1e300], [1.25e-7, -3.5e-12], [1.0, 2.0]])
         flipped = np.column_stack([pts[:, 0], -pts[:, 1]])
@@ -474,6 +506,71 @@ class TestArtifacts:
         assert artifacts.trajectory_csv(axi) == want
 
 
+def same_geometry(a, b) -> bool:
+    """Whether two snapshot geometries hold the same points, topology and period."""
+    if isinstance(a, cv.PlaneCurve):
+        return type(b) is cv.PlaneCurve and np.array_equal(a.vertices, b.vertices)
+    return (b.topology, b.period) == (a.topology, a.period) and np.array_equal(b.samples, a.samples)
+
+
+CURVE, PROFILE = artifacts.FORMATS[cv.PlaneCurve], artifacts.FORMATS[ax.AxiProfile]
+# Per snapshot format: geometries to write, and a header that a body may follow.
+SNAPSHOT_CASES = {
+    "curve": (CURVE, lambda: [cv.peanut_polygon(1.0, 0.3, 96), cv.circle_polygon(1.0, 32)], ""),
+    "profile": (PROFILE, lambda: [ax.dumbbell_profile(1.0, 0.2, 1.0, 200),
+                                  ax.cylinder_profile(0.3, 1.7, 64), ax.torus_profile(1.0, 0.25, 64)],
+                "# topology=cylinder period=1.0\n"),
+}
+on_each_snapshot_format = pytest.mark.parametrize(
+    "fmt, make, head", SNAPSHOT_CASES.values(), ids=SNAPSHOT_CASES.keys())
+
+
+class TestSnapshotText:
+    @on_each_snapshot_format
+    def test_round_trip_is_exact(self, tmp_path, fmt, make, head):
+        for i, geometry in enumerate(make()):
+            assert same_geometry(geometry, fmt.parse(fmt.text(geometry)))
+            path = artifacts.write_text(tmp_path / f"{i}.{fmt.suffix}", fmt.text(geometry))
+            assert same_geometry(geometry, fmt.parse(artifacts.read_text(path)))
+            assert fmt.text(geometry).count("\n") == head.count("\n") + len(geometry)
+
+    @on_each_snapshot_format
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, fmt, make, head):
+        geometry = make()[-1]
+        lines = fmt.text(geometry).splitlines(keepends=True)
+        k = head.count("\n")
+        text = "".join(lines[:k]) + "# a note, r\u00e9sum\u00e9\n\n" + "".join(lines[k:]) + "  # trailing note\n"
+        assert same_geometry(geometry, fmt.parse(text))
+        assert same_geometry(geometry, fmt.parse(text.replace("\n", "\r\n")))
+        path = tmp_path / f"commented.{fmt.suffix}"
+        path.write_text(text, encoding="utf-8")
+        assert same_geometry(geometry, fmt.parse(artifacts.read_text(path)))
+
+    @on_each_snapshot_format
+    @pytest.mark.parametrize("bad", ["1", "bad 1", "a b", "0 1 2"])
+    def test_bad_line_is_named_by_its_number(self, fmt, make, head, bad):
+        k = head.count("\n")
+        for body, lineno in ((bad, k + 1), ("0 1\n" + bad, k + 2), ("# a note\n0 1\n" + bad, k + 3)):
+            with pytest.raises(InvalidInputError, match=f"^line {lineno}: "):
+                fmt.parse(head + body + "\n")
+
+    @pytest.mark.parametrize("text, match", [
+        ("0 0\n1 1\n", "must start with '# topology="),
+        ("", "must start with '# topology="),
+        ("# topology=open\n" + "".join(f"{x} 1\n" for x in range(20)), "topology must be one of"),
+        ("# topology=cylinder period=1.0 color=red\n0 1\n", "unknown profile header field 'color'"),
+        ("# topology=cylinder period=one\n0 1\n", "bad period value 'one'"),
+        ("# topology=cylinder\n" + "".join(f"{x / 20} 1\n" for x in range(20)), "requires a positive"),
+        ("# topology=twopoles period=2\n" + "".join(
+            f"{x:.17g} {r:.17g}\n" for x, r in ax.sphere_profile(1.0, 32).samples),
+         "period is for the cylinder topology only, got 2.0 with 'twopoles'"),
+    ], ids=["no-header", "empty", "unknown-topology", "unknown-field", "bad-period",
+            "cylinder-without-period", "period-off-the-cylinder"])
+    def test_profile_header_is_checked(self, text, match):
+        with pytest.raises(InvalidInputError, match=match):
+            PROFILE.parse(text)
+
+
 NAN = float("nan")
 
 
@@ -486,7 +583,7 @@ NAN = float("nan")
                                   (0.0, 0.0), NAN, [2.0]), InvalidInputError, "reference time"),
     (lambda: ax.AxiProfile(ax.cylinder_profile(0.3).samples, "cylinder", period=NAN),
      InvalidInputError, "period"),
-    (lambda: ax.parse_profile(ax.format_profile(ax.cylinder_profile(0.3)).replace(
+    (lambda: PROFILE.parse(PROFILE.text(ax.cylinder_profile(0.3)).replace(
         "period=1\n", "period=inf\n")), InvalidInputError, "period"),
     (lambda: scenarios.parse_config(TINY_ORACLE.replace("1e-6", "inf")),
      ConfigError, r"check\.selfcheck_tol must be a finite number"),
