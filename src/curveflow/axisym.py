@@ -294,8 +294,6 @@ def sphere_profile(r0: float, n: int = 400) -> AxiProfile:
     cv._check_count(n, MIN_SAMPLES, f"need at least {MIN_SAMPLES} samples")
     theta = np.linspace(0.0, np.pi, n)
     pts = np.column_stack([-r0 * np.cos(theta), r0 * np.sin(theta)])
-    pts[0, 1] = 0.0
-    pts[-1, 1] = 0.0
     return AxiProfile(pts, TOPOLOGY_TWO_POLES)
 
 
@@ -371,7 +369,6 @@ def dumbbell_profile(
     lobe = np.column_stack(
         [lobe_center[0] + lobe_r * np.cos(theta), lobe_r * np.sin(theta)]
     )
-    lobe[0, 1] = 0.0
     phi = np.linspace(phi1, phi2, n_fillet + 1)[1:]
     fillet = np.column_stack(
         [fillet_center[0] + rho * np.cos(phi), fillet_center[1] + rho * np.sin(phi)]
@@ -537,8 +534,6 @@ def _axi_resample(
     out = cv._interpolate_rows(s, ext, targets, periodic=False)
     out[:, 0] = rows[:, 0]
     out[:, -1] = rows[:, -1]
-    out[1, 0] = 0.0
-    out[1, -1] = 0.0
     return out
 
 

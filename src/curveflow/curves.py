@@ -28,6 +28,8 @@ MAX_DIAMETER = 1e100
 CONVEX_REL_TOL = 1e-6
 # The edge gap, in units of the touch tolerance, that certifies a simple polygon.
 _CERTIFIED_GAP = 1000.0
+# The width of ``spiral_polygon``'s strip.
+SPIRAL_WIDTH = 0.3
 
 Float2 = tuple[float, float]
 
@@ -299,17 +301,6 @@ def _linear_resample(vertices: NDArray[np.float64], n: int) -> NDArray[np.float6
     return np.stack([np.interp(targets, s, ext[0]), np.interp(targets, s, ext[1])], axis=1)
 
 
-def resample_uniform(curve: PlaneCurve, n: int) -> PlaneCurve:
-    """Redistribute to ``n`` vertices at equal arclength spacing along the polygon.
-
-    Linear interpolation along the existing edges: the output lies exactly on
-    the input polygon, so total length can only shrink, and by less than 0.1%
-    once ``n`` is at least the input vertex count.
-    """
-    _check_count(n, MIN_VERTICES)
-    return PlaneCurve(_linear_resample(curve.vertices, n))
-
-
 def spline_resample_array(
     closed: NDArray[np.float64], spacing: float, minimum: int = MIN_VERTICES
 ) -> NDArray[np.float64]:
@@ -339,30 +330,10 @@ def _interval_pairs(
     upper = np.searchsorted(xs, xe, side="right")
     counts = np.maximum(upper - k - 1, 0)
     total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     ii = np.repeat(k, counts)
     starts = np.cumsum(counts) - counts
     jj = np.arange(total) - np.repeat(starts, counts) + ii + 1
     return order[ii], order[jj]
-
-
-def _orientations(
-    a1: NDArray[np.float64],
-    a2: NDArray[np.float64],
-    b1: NDArray[np.float64],
-    b2: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], ...]:
-    """Per-pair cross products placing a1 and a2 against segment b, then b1 and
-    b2 against segment a; the segments properly cross iff both pairs differ in sign."""
-    da = a2 - a1
-    db = b2 - b1
-    diff = b1 - a1
-    return (db[:, 0] * (-diff[:, 1]) - db[:, 1] * (-diff[:, 0]),
-            db[:, 0] * (da - diff)[:, 1] - db[:, 1] * (da - diff)[:, 0],
-            da[:, 0] * diff[:, 1] - da[:, 1] * diff[:, 0],
-            da[:, 0] * (diff + db)[:, 1] - da[:, 1] * (diff + db)[:, 0])
 
 
 def _segments_touch(
@@ -372,10 +343,15 @@ def _segments_touch(
     b2: NDArray[np.float64],
     tol: float,
 ) -> NDArray[np.bool_]:
-    """Per-pair test whether segments a and b cross or touch within tol."""
-    d1, d2, d3, d4 = _orientations(a1, a2, b1, b2)
+    """Per-pair test whether segments a and b cross or touch within tol; they
+    cross where d1, d2 (a1, a2 against b) and d3, d4 (b1, b2 against a) differ in sign."""
     da = a2 - a1
     db = b2 - b1
+    diff = b1 - a1
+    d1 = db[:, 0] * (-diff[:, 1]) - db[:, 1] * (-diff[:, 0])
+    d2 = db[:, 0] * (da - diff)[:, 1] - db[:, 1] * (da - diff)[:, 0]
+    d3 = da[:, 0] * diff[:, 1] - da[:, 1] * diff[:, 0]
+    d4 = da[:, 0] * (diff + db)[:, 1] - da[:, 1] * (diff + db)[:, 0]
     eps_a = tol * np.hypot(da[:, 0], da[:, 1])
     eps_b = tol * np.hypot(db[:, 0], db[:, 1])
     s1 = np.where(np.abs(d1) <= eps_b, 0, np.sign(d1))
@@ -396,16 +372,20 @@ def _segments_touch(
     return touch
 
 
-def _box_pairs(
-    p1: NDArray[np.float64], p2: NDArray[np.float64], tol: float
-) -> tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.bool_]]:
-    """Index pairs of segments p1-p2 whose x-ranges overlap within tol (one
-    sweep, each pair once), and which of them have y-ranges that overlap too."""
+def _any_touch(p1: NDArray[np.float64], p2: NDArray[np.float64], tol: float, admit) -> bool:
+    """Whether two of the segments p1-p2 touch within tol (``_segments_touch``),
+    among the index pairs ``admit(ii, jj)`` marks: one sweep over the x-ranges
+    finds each pair whose ranges overlap within tol once, and the y-ranges must
+    overlap too."""
     mins = np.minimum(p1, p2)
     maxs = np.maximum(p1, p2)
     ii, jj = _interval_pairs(mins[:, 0], maxs[:, 0] + tol)
     ymin, ymax = mins[:, 1].copy(), maxs[:, 1].copy()
-    return ii, jj, (ymin.take(ii) <= ymax.take(jj) + tol) & (ymin.take(jj) <= ymax.take(ii) + tol)
+    keep = ((ymin.take(ii) <= ymax.take(jj) + tol) & (ymin.take(jj) <= ymax.take(ii) + tol)
+            & admit(ii, jj))
+    ii, jj = ii[keep], jj[keep]
+    return len(ii) > 0 and bool(
+        _segments_touch(*(p.take(i, axis=0) for i in (ii, jj) for p in (p1, p2)), tol).any())
 
 
 def is_embedded(curve: PlaneCurve) -> bool:
@@ -447,14 +427,9 @@ def _is_simple(v: NDArray[np.float64], diam: float, two_poles: bool = False,
 
 def _segment_sweep(v: NDArray[np.float64], tol: float) -> bool:
     """Whether no two non-adjacent edges of the closed polygon ``v`` touch within tol."""
-    n, p1, p2 = len(v), v, _next(v)
-    ii, jj, boxed = _box_pairs(p1, p2, tol)
-    gap = (jj - ii) % n
-    keep = boxed & (gap != 1) & (gap != n - 1)
-    ii, jj = ii[keep], jj[keep]
-    if len(ii) == 0:
-        return True
-    return not _segments_touch(*(p.take(i, axis=0) for i in (ii, jj) for p in (p1, p2)), tol).any()
+    n = len(v)
+    # Edges i and j are adjacent where (j - i) % n is 1 or n - 1: (j - i + 1) % n is 2 or 0.
+    return not _any_touch(v, _next(v), tol, lambda ii, jj: (jj - ii + 1) % n > 2)
 
 
 def _point_segment(
@@ -483,22 +458,15 @@ def _point_segment_distances(
 
 
 def _curves_cross(c1: PlaneCurve, c2: PlaneCurve) -> bool:
-    """Whether the two boundaries properly cross (touching is not crossing)."""
+    """Whether the two boundaries cross or touch."""
     v1, v2 = c1.vertices, c2.vertices
     n1 = len(v1)
-    p1 = np.vstack([v1, v2])
-    p2 = np.vstack([_next(v1), _next(v2)])
-    ii, jj, boxed = _box_pairs(p1, p2, 0.0)
-    keep = boxed & ((ii < n1) != (jj < n1))
-    ii, jj = ii[keep], jj[keep]
-    if len(ii) == 0:
-        return False
-    t1, t2, t3, t4 = _orientations(*(p.take(i, axis=0) for i in (ii, jj) for p in (p1, p2)))
-    return bool(((t1 * t2 < 0) & (t3 * t4 < 0)).any())
+    return _any_touch(np.vstack([v1, v2]), np.vstack([_next(v1), _next(v2)]), 0.0,
+                      lambda ii, jj: (ii < n1) != (jj < n1))
 
 
 def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
-    """Minimum distance between two curves as unions of segments (0 if they cross).
+    """Minimum distance between two curves as unions of segments (0 if they cross or touch).
 
     Exact: the minimum is a vertex-to-edge distance of at most the smallest
     vertex-to-vertex distance dv, and lies within half an edge of one of that
@@ -507,9 +475,9 @@ def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
     adds candidates.  The vertices of c1 go in blocks whose squared distance
     matrix against c2 holds at most ``_DISTANCE_BLOCK`` entries, and each
     block takes its candidates within the running minimum of dv so far, so
-    the work arrays stay bounded at any n.  A crossing point lies within half
-    an edge of an end of its edge, so the crossing sweep runs only when the
-    vertex-to-edge minimum is at most max_edge / 2.
+    the work arrays stay bounded at any n.  A crossing or touching point lies
+    within half an edge of an end of its edge, so the contact sweep runs only
+    when the vertex-to-edge minimum is at most max_edge / 2.
     """
     v1, v2 = c1.vertices, c2.vertices
     half_edge = 0.5 * max(np.hypot(e[:, 0], e[:, 1]).max() for e in (_next(v) - v for v in (v1, v2)))
@@ -537,7 +505,7 @@ def min_distance(c1: PlaneCurve, c2: PlaneCurve) -> float:
             dist = _point_segment(a.take(np.concatenate([p, p]), axis=0), b.take(e, axis=0),
                                   b.take((e + 1) % len(b), axis=0))
             best = min(best, float(dist.min()))
-    # The relative slack keeps a crossing at exactly half an edge in the sweep.
+    # The relative slack keeps a contact at exactly half an edge in the sweep.
     return 0.0 if best <= half_edge * (1.0 + 1e-9) and _curves_cross(c1, c2) else best
 
 
@@ -596,28 +564,29 @@ def spiral_polygon(
     inner_radius: float = 1.0,
     outer_radius: float = 2.0,
     winding: float = 1.5,
-    width: float = 0.3,
     n: int = 640,
 ) -> PlaneCurve:
     """Embedded closed strip spiraling between two radii.
 
-    The strip is the constant-width offset band of an arithmetic spiral core,
-    closed by semicircular caps at both ends.  Successive windings stay
-    separated as long as ``width`` is below the radial pitch.
+    The strip is the ``SPIRAL_WIDTH`` offset band of an arithmetic spiral core,
+    closed by semicircular caps at both ends, resampled to ``n`` vertices at
+    equal arclength.  Successive windings stay separated as long as the width
+    is below the radial pitch.
     """
     if inner_radius <= 0 or outer_radius <= inner_radius:
         raise InvalidInputError("need 0 < inner_radius < outer_radius")
     if winding <= 0:
         raise InvalidInputError("winding must be positive")
-    span = outer_radius - inner_radius - width
+    span = outer_radius - inner_radius - SPIRAL_WIDTH
     if span <= 0:
         raise InvalidInputError("width leaves no room between the radii")
     pitch = span / winding
-    if width >= pitch:
+    if SPIRAL_WIDTH >= pitch:
         raise InvalidInputError("width >= radial pitch, the strip would self-touch")
+    _check_count(n, MIN_VERTICES)
 
     theta_max = 2.0 * np.pi * winding
-    half = width / 2.0
+    half = SPIRAL_WIDTH / 2.0
     m = max(64, int(200 * winding * 8))
     theta = np.linspace(0.0, theta_max, m)
     rho = (inner_radius + half) + (span / theta_max) * theta
@@ -642,7 +611,7 @@ def spiral_polygon(
     inner_cap = cap(core[0], -normal[0])
 
     pts = np.vstack([side_out, outer_cap, side_back, inner_cap])
-    curve = resample_uniform(PlaneCurve(pts), n)
+    curve = PlaneCurve(_linear_resample(pts, n))
     if not curve.counterclockwise:
         curve = PlaneCurve(curve.vertices[::-1])
     return curve

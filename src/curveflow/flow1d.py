@@ -63,6 +63,7 @@ EVENT_EMBEDDEDNESS_LOSS = "embeddedness-loss"
 EVENT_CONVEXIFICATION = "convexification"
 EVENT_STEP_BUDGET = "step-budget"
 EVENT_PARTNER_STOPPED = "partner-stopped"
+EVENT_STALLED = "stalled"
 
 
 @dataclass(frozen=True)
@@ -318,7 +319,8 @@ def _stage_count(tau: float, euler: float) -> tuple[int, float]:
 
 
 def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
-    """Step every state on one clock until one stops or the step budget runs out.
+    """Step every state on one clock until one stops, the step budget runs out
+    or the clock stalls (t + tau == t).
 
     A step is one RKL2 step over tau, the smallest cap a ``plan`` returns, in
     ``_stage_count``'s stages.  Stage j writes Y(j), one weighted sum of a
@@ -341,6 +343,8 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
             break
 
         stages, tau = _stage_count(tau, dt_e)
+        if t + tau == t:   # tau is below half an ulp of t: the clock has stalled
+            break
         weights = _rkl2(stages) * [1.0, 1.0, 1.0, tau, tau]
         for s in states:
             s.bank[2] = s.bank[0]   # Y0
@@ -369,8 +373,10 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
         if any(s.done for s in states):
             break
 
-    # Close the live trajectories: a partner on the shared clock stopped, or the budget ran out.
-    kind = EVENT_PARTNER_STOPPED if any(s.done for s in states) else EVENT_STEP_BUDGET
+    # Close the live trajectories: a partner on the shared clock stopped, the
+    # budget ran out, or the clock stalled.
+    kind = (EVENT_PARTNER_STOPPED if any(s.done for s in states)
+            else EVENT_STEP_BUDGET if steps == config.max_steps else EVENT_STALLED)
     for s in states:
         if not s.done:
             s.close(t, Event(kind, t))

@@ -71,6 +71,8 @@ def _parse_profile(text: str) -> AxiProfile:
     topology = head[0].split("=", 1)[1]
     period = None
     for key, _, val in (tok.partition("=") for tok in head[1:]):
+        if key == "topology" or (key == "period" and period is not None):
+            raise InvalidInputError(f"repeated profile header field {key!r}")
         if key != "period":
             raise InvalidInputError(f"unknown profile header field {key!r}")
         try:

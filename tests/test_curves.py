@@ -81,8 +81,6 @@ class TestFactories:
     # Every factory that takes a point count n, its smallest n and the message
     # for one below it.
     FACTORIES = {
-        "resample": (lambda n: cv.resample_uniform(cv.circle_polygon(1.0, 16), n), 8,
-                     "n must be at least 8, got 7"),
         "circle": (lambda n: cv.circle_polygon(1.0, n), 8, "n must be at least 8, got 7"),
         "ellipse": (lambda n: cv.ellipse_polygon(2.0, 1.0, n), 8, "n must be at least 8, got 7"),
         "rectangle": (lambda n: cv.rectangle_polygon(2.0, 1.0, n), 8, "n must be at least 8, got 7"),
@@ -593,6 +591,19 @@ class TestPrunedMinDistance:
         assert sweep.call_count == 2
         assert _brute_min_distance(square, diamond) == 0.0
 
+    def test_touching_is_zero(self):
+        # b's vertex p lies on a's edge from the origin to (2.186, 1.52) by the
+        # orientation test, and b stays on one side of that edge; the
+        # vertex-to-edge distance rounds to 2.2e-16, the contact sweep says 0.
+        p = 0.7 * np.array([2.186, 1.52])
+        a = cv.PlaneCurve([(0.0, 0.0), (2.186, 1.52), (2.5, 1.0), (2.5, 0.0), (2.0, -0.5),
+                           (1.0, -0.8), (0.0, -0.8), (-0.5, -0.4)])
+        b = cv.PlaneCurve([p, (1.6, 1.5), (1.4, 2.0), (1.0, 2.2), (0.6, 2.0), (0.4, 1.6),
+                           (0.5, 1.2), (1.0, 1.1)])
+        assert cv._point_segment(p, a.vertices[0], a.vertices[1]) > 0.0
+        assert not cv._curves_cross(a, cv.PlaneCurve(b.vertices + (0.0, 1e-9)))
+        assert cv.min_distance(a, b) == cv.min_distance(b, a) == 0.0
+
     def test_pairs_over_half_an_edge_apart_skip_the_crossing_sweep(self):
         # disjoint_nested's pair, at a quarter of its catalog n: every snapshot
         # pair is over half an edge apart, so no crossing sweep runs.
@@ -616,6 +627,17 @@ class TestPrunedMinDistance:
             tracemalloc.stop()
         assert abs(d - 0.8) < 1e-6
         assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("lo, hi", [([2.0, 0.0, 4.0], [3.0, 1.0, 5.0]),
+                                    ([0.0, 0.5, 2.0, 0.9], [1.0, 0.6, 3.0, 2.5])],
+                         ids=["none-overlap", "three-pairs"])
+def test_interval_pairs_are_the_overlapping_pairs(lo, hi):
+    ii, jj = cv._interval_pairs(np.array(lo), np.array(hi))
+    want = {frozenset((i, j)) for i in range(len(lo)) for j in range(i)
+            if lo[i] <= hi[j] and lo[j] <= hi[i]}
+    assert ii.dtype == jj.dtype == np.int64 and len(ii) == len(jj) == len(want)
+    assert {frozenset(p) for p in zip(ii.tolist(), jj.tolist())} == want
 
 
 class TestEmbeddingAndDistance:
@@ -803,9 +825,9 @@ class TestResampling:
 
     def test_uniform_resample_equalizes_spacing(self):
         curve = cv.ellipse_polygon(2.0, 1.0, 100)
-        out = cv.resample_uniform(curve, 150)
-        seg = np.linalg.norm(np.diff(np.vstack([out.vertices, out.vertices[:1]]), axis=0), axis=1)
-        assert out.vertices.shape == (150, 2)
+        out = cv._linear_resample(curve.vertices, 150)
+        seg = np.linalg.norm(np.diff(np.vstack([out, out[:1]]), axis=0), axis=1)
+        assert out.shape == (150, 2)
         assert seg.std() / seg.mean() < 1e-3
 
     def test_resample_preserves_length_and_area(self):

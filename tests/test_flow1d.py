@@ -232,6 +232,15 @@ class TestStops:
             assert [e.kind for e in tr.events] == [f1.EVENT_STEP_BUDGET]
             assert tr.final().time == tr.events[0].time == t_end > 0
 
+    def test_collapse_below_the_extinction_diameter_takes_no_snapshot(self):
+        # With the caps lifted, a circle at p = 0.2 shrinks below the extinction
+        # diameter: the snapshot due there is refused and the stop event comes
+        # after the last snapshot, not on one.
+        traj = f1.run(cv.circle_polygon(1.0, 16), f1.SpeedLaw(0.2), LIFTED)
+        assert [e.kind for e in traj.events] == [f1.EVENT_EXTINCTION]
+        assert traj.events[0].time > traj.final().time
+        assert cv.bbox_diameter(traj.final().geometry.vertices) < 10 * cv.EXTINCT_DIAMETER
+
     @pytest.mark.parametrize("p", [1.0 / 3.0, 0.2])
     def test_flat_sides_do_not_stall_below_p_one(self, p):
         # Roundoff curvature on a flat side must not set the step bound at
@@ -401,6 +410,8 @@ def _nested_pair(i):
 
 # A step budget that ends the budget runs below before their area or pole stop.
 BUDGET = 10
+# No area-fraction or curvature stop: a run goes on until its clock stalls.
+LIFTED = f1.FlowConfig(stop_area_fraction=1e-30, max_curvature_stop=1e300)
 # name -> (run, the terminal event it must end with); every driver, every way a run ends
 ENDINGS = {
     "curve-extinction": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0)),
@@ -414,6 +425,9 @@ ENDINGS = {
     "curve-budget": (lambda: f1.run(cv.circle_polygon(0.5, 32), f1.SpeedLaw(1.0),
                                     f1.FlowConfig(max_steps=BUDGET)), f1.EVENT_STEP_BUDGET),
     "curve-partner": (lambda: _nested_pair(0), f1.EVENT_PARTNER_STOPPED),
+    # t + tau == t ends the run; else it would record 9 snapshots at one time.
+    "curve-stalled": (lambda: f1.run(cv.circle_polygon(1.0, 16), f1.SpeedLaw(1.0), LIFTED),
+                      f1.EVENT_STALLED),
     "curve-partner-driver": (lambda: _nested_pair(1), f1.EVENT_EXTINCTION),
     "meridian-pole": (lambda: ax.run_axi(ax.sphere_profile(0.5, 32)), ax.EVENT_POLE_EXTINCTION),
     "meridian-neck": (lambda: ax.run_axi(ax.dumbbell_profile(1.0, 0.3, 1.0, 256)),
@@ -425,11 +439,13 @@ ENDINGS = {
                         f1.EVENT_BLOWUP),
     "meridian-budget": (lambda: ax.run_axi(ax.sphere_profile(1.0, 32),
                                            f1.FlowConfig(max_steps=BUDGET)), f1.EVENT_STEP_BUDGET),
+    "meridian-stalled": (lambda: ax.run_axi(ax.sphere_profile(1.0, 32), LIFTED), f1.EVENT_STALLED),
     "front-horizon": (lambda: oc.evolve_translating_front(
         oc.grim_reaper(41), 0.02, config=f1.FlowConfig(resample_every=10)), oc.EVENT_HORIZON),
 }
 TERMINAL = {f1.EVENT_EXTINCTION, f1.EVENT_BLOWUP, f1.EVENT_EMBEDDEDNESS_LOSS,
-            f1.EVENT_STEP_BUDGET, f1.EVENT_PARTNER_STOPPED, ax.EVENT_POLE_EXTINCTION,
+            f1.EVENT_STEP_BUDGET, f1.EVENT_PARTNER_STOPPED, f1.EVENT_STALLED,
+            ax.EVENT_POLE_EXTINCTION,
             ax.EVENT_NECK_PINCH, ax.EVENT_TORUS_COLLAPSE, oc.EVENT_HORIZON}
 
 

@@ -564,8 +564,14 @@ class TestSnapshotText:
         ("# topology=twopoles period=2\n" + "".join(
             f"{x:.17g} {r:.17g}\n" for x, r in ax.sphere_profile(1.0, 32).samples),
          "period is for the cylinder topology only, got 2.0 with 'twopoles'"),
+        # Each field may appear once.
+        ("# topology=cylinder period=1.7 period=2.5\n" + "".join(f"{x / 20} 1\n" for x in range(20)),
+         "repeated profile header field 'period'"),
+        ("# topology=cylinder topology=periodic period=1\n0 1\n",
+         "repeated profile header field 'topology'"),
     ], ids=["no-header", "empty", "unknown-topology", "unknown-field", "bad-period",
-            "cylinder-without-period", "period-off-the-cylinder"])
+            "cylinder-without-period", "period-off-the-cylinder", "repeated-period",
+            "repeated-topology"])
     def test_profile_header_is_checked(self, text, match):
         with pytest.raises(InvalidInputError, match=match):
             PROFILE.parse(text)

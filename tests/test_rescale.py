@@ -162,6 +162,14 @@ class TestLocalWindows:
         kappa = rs.window_curvatures(window, axisymmetric=False)
         assert np.max(np.abs(kappa - 1.0)) < 1e-2
 
+    @pytest.mark.parametrize("power, cls", [(2, rs.CLASS_CONVEX), (3, rs.CLASS_NONE)])
+    def test_curve_window_past_the_circle_templates(self, power, cls):
+        # A 65-point window on y = x^2 is convex but no circle; y = x^3 turns
+        # both ways.
+        x = np.linspace(-1.0, 1.0, rs.WINDOW_POINTS)
+        got, residual = rs._classify_window(np.column_stack([x, x ** power]), axisymmetric=False)
+        assert got == cls and (residual == 0.0) == (cls == rs.CLASS_CONVEX)
+
     def test_window_curvatures_of_cylinder(self):
         prof = ax.cylinder_profile(2.0, 4.0, 256)
         window = rs._window(prof.samples, _nearest(prof.samples, (0.0, 2.0)), closed=False)
