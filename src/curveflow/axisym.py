@@ -27,6 +27,7 @@ from .flow1d import (
     FlowConfig,
     Snapshot,
     Trajectory,
+    _alone,
     _cap,
     _evolve,
     _FlowState,
@@ -149,29 +150,10 @@ def _polyline(topology: str) -> slice:
     return slice(1, -1) if topology == TOPOLOGY_TWO_POLES else slice(1, None)
 
 
-def _bind_pass(chain: NDArray[np.float64], topology: str) -> tuple:
-    """What ``_meridian_pass`` reads and writes, bound to ``chain``: a new
-    stencil, h, the views of nu_r, r, kappa and h at the off-axis samples and
-    the polyline's segment lengths, each sliced once."""
-    stencil, h = cv._Stencil(chain), np.empty(chain.shape[1] - 2)
-    off = slice(1, -1) if topology == TOPOLOGY_TWO_POLES else slice(None)
-    return (stencil, h, (stencil.left[1, off], chain[1, 1:-1][off], stencil.k[off], h[off]),
-            stencil.seg[_polyline(topology)])
-
-
-def _meridian_pass(
-    chain: NDArray[np.float64], topology: str, period: float | None, bound: tuple | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """The one geometry pass over a meridian's (2, n + 2) chain of rows x, r.
-
-    Fills the ghost columns (the wrapped sample on a periodic loop, the sample
-    shifted by one period on a cylinder, and at an axis pole the reflection
-    (x1, -r1) of its neighbour), then runs the stencil of ``bound``, the
-    chain's ``_bind_pass`` that a state keeps, or of a fresh one.  Returns
-    h = kappa - nu_r / r with kappa and nu as the left normal orients them
-    (2 kappa at a pole, where both principal curvatures agree, so nothing
-    divides by r = 0), the (2, n) left normal rows and the polyline's segment
-    lengths, in the bound arrays; ``_metrics_of`` turns h inward."""
+def _fill_ghosts(chain: NDArray[np.float64], topology: str, period: float | None) -> None:
+    """Fill a meridian's (2, n + 2) chain of rows x, r around its samples: the
+    wrapped sample on a periodic loop, the sample shifted by one period on a
+    cylinder, and at an axis pole the reflection (x1, -r1) of its neighbour."""
     if topology == TOPOLOGY_TWO_POLES:
         chain[0, 0], chain[1, 0] = chain[0, 2], -chain[1, 2]
         chain[0, -1], chain[1, -1] = chain[0, -3], -chain[1, -3]
@@ -181,13 +163,43 @@ def _meridian_pass(
         if topology == TOPOLOGY_CYLINDER:
             chain[0, 0] -= period
             chain[0, -1] += period
-    stencil, h, (nu_r, r, kappa, h_off), seg = bound or _bind_pass(chain, topology)
-    k, left, _ = stencil()
+
+
+def _h_terms(share, chain: NDArray[np.float64], topology: str, h: NDArray[np.float64]) -> tuple:
+    """What ``_mean_curvature`` reads and writes: the views of nu_r, r, kappa
+    and h at the off-axis samples of a chain and its pass's ``share``."""
+    off = slice(1, -1) if topology == TOPOLOGY_TWO_POLES else slice(None)
+    return share.left[1, off], chain[1, 1:-1][off], share.k[off], h[off]
+
+
+def _mean_curvature(k: NDArray[np.float64], h: NDArray[np.float64], terms: tuple,
+                    two_poles: bool) -> NDArray[np.float64]:
+    """Fill and return h = kappa - nu_r / r, with kappa and nu as the left normal
+    orients them, from ``_h_terms``: 2 kappa at a pole, where both principal
+    curvatures agree, so nothing divides by r = 0; ``_metrics_of`` turns h inward."""
+    nu_r, r, kappa, h_off = terms
     np.divide(nu_r, r, out=h_off)
     np.subtract(kappa, h_off, out=h_off)
-    if topology == TOPOLOGY_TWO_POLES:
+    if two_poles:
         h[0], h[-1] = 2.0 * k[0], 2.0 * k[-1]
-    return h, left, seg
+    return h
+
+
+def _meridian_pass(
+    chain: NDArray[np.float64], topology: str, period: float | None,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """The one-shot geometry pass over a meridian's (2, n + 2) chain of rows x, r.
+
+    Fills the ghost columns and runs a fresh stencil; returns h
+    (``_mean_curvature``), the (2, n) left normal rows and the polyline's
+    segment lengths.  A flowing meridian makes the same pass in its steps."""
+    _fill_ghosts(chain, topology, period)
+    stencil = cv._Stencil(chain)
+    k, left, seg = stencil()
+    h = np.empty(len(k))
+    terms = _h_terms(stencil, chain, topology, h)
+    return (_mean_curvature(k, h, terms, topology == TOPOLOGY_TWO_POLES), left,
+            seg[_polyline(topology)])
 
 
 def _lateral_area(chain: NDArray[np.float64], topology: str, seg: NDArray[np.float64]) -> float:
@@ -400,12 +412,13 @@ class _AxiState(_FlowState):
     """One meridian under mean curvature flow, as raw sample rows between snapshots.
 
     The rows, x in ``verts[0]`` and r in ``verts[1]``, are the inside of a
-    (2, n + 2) chain buffer with a ghost column at each end.  ``advance`` makes
-    the step's last geometry pass, ``measure`` and ``measure_area``, before it
-    looks for a neck; the next ``plan`` and every snapshot read that pass.  The
-    pass is ``_meridian_pass`` on the arrays ``bind`` binds.  Snapshots fall
-    due on a geometric schedule in the lateral area and, for a true waist, in
-    its radius.
+    (2, n + 2) chain buffer with a ghost column at each end.  After the step's
+    last geometry pass ``advance`` adds ``measure_area`` before it looks for a
+    neck; the next ``plan`` and every snapshot read that pass.  Each pass is
+    ``_meridian_pass`` in parts: ``fill`` fills the ghosts, and ``finish``
+    computes h on the meridian's own columns.  Snapshots fall due on a
+    geometric schedule in the lateral area and, for a true waist, in its
+    radius.
     """
 
     def __init__(self, profile: AxiProfile, config: FlowConfig):
@@ -434,22 +447,28 @@ class _AxiState(_FlowState):
         self.traj = Trajectory([Snapshot(0.0, profile, m)], self.events)
 
     def bind(self) -> None:
-        """Bind what ``_meridian_pass`` reads and writes, its stencil among them."""
-        self.bound = _bind_pass(self.chain, self.topology)
-        self.stencil = self.bound[0]
+        """The h buffer of the new bank's samples."""
+        self.h = np.empty(self.verts.shape[1])
 
-    def measure(self) -> None:
-        """One geometry pass: put the poles back on the axis, then keep h, the
-        left normal and the segment lengths of the chain."""
+    def fill(self) -> None:
+        """Put the poles back on the axis, then fill the ghost columns."""
         if self.two_poles:
             self.verts[1, 0] = 0.0
             self.verts[1, -1] = 0.0
-        self.h, self.left, self.seg = _meridian_pass(
-            self.chain, self.topology, self.period, self.bound)
+        _fill_ghosts(self.chain, self.topology, self.period)
+
+    def adopt(self, share) -> None:
+        """Keep the share, the polyline's segment lengths and h's terms."""
+        super().adopt(share)
+        self.seg = share.seg[_polyline(self.topology)]
+        self.h_terms = _h_terms(share, self.chain, self.topology, self.h)
+
+    def finish(self) -> None:
+        _mean_curvature(self.k, self.h, self.h_terms, self.two_poles)
 
     def measure_area(self) -> None:
         """Keep the lateral area, the ``_waist_of`` and the least off-axis r,
-        ``r_int``, of the chain ``measure`` filled."""
+        ``r_int``, of the chain the pass read."""
         self.area = _lateral_area(self.chain, self.topology, self.seg)
         self.waist = _waist_of(self.verts.T, self.topology)
         self.r_int = float(self.verts[1, self.off_axis].min())
@@ -478,10 +497,10 @@ class _AxiState(_FlowState):
         h_space = float(self.seg.min())
         return _cap(h_space, hmax), min(h_space * h_space / 2.0, h_space * self.r_int / 4.0)
 
-    def advance(self, t: float, resample: bool) -> bool:
-        if resample:
-            self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
-        self.measure()
+    def resample(self) -> None:
+        self.set_verts(_axi_resample(self.verts, self.topology, self.period, self.spacing))
+
+    def advance(self, t: float) -> bool:
         self.measure_area()
         rmin, rmin_x, true_waist, i = self.waist
         if true_waist:
@@ -501,7 +520,7 @@ class _AxiState(_FlowState):
         """``AxiProfile``'s checks on the pass (a cylinder's period edge left out)."""
         profile = object.__new__(AxiProfile)
         seg = self.seg[:-1] if self.topology == TOPOLOGY_CYLINDER else self.seg
-        profile._adopt(self.verts.T, self.topology, self.period, seg, self.stencil, self.r_int)
+        profile._adopt(self.verts.T, self.topology, self.period, seg, self.geo, self.r_int)
         m = _metrics_of(self.chain, self.topology, self.h, self.area, self.waist)
         self.traj.snapshots.append(Snapshot(t, profile, m))
         self.next_waist = m.min_radius * self.ratio   # read only for a true waist
@@ -537,10 +556,16 @@ def _axi_resample(
     return out
 
 
+def _axi_steps(profile: AxiProfile, config: FlowConfig | None):
+    """The stepper of ``run_axi``."""
+    config = config or FlowConfig()
+    return (yield from _evolve([_AxiState(profile, config)], config))
+
+
 def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> Trajectory:
     """Evolve a meridian by mean curvature until a pinch, collapse or stop.
 
-    The curve driver's loop (``flow1d._evolve``) steps it, so snapshots,
+    The curve driver's stepper (``flow1d._evolve``) steps it, so snapshots,
     stops and the single terminal event follow the same rules as for curves.
     Neck events (neck-pinch for axis-bounded and cylinder topologies,
     torus-collapse for periodic ones) fire when the waist drops below
@@ -550,8 +575,7 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> Trajectory
     :class:`InvalidInputError`: it would report a pinch before the neck had
     used half its lifetime.
     """
-    config = config or FlowConfig()
-    return _evolve([_AxiState(profile, config)], config)[0]
+    return _alone(_axi_steps(profile, config))[0]
 
 
 # ---------------------------------------------------------------------------

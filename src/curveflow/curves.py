@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -135,6 +136,19 @@ def _closed_chain(vertices: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.concatenate([vertices[-1:], vertices, vertices[:1]]).T
 
 
+class _Share(NamedTuple):
+    """One chain's part of a ``_Stencil`` pass over several chains laid end to
+    end: views of the outputs at its points and edges, named as the stencil
+    names them, so either serves wherever a pass is read."""
+
+    k: NDArray[np.float64]
+    left: NDArray[np.float64]
+    seg: NDArray[np.float64]
+    cross: NDArray[np.float64]
+    c: NDArray[np.float64]
+    e: NDArray[np.float64]
+
+
 class _Stencil:
     """Circumcircle curvature at the interior points of one chain, bound to it.
 
@@ -146,7 +160,9 @@ class _Stencil:
     left normal of the neighbour chord, and the m + 1 edge lengths of the
     chain, always in the same three arrays; ``_is_simple`` reads ``cross`` (twice
     the turns), ``c`` (the chords, floored at 1e-300) and the edge rows ``e``.  A
-    fold-back point (neighbours coincide) is flat: curvature 0, not NaN.
+    fold-back point (neighbours coincide) is flat: curvature 0, not NaN.  Every
+    output is elementwise in the points, so on chains laid end to end each
+    chain's ``share`` holds what a stencil of its own gives, bit for bit.
     """
 
     def __init__(self, chain: NDArray[np.float64]):
@@ -172,6 +188,13 @@ class _Stencil:
         self.inverse_c, self.k = self.quotients[:m], self.quotients[m:]
         self.left = np.empty((2, m))
         self.chord_swapped, self.left_x = self.chord[::-1], self.left[0]
+
+    def share(self, start: int, m: int) -> _Share:
+        """The outputs at the m interior points and m + 1 edges of a chain laid
+        from column ``start`` of the stencil's chain."""
+        points, edges = slice(start, start + m), slice(start, start + m + 1)
+        return _Share(self.k[points], self.left[:, points], self.seg[edges],
+                      self.cross[points], self.c[points], self.e[:, edges])
 
     def __call__(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
         cross, t, product = self.cross, self.scratch, self.product
@@ -403,7 +426,7 @@ def is_embedded(curve: PlaneCurve) -> bool:
 
 
 def _is_simple(v: NDArray[np.float64], diam: float, two_poles: bool = False,
-               stencil: _Stencil | None = None, r_int: float | None = None) -> bool:
+               stencil: _Stencil | _Share | None = None, r_int: float | None = None) -> bool:
     """``is_embedded`` of the closed polygon ``v``: the convex certificate, or
     ``AxiProfile``'s x-monotone one for a ``two_poles`` meridian, else the sweep;
     a flow's pass may give ``stencil``, over v's closed chain, and ``r_int``."""

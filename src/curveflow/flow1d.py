@@ -7,21 +7,22 @@ second order in time, with no solve), periodic tangential redistribution
 through a local cubic interpolant (linear chord resampling would bleed area
 every pass), and snapshots recorded on a geometric schedule in remaining area
 so the approach to extinction is well sampled.
-The same loop, ``_evolve``, steps the other two drivers: the meridians of
+The same stepper, ``_evolve``, steps the other two drivers: the meridians of
 ``axisym`` and the open translating front of ``oracle``; every driver returns
 the ``Trajectory`` of each state it stepped.  It owns the update:
 each driver's ``plan`` fills ``vel`` with F(Y0) and returns its displacement
 cap and its diffusive bound, and ``_evolve`` steps by the smallest of each;
-``measure`` and ``velocity`` refill ``vel`` at each later stage, and
+after each later stage's geometry pass ``velocity`` refills ``vel``, and
 each stage is one weighted sum over a bank of six (2, n + 2) buffers per
 state: a row of ``_rkl2``'s table dotted with Y(j-1) (the point rows, x and
 y or r, between two ghost columns), Y(j-2), Y0, F and F0.  All three drivers
 share its step budget, caps and terminal events and make one geometry pass
-per evaluation; curves and meridians also share its snapshot schedule.  Each
-state binds its stencil to its bank when the bank is allocated, so a stencil
-call slices no view and allocates no array, and writes the same buffers each
-time.  Only the pass ``advance`` makes at a step's end adds the area; the
-next bound and every snapshot read that pass.
+per evaluation; curves and meridians also share its snapshot schedule.
+``_evolve`` is a generator that yields at each pass, and ``_rounds`` runs
+many of them together: each round it copies every live state's chain into
+one stack and runs one ``curves._Stencil`` over it, and each state reads its
+share of the outputs.  Only the pass at a step's end adds the area; the next
+bound and every snapshot read that pass.
 """
 
 from __future__ import annotations
@@ -186,12 +187,14 @@ class _FlowState:
     their points as (2, n) rows in ``verts`` (``set_verts``, which calls
     ``bind`` on a new bank) and supply ``plan`` (fills ``vel`` with F(Y0) and
     returns the displacement cap, ``_cap``, and the forward-Euler diffusive
-    bound; ``peak`` closes it at the curvature cap), ``measure`` and
-    ``velocity`` (a geometry pass without the area, then ``vel``),
-    ``advance(t, resample)`` (the last pass, with the area: is a snapshot
-    due?), ``take(t)`` (build and check the snapshot's geometry, append it,
-    return its area), ``stop_kind`` and ``traj``, the ``Trajectory`` that
-    ``take`` appends to.
+    bound; ``peak`` closes it at the curvature cap), ``velocity`` (``vel``
+    from the pass), ``resample`` (before the step's last pass),
+    ``advance(t)`` (after it: the area, and is a snapshot due?), ``take(t)``
+    (build and check the snapshot's geometry, append it, return its area),
+    ``stop_kind`` and ``traj``, the ``Trajectory`` that ``take`` appends to.
+    A geometry pass reads ``pass_rows``: ``fill`` readies them, the stencil
+    runs (``measure``'s own, or a round's stacked one), ``adopt`` keeps the
+    state's share of its outputs and ``finish`` completes it.
     """
 
     stop_kind = EVENT_EXTINCTION
@@ -225,13 +228,33 @@ class _FlowState:
             self.chain = self.bank[0]
             self.verts = self.chain[:, 1:-1]
             self.vel = self.bank[3, :, 1:-1]
+            self.pass_rows = self.chain
             self.bind()
         self.verts[...] = rows
 
     def bind(self) -> None:
-        """Bind ``stencil``, a :class:`curves._Stencil`, to the chain; ``measure``
-        runs it."""
-        self.stencil = cv._Stencil(self.chain)
+        """Bind the views of a new bank that the state's own steps read."""
+
+    def fill(self) -> None:
+        """Ready ``pass_rows`` for a pass: the ghost columns."""
+
+    def adopt(self, share) -> None:
+        """Keep ``share``, this state's part of a pass's outputs (a
+        ``curves._Stencil`` or its ``share``), and its curvature, left normal
+        and edge lengths."""
+        self.geo, self.k, self.left, self.seg = share, share.k, share.left, share.seg
+
+    def finish(self) -> None:
+        """Complete a pass from the share it adopted."""
+
+    def measure(self) -> None:
+        """A geometry pass of the state's own on a fresh stencil: the one its
+        constructor makes before any round."""
+        self.fill()
+        stencil = cv._Stencil(self.pass_rows)
+        stencil()
+        self.adopt(stencil)
+        self.finish()
 
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
@@ -318,15 +341,17 @@ def _stage_count(tau: float, euler: float) -> tuple[int, float]:
     return s, min(tau, euler * (s * s + s - 2) / 4.0)
 
 
-def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
+def _evolve(states: list[_FlowState], config: FlowConfig):
     """Step every state on one clock until one stops, the step budget runs out
-    or the clock stalls (t + tau == t).
+    or the clock stalls (t + tau == t): a generator for ``_rounds``.
 
     A step is one RKL2 step over tau, the smallest cap a ``plan`` returns, in
     ``_stage_count``'s stages.  Stage j writes Y(j), one weighted sum of a
     bank's first five slots, into slot 5, then shifts Y(j-1) into slot 1 and
-    Y(j) into the chain.  Returns each state's trajectory, in order, with its
-    stats.
+    Y(j) into the chain.  At each geometry pass, after every stage but the
+    last and at the step's end, it fills the states' rows and yields
+    ``states``; resumed, it finishes the pass.  Returns each state's
+    trajectory, in order, with its stats.
     """
     t = 0.0
     steps = evaluations = max_stages = 0
@@ -350,9 +375,13 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
             s.bank[2] = s.bank[0]   # Y0
             s.bank[4] = s.bank[3]   # F0, which plan left in F
         for j, w in enumerate(weights):
+            if j:
+                for s in states:
+                    s.fill()
+                yield states
             for s in states:
                 if j:
-                    s.measure()
+                    s.finish()
                     s.velocity()
                 np.dot(w, s.stage_in, out=s.stage_out)
                 s.older[...] = s.newest   # Y(j-1), the next stage's Y(j-2)
@@ -365,7 +394,15 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
         dt_min = min(dt_min, tau)
         dt_max = max(dt_max, tau)
         resample = steps % config.resample_every == 0
-        due = [s.advance(t, resample) for s in states]
+        for s in states:
+            if resample:
+                s.resample()
+            s.fill()
+        yield states
+        due = []
+        for s in states:
+            s.finish()
+            due.append(s.advance(t))
         if any(due):
             for s in states:
                 if not s.done:
@@ -389,19 +426,69 @@ def _evolve(states: list[_FlowState], config: FlowConfig) -> list[Trajectory]:
     return [s.traj for s in states]
 
 
+def _rounds(steppers: list) -> list:
+    """Run steppers such as ``_evolve`` together, one stacked pass a round.
+
+    Each round resumes every live stepper, which runs to its next pass and
+    yields its states with their rows filled, or ends.  Then one
+    ``curves._Stencil`` runs over one stack that holds every live state's
+    ``pass_rows`` end to end, copied in.  The stack is laid out anew, and each
+    state adopts its ``share``, only when a stepper ends or a resample gives a
+    state new rows; so the next pass is stacked the same as long as no stepper
+    ends and no state changes its point count.  Returns each stepper's
+    result, or the exception it raised, in order; a stepper that raises ends
+    and drops its states, and the others run on.
+    """
+    outcomes: list = [None] * len(steppers)
+    live, members = list(enumerate(steppers)), []
+    while live:
+        pending = []
+        for i, stepper in live:
+            try:
+                pending.append((i, stepper, next(stepper)))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as exc:   # this stepper's own failure
+                outcomes[i] = exc
+        if not pending:
+            break
+        if (len(pending) < len(live) or not members
+                or any(s.pass_rows is not rows for s, rows, _ in members)):
+            states = [s for _, _, group in pending for s in group]
+            ends = np.cumsum([0] + [s.pass_rows.shape[1] for s in states]).tolist()
+            stack = np.empty((2, ends[-1]))
+            stencil = cv._Stencil(stack)
+            members = []
+            for s, start, end in zip(states, ends, ends[1:]):
+                s.adopt(stencil.share(start, end - start - 2))
+                members.append((s, s.pass_rows, stack[:, start:end]))
+        live = [(i, stepper) for i, stepper, _ in pending]
+        for _, rows, place in members:
+            place[...] = rows
+        stencil()
+    return outcomes
+
+
+def _alone(stepper):
+    """Run one stepper by ``_rounds``: return its result or raise its exception."""
+    [outcome] = _rounds([stepper])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 class _CurveState(_FlowState):
     """One curve under the speed law.
 
     Between snapshots the curve lives as raw rows, x in ``verts[0]`` and y in
     ``verts[1]``: the inside of a (2, n + 2) chain buffer with a ghost column at
     each end, reallocated only when a resample changes the vertex count.  A step
-    moves the rows in place, with one geometry pass, ``measure``, per stage
-    after the first and one at its end, which alone adds ``measure_area``; the
-    next ``plan``, the snapshot schedule and the snapshot's metrics and
+    moves the rows in place, with one geometry pass per stage after the first
+    and one at its end, after which ``advance`` alone adds ``measure_area``;
+    the next ``plan``, the snapshot schedule and the snapshot's metrics and
     checks all read the curvature, normal, edge lengths, turns and area it
-    keeps.  The pass is the state's ``stencil``, bound with the chain: it
-    overwrites the same arrays at every call.  The validated curve object is
-    only built when a snapshot is recorded.
+    keeps.  The validated curve object is only built when a snapshot is
+    recorded.
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
@@ -416,10 +503,9 @@ class _CurveState(_FlowState):
         self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
 
     def bind(self) -> None:
-        """The bound stencil, the ghost columns with the points they wrap to, the
-        buffers ``velocity`` writes the speed into at p != 1, and the shoelace
-        terms of ``measure_area`` with the two buffers it multiplies them into."""
-        super().bind()
+        """The ghost columns with the points they wrap to, the buffers
+        ``velocity`` writes the speed into at p != 1, and the shoelace terms of
+        ``measure_area`` with the two buffers it multiplies them into."""
         c = self.chain
         self.wraps = (c[:, 0], c[:, -2]), (c[:, -1], c[:, 1])
         n = c.shape[1] - 2
@@ -427,17 +513,15 @@ class _CurveState(_FlowState):
         (x, y), self.area_bufs = c, (np.empty(n), np.empty(n))
         self.area_terms = (x[1:-1], y[2:]), (x[2:], y[1:-1])
 
-    def measure(self) -> None:
-        """One geometry pass: fill the ghost columns and keep the curvature
-        (positive for a left turn), unit left normal and edge lengths.  The
-        speed law is odd in k, so speed(k) times the left normal is the inward
-        velocity for either traversal direction."""
+    def fill(self) -> None:
+        """The ghost columns: the points they wrap to.  The speed law is odd in
+        k, so speed(k) times the pass's left normal is the inward velocity for
+        either traversal direction."""
         for ghost, point in self.wraps:
             ghost[...] = point
-        self.k, self.left, self.seg = self.stencil()
 
     def measure_area(self) -> None:
-        """Keep the signed area of the chain ``measure`` filled."""
+        """Keep the signed area of the chain the pass read."""
         (forward, backward), (a, b) = self.area_terms, self.area_bufs
         np.subtract(np.multiply(*forward, out=a), np.multiply(*backward, out=b), out=a)
         self.area = 0.5 * float(a.sum())
@@ -467,11 +551,11 @@ class _CurveState(_FlowState):
         vmax = kmax if p == 1.0 else float(np.abs(speed).max())
         return _cap(h, vmax), h * h / (2.0 * diffusivity)
 
-    def advance(self, t: float, resample: bool) -> bool:
-        if resample:
-            self.chain[:, -1] = self.verts[:, 0]   # close the rows for the resample
-            self.set_verts(cv.spline_resample_array(self.chain[:, 1:], self.spacing))
-        self.measure()
+    def resample(self) -> None:
+        self.chain[:, -1] = self.verts[:, 0]   # close the rows for the resample
+        self.set_verts(cv.spline_resample_array(self.chain[:, 1:], self.spacing))
+
+    def advance(self, t: float) -> bool:
         self.measure_area()
         return abs(self.area) <= self.next_area
 
@@ -484,15 +568,22 @@ class _CurveState(_FlowState):
         if m.convex and not self.was_convex:
             self.events.append(Event(EVENT_CONVEXIFICATION, t))
         self.was_convex = m.convex
-        if not cv._is_simple(curve.vertices, diam, stencil=self.stencil):
+        if not cv._is_simple(curve.vertices, diam, stencil=self.geo):
             self.end(Event(EVENT_EMBEDDEDNESS_LOSS, t))
         return abs(m.enclosed_area)
 
 
+def _curve_steps(curves: list[cv.PlaneCurve], law: SpeedLaw, config: FlowConfig | None):
+    """The stepper of ``co_evolve`` and ``run``: the curves' states on one clock."""
+    if not curves:
+        raise InvalidInputError("need at least one curve")
+    config = config or FlowConfig()
+    return (yield from _evolve([_CurveState(c, law, config) for c in curves], config))
+
+
 def run(curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig | None = None) -> Trajectory:
     """Evolve one curve until an area stop, curvature stop or step budget."""
-    config = config or FlowConfig()
-    return _evolve([_CurveState(curve, law, config)], config)[0]
+    return _alone(_curve_steps([curve], law, config))[0]
 
 
 def co_evolve(
@@ -504,10 +595,7 @@ def co_evolve(
     trajectory covers the same time interval with identical snapshot times;
     the others then end with a ``partner-stopped`` event.
     """
-    if not curve_list:
-        raise InvalidInputError("need at least one curve")
-    config = config or FlowConfig()
-    return _evolve([_CurveState(c, law, config) for c in curve_list], config)
+    return _alone(_curve_steps(curve_list, law, config))
 
 
 # ---------------------------------------------------------------------------

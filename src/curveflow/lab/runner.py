@@ -1,11 +1,13 @@
 """Scenario execution: flows, analyses, artifact emission, pass/fail checks.
 
-Each scenario owns one output directory.  run_scenario builds the geometry,
-runs the kind's driver, writes the trajectory artifacts, then hands the flow's
-trajectories to one evaluator per requested analysis.  Each evaluator writes
-nothing: it returns exactly one named artifact, its text or JSON payload, and
-its checks, read against the scenario's complete, typed check table (see
-scenarios.ANALYSES); run_scenario writes the artifact.
+Each scenario owns one output directory.  accept first steps every distinct
+flow of the batch together, in rounds of one stacked geometry pass
+(``flow1d._rounds``); then run_scenario writes each scenario's trajectory
+artifacts and hands its flow's trajectories to one evaluator per requested
+analysis.  Each evaluator writes nothing: it returns exactly one named
+artifact, its text or JSON payload, and its checks, read against the
+scenario's complete, typed check table (see scenarios.ANALYSES); run_scenario
+writes the artifact.
 """
 
 from __future__ import annotations
@@ -348,7 +350,7 @@ _EVALUATORS = {
 # ---------------------------------------------------------------------------
 
 class _FlowKey(NamedTuple):
-    """Every input of one driver run; _run_flow reads nothing else.
+    """Every input of one driver run; _steps reads nothing else.
 
     The parser leaves the fields a driver ignores at their defaults.
     """
@@ -369,22 +371,19 @@ def _flow_key(s: Scenario) -> _FlowKey | None:
                     s.law, s.config, s.options.get("duration"))
 
 
-def _run_flow(key: _FlowKey | None) -> list[f1.Trajectory]:
-    """Build the geometry and run the key's driver; return its trajectories.
-
-    Without a key (the oracle) it runs nothing and returns []; a nested pair
-    returns two trajectories, every other flow one.
-    """
-    if key is None:
-        return []
+def _steps(key: _FlowKey):
+    """The key's flow as a stepper for ``flow1d._rounds``: it builds the
+    geometry, steps it by the stepper of the key's driver and returns the
+    trajectories, two for a nested pair and one for every other flow."""
     geometry = SHAPES_BY_KIND[key.kind][key.shape][0](n=key.n, **dict(key.shape_params))
     if key.kind == KIND_AXI:
-        return [ax.run_axi(geometry, key.config)]
-    if key.shape == "grim_reaper":
-        return [oc.evolve_translating_front(geometry, key.duration, key.config)]
-    if isinstance(geometry, list):
-        return f1.co_evolve(geometry, key.law, key.config)
-    return [f1.run(geometry, key.law, key.config)]
+        stepper = ax._axi_steps(geometry, key.config)
+    elif key.shape == "grim_reaper":
+        stepper = oc._front_steps(geometry, key.duration, key.config)
+    else:
+        curves = geometry if isinstance(geometry, list) else [geometry]
+        stepper = f1._curve_steps(curves, key.law, key.config)
+    return (yield from stepper)
 
 
 @dataclass
@@ -398,6 +397,10 @@ class _Flow:
     warnings: list[str] = field(default_factory=list)
 
 
+def _texts(caught) -> list[str]:
+    return [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
 @contextmanager
 def _recorded_warnings():
     """Record every warning raised inside the block as "Category: message"."""
@@ -407,25 +410,54 @@ def _recorded_warnings():
         try:
             yield texts
         finally:
-            texts += [f"{w.category.__name__}: {w.message}" for w in caught]
+            texts += _texts(caught)
+
+
+def _attributed(stepper, caught: list, texts: list[str]):
+    """``stepper``, moving what each of its resumes adds to ``caught`` into ``texts``."""
+    while True:
+        start = len(caught)
+        try:
+            states = next(stepper)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            if len(caught) > start:
+                texts += _texts(caught[start:])
+                del caught[start:]
+        yield states
+
+
+def _run_flows(owners: dict[_FlowKey, Scenario]) -> dict[_FlowKey, _Flow]:
+    """Step the flow of each key of ``owners`` (key -> the scenario that runs
+    it) in one ``flow1d._rounds`` call.  Each flow keeps its trajectories or
+    the error it raised, with its traceback, and the warnings raised while it
+    was resumed.  A warning of a stacked pass itself is not any one flow's:
+    every flow records it."""
+    flows = {key: _Flow(owner) for key, owner in owners.items()}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcomes = f1._rounds([_attributed(_steps(key), caught, flow.warnings)
+                               for key, flow in flows.items()])
+    for flow, outcome in zip(flows.values(), outcomes):
+        flow.warnings += _texts(caught)
+        if isinstance(outcome, Exception):
+            flow.error = f"{type(outcome).__name__}: {outcome}"
+            flow.traceback = "".join(traceback.format_exception(outcome))
+        else:
+            flow.trajs = outcome
+    return flows
 
 
 def _flow_for(s: Scenario, flows: dict) -> _Flow:
-    """Run the scenario's flow, or reuse the one ``flows`` holds under its key."""
+    """The scenario's flow: the one ``flows`` holds under its key, or its own,
+    run now and added to ``flows``."""
     key = _flow_key(s)
-    if key in flows:
-        return flows[key]
-    flow = _Flow(s)
-    with _recorded_warnings() as caught:
-        try:
-            flow.trajs = _run_flow(key)
-        except Exception as exc:
-            flow.error = f"{type(exc).__name__}: {exc}"
-            flow.traceback = traceback.format_exc()
-    flow.warnings = caught
-    if key is not None:
-        flows[key] = flow
-    return flow
+    if key is None:
+        return _Flow(s)
+    if key not in flows:
+        flows.update(_run_flows({key: s}))
+    return flows[key]
 
 
 def _write_flow(s: Scenario, out: Path, trajs: list[f1.Trajectory]) -> list[str]:
@@ -451,8 +483,8 @@ def run_scenario(s: Scenario, out_root, flows: dict) -> RunReport:
 
     ``flows`` maps flow keys to the flows a batch has run: a scenario whose
     key is there reuses that flow (its error and warnings too) instead of
-    running the driver again, and one that runs a flow adds it; pass {} to
-    run the scenario's own flow.  Each evaluator returns its artifact, and
+    running it again, and one that runs a flow adds it; pass {} to run the
+    scenario's own flow.  Each evaluator returns its artifact, and
     this writes it: a str as text, anything else as JSON.  Warnings raised
     while the scenario runs are recorded in the report, not shown.
     """
@@ -493,15 +525,20 @@ def _summary_entry(r: RunReport) -> dict:
 def accept(scenarios: list[Scenario], out_root, workers: int = 1):
     """Run every scenario in input order; return (reports, summary dict, exit status).
 
-    Scenarios with equal flow keys run their flow once: the first runs it,
-    the others reuse it, and each writes its own files and runs its own
-    analyses.  A flow is dropped after the last scenario that reads it.
-    ``workers`` is ignored; it is kept for callers that still pass it.
+    Every distinct flow runs first, all of them stepped together by
+    ``_run_flows``; scenarios with equal flow keys share one flow, owned by
+    the first, and each writes its own files and runs its own analyses.  A
+    flow is dropped after the last scenario that reads it.  ``workers`` is
+    ignored; it is kept for callers that still pass it.
     """
     out_root = Path(out_root)
     keys = [_flow_key(s) for s in scenarios]
     last = {key: i for i, key in enumerate(keys)}
-    flows: dict[_FlowKey, _Flow] = {}
+    owners = {}
+    for s, key in zip(scenarios, keys):
+        if key is not None:
+            owners.setdefault(key, s)
+    flows = _run_flows(owners)
     reports: list[RunReport] = []
     for i, (s, key) in enumerate(zip(scenarios, keys)):
         reports.append(run_scenario(s, out_root, flows))

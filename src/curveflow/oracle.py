@@ -14,7 +14,7 @@ from numpy.typing import NDArray
 
 from . import curves as cv
 from .errors import ExtinctError, InvalidInputError, NumericalBreakdownError
-from .flow1d import Event, FlowConfig, Snapshot, Trajectory, _cap, _evolve, _FlowState
+from .flow1d import Event, FlowConfig, Snapshot, Trajectory, _alone, _cap, _evolve, _FlowState
 
 SHRINKER_KINDS = ("circle", "cylinder", "sphere")
 MAX_POWER = 8.0
@@ -84,23 +84,18 @@ def grim_reaper(n: int = 161, half_width: float = 1.2) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 def _rk4_radius(c: float, p: float, r0: float, t_end: float, step: float) -> float:
-    """Classic fixed-step RK4 on r' = -c r^(-p), with the stages inline; at
-    p = 1 each stage divides (-c / r) instead of taking a power."""
+    """Classic fixed-step RK4 on r' = -c r^(-p), with the stages inline."""
     r = r0
     t = 0.0
     nc, q = -c, -p
-    while t < t_end - 1e-15:
-        h = min(step, t_end - t)
-        if p == 1.0:
-            k1 = nc / r
-            k2 = nc / (r + 0.5 * h * k1)
-            k3 = nc / (r + 0.5 * h * k2)
-            k4 = nc / (r + h * k3)
-        else:
-            k1 = nc * r ** q
-            k2 = nc * (r + 0.5 * h * k1) ** q
-            k3 = nc * (r + 0.5 * h * k2) ** q
-            k4 = nc * (r + h * k3) ** q
+    last = t_end - 1e-15
+    while t < last:
+        d = t_end - t
+        h = d if d < step else step
+        k1 = nc * r ** q
+        k2 = nc * (r + 0.5 * h * k1) ** q
+        k3 = nc * (r + 0.5 * h * k2) ** q
+        k4 = nc * (r + h * k3) ** q
         r += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
     return r
@@ -151,12 +146,9 @@ class _FrontState(_FlowState):
         self.traj = Trajectory([Snapshot(0.0, start, None)], self.events)
 
     def bind(self) -> None:
-        """The stencil on the points alone, and the velocity of the interior."""
-        self.stencil = cv._Stencil(self.verts)
+        """The pass on the points alone, and the velocity of the interior."""
+        self.pass_rows = self.verts
         self.vel_inside = self.vel[:, 1:-1]
-
-    def measure(self) -> None:
-        self.k, self.left, self.seg = self.stencil()
 
     def velocity(self) -> None:
         np.multiply(self.k, self.left, out=self.vel_inside)
@@ -171,18 +163,32 @@ class _FrontState(_FlowState):
         h_min = float(self.seg.min())
         return min(_cap(h_min, kmax), self.duration - t), h_min * h_min / 2.0
 
-    def advance(self, t: float, resample: bool) -> bool:
-        if resample:
-            _, s = cv._arclength(self.verts, closed=False)
-            targets = np.linspace(0.0, s[-1], self.verts.shape[1])
-            self.set_verts(cv._interpolate_rows(s, self.verts, targets, periodic=False))
-        self.measure()
+    def resample(self) -> None:
+        _, s = cv._arclength(self.verts, closed=False)
+        targets = np.linspace(0.0, s[-1], self.verts.shape[1])
+        self.set_verts(cv._interpolate_rows(s, self.verts, targets, periodic=False))
+
+    def advance(self, t: float) -> bool:
         return False
 
     def take(self, t: float) -> float:
         pts = cv._checked_points(self.verts.T, 4, closed=False, noun="front points")[0]
         self.traj.snapshots.append(Snapshot(t, pts, None))
         return 0.0   # no area: the front never snapshots on a schedule
+
+
+def _front_steps(points: NDArray[np.float64], duration: float, config: FlowConfig | None):
+    """The stepper of ``evolve_translating_front``: it raises on an end before the horizon."""
+    if not 0.0 < duration < math.inf:
+        raise InvalidInputError(f"duration must be positive and finite, got {duration}")
+    config = config or FlowConfig(resample_every=25)
+    trajs = yield from _evolve([_FrontState(points, duration, config)], config)
+    end = trajs[0].events[-1]
+    if end.kind != EVENT_HORIZON:
+        raise NumericalBreakdownError(
+            f"translating front ended with {end.kind} at t={end.time:.6g}, "
+            f"before its horizon t={duration:.6g}")
+    return trajs
 
 
 def evolve_translating_front(
@@ -195,16 +201,7 @@ def evolve_translating_front(
     the other drivers (default: ``FlowConfig(resample_every=25)``); its area
     stop never fires on an open chain.  An end before the horizon, the step
     budget or a curvature stop included, raises NumericalBreakdownError."""
-    if not 0.0 < duration < math.inf:
-        raise InvalidInputError(f"duration must be positive and finite, got {duration}")
-    config = config or FlowConfig(resample_every=25)
-    [traj] = _evolve([_FrontState(points, duration, config)], config)
-    end = traj.events[-1]
-    if end.kind != EVENT_HORIZON:
-        raise NumericalBreakdownError(
-            f"translating front ended with {end.kind} at t={end.time:.6g}, "
-            f"before its horizon t={duration:.6g}")
-    return traj
+    return _alone(_front_steps(points, duration, config))[0]
 
 
 def polyline_distance(points: NDArray[np.float64], target: NDArray[np.float64]) -> NDArray[np.float64]:

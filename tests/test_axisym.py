@@ -305,7 +305,7 @@ class TestInPlaceStep:
         config = f1.FlowConfig()
         state = ax._AxiState(profile, config)
         first_chain = state.chain
-        f1._evolve([state], config)
+        f1._alone(f1._evolve([state], config))
         assert np.array_equal(profile.samples, before)
         snaps = state.traj.snapshots
         assert len(snaps[-1].geometry) < len(profile)
@@ -350,7 +350,7 @@ class TestCachedGeometry:
             return plan(t)
 
         state.plan = checked_plan
-        [traj] = f1._evolve([state], config)
+        [traj] = f1._alone(f1._evolve([state], config))
         stats = traj.stats
         assert stats.event != f1.EVENT_STEP_BUDGET
         assert chains   # the spy ran
@@ -499,10 +499,11 @@ class TestOnePass:
                                   "meridian-torus", "meridian-dumbbell", "meridian-cylinder",
                                   "front"])
 def test_one_stencil_pass_per_step(case, monkeypatch):
-    """Every driver runs its bound stencil pass once per state and velocity
-    evaluation, plus once at the start: K x (evaluations + 1) calls for K states
-    on one clock, snapshots included.  The inputs are built before the count
-    starts: a torus meridian's constructor runs a pass of its own."""
+    """Every driver makes one stacked stencil call per velocity evaluation, over
+    the chains of all K states on one clock, plus one pass of each state's own
+    at its start: evaluations + K calls, snapshots included.  The inputs are
+    built before the count starts: a torus meridian's constructor runs a pass
+    of its own."""
     calls = []
     kernel = cv._Stencil.__call__
 
@@ -528,7 +529,9 @@ def test_one_stencil_pass_per_step(case, monkeypatch):
     monkeypatch.setattr(cv._Stencil, "__call__", counted)
     stats = flow().stats
     assert stats.evaluations > 100 and (stats.snapshots > 2 or case == "front")
-    assert len(calls) == k * (stats.evaluations + 1)
+    assert len(calls) == stats.evaluations + k
+    if case == "curve-pair":   # the first round's call spans both chains, ghosts included
+        assert calls[k] == (64 + 2) + (64 + 2) - 2
 
 
 @pytest.mark.parametrize("case", ["sphere", "torus", "dumbbell", "ellipse", "spiral"])
@@ -672,10 +675,11 @@ def rotate(points, angle):
 @pytest.mark.parametrize("case", ["curve-peanut", "meridian-sphere", "meridian-torus",
                                   "meridian-dumbbell", "meridian-cylinder", "front"])
 def test_bound_pass_matches_a_fresh_pass(case):
-    """After every RKL2 stage and every resample, the state's bound pass holds
-    what a fresh one-shot pass gives on its current chain (on a meridian, the
-    plain-expression reference), bit for bit, so no view outlives a bank that a
-    resample dropped; a meridian's velocity is the pole clamp read literally."""
+    """After every RKL2 stage and every resample, the state's share of the
+    stacked pass holds what a fresh one-shot pass gives on its current chain
+    (on a meridian, the plain-expression reference), bit for bit, so no view
+    outlives a bank that a resample dropped; a meridian's velocity is the pole
+    clamp read literally."""
     config = f1.FlowConfig(max_steps=3000, resample_every=2)
     if case == "curve-peanut":
         state = f1._CurveState(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0), config)
@@ -713,18 +717,18 @@ def test_bound_pass_matches_a_fresh_pass(case):
             return moved
 
         state.velocity = checked_velocity
-    measure = state.measure
+    finish = state.finish
     sizes = []
 
-    def checked_measure():
-        measure()
+    def checked_finish():
+        finish()
         held = (state.h if hasattr(state, "h") else state.k, state.left, state.seg)
         for a, b in zip(held, fresh()):
             assert same_bits(a, b)
         sizes.append(state.verts.shape[1])
 
-    state.measure = checked_measure
-    [traj] = f1._evolve([state], config)
+    state.finish = checked_finish
+    [traj] = f1._alone(f1._evolve([state], config))
     assert len(sizes) == traj.stats.evaluations and traj.stats.resamples > 2
     if case in ("curve-peanut", "meridian-sphere", "meridian-torus"):
         assert len(set(sizes)) > 2   # resamples changed the point count

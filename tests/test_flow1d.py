@@ -95,10 +95,10 @@ class TestStepping:
 
     def test_non_finite_chain_length_raises_named_error(self):
         state = f1._CurveState(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0), f1.FlowConfig())
-        dt = state.plan(0.0)[0]
+        state.plan(0.0)
         state.verts[:, 10] = np.nan
         with pytest.raises(DegenerateGeometryError, match="not finite"):
-            state.advance(dt, resample=True)
+            state.resample()
 
 
 class TestCircleRun:
@@ -349,7 +349,7 @@ def test_curve_analyses_refuse_a_meridian(analysis, sphere_traj):
 
 class TestCachedGeometry:
     """``plan``, the snapshot schedule and the snapshot metrics read the geometry
-    that ``_CurveState.measure`` kept; it must always be that of the current points."""
+    that the state's geometry pass kept; it must always be that of the current points."""
 
     @pytest.mark.parametrize("curves, p", [
         ([cv.circle_polygon(1.0, 64)], 1.0),
@@ -377,7 +377,7 @@ class TestCachedGeometry:
 
         for state, seen in zip(states, counts):
             state.plan = checked(state, seen)
-        f1._evolve(states, config)
+        f1._alone(f1._evolve(states, config))
         for state, seen in zip(states, counts):
             assert len(seen) > 2   # resamples changed the vertex count
             assert len(state.traj.snapshots) > 10
@@ -399,8 +399,66 @@ class TestCachedGeometry:
             sizes.append(state.verts.shape[1])
 
         state.measure_area = checked
-        f1._evolve([state], config)
+        f1._alone(f1._evolve([state], config))
         assert len(sizes) > 50 and len(set(sizes)) > 2
+
+
+def _flow_steppers(fail_after=None):
+    """Fresh steppers of a closed curve (a peanut, whose resamples change n),
+    a co-evolved circle and ellipse, a two-pole meridian and the grim reaper's
+    front.  With ``fail_after``, the pair's stepper raises after that many passes."""
+    config = f1.FlowConfig(resample_every=4)
+    pair = f1._curve_steps([cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 48)],
+                           f1.SpeedLaw(1.0), None)
+    if fail_after is not None:
+        def failing(stepper):
+            for _ in range(fail_after):
+                yield next(stepper)
+            raise FloatingPointError("pair failed")
+        pair = failing(pair)
+    return [f1._curve_steps([cv.peanut_polygon(1.0, 0.3, 96)], f1.SpeedLaw(1.0), config),
+            pair,
+            ax._axi_steps(ax.dumbbell_profile(1.0, 0.3, 1.0, 256), None),
+            oc._front_steps(oc.grim_reaper(81, 1.0), 0.1, None)]
+
+
+def _bits(geometry):
+    for name in ("vertices", "samples"):
+        geometry = getattr(geometry, name, geometry)
+    return geometry.dtype, geometry.shape, geometry.tobytes()
+
+
+def assert_same_run(a, b):
+    """Two trajectories with the same events, stats and snapshots, bit for bit."""
+    assert a.events == b.events and a.stats == b.stats
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert sa.time == sb.time and sa.metrics == sb.metrics
+        assert _bits(sa.geometry) == _bits(sb.geometry)
+
+
+class TestRounds:
+    def test_each_flow_runs_as_it_runs_alone(self):
+        """One stacked pass a round over a curve, a pair, a meridian and a front
+        gives each the trajectories of its own run, though the flows end in
+        different rounds and resamples change the stack's layout."""
+        together = f1._rounds(_flow_steppers())
+        alone = [f1._alone(stepper) for stepper in _flow_steppers()]
+        assert [len(trajs) for trajs in together] == [1, 2, 1, 1]
+        assert len({t.stats.evaluations for trajs in together for t in trajs}) == 4
+        for mine, own in zip(together, alone):
+            for a, b in zip(mine, own):
+                assert_same_run(a, b)
+
+    def test_a_stepper_that_raises_ends_alone(self):
+        together = f1._rounds(_flow_steppers(fail_after=30))
+        assert isinstance(together[1], FloatingPointError)
+        assert str(together[1]) == "pair failed"
+        for i in (0, 2, 3):
+            for a, b in zip(together[i], f1._alone(_flow_steppers()[i])):
+                assert_same_run(a, b)
+        with pytest.raises(FloatingPointError, match="pair failed"):
+            f1._alone(_flow_steppers(fail_after=30)[1])
 
 
 def _nested_pair(i):

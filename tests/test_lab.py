@@ -20,7 +20,7 @@ import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
 import curveflow.rescale as rs
-from curveflow.errors import ConfigError, InvalidInputError
+from curveflow.errors import ConfigError, InvalidInputError, NumericalBreakdownError
 from curveflow.lab import artifacts, cli, runner, scenarios
 
 TINY_CIRCLE = """[tiny_circle]
@@ -614,10 +614,9 @@ def scenario_files(root):
 
 @pytest.fixture
 def driver_calls(monkeypatch):
-    """Names of the flow drivers the runner calls, one entry per call."""
+    """Names of the driver steppers the runner makes, one entry per flow it steps."""
     calls = []
-    for module, name in ((f1, "run"), (f1, "co_evolve"), (ax, "run_axi"),
-                         (oc, "evolve_translating_front")):
+    for module, name in ((f1, "_curve_steps"), (ax, "_axi_steps"), (oc, "_front_steps")):
         def counted(*args, _driver=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _driver(*args, **kwargs)
@@ -799,7 +798,7 @@ analyses = neck
         runner.accept([s], tmp_path)
         (entry,) = json.loads((tmp_path / "summary.json").read_text())["scenarios"]
         measured = {c["name"]: c["measured"] for c in entry["checks"]}
-        [traj] = runner._run_flow(runner._flow_key(s))
+        [traj] = runner._flow_for(s, {}).trajs
         assert measured["area-law/slope"] == f1.analyze_area_law(traj).slope
         rows = np.loadtxt(tmp_path / "tiny_circle" / "radius_law.csv", delimiter=",",
                           skiprows=1)
@@ -834,13 +833,13 @@ analyses = neck
         assert [e["warnings"] for e in on_disk["scenarios"]] == [r.warnings for r in reports]
 
     def test_a_shared_flow_hands_its_warnings_to_every_member(self, tmp_path, monkeypatch):
-        run = f1.run
+        steps = f1._curve_steps
 
-        def warn_then_run(*args, **kwargs):
+        def warn_then_step(*args, **kwargs):
             warnings.warn("flow warned", RuntimeWarning)
-            return run(*args, **kwargs)
+            return steps(*args, **kwargs)
 
-        monkeypatch.setattr(f1, "run", warn_then_run)
+        monkeypatch.setattr(f1, "_curve_steps", warn_then_step)
         reports, _, _ = runner.accept(scenarios.parse_config(ELLIPSE_PAIR), tmp_path)
         assert [r.warnings for r in reports] == [["RuntimeWarning: flow warned"]] * 2
         assert reports[1].shared_flow == reports[0].scenario
@@ -878,17 +877,17 @@ analyses = neck
         text = (TINY_ELLIPSE.format(name="area", analysis="area-law")
                 + TINY_ELLIPSE.format(name="length", analysis="norm-length").replace(old, new))
         _, summary, _ = runner.accept(scenarios.parse_config(text), tmp_path)
-        assert driver_calls == ["run", "run"]
+        assert driver_calls == ["_curve_steps", "_curve_steps"]
         assert [e["shared_flow"] for e in summary["scenarios"]] == [None, None]
 
     def test_a_failed_shared_flow_fails_every_member(self, tmp_path, driver_calls):
         batch = scenarios.parse_config(COARSE_TORUS_PAIR) + [oracle_scenario()]
         _, summary, status = runner.accept(batch, tmp_path)
-        assert driver_calls == ["run_axi"]
+        assert driver_calls == ["_axi_steps"]
         assert status == 1 and summary["failed"] == 2
         neck, dial, oracle = summary["scenarios"]
         assert neck["error"].startswith("InvalidInputError: initial waist")
-        assert "in run_axi" in neck["traceback"]
+        assert "in _axi_steps" in neck["traceback"]
         assert (dial["error"], dial["traceback"]) == (neck["error"], neck["traceback"])
         assert (neck["shared_flow"], dial["shared_flow"]) == (None, "torus_neck")
         assert oracle["passed"] and oracle["shared_flow"] is None
@@ -909,6 +908,114 @@ analyses = neck
         assert "oracle_gate" in table
         assert "FAIL" in table
         assert "selfcheck" in table
+
+    def test_a_batch_steps_every_distinct_flow_in_one_round_call(self, tmp_path, monkeypatch):
+        rounds = f1._rounds
+        calls = []
+
+        def counted(steppers):
+            calls.append(len(steppers))
+            return rounds(steppers)
+
+        monkeypatch.setattr(f1, "_rounds", counted)
+        text = DUMBBELL_PAIR + TINY_CIRCLE + NESTED_PAIR + GRIM_REAPER + TINY_ORACLE
+        _, summary, status = runner.accept(scenarios.parse_config(text), tmp_path)
+        assert status == 0, [e["error"] for e in summary["scenarios"]]
+        assert calls == [4]   # the dumbbell pair shares one flow; the oracle runs none
+
+    def test_a_flow_that_raises_mid_round_fails_alone(self, tmp_path, monkeypatch):
+        """The nested pair's stepper warns and raises after 20 passes; its
+        scenario reports that error and warning, and every other flow of the
+        round finishes and writes what it writes alone."""
+        steps = f1._curve_steps
+
+        def failing_pair(curves, *args):
+            stepper = steps(curves, *args)
+            if len(curves) == 2:
+                for _ in range(20):
+                    yield next(stepper)
+                warnings.warn("pair warned", RuntimeWarning)
+                raise NumericalBreakdownError("pair broke mid-round")
+            return (yield from stepper)
+
+        monkeypatch.setattr(f1, "_curve_steps", failing_pair)
+        batch = scenarios.parse_config(TINY_CIRCLE + NESTED_PAIR + TINY_SPHERE + GRIM_REAPER)
+        reports, _, _ = runner.accept(batch, tmp_path / "batch")
+        assert [r.error for r in reports] == [
+            None, "NumericalBreakdownError: pair broke mid-round", None, None]
+        assert "in failing_pair" in reports[1].traceback
+        assert [r.warnings for r in reports] == [[], ["RuntimeWarning: pair warned"], [], []]
+        assert [r.passed for r in reports] == [True, False, True, True]
+        for s in (batch[0], batch[2], batch[3]):
+            runner.run_scenario(s, tmp_path / "alone", {})
+        files = scenario_files(tmp_path / "batch")
+        assert {p.parts[0] for p in files} == {"tiny_circle", "tiny_sphere", "reaper"}
+        assert files == scenario_files(tmp_path / "alone")
+
+
+# A torus meridian (ring 1.0) that collapses as a torus: at tube 0.25 and
+# n = 64 every snapshot is mean convex, the final decade's waist ratio spreads
+# 0.0257, the collapse sits at x = 0.113 and the final tube deviates from its
+# fitted circle by 0.025 mean spacings; at tube 0.55 and n = 96 four
+# snapshots are not mean convex.
+TORUS_NECK = """[{name}]
+kind = axi-flow
+shape = torus
+shape.ring_r = 1.0
+shape.tube_r = {tube_r}
+n = {n}
+resample_every = 10
+stop_area_fraction = 0.02
+analyses = neck
+check.event = torus-collapse
+"""
+# A 0.6 x 0.3 ellipse (TINY_ELLIPSE): area-law's extinction estimate 0.0899,
+# the largest circle residual 0.223, falling over the second half of the run.
+# A circle of radius 0.5 at n = 96 has a residual at roundoff, which rises
+# twice over the second half.
+CIRCLE_ROUNDNESS = """[circle_roundness]
+kind = curve-flow
+shape = circle
+shape.radius = 0.5
+n = 96
+law.p = 1.0
+resample_every = 10
+stop_area_fraction = 0.3
+analyses = roundness
+"""
+
+
+def torus_neck(name, check, tube_r=0.25, n=64):
+    return TORUS_NECK.format(name=name, tube_r=tube_r, n=n) + check + "\n"
+
+
+@pytest.mark.parametrize("name, passing, failing", [
+    ("area-law/lifetime",
+     TINY_ELLIPSE.format(name="long", analysis="area-law") + "check.lifetime_max = 0.1\n",
+     TINY_ELLIPSE.format(name="short", analysis="area-law") + "check.lifetime_max = 0.05\n"),
+    ("roundness/max",
+     TINY_ELLIPSE.format(name="loose", analysis="roundness") + "check.roundness_max = 0.5\n",
+     TINY_ELLIPSE.format(name="tight", analysis="roundness") + "check.roundness_max = 0.1\n"),
+    ("roundness/monotone",
+     TINY_ELLIPSE.format(name="falling", analysis="roundness") + "check.roundness_monotone = 1\n",
+     CIRCLE_ROUNDNESS + "check.roundness_monotone = 1\n"),
+    ("neck/ratio_band", torus_neck("wide", "check.neck_ratio_band = 0.05"),
+     torus_neck("narrow", "check.neck_ratio_band = 0.01")),
+    ("neck/location", torus_neck("far", "check.pinch_x_tol = 0.5"),
+     torus_neck("near", "check.pinch_x_tol = 0.05")),
+    ("neck/mean_convex", torus_neck("thin", "check.mean_convex = 1"),
+     torus_neck("fat", "check.mean_convex = 1", tube_r=0.55, n=96)),
+    ("neck/collapse_circle", torus_neck("coarse", "check.circle_fit_spacing_factor = 3.0"),
+     torus_neck("fine", "check.circle_fit_spacing_factor = 0.01")),
+], ids=["lifetime", "roundness-max", "roundness-monotone", "ratio-band", "location",
+        "mean-convex", "collapse-circle"])
+def test_optional_check_passes_and_fails(tmp_path, name, passing, failing):
+    """Each check the catalog sets but a scenario may leave off, run by the
+    runner on a small flow, once within its bound and once past it."""
+    reports, _, _ = runner.accept(scenarios.parse_config(passing + failing), tmp_path)
+    assert [r.error for r in reports] == [None, None]
+    verdicts = [[c.passed for c in r.checks if c.name == name] for r in reports]
+    assert verdicts == [[True], [False]]
 
 
 class TestCli:
