@@ -426,25 +426,25 @@ class _AxiState(_FlowState):
         self.period = profile.period
         self.two_poles = self.topology == TOPOLOGY_TWO_POLES
         self.off_axis = slice(1, -1) if self.two_poles else slice(None)
-        self.set_verts(profile.samples.T)
-        self.measure()
+        super().__init__(profile.samples.T, profile, config)
+
+    def start(self) -> None:
         self.measure_area()
         m = _metrics_of(self.chain, self.topology, self.h, self.area, self.waist)
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
-        super().__init__(config, m.surface_area, h0, float(self.seg.sum()), len(profile))
+        self.schedule(m, m.surface_area, h0, float(self.seg.sum()))
         # A torus collapses and a cylinder pinches; only axis-bounded profiles end at a pole.
         periodic = self.topology == TOPOLOGY_PERIODIC
         self.pinch_kind = EVENT_TORUS_COLLAPSE if periodic else EVENT_NECK_PINCH
         self.stop_kind = EVENT_POLE_EXTINCTION if self.two_poles else self.pinch_kind
         rmin0, x0, true_waist, i = self.waist
-        thr = _neck_threshold(profile.samples, i)
+        thr = _neck_threshold(self.first.samples, i)
         if true_waist and rmin0 < NECK_START_MARGIN * thr:
             raise InvalidInputError(f"initial waist {rmin0:.4g} at x = {x0:.4g} is within "
                                     f"{NECK_START_MARGIN:.3g} x its neck threshold {thr:.4g}; "
                                     "use more samples")
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
-        self.traj = Trajectory([Snapshot(0.0, profile, m)], self.events)
 
     def bind(self) -> None:
         """The h buffer of the new bank's samples."""

@@ -426,7 +426,7 @@ def is_embedded(curve: PlaneCurve) -> bool:
 
 
 def _is_simple(v: NDArray[np.float64], diam: float, two_poles: bool = False,
-               stencil: _Stencil | _Share | None = None, r_int: float | None = None) -> bool:
+               stencil: _Share | None = None, r_int: float | None = None) -> bool:
     """``is_embedded`` of the closed polygon ``v``: the convex certificate, or
     ``AxiProfile``'s x-monotone one for a ``two_poles`` meridian, else the sweep;
     a flow's pass may give ``stencil``, over v's closed chain, and ``r_int``."""

@@ -21,8 +21,9 @@ per evaluation; curves and meridians also share its snapshot schedule.
 ``_evolve`` is a generator that yields at each pass, and ``_rounds`` runs
 many of them together: each round it copies every live state's chain into
 one stack and runs one ``curves._Stencil`` over it, and each state reads its
-share of the outputs.  Only the pass at a step's end adds the area; the next
-bound and every snapshot read that pass.
+share of the outputs.  The first pass starts each state; after it, only the
+pass at a step's end adds the area, and the next bound and every snapshot
+read that pass.
 """
 
 from __future__ import annotations
@@ -185,32 +186,44 @@ class _FlowState:
     exactly one and it is the last; :meth:`close` ends on an event at t after
     a snapshot at t, and :meth:`record` only takes snapshots.  Subclasses keep
     their points as (2, n) rows in ``verts`` (``set_verts``, which calls
-    ``bind`` on a new bank) and supply ``plan`` (fills ``vel`` with F(Y0) and
-    returns the displacement cap, ``_cap``, and the forward-Euler diffusive
-    bound; ``peak`` closes it at the curvature cap), ``velocity`` (``vel``
-    from the pass), ``resample`` (before the step's last pass),
-    ``advance(t)`` (after it: the area, and is a snapshot due?), ``take(t)``
-    (build and check the snapshot's geometry, append it, return its area),
-    ``stop_kind`` and ``traj``, the ``Trajectory`` that ``take`` appends to.
-    A geometry pass reads ``pass_rows``: ``fill`` readies them, the stencil
-    runs (``measure``'s own, or a round's stacked one), ``adopt`` keeps the
-    state's share of its outputs and ``finish`` completes it.
+    ``bind`` on a new bank) and supply ``start`` (reads the run's first pass
+    and calls ``schedule``), ``plan`` (fills ``vel`` with F(Y0) and returns
+    the displacement cap, ``_cap``, and the forward-Euler diffusive bound;
+    ``peak`` closes it at the curvature cap), ``velocity`` (``vel`` from the
+    pass), ``resample`` (before the step's last pass), ``advance(t)`` (after
+    it: the area, and is a snapshot due?), ``take(t)`` (build and check the
+    snapshot's geometry, append it, return its area) and ``stop_kind``.  A
+    geometry pass (``_pass``) reads ``pass_rows``: ``fill`` readies them, a
+    round's stacked stencil runs, ``adopt`` keeps the state's share of its
+    outputs and ``finish`` completes it.
     """
 
     stop_kind = EVENT_EXTINCTION
+    law = SpeedLaw()   # of the trajectory: a meridian or front keeps p = 1
     chain = np.empty((2, 0))   # set_verts allocates each state's own, per point count
 
-    def __init__(self, config: FlowConfig, area0: float, k0: float, length: float, count: int):
+    def __init__(self, rows: NDArray[np.float64], first, config: FlowConfig):
+        """Lay out the (2, n) point rows; ``first`` is the input geometry, the
+        initial snapshot's.  The state starts in the first pass of its run."""
+        self.first, self.config = first, config
         self.events: list[Event] = []
         self.last_time = 0.0   # of the latest snapshot; the initial one is at t = 0
+        self.done = False
+        self.set_verts(rows)
+
+    def schedule(self, metrics, area0: float, k0: float, length: float) -> None:
+        """Start from the first pass: the curvature cap, the resample spacing,
+        the area schedule and ``traj``, which holds the initial snapshot of the
+        input geometry and its ``metrics``, and which ``take`` appends to."""
+        config = self.config
         self.cap = config.max_curvature_stop
         if self.cap is None:
             self.cap = BLOWUP_FACTOR * max(k0, 1.0)
-        self.spacing = length / count
+        self.spacing = length / self.verts.shape[1]
         self.ratio = config.stop_area_fraction ** (1.0 / SNAPSHOT_LEVELS)
         self.next_area = area0 * self.ratio
         self.stop_area = config.stop_area_fraction * area0
-        self.done = False
+        self.traj = Trajectory([Snapshot(0.0, self.first, metrics)], self.events, self.law)
 
     def set_verts(self, rows: NDArray[np.float64]) -> None:
         """Copy (2, n) point rows into ``verts``, the inside of the (2, n + 2)
@@ -238,23 +251,13 @@ class _FlowState:
     def fill(self) -> None:
         """Ready ``pass_rows`` for a pass: the ghost columns."""
 
-    def adopt(self, share) -> None:
-        """Keep ``share``, this state's part of a pass's outputs (a
-        ``curves._Stencil`` or its ``share``), and its curvature, left normal
-        and edge lengths."""
+    def adopt(self, share: cv._Share) -> None:
+        """Keep ``share``, this state's part of a round's stacked pass, and its
+        curvature, left normal and edge lengths."""
         self.geo, self.k, self.left, self.seg = share, share.k, share.left, share.seg
 
     def finish(self) -> None:
         """Complete a pass from the share it adopted."""
-
-    def measure(self) -> None:
-        """A geometry pass of the state's own on a fresh stencil: the one its
-        constructor makes before any round."""
-        self.fill()
-        stencil = cv._Stencil(self.pass_rows)
-        stencil()
-        self.adopt(stencil)
-        self.finish()
 
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
@@ -341,18 +344,30 @@ def _stage_count(tau: float, euler: float) -> tuple[int, float]:
     return s, min(tau, euler * (s * s + s - 2) / 4.0)
 
 
+def _pass(states: list[_FlowState]):
+    """One geometry pass of ``states``: fill their rows, yield them to
+    ``_rounds``, which runs the stacked stencil, and finish the pass."""
+    for s in states:
+        s.fill()
+    yield states
+    for s in states:
+        s.finish()
+
+
 def _evolve(states: list[_FlowState], config: FlowConfig):
     """Step every state on one clock until one stops, the step budget runs out
     or the clock stalls (t + tau == t): a generator for ``_rounds``.
 
-    A step is one RKL2 step over tau, the smallest cap a ``plan`` returns, in
-    ``_stage_count``'s stages.  Stage j writes Y(j), one weighted sum of a
-    bank's first five slots, into slot 5, then shifts Y(j-1) into slot 1 and
-    Y(j) into the chain.  At each geometry pass, after every stage but the
-    last and at the step's end, it fills the states' rows and yields
-    ``states``; resumed, it finishes the pass.  Returns each state's
-    trajectory, in order, with its stats.
+    The first ``_pass`` starts every state.  A step is one RKL2 step over
+    tau, the smallest cap a ``plan`` returns, in ``_stage_count``'s stages.
+    Stage j writes Y(j), one weighted sum of a bank's first five slots, into
+    slot 5, then shifts Y(j-1) into slot 1 and Y(j) into the chain.  A
+    ``_pass`` follows every stage but the last, and one ends the step.
+    Returns each state's trajectory, in order, with its stats.
     """
+    yield from _pass(states)
+    for s in states:
+        s.start()
     t = 0.0
     steps = evaluations = max_stages = 0
     min_stages = MAX_STAGES
@@ -376,12 +391,9 @@ def _evolve(states: list[_FlowState], config: FlowConfig):
             s.bank[4] = s.bank[3]   # F0, which plan left in F
         for j, w in enumerate(weights):
             if j:
-                for s in states:
-                    s.fill()
-                yield states
+                yield from _pass(states)
             for s in states:
                 if j:
-                    s.finish()
                     s.velocity()
                 np.dot(w, s.stage_in, out=s.stage_out)
                 s.older[...] = s.newest   # Y(j-1), the next stage's Y(j-2)
@@ -393,17 +405,11 @@ def _evolve(states: list[_FlowState], config: FlowConfig):
         max_stages = max(max_stages, stages)
         dt_min = min(dt_min, tau)
         dt_max = max(dt_max, tau)
-        resample = steps % config.resample_every == 0
-        for s in states:
-            if resample:
+        if steps % config.resample_every == 0:
+            for s in states:
                 s.resample()
-            s.fill()
-        yield states
-        due = []
-        for s in states:
-            s.finish()
-            due.append(s.advance(t))
-        if any(due):
+        yield from _pass(states)
+        if any([s.advance(t) for s in states]):
             for s in states:
                 if not s.done:
                     s.snapshot(t)
@@ -492,15 +498,15 @@ class _CurveState(_FlowState):
     """
 
     def __init__(self, curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig):
-        self.set_verts(curve.vertices.T)
-        self.measure()
+        super().__init__(curve.vertices.T, curve, config)
+        self.law = law
+
+    def start(self) -> None:
         self.measure_area()
         m = cv._metrics_of(self.k, self.seg, self.area)
         k0 = max(abs(m.min_curvature), abs(m.max_curvature))
-        super().__init__(config, abs(m.enclosed_area), k0, m.length, len(curve))
-        self.law = law
+        self.schedule(m, abs(m.enclosed_area), k0, m.length)
         self.was_convex = m.convex
-        self.traj = Trajectory([Snapshot(0.0, curve, m)], self.events, law)
 
     def bind(self) -> None:
         """The ghost columns with the points they wrap to, the buffers

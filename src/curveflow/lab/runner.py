@@ -449,17 +449,6 @@ def _run_flows(owners: dict[_FlowKey, Scenario]) -> dict[_FlowKey, _Flow]:
     return flows
 
 
-def _flow_for(s: Scenario, flows: dict) -> _Flow:
-    """The scenario's flow: the one ``flows`` holds under its key, or its own,
-    run now and added to ``flows``."""
-    key = _flow_key(s)
-    if key is None:
-        return _Flow(s)
-    if key not in flows:
-        flows.update(_run_flows({key: s}))
-    return flows[key]
-
-
 def _write_flow(s: Scenario, out: Path, trajs: list[f1.Trajectory]) -> list[str]:
     """Write the trajectory CSVs (of snapshots with metrics), drawings and saved
     snapshots; return their names."""
@@ -478,21 +467,20 @@ def _write_flow(s: Scenario, out: Path, trajs: list[f1.Trajectory]) -> list[str]
     return names
 
 
-def run_scenario(s: Scenario, out_root, flows: dict) -> RunReport:
+def run_scenario(s: Scenario, out_root, flow: _Flow) -> RunReport:
     """Execute one scenario into its own subdirectory of out_root.
 
-    ``flows`` maps flow keys to the flows a batch has run: a scenario whose
-    key is there reuses that flow (its error and warnings too) instead of
-    running it again, and one that runs a flow adds it; pass {} to run the
-    scenario's own flow.  Each evaluator returns its artifact, and
-    this writes it: a str as text, anything else as JSON.  Warnings raised
-    while the scenario runs are recorded in the report, not shown.
+    ``flow`` is the scenario's flow as ``accept`` ran it, its error and
+    warnings too, perhaps shared with other scenarios; a scenario that runs
+    no flow gets an empty one of its own.  Each evaluator returns its
+    artifact, and this writes it: a str as text, anything else as JSON.
+    Warnings raised while the scenario runs are recorded in the report, not
+    shown.
     """
     started = time.perf_counter()
     out = Path(out_root) / s.name
     out.mkdir(parents=True, exist_ok=True)
     with _recorded_warnings() as caught:
-        flow = _flow_for(s, flows)
         artifacts, checks, error, trace = [], [], flow.error, flow.traceback
         telemetry = ({"trajectories": [asdict(t.stats) for t in flow.trajs]}
                      if flow.trajs else None)
@@ -541,7 +529,7 @@ def accept(scenarios: list[Scenario], out_root, workers: int = 1):
     flows = _run_flows(owners)
     reports: list[RunReport] = []
     for i, (s, key) in enumerate(zip(scenarios, keys)):
-        reports.append(run_scenario(s, out_root, flows))
+        reports.append(run_scenario(s, out_root, flows.get(key) or _Flow(s)))
         if last[key] == i:
             flows.pop(key, None)
     summary = {

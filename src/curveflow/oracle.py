@@ -135,15 +135,14 @@ class _FrontState(_FlowState):
     keeps the start and the snapshot taken at the end."""
 
     def __init__(self, points, duration: float, config: FlowConfig):
-        start = cv._checked_points(points, 4, closed=False, noun="front points")[0]
-        self.set_verts(start.T)
-        self.measure()
-        # An open chain encloses no area, and the front never snapshots on one.
-        super().__init__(config, 0.0, float(np.abs(self.k).max()), float(self.seg.sum()),
-                         self.verts.shape[1])
+        pts = cv._checked_points(points, 4, closed=False, noun="front points")[0]
+        super().__init__(pts.T, pts, config)
         self.duration = duration
         self.vel[:, [0, -1]] = FRONT_END_VELOCITY   # once: a resample keeps the bank
-        self.traj = Trajectory([Snapshot(0.0, start, None)], self.events)
+
+    def start(self) -> None:
+        # An open chain encloses no area, and the front never snapshots on one.
+        self.schedule(None, 0.0, float(np.abs(self.k).max()), float(self.seg.sum()))
 
     def bind(self) -> None:
         """The pass on the points alone, and the velocity of the interior."""

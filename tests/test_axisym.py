@@ -16,6 +16,7 @@ import curveflow.oracle as oc
 import curveflow.rescale as rs
 from curveflow.errors import CurveflowError, DegenerateGeometryError, InvalidInputError, NoNeckError
 from test_curves import reference_three_point
+from test_flow1d import started
 
 
 def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
@@ -407,7 +408,7 @@ class TestMeridianPass:
         ends = pts if two_poles else np.vstack([pts, pts[:1] + [profile.period or 0.0, 0.0]])
         h = np.hypot(*np.diff(ends, axis=0).T).min()
         r_int = pts[1:-1, 1].min() if two_poles else pts[:, 1].min()
-        bound = ax._AxiState(profile, f1.FlowConfig()).plan(0.0)[1]
+        bound = started(ax._AxiState(profile, f1.FlowConfig())).plan(0.0)[1]
         assert bound == pytest.approx(min(h * h / 2.0, h * r_int / 4.0), rel=1e-12)
         assert (h * r_int / 4.0 < h * h / 2.0) == two_poles
 
@@ -457,7 +458,7 @@ class TestOnePass:
         j = 1 if end == 0 else -2
         dx, dr = s[j] - s[end]
         s[j] = s[end] + (-2.0 * dx, 0.6 * dr)
-        state = ax._AxiState(ax.AxiProfile(s), f1.FlowConfig())
+        state = started(ax._AxiState(ax.AxiProfile(s), f1.FlowConfig()))
         h = state.h.copy()
         assert abs(h[end]) > 2.0 * abs(h[j]) and (h[end] < 0) == reverse
         assert np.isfinite(state.plan(0.0)[0])
@@ -500,38 +501,45 @@ class TestOnePass:
                                   "front"])
 def test_one_stencil_pass_per_step(case, monkeypatch):
     """Every driver makes one stacked stencil call per velocity evaluation, over
-    the chains of all K states on one clock, plus one pass of each state's own
-    at its start: evaluations + K calls, snapshots included.  The inputs are
-    built before the count starts: a torus meridian's constructor runs a pass
-    of its own."""
-    calls = []
-    kernel = cv._Stencil.__call__
+    the chains of all K states on one clock, plus the first round's call, which
+    starts them: evaluations + 1 calls, snapshots included.  Every share a
+    state adopts, so every ``geo`` it holds, is a ``curves._Share`` of a
+    stacked call.  The inputs are built before the count starts: a torus
+    meridian's constructor runs a pass of its own."""
+    calls, shares = [], []
+    kernel, adopt = cv._Stencil.__call__, f1._FlowState.adopt
 
     def counted(stencil):
         calls.append(len(stencil.k))
         return kernel(stencil)
 
+    def kept(state, share):
+        shares.append(type(share))
+        adopt(state, share)
+
     if case == "curve-peanut":
         peanut = cv.peanut_polygon(1.0, 0.3, 128)
-        k, flow = 1, lambda: f1.run(peanut, f1.SpeedLaw(1.0))
+        flow = lambda: f1.run(peanut, f1.SpeedLaw(1.0))
     elif case == "curve-pair":
         pair = [cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 64)]
-        k, flow = 2, lambda: f1.co_evolve(pair, f1.SpeedLaw(1.0))[0]
+        flow = lambda: f1.co_evolve(pair, f1.SpeedLaw(1.0))[0]
     elif case == "front":
         front = oc.grim_reaper(81, 1.0)
-        k, flow = 1, lambda: oc.evolve_translating_front(front, 0.1)
+        flow = lambda: oc.evolve_translating_front(front, 0.1)
     else:
         profile = {"sphere": ax.sphere_profile(0.5, 64),
                    "torus": ax.torus_profile(1.0, 0.25, 64),
                    "dumbbell": ax.dumbbell_profile(1.0, 0.3, 1.0, 256),
                    "cylinder": perturbed_cylinder()}[case.split("-")[1]]
-        k, flow = 1, lambda: ax.run_axi(profile)
+        flow = lambda: ax.run_axi(profile)
     monkeypatch.setattr(cv._Stencil, "__call__", counted)
+    monkeypatch.setattr(f1._FlowState, "adopt", kept)
     stats = flow().stats
     assert stats.evaluations > 100 and (stats.snapshots > 2 or case == "front")
-    assert len(calls) == stats.evaluations + k
+    assert len(calls) == stats.evaluations + 1
+    assert shares and set(shares) == {cv._Share}
     if case == "curve-pair":   # the first round's call spans both chains, ghosts included
-        assert calls[k] == (64 + 2) + (64 + 2) - 2
+        assert calls[0] == (64 + 2) + (64 + 2) - 2
 
 
 @pytest.mark.parametrize("case", ["sphere", "torus", "dumbbell", "ellipse", "spiral"])
@@ -636,10 +644,10 @@ def test_snapshot_checks_on_the_pass_match_the_constructor(kind, seed, damage):
         rows[1, rng.integers(1, n - 1)] = 500.0 * cv.DISTINCT_REL_TOL * cv.bbox_diameter(pts)
 
     config = f1.FlowConfig()
-    state = (f1._CurveState(start, f1.SpeedLaw(1.0), config) if is_curve
-             else ax._AxiState(start, config))
+    state = started(f1._CurveState(start, f1.SpeedLaw(1.0), config) if is_curve
+                    else ax._AxiState(start, config))
     state.set_verts(rows)
-    state.measure()   # the step's last pass, as advance makes it
+    f1._alone(f1._pass([state]))   # the step's last pass, as advance reads it
     state.measure_area()
     with mock.patch.object(cv, "_segment_sweep", wraps=cv._segment_sweep) as sweep:
         _, got_error = outcome(lambda: state.take(1.0))
@@ -675,11 +683,11 @@ def rotate(points, angle):
 @pytest.mark.parametrize("case", ["curve-peanut", "meridian-sphere", "meridian-torus",
                                   "meridian-dumbbell", "meridian-cylinder", "front"])
 def test_bound_pass_matches_a_fresh_pass(case):
-    """After every RKL2 stage and every resample, the state's share of the
-    stacked pass holds what a fresh one-shot pass gives on its current chain
-    (on a meridian, the plain-expression reference), bit for bit, so no view
-    outlives a bank that a resample dropped; a meridian's velocity is the pole
-    clamp read literally."""
+    """After the pass that starts it, every RKL2 stage and every resample, the
+    state's share of the stacked pass holds what a fresh one-shot pass gives
+    on its current chain (on a meridian, the plain-expression reference), bit
+    for bit, so no view outlives a bank that a resample dropped; a meridian's
+    velocity is the pole clamp read literally."""
     config = f1.FlowConfig(max_steps=3000, resample_every=2)
     if case == "curve-peanut":
         state = f1._CurveState(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0), config)
@@ -729,7 +737,7 @@ def test_bound_pass_matches_a_fresh_pass(case):
 
     state.finish = checked_finish
     [traj] = f1._alone(f1._evolve([state], config))
-    assert len(sizes) == traj.stats.evaluations and traj.stats.resamples > 2
+    assert len(sizes) == traj.stats.evaluations + 1 and traj.stats.resamples > 2
     if case in ("curve-peanut", "meridian-sphere", "meridian-torus"):
         assert len(set(sizes)) > 2   # resamples changed the point count
 

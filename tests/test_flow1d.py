@@ -18,6 +18,13 @@ import curveflow.rescale as rs
 from curveflow.errors import DegenerateGeometryError, InvalidInputError
 
 
+def started(state):
+    """``state`` after the first pass of its run, started as ``_evolve`` starts it."""
+    f1._alone(f1._pass([state]))
+    state.start()
+    return state
+
+
 @pytest.fixture(scope="module")
 def small_circle_traj():
     return f1.run(cv.circle_polygon(0.5, 128), f1.SpeedLaw(1.0),
@@ -94,7 +101,8 @@ class TestStepping:
         assert np.allclose(a.times(), b.times(), rtol=1e-12, atol=0.0)
 
     def test_non_finite_chain_length_raises_named_error(self):
-        state = f1._CurveState(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0), f1.FlowConfig())
+        state = started(f1._CurveState(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0),
+                                       f1.FlowConfig()))
         state.plan(0.0)
         state.verts[:, 10] = np.nan
         with pytest.raises(DegenerateGeometryError, match="not finite"):
@@ -286,7 +294,7 @@ class TestStops:
         # F'(k) = p |k|^(p-1), with |k| floored at 1 / length; below p = 1 the
         # factor stays 1.
         curve = cv.ellipse_polygon(1.5, 0.5, 64)
-        state = f1._CurveState(curve, f1.SpeedLaw(p), f1.FlowConfig())
+        state = started(f1._CurveState(curve, f1.SpeedLaw(p), f1.FlowConfig()))
         k, _ = cv.curvature_profile(curve)
         edges = np.hypot(*np.diff(np.vstack([curve.vertices, curve.vertices[:1]]), axis=0).T)
         h, length = edges.min(), edges.sum()

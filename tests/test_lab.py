@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -626,7 +627,7 @@ def driver_calls(monkeypatch):
 
 class TestRunner:
     def test_tiny_circle_scenario_passes(self, tmp_path):
-        report = runner.run_scenario(tiny_circle_scenario(), tmp_path, {})
+        [report], _, _ = runner.accept([tiny_circle_scenario()], tmp_path)
         assert report.error is None
         assert report.passed
         assert report.wall_time > 0
@@ -637,7 +638,7 @@ class TestRunner:
                                          "area_law.json", "snapshots/index.json"}
 
     def test_each_analysis_contributes_exactly_once(self, tmp_path):
-        report = runner.run_scenario(tiny_circle_scenario(), tmp_path, {})
+        [report], _, _ = runner.accept([tiny_circle_scenario()], tmp_path)
         assert report.artifacts.count("radius_law.csv") == 1
         assert report.artifacts.count("area_law.json") == 1
         prefixes = {c.name.split("/")[0] for c in report.checks}
@@ -653,15 +654,14 @@ class TestRunner:
         empty = tmp_path / "cwd"
         empty.mkdir()
         monkeypatch.chdir(empty)
-        flows = {}
-        for s in batch:
-            report = runner.run_scenario(s, tmp_path / "out", flows)
+        run, seen = runner.run_scenario, []
+
+        def checked(s, out_root, flow):   # each scenario as accept runs it, with its flow
+            report = run(s, out_root, flow)
             assert report.error is None, report.error
-            flow = flows.get(runner._flow_key(s))
-            trajs = flow.trajs if flow else []
             before = sorted(tmp_path.rglob("*"))
             for analysis in s.analyses:
-                name, payload, _ = runner._EVALUATORS[analysis](s, *trajs)
+                name, payload, _ = runner._EVALUATORS[analysis](s, *flow.trajs)
                 assert name in report.artifacts
                 written = (tmp_path / "out" / s.name / name).read_text()
                 if isinstance(payload, str):
@@ -670,6 +670,12 @@ class TestRunner:
                     assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
             assert sorted(tmp_path.rglob("*")) == before
             assert list(empty.iterdir()) == []
+            seen.append(s)
+            return report
+
+        monkeypatch.setattr(runner, "run_scenario", checked)
+        runner.accept(batch, tmp_path / "out")
+        assert seen == batch
 
     @pytest.mark.parametrize("ending", ["crossed-start", "embeddedness-loss"])
     def test_embedded_flags_match_a_test_of_every_snapshot(self, ending):
@@ -690,8 +696,8 @@ class TestRunner:
 
     def test_runs_are_bit_identical(self, tmp_path):
         s = tiny_circle_scenario()
-        runner.run_scenario(s, tmp_path / "a", {})
-        runner.run_scenario(s, tmp_path / "b", {})
+        runner.accept([s], tmp_path / "a")
+        runner.accept([s], tmp_path / "b")
         for name in ("trajectory.csv", "radius_law.csv", "area_law.json"):
             left = (tmp_path / "a" / "tiny_circle" / name).read_bytes()
             right = (tmp_path / "b" / "tiny_circle" / name).read_bytes()
@@ -716,7 +722,7 @@ class TestRunner:
         assert scenario_files(tmp_path / "a") == scenario_files(tmp_path / "b")
 
     def test_nested_pair_writes_one_set_per_curve(self, tmp_path):
-        report = runner.run_scenario(scenarios.parse_config(NESTED_PAIR)[0], tmp_path, {})
+        [report], _, _ = runner.accept(scenarios.parse_config(NESTED_PAIR), tmp_path)
         assert report.passed, report.error
         assert report.artifacts == [
             f"{stem}_{i}{ext}" for i in (0, 1)
@@ -738,7 +744,7 @@ resample_every = 10
 stop_area_fraction = 0.02
 analyses = neck
 """
-        report = runner.run_scenario(scenarios.parse_config(text)[0], tmp_path, {})
+        [report], _, _ = runner.accept(scenarios.parse_config(text), tmp_path)
         assert not report.passed
         assert report.error is not None
         assert "InvalidInputError" in report.error
@@ -747,7 +753,7 @@ analyses = neck
 
     def test_oracle_scenario_is_fast(self, tmp_path):
         started = time.perf_counter()
-        report = runner.run_scenario(oracle_scenario(), tmp_path, {})
+        [report], _, _ = runner.accept([oracle_scenario()], tmp_path)
         elapsed = time.perf_counter() - started
         assert report.passed
         assert elapsed < 5.0
@@ -798,7 +804,7 @@ analyses = neck
         runner.accept([s], tmp_path)
         (entry,) = json.loads((tmp_path / "summary.json").read_text())["scenarios"]
         measured = {c["name"]: c["measured"] for c in entry["checks"]}
-        [traj] = runner._flow_for(s, {}).trajs
+        [traj] = f1._alone(runner._steps(runner._flow_key(s)))
         assert measured["area-law/slope"] == f1.analyze_area_law(traj).slope
         rows = np.loadtxt(tmp_path / "tiny_circle" / "radius_law.csv", delimiter=",",
                           skiprows=1)
@@ -860,12 +866,32 @@ analyses = neck
         assert [(e["name"], e["shared_flow"]) for e in summary["scenarios"]] == [
             (s.name, first.name if s is second else None) for s in batch]
         for s in batch:
-            assert runner.run_scenario(s, tmp_path / "alone", {}).shared_flow is None
+            [report], _, _ = runner.accept([s], tmp_path / "alone")
+            assert report.shared_flow is None
         # alone, the pair's second member runs the flow the batch shared
         assert len(driver_calls) - in_batch == in_batch + 1
         files = scenario_files(tmp_path / "batch")
         assert {path.parts[0] for path in files} == {s.name for s in batch}
         assert files == scenario_files(tmp_path / "alone")
+
+    def test_a_shared_flow_is_freed_after_its_last_reader(self, tmp_path, monkeypatch):
+        """The ellipse pair's flow is still held while its second member runs,
+        split from the first by the circle, and freed before the oracle runs."""
+        parsed = scenarios.parse_config(ELLIPSE_PAIR + TINY_CIRCLE + TINY_ORACLE)
+        batch = [parsed[i] for i in (0, 2, 1, 3)]
+        run, refs, alive = runner.run_scenario, [], []
+
+        def watched(s, out_root, flow):
+            if s is batch[0]:
+                refs.append(weakref.ref(flow.trajs[0]))
+            alive.append(refs[0]() is not None)
+            return run(s, out_root, flow)
+
+        monkeypatch.setattr(runner, "run_scenario", watched)
+        reports, _, _ = runner.accept(batch, tmp_path)
+        assert [r.error for r in reports] == [None] * 4
+        assert reports[2].shared_flow == batch[0].name
+        assert alive == [True, True, True, False]
 
     @pytest.mark.parametrize("old, new", [
         ("n = 64", "n = 72"),
@@ -947,7 +973,7 @@ analyses = neck
         assert [r.warnings for r in reports] == [[], ["RuntimeWarning: pair warned"], [], []]
         assert [r.passed for r in reports] == [True, False, True, True]
         for s in (batch[0], batch[2], batch[3]):
-            runner.run_scenario(s, tmp_path / "alone", {})
+            runner.accept([s], tmp_path / "alone")
         files = scenario_files(tmp_path / "batch")
         assert {p.parts[0] for p in files} == {"tiny_circle", "tiny_sphere", "reaper"}
         assert files == scenario_files(tmp_path / "alone")

@@ -14,6 +14,7 @@ from curveflow.errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
+from test_flow1d import started
 
 
 class TestShrinkers:
@@ -143,7 +144,7 @@ class TestTranslators:
         # the cap 0.25 h / max|k| lies below the forward-Euler bound h^2 / 2.
         h = 0.1
         pts = h * np.array([[-3.0, 0.0], [-2, 0], [-1, 0], [0, 0], [0, 1], [0, 2], [0, 3]])
-        state = oc._FrontState(pts, 1.0, f1.FlowConfig())
+        state = started(oc._FrontState(pts, 1.0, f1.FlowConfig()))
         k, _, seg = cv._Stencil(state.verts)()
         kmax, h_min = float(np.abs(k).max()), float(seg.min())
         assert kmax * h_min == pytest.approx(math.sqrt(2.0))
