@@ -446,10 +446,6 @@ class _AxiState(_FlowState):
         self.waist0 = rmin0 if true_waist else None
         self.next_waist = rmin0 * self.ratio
 
-    def bind(self) -> None:
-        """The h buffer of the new bank's samples."""
-        self.h = np.empty(self.verts.shape[1])
-
     def fill(self) -> None:
         """Put the poles back on the axis, then fill the ghost columns."""
         if self.two_poles:
@@ -458,9 +454,10 @@ class _AxiState(_FlowState):
         _fill_ghosts(self.chain, self.topology, self.period)
 
     def adopt(self, share) -> None:
-        """Keep the share, the polyline's segment lengths and h's terms."""
+        """Keep the share, the polyline's segment lengths, and h with its terms."""
         super().adopt(share)
         self.seg = share.seg[_polyline(self.topology)]
+        self.h = np.empty(self.verts.shape[1])
         self.h_terms = _h_terms(share, self.chain, self.topology, self.h)
 
     def finish(self) -> None:

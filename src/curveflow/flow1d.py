@@ -78,17 +78,10 @@ class SpeedLaw:
         if not 0.0 < self.p <= 8.0:
             raise InvalidInputError(f"law.p must be in (0, 8], got {self.p}")
 
-    def speed_into(self, k: NDArray[np.float64], mag: NDArray[np.float64],
-                   flat: NDArray[np.bool_], out: NDArray[np.float64]) -> NDArray[np.float64]:
-        """sign(k) |k|^p, and +0.0 where |k| is below the clamp, written into ``out``
-        and returned; ``mag`` and ``flat`` are scratch of k's shape."""
-        np.abs(k, out=mag)
-        np.less(mag, CURVATURE_CLAMP, out=flat)
-        mag **= self.p   # the operator's own path, as in mag ** p
-        np.sign(k, out=out)
-        out *= mag
-        np.copyto(out, 0.0, where=flat)
-        return out
+    def speed(self, k: NDArray[np.float64]) -> NDArray[np.float64]:
+        """sign(k) |k|^p, and +0.0 where |k| is below the clamp."""
+        mag = np.abs(k)
+        return np.where(mag < CURVATURE_CLAMP, 0.0, np.sign(k) * mag ** self.p)
 
 
 @dataclass(frozen=True)
@@ -185,19 +178,20 @@ class _FlowState:
     Every terminal event goes through :meth:`end` into ``events``, so there is
     exactly one and it is the last; :meth:`close` ends on an event at t after
     a snapshot at t, and :meth:`record` only takes snapshots.  Subclasses keep
-    their points as (2, n) rows in ``verts`` (``set_verts``, which calls
-    ``bind`` on a new bank) and supply ``start`` (reads the run's first pass
-    and calls ``schedule``), ``plan`` (fills ``vel`` with F(Y0) and returns
-    the displacement cap, ``_cap``, and the forward-Euler diffusive bound;
-    ``peak`` closes it at the curvature cap), ``velocity`` (``vel`` from the
-    pass), ``resample`` (before the step's last pass), ``advance(t)`` (after
-    it: the area, and is a snapshot due?), ``take(t)`` (build and check the
-    snapshot's geometry, append it, return its area) and ``stop_kind``.  A
-    geometry pass (``_pass``) reads ``pass_rows``: ``fill`` readies them, a
-    round's stacked stencil runs, ``adopt`` keeps the state's share of its
-    outputs and ``finish`` completes it.
+    their points as (2, n) rows in ``verts`` (``set_verts``) and supply
+    ``start`` (reads the run's first pass and calls ``schedule``), ``plan``
+    (fills ``vel`` with F(Y0) and returns the displacement cap, ``_cap``, and
+    the forward-Euler diffusive bound; ``peak`` closes it at the curvature
+    cap), ``velocity`` (``vel`` from the pass), ``resample`` (before the
+    step's last pass), ``advance(t)`` (after it: the area, and is a snapshot
+    due?), ``take(t)`` (build and check the snapshot's geometry, append it,
+    return its area) and ``stop_kind``.  A geometry pass (``_pass``) reads
+    ``pass_rows``: ``fill`` readies them, a round's stacked stencil runs,
+    ``adopt`` keeps the state's share of its outputs and ``finish`` completes
+    it.
     """
 
+    ghosts = True   # the pass reads the chain; a ghost-free pass reads ``verts`` alone
     stop_kind = EVENT_EXTINCTION
     law = SpeedLaw()   # of the trajectory: a meridian or front keeps p = 1
     chain = np.empty((2, 0))   # set_verts allocates each state's own, per point count
@@ -231,9 +225,9 @@ class _FlowState:
         zeroed when n changes, are Y(j-1), Y(j-2), Y0, F (inside: ``vel``), F0
         and a stage's output.  Each slot flattened to one row, a stage reads the
         first five as ``stage_in``, writes ``stage_out`` and shifts it into
-        ``newest`` (slot 0) after ``newest`` into ``older`` (slot 1).  A new
-        bank, on the first call and on a resample that changes n, is bound
-        anew (``bind``), so no view into the old one survives it."""
+        ``newest`` (slot 0) after ``newest`` into ``older`` (slot 1).  Every view
+        is taken anew with a new bank, on the first call and on a resample that
+        changes n, so no view into the old one survives it."""
         if self.chain.shape[1] != rows.shape[1] + 2:
             self.bank = np.zeros((6, 2, rows.shape[1] + 2))   # 0 x an unread entry must be 0
             flat = self.bank.reshape(6, -1)
@@ -241,12 +235,8 @@ class _FlowState:
             self.chain = self.bank[0]
             self.verts = self.chain[:, 1:-1]
             self.vel = self.bank[3, :, 1:-1]
-            self.pass_rows = self.chain
-            self.bind()
+            self.pass_rows = self.chain if self.ghosts else self.verts
         self.verts[...] = rows
-
-    def bind(self) -> None:
-        """Bind the views of a new bank that the state's own steps read."""
 
     def fill(self) -> None:
         """Ready ``pass_rows`` for a pass: the ghost columns."""
@@ -508,33 +498,22 @@ class _CurveState(_FlowState):
         self.schedule(m, abs(m.enclosed_area), k0, m.length)
         self.was_convex = m.convex
 
-    def bind(self) -> None:
-        """The ghost columns with the points they wrap to, the buffers
-        ``velocity`` writes the speed into at p != 1, and the shoelace terms of
-        ``measure_area`` with the two buffers it multiplies them into."""
-        c = self.chain
-        self.wraps = (c[:, 0], c[:, -2]), (c[:, -1], c[:, 1])
-        n = c.shape[1] - 2
-        self.speed_bufs = np.empty(n), np.empty(n, bool), np.empty(n)
-        (x, y), self.area_bufs = c, (np.empty(n), np.empty(n))
-        self.area_terms = (x[1:-1], y[2:]), (x[2:], y[1:-1])
-
     def fill(self) -> None:
         """The ghost columns: the points they wrap to.  The speed law is odd in
         k, so speed(k) times the pass's left normal is the inward velocity for
         either traversal direction."""
-        for ghost, point in self.wraps:
-            ghost[...] = point
+        c = self.chain
+        c[:, 0] = c[:, -2]
+        c[:, -1] = c[:, 1]
 
     def measure_area(self) -> None:
         """Keep the signed area of the chain the pass read."""
-        (forward, backward), (a, b) = self.area_terms, self.area_bufs
-        np.subtract(np.multiply(*forward, out=a), np.multiply(*backward, out=b), out=a)
-        self.area = 0.5 * float(a.sum())
+        x, y = self.chain
+        self.area = 0.5 * float((x[1:-1] * y[2:] - x[2:] * y[1:-1]).sum())
 
     def velocity(self) -> NDArray[np.float64]:
         """Fill ``vel`` with the measured speed along the left normal; return the speed."""
-        speed = self.k if self.law.p == 1.0 else self.law.speed_into(self.k, *self.speed_bufs)
+        speed = self.k if self.law.p == 1.0 else self.law.speed(self.k)
         np.multiply(self.left, speed, out=self.vel)
         return speed
 

@@ -94,6 +94,7 @@ class RunReport:
     scenario: str
     checks: list[CheckResult] = field(default_factory=list)
     wall_time: float = 0.0
+    flow_time: float | None = None    # the flow's own resumes, for its owner only
     artifacts: list[str] = field(default_factory=list)
     error: str | None = None
     traceback: str | None = None
@@ -208,8 +209,8 @@ def _eval_convexification(s: Scenario, traj: f1.Trajectory):
         "final_time": end_t,
         "embedded_all": all(embedded),
     }, [
-        CheckResult("convexification/event_order", conv_t, "<", end_t,
-                    "none" if conv_t is None else conv_t),
+        CheckResult("convexification/event_order", None if conv_t is None else end_t - conv_t,
+                    ">", 0.0, "none" if conv_t is None else conv_t),
         CheckResult("convexification/embedded", embedded.count(False), "==", 0,
                     sum(embedded)),
     ]
@@ -389,12 +390,14 @@ def _steps(key: _FlowKey):
 @dataclass
 class _Flow:
     """The outcome of one driver run: its trajectories or the error it raised,
-    and its warnings."""
+    its warnings and the seconds spent in its stepper's resumes (None when no
+    flow ran)."""
     owner: Scenario
     trajs: list[f1.Trajectory] = field(default_factory=list)
     error: str | None = None
     traceback: str | None = None
     warnings: list[str] = field(default_factory=list)
+    time: float | None = None
 
 
 def _texts(caught) -> list[str]:
@@ -403,27 +406,27 @@ def _texts(caught) -> list[str]:
 
 @contextmanager
 def _recorded_warnings():
-    """Record every warning raised inside the block as "Category: message"."""
-    texts: list[str] = []
+    """Record every warning raised inside the block, none shown; yields the
+    list of records."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            yield texts
-        finally:
-            texts += _texts(caught)
+        yield caught
 
 
-def _attributed(stepper, caught: list, texts: list[str]):
-    """``stepper``, moving what each of its resumes adds to ``caught`` into ``texts``."""
+def _attributed(stepper, caught: list, flow: _Flow):
+    """``stepper``, adding the time of each of its resumes to ``flow.time`` and
+    moving what each adds to ``caught`` into ``flow.warnings``."""
+    flow.time = 0.0
     while True:
-        start = len(caught)
+        start, began = len(caught), time.perf_counter()
         try:
             states = next(stepper)
         except StopIteration as stop:
             return stop.value
         finally:
+            flow.time += time.perf_counter() - began
             if len(caught) > start:
-                texts += _texts(caught[start:])
+                flow.warnings += _texts(caught[start:])
                 del caught[start:]
         yield states
 
@@ -431,13 +434,12 @@ def _attributed(stepper, caught: list, texts: list[str]):
 def _run_flows(owners: dict[_FlowKey, Scenario]) -> dict[_FlowKey, _Flow]:
     """Step the flow of each key of ``owners`` (key -> the scenario that runs
     it) in one ``flow1d._rounds`` call.  Each flow keeps its trajectories or
-    the error it raised, with its traceback, and the warnings raised while it
-    was resumed.  A warning of a stacked pass itself is not any one flow's:
-    every flow records it."""
+    the error it raised, with its traceback, and the warnings raised and the
+    time spent while it was resumed.  A stacked pass is not any one flow's: its
+    time is no flow's, and every flow records its warnings."""
     flows = {key: _Flow(owner) for key, owner in owners.items()}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcomes = f1._rounds([_attributed(_steps(key), caught, flow.warnings)
+    with _recorded_warnings() as caught:
+        outcomes = f1._rounds([_attributed(_steps(key), caught, flow)
                                for key, flow in flows.items()])
     for flow, outcome in zip(flows.values(), outcomes):
         flow.warnings += _texts(caught)
@@ -498,16 +500,19 @@ def run_scenario(s: Scenario, out_root, flow: _Flow) -> RunReport:
             except Exception as exc:
                 artifacts, checks, error = [], [], f"{type(exc).__name__}: {exc}"
                 trace = traceback.format_exc()
+    owner = flow.owner is s
     return RunReport(scenario=s.name, checks=checks, artifacts=artifacts, error=error,
                      traceback=trace, wall_time=time.perf_counter() - started,
-                     shared_flow=None if flow.owner is s else flow.owner.name,
-                     warnings=flow.warnings + caught, telemetry=telemetry)
+                     flow_time=flow.time if owner else None,
+                     shared_flow=None if owner else flow.owner.name,
+                     warnings=flow.warnings + _texts(caught), telemetry=telemetry)
 
 
 def _summary_entry(r: RunReport) -> dict:
     entry = asdict(r)
+    flow_time = None if r.flow_time is None else round(r.flow_time, 3)
     return {"name": entry.pop("scenario"), "passed": r.passed,
-            **entry, "wall_time": round(r.wall_time, 3)}
+            **entry, "wall_time": round(r.wall_time, 3), "flow_time": flow_time}
 
 
 def accept(scenarios: list[Scenario], out_root, workers: int = 1):

@@ -134,6 +134,8 @@ class _FrontState(_FlowState):
     t reaches ``duration``.  Resampling keeps the point count; the trajectory
     keeps the start and the snapshot taken at the end."""
 
+    ghosts = False
+
     def __init__(self, points, duration: float, config: FlowConfig):
         pts = cv._checked_points(points, 4, closed=False, noun="front points")[0]
         super().__init__(pts.T, pts, config)
@@ -144,13 +146,8 @@ class _FrontState(_FlowState):
         # An open chain encloses no area, and the front never snapshots on one.
         self.schedule(None, 0.0, float(np.abs(self.k).max()), float(self.seg.sum()))
 
-    def bind(self) -> None:
-        """The pass on the points alone, and the velocity of the interior."""
-        self.pass_rows = self.verts
-        self.vel_inside = self.vel[:, 1:-1]
-
     def velocity(self) -> None:
-        np.multiply(self.k, self.left, out=self.vel_inside)
+        np.multiply(self.k, self.left, out=self.vel[:, 1:-1])
 
     def plan(self, t: float) -> tuple[float, float]:
         """Fill ``vel`` from the last pass; the horizon joins the displacement cap."""

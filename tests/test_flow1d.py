@@ -58,8 +58,8 @@ class TestConfigValidation:
 
 
 def speed(law, k):
-    """``law.speed_into`` on fresh buffers of k's shape."""
-    return law.speed_into(k, np.empty(k.shape), np.empty(k.shape, bool), np.empty(k.shape))
+    """The law's speed of k."""
+    return law.speed(k)
 
 
 class TestStepping:
@@ -74,7 +74,7 @@ class TestStepping:
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 2.0, 1.5, 8.0])
     def test_speed_in_place_is_the_plain_expression(self, p):
-        # Bit for bit, signed zeros included: the in-place speed takes |k|^p
+        # Bit for bit, signed zeros included: the law's speed takes |k|^p
         # through the ** operator's own path and clamps near-flat k to +0.0.
         k = np.concatenate([np.random.default_rng(2).standard_normal(500) * 10,
                             [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12]])

@@ -721,6 +721,20 @@ class TestRunner:
         # no wall times: the telemetry files repeat byte for byte with the rest
         assert scenario_files(tmp_path / "a") == scenario_files(tmp_path / "b")
 
+    def test_flow_time_is_its_owners_alone(self, tmp_path):
+        batch = scenarios.parse_config(ELLIPSE_PAIR + TINY_ORACLE)
+        reports, summary, _ = runner.accept(batch, tmp_path)
+        owner, sharer, oracle = summary["scenarios"]
+        assert sharer["shared_flow"] == owner["name"]
+        assert owner["flow_time"] > 0 and reports[0].flow_time > 0
+        assert sharer["flow_time"] is None and oracle["flow_time"] is None
+        # the time stays out of telemetry.json, which holds the run stats alone
+        fields = {f.name for f in dataclasses.fields(f1.RunStats)}
+        for entry in (owner, sharer):
+            on_disk = json.loads((tmp_path / entry["name"] / "telemetry.json").read_text())
+            assert on_disk == entry["telemetry"] == owner["telemetry"]
+            assert [set(stats) for stats in on_disk["trajectories"]] == [fields]
+
     def test_nested_pair_writes_one_set_per_curve(self, tmp_path):
         [report], _, _ = runner.accept(scenarios.parse_config(NESTED_PAIR), tmp_path)
         assert report.passed, report.error
@@ -770,8 +784,8 @@ analyses = neck
         assert [s["name"] for s in on_disk["scenarios"]] == ["tiny_circle",
                                                              "oracle_gate"]
         assert set(on_disk["scenarios"][0]) == {
-            "name", "passed", "wall_time", "shared_flow", "error", "traceback", "warnings",
-            "telemetry", "artifacts", "checks"}
+            "name", "passed", "wall_time", "flow_time", "shared_flow", "error", "traceback",
+            "warnings", "telemetry", "artifacts", "checks"}
         assert set(on_disk["scenarios"][0]["checks"][0]) == {
             "name", "passed", "measured", "detail", "value", "sense", "tolerance", "margin"}
         # the worker count is ignored

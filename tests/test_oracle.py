@@ -150,6 +150,15 @@ class TestTranslators:
         assert kmax * h_min == pytest.approx(math.sqrt(2.0))
         assert state.plan(0.0)[0] <= f1.DISPLACEMENT_FRACTION * h_min / kmax
 
+    def test_front_pass_reads_its_points_after_every_set_verts(self):
+        # The front's stencil runs on its points alone, without the ghost
+        # columns, on the first bank and on one that a new point count lays out.
+        state = oc._FrontState(oc.grim_reaper(81, 1.0), 1.0, f1.FlowConfig())
+        assert state.pass_rows is state.verts
+        for n in (81, 41):
+            state.set_verts(oc.grim_reaper(n, 1.0).T)
+            assert state.pass_rows is state.verts and state.verts.shape == (2, n)
+
     @pytest.mark.parametrize("value, error, match", [
         ("repeat", DegenerateGeometryError, "coincide"),
         ("short", DegenerateGeometryError, "at least 4"),
