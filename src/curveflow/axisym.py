@@ -415,10 +415,10 @@ class _AxiState(_FlowState):
     (2, n + 2) chain buffer with a ghost column at each end.  After the step's
     last geometry pass ``advance`` adds ``measure_area`` before it looks for a
     neck; the next ``plan`` and every snapshot read that pass.  Each pass is
-    ``_meridian_pass`` in parts: ``fill`` fills the ghosts, and ``finish``
-    computes h on the meridian's own columns.  Snapshots fall due on a
-    geometric schedule in the lateral area and, for a true waist, in its
-    radius.
+    ``_meridian_pass`` in parts: ``fill`` fills the ghosts, the round's stencil
+    runs, and h (``_mean_curvature`` on ``h_terms``) is computed where it is
+    read: in ``velocity``, ``start`` and ``take``.  Snapshots fall due on a
+    geometric schedule in the lateral area and, for a true waist, in its radius.
     """
 
     def __init__(self, profile: AxiProfile, config: FlowConfig):
@@ -430,7 +430,8 @@ class _AxiState(_FlowState):
 
     def start(self) -> None:
         self.measure_area()
-        m = _metrics_of(self.chain, self.topology, self.h, self.area, self.waist)
+        h = _mean_curvature(self.k, self.h, self.h_terms, self.two_poles)
+        m = _metrics_of(self.chain, self.topology, h, self.area, self.waist)
         h0 = max(abs(m.min_mean_curvature), abs(m.max_mean_curvature))
         self.schedule(m, m.surface_area, h0, float(self.seg.sum()))
         # A torus collapses and a cylinder pinches; only axis-bounded profiles end at a pole.
@@ -460,9 +461,6 @@ class _AxiState(_FlowState):
         self.h = np.empty(self.verts.shape[1])
         self.h_terms = _h_terms(share, self.chain, self.topology, self.h)
 
-    def finish(self) -> None:
-        _mean_curvature(self.k, self.h, self.h_terms, self.two_poles)
-
     def measure_area(self) -> None:
         """Keep the lateral area, the ``_waist_of`` and the least off-axis r,
         ``r_int``, of the chain the pass read."""
@@ -477,7 +475,7 @@ class _AxiState(_FlowState):
         Poles move along the axis at twice the meridian curvature, clamped by
         the neighboring samples so a noisy pole cannot outrun its cap.  A
         binding clamp moves a copy: a snapshot reads the measured h."""
-        h = self.h
+        h = _mean_curvature(self.k, self.h, self.h_terms, self.two_poles)
         if self.two_poles:
             lim0, lim1 = 2.0 * abs(h.item(1)), 2.0 * abs(h.item(-2))
             if not (-lim0 <= h.item(0) <= lim0 and -lim1 <= h.item(-1) <= lim1):
@@ -518,7 +516,8 @@ class _AxiState(_FlowState):
         profile = object.__new__(AxiProfile)
         seg = self.seg[:-1] if self.topology == TOPOLOGY_CYLINDER else self.seg
         profile._adopt(self.verts.T, self.topology, self.period, seg, self.geo, self.r_int)
-        m = _metrics_of(self.chain, self.topology, self.h, self.area, self.waist)
+        h = _mean_curvature(self.k, self.h, self.h_terms, self.two_poles)
+        m = _metrics_of(self.chain, self.topology, h, self.area, self.waist)
         self.traj.snapshots.append(Snapshot(t, profile, m))
         self.next_waist = m.min_radius * self.ratio   # read only for a true waist
         return m.surface_area

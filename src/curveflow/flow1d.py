@@ -19,11 +19,11 @@ y or r, between two ghost columns), Y(j-2), Y0, F and F0.  All three drivers
 share its step budget, caps and terminal events and make one geometry pass
 per evaluation; curves and meridians also share its snapshot schedule.
 ``_evolve`` is a generator that yields at each pass, and ``_rounds`` runs
-many of them together: each round it copies every live state's chain into
-one stack and runs one ``curves._Stencil`` over it, and each state reads its
-share of the outputs.  The first pass starts each state; after it, only the
-pass at a step's end adds the area, and the next bound and every snapshot
-read that pass.
+many of them together: each round it copies every live state's chain, its
+ghost columns filled, into one stack and runs one ``curves._Stencil`` over
+it, and each state reads its share of the outputs; nothing else is part of a
+pass.  The first pass starts each state; after it, only the pass at a step's
+end adds the area, and the next bound and every snapshot read that pass.
 """
 
 from __future__ import annotations
@@ -185,13 +185,13 @@ class _FlowState:
     cap), ``velocity`` (``vel`` from the pass), ``resample`` (before the
     step's last pass), ``advance(t)`` (after it: the area, and is a snapshot
     due?), ``take(t)`` (build and check the snapshot's geometry, append it,
-    return its area) and ``stop_kind``.  A geometry pass (``_pass``) reads
-    ``pass_rows``: ``fill`` readies them, a round's stacked stencil runs,
-    ``adopt`` keeps the state's share of its outputs and ``finish`` completes
-    it.
+    return its area) and ``stop_kind``.  Every state makes the same geometry
+    pass (``_pass``) over its ``chain``: ``fill`` writes the ghost columns, a
+    round's stacked stencil runs, and ``adopt`` keeps the state's share of its
+    outputs; whatever a driver derives from the pass, it derives where it
+    reads it.
     """
 
-    ghosts = True   # the pass reads the chain; a ghost-free pass reads ``verts`` alone
     stop_kind = EVENT_EXTINCTION
     law = SpeedLaw()   # of the trajectory: a meridian or front keeps p = 1
     chain = np.empty((2, 0))   # set_verts allocates each state's own, per point count
@@ -235,19 +235,12 @@ class _FlowState:
             self.chain = self.bank[0]
             self.verts = self.chain[:, 1:-1]
             self.vel = self.bank[3, :, 1:-1]
-            self.pass_rows = self.chain if self.ghosts else self.verts
         self.verts[...] = rows
-
-    def fill(self) -> None:
-        """Ready ``pass_rows`` for a pass: the ghost columns."""
 
     def adopt(self, share: cv._Share) -> None:
         """Keep ``share``, this state's part of a round's stacked pass, and its
         curvature, left normal and edge lengths."""
         self.geo, self.k, self.left, self.seg = share, share.k, share.left, share.seg
-
-    def finish(self) -> None:
-        """Complete a pass from the share it adopted."""
 
     def end(self, event: Event) -> None:
         """Append a terminal event unless the trajectory already has one."""
@@ -335,13 +328,11 @@ def _stage_count(tau: float, euler: float) -> tuple[int, float]:
 
 
 def _pass(states: list[_FlowState]):
-    """One geometry pass of ``states``: fill their rows, yield them to
-    ``_rounds``, which runs the stacked stencil, and finish the pass."""
+    """One geometry pass of ``states``: fill their ghost columns and yield
+    them to ``_rounds``, which runs the stacked stencil over their chains."""
     for s in states:
         s.fill()
     yield states
-    for s in states:
-        s.finish()
 
 
 def _evolve(states: list[_FlowState], config: FlowConfig):
@@ -426,9 +417,9 @@ def _rounds(steppers: list) -> list:
     """Run steppers such as ``_evolve`` together, one stacked pass a round.
 
     Each round resumes every live stepper, which runs to its next pass and
-    yields its states with their rows filled, or ends.  Then one
+    yields its states with their ghost columns filled, or ends.  Then one
     ``curves._Stencil`` runs over one stack that holds every live state's
-    ``pass_rows`` end to end, copied in.  The stack is laid out anew, and each
+    ``chain`` end to end, copied in.  The stack is laid out anew, and each
     state adopts its ``share``, only when a stepper ends or a resample gives a
     state new rows; so the next pass is stacked the same as long as no stepper
     ends and no state changes its point count.  Returns each stepper's
@@ -449,15 +440,15 @@ def _rounds(steppers: list) -> list:
         if not pending:
             break
         if (len(pending) < len(live) or not members
-                or any(s.pass_rows is not rows for s, rows, _ in members)):
+                or any(s.chain is not rows for s, rows, _ in members)):
             states = [s for _, _, group in pending for s in group]
-            ends = np.cumsum([0] + [s.pass_rows.shape[1] for s in states]).tolist()
+            ends = np.cumsum([0] + [s.chain.shape[1] for s in states]).tolist()
             stack = np.empty((2, ends[-1]))
             stencil = cv._Stencil(stack)
             members = []
             for s, start, end in zip(states, ends, ends[1:]):
                 s.adopt(stencil.share(start, end - start - 2))
-                members.append((s, s.pass_rows, stack[:, start:end]))
+                members.append((s, s.chain, stack[:, start:end]))
         live = [(i, stepper) for i, stepper, _ in pending]
         for _, rows, place in members:
             place[...] = rows

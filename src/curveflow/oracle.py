@@ -130,11 +130,10 @@ def selfcheck() -> dict[str, float]:
 
 class _FrontState(_FlowState):
     """An open chain whose interior moves by its curvature vector and whose two
-    ends, the stencil's neighbours (no ghosts), move at FRONT_END_VELOCITY until
-    t reaches ``duration``.  Resampling keeps the point count; the trajectory
-    keeps the start and the snapshot taken at the end."""
-
-    ghosts = False
+    ends move at FRONT_END_VELOCITY until t reaches ``duration``.  ``fill``
+    copies the ends into the ghost columns, so the pass's columns 1:-1 hold the
+    stencil's outputs on the points alone.  Resampling keeps the point count;
+    the trajectory keeps the start and the snapshot taken at the end."""
 
     def __init__(self, points, duration: float, config: FlowConfig):
         pts = cv._checked_points(points, 4, closed=False, noun="front points")[0]
@@ -144,19 +143,24 @@ class _FrontState(_FlowState):
 
     def start(self) -> None:
         # An open chain encloses no area, and the front never snapshots on one.
-        self.schedule(None, 0.0, float(np.abs(self.k).max()), float(self.seg.sum()))
+        self.schedule(None, 0.0, float(np.abs(self.k[1:-1]).max()), float(self.seg[1:-1].sum()))
+
+    def fill(self) -> None:
+        c = self.chain
+        c[:, 0] = c[:, 1]
+        c[:, -1] = c[:, -2]
 
     def velocity(self) -> None:
-        np.multiply(self.k, self.left, out=self.vel[:, 1:-1])
+        np.multiply(self.k[1:-1], self.left[:, 1:-1], out=self.vel[:, 1:-1])
 
     def plan(self, t: float) -> tuple[float, float]:
         """Fill ``vel`` from the last pass; the horizon joins the displacement cap."""
         if t >= self.duration - 1e-15:
             self.close(t, Event(EVENT_HORIZON, t))
             return np.inf, np.inf
-        kmax = self.peak(t, self.k, self.verts[:, 1:-1])
+        kmax = self.peak(t, self.k[1:-1], self.verts[:, 1:-1])
         self.velocity()
-        h_min = float(self.seg.min())
+        h_min = float(self.seg[1:-1].min())
         return min(_cap(h_min, kmax), self.duration - t), h_min * h_min / 2.0
 
     def resample(self) -> None:

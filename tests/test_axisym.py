@@ -31,18 +31,24 @@ def meridian_pass(profile):
     return ax._meridian_pass(cv._closed_chain(profile.samples), profile.topology, profile.period)
 
 
+def reference_meridian_chain(points, topology, period=None):
+    """The (n + 2, 2) chain of (n, 2) samples between the ghosts that
+    ``ax._fill_ghosts`` writes, in plain array expressions."""
+    if topology == ax.TOPOLOGY_TWO_POLES:
+        mirror = np.array([1.0, -1.0])   # a pole's ghost reflects its neighbour in the axis
+        return np.vstack([points[1] * mirror, points, points[-2] * mirror])
+    chain = np.vstack([points[-1:], points, points[:1]])
+    if topology == ax.TOPOLOGY_CYLINDER:
+        chain[0, 0] -= period
+        chain[-1, 0] += period
+    return chain
+
+
 def reference_meridian_pass(points, topology, period=None):
     """The meridian pass in plain array expressions on (n, 2) samples, around
     ``reference_three_point``: the bit-for-bit reference for the h, (2, n) left
     normal rows and polyline segment lengths of ``ax._meridian_pass``."""
-    if topology == ax.TOPOLOGY_TWO_POLES:
-        mirror = np.array([1.0, -1.0])   # a pole's ghost reflects its neighbour in the axis
-        chain = np.vstack([points[1] * mirror, points, points[-2] * mirror])
-    else:
-        chain = np.vstack([points[-1:], points, points[:1]])
-        if topology == ax.TOPOLOGY_CYLINDER:
-            chain[0, 0] -= period
-            chain[-1, 0] += period
+    chain = reference_meridian_chain(points, topology, period)
     k, left, seg = reference_three_point(chain)
     if topology != ax.TOPOLOGY_TWO_POLES:
         return k - left[:, 1] / chain[1:-1, 1], left.T, seg[1:]
@@ -132,6 +138,31 @@ class TestProfiles:
         with pytest.raises(InvalidInputError):
             ax.AxiProfile(np.column_stack([np.linspace(0, 1, 32),
                                            -np.ones(32)]), ax.TOPOLOGY_CYLINDER, 1.0)
+
+    @pytest.mark.parametrize("damage, error, match", [
+        ("pole-off-axis", InvalidInputError, "twopoles profile must start and end at r = 0"),
+        ("interior-on-axis", DegenerateGeometryError, "interior sample on or below the axis"),
+        ("interior-below-axis", DegenerateGeometryError, "interior sample on or below the axis"),
+        ("cylinder-x-back", InvalidInputError, "cylinder samples must have increasing x"),
+        ("cylinder-whole-period", InvalidInputError,
+         "cylinder samples must span less than one period"),
+    ])
+    def test_profile_refusal_names_the_fault(self, damage, error, match):
+        if damage.startswith("cylinder"):
+            prof = ax.cylinder_profile(0.5, 1.0, 32)
+            pts, period = prof.samples.copy(), prof.period
+            if damage == "cylinder-x-back":
+                pts[[10, 11], 0] = pts[[11, 10], 0]
+            else:   # the samples span 31/32 of a period, which is now shorter
+                period = 0.9
+        else:
+            pts, period = ax.sphere_profile(1.0, 64).samples.copy(), None
+            if damage == "pole-off-axis":
+                pts[-1, 1] = 0.05
+            else:
+                pts[20, 1] = 0.0 if damage == "interior-on-axis" else -0.05
+        with pytest.raises(error, match=match):
+            ax.AxiProfile(pts, ax.TOPOLOGY_CYLINDER if period else ax.TOPOLOGY_TWO_POLES, period)
 
     @pytest.mark.parametrize("prof", [ax.sphere_profile(1.0, 64), ax.torus_profile(1.0, 0.25, 64)],
                              ids=["sphere", "torus"])
@@ -239,6 +270,12 @@ class TestNeckPinch:
         with pytest.raises(NoNeckError):
             ax.neck_report(small_sphere_traj)
 
+    def test_too_few_snapshots_in_the_last_decade(self, neck_traj):
+        # the first and last snapshots alone: both radii lie within 10x of the smallest
+        short = f1.Trajectory([neck_traj.snapshots[0], neck_traj.final()], list(neck_traj.events))
+        with pytest.raises(NoNeckError, match="too few snapshots in the final decade"):
+            ax.neck_report(short)
+
 
 @pytest.fixture(scope="module")
 def dumbbell_traj():
@@ -338,7 +375,6 @@ class TestCachedGeometry:
             h, left, seg = ax._meridian_pass(fresh, profile.topology, profile.period)
             area = ax._lateral_area(fresh, profile.topology, seg)
             assert np.array_equal(fresh, state.chain)   # the ghosts were current
-            assert np.array_equal(state.h, h)
             assert np.array_equal(state.left, left)
             assert np.array_equal(state.seg, seg)
             (px, pr), (qx, qr) = state.chain[:, :-1], state.chain[:, 1:]   # ghost edges included
@@ -348,7 +384,9 @@ class TestCachedGeometry:
             assert np.array_equal(state.seg, slant)
             assert state.area == float((np.pi * (pr[ends] + qr[ends]) * slant).sum())
             assert state.area == area
-            return plan(t)
+            planned = plan(t)
+            assert np.array_equal(state.h, h)   # as plan's velocity computed it
+            return planned
 
         state.plan = checked_plan
         [traj] = f1._alone(f1._evolve([state], config))
@@ -682,12 +720,14 @@ def rotate(points, angle):
 
 @pytest.mark.parametrize("case", ["curve-peanut", "meridian-sphere", "meridian-torus",
                                   "meridian-dumbbell", "meridian-cylinder", "front"])
-def test_bound_pass_matches_a_fresh_pass(case):
-    """After the pass that starts it, every RKL2 stage and every resample, the
-    state's share of the stacked pass holds what a fresh one-shot pass gives
-    on its current chain (on a meridian, the plain-expression reference), bit
-    for bit, so no view outlives a bank that a resample dropped; a meridian's
-    velocity is the pole clamp read literally."""
+def test_bound_pass_matches_a_fresh_pass(case, monkeypatch):
+    """Right after every stacked stencil call (the pass that starts the state,
+    every RKL2 stage and every resample), the state's share holds the
+    curvature, left normal and edge lengths that a fresh one-shot pass gives on
+    its current points (on a meridian, the plain-expression reference), bit for
+    bit, so no view outlives a bank that a resample dropped.  A meridian's h
+    matches the reference where ``velocity`` computes it, and its velocity is
+    the pole clamp read literally."""
     config = f1.FlowConfig(max_steps=3000, resample_every=2)
     if case == "curve-peanut":
         state = f1._CurveState(cv.peanut_polygon(1.0, 0.3, 128), f1.SpeedLaw(1.0), config)
@@ -709,33 +749,38 @@ def test_bound_pass_matches_a_fresh_pass(case):
         def fresh():
             if state.two_poles:
                 assert state.verts[1, 0] == 0.0 and state.verts[1, -1] == 0.0
-            return reference_meridian_pass(state.verts.T, state.topology, state.period)
+            chain = reference_meridian_chain(state.verts.T, state.topology, state.period)
+            k, left, seg = reference_three_point(chain)
+            return k, left.T, seg[ax._polyline(state.topology)]
 
         velocity = state.velocity
 
         def checked_velocity():
+            moved = velocity()
+            want = reference_meridian_pass(state.verts.T, state.topology, state.period)[0]
+            assert same_bits(state.h, want)
             h = state.h.copy()
             if state.two_poles:
                 for i, j in ((0, 1), (-1, -2)):
                     lim = 2.0 * abs(float(h[j]))
                     h[i] = min(max(float(h[i]), -lim), lim)
-            moved = velocity()
             assert np.array_equal(moved, h)
             assert np.array_equal(state.vel, state.left * h)
             return moved
 
         state.velocity = checked_velocity
-    finish = state.finish
+    inside = slice(1, -1) if case == "front" else slice(None)   # the front's ghosts copy its ends
+    real_pass = f1._pass
     sizes = []
 
-    def checked_finish():
-        finish()
-        held = (state.h if hasattr(state, "h") else state.k, state.left, state.seg)
-        for a, b in zip(held, fresh()):
+    def checked_pass(states):   # resumes right after the round's stacked stencil call
+        yield from real_pass(states)
+        held = state.k[inside], state.left[:, inside], state.seg[inside]
+        for a, b in zip(held, fresh(), strict=True):
             assert same_bits(a, b)
         sizes.append(state.verts.shape[1])
 
-    state.finish = checked_finish
+    monkeypatch.setattr(f1, "_pass", checked_pass)
     [traj] = f1._alone(f1._evolve([state], config))
     assert len(sizes) == traj.stats.evaluations + 1 and traj.stats.resamples > 2
     if case in ("curve-peanut", "meridian-sphere", "meridian-torus"):

@@ -77,6 +77,22 @@ class TestFactories:
             cv.ellipse_polygon(2.0, 0.0)
         with pytest.raises(InvalidInputError):
             cv.spiral_polygon(2.0, 1.0, 1.5)
+        for make, match in [
+            (lambda: cv.PlaneCurve(np.ones((8, 3))), r"must have shape \(n, 2\), got \(8, 3\)"),
+            (lambda: cv.rectangle_polygon(0.0, 1.0), "width and height must be positive"),
+            (lambda: cv.rectangle_polygon(2.0, -1.0), "width and height must be positive"),
+            (lambda: cv.peanut_polygon(1.0, 1.0), r"amplitude must be in \[0, 1\)"),
+            (lambda: cv.spiral_polygon(1.0, 2.0, 0.0), "winding must be positive"),
+            (lambda: cv.spiral_polygon(1.0, 1.2, 1.5), "width leaves no room between the radii"),
+            (lambda: cv.spiral_polygon(1.0, 2.0, 3.0), "width >= radial pitch"),
+            (lambda: ax.sphere_profile(0.0), "sphere radius must be positive"),
+            (lambda: ax.torus_profile(1.0, -0.5), "torus radii must be positive"),
+            (lambda: ax.torus_profile(1.0, 1.0), "tube radius must be smaller than the ring"),
+            (lambda: ax.cylinder_profile(0.5, 0.0), "cylinder radius and period must be positive"),
+            (lambda: ax.cylinder_profile(-0.5), "cylinder radius and period must be positive"),
+        ]:
+            with pytest.raises(InvalidInputError, match=match):
+                make()
 
     # Every factory that takes a point count n, its smallest n and the message
     # for one below it.

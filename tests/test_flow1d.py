@@ -15,7 +15,12 @@ import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
 import curveflow.rescale as rs
-from curveflow.errors import DegenerateGeometryError, InvalidInputError
+from curveflow.errors import (
+    DegenerateGeometryError,
+    FitFailureError,
+    InvalidInputError,
+    NumericalBreakdownError,
+)
 
 
 def started(state):
@@ -108,6 +113,16 @@ class TestStepping:
         with pytest.raises(DegenerateGeometryError, match="not finite"):
             state.resample()
 
+    def test_non_finite_snapshot_is_a_numerical_breakdown(self):
+        state = started(f1._CurveState(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0),
+                                       f1.FlowConfig()))
+        state.verts[:, 10] = np.nan
+        f1._alone(f1._pass([state]))   # the step's last pass, as advance reads it
+        state.measure_area()
+        with pytest.raises(NumericalBreakdownError,
+                           match="geometry degenerated at t=0.5: vertices must be finite"):
+            state.record(0.5)
+
 
 class TestCircleRun:
     def test_snapshot_times_strictly_increase(self, small_circle_traj):
@@ -171,6 +186,12 @@ class TestConvexification:
     def test_convex_start_reports_time_zero(self, small_circle_traj):
         assert f1.convexification_time(small_circle_traj) == 0.0
 
+    def test_never_convex_has_no_convexification_time(self):
+        peanut = cv.peanut_polygon(1.0, 0.3, 64)
+        assert not cv.metrics(peanut).convex
+        traj = f1.Trajectory([f1.Snapshot(t, peanut, cv.metrics(peanut)) for t in (0.0, 0.1)])
+        assert f1.convexification_time(traj) is None
+
     def test_peanut_stays_embedded(self, peanut_traj):
         for snap in peanut_traj.snapshots:
             assert cv.is_embedded(snap.geometry)
@@ -212,6 +233,37 @@ class TestEllipseFit:
     def test_circle_has_zero_eccentricity(self):
         fit = f1.fit_ellipse(cv.circle_polygon(1.0, 128))
         assert fit.eccentricity < 1e-6
+
+    @pytest.mark.parametrize("eigval, eigvec", [
+        # every eigenvector a parabola or hyperbola: 4AC - B^2 <= 0
+        (np.ones(3), np.eye(3)),
+        # elliptical eigenvectors (1, 0, 1), but no real eigenvalue
+        (np.array([1j, -1j, 2j]), np.array([[1.0] * 3, [0.0] * 3, [1.0] * 3])),
+    ], ids=["not-elliptical", "complex"])
+    def test_no_elliptical_solution_is_refused(self, monkeypatch, eigval, eigvec):
+        # The constrained eigenproblem of a real point set has one elliptical
+        # solution up to roundoff, so the refusal is reached through eig.
+        monkeypatch.setattr(np.linalg, "eig", lambda m: (eigval, eigvec))
+        with pytest.raises(FitFailureError, match="no elliptical solution"):
+            f1.fit_ellipse(cv.ellipse_polygon(2.0, 1.0, 64))
+
+
+def circle_traj(radii, p=1.0):
+    """A curve trajectory of circles of the given radii, 0.01 apart in time."""
+    circles = [cv.circle_polygon(r, 32) for r in radii]
+    return f1.Trajectory([f1.Snapshot(0.01 * i, c, cv.metrics(c)) for i, c in enumerate(circles)],
+                         law=f1.SpeedLaw(p))
+
+
+@pytest.mark.parametrize("radii, p, match", [
+    (np.linspace(1.0, 0.5, 12), 0.5, "applies to p = 1 trajectories"),
+    (np.linspace(1.0, 0.5, 9), 1.0, "need at least 10 snapshots"),
+    (np.linspace(0.5, 1.0, 12), 1.0, "area is not decreasing"),
+], ids=["p-half", "nine-snapshots", "growing"])
+def test_area_law_refusal_names_the_fault(radii, p, match):
+    with pytest.raises(InvalidInputError, match=match):
+        f1.analyze_area_law(circle_traj(radii, p))
+    assert f1.analyze_area_law(circle_traj(np.linspace(1.0, 0.5, 12))).slope < 0
 
 
 class TestStops:

@@ -21,7 +21,7 @@ import curveflow.curves as cv
 import curveflow.flow1d as f1
 import curveflow.oracle as oc
 import curveflow.rescale as rs
-from curveflow.errors import ConfigError, InvalidInputError, NumericalBreakdownError
+from curveflow.errors import ConfigError, FitFailureError, InvalidInputError, NumericalBreakdownError
 from curveflow.lab import artifacts, cli, runner, scenarios
 
 TINY_CIRCLE = """[tiny_circle]
@@ -319,11 +319,26 @@ class TestParseConfig:
         # the stepper's stability bound is its own, not a key
         (TINY_CIRCLE, "n = 96", "n = 96\ncfl_factor = 0.4", "unknown key.*cfl_factor"),
         (GRIM_REAPER, "n = 41", "n = 41\ncfl_factor = 0.4", "unknown key.*cfl_factor"),
+        # a shape of another kind, and analyses that are empty or repeat
+        (TINY_CIRCLE, "shape = circle", "shape = sphere",
+         "shape for curve-flow must be one of .*got 'sphere'"),
+        (TINY_CIRCLE, "analyses = radius-law, area-law", "analyses = ,",
+         "analyses must list at least one analysis"),
+        (TINY_CIRCLE, "analyses = radius-law, area-law", "analyses = radius-law, radius-law",
+         "analyses must not repeat"),
+        # too few points, and FlowConfig's own refusal re-raised as a ConfigError
+        (TINY_CIRCLE, "n = 96", "n = 4", "n must be at least 8"),
+        (TINY_CIRCLE, "stop_area_fraction = 0.3", "stop_area_fraction = 1.5",
+         r"stop_area_fraction must be in \(0, 1\)"),
     ])
     def test_option_rule_names_the_field(self, text, old, new, field):
         assert old in text
         with pytest.raises(ConfigError, match=field):
             scenarios.parse_config(text.replace(old, new, 1))
+
+    def test_unreadable_config_file_is_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config .*missing.cfg"):
+            scenarios.parse_config_file(tmp_path / "missing.cfg")
 
     def test_blowup_may_save_snapshots(self):
         dial = scenarios.parse_config(BLOWUP.replace("n = 200", "n = 200\nsave_snapshots = yes"))
@@ -834,6 +849,45 @@ analyses = neck
         assert "in dumbbell_profile" in failed["traceback"]
         assert passed["traceback"] is None
 
+    def test_a_failing_analysis_fails_its_scenario_alone(self, tmp_path, monkeypatch):
+        """An evaluator that raises after another analysis of its scenario ran:
+        the scenario reports the error and a traceback that names the
+        evaluator, lists no artifacts and no checks, and fails; the other
+        scenario of the batch writes what it writes alone."""
+        def raising_area_law(s, *trajs):
+            raise FitFailureError("no line through these areas")
+
+        monkeypatch.setitem(runner._EVALUATORS, "area-law", raising_area_law)
+        reports, summary, status = runner.accept(
+            [tiny_circle_scenario(), oracle_scenario()], tmp_path / "batch")
+        assert status == 1 and summary["failed"] == 1
+        failed, passed = json.loads((tmp_path / "batch" / "summary.json").read_text())["scenarios"]
+        assert failed["error"] == "FitFailureError: no line through these areas"
+        assert "in raising_area_law" in failed["traceback"]
+        assert (failed["artifacts"], failed["checks"], failed["passed"]) == ([], [], False)
+        assert reports[0].error == failed["error"] and not reports[0].passed
+        assert passed["passed"] and passed["error"] is None
+        runner.accept([oracle_scenario()], tmp_path / "alone")
+        alone = scenario_files(tmp_path / "alone")
+        assert {p: b for p, b in scenario_files(tmp_path / "batch").items()
+                if p.parts[0] == "oracle_gate"} == alone
+
+    def test_an_infinite_check_value_is_written_as_null_and_fails(self, tmp_path, monkeypatch):
+        def infinite(s):
+            return "inf.json", {}, [runner.CheckResult("selfcheck/max_error", np.inf, "<", 1e-6)]
+
+        monkeypatch.setitem(runner._EVALUATORS, "selfcheck", infinite)
+        _, _, status = runner.accept([oracle_scenario()], tmp_path)
+
+        def strict(token):
+            raise AssertionError(f"summary.json is not strict JSON: {token}")
+
+        (entry,) = json.loads((tmp_path / "summary.json").read_text(),
+                              parse_constant=strict)["scenarios"]
+        (check,) = entry["checks"]
+        assert (check["value"], check["measured"], check["margin"]) == (None, None, None)
+        assert not check["passed"] and not entry["passed"] and status == 1
+
     def test_warnings_are_recorded_per_scenario(self, tmp_path, monkeypatch):
         selfcheck = runner._EVALUATORS["selfcheck"]
 
@@ -1203,12 +1257,13 @@ class TestCli:
         (lambda index, snaps: index.update(whole="kind times snapshots"), "JSON object, got str"),
         (lambda index, snaps: index.update(whole=["kind", "times", "snapshots"]),
          "JSON object, got list"),
+        (lambda index, snaps: index.update(kind="banana"), "unknown kind 'banana'"),
     ], ids=["no-kind", "extra-time", "missing-file", "event-no-location", "event-no-kind",
             "event-no-time", "location-number", "location-one-number", "location-string",
             "event-time-string", "event-time-nan", "times-string", "times-nan", "times-huge-int",
             "event-time-huge-int", "location-huge-int", "times-number",
             "snapshots-number", "events-number", "event-kind-list", "event-kind-number",
-            "law-p-string", "law-p-zero", "index-string", "index-list"])
+            "law-p-string", "law-p-zero", "index-string", "index-list", "kind-unknown"])
     def test_bad_index_is_named_and_rescale_exits_2(self, tmp_path, capsys, corrupt, problem):
         traj = f1.run(cv.circle_polygon(0.4, 64), f1.SpeedLaw(1.0),
                       f1.FlowConfig(stop_area_fraction=0.5))

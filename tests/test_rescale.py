@@ -47,6 +47,10 @@ class TestCircleFit:
         with pytest.raises(FitFailureError):
             rs.fit_circle(pts)
 
+    def test_two_points_rejected(self):
+        with pytest.raises(FitFailureError, match="need at least 3 points"):
+            rs.fit_circle([(0.0, 0.0), (1.0, 1.0)])
+
     def test_two_to_one_ellipse_residual_band(self):
         # frozen from three independent fit variants; the normalized rms
         # misfit of a 2:1 ellipse lands near 0.22 regardless of sampling
@@ -215,6 +219,8 @@ class TestBlowupDial:
         many = [(0.0, 1.0)] * (len(circle_traj.snapshots) + 1)
         with pytest.raises(InvalidInputError):
             rs.curvature_normalized_frames(circle_traj, many)
+        with pytest.raises(InvalidInputError, match="probe points must be 2D"):
+            rs.curvature_normalized_frames(circle_traj, [(0.0, 0.0, 0.0)] * 3)
 
     def test_circle_probes_classify_round(self, circle_traj):
         probes = [(0.0, 0.0)] * 6
