@@ -552,12 +552,6 @@ def _axi_resample(
     return out
 
 
-def _axi_steps(profile: AxiProfile, config: FlowConfig | None):
-    """The stepper of ``run_axi``."""
-    config = config or FlowConfig()
-    return (yield from _evolve([_AxiState(profile, config)], config))
-
-
 def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> Trajectory:
     """Evolve a meridian by mean curvature until a pinch, collapse or stop.
 
@@ -571,7 +565,8 @@ def run_axi(profile: AxiProfile, config: FlowConfig | None = None) -> Trajectory
     :class:`InvalidInputError`: it would report a pinch before the neck had
     used half its lifetime.
     """
-    return _alone(_axi_steps(profile, config))[0]
+    config = config or FlowConfig()
+    return _alone(_evolve([_AxiState(profile, config)], config))[0]
 
 
 # ---------------------------------------------------------------------------

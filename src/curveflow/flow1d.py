@@ -18,12 +18,13 @@ state: a row of ``_rkl2``'s table dotted with Y(j-1) (the point rows, x and
 y or r, between two ghost columns), Y(j-2), Y0, F and F0.  All three drivers
 share its step budget, caps and terminal events and make one geometry pass
 per evaluation; curves and meridians also share its snapshot schedule.
-``_evolve`` is a generator that yields at each pass, and ``_rounds`` runs
-many of them together: each round it copies every live state's chain, its
-ghost columns filled, into one stack and runs one ``curves._Stencil`` over
-it, and each state reads its share of the outputs; nothing else is part of a
-pass.  The first pass starts each state; after it, only the pass at a step's
-end adds the area, and the next bound and every snapshot read that pass.
+``_evolve`` is a generator that yields its states at each pass, and
+``_rounds`` runs many of them together and makes each whole pass: it fills
+every live state's ghost columns, copies its chain into one stack and runs
+one ``curves._Stencil`` over it, and each state reads its share of the
+outputs.  Each driver is ``_alone`` over ``_evolve`` on the states it builds.
+The first pass starts each state; after it, only the pass at a step's end
+adds the area, and the next bound and every snapshot read that pass.
 """
 
 from __future__ import annotations
@@ -186,10 +187,10 @@ class _FlowState:
     step's last pass), ``advance(t)`` (after it: the area, and is a snapshot
     due?), ``take(t)`` (build and check the snapshot's geometry, append it,
     return its area) and ``stop_kind``.  Every state makes the same geometry
-    pass (``_pass``) over its ``chain``: ``fill`` writes the ghost columns, a
-    round's stacked stencil runs, and ``adopt`` keeps the state's share of its
-    outputs; whatever a driver derives from the pass, it derives where it
-    reads it.
+    pass over its ``chain``, all of it in ``_rounds``: ``fill`` writes the
+    ghost columns, the round's stacked stencil runs, and ``adopt`` keeps the
+    state's share of its outputs; whatever a driver derives from the pass, it
+    derives where it reads it.
     """
 
     stop_kind = EVENT_EXTINCTION
@@ -327,26 +328,19 @@ def _stage_count(tau: float, euler: float) -> tuple[int, float]:
     return s, min(tau, euler * (s * s + s - 2) / 4.0)
 
 
-def _pass(states: list[_FlowState]):
-    """One geometry pass of ``states``: fill their ghost columns and yield
-    them to ``_rounds``, which runs the stacked stencil over their chains."""
-    for s in states:
-        s.fill()
-    yield states
-
-
 def _evolve(states: list[_FlowState], config: FlowConfig):
     """Step every state on one clock until one stops, the step budget runs out
     or the clock stalls (t + tau == t): a generator for ``_rounds``.
 
-    The first ``_pass`` starts every state.  A step is one RKL2 step over
-    tau, the smallest cap a ``plan`` returns, in ``_stage_count``'s stages.
-    Stage j writes Y(j), one weighted sum of a bank's first five slots, into
-    slot 5, then shifts Y(j-1) into slot 1 and Y(j) into the chain.  A
-    ``_pass`` follows every stage but the last, and one ends the step.
+    Each pass is a ``yield states``, which ``_rounds`` resumes once it has
+    made the pass.  The first pass starts every state.  A step is one RKL2
+    step over tau, the smallest cap a ``plan`` returns, in ``_stage_count``'s
+    stages.  Stage j writes Y(j), one weighted sum of a bank's first five
+    slots, into slot 5, then shifts Y(j-1) into slot 1 and Y(j) into the
+    chain.  A pass follows every stage but the last, and one ends the step.
     Returns each state's trajectory, in order, with its stats.
     """
-    yield from _pass(states)
+    yield states
     for s in states:
         s.start()
     t = 0.0
@@ -372,7 +366,7 @@ def _evolve(states: list[_FlowState], config: FlowConfig):
             s.bank[4] = s.bank[3]   # F0, which plan left in F
         for j, w in enumerate(weights):
             if j:
-                yield from _pass(states)
+                yield states
             for s in states:
                 if j:
                     s.velocity()
@@ -389,7 +383,7 @@ def _evolve(states: list[_FlowState], config: FlowConfig):
         if steps % config.resample_every == 0:
             for s in states:
                 s.resample()
-        yield from _pass(states)
+        yield states
         if any([s.advance(t) for s in states]):
             for s in states:
                 if not s.done:
@@ -417,9 +411,10 @@ def _rounds(steppers: list) -> list:
     """Run steppers such as ``_evolve`` together, one stacked pass a round.
 
     Each round resumes every live stepper, which runs to its next pass and
-    yields its states with their ghost columns filled, or ends.  Then one
-    ``curves._Stencil`` runs over one stack that holds every live state's
-    ``chain`` end to end, copied in.  The stack is laid out anew, and each
+    yields its states, or ends.  Then each state's ``fill`` writes its ghost
+    columns just before its ``chain`` is copied into one stack that holds
+    every live state's chain end to end, and one ``curves._Stencil`` runs
+    over the stack: the whole pass.  The stack is laid out anew, and each
     state adopts its ``share``, only when a stepper ends or a resample gives a
     state new rows; so the next pass is stacked the same as long as no stepper
     ends and no state changes its point count.  Returns each stepper's
@@ -450,7 +445,8 @@ def _rounds(steppers: list) -> list:
                 s.adopt(stencil.share(start, end - start - 2))
                 members.append((s, s.chain, stack[:, start:end]))
         live = [(i, stepper) for i, stepper, _ in pending]
-        for _, rows, place in members:
+        for s, rows, place in members:
+            s.fill()
             place[...] = rows
         stencil()
     return outcomes
@@ -549,17 +545,9 @@ class _CurveState(_FlowState):
         return abs(m.enclosed_area)
 
 
-def _curve_steps(curves: list[cv.PlaneCurve], law: SpeedLaw, config: FlowConfig | None):
-    """The stepper of ``co_evolve`` and ``run``: the curves' states on one clock."""
-    if not curves:
-        raise InvalidInputError("need at least one curve")
-    config = config or FlowConfig()
-    return (yield from _evolve([_CurveState(c, law, config) for c in curves], config))
-
-
 def run(curve: cv.PlaneCurve, law: SpeedLaw, config: FlowConfig | None = None) -> Trajectory:
     """Evolve one curve until an area stop, curvature stop or step budget."""
-    return _alone(_curve_steps([curve], law, config))[0]
+    return co_evolve([curve], law, config)[0]
 
 
 def co_evolve(
@@ -571,7 +559,10 @@ def co_evolve(
     trajectory covers the same time interval with identical snapshot times;
     the others then end with a ``partner-stopped`` event.
     """
-    return _alone(_curve_steps(curve_list, law, config))
+    if not curve_list:
+        raise InvalidInputError("need at least one curve")
+    config = config or FlowConfig()
+    return _alone(_evolve([_CurveState(c, law, config) for c in curve_list], config))
 
 
 # ---------------------------------------------------------------------------

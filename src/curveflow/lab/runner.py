@@ -374,17 +374,19 @@ def _flow_key(s: Scenario) -> _FlowKey | None:
 
 def _steps(key: _FlowKey):
     """The key's flow as a stepper for ``flow1d._rounds``: it builds the
-    geometry, steps it by the stepper of the key's driver and returns the
-    trajectories, two for a nested pair and one for every other flow."""
+    geometry and a state of the key's driver for each curve or profile in it,
+    steps them by ``flow1d._evolve`` and returns the trajectories, two for a
+    nested pair and one for every other flow.  A generator, so that an error
+    in building them is this flow's own."""
     geometry = SHAPES_BY_KIND[key.kind][key.shape][0](n=key.n, **dict(key.shape_params))
     if key.kind == KIND_AXI:
-        stepper = ax._axi_steps(geometry, key.config)
+        states = [ax._AxiState(geometry, key.config)]
     elif key.shape == "grim_reaper":
-        stepper = oc._front_steps(geometry, key.duration, key.config)
+        states = [oc._FrontState(geometry, key.duration, key.config)]
     else:
         curves = geometry if isinstance(geometry, list) else [geometry]
-        stepper = f1._curve_steps(curves, key.law, key.config)
-    return (yield from stepper)
+        states = [f1._CurveState(c, key.law, key.config) for c in curves]
+    return (yield from f1._evolve(states, key.config))
 
 
 @dataclass
@@ -549,9 +551,10 @@ def accept(scenarios: list[Scenario], out_root, workers: int = 1):
 
 
 def format_table(reports: list[RunReport]) -> str:
-    """Human-readable pass/fail table, one scenario per row."""
+    """Human-readable pass/fail table, one scenario per row: its ``flow_time``
+    (``-`` where it is None) and its analysis ``wall_time``."""
     name_w = max([len(r.scenario) for r in reports] + [8])
-    lines = [f"{'scenario':<{name_w}}  {'status':<6}  {'time':>7}  checks"]
+    lines = [f"{'scenario':<{name_w}}  {'status':<6}  {'flow':>6}  {'analysis':>8}  checks"]
     lines.append("-" * len(lines[0]))
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -562,7 +565,8 @@ def format_table(reports: list[RunReport]) -> str:
             body = f"{len(r.checks) - len(failed)}/{len(r.checks)} ok"
             if failed:
                 body += "  failing: " + ", ".join(failed)
-        lines.append(f"{r.scenario:<{name_w}}  {status:<6}  {r.wall_time:7.1f}s  {body}")
+        flow = "-" if r.flow_time is None else f"{r.flow_time:.2f}s"
+        lines.append(f"{r.scenario:<{name_w}}  {status:<6}  {flow:>6}  {r.wall_time:7.2f}s  {body}")
     total = sum(not r.passed for r in reports)
     lines.append("-" * len(lines[0]))
     lines.append(f"{len(reports)} scenario(s), {total} failing")

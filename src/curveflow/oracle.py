@@ -136,6 +136,8 @@ class _FrontState(_FlowState):
     the trajectory keeps the start and the snapshot taken at the end."""
 
     def __init__(self, points, duration: float, config: FlowConfig):
+        if not 0.0 < duration < math.inf:
+            raise InvalidInputError(f"duration must be positive and finite, got {duration}")
         pts = cv._checked_points(points, 4, closed=False, noun="front points")[0]
         super().__init__(pts.T, pts, config)
         self.duration = duration
@@ -144,6 +146,14 @@ class _FrontState(_FlowState):
     def start(self) -> None:
         # An open chain encloses no area, and the front never snapshots on one.
         self.schedule(None, 0.0, float(np.abs(self.k[1:-1]).max()), float(self.seg[1:-1].sum()))
+
+    def end(self, event: Event) -> None:
+        """End at the horizon; any other end raises NumericalBreakdownError."""
+        if event.kind != EVENT_HORIZON:
+            raise NumericalBreakdownError(
+                f"translating front ended with {event.kind} at t={event.time:.6g}, "
+                f"before its horizon t={self.duration:.6g}")
+        super().end(event)
 
     def fill(self) -> None:
         c = self.chain
@@ -177,20 +187,6 @@ class _FrontState(_FlowState):
         return 0.0   # no area: the front never snapshots on a schedule
 
 
-def _front_steps(points: NDArray[np.float64], duration: float, config: FlowConfig | None):
-    """The stepper of ``evolve_translating_front``: it raises on an end before the horizon."""
-    if not 0.0 < duration < math.inf:
-        raise InvalidInputError(f"duration must be positive and finite, got {duration}")
-    config = config or FlowConfig(resample_every=25)
-    trajs = yield from _evolve([_FrontState(points, duration, config)], config)
-    end = trajs[0].events[-1]
-    if end.kind != EVENT_HORIZON:
-        raise NumericalBreakdownError(
-            f"translating front ended with {end.kind} at t={end.time:.6g}, "
-            f"before its horizon t={duration:.6g}")
-    return trajs
-
-
 def evolve_translating_front(
     points: NDArray[np.float64], duration: float, config: FlowConfig | None = None
 ) -> Trajectory:
@@ -201,7 +197,8 @@ def evolve_translating_front(
     the other drivers (default: ``FlowConfig(resample_every=25)``); its area
     stop never fires on an open chain.  An end before the horizon, the step
     budget or a curvature stop included, raises NumericalBreakdownError."""
-    return _alone(_front_steps(points, duration, config))[0]
+    config = config or FlowConfig(resample_every=25)
+    return _alone(_evolve([_FrontState(points, duration, config)], config))[0]
 
 
 def polyline_distance(points: NDArray[np.float64], target: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -16,7 +16,7 @@ import curveflow.oracle as oc
 import curveflow.rescale as rs
 from curveflow.errors import CurveflowError, DegenerateGeometryError, InvalidInputError, NoNeckError
 from test_curves import reference_three_point
-from test_flow1d import started
+from test_flow1d import after_each_pass, started
 
 
 def perturbed_cylinder(r0=0.2, period=2.0, n=192, amp=0.3):
@@ -135,6 +135,9 @@ class TestProfiles:
             ax.torus_profile(1.0, 1.2)
         with pytest.raises(InvalidInputError):
             ax.dumbbell_profile(0.1, 0.2, 1.0, 400)
+        for dims in ((0.0, 0.2, 1.0), (1.0, -0.2, 1.0), (1.0, 0.2, 0.0)):
+            with pytest.raises(InvalidInputError, match="dumbbell dimensions must be positive"):
+                ax.dumbbell_profile(*dims, 400)
         with pytest.raises(InvalidInputError):
             ax.AxiProfile(np.column_stack([np.linspace(0, 1, 32),
                                            -np.ones(32)]), ax.TOPOLOGY_CYLINDER, 1.0)
@@ -685,7 +688,7 @@ def test_snapshot_checks_on_the_pass_match_the_constructor(kind, seed, damage):
     state = started(f1._CurveState(start, f1.SpeedLaw(1.0), config) if is_curve
                     else ax._AxiState(start, config))
     state.set_verts(rows)
-    f1._alone(f1._pass([state]))   # the step's last pass, as advance reads it
+    f1._alone(iter([[state]]))   # the step's last pass, as advance reads it
     state.measure_area()
     with mock.patch.object(cv, "_segment_sweep", wraps=cv._segment_sweep) as sweep:
         _, got_error = outcome(lambda: state.take(1.0))
@@ -720,7 +723,7 @@ def rotate(points, angle):
 
 @pytest.mark.parametrize("case", ["curve-peanut", "meridian-sphere", "meridian-torus",
                                   "meridian-dumbbell", "meridian-cylinder", "front"])
-def test_bound_pass_matches_a_fresh_pass(case, monkeypatch):
+def test_bound_pass_matches_a_fresh_pass(case):
     """Right after every stacked stencil call (the pass that starts the state,
     every RKL2 stage and every resample), the state's share holds the
     curvature, left normal and edge lengths that a fresh one-shot pass gives on
@@ -770,18 +773,15 @@ def test_bound_pass_matches_a_fresh_pass(case, monkeypatch):
 
         state.velocity = checked_velocity
     inside = slice(1, -1) if case == "front" else slice(None)   # the front's ghosts copy its ends
-    real_pass = f1._pass
     sizes = []
 
-    def checked_pass(states):   # resumes right after the round's stacked stencil call
-        yield from real_pass(states)
+    def check():
         held = state.k[inside], state.left[:, inside], state.seg[inside]
         for a, b in zip(held, fresh(), strict=True):
             assert same_bits(a, b)
         sizes.append(state.verts.shape[1])
 
-    monkeypatch.setattr(f1, "_pass", checked_pass)
-    [traj] = f1._alone(f1._evolve([state], config))
+    [traj] = f1._alone(after_each_pass(f1._evolve([state], config), check))
     assert len(sizes) == traj.stats.evaluations + 1 and traj.stats.resamples > 2
     if case in ("curve-peanut", "meridian-sphere", "meridian-torus"):
         assert len(set(sizes)) > 2   # resamples changed the point count

@@ -25,9 +25,20 @@ from curveflow.errors import (
 
 def started(state):
     """``state`` after the first pass of its run, started as ``_evolve`` starts it."""
-    f1._alone(f1._pass([state]))
+    f1._alone(iter([[state]]))
     state.start()
     return state
+
+
+def after_each_pass(stepper, check):
+    """``stepper``, calling ``check()`` at each resume, which follows the
+    round's stacked stencil call, and returning what it returns."""
+    try:
+        while True:
+            yield next(stepper)
+            check()
+    except StopIteration as stop:
+        return stop.value
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +128,7 @@ class TestStepping:
         state = started(f1._CurveState(cv.circle_polygon(1.0, 64), f1.SpeedLaw(1.0),
                                        f1.FlowConfig()))
         state.verts[:, 10] = np.nan
-        f1._alone(f1._pass([state]))   # the step's last pass, as advance reads it
+        f1._alone(iter([[state]]))   # the step's last pass, as advance reads it
         state.measure_area()
         with pytest.raises(NumericalBreakdownError,
                            match="geometry degenerated at t=0.5: vertices must be finite"):
@@ -467,19 +478,22 @@ def _flow_steppers(fail_after=None):
     """Fresh steppers of a closed curve (a peanut, whose resamples change n),
     a co-evolved circle and ellipse, a two-pole meridian and the grim reaper's
     front.  With ``fail_after``, the pair's stepper raises after that many passes."""
-    config = f1.FlowConfig(resample_every=4)
-    pair = f1._curve_steps([cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 48)],
-                           f1.SpeedLaw(1.0), None)
+    config, default = f1.FlowConfig(resample_every=4), f1.FlowConfig()
+    pair = f1._evolve([f1._CurveState(c, f1.SpeedLaw(1.0), default)
+                       for c in (cv.circle_polygon(1.5, 64), cv.ellipse_polygon(0.8, 0.4, 48))],
+                      default)
     if fail_after is not None:
         def failing(stepper):
             for _ in range(fail_after):
                 yield next(stepper)
             raise FloatingPointError("pair failed")
         pair = failing(pair)
-    return [f1._curve_steps([cv.peanut_polygon(1.0, 0.3, 96)], f1.SpeedLaw(1.0), config),
+    front = f1.FlowConfig(resample_every=25)
+    return [f1._evolve([f1._CurveState(cv.peanut_polygon(1.0, 0.3, 96), f1.SpeedLaw(1.0), config)],
+                       config),
             pair,
-            ax._axi_steps(ax.dumbbell_profile(1.0, 0.3, 1.0, 256), None),
-            oc._front_steps(oc.grim_reaper(81, 1.0), 0.1, None)]
+            f1._evolve([ax._AxiState(ax.dumbbell_profile(1.0, 0.3, 1.0, 256), default)], default),
+            f1._evolve([oc._FrontState(oc.grim_reaper(81, 1.0), 0.1, front)], front)]
 
 
 def _bits(geometry):
@@ -519,6 +533,26 @@ class TestRounds:
                 assert_same_run(a, b)
         with pytest.raises(FloatingPointError, match="pair failed"):
             f1._alone(_flow_steppers(fail_after=30)[1])
+
+    def test_a_stalled_flow_leaves_the_others_as_they_run_alone(self):
+        """A circle with no area or curvature stop shrinks until its clock
+        stalls (t + tau == t) and ends ``stalled``; an ellipse and a sphere in
+        the same rounds end on their own stops, as they do alone."""
+        stall = f1.FlowConfig(stop_area_fraction=1e-30, max_curvature_stop=1e300)
+        default = f1.FlowConfig()
+
+        def steppers():
+            return [f1._evolve([f1._CurveState(cv.circle_polygon(1.0, 16), f1.SpeedLaw(1.0),
+                                               stall)], stall),
+                    f1._evolve([f1._CurveState(cv.ellipse_polygon(1.0, 0.5, 64),
+                                               f1.SpeedLaw(1.0), default)], default),
+                    f1._evolve([ax._AxiState(ax.sphere_profile(1.0, 32), default)], default)]
+
+        together = f1._rounds(steppers())
+        assert [trajs[0].stats.event for trajs in together] == [
+            f1.EVENT_STALLED, f1.EVENT_EXTINCTION, ax.EVENT_POLE_EXTINCTION]
+        for mine, stepper in zip(together, steppers()):
+            assert_same_run(mine[0], f1._alone(stepper)[0])
 
 
 def _nested_pair(i):

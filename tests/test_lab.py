@@ -630,13 +630,14 @@ def scenario_files(root):
 
 @pytest.fixture
 def driver_calls(monkeypatch):
-    """Names of the driver steppers the runner makes, one entry per flow it steps."""
-    calls = []
-    for module, name in ((f1, "_curve_steps"), (ax, "_axi_steps"), (oc, "_front_steps")):
-        def counted(*args, _driver=getattr(module, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _driver(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+    """The state class of each flow the runner steps, one entry per flow."""
+    calls, evolve = [], f1._evolve
+
+    def counted(states, config):
+        calls.append(type(states[0]).__name__)
+        return evolve(states, config)
+
+    monkeypatch.setattr(f1, "_evolve", counted)
     return calls
 
 
@@ -907,13 +908,13 @@ analyses = neck
         assert [e["warnings"] for e in on_disk["scenarios"]] == [r.warnings for r in reports]
 
     def test_a_shared_flow_hands_its_warnings_to_every_member(self, tmp_path, monkeypatch):
-        steps = f1._curve_steps
+        evolve = f1._evolve
 
         def warn_then_step(*args, **kwargs):
             warnings.warn("flow warned", RuntimeWarning)
-            return steps(*args, **kwargs)
+            return evolve(*args, **kwargs)
 
-        monkeypatch.setattr(f1, "_curve_steps", warn_then_step)
+        monkeypatch.setattr(f1, "_evolve", warn_then_step)
         reports, _, _ = runner.accept(scenarios.parse_config(ELLIPSE_PAIR), tmp_path)
         assert [r.warnings for r in reports] == [["RuntimeWarning: flow warned"]] * 2
         assert reports[1].shared_flow == reports[0].scenario
@@ -971,17 +972,17 @@ analyses = neck
         text = (TINY_ELLIPSE.format(name="area", analysis="area-law")
                 + TINY_ELLIPSE.format(name="length", analysis="norm-length").replace(old, new))
         _, summary, _ = runner.accept(scenarios.parse_config(text), tmp_path)
-        assert driver_calls == ["_curve_steps", "_curve_steps"]
+        assert driver_calls == ["_CurveState", "_CurveState"]
         assert [e["shared_flow"] for e in summary["scenarios"]] == [None, None]
 
     def test_a_failed_shared_flow_fails_every_member(self, tmp_path, driver_calls):
         batch = scenarios.parse_config(COARSE_TORUS_PAIR) + [oracle_scenario()]
         _, summary, status = runner.accept(batch, tmp_path)
-        assert driver_calls == ["_axi_steps"]
+        assert driver_calls == ["_AxiState"]
         assert status == 1 and summary["failed"] == 2
         neck, dial, oracle = summary["scenarios"]
         assert neck["error"].startswith("InvalidInputError: initial waist")
-        assert "in _axi_steps" in neck["traceback"]
+        assert "in start" in neck["traceback"]
         assert (dial["error"], dial["traceback"]) == (neck["error"], neck["traceback"])
         assert (neck["shared_flow"], dial["shared_flow"]) == (None, "torus_neck")
         assert oracle["passed"] and oracle["shared_flow"] is None
@@ -1003,6 +1004,26 @@ analyses = neck
         assert "FAIL" in table
         assert "selfcheck" in table
 
+    def test_format_table_shows_each_flow_time_and_an_error_row(self):
+        reports = [
+            runner.RunReport("circle", [runner.CheckResult("area-law/slope", 0.5, "<", 1.0),
+                                        runner.CheckResult("radius-law/max_rel_err", 2.0, "<", 1.0)],
+                             wall_time=0.25, flow_time=1.5),
+            runner.RunReport("reader", wall_time=0.125, shared_flow="circle",
+                             error="FitFailureError: no line through these areas"),
+            runner.RunReport("oracle", [runner.CheckResult("selfcheck/max_error", 0.0, "<", 1e-6)],
+                             wall_time=0.0),
+        ]
+        assert runner.format_table(reports).splitlines() == [
+            "scenario  status    flow  analysis  checks",
+            "-" * 42,
+            "circle    FAIL     1.50s     0.25s  1/2 ok  failing: radius-law/max_rel_err",
+            "reader    FAIL         -     0.12s  error: FitFailureError: no line through these areas",
+            "oracle    pass         -     0.00s  1/1 ok",
+            "-" * 42,
+            "3 scenario(s), 2 failing",
+        ]
+
     def test_a_batch_steps_every_distinct_flow_in_one_round_call(self, tmp_path, monkeypatch):
         rounds = f1._rounds
         calls = []
@@ -1021,18 +1042,18 @@ analyses = neck
         """The nested pair's stepper warns and raises after 20 passes; its
         scenario reports that error and warning, and every other flow of the
         round finishes and writes what it writes alone."""
-        steps = f1._curve_steps
+        evolve = f1._evolve
 
-        def failing_pair(curves, *args):
-            stepper = steps(curves, *args)
-            if len(curves) == 2:
+        def failing_pair(states, config):
+            stepper = evolve(states, config)
+            if len(states) == 2:
                 for _ in range(20):
                     yield next(stepper)
                 warnings.warn("pair warned", RuntimeWarning)
                 raise NumericalBreakdownError("pair broke mid-round")
             return (yield from stepper)
 
-        monkeypatch.setattr(f1, "_curve_steps", failing_pair)
+        monkeypatch.setattr(f1, "_evolve", failing_pair)
         batch = scenarios.parse_config(TINY_CIRCLE + NESTED_PAIR + TINY_SPHERE + GRIM_REAPER)
         reports, _, _ = runner.accept(batch, tmp_path / "batch")
         assert [r.error for r in reports] == [
@@ -1183,6 +1204,8 @@ class TestCli:
         assert cli.main(["oracle", "pretzel", "1.0", "0.1"]) == 2
         assert cli.main(["oracle", "circle", "one", "0.1"]) == 2
         capsys.readouterr()
+        assert cli.main(["oracle", "power", "1.0", "0.3"]) == 2
+        assert capsys.readouterr().err == "usage: oracle power R0 P T\n"
 
     @pytest.mark.parametrize("params", [
         ["circle", "nan", "0.3"], ["circle", "1.0", "nan"], ["sphere", "inf", "0.1"],
@@ -1226,6 +1249,10 @@ class TestCli:
     def test_rescale_rejects_plain_directory(self, tmp_path, capsys):
         assert cli.main(["rescale", str(tmp_path), "0,0", "1.0"]) == 2
         assert "index.json" in capsys.readouterr().err
+
+    def test_rescale_rejects_a_center_that_is_not_numbers(self, tmp_path, capsys):
+        assert cli.main(["rescale", str(tmp_path), "a,b", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("bad parameter: ")
 
     @pytest.mark.parametrize("corrupt, problem", [
         (lambda index, snaps: index.pop("kind"), "has no kind"),

@@ -14,7 +14,7 @@ from curveflow.errors import (
     InvalidInputError,
     NumericalBreakdownError,
 )
-from test_flow1d import started
+from test_flow1d import after_each_pass, started
 
 
 class TestShrinkers:
@@ -150,26 +150,23 @@ class TestTranslators:
         assert kmax * h_min == pytest.approx(math.sqrt(2.0))
         assert state.plan(0.0)[0] <= f1.DISPLACEMENT_FRACTION * h_min / kmax
 
-    def test_front_pass_reads_its_points_after_every_set_verts(self, monkeypatch):
+    def test_front_pass_reads_its_points_after_every_set_verts(self):
         # At every pass the front's ghost columns hold its two end points, so
         # the stencil's interior columns are those of its points alone: on the
         # first bank and on one that a new point count lays out.
         state = oc._FrontState(oc.grim_reaper(81, 1.0), 1.0, f1.FlowConfig())
-        real_pass = f1._pass
         passes = []
 
-        def checked_pass(states):
-            yield from real_pass(states)
+        def check():
             c = state.chain
             assert np.array_equal(c[:, 0], c[:, 1]) and np.array_equal(c[:, -1], c[:, -2])
             passes.append(c.shape[1] - 2)
 
-        monkeypatch.setattr(f1, "_pass", checked_pass)
         for n in (81, 41):
             state.set_verts(oc.grim_reaper(n, 1.0).T)
             assert state.verts.shape == (2, n)
             for _ in range(2):
-                f1._alone(f1._pass([state]))
+                f1._alone(after_each_pass(iter([[state]]), check))
         assert passes == [81, 81, 41, 41]
 
     @pytest.mark.parametrize("value, error, match", [

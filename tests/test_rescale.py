@@ -174,6 +174,15 @@ class TestLocalWindows:
         got, residual = rs._classify_window(np.column_stack([x, x ** power]), axisymmetric=False)
         assert got == cls and (residual == 0.0) == (cls == rs.CLASS_CONVEX)
 
+    def test_straight_axisymmetric_window_is_cylinder_like(self):
+        # At r = 1 the window is too near the axis to be plane-like, and its
+        # collinear points leave no circle to fit.
+        window = np.column_stack([np.linspace(-1.0, 1.0, rs.WINDOW_POINTS),
+                                  np.ones(rs.WINDOW_POINTS)])
+        with pytest.raises(FitFailureError, match="collinear"):
+            rs.fit_circle(window)
+        assert rs._classify_window(window, axisymmetric=True) == (rs.CLASS_CYLINDER, 0.0)
+
     def test_window_curvatures_of_cylinder(self):
         prof = ax.cylinder_profile(2.0, 4.0, 256)
         window = rs._window(prof.samples, _nearest(prof.samples, (0.0, 2.0)), closed=False)
@@ -221,6 +230,18 @@ class TestBlowupDial:
             rs.curvature_normalized_frames(circle_traj, many)
         with pytest.raises(InvalidInputError, match="probe points must be 2D"):
             rs.curvature_normalized_frames(circle_traj, [(0.0, 0.0, 0.0)] * 3)
+
+    def test_flat_side_probes_are_skipped(self):
+        # A probe on a rectangle's flat side sits where the curvature is 0,
+        # so no frame can be dilated there.
+        rect = cv.rectangle_polygon(2.0, 1.0, 64)
+        traj = f1.Trajectory([f1.Snapshot(t, rect, cv.metrics(rect)) for t in (0.0, 0.1, 0.2)])
+        with pytest.warns(UserWarning, match="nonpositive local curvature") as caught:
+            report = rs.curvature_normalized_frames(traj, [(1.0, 0.0)] * 3)
+        assert [str(w.message) for w in caught] == [
+            f"frame {k}: nonpositive local curvature at the probe; skipped" for k in range(3)]
+        assert report.frames == [] and report.frame_classes == []
+        assert report.limit_classification == rs.CLASS_NONE
 
     def test_circle_probes_classify_round(self, circle_traj):
         probes = [(0.0, 0.0)] * 6
